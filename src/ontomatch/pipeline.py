@@ -3,8 +3,9 @@
 cache so warm reruns make zero provider calls.
 
 Every stage writes its artifacts atomically under the output directory and
-records input/output digests in ``manifest.json``. A stage re-runs iff any
-input digest changed or ``force`` is set; a stage interrupted by ``limit``
+records input/output digests in ``manifest.json``. What each stage reads and
+writes is declared once, in ``STAGE_TABLE``. A stage re-runs iff its input
+digest changed or ``force`` is set; a stage interrupted by ``limit``
 records status ``partial`` and re-runs next time.
 """
 
@@ -16,18 +17,16 @@ import logging
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from types import ModuleType
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import definitions, judge
 from .cache import ResponseCache
-from .definitions import (
-    TEMPLATE_VERSION,
-    build_embedding_text,
-    enrich_ontology,
-)
+from .definitions import build_embedding_text, enrich_ontology
 from .errors import ConfigError, MissingArtifactError
 from .evaluate import (
     MetricsReport,
@@ -78,31 +77,94 @@ logger = logging.getLogger(__name__)
 
 __all__ = ["PipelineConfig", "Pipeline", "StageManifest", "make_provider", "STAGES"]
 
-STAGES = ("ingest", "define", "embed", "match", "judge", "fuse", "eval")
 
-_ARTIFACTS: dict[str, tuple[str, ...]] = {
-    "ingest": ("source.concepts.jsonl", "target.concepts.jsonl"),
-    "define": ("source.enriched.jsonl", "target.enriched.jsonl"),
-    "embed": (
-        "source.embeddings.npy",
-        "source.embeddings.json",
-        "target.embeddings.npy",
-        "target.embeddings.json",
+@dataclass(frozen=True)
+class Stage:
+    """One row of the stage table: everything a stage reads and writes.
+
+    ``reads`` and ``writes`` are artifacts in the output directory; a stage
+    needs all of its ``reads`` before it runs. ``files`` are config fields
+    naming input files, which enter the digest by content. ``config`` are
+    the other ``PipelineConfig`` fields the stage reads; a method name stands
+    for its result. ``model`` is the provider attribute holding the model id
+    and ``template`` the module attribute holding the prompt template version.
+    The input digest covers everything but ``writes``.
+    """
+
+    reads: tuple[str, ...] = ()
+    files: tuple[str, ...] = ()
+    config: tuple[str, ...] = ()
+    model: str | None = None
+    template: tuple[ModuleType, str] | None = None
+    writes: tuple[str, ...] = ()
+
+
+_CONCEPTS = ("source.concepts.jsonl", "target.concepts.jsonl")
+_ENRICHED = ("source.enriched.jsonl", "target.enriched.jsonl")
+_EMBEDDINGS = (
+    "source.embeddings.npy",
+    "source.embeddings.json",
+    "target.embeddings.npy",
+    "target.embeddings.json",
+)
+# Config that a pair's p_yes depends on, besides the model and template.
+_P_YES_CONFIG = ("shots", "use_definitions", "softmax_mode")
+
+STAGE_TABLE: dict[str, Stage] = {
+    "ingest": Stage(
+        files=("source", "target"),
+        config=("source_format", "target_format", "source_name", "target_name",
+                "label_property", "synonym_properties"),
+        writes=_CONCEPTS,
     ),
-    "match": ("candidates.tsv",),
-    "judge": ("judgements.tsv",),
-    "fuse": ("mappings.tsv",),
-    "eval": ("metrics.json", "metrics.txt"),
+    "define": Stage(
+        reads=_CONCEPTS,
+        config=("source_name", "target_name", "use_definitions",
+                "temperature", "top_p", "max_tokens"),
+        model="chat_model_id",
+        template=(definitions, "TEMPLATE_VERSION"),
+        writes=_ENRICHED,
+    ),
+    "embed": Stage(
+        reads=_ENRICHED,
+        config=("use_definitions",),
+        model="embed_model_id",
+        writes=_EMBEDDINGS,
+    ),
+    "match": Stage(
+        reads=_EMBEDDINGS,
+        config=("k", "index", "hnsw_m", "hnsw_ef_construction", "hnsw_ef_search",
+                "hnsw_seed", "bidirectional"),
+        writes=("candidates.tsv",),
+    ),
+    # lambda_prob sets the Decision column of judgements.tsv.
+    "judge": Stage(
+        reads=("candidates.tsv", *_ENRICHED),
+        config=(*_P_YES_CONFIG, "lambda_prob"),
+        model="chat_model_id",
+        template=(judge, "JUDGE_TEMPLATE_VERSION"),
+        writes=("judgements.tsv",),
+    ),
+    "fuse": Stage(
+        reads=("judgements.tsv", *_CONCEPTS),
+        config=("lambda_prob", "lambda_cs", "with_provenance"),
+        writes=("mappings.tsv",),
+    ),
+    # The ranking scorer reads the embeddings ("cosine") or judges each
+    # ranking case like the judge stage ("pyes").
+    "eval": Stage(
+        reads=("mappings.tsv", *_EMBEDDINGS, *_ENRICHED),
+        files=("reference", "ranking_cases"),
+        config=("ranking_scorer", *_P_YES_CONFIG),
+        model="chat_model_id",
+        template=(judge, "JUDGE_TEMPLATE_VERSION"),
+        writes=("metrics.json", "metrics.txt"),
+    ),
 }
 
-_PREREQUISITE: dict[str, str] = {
-    "define": "ingest",
-    "embed": "define",
-    "match": "embed",
-    "judge": "match",
-    "fuse": "judge",
-    "eval": "fuse",
-}
+STAGES = tuple(STAGE_TABLE)
+
+_PRODUCER = {a: stage for stage, row in STAGE_TABLE.items() for a in row.writes}
 
 
 @dataclass
@@ -157,40 +219,7 @@ class PipelineConfig:
             raise ConfigError(f"ranking_scorer must be 'cosine' or 'pyes'")
 
     def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "target": self.target,
-            "source_format": self.source_format,
-            "target_format": self.target_format,
-            "source_name": self.source_name,
-            "target_name": self.target_name,
-            "out_dir": self.out_dir,
-            "cache_dir": self.cache_dir,
-            "k": self.k,
-            "lambda_prob": self.lambda_prob,
-            "lambda_cs": self.lambda_cs,
-            "few_shot": self.few_shot,
-            "use_definitions": self.use_definitions,
-            "index": self.index,
-            "hnsw_m": self.hnsw_m,
-            "hnsw_ef_construction": self.hnsw_ef_construction,
-            "hnsw_ef_search": self.hnsw_ef_search,
-            "hnsw_seed": self.hnsw_seed,
-            "bidirectional": self.bidirectional,
-            "temperature": self.temperature,
-            "top_p": self.top_p,
-            "max_tokens": self.max_tokens,
-            "softmax_mode": self.softmax_mode,
-            "with_provenance": self.with_provenance,
-            "reference": self.reference,
-            "ranking_cases": self.ranking_cases,
-            "ranking_scorer": self.ranking_scorer,
-            "max_workers": self.max_workers,
-            "label_property": self.label_property,
-            "synonym_properties": self.synonym_properties,
-            "provider": self.provider,
-            "few_shot_examples": self.few_shot_examples,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
@@ -293,7 +322,7 @@ def _sha256_file(path: Path) -> str:
 
 def _digest_of(parts: dict) -> str:
     return hashlib.sha256(
-        json.dumps(parts, sort_keys=True, ensure_ascii=False).encode("utf-8")
+        json.dumps(parts, sort_keys=True, ensure_ascii=False, default=asdict).encode("utf-8")
     ).hexdigest()
 
 
@@ -364,12 +393,6 @@ class Pipeline:
     def _artifact(self, name: str) -> Path:
         return self.out_dir / name
 
-    def _require(self, name: str, stage: str) -> Path:
-        path = self._artifact(name)
-        if not path.exists():
-            raise MissingArtifactError(name, stage)
-        return path
-
     def _write_text(self, name: str, writer: Callable) -> None:
         """Write an artifact atomically with LF newlines."""
         path = self._artifact(name)
@@ -379,13 +402,9 @@ class Pipeline:
             writer(fp)
         os.replace(tmp, path)
 
-    def _load_ontology(self, name: str, stage: str, onto_name: str) -> Ontology:
-        path = self._require(name, stage)
-        with open(path, "r", encoding="utf-8") as fp:
+    def _load_ontology(self, name: str, onto_name: str) -> Ontology:
+        with open(self._artifact(name), "r", encoding="utf-8") as fp:
             return read_concept_jsonl(fp, name=onto_name)
-
-    def _input_files_digest(self, names: Sequence[str]) -> dict[str, str]:
-        return {n: _sha256_file(self._artifact(n)) for n in names}
 
     # -- stages ---------------------------------------------------------------
 
@@ -409,7 +428,7 @@ class Pipeline:
             ("source.concepts.jsonl", "source.enriched.jsonl", cfg.source_name, cfg.target_name),
             ("target.concepts.jsonl", "target.enriched.jsonl", cfg.target_name, cfg.source_name),
         ):
-            onto = self._load_ontology(concepts_name, "ingest", onto_name)
+            onto = self._load_ontology(concepts_name, onto_name)
             if cfg.use_definitions:
                 todo = sum(1 for c in onto.concepts.values() if c.definition is None)
                 processed = enrich_ontology(
@@ -458,14 +477,13 @@ class Pipeline:
             ("source.enriched.jsonl", "source.embeddings", self.config.source_name),
             ("target.enriched.jsonl", "target.embeddings", self.config.target_name),
         ):
-            onto = self._load_ontology(concepts_name, "define", onto_name)
+            onto = self._load_ontology(concepts_name, onto_name)
             self._embed_ontology(onto, base)
 
     def _stage_match(self, limit: int | None) -> None:
         cfg = self.config
         src_iris, src_matrix, _ = load_embeddings(self._artifact("source.embeddings"))
         tgt_iris, tgt_matrix, _ = load_embeddings(self._artifact("target.embeddings"))
-        self._require("target.embeddings.npy", "embed")
         tgt_index = build_index(
             {iri: tgt_matrix[i] for i, iri in enumerate(tgt_iris)},
             kind=cfg.index,
@@ -483,10 +501,10 @@ class Pipeline:
 
     def _stage_judge(self, limit: int | None) -> bool:
         cfg = self.config
-        with open(self._require("candidates.tsv", "match"), "r", encoding="utf-8") as fp:
+        with open(self._artifact("candidates.tsv"), "r", encoding="utf-8") as fp:
             candidates = read_candidates(fp)
-        source = self._load_ontology("source.enriched.jsonl", "define", cfg.source_name)
-        target = self._load_ontology("target.enriched.jsonl", "define", cfg.target_name)
+        source = self._load_ontology("source.enriched.jsonl", cfg.source_name)
+        target = self._load_ontology("target.enriched.jsonl", cfg.target_name)
         total = sum(len(v) for v in candidates.values())
         judgements = judge_candidates(
             candidates,
@@ -506,10 +524,10 @@ class Pipeline:
 
     def _stage_fuse(self, limit: int | None) -> None:
         cfg = self.config
-        with open(self._require("judgements.tsv", "judge"), "r", encoding="utf-8") as fp:
+        with open(self._artifact("judgements.tsv"), "r", encoding="utf-8") as fp:
             judgements = read_judgements(fp)
-        source = self._load_ontology("source.concepts.jsonl", "ingest", cfg.source_name)
-        target = self._load_ontology("target.concepts.jsonl", "ingest", cfg.target_name)
+        source = self._load_ontology("source.concepts.jsonl", cfg.source_name)
+        target = self._load_ontology("target.concepts.jsonl", cfg.target_name)
         exact = exact_match(source, target)
         fused = filter_and_fuse(
             judgements, exact, lambda_prob=cfg.lambda_prob, lambda_cs=cfg.lambda_cs
@@ -534,8 +552,8 @@ class Pipeline:
                 return _cos(src[s], tgt[t])
 
             return score
-        source = self._load_ontology("source.enriched.jsonl", "define", cfg.source_name)
-        target = self._load_ontology("target.enriched.jsonl", "define", cfg.target_name)
+        source = self._load_ontology("source.enriched.jsonl", cfg.source_name)
+        target = self._load_ontology("target.enriched.jsonl", cfg.target_name)
 
         def score(s: str, t: str) -> float:
             sc = source.concepts.get(s)
@@ -561,7 +579,7 @@ class Pipeline:
         cfg = self.config
         if not cfg.reference:
             raise ConfigError("eval stage needs a reference mapping file")
-        with open(self._require("mappings.tsv", "fuse"), "r", encoding="utf-8") as fp:
+        with open(self._artifact("mappings.tsv"), "r", encoding="utf-8") as fp:
             predicted = MappingSet.read_tsv(fp)
         with open(cfg.reference, "r", encoding="utf-8") as fp:
             reference = MappingSet.read_tsv(fp)
@@ -590,85 +608,37 @@ class Pipeline:
 
     # -- digests --------------------------------------------------------------
 
-    def _stage_input_digest(self, stage: str) -> str:
+    def input_digest(self, stage: str) -> str:
+        """Digest of everything ``stage`` reads, per its ``STAGE_TABLE`` row;
+        ``run_stage`` skips the stage while this matches the manifest."""
+        row = STAGE_TABLE[stage]
         cfg = self.config
-        if stage == "ingest":
-            return _digest_of({
-                "source": _sha256_file(Path(cfg.source)),
-                "target": _sha256_file(Path(cfg.target)),
-                "formats": [cfg.source_format, cfg.target_format],
-                "names": [cfg.source_name, cfg.target_name],
-                "extraction": [cfg.label_property, cfg.synonym_properties],
-            })
-        if stage == "define":
-            return _digest_of({
-                "inputs": self._input_files_digest(_ARTIFACTS["ingest"]),
-                "model": self.provider.chat_model_id if cfg.use_definitions else None,
-                "sampling": [cfg.temperature, cfg.top_p, cfg.max_tokens],
-                "use_definitions": cfg.use_definitions,
-                "template": TEMPLATE_VERSION,
-            })
-        if stage == "embed":
-            return _digest_of({
-                "inputs": self._input_files_digest(
-                    ("source.enriched.jsonl", "target.enriched.jsonl")
-                ),
-                "model": self.provider.embed_model_id,
-                "use_definitions": cfg.use_definitions,
-            })
-        if stage == "match":
-            return _digest_of({
-                "inputs": self._input_files_digest(_ARTIFACTS["embed"]),
-                "k": cfg.k,
-                "index": cfg.index,
-                "hnsw": [cfg.hnsw_m, cfg.hnsw_ef_construction, cfg.hnsw_ef_search, cfg.hnsw_seed],
-                "bidirectional": cfg.bidirectional,
-            })
-        if stage == "judge":
-            shots = [
-                {"a": s.a.__dict__, "b": s.b.__dict__, "answer": s.answer}
-                for s in cfg.shots()
-            ]
-            return _digest_of({
-                "inputs": self._input_files_digest(
-                    ("candidates.tsv", "source.enriched.jsonl", "target.enriched.jsonl")
-                ),
-                "model": self.provider.chat_model_id,
-                "shots": json.dumps(shots, sort_keys=True, default=list),
-                "use_definitions": cfg.use_definitions,
-                "softmax_mode": cfg.softmax_mode,
-                "lambda_prob": cfg.lambda_prob,
-                "template": TEMPLATE_VERSION,
-            })
-        if stage == "fuse":
-            return _digest_of({
-                "inputs": self._input_files_digest(
-                    ("judgements.tsv", "source.concepts.jsonl", "target.concepts.jsonl")
-                ),
-                "lambda_prob": cfg.lambda_prob,
-                "lambda_cs": cfg.lambda_cs,
-                "with_provenance": cfg.with_provenance,
-            })
-        if stage == "eval":
-            return _digest_of({
-                "inputs": self._input_files_digest(_ARTIFACTS["fuse"]),
-                "reference": _sha256_file(Path(cfg.reference)) if cfg.reference else None,
-                "ranking_cases": _sha256_file(Path(cfg.ranking_cases)) if cfg.ranking_cases else None,
-                "ranking_scorer": cfg.ranking_scorer,
-            })
-        raise ValueError(f"unknown stage {stage!r}")
+
+        def config_value(name: str):
+            value = getattr(cfg, name)
+            return value() if callable(value) else value
+
+        return _digest_of({
+            "artifacts": {a: _sha256_file(self._artifact(a)) for a in row.reads},
+            "files": {
+                f: _sha256_file(Path(getattr(cfg, f))) if getattr(cfg, f) else None
+                for f in row.files
+            },
+            "config": {name: config_value(name) for name in row.config},
+            "model": getattr(self.provider, row.model) if row.model else None,
+            "template": getattr(*row.template) if row.template else None,
+        })
 
     # -- driver ---------------------------------------------------------------
 
     def run_stage(self, stage: str, force: bool = False, limit: int | None = None) -> str:
         """Run one stage; returns 'complete', 'partial', or 'skipped'."""
-        if stage not in STAGES:
+        if stage not in STAGE_TABLE:
             raise ValueError(f"unknown stage {stage!r}")
-        prerequisite = _PREREQUISITE.get(stage)
-        if prerequisite:
-            for artifact in _ARTIFACTS[prerequisite]:
-                self._require(artifact, prerequisite)
-        input_digest = self._stage_input_digest(stage)
+        for artifact in STAGE_TABLE[stage].reads:
+            if not self._artifact(artifact).exists():
+                raise MissingArtifactError(artifact, _PRODUCER[artifact])
+        input_digest = self.input_digest(stage)
         if not force and self.manifest.can_skip(stage, input_digest, self.out_dir):
             logger.info("stage %s: inputs unchanged, skipping", stage)
             return "skipped"
@@ -684,7 +654,7 @@ class Pipeline:
         status = "complete" if outcome in (None, True) else "partial"
         outputs = {
             a: _sha256_file(self._artifact(a))
-            for a in _ARTIFACTS[stage]
+            for a in STAGE_TABLE[stage].writes
             if self._artifact(a).exists()
         }
         self.manifest.record(stage, status, input_digest, outputs, time.monotonic() - started)

@@ -342,7 +342,15 @@ class HttpProvider:
                 continue
             if status >= 400:
                 raise ProviderError(f"HTTP {status} from {url}: {response.text[:500]}")
-            return response.json()
+            try:
+                body = response.json()
+            except ValueError as e:  # includes json.JSONDecodeError
+                raise ProviderError(
+                    f"HTTP {status} from {url} has a non-JSON body: {response.text[:500]}"
+                ) from e
+            if not isinstance(body, dict):
+                raise ProviderError(f"HTTP {status} from {url}: expected a JSON object")
+            return body
         raise ProviderError(
             f"provider call to {url} failed after {self.config.max_attempts} attempts"
         ) from last_error

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import io
 import json
 import logging
 import math
@@ -377,12 +378,17 @@ def save_embeddings(
 
 
 def load_embeddings(base: str | Path) -> tuple[list[str], np.ndarray, dict]:
+    """Read ``<base>.npy`` and its sidecar; raise ``ValueError`` when the
+    matrix shape, the IRI count or the ``.npy`` sha256 disagrees with it."""
     npy_path, json_path = embedding_paths(base)
     with open(json_path, "r", encoding="utf-8") as fp:
         sidecar = json.load(fp)
-    matrix = np.load(npy_path)
+    raw = npy_path.read_bytes()
+    matrix = np.load(io.BytesIO(raw))
     if matrix.shape != (sidecar["count"], sidecar["dimension"]):
         raise ValueError(f"embedding matrix shape {matrix.shape} disagrees with sidecar")
     if len(sidecar["iris"]) != sidecar["count"]:
         raise ValueError("sidecar IRI list length disagrees with count")
+    if hashlib.sha256(raw).hexdigest() != sidecar.get("content_digest"):
+        raise ValueError(f"{npy_path} disagrees with the sidecar content_digest")
     return list(sidecar["iris"]), matrix, sidecar

@@ -1,13 +1,16 @@
 """Pipeline orchestration: end-to-end toy run, caching, resume, CLI."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import ontomatch.judge as judge_module
 from ontomatch.cli import build_config, main
 from ontomatch.errors import ConfigError, MissingArtifactError
+from ontomatch.evaluate import write_ranking_cases
 from ontomatch.judge import DEFAULT_FEW_SHOT
 from ontomatch.model import Mapping, MappingSet
 from ontomatch.pipeline import STAGES, Pipeline, PipelineConfig, make_provider
@@ -135,6 +138,109 @@ def test_source_change_invalidates_ingest(tmp_path):
     results = Pipeline(toy_config(tmp_path, source=str(source_copy))).run()
     assert results["ingest"] == "complete"
     assert results["define"] == "complete"
+
+
+def toy_ranking_cases(tmp_path: Path) -> str:
+    """Ranking cases over the toy reference: each gold target against the
+    next three reference targets as negatives."""
+    reference = sorted(load_toy_reference())
+    targets = [t for _, t in reference]
+    rows = {
+        src: (gold, [targets[(i + j) % len(targets)] for j in (1, 2, 3)])
+        for i, (src, gold) in enumerate(reference)
+    }
+    path = tmp_path / "ranking_cases.tsv"
+    with open(path, "w", encoding="utf-8") as fp:
+        write_ranking_cases(rows, fp)
+    return str(path)
+
+
+def test_ontology_name_change_reruns_define(tmp_path):
+    # the definition prompt names both vocabularies
+    Pipeline(toy_config(tmp_path)).run()
+    results = Pipeline(toy_config(tmp_path, source_name="renamed-src")).run()
+    assert results["ingest"] == "complete"
+    assert results["define"] == "complete"
+
+
+def test_embedding_change_reruns_ranking_eval(tmp_path):
+    config = toy_config(tmp_path, ranking_cases=toy_ranking_cases(tmp_path))
+    Pipeline(config).run()
+    assert read_metrics(config.out_dir)["mrr"] is not None
+
+    # the cosine ranking scorer reads the embeddings, even when the fused
+    # mappings come out byte-identical
+    provider = dict(config.provider, dimension=32)
+    results = Pipeline(dataclasses.replace(config, provider=provider)).run()
+    assert results["embed"] == "complete"
+    assert results["eval"] == "complete"
+
+
+def test_judge_template_version_reruns_judge_not_define(tmp_path, monkeypatch):
+    config = toy_config(tmp_path)
+    Pipeline(config).run()
+    monkeypatch.setattr(judge_module, "JUDGE_TEMPLATE_VERSION", "changed")
+    results = Pipeline(config).run()
+    assert results["define"] == "skipped"
+    assert results["judge"] == "complete"
+
+
+# Fields that only say where outputs go or how fast to run.
+NO_DIGEST_EFFECT = {"out_dir", "cache_dir", "max_workers"}
+
+
+def test_every_config_field_enters_some_stage_digest(tmp_path):
+    base = toy_config(tmp_path, few_shot=1, ranking_cases=toy_ranking_cases(tmp_path))
+    Pipeline(base).run()
+    base_digests = {s: Pipeline(base).input_digest(s) for s in STAGES}
+
+    def edited_copy(path: str) -> str:
+        copy = tmp_path / ("edited-" + Path(path).name)
+        copy.write_bytes(Path(path).read_bytes() + b"\n")
+        return str(copy)
+
+    perturbed = {
+        "source": edited_copy(base.source),
+        "target": edited_copy(base.target),
+        "source_format": "jsonl",
+        "target_format": "jsonl",
+        "source_name": "renamed-src",
+        "target_name": "renamed-tgt",
+        "k": 5,
+        "lambda_prob": 0.5,
+        "lambda_cs": 0.5,
+        "few_shot": 2,
+        "use_definitions": False,
+        "index": "exact",
+        "hnsw_m": 8,
+        "hnsw_ef_construction": 100,
+        "hnsw_ef_search": 64,
+        "hnsw_seed": 1,
+        "bidirectional": True,
+        "temperature": 0.2,
+        "top_p": 0.5,
+        "max_tokens": 64,
+        "softmax_mode": "full",
+        "with_provenance": False,
+        "reference": edited_copy(base.reference),
+        "ranking_cases": edited_copy(base.ranking_cases),
+        "ranking_scorer": "pyes",
+        "label_property": "http://example.org/label",
+        "synonym_properties": ["http://example.org/synonym"],
+        "provider": dict(base.provider, dimension=32),
+        "few_shot_examples": [{"a": {"label": "x"}, "b": {"label": "y"}, "answer": "NO"}],
+    }
+    for field in dataclasses.fields(PipelineConfig):
+        if field.name in NO_DIGEST_EFFECT:
+            continue
+        assert field.name in perturbed, (
+            f"{field.name} needs a STAGE_TABLE entry and a perturbation here"
+        )
+        value = perturbed[field.name]
+        assert value != getattr(base, field.name)
+        pipeline = Pipeline(dataclasses.replace(base, **{field.name: value}))
+        changed = [s for s in STAGES if pipeline.input_digest(s) != base_digests[s]]
+        assert changed, f"changing {field.name} changes no stage digest"
 
 
 def test_define_limit_records_partial_then_resumes(tmp_path):

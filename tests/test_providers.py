@@ -1,5 +1,7 @@
 """Providers: deterministic mock backend and the JSON-over-HTTP client."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -380,6 +382,19 @@ def test_http_embed_rejects_non_finite_vectors():
     provider, _, _ = http_provider([embed_response([[float("nan"), 0.0]])])
     with pytest.raises(ProviderError, match="non-finite"):
         provider.embed_batch(["a"])
+
+
+class NonJsonResponse(FakeResponse):
+    def json(self):
+        return json.loads(self.text)
+
+
+@pytest.mark.parametrize("text", ["<html>gateway page</html>", "[1, 2]"])
+def test_http_success_without_a_json_object_raises_provider_error(text):
+    provider, session, sleeps = http_provider([NonJsonResponse(text=text)])
+    with pytest.raises(ProviderError, match="HTTP 200"):
+        provider.embed_batch(["heart"])
+    assert len(session.calls) == 1
 
 
 def test_http_generate_returns_stripped_text_and_sends_params():

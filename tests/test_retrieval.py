@@ -347,3 +347,14 @@ def test_load_embeddings_rejects_iri_count_mismatch(tmp_path):
     json_path.write_text(json.dumps(sidecar))
     with pytest.raises(ValueError, match="IRI list"):
         load_embeddings(base)
+
+
+def test_load_embeddings_rejects_content_digest_mismatch(tmp_path):
+    base = tmp_path / "emb"
+    save_embeddings(base, ["http://t#A", "http://t#B"], np.eye(2), model="m")
+    npy_path, _ = embedding_paths(base)
+    raw = bytearray(npy_path.read_bytes())
+    raw[-1] ^= 0x01  # one bit of the last matrix entry; shape and count still agree
+    npy_path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="content_digest"):
+        load_embeddings(base)
