@@ -17,7 +17,14 @@ from typing import Sequence
 from .cache import ResponseCache
 from .errors import EmptyCompletionError, ProviderError
 from .model import Concept, ContextBlock, Ontology, concept_context, iri_fragment
-from .providers import Message, Provider, SamplingParams, prompt_digest
+from .providers import (
+    Message,
+    Prompt,
+    Provider,
+    ProviderPool,
+    SamplingParams,
+    prompt_digest,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -90,6 +97,15 @@ def _single_paragraph(text: str) -> str:
     return " ".join(paragraph.split())
 
 
+def _definition_prompt(
+    ctx: ContextBlock, source_name: str, target_name: str, provider: Provider
+) -> Prompt:
+    messages = build_definition_prompt(ctx, source_name, target_name)
+    return Prompt(
+        messages, prompt_digest("define", TEMPLATE_VERSION, provider.chat_model_id, messages)
+    )
+
+
 def generate_definition(
     ctx: ContextBlock,
     source_name: str,
@@ -97,15 +113,19 @@ def generate_definition(
     provider: Provider,
     cache: ResponseCache | None = None,
     params: SamplingParams | None = None,
+    prompt: Prompt | None = None,
 ) -> str:
     """Generate (or replay from cache) one concept definition.
 
     Returns "" when the provider persistently yields nothing usable; the
     caller records the concept as flagged rather than failing the stage.
+    ``prompt``, when given, is this concept's prompt as ``enrich_ontology``
+    already rendered it; it is not rendered again.
     """
     params = params or SamplingParams()
-    messages = build_definition_prompt(ctx, source_name, target_name)
-    digest = prompt_digest("define", TEMPLATE_VERSION, provider.chat_model_id, messages)
+    if prompt is None:
+        prompt = _definition_prompt(ctx, source_name, target_name, provider)
+    messages = prompt.messages
 
     def compute() -> dict:
         try:
@@ -117,7 +137,7 @@ def generate_definition(
 
     if cache is None:
         return compute()["text"]
-    return cache.get_or_compute("define", digest, compute)["text"]
+    return cache.get_or_compute("define", prompt.digest, compute)["text"]
 
 
 def enrich_ontology(
@@ -130,23 +150,37 @@ def enrich_ontology(
     max_workers: int = 8,
 ) -> int:
     """Fill ``definition`` for up to ``limit`` concepts (IRI order); returns
-    the number processed. Concepts that already carry a definition are skipped."""
+    the number processed. Concepts that already carry a definition are skipped.
+    Concepts whose definition is cached are filled on the calling thread; only
+    the others go to a ``ProviderPool`` of ``max_workers`` threads."""
     todo: list[Concept] = [
         c for c in ontology.sorted_concepts() if c.definition is None
     ]
     if limit is not None:
         todo = todo[:limit]
 
-    def work(concept: Concept) -> str:
-        ctx = concept_context(concept, ontology)
-        return generate_definition(
-            ctx, ontology.name, other_name, provider, cache=cache, params=params
-        )
-
-    if todo:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for concept, definition in zip(todo, pool.map(work, todo)):
-                concept.definition = definition
+    names = (ontology.name, other_name)
+    misses: list[Concept] = []
+    with ProviderPool(ThreadPoolExecutor, max_workers) as pool:
+        for concept in todo:
+            ctx = concept_context(concept, ontology)
+            prompt = _definition_prompt(ctx, *names, provider)
+            if cache is not None and cache.contains("define", prompt.digest):
+                concept.definition = generate_definition(
+                    ctx, *names, provider, cache=cache, params=params, prompt=prompt
+                )
+            else:
+                misses.append(concept)
+                pool.submit(
+                    generate_definition,
+                    ctx, *names, provider, cache=cache, params=params, prompt=prompt,
+                )
+        for concept, definition in zip(misses, pool.results()):
+            concept.definition = definition
+    logger.info(
+        "defined %d %s concepts: %d served from cache, %d sent to the provider",
+        len(todo), ontology.name, len(todo) - len(misses), len(misses),
+    )
     return len(todo)
 
 

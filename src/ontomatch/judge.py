@@ -17,7 +17,14 @@ from typing import IO, Sequence
 from .cache import ResponseCache
 from .errors import OntologyParseError, UnparseableJudgementError
 from .model import ContextBlock, Judgement, Ontology, Thresholds, concept_context
-from .providers import Message, Provider, TokenDistribution, prompt_digest
+from .providers import (
+    Message,
+    Prompt,
+    Provider,
+    ProviderPool,
+    TokenDistribution,
+    prompt_digest,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -188,6 +195,22 @@ def p_yes(
     raise ValueError(f"unknown p_yes mode {mode!r}")
 
 
+def _judge_prompt(
+    source_ctx: ContextBlock,
+    target_ctx: ContextBlock,
+    shots: Sequence[FewShotExample],
+    include_definition: bool,
+    provider: Provider,
+) -> Prompt:
+    messages = build_judgement_prompt(
+        source_ctx, target_ctx, shots=shots, include_definition=include_definition
+    )
+    return Prompt(
+        messages,
+        prompt_digest("judge", JUDGE_TEMPLATE_VERSION, provider.chat_model_id, messages),
+    )
+
+
 def judge_pair(
     source_ctx: ContextBlock,
     target_ctx: ContextBlock,
@@ -198,11 +221,13 @@ def judge_pair(
     include_definition: bool = True,
     cache: ResponseCache | None = None,
     softmax_mode: str = "pair",
+    prompt: Prompt | None = None,
 ) -> Judgement:
-    messages = build_judgement_prompt(
-        source_ctx, target_ctx, shots=shots, include_definition=include_definition
-    )
-    digest = prompt_digest("judge", JUDGE_TEMPLATE_VERSION, provider.chat_model_id, messages)
+    """Judge one pair. ``prompt``, when given, is this pair's prompt as
+    ``judge_candidates`` already rendered it; it is not rendered again."""
+    if prompt is None:
+        prompt = _judge_prompt(source_ctx, target_ctx, shots, include_definition, provider)
+    messages = prompt.messages
 
     def compute() -> dict:
         dist = provider.classify_first_token(messages)
@@ -211,7 +236,7 @@ def judge_pair(
     if cache is None:
         entries = compute()["entries"]
     else:
-        entries = cache.get_or_compute("judge", digest, compute)["entries"]
+        entries = cache.get_or_compute("judge", prompt.digest, compute)["entries"]
     score = p_yes(entries, mode=softmax_mode)
     return Judgement(
         source=source_ctx.iri,
@@ -239,6 +264,8 @@ def judge_candidates(
 
     Pairs whose concepts are missing from either ontology are skipped with a
     warning. ``limit`` bounds the number of pairs judged (for smoke runs).
+    Pairs whose answer is cached are judged on the calling thread; only the
+    others go to a ``ProviderPool`` of ``max_workers`` threads.
     """
     pairs: list[tuple[str, str, float]] = []
     for src in sorted(candidates):
@@ -247,31 +274,34 @@ def judge_candidates(
     if limit is not None:
         pairs = pairs[:limit]
 
-    def work(item: tuple[str, str, float]) -> Judgement | None:
-        src, tgt, sim = item
-        sc = source_onto.concepts.get(src)
-        tc = target_onto.concepts.get(tgt)
-        if sc is None or tc is None:
-            logger.warning("skipping pair (%s, %s): concept missing", src, tgt)
-            return None
-        return judge_pair(
-            concept_context(sc, source_onto),
-            concept_context(tc, target_onto),
-            sim,
-            provider,
-            thresholds=thresholds,
-            shots=shots,
-            include_definition=include_definition,
-            cache=cache,
-            softmax_mode=softmax_mode,
-        )
-
+    options = dict(
+        thresholds=thresholds,
+        shots=shots,
+        include_definition=include_definition,
+        cache=cache,
+        softmax_mode=softmax_mode,
+    )
     results: list[Judgement] = []
-    if pairs:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for judgement in pool.map(work, pairs):
-                if judgement is not None:
-                    results.append(judgement)
+    with ProviderPool(ThreadPoolExecutor, max_workers) as pool:
+        for src, tgt, sim in pairs:
+            sc = source_onto.concepts.get(src)
+            tc = target_onto.concepts.get(tgt)
+            if sc is None or tc is None:
+                logger.warning("skipping pair (%s, %s): concept missing", src, tgt)
+                continue
+            a = concept_context(sc, source_onto)
+            b = concept_context(tc, target_onto)
+            prompt = _judge_prompt(a, b, shots, include_definition, provider)
+            if cache is not None and cache.contains("judge", prompt.digest):
+                results.append(judge_pair(a, b, sim, provider, prompt=prompt, **options))
+            else:
+                pool.submit(judge_pair, a, b, sim, provider, prompt=prompt, **options)
+        served = len(results)
+        results.extend(pool.results())
+    logger.info(
+        "judged %d pairs: %d served from cache, %d sent to the provider",
+        len(results), served, len(results) - served,
+    )
     results.sort(key=lambda j: (j.source, j.target))
     return results
 

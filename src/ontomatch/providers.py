@@ -24,8 +24,10 @@ import os
 import re
 import threading
 import time
+from collections import deque
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -46,6 +48,8 @@ __all__ = [
     "AliasTable",
     "HttpProvider",
     "HttpProviderConfig",
+    "Prompt",
+    "ProviderPool",
     "prompt_digest",
     "validate_messages",
 ]
@@ -98,6 +102,53 @@ def prompt_digest(kind: str, template_version: str, model: str, messages: Sequen
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+class Prompt(NamedTuple):
+    """A rendered prompt and its ``prompt_digest``, which keys its cache entry."""
+
+    messages: list[Message]
+    digest: str
+
+
+class ProviderPool:
+    """Threads that wait on provider calls, made on the first ``submit``.
+
+    A caller serves cached answers on its own thread and submits only the
+    calls that reach the provider, so a fully cached run makes no threads.
+    At most ``QUEUE_PER_WORKER * max_workers`` calls are queued or running:
+    past that, ``submit`` first waits for the oldest, so rendered prompts and
+    futures do not pile up. ``results`` returns every result in submission
+    order. Both re-raise the exception of a failed call when they reach it.
+    """
+
+    QUEUE_PER_WORKER = 4
+
+    def __init__(self, executor: Callable[..., Executor], max_workers: int):
+        self._executor = executor
+        self._max_workers = max_workers
+        self._pool: Executor | None = None
+        self._pending: deque[Future] = deque()
+        self._done: list = []
+
+    def submit(self, fn: Callable, /, *args, **kwargs) -> None:
+        if self._pool is None:
+            self._pool = self._executor(max_workers=self._max_workers)
+        if len(self._pending) >= self.QUEUE_PER_WORKER * self._max_workers:
+            self._done.append(self._pending.popleft().result())
+        self._pending.append(self._pool.submit(fn, *args, **kwargs))
+
+    def results(self) -> list:
+        while self._pending:
+            self._done.append(self._pending.popleft().result())
+        return self._done
+
+    def __enter__(self) -> "ProviderPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
 
 
 class Provider(Protocol):

@@ -1,6 +1,9 @@
 """Content-addressed response cache: round-trips, corruption, single-flight."""
 
+import sys
 import threading
+import time
+from collections import Counter
 
 from ontomatch.cache import ResponseCache
 
@@ -115,3 +118,61 @@ def test_get_or_compute_returns_canonical_record(tmp_path):
     got = cache.get_or_compute("define", "d1", lambda: {"text": "x"})
     assert got["digest"] == "d1"
     assert "created_at" in got
+
+
+def test_get_or_compute_returns_written_record_without_reading_back(tmp_path, monkeypatch):
+    cache = ResponseCache(tmp_path / "cache")
+    reads = []
+    real_get = cache.get
+
+    def counted_get(kind, digest):
+        reads.append(digest)
+        return real_get(kind, digest)
+
+    monkeypatch.setattr(cache, "get", counted_get)
+    got = cache.get_or_compute("judge", "d1", lambda: {"entries": {"YES": -0.5, "NO": -1.0}})
+    assert reads == ["d1", "d1"]  # the check before the lock and the one under it
+    assert got == real_get("judge", "d1")
+
+
+def test_contains_checks_for_the_entry_file(tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+    assert not cache.contains("define", "d1")
+    cache.put("define", "d1", {"text": "def"})
+    assert cache.contains("define", "d1")
+    assert not cache.contains("judge", "d1")
+
+
+def test_get_or_compute_drops_per_digest_locks(tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+    computed = Counter()
+    counted = threading.Lock()
+    gate = threading.Barrier(8)
+
+    def compute_for(digest):
+        def compute():
+            with counted:
+                computed[digest] += 1
+            time.sleep(0.001)
+            return {"text": digest}
+        return compute
+
+    def worker(n):
+        gate.wait()
+        for i in range(50):
+            digest = f"d{(i + n) % 20}"
+            cache.get_or_compute("judge", digest, compute_for(digest))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert computed == Counter({f"d{i}": 1 for i in range(20)})
+    assert cache._locks == {}

@@ -14,10 +14,10 @@ from ontomatch.definitions import (
     truncate_words,
 )
 from ontomatch.errors import EmptyCompletionError, ProviderError
-from ontomatch.model import Concept, ContextBlock, Ontology
+from ontomatch.model import Concept, ContextBlock, Ontology, read_concept_jsonl
 from ontomatch.providers import MockProvider, SamplingParams
 
-from conftest import CountingProvider, golden_text
+from conftest import TOY_DIR, CountingProvider, golden_text
 
 SNOMED_LABEL = "Product containing only betamethasone and calcipotriol (medicinal product)"
 SNOMED_SYNONYM = "Betamethasone and calcipotriol only product"
@@ -204,6 +204,98 @@ def test_enrich_ontology_empty_todo_returns_zero():
     onto = _ontology(1)
     onto.concepts["http://x.org/c#C00"].definition = "Done."
     assert enrich_ontology(onto, "tgt", MockProvider()) == 0
+
+
+# -- cache routing: hits on the calling thread, misses in the pool -------------
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a thread pool was made")
+
+
+def _definitions(onto: Ontology) -> dict[str, str | None]:
+    return {iri: c.definition for iri, c in onto.concepts.items()}
+
+
+def test_enrich_ontology_fully_warm_makes_no_pool_and_no_calls(tmp_path, monkeypatch):
+    cache = ResponseCache(tmp_path / "cache")
+    cold = _ontology(4)
+    enrich_ontology(cold, "tgt", MockProvider(), cache=cache)
+    monkeypatch.setattr("ontomatch.definitions.ThreadPoolExecutor", _no_pool)
+    provider = CountingProvider(MockProvider())
+    warm = _ontology(4)
+    assert enrich_ontology(warm, "tgt", provider, cache=cache) == 4
+    assert provider.total_calls == 0
+    assert _definitions(warm) == _definitions(cold)
+
+
+def test_enrich_ontology_half_warm_calls_provider_only_for_misses(tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+    warmed = _ontology(6)
+    for i in range(1, 6, 2):
+        warmed.concepts[f"http://x.org/c#C{i:02d}"].definition = "Skipped."
+    enrich_ontology(warmed, "tgt", MockProvider(), cache=cache)  # caches C00, C02, C04
+    provider = CountingProvider(MockProvider())
+    out = _ontology(6)
+    enrich_ontology(out, "tgt", provider, cache=cache)
+    assert provider.generate_calls == 3
+    fresh = _ontology(6)
+    enrich_ontology(fresh, "tgt", MockProvider(), cache=ResponseCache(tmp_path / "fresh"))
+    assert _definitions(out) == _definitions(fresh)
+
+
+def test_enrich_ontology_limit_counts_hits_and_misses(tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+    enrich_ontology(_ontology(5), "tgt", MockProvider(), cache=cache, limit=2)
+    provider = CountingProvider(MockProvider())
+    onto = _ontology(5)
+    assert enrich_ontology(onto, "tgt", provider, cache=cache, limit=3) == 3
+    assert provider.generate_calls == 1
+    assert [c.definition is not None for c in onto.sorted_concepts()] == [
+        True, True, True, False, False,
+    ]
+
+
+def test_enrich_ontology_recomputes_corrupt_cached_definition(tmp_path, caplog):
+    cache = ResponseCache(tmp_path / "cache")
+    enrich_ontology(_ontology(1), "tgt", MockProvider(), cache=cache)
+    [entry] = (tmp_path / "cache" / "define").glob("*.json")
+    entry.write_text("{truncated", encoding="utf-8")
+    provider = CountingProvider(MockProvider())
+    onto = _ontology(1)
+    with caplog.at_level("WARNING"):
+        enrich_ontology(onto, "tgt", provider, cache=cache)
+    assert onto.concepts["http://x.org/c#C00"].definition == (
+        "A biomedical concept referring to concept 00."
+    )
+    assert provider.generate_calls == 1
+    assert any("corrupt" in r.message for r in caplog.records)
+    assert cache.get("define", entry.stem)["text"] == onto.concepts["http://x.org/c#C00"].definition
+
+
+def test_enrich_ontology_logs_hits_and_misses(tmp_path, caplog):
+    cache = ResponseCache(tmp_path / "cache")
+    enrich_ontology(_ontology(3), "tgt", MockProvider(), cache=cache, limit=1)
+    with caplog.at_level("INFO", logger="ontomatch.definitions"):
+        enrich_ontology(_ontology(3), "tgt", MockProvider(), cache=cache)
+    lines = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+    assert lines == ["defined 3 src concepts: 1 served from cache, 2 sent to the provider"]
+
+
+def test_unlabeled_toy_concept_warns_once_per_run_cold_and_warm(tmp_path, caplog):
+    cache = ResponseCache(tmp_path / "cache")
+    for run in ("cold", "warm"):
+        with open(TOY_DIR / "source.jsonl", encoding="utf-8") as fp:
+            onto = read_concept_jsonl(fp, name="toy-src")
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            enrich_ontology(onto, "toy-tgt", MockProvider(), cache=cache)
+        warnings = [
+            r.getMessage() for r in caplog.records if "no label" in r.getMessage()
+        ]
+        assert warnings == [
+            "concept http://example.org/src#S29 has no label; using IRI fragment"
+        ], run
 
 
 def test_truncate_words():

@@ -314,6 +314,95 @@ def test_judge_candidates_empty_input():
     assert judge_candidates({}, src, tgt, MockProvider()) == []
 
 
+
+# -- cache routing: hits on the calling thread, misses in the pool -------------
+
+
+def _all_candidates():
+    # Four pairs with four distinct prompts, in judge order.
+    return {
+        "http://s#S1": [("http://t#T1", 0.9), ("http://t#T2", 0.5)],
+        "http://s#S2": [("http://t#T1", 0.4), ("http://t#T2", 0.3)],
+    }
+
+
+def _every_other(candidates):
+    pairs = [(s, t, c) for s in sorted(candidates) for t, c in candidates[s]]
+    subset: dict[str, list[tuple[str, float]]] = {}
+    for src, tgt, cos in pairs[::2]:
+        subset.setdefault(src, []).append((tgt, cos))
+    return subset
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a thread pool was made")
+
+
+def test_judge_candidates_fully_warm_makes_no_pool_and_no_calls(tmp_path, monkeypatch):
+    src, tgt = _ontologies()
+    cache = ResponseCache(tmp_path / "cache")
+    cold = judge_candidates(_all_candidates(), src, tgt, MockProvider(), cache=cache)
+    monkeypatch.setattr("ontomatch.judge.ThreadPoolExecutor", _no_pool)
+    provider = CountingProvider(MockProvider())
+    warm = judge_candidates(_all_candidates(), src, tgt, provider, cache=cache)
+    assert provider.total_calls == 0
+    assert warm == cold
+
+
+def test_judge_candidates_half_warm_calls_provider_only_for_misses(tmp_path):
+    src, tgt = _ontologies()
+    cache = ResponseCache(tmp_path / "cache")
+    judge_candidates(_every_other(_all_candidates()), src, tgt, MockProvider(), cache=cache)
+    provider = CountingProvider(MockProvider())
+    out = judge_candidates(_all_candidates(), src, tgt, provider, cache=cache)
+    assert provider.classify_calls == 2
+    fresh = judge_candidates(
+        _all_candidates(), src, tgt, MockProvider(), cache=ResponseCache(tmp_path / "fresh")
+    )
+    assert out == fresh
+
+
+def test_judge_candidates_limit_counts_hits_and_misses(tmp_path):
+    src, tgt = _ontologies()
+    cache = ResponseCache(tmp_path / "cache")
+    # Pairs 1 and 3 (of 4) are cached; the limit of 3 takes pairs 1-3.
+    judge_candidates(_every_other(_all_candidates()), src, tgt, MockProvider(), cache=cache)
+    provider = CountingProvider(MockProvider())
+    out = judge_candidates(_all_candidates(), src, tgt, provider, cache=cache, limit=3)
+    assert [(j.source, j.target) for j in out] == [
+        ("http://s#S1", "http://t#T1"),
+        ("http://s#S1", "http://t#T2"),
+        ("http://s#S2", "http://t#T1"),
+    ]
+    assert provider.classify_calls == 1
+
+
+def test_judge_candidates_recomputes_corrupt_cached_answer(tmp_path, caplog):
+    src, tgt = _ontologies()
+    cache = ResponseCache(tmp_path / "cache")
+    candidates = {"http://s#S1": [("http://t#T1", 0.9)]}
+    first = judge_candidates(candidates, src, tgt, MockProvider(), cache=cache)
+    [entry] = (tmp_path / "cache" / "judge").glob("*.json")
+    entry.write_text("{truncated", encoding="utf-8")
+    provider = CountingProvider(MockProvider())
+    with caplog.at_level("WARNING"):
+        again = judge_candidates(candidates, src, tgt, provider, cache=cache)
+    assert again == first
+    assert provider.classify_calls == 1
+    assert any("corrupt" in r.message for r in caplog.records)
+    assert cache.get("judge", entry.stem)["entries"]
+
+
+def test_judge_candidates_logs_hits_and_misses(tmp_path, caplog):
+    src, tgt = _ontologies()
+    cache = ResponseCache(tmp_path / "cache")
+    judge_candidates(_every_other(_all_candidates()), src, tgt, MockProvider(), cache=cache)
+    with caplog.at_level("INFO", logger="ontomatch.judge"):
+        judge_candidates(_all_candidates(), src, tgt, MockProvider(), cache=cache)
+    lines = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+    assert lines == ["judged 4 pairs: 2 served from cache, 2 sent to the provider"]
+
+
 # -- judgement IO ---------------------------------------------------------------
 
 

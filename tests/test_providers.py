@@ -1,6 +1,8 @@
 """Providers: deterministic mock backend and the JSON-over-HTTP client."""
 
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from ontomatch.providers import (
     HttpProvider,
     HttpProviderConfig,
     MockProvider,
+    ProviderPool,
     SamplingParams,
     TokenDistribution,
     prompt_digest,
@@ -465,3 +468,39 @@ def test_http_explicit_config_ignores_environment(monkeypatch):
     monkeypatch.setenv("ONTOMATCH_BASE_URL", "http://env:9000/v1")
     provider, _, _ = http_provider([])
     assert provider.config.base_url == "http://test/v1"
+
+
+# -- ProviderPool -----------------------------------------------------------------
+
+
+def test_provider_pool_bounds_calls_in_flight_and_keeps_order():
+    release = threading.Event()
+    submitted = []
+
+    def call(i):
+        release.wait(timeout=30)
+        return i
+
+    def submit_all(pool):
+        for i in range(20):
+            pool.submit(call, i)
+            submitted.append(i)
+
+    with ProviderPool(ThreadPoolExecutor, max_workers=2) as pool:
+        producer = threading.Thread(target=submit_all, args=(pool,))
+        producer.start()
+        producer.join(timeout=0.5)
+        # Two running plus six queued; the ninth submit waits for the oldest.
+        assert submitted == list(range(2 * ProviderPool.QUEUE_PER_WORKER))
+        release.set()
+        producer.join(timeout=30)
+        assert not producer.is_alive()
+        assert pool.results() == list(range(20))
+
+
+def test_provider_pool_makes_no_threads_without_a_submit():
+    def refuse(**kwargs):
+        raise AssertionError("a thread pool was made")
+
+    with ProviderPool(refuse, max_workers=8) as pool:
+        assert pool.results() == []
