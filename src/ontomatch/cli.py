@@ -57,7 +57,7 @@ def common_options(fn):
     @click.option("--no-definitions", is_flag=True, default=False,
                   help="Skip definition enrichment everywhere (ablation).")
     @click.option("--index", type=click.Choice(["exact", "hnsw"]), default=None,
-                  help="Retrieval index kind (default hnsw).")
+                  help="Retrieval index kind (default exact).")
     @click.option("--provider", type=click.Choice(["mock", "http"]), default=None,
                   help="Provider backend (default from config; mock otherwise).")
     @click.option("--cache-dir", type=click.Path(file_okay=False), default=None,

@@ -182,7 +182,7 @@ class PipelineConfig:
     lambda_cs: float = 0.97
     few_shot: int = 0
     use_definitions: bool = True
-    index: str = "hnsw"
+    index: str = "exact"
     hnsw_m: int = 16
     hnsw_ef_construction: int = 200
     hnsw_ef_search: int = 128

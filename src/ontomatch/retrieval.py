@@ -2,9 +2,9 @@
 
 Both index kinds rank stored items by cosine similarity to a query with a
 fixed tie-break: equal similarities order by ascending IRI byte order. The
-exact index is a full scan; the HNSW index is a seeded, self-contained
-small-world graph (recall is approximate, ranking of returned items follows
-the same contract).
+exact index (the default) is a full numpy scan; the opt-in HNSW index is a
+seeded, self-contained small-world graph (recall is approximate, ranking of
+returned items follows the same contract).
 """
 
 from __future__ import annotations
@@ -85,6 +85,22 @@ def _validate_vectors(iris: Sequence[str], matrix: np.ndarray) -> None:
         raise DegenerateVectorError(f"zero-norm vectors for {bad}")
 
 
+def _validate_query(query: np.ndarray, k: int, dimension: int) -> tuple[np.ndarray, float]:
+    """Return ``(query as float64, its norm)``; a non-finite or zero-norm
+    query raises ``DegenerateVectorError``."""
+    if k <= 0:
+        raise ValueError(f"k must be positive, got {k}")
+    query = np.asarray(query, dtype=np.float64)
+    if query.shape != (dimension,):
+        raise ValueError(f"query has shape {query.shape}, expected ({dimension},)")
+    if not np.all(np.isfinite(query)):
+        raise DegenerateVectorError("non-finite query vector")
+    qnorm = float(np.linalg.norm(query))
+    if qnorm == 0.0:
+        raise DegenerateVectorError("zero-norm query vector")
+    return query, qnorm
+
+
 class ExactIndex:
     """Brute-force cosine ranking over all stored vectors."""
 
@@ -102,18 +118,19 @@ class ExactIndex:
         return len(self.iris)
 
     def top_k(self, query: np.ndarray, k: int) -> list[tuple[str, float]]:
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        query = np.asarray(query, dtype=np.float64)
-        if query.shape != (self.dimension,):
-            raise ValueError(f"query has shape {query.shape}, expected ({self.dimension},)")
-        qnorm = float(np.linalg.norm(query))
-        if qnorm == 0.0:
-            raise DegenerateVectorError("zero-norm query vector")
+        query, qnorm = _validate_query(query, k, self.dimension)
         sims = np.clip((self._matrix @ query) / (self._norms * qnorm), -1.0, 1.0)
+        n = len(sims)
+        if k < n:
+            # Keep every row tied with the k-th largest value, so a tie that
+            # straddles rank k is still decided by IRI below.
+            kth = np.partition(sims, n - k)[n - k]
+            rows = np.flatnonzero(sims >= kth)
+        else:
+            rows = np.arange(n)
         # rows are pre-sorted by IRI, so a stable sort on -sims breaks ties
         # by ascending IRI byte order.
-        order = np.argsort(-sims, kind="stable")[:k]
+        order = rows[np.argsort(-sims[rows], kind="stable")[:k]]
         return [(self.iris[i], float(sims[i])) for i in order]
 
 
@@ -239,14 +256,7 @@ class HnswIndex:
         return current
 
     def top_k(self, query: np.ndarray, k: int) -> list[tuple[str, float]]:
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        query = np.asarray(query, dtype=np.float64)
-        if query.shape != (self.dimension,):
-            raise ValueError(f"query has shape {query.shape}, expected ({self.dimension},)")
-        qnorm = float(np.linalg.norm(query))
-        if qnorm == 0.0:
-            raise DegenerateVectorError("zero-norm query vector")
+        query, qnorm = _validate_query(query, k, self.dimension)
         unit_q = query / qnorm
         assert self._entry is not None
         current = self._entry
@@ -263,11 +273,11 @@ class HnswIndex:
 
 def build_index(
     vectors: Mapping[str, np.ndarray],
-    kind: str = "hnsw",
+    kind: str = "exact",
     params: HnswParams = HnswParams(),
 ):
     """Build a retrieval index from ``iri -> vector``. ``kind`` is ``exact``
-    or ``hnsw``."""
+    (the default) or ``hnsw``; ``params`` is used only by ``hnsw``."""
     iris = list(vectors)
     if not iris:
         raise ValueError("cannot build an index from zero vectors")
@@ -286,8 +296,8 @@ def generate_candidates(
 ) -> dict[str, list[tuple[str, float]]]:
     """Top-k candidates per query concept, in ascending query-IRI order.
 
-    Zero-norm query vectors are flagged and produce an empty candidate list
-    rather than failing the whole run.
+    Zero-norm or non-finite query vectors are flagged and produce an empty
+    candidate list rather than failing the whole run.
     """
     out: dict[str, list[tuple[str, float]]] = {}
     for iri in sorted(queries):

@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import ontomatch.judge as judge_module
+import ontomatch.retrieval as retrieval_module
 from ontomatch.cli import build_config, main
 from ontomatch.errors import ConfigError, MissingArtifactError
 from ontomatch.evaluate import write_ranking_cases
@@ -48,6 +49,21 @@ def test_toy_run_reaches_perfect_f1(tmp_path):
 
 def test_toy_run_matches_golden_mappings(tmp_path):
     config = toy_config(tmp_path)
+    Pipeline(config).run()
+    produced = (Path(config.out_dir) / "mappings.tsv").read_bytes()
+    assert produced == (TOY_DIR / "mappings.golden.tsv").read_bytes()
+
+
+def test_default_toy_run_never_builds_hnsw(tmp_path, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the default match stage built an HnswIndex")
+
+    monkeypatch.setattr(retrieval_module.HnswIndex, "__init__", refuse)
+    assert Pipeline(toy_config(tmp_path)).run() == {s: "complete" for s in STAGES}
+
+
+def test_hnsw_opt_in_toy_run_matches_golden_mappings(tmp_path):
+    config = toy_config(tmp_path, index="hnsw")
     Pipeline(config).run()
     produced = (Path(config.out_dir) / "mappings.tsv").read_bytes()
     assert produced == (TOY_DIR / "mappings.golden.tsv").read_bytes()
@@ -211,7 +227,7 @@ def test_every_config_field_enters_some_stage_digest(tmp_path):
         "lambda_cs": 0.5,
         "few_shot": 2,
         "use_definitions": False,
-        "index": "exact",
+        "index": "hnsw",
         "hnsw_m": 8,
         "hnsw_ef_construction": 100,
         "hnsw_ef_search": 64,

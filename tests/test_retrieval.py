@@ -141,6 +141,69 @@ def test_exact_index_matches_oracle_on_random_instances():
             assert sim == pytest.approx(ref, abs=1e-9)
 
 
+# Three rows share one direction, so their cosine ties; IRI order differs
+# from input order.
+TIED = {
+    "http://t#E": [0.0, 1.0],
+    "http://t#Z": [1.0, 1.0],
+    "http://t#A": [1.0, 0.0],
+    "http://t#M": [1.0, 1.0],
+    "http://t#B": [1.0, 1.0],
+}
+TIED_RANKING = ["http://t#A", "http://t#B", "http://t#M", "http://t#Z", "http://t#E"]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8])
+def test_exact_index_tie_group_at_and_across_rank_k_resolves_by_iri(k):
+    # k=2 and k=3 cut the tied group B/M/Z; k=4 ends exactly on it;
+    # k=5 is n and k=8 exceeds it.
+    got = exact_index(TIED).top_k(np.array([1.0, 0.0]), k)
+    assert [iri for iri, _ in got] == TIED_RANKING[:k]
+    tied = [sim for iri, sim in got if iri in ("http://t#B", "http://t#M", "http://t#Z")]
+    assert len(set(tied)) <= 1
+
+
+def test_exact_index_single_vector():
+    index = ExactIndex(["http://t#Only"], np.array([[0.6, 0.8]]))
+    for k in (1, 3):
+        got = index.top_k(np.array([0.0, 1.0]), k)
+        assert [iri for iri, _ in got] == ["http://t#Only"]
+        assert got[0][1] == pytest.approx(0.8, abs=1e-12)
+
+
+def argsort_top_k(iris, matrix, query, k):
+    """Reference ranking by a full stable argsort, with ExactIndex's arithmetic."""
+    order = sorted(range(len(iris)), key=lambda i: iris[i])
+    rows = np.asarray(matrix, dtype=np.float64)[order]
+    norms = np.linalg.norm(rows, axis=1)
+    sims = np.clip((rows @ query) / (norms * float(np.linalg.norm(query))), -1.0, 1.0)
+    return [(iris[order[i]], float(sims[i])) for i in np.argsort(-sims, kind="stable")[:k]]
+
+
+def test_exact_index_matches_oracle_with_planted_duplicates():
+    rng = np.random.default_rng(505)
+    for _ in range(40):
+        dim = int(rng.integers(2, 17))
+        n = int(rng.integers(2, 200))
+        # Few distinct rows, so most ranks sit inside a group of tied rows.
+        # Small integers keep every dot product exact: BLAS may round the
+        # same row differently at different positions, which would split
+        # a tie by one ulp.
+        distinct = rng.integers(-3, 4, size=(int(rng.integers(1, 9)), dim)).astype(float)
+        distinct[:, 0] = np.where(distinct[:, 0] == 0, 1.0, distinct[:, 0])  # no zero rows
+        matrix = distinct[rng.integers(0, len(distinct), size=n)]
+        iris = [f"http://x#{j:04d}" for j in rng.permutation(n)]
+        query = rng.integers(-3, 4, size=dim).astype(float)
+        query[0] = query[0] or 1.0
+        k = int(rng.integers(1, n + 3))
+        got = ExactIndex(iris, matrix).top_k(query, k)
+        assert got == argsort_top_k(iris, matrix, query, k)
+        want = oracles.brute_force_top_k(list(zip(iris, matrix.tolist())), query.tolist(), k)
+        assert [iri for iri, _ in got] == [iri for iri, _ in want]
+        for (_, sim), (_, ref) in zip(got, want):
+            assert sim == pytest.approx(ref, abs=1e-9)
+
+
 # -- hnsw index ------------------------------------------------------------------
 
 
@@ -217,6 +280,7 @@ def test_hnsw_validates_queries():
 
 def test_build_index_dispatch():
     vectors = {iri: np.array(v) for iri, v in FIVE.items()}
+    assert build_index(vectors).kind == "exact"
     assert build_index(vectors, kind="exact").kind == "exact"
     assert build_index(vectors, kind="hnsw").kind == "hnsw"
     with pytest.raises(ValueError):
@@ -248,6 +312,29 @@ def test_generate_candidates_degenerate_query_yields_empty(caplog):
     assert out["http://s#Bad"] == []
     assert len(out["http://s#Ok"]) == 2
     assert any("degenerate" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("kind", ["exact", "hnsw"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_top_k_rejects_non_finite_query(kind, bad):
+    index = build_index({iri: np.array(v) for iri, v in FIVE.items()}, kind=kind)
+    with pytest.raises(DegenerateVectorError, match="non-finite"):
+        index.top_k(np.array([1.0, bad]), 3)
+
+
+@pytest.mark.parametrize("kind", ["exact", "hnsw"])
+def test_generate_candidates_non_finite_query_yields_empty(kind, caplog):
+    index = build_index({iri: np.array(v) for iri, v in FIVE.items()}, kind=kind)
+    queries = {
+        "http://s#Inf": np.array([np.inf, 0.0]),
+        "http://s#NaN": np.array([np.nan, 1.0]),
+        "http://s#Ok": np.array([1.0, 0.0]),
+    }
+    with caplog.at_level("WARNING"):
+        out = generate_candidates(queries, index, k=2)
+    assert out["http://s#Inf"] == [] and out["http://s#NaN"] == []
+    assert [iri for iri, _ in out["http://s#Ok"]] == ["http://t#A", "http://t#B"]
+    assert sum("degenerate" in r.message for r in caplog.records) == 2
 
 
 def test_merge_candidate_maps_folds_backward_into_forward():
