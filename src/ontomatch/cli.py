@@ -30,7 +30,6 @@ _OVERRIDE_KEYS = (
     ("lambda_prob", "lambda_prob"),
     ("lambda_cs", "lambda_cs"),
     ("few_shot", "few_shot"),
-    ("index", "index"),
     ("cache_dir", "cache_dir"),
     ("out", "out_dir"),
     ("reference", "reference"),
@@ -56,8 +55,6 @@ def common_options(fn):
                   help="Number of few-shot examples for the judge (default 0).")
     @click.option("--no-definitions", is_flag=True, default=False,
                   help="Skip definition enrichment everywhere (ablation).")
-    @click.option("--index", type=click.Choice(["exact", "hnsw"]), default=None,
-                  help="Retrieval index kind (default exact).")
     @click.option("--provider", type=click.Choice(["mock", "http"]), default=None,
                   help="Provider backend (default from config; mock otherwise).")
     @click.option("--cache-dir", type=click.Path(file_okay=False), default=None,
@@ -89,11 +86,8 @@ def build_config(config_path, no_definitions, provider, bidirectional, **overrid
             data[key] = value
     if no_definitions:
         data["use_definitions"] = False
-    if provider is not None:
-        if data.get("provider", {}).get("kind") == provider:
-            pass
-        else:
-            data["provider"] = {"kind": provider}
+    if provider is not None and data.get("provider", {}).get("kind") != provider:
+        data["provider"] = {"kind": provider}
     return PipelineConfig.from_dict(data)
 
 

@@ -71,16 +71,6 @@ def filter_and_fuse(
         if j.p_yes >= lambda_prob and j.cosine >= lambda_cs:
             fused.add(Mapping(source=j.source, target=j.target, alpha=j.p_yes, provenance="llm"))
     for m in exact:
-        existing = fused.get(m.source, m.target)
-        if existing is None:
-            fused.add(Mapping(source=m.source, target=m.target, alpha=1.0, provenance="exact"))
-        else:
-            fused.add(
-                Mapping(
-                    source=m.source,
-                    target=m.target,
-                    alpha=max(existing.alpha, 1.0),
-                    provenance="both",
-                )
-            )
+        provenance = "exact" if fused.get(m.source, m.target) is None else "both"
+        fused.add(Mapping(source=m.source, target=m.target, alpha=1.0, provenance=provenance))
     return fused

@@ -62,7 +62,6 @@ from .providers import (
     SamplingParams,
 )
 from .retrieval import (
-    HnswParams,
     build_index,
     embedding_paths,
     generate_candidates,
@@ -133,8 +132,7 @@ STAGE_TABLE: dict[str, Stage] = {
     ),
     "match": Stage(
         reads=_EMBEDDINGS,
-        config=("k", "index", "hnsw_m", "hnsw_ef_construction", "hnsw_ef_search",
-                "hnsw_seed", "bidirectional"),
+        config=("k", "bidirectional"),
         writes=("candidates.tsv",),
     ),
     # lambda_prob sets the Decision column of judgements.tsv.
@@ -182,11 +180,6 @@ class PipelineConfig:
     lambda_cs: float = 0.97
     few_shot: int = 0
     use_definitions: bool = True
-    index: str = "exact"
-    hnsw_m: int = 16
-    hnsw_ef_construction: int = 200
-    hnsw_ef_search: int = 128
-    hnsw_seed: int = 0
     bidirectional: bool = False
     temperature: float = 0.7
     top_p: float = 0.9
@@ -207,16 +200,21 @@ class PipelineConfig:
             raise ConfigError(f"lambda_prob must be in [0, 1], got {self.lambda_prob}")
         if not 0.0 <= self.lambda_cs <= 1.0:
             raise ConfigError(f"lambda_cs must be in [0, 1], got {self.lambda_cs}")
+        for name in ("source_format", "target_format"):
+            value = getattr(self, name)
+            if value not in ("auto", "owl-xml-subset", "concept-jsonl"):
+                raise ConfigError(f"{name} must be 'auto', 'owl-xml-subset' or "
+                                  f"'concept-jsonl', got {value!r}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.index not in ("exact", "hnsw"):
-            raise ConfigError(f"index must be 'exact' or 'hnsw', got {self.index!r}")
         if self.few_shot < 0:
             raise ConfigError(f"few_shot must be >= 0, got {self.few_shot}")
         if self.softmax_mode not in ("pair", "full"):
             raise ConfigError(f"softmax_mode must be 'pair' or 'full', got {self.softmax_mode!r}")
         if self.ranking_scorer not in ("cosine", "pyes"):
-            raise ConfigError(f"ranking_scorer must be 'cosine' or 'pyes'")
+            raise ConfigError(
+                f"ranking_scorer must be 'cosine' or 'pyes', got {self.ranking_scorer!r}"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -252,14 +250,6 @@ class PipelineConfig:
     def sampling(self) -> SamplingParams:
         return SamplingParams(
             temperature=self.temperature, top_p=self.top_p, max_tokens=self.max_tokens
-        )
-
-    def hnsw_params(self) -> HnswParams:
-        return HnswParams(
-            m=self.hnsw_m,
-            ef_construction=self.hnsw_ef_construction,
-            ef_search=self.hnsw_ef_search,
-            seed=self.hnsw_seed,
         )
 
     def shots(self) -> tuple[FewShotExample, ...]:
@@ -484,15 +474,11 @@ class Pipeline:
         cfg = self.config
         src_iris, src_matrix, _ = load_embeddings(self._artifact("source.embeddings"))
         tgt_iris, tgt_matrix, _ = load_embeddings(self._artifact("target.embeddings"))
-        tgt_index = build_index(
-            {iri: tgt_matrix[i] for i, iri in enumerate(tgt_iris)},
-            kind=cfg.index,
-            params=cfg.hnsw_params(),
-        )
+        tgt_index = build_index({iri: tgt_matrix[i] for i, iri in enumerate(tgt_iris)})
         queries = {iri: src_matrix[i] for i, iri in enumerate(src_iris)}
         candidates = generate_candidates(queries, tgt_index, k=cfg.k)
         if cfg.bidirectional:
-            src_index = build_index(queries, kind=cfg.index, params=cfg.hnsw_params())
+            src_index = build_index(queries)
             backward = generate_candidates(
                 {iri: tgt_matrix[i] for i, iri in enumerate(tgt_iris)}, src_index, k=cfg.k
             )

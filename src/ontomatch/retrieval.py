@@ -2,9 +2,11 @@
 
 Both index kinds rank stored items by cosine similarity to a query with a
 fixed tie-break: equal similarities order by ascending IRI byte order. The
-exact index (the default) is a full numpy scan; the opt-in HNSW index is a
-seeded, self-contained small-world graph (recall is approximate, ranking of
-returned items follows the same contract).
+pipeline retrieves with the exact index only: ``build_index`` always returns
+an ``ExactIndex``, a full numpy scan. ``HnswIndex`` (with ``HnswParams``), a
+seeded, self-contained small-world graph whose recall is approximate, remains
+a library class that no pipeline path reaches; it is to be deleted with the
+benchmark revision of ROADMAP item 1.
 """
 
 from __future__ import annotations
@@ -104,8 +106,6 @@ def _validate_query(query: np.ndarray, k: int, dimension: int) -> tuple[np.ndarr
 class ExactIndex:
     """Brute-force cosine ranking over all stored vectors."""
 
-    kind = "exact"
-
     def __init__(self, iris: Sequence[str], matrix: np.ndarray):
         order = sorted(range(len(iris)), key=lambda i: iris[i])
         self.iris = [iris[i] for i in order]
@@ -141,8 +141,6 @@ class HnswIndex:
     draws come from a seeded RNG and insertion follows ascending IRI order.
     Distances are ``1 - cosine`` on L2-normalized vectors.
     """
-
-    kind = "hnsw"
 
     def __init__(self, iris: Sequence[str], matrix: np.ndarray, params: HnswParams = HnswParams()):
         order = sorted(range(len(iris)), key=lambda i: iris[i])
@@ -271,22 +269,13 @@ class HnswIndex:
         return out
 
 
-def build_index(
-    vectors: Mapping[str, np.ndarray],
-    kind: str = "exact",
-    params: HnswParams = HnswParams(),
-):
-    """Build a retrieval index from ``iri -> vector``. ``kind`` is ``exact``
-    (the default) or ``hnsw``; ``params`` is used only by ``hnsw``."""
+def build_index(vectors: Mapping[str, np.ndarray]) -> ExactIndex:
+    """Build the exact retrieval index from ``iri -> vector``."""
     iris = list(vectors)
     if not iris:
         raise ValueError("cannot build an index from zero vectors")
     matrix = np.stack([np.asarray(vectors[i], dtype=np.float64) for i in iris])
-    if kind == "exact":
-        return ExactIndex(iris, matrix)
-    if kind == "hnsw":
-        return HnswIndex(iris, matrix, params)
-    raise ValueError(f"unknown index kind {kind!r}")
+    return ExactIndex(iris, matrix)
 
 
 def generate_candidates(

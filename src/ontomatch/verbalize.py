@@ -100,12 +100,3 @@ def verbalize(expr: ClassExpression, labels: Mapping[str, str]) -> str:
         return text + "."
     return _render(expr, labels, 0)
 
-
-def expression_depth(expr: ClassExpression) -> int:
-    if isinstance(expr, Named):
-        return 1
-    if isinstance(expr, SomeValuesFrom):
-        return 1 + expression_depth(expr.filler)
-    if isinstance(expr, Intersection):
-        return 1 + max((expression_depth(m) for m in expr.members), default=0)
-    raise StructureError(f"unsupported expression node {type(expr).__name__}")

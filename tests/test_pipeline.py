@@ -62,13 +62,6 @@ def test_default_toy_run_never_builds_hnsw(tmp_path, monkeypatch):
     assert Pipeline(toy_config(tmp_path)).run() == {s: "complete" for s in STAGES}
 
 
-def test_hnsw_opt_in_toy_run_matches_golden_mappings(tmp_path):
-    config = toy_config(tmp_path, index="hnsw")
-    Pipeline(config).run()
-    produced = (Path(config.out_dir) / "mappings.tsv").read_bytes()
-    assert produced == (TOY_DIR / "mappings.golden.tsv").read_bytes()
-
-
 def test_warm_rerun_skips_everything_with_zero_calls(tmp_path, counting_toy_provider):
     config = toy_config(tmp_path)
     Pipeline(config, provider=counting_toy_provider(config)).run()
@@ -218,8 +211,8 @@ def test_every_config_field_enters_some_stage_digest(tmp_path):
     perturbed = {
         "source": edited_copy(base.source),
         "target": edited_copy(base.target),
-        "source_format": "jsonl",
-        "target_format": "jsonl",
+        "source_format": "concept-jsonl",
+        "target_format": "concept-jsonl",
         "source_name": "renamed-src",
         "target_name": "renamed-tgt",
         "k": 5,
@@ -227,11 +220,6 @@ def test_every_config_field_enters_some_stage_digest(tmp_path):
         "lambda_cs": 0.5,
         "few_shot": 2,
         "use_definitions": False,
-        "index": "hnsw",
-        "hnsw_m": 8,
-        "hnsw_ef_construction": 100,
-        "hnsw_ef_search": 64,
-        "hnsw_seed": 1,
         "bidirectional": True,
         "temperature": 0.2,
         "top_p": 0.5,
@@ -325,6 +313,12 @@ def test_config_rejects_unknown_keys():
         PipelineConfig.from_dict({"sauce": "a"})
 
 
+@pytest.mark.parametrize("key, value", [("index", "exact"), ("hnsw_m", 16)])
+def test_config_rejects_removed_index_keys(key, value):
+    with pytest.raises(ConfigError, match=rf"unknown config keys: \['{key}'\]"):
+        PipelineConfig.from_dict({key: value})
+
+
 def test_config_from_file_rejects_bad_json(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("{not json")
@@ -336,14 +330,26 @@ def test_config_from_file_rejects_bad_json(tmp_path):
     {"lambda_prob": 1.5},
     {"lambda_cs": -0.1},
     {"k": 0},
-    {"index": "faiss"},
     {"few_shot": -1},
     {"softmax_mode": "argmax"},
     {"ranking_scorer": "bm25"},
+    {"source_format": "jsonl"},
+    {"target_format": "owl"},
 ])
 def test_config_validation(overrides):
-    with pytest.raises(ConfigError):
+    [(name, value)] = overrides.items()
+    with pytest.raises(ConfigError) as exc:
         PipelineConfig(**overrides)
+    assert str(exc.value).startswith(name)
+    assert f"got {value!r}" in str(exc.value)
+
+
+@pytest.mark.parametrize("name", ["source_format", "target_format"])
+def test_format_error_names_the_accepted_values(name):
+    with pytest.raises(ConfigError) as exc:
+        PipelineConfig(**{name: "jsonl"})
+    for accepted in ("auto", "owl-xml-subset", "concept-jsonl"):
+        assert f"'{accepted}'" in str(exc.value)
 
 
 def test_config_shots_selection():

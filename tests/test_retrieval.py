@@ -280,13 +280,12 @@ def test_hnsw_validates_queries():
 
 def test_build_index_dispatch():
     vectors = {iri: np.array(v) for iri, v in FIVE.items()}
-    assert build_index(vectors).kind == "exact"
-    assert build_index(vectors, kind="exact").kind == "exact"
-    assert build_index(vectors, kind="hnsw").kind == "hnsw"
+    index = build_index(vectors)
+    assert isinstance(index, ExactIndex)
+    query = np.array([1.0, 0.0])
+    assert index.top_k(query, 5) == exact_index().top_k(query, 5)
     with pytest.raises(ValueError):
-        build_index(vectors, kind="faiss")
-    with pytest.raises(ValueError):
-        build_index({}, kind="exact")
+        build_index({})
 
 
 # -- candidate generation ---------------------------------------------------------
@@ -314,17 +313,22 @@ def test_generate_candidates_degenerate_query_yields_empty(caplog):
     assert any("degenerate" in r.message for r in caplog.records)
 
 
-@pytest.mark.parametrize("kind", ["exact", "hnsw"])
+INDEX_CLASSES = pytest.mark.parametrize(
+    "index_cls", [ExactIndex, HnswIndex], ids=["exact", "hnsw"]
+)
+
+
+@INDEX_CLASSES
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_top_k_rejects_non_finite_query(kind, bad):
-    index = build_index({iri: np.array(v) for iri, v in FIVE.items()}, kind=kind)
+def test_top_k_rejects_non_finite_query(index_cls, bad):
+    index = index_cls(list(FIVE), np.array([FIVE[i] for i in FIVE]))
     with pytest.raises(DegenerateVectorError, match="non-finite"):
         index.top_k(np.array([1.0, bad]), 3)
 
 
-@pytest.mark.parametrize("kind", ["exact", "hnsw"])
-def test_generate_candidates_non_finite_query_yields_empty(kind, caplog):
-    index = build_index({iri: np.array(v) for iri, v in FIVE.items()}, kind=kind)
+@INDEX_CLASSES
+def test_generate_candidates_non_finite_query_yields_empty(index_cls, caplog):
+    index = index_cls(list(FIVE), np.array([FIVE[i] for i in FIVE]))
     queries = {
         "http://s#Inf": np.array([np.inf, 0.0]),
         "http://s#NaN": np.array([np.nan, 1.0]),

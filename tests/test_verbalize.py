@@ -9,7 +9,6 @@ from ontomatch.verbalize import (
     Intersection,
     Named,
     SomeValuesFrom,
-    expression_depth,
     verbalize,
 )
 
@@ -138,7 +137,6 @@ def test_depth_limit_rejects_pathological_trees():
     expr = Named("http://x.org/c#Leaf")
     for _ in range(40):
         expr = SomeValuesFrom("http://x.org/p#p", expr)
-    assert expression_depth(expr) == 41
     with pytest.raises(StructureError):
         verbalize(expr, {})
 
