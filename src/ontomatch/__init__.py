@@ -27,7 +27,6 @@ from .model import (
     Mapping,
     MappingSet,
     Ontology,
-    Thresholds,
     concept_context,
     read_concept_jsonl,
     write_concept_jsonl,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import logging
-import random
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Mapping as TMapping, Sequence
 
@@ -24,7 +23,6 @@ __all__ = [
     "local_ranking",
     "make_ranking_cases",
     "read_ranking_cases",
-    "write_ranking_cases",
     "MetricsReport",
 ]
 
@@ -86,42 +84,23 @@ def local_ranking(
 def make_ranking_cases(
     reference: Iterable[Pair],
     scorer: Callable[[str, str], float],
-    negatives: int | TMapping[str, Sequence[str]] = 0,
-    seed: int = 0,
+    candidates: TMapping[str, Sequence[str]],
 ) -> list[RankingCase]:
-    """Build one case per reference pair: the gold target plus negatives.
-
-    ``negatives`` is either a per-case count (sampled deterministically from
-    the pool of reference targets) or a mapping ``source IRI -> candidate
-    IRIs``. Reference pairs absent from a supplied mapping are skipped with
-    a warning.
+    """Build one case per reference pair: the gold target plus the source's
+    supplied candidates (``source IRI -> candidate IRIs``), as in Bio-ML's
+    local ranking. Reference pairs absent from ``candidates`` are skipped
+    with a warning.
     """
-    ref = sorted(set(reference))
-    pool = sorted({t for _, t in ref})
     cases: list[RankingCase] = []
-    for source, gold in ref:
-        if isinstance(negatives, int):
-            others = [t for t in pool if t != gold]
-            count = min(negatives, len(others))
-            rng = random.Random(f"{seed}:{source}")
-            chosen = rng.sample(others, count) if count else []
-        else:
-            supplied = negatives.get(source)
-            if supplied is None:
-                logger.warning("no candidate row for %s; case skipped", source)
-                continue
-            chosen = [t for t in supplied if t != gold]
-        candidate_iris = [gold] + list(chosen)
+    for source, gold in sorted(set(reference)):
+        supplied = candidates.get(source)
+        if supplied is None:
+            logger.warning("no candidate row for %s; case skipped", source)
+            continue
+        candidate_iris = [gold] + [t for t in supplied if t != gold]
         scored = tuple((iri, scorer(source, iri)) for iri in candidate_iris)
         cases.append(RankingCase(source=source, gold=gold, candidates=scored))
     return cases
-
-
-def write_ranking_cases(rows: TMapping[str, tuple[str, Sequence[str]]], fp: IO[str]) -> None:
-    """Rows: source IRI -> (gold IRI, negative candidate IRIs)."""
-    for source in sorted(rows):
-        gold, negs = rows[source]
-        fp.write("\t".join([source, gold, *negs]) + "\n")
 
 
 def read_ranking_cases(fp: IO[str]) -> dict[str, tuple[str, list[str]]]:

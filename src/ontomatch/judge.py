@@ -16,7 +16,7 @@ from typing import IO, Sequence
 
 from .cache import ResponseCache
 from .errors import OntologyParseError, UnparseableJudgementError
-from .model import ContextBlock, Judgement, Ontology, Thresholds, concept_context
+from .model import ContextBlock, Judgement, Ontology, concept_context
 from .providers import (
     Message,
     Prompt,
@@ -216,7 +216,6 @@ def judge_pair(
     target_ctx: ContextBlock,
     cos: float,
     provider: Provider,
-    thresholds: Thresholds = Thresholds(),
     shots: Sequence[FewShotExample] = (),
     include_definition: bool = True,
     cache: ResponseCache | None = None,
@@ -237,14 +236,17 @@ def judge_pair(
         entries = compute()["entries"]
     else:
         entries = cache.get_or_compute("judge", prompt.digest, compute)["entries"]
-    score = p_yes(entries, mode=softmax_mode)
     return Judgement(
         source=source_ctx.iri,
         target=target_ctx.iri,
         cosine=cos,
-        p_yes=score,
-        decision=score >= thresholds.lambda_prob,
+        p_yes=p_yes(entries, mode=softmax_mode),
     )
+
+
+def _contexts(iris: set[str], onto: Ontology) -> dict[str, ContextBlock]:
+    """The context block of each of ``iris`` that ``onto`` has."""
+    return {iri: concept_context(onto.concepts[iri], onto) for iri in iris if iri in onto.concepts}
 
 
 def judge_candidates(
@@ -252,7 +254,6 @@ def judge_candidates(
     source_onto: Ontology,
     target_onto: Ontology,
     provider: Provider,
-    thresholds: Thresholds = Thresholds(),
     shots: Sequence[FewShotExample] = (),
     include_definition: bool = True,
     cache: ResponseCache | None = None,
@@ -264,8 +265,9 @@ def judge_candidates(
 
     Pairs whose concepts are missing from either ontology are skipped with a
     warning. ``limit`` bounds the number of pairs judged (for smoke runs).
-    Pairs whose answer is cached are judged on the calling thread; only the
-    others go to a ``ProviderPool`` of ``max_workers`` threads.
+    Each concept's context block is built once. Pairs whose answer is cached
+    are judged on the calling thread; only the others go to a
+    ``ProviderPool`` of ``max_workers`` threads.
     """
     pairs: list[tuple[str, str, float]] = []
     for src in sorted(candidates):
@@ -275,22 +277,21 @@ def judge_candidates(
         pairs = pairs[:limit]
 
     options = dict(
-        thresholds=thresholds,
         shots=shots,
         include_definition=include_definition,
         cache=cache,
         softmax_mode=softmax_mode,
     )
+    source_ctx = _contexts({src for src, _, _ in pairs}, source_onto)
+    target_ctx = _contexts({tgt for _, tgt, _ in pairs}, target_onto)
     results: list[Judgement] = []
     with ProviderPool(ThreadPoolExecutor, max_workers) as pool:
         for src, tgt, sim in pairs:
-            sc = source_onto.concepts.get(src)
-            tc = target_onto.concepts.get(tgt)
-            if sc is None or tc is None:
+            a = source_ctx.get(src)
+            b = target_ctx.get(tgt)
+            if a is None or b is None:
                 logger.warning("skipping pair (%s, %s): concept missing", src, tgt)
                 continue
-            a = concept_context(sc, source_onto)
-            b = concept_context(tc, target_onto)
             prompt = _judge_prompt(a, b, shots, include_definition, provider)
             if cache is not None and cache.contains("judge", prompt.digest):
                 results.append(judge_pair(a, b, sim, provider, prompt=prompt, **options))
@@ -306,16 +307,18 @@ def judge_candidates(
     return results
 
 
-def write_judgements(judgements: Sequence[Judgement], fp: IO[str]) -> None:
+def write_judgements(judgements: Sequence[Judgement], fp: IO[str], lambda_prob: float) -> None:
+    """One row per pair; ``Decision`` is ``yes`` iff ``p_yes >= lambda_prob``."""
     fp.write("SrcEntity\tTgtEntity\tCosine\tPYes\tDecision\n")
     for j in sorted(judgements, key=lambda j: (j.source, j.target)):
         fp.write(
             f"{j.source}\t{j.target}\t{j.cosine:.8f}\t{j.p_yes:.8f}\t"
-            f"{'yes' if j.decision else 'no'}\n"
+            f"{'yes' if j.p_yes >= lambda_prob else 'no'}\n"
         )
 
 
 def read_judgements(fp: IO[str]) -> list[Judgement]:
+    """Scores of a ``judgements.tsv``; the ``Decision`` column is not read."""
     out: list[Judgement] = []
     for lineno, line in enumerate(fp, start=1):
         line = line.rstrip("\n")
@@ -332,7 +335,6 @@ def read_judgements(fp: IO[str]) -> list[Judgement]:
                 target=parts[1],
                 cosine=float(parts[2]),
                 p_yes=float(parts[3]),
-                decision=parts[4] == "yes",
             )
         )
     return out

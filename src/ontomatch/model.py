@@ -20,7 +20,6 @@ __all__ = [
     "Mapping",
     "MappingSet",
     "Judgement",
-    "Thresholds",
     "iri_fragment",
     "is_absolute_iri",
     "normalize_string",
@@ -59,9 +58,6 @@ class Concept:
     parents: list[str] = field(default_factory=list)
     equiv_descriptions: list[str] = field(default_factory=list)
     definition: str | None = None
-
-    def display_name(self) -> str:
-        return self.label if self.label else iri_fragment(self.iri)
 
     def lexical_strings(self) -> list[str]:
         """Label plus synonyms, as written."""
@@ -236,18 +232,6 @@ class Judgement:
     target: str
     cosine: float
     p_yes: float
-    decision: bool
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    lambda_prob: float = 0.99
-    lambda_cs: float = 0.97
-
-    def __post_init__(self):
-        for name, value in (("lambda_prob", self.lambda_prob), ("lambda_cs", self.lambda_cs)):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
 def read_concept_jsonl(fp: IO[str], name: str) -> Ontology:

@@ -49,7 +49,6 @@ from .model import (
     ContextBlock,
     MappingSet,
     Ontology,
-    Thresholds,
     concept_context,
     read_concept_jsonl,
     write_concept_jsonl,
@@ -243,9 +242,6 @@ class PipelineConfig:
         if self.synonym_properties is not None:
             kwargs["synonym_properties"] = tuple(self.synonym_properties)
         return ExtractionConfig(**kwargs)
-
-    def thresholds(self) -> Thresholds:
-        return Thresholds(lambda_prob=self.lambda_prob, lambda_cs=self.lambda_cs)
 
     def sampling(self) -> SamplingParams:
         return SamplingParams(
@@ -449,12 +445,15 @@ class Pipeline:
         key = self._embedding_cache_key(texts)
         cache_base = Path(self.config.cache_dir) / "embed" / key
         cache_base.parent.mkdir(parents=True, exist_ok=True)
-        cached_npy, cached_json = embedding_paths(cache_base)
-        if cached_npy.exists() and cached_json.exists():
-            cached_iris, matrix, _ = load_embeddings(cache_base)
-            if cached_iris != iris:
-                raise ConfigError("embedding cache entry does not match ontology IRIs")
-        else:
+        matrix = None
+        if all(path.exists() for path in embedding_paths(cache_base)):
+            try:
+                # Rows follow the texts the key covers, whatever IRIs the
+                # entry was written under.
+                _, matrix, _ = load_embeddings(cache_base)
+            except (ValueError, EOFError) as e:
+                logger.warning("recomputing corrupt embedding cache entry %s: %s", key, e)
+        if matrix is None:
             vectors = self.provider.embed_batch(texts)
             matrix = np.stack(vectors)
             save_embeddings(cache_base, iris, matrix, self.provider.embed_model_id)
@@ -497,7 +496,6 @@ class Pipeline:
             source,
             target,
             self.provider,
-            thresholds=cfg.thresholds(),
             shots=cfg.shots(),
             include_definition=cfg.use_definitions,
             cache=self.cache,
@@ -505,7 +503,9 @@ class Pipeline:
             limit=limit,
             max_workers=cfg.max_workers,
         )
-        self._write_text("judgements.tsv", lambda fp: write_judgements(judgements, fp))
+        self._write_text(
+            "judgements.tsv", lambda fp: write_judgements(judgements, fp, cfg.lambda_prob)
+        )
         return limit is None or limit >= total
 
     def _stage_fuse(self, limit: int | None) -> None:
@@ -551,7 +551,6 @@ class Pipeline:
                 concept_context(tc, target),
                 0.0,
                 self.provider,
-                thresholds=cfg.thresholds(),
                 shots=cfg.shots(),
                 include_definition=cfg.use_definitions,
                 cache=self.cache,
@@ -583,7 +582,7 @@ class Pipeline:
             cases = make_ranking_cases(
                 reference.pairs(),
                 self._ranking_scorer(),
-                negatives={src: negs for src, (gold, negs) in rows.items()},
+                {src: negs for src, (gold, negs) in rows.items()},
             )
             if cases:
                 mrr, hits = local_ranking(cases, ks=(1, 5, 10))

@@ -37,6 +37,7 @@ from .errors import (
     PromptSizeError,
     ProviderError,
 )
+from .model import normalize_string
 
 logger = logging.getLogger(__name__)
 
@@ -174,9 +175,9 @@ class AliasTable:
         for group in groups:
             if not group:
                 continue
-            canonical = _collapse(group[0])
+            canonical = normalize_string(group[0])
             for member in group:
-                self._canon[_collapse(member)] = canonical
+                self._canon[normalize_string(member)] = canonical
         if self._canon:
             alternation = "|".join(
                 re.escape(k) for k in sorted(self._canon, key=len, reverse=True)
@@ -186,14 +187,10 @@ class AliasTable:
             self._pattern = None
 
     def canonicalize(self, text: str) -> str:
-        collapsed = _collapse(text)
+        collapsed = normalize_string(text)
         if self._pattern is None:
             return collapsed
         return self._pattern.sub(lambda m: self._canon[m.group(0)], collapsed)
-
-
-def _collapse(s: str) -> str:
-    return " ".join(s.split()).casefold()
 
 
 def _first_line_value(text: str, prefix: str) -> str | None:

@@ -65,7 +65,7 @@ def test_exact_match_ignores_empty_strings():
 
 
 def judgement(src: str, tgt: str, cos: float, p: float) -> Judgement:
-    return Judgement(source=src, target=tgt, cosine=cos, p_yes=p, decision=p >= 0.99)
+    return Judgement(source=src, target=tgt, cosine=cos, p_yes=p)
 
 
 def test_filter_keeps_only_pairs_passing_both_thresholds():

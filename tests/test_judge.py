@@ -19,7 +19,7 @@ from ontomatch.judge import (
     read_judgements,
     write_judgements,
 )
-from ontomatch.model import Concept, ContextBlock, Judgement, Ontology, Thresholds
+from ontomatch.model import Concept, ContextBlock, Judgement, Ontology
 from ontomatch.providers import MockProvider, TokenDistribution
 
 from conftest import CountingProvider, golden_text
@@ -224,7 +224,7 @@ def test_judge_pair_positive_decision_with_default_thresholds():
     assert j.target == "http://y.org/c#B"
     assert j.cosine == 0.95
     assert j.p_yes == pytest.approx(0.999088038129987, abs=1e-12)
-    assert j.decision is True
+    assert j.p_yes >= 0.99  # the default lambda_prob
 
 
 def test_judge_pair_negative_decision():
@@ -232,14 +232,6 @@ def test_judge_pair_negative_decision():
     b = simple_ctx("http://y.org/c#B", "right kidney")
     j = judge_pair(a, b, 0.8, MockProvider())
     assert j.p_yes < 0.01
-    assert j.decision is False
-
-
-def test_judge_pair_threshold_is_configurable():
-    a = simple_ctx("http://x.org/c#A", "heart")
-    b = simple_ctx("http://y.org/c#B", "heart")
-    strict = judge_pair(a, b, 0.95, MockProvider(), thresholds=Thresholds(0.9999, 0.9))
-    assert strict.decision is False
 
 
 def test_judge_pair_cache_hit_skips_provider(tmp_path):
@@ -275,9 +267,9 @@ def test_judge_candidates_sorted_and_decided():
         ("http://s#S1", "http://t#T2"),
         ("http://s#S2", "http://t#T1"),
     ]
-    by_pair = {(j.source, j.target): j.decision for j in out}
-    assert by_pair[("http://s#S1", "http://t#T1")] is True
-    assert by_pair[("http://s#S1", "http://t#T2")] is False
+    by_pair = {(j.source, j.target): j.p_yes for j in out}
+    assert by_pair[("http://s#S1", "http://t#T1")] >= 0.99
+    assert by_pair[("http://s#S1", "http://t#T2")] < 0.99
 
 
 def test_judge_candidates_limit_bounds_pairs():
@@ -408,17 +400,27 @@ def test_judge_candidates_logs_hits_and_misses(tmp_path, caplog):
 
 def test_judgement_tsv_round_trip():
     rows = [
-        Judgement("http://s#S2", "http://t#T1", 0.5, 0.00091196, False),
-        Judgement("http://s#S1", "http://t#T1", 0.95, 0.99908804, True),
+        Judgement("http://s#S2", "http://t#T1", 0.5, 0.00091196),
+        Judgement("http://s#S1", "http://t#T1", 0.95, 0.99908804),
     ]
     buf = io.StringIO()
-    write_judgements(rows, buf)
+    write_judgements(rows, buf, 0.99)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "SrcEntity\tTgtEntity\tCosine\tPYes\tDecision"
     assert lines[1] == "http://s#S1\thttp://t#T1\t0.95000000\t0.99908804\tyes"
     assert lines[2] == "http://s#S2\thttp://t#T1\t0.50000000\t0.00091196\tno"
     back = read_judgements(io.StringIO(buf.getvalue()))
     assert back == sorted(rows, key=lambda j: (j.source, j.target))
+
+
+def test_write_judgements_decision_follows_lambda_prob():
+    a = simple_ctx("http://x.org/c#A", "heart")
+    b = simple_ctx("http://y.org/c#B", "heart")
+    judgement = judge_pair(a, b, 0.95, MockProvider())
+    for lambda_prob, decision in ((0.9999, "no"), (0.99, "yes")):
+        buf = io.StringIO()
+        write_judgements([judgement], buf, lambda_prob)
+        assert buf.getvalue().splitlines()[1].split("\t")[4] == decision
 
 
 def test_read_judgements_rejects_short_rows():
@@ -431,5 +433,4 @@ def test_read_judgements_rejects_short_rows():
 def test_read_judgements_skips_blank_lines():
     text = "a\tb\t0.5\t0.9\tyes\n\n"
     out = read_judgements(io.StringIO(text))
-    assert len(out) == 1
-    assert out[0].decision is True
+    assert out == [Judgement("a", "b", 0.5, 0.9)]

@@ -11,7 +11,6 @@ from ontomatch.model import (
     Mapping,
     MappingSet,
     Ontology,
-    Thresholds,
     concept_context,
     dedupe_synonyms,
     iri_fragment,
@@ -66,8 +65,10 @@ def test_dedupe_synonyms_keeps_first_spelling():
 
 
 def test_concept_display_name_falls_back_to_fragment():
-    assert Concept(iri="http://x.org/c#C1", label="Heart").display_name() == "Heart"
-    assert Concept(iri="http://x.org/c#C1").display_name() == "C1"
+    onto = Ontology(name="o")
+    labelled = Concept(iri="http://x.org/c#C1", label="Heart")
+    assert concept_context(labelled, onto).display_name() == "Heart"
+    assert concept_context(Concept(iri="http://x.org/c#C1"), onto).display_name() == "C1"
 
 
 def test_concept_lexical_strings_order():
@@ -152,14 +153,6 @@ def test_mapping_set_read_tsv_rejects_short_rows():
 def test_mapping_set_read_tsv_skips_blank_lines():
     back = MappingSet.read_tsv(io.StringIO("\nhttp://a#1\thttp://b#1\t0.5\n\n"))
     assert len(back) == 1
-
-
-def test_thresholds_validate_range():
-    Thresholds(0.0, 1.0)
-    with pytest.raises(ValueError):
-        Thresholds(lambda_prob=1.01)
-    with pytest.raises(ValueError):
-        Thresholds(lambda_cs=-0.5)
 
 
 def _onto_lines(*rows: dict) -> io.StringIO:

@@ -11,7 +11,6 @@ import ontomatch.judge as judge_module
 import ontomatch.retrieval as retrieval_module
 from ontomatch.cli import build_config, main
 from ontomatch.errors import ConfigError, MissingArtifactError
-from ontomatch.evaluate import write_ranking_cases
 from ontomatch.judge import DEFAULT_FEW_SHOT
 from ontomatch.model import Mapping, MappingSet
 from ontomatch.pipeline import STAGES, Pipeline, PipelineConfig, make_provider
@@ -154,13 +153,12 @@ def toy_ranking_cases(tmp_path: Path) -> str:
     next three reference targets as negatives."""
     reference = sorted(load_toy_reference())
     targets = [t for _, t in reference]
-    rows = {
-        src: (gold, [targets[(i + j) % len(targets)] for j in (1, 2, 3)])
+    lines = [
+        "\t".join([src, gold, *(targets[(i + j) % len(targets)] for j in (1, 2, 3))])
         for i, (src, gold) in enumerate(reference)
-    }
+    ]
     path = tmp_path / "ranking_cases.tsv"
-    with open(path, "w", encoding="utf-8") as fp:
-        write_ranking_cases(rows, fp)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return str(path)
 
 
@@ -183,6 +181,64 @@ def test_embedding_change_reruns_ranking_eval(tmp_path):
     results = Pipeline(dataclasses.replace(config, provider=provider)).run()
     assert results["embed"] == "complete"
     assert results["eval"] == "complete"
+
+
+def test_decision_column_is_p_yes_at_lambda_prob(tmp_path):
+    out = tmp_path / "out"
+    seen = set()
+    for lambda_prob in (0.5, 0.99, 0.9995):
+        Pipeline(toy_config(tmp_path, lambda_prob=lambda_prob)).run()
+        lines = (out / "judgements.tsv").read_text().splitlines()[1:]
+        rows = [line.split("\t") for line in lines]
+        decisions = {(r[0], r[1]): r[4] for r in rows}
+        seen.update(decisions.values())
+        assert [r[4] for r in rows] == [
+            "yes" if float(r[3]) >= lambda_prob else "no" for r in rows
+        ]
+        with open(out / "mappings.tsv", encoding="utf-8") as fp:
+            llm = [m for m in MappingSet.read_tsv(fp) if m.provenance != "exact"]
+        assert all(decisions[(m.source, m.target)] == "yes" for m in llm)
+    assert seen == {"yes", "no"}
+
+
+def test_torn_embedding_cache_entry_is_recomputed(tmp_path, counting_toy_provider, caplog):
+    config = toy_config(tmp_path)
+    Pipeline(config).run(stages=["ingest", "define", "embed"])
+    before = snapshot(config.out_dir)
+    sidecars = sorted((tmp_path / "cache" / "embed").glob("*.json"))
+    assert len(sidecars) == 2
+    text = sidecars[0].read_text()
+    sidecars[0].write_text(text[: len(text) // 2])
+
+    provider = counting_toy_provider(config)
+    with caplog.at_level("WARNING", logger="ontomatch.pipeline"):
+        results = Pipeline(config, provider=provider).run(stages=["embed"], force=True)
+    assert results == {"embed": "complete"}
+    assert provider.embed_calls == 1
+    assert any("corrupt embedding cache entry" in r.getMessage() for r in caplog.records)
+    assert snapshot(config.out_dir) == before
+    assert json.loads(sidecars[0].read_text()) == json.loads(text)
+
+
+def test_embedding_cache_serves_renamed_namespace(tmp_path, counting_toy_provider):
+    first = toy_config(tmp_path, out_dir=str(tmp_path / "first"))
+    Pipeline(first).run(stages=["ingest", "define", "embed"])
+
+    renamed = tmp_path / "renamed.jsonl"
+    renamed.write_text(
+        (TOY_DIR / "source.jsonl").read_text().replace("/src#", "/renamed#"), encoding="utf-8"
+    )
+    second = toy_config(tmp_path, source=str(renamed), out_dir=str(tmp_path / "second"))
+    provider = counting_toy_provider(second)
+    results = Pipeline(second, provider=provider).run(stages=["ingest", "define", "embed"])
+    assert results["embed"] == "complete"
+    assert provider.total_calls == 0
+
+    load = retrieval_module.load_embeddings
+    old_iris, old_matrix, _ = load(tmp_path / "first" / "source.embeddings")
+    new_iris, new_matrix, _ = load(tmp_path / "second" / "source.embeddings")
+    assert new_iris == [iri.replace("/src#", "/renamed#") for iri in old_iris]
+    assert (new_matrix == old_matrix).all()
 
 
 def test_judge_template_version_reruns_judge_not_define(tmp_path, monkeypatch):
