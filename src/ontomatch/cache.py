@@ -1,7 +1,7 @@
 """Content-addressed response cache.
 
-One JSON file per entry under ``<root>/<kind>/<digest>.json``. Writes go to a
-temporary file in the same directory and are renamed into place, so readers
+One JSON file per entry under ``<root>/<kind>/<digest>.json``. Writes go
+through ``atomic_open``, as every file the package writes does, so readers
 never observe a partial entry. ``get_or_compute`` deduplicates concurrent
 computation of the same digest (single-flight) within a process; its
 per-digest lock lives only while some caller holds or waits on it.
@@ -12,16 +12,39 @@ from __future__ import annotations
 import json
 import logging
 import os
-import tempfile
 import threading
 import time
+import uuid
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable
+from typing import IO, Callable, Iterator
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["ResponseCache"]
+__all__ = ["ResponseCache", "atomic_open"]
+
+
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """Open a temporary file beside ``path`` (``mode`` ``"w"``: UTF-8 text with
+    LF newlines, or ``"wb"``) and rename it onto ``path`` when the block ends.
+    If the block raises, the temporary file is removed and ``path`` is left
+    as it was."""
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    # A fresh name, as tempfile.mkstemp makes, but created with open()'s
+    # permissions (0o666 less the umask) rather than mkstemp's 0o600.
+    tmp = os.path.join(directory, f"tmp{uuid.uuid4().hex}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
+    try:
+        with os.fdopen(fd, mode, **text) as fp:
+            yield fp
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 class ResponseCache:
@@ -52,21 +75,9 @@ class ResponseCache:
 
     def put(self, kind: str, digest: str, payload: dict) -> dict:
         """Store ``payload`` and return the record written."""
-        path = self._path(kind, digest)
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
         record = {"digest": digest, "created_at": time.time(), **payload}
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fp:
-                json.dump(record, fp, ensure_ascii=False)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except FileNotFoundError:
-                pass
-            raise
+        with atomic_open(self._path(kind, digest)) as fp:
+            json.dump(record, fp, ensure_ascii=False)
         return record
 
     @contextmanager

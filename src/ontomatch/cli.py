@@ -147,10 +147,13 @@ def eval_command(config_path, force, limit, predictions, **kwargs):
         reference = kwargs.get("reference")
         if reference is None:
             raise click.UsageError("--predictions requires --reference")
-        with open(predictions, "r", encoding="utf-8") as fp:
-            predicted = MappingSet.read_tsv(fp)
-        with open(reference, "r", encoding="utf-8") as fp:
-            ref = MappingSet.read_tsv(fp)
+        try:
+            with open(predictions, "r", encoding="utf-8") as fp:
+                predicted = MappingSet.read_tsv(fp)
+            with open(reference, "r", encoding="utf-8") as fp:
+                ref = MappingSet.read_tsv(fp)
+        except OntomatchError as e:
+            raise click.ClickException(str(e)) from e
         precision, recall, f1 = global_metrics(predicted.pairs(), ref.pairs())
         report = MetricsReport(
             precision=precision,

@@ -9,8 +9,8 @@ entirely. Embedding input strings follow the segment layout
 
 from __future__ import annotations
 
+import functools
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,9 +21,9 @@ from .providers import (
     Message,
     Prompt,
     Provider,
-    ProviderPool,
     SamplingParams,
     prompt_digest,
+    serve,
 )
 
 logger = logging.getLogger(__name__)
@@ -151,35 +151,26 @@ def enrich_ontology(
 ) -> int:
     """Fill ``definition`` for up to ``limit`` concepts (IRI order); returns
     the number processed. Concepts that already carry a definition are skipped.
-    Concepts whose definition is cached are filled on the calling thread; only
-    the others go to a ``ProviderPool`` of ``max_workers`` threads."""
-    todo: list[Concept] = [
-        c for c in ontology.sorted_concepts() if c.definition is None
-    ]
-    if limit is not None:
-        todo = todo[:limit]
-
+    ``serve`` fills concepts whose definition is cached on the calling thread
+    and the others on up to ``max_workers`` threads."""
+    todo = [c for c in ontology.sorted_concepts() if c.definition is None][:limit]
     names = (ontology.name, other_name)
-    misses: list[Concept] = []
-    with ProviderPool(ThreadPoolExecutor, max_workers) as pool:
+
+    def jobs():
         for concept in todo:
             ctx = concept_context(concept, ontology)
             prompt = _definition_prompt(ctx, *names, provider)
-            if cache is not None and cache.contains("define", prompt.digest):
-                concept.definition = generate_definition(
-                    ctx, *names, provider, cache=cache, params=params, prompt=prompt
-                )
-            else:
-                misses.append(concept)
-                pool.submit(
-                    generate_definition,
-                    ctx, *names, provider, cache=cache, params=params, prompt=prompt,
-                )
-        for concept, definition in zip(misses, pool.results()):
-            concept.definition = definition
+            yield prompt.digest, functools.partial(
+                generate_definition, ctx, *names, provider,
+                cache=cache, params=params, prompt=prompt,
+            )
+
+    results, served = serve(cache, "define", jobs(), max_workers)
+    for concept, definition in zip(todo, results):
+        concept.definition = definition
     logger.info(
         "defined %d %s concepts: %d served from cache, %d sent to the provider",
-        len(todo), ontology.name, len(todo) - len(misses), len(misses),
+        len(todo), ontology.name, served, len(todo) - served,
     )
     return len(todo)
 

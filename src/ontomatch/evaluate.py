@@ -12,7 +12,8 @@ import logging
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Mapping as TMapping, Sequence
 
-from .errors import OntologyParseError, UndefinedMetricError
+from .errors import UndefinedMetricError
+from .model import read_tsv_rows
 
 logger = logging.getLogger(__name__)
 
@@ -104,16 +105,11 @@ def make_ranking_cases(
 
 
 def read_ranking_cases(fp: IO[str]) -> dict[str, tuple[str, list[str]]]:
-    out: dict[str, tuple[str, list[str]]] = {}
-    for lineno, line in enumerate(fp, start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) < 2:
-            raise OntologyParseError("ranking case row needs >= 2 columns", line=lineno)
-        out[parts[0]] = (parts[1], parts[2:])
-    return out
+    """``source -> (gold, candidates)`` from rows ``source, gold, candidate...``."""
+    rows = read_tsv_rows(
+        fp, "ranking case", 2, lambda parts: (parts[0], (parts[1], parts[2:])), at_least=True
+    )
+    return dict(rows)
 
 
 @dataclass

@@ -8,22 +8,22 @@ mass in the first-token distribution, computed in log space.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Sequence
 
 from .cache import ResponseCache
-from .errors import OntologyParseError, UnparseableJudgementError
-from .model import ContextBlock, Judgement, Ontology, concept_context
+from .errors import UnparseableJudgementError
+from .model import ContextBlock, Judgement, Ontology, concept_context, read_tsv_rows
 from .providers import (
     Message,
     Prompt,
     Provider,
-    ProviderPool,
     TokenDistribution,
     prompt_digest,
+    serve,
 )
 
 logger = logging.getLogger(__name__)
@@ -265,27 +265,16 @@ def judge_candidates(
 
     Pairs whose concepts are missing from either ontology are skipped with a
     warning. ``limit`` bounds the number of pairs judged (for smoke runs).
-    Each concept's context block is built once. Pairs whose answer is cached
-    are judged on the calling thread; only the others go to a
-    ``ProviderPool`` of ``max_workers`` threads.
+    Each concept's context block is built once and each prompt rendered once;
+    ``serve`` judges cached pairs on the calling thread and the others on up
+    to ``max_workers`` threads.
     """
-    pairs: list[tuple[str, str, float]] = []
-    for src in sorted(candidates):
-        for tgt, sim in candidates[src]:
-            pairs.append((src, tgt, sim))
-    if limit is not None:
-        pairs = pairs[:limit]
-
-    options = dict(
-        shots=shots,
-        include_definition=include_definition,
-        cache=cache,
-        softmax_mode=softmax_mode,
-    )
+    pairs = [(src, tgt, sim) for src in sorted(candidates) for tgt, sim in candidates[src]]
+    pairs = pairs[:limit]
     source_ctx = _contexts({src for src, _, _ in pairs}, source_onto)
     target_ctx = _contexts({tgt for _, tgt, _ in pairs}, target_onto)
-    results: list[Judgement] = []
-    with ProviderPool(ThreadPoolExecutor, max_workers) as pool:
+
+    def jobs():
         for src, tgt, sim in pairs:
             a = source_ctx.get(src)
             b = target_ctx.get(tgt)
@@ -293,12 +282,13 @@ def judge_candidates(
                 logger.warning("skipping pair (%s, %s): concept missing", src, tgt)
                 continue
             prompt = _judge_prompt(a, b, shots, include_definition, provider)
-            if cache is not None and cache.contains("judge", prompt.digest):
-                results.append(judge_pair(a, b, sim, provider, prompt=prompt, **options))
-            else:
-                pool.submit(judge_pair, a, b, sim, provider, prompt=prompt, **options)
-        served = len(results)
-        results.extend(pool.results())
+            yield prompt.digest, functools.partial(
+                judge_pair, a, b, sim, provider, shots=shots,
+                include_definition=include_definition, cache=cache,
+                softmax_mode=softmax_mode, prompt=prompt,
+            )
+
+    results, served = serve(cache, "judge", jobs(), max_workers)
     logger.info(
         "judged %d pairs: %d served from cache, %d sent to the provider",
         len(results), served, len(results) - served,
@@ -319,22 +309,7 @@ def write_judgements(judgements: Sequence[Judgement], fp: IO[str], lambda_prob: 
 
 def read_judgements(fp: IO[str]) -> list[Judgement]:
     """Scores of a ``judgements.tsv``; the ``Decision`` column is not read."""
-    out: list[Judgement] = []
-    for lineno, line in enumerate(fp, start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if lineno == 1 and parts[0] == "SrcEntity":
-            continue
-        if len(parts) != 5:
-            raise OntologyParseError("judgement row needs 5 columns", line=lineno)
-        out.append(
-            Judgement(
-                source=parts[0],
-                target=parts[1],
-                cosine=float(parts[2]),
-                p_yes=float(parts[3]),
-            )
-        )
-    return out
+    return list(read_tsv_rows(
+        fp, "judgement", 5,
+        lambda parts: Judgement(parts[0], parts[1], float(parts[2]), float(parts[3])),
+    ))

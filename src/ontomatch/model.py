@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 from .errors import OntologyParseError
 
@@ -24,8 +24,11 @@ __all__ = [
     "is_absolute_iri",
     "normalize_string",
     "read_concept_jsonl",
+    "read_tsv_rows",
     "write_concept_jsonl",
 ]
+
+T = TypeVar("T")
 
 _JSONL_KEYS = ("iri", "label", "synonyms", "parents", "equiv_descriptions", "definition")
 
@@ -158,6 +161,29 @@ def concept_context(concept: Concept, ontology: Ontology) -> ContextBlock:
     )
 
 
+def read_tsv_rows(fp: IO[str], what: str, columns: int, parse: Callable[[list[str]], T],
+                  at_least: bool = False) -> Iterator[T]:
+    """``parse`` of each row of a TSV: blank lines and a first-line header
+    whose first column is ``SrcEntity`` are skipped. A row with other than
+    ``columns`` columns (fewer, when ``at_least``), or one ``parse`` rejects
+    with ``ValueError``, raises ``OntologyParseError`` naming its line."""
+    for lineno, line in enumerate(fp, start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if lineno == 1 and parts[0] == "SrcEntity":
+            continue
+        if len(parts) < columns or (len(parts) > columns and not at_least):
+            needs = f"at least {columns}" if at_least else str(columns)
+            raise OntologyParseError(f"{what} row needs {needs} columns", line=lineno)
+        try:
+            row = parse(parts)
+        except ValueError as e:
+            raise OntologyParseError(f"bad {what} row: {e}", line=lineno) from e
+        yield row
+
+
 @dataclass(frozen=True)
 class Mapping:
     source: str
@@ -210,20 +236,12 @@ class MappingSet:
 
     @classmethod
     def read_tsv(cls, fp: IO[str]) -> "MappingSet":
-        ms = cls()
-        for lineno, line in enumerate(fp, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if lineno == 1 and parts[0] == "SrcEntity":
-                continue
-            if len(parts) < 2:
-                raise OntologyParseError("mapping row needs at least 2 columns", line=lineno)
+        def parse(parts: list[str]) -> Mapping:
             score = float(parts[2]) if len(parts) > 2 and parts[2] else 1.0
             prov = parts[3] if len(parts) > 3 else "llm"
-            ms.add(Mapping(parts[0], parts[1], score, prov))
-        return ms
+            return Mapping(parts[0], parts[1], score, prov)
+
+        return cls(read_tsv_rows(fp, "mapping", 2, parse, at_least=True))
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
-import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from types import ModuleType
 from typing import Callable, Sequence
@@ -25,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import definitions, judge
-from .cache import ResponseCache
+from .cache import ResponseCache, atomic_open
 from .definitions import build_embedding_text, enrich_ontology
 from .errors import ConfigError, MissingArtifactError
 from .evaluate import (
@@ -41,7 +39,6 @@ from .judge import (
     DEFAULT_FEW_SHOT,
     FewShotExample,
     judge_candidates,
-    judge_pair,
     read_judgements,
     write_judgements,
 )
@@ -49,7 +46,6 @@ from .model import (
     ContextBlock,
     MappingSet,
     Ontology,
-    concept_context,
     read_concept_jsonl,
     write_concept_jsonl,
 )
@@ -147,8 +143,8 @@ STAGE_TABLE: dict[str, Stage] = {
         config=("lambda_prob", "lambda_cs", "with_provenance"),
         writes=("mappings.tsv",),
     ),
-    # The ranking scorer reads the embeddings ("cosine") or judges each
-    # ranking case like the judge stage ("pyes").
+    # The ranking scorer reads the embeddings ("cosine") or judges every
+    # ranking-case pair like the judge stage ("pyes").
     "eval": Stage(
         reads=("mappings.tsv", *_EMBEDDINGS, *_ENRICHED),
         files=("reference", "ranking_cases"),
@@ -276,26 +272,28 @@ def _shot_from_dict(d: dict) -> FewShotExample:
     return FewShotExample(a=ctx(d["a"]), b=ctx(d["b"]), answer=d["answer"])
 
 
+_PROVIDER_KEYS = {
+    "mock": {"dimension", "seed", "alias_groups", "alias_groups_file",
+             "canned_generate", "canned_distributions"},
+    "http": {f.name for f in fields(HttpProviderConfig)},
+}
+
+
 def make_provider(config: PipelineConfig) -> Provider:
     spec = dict(config.provider)
     kind = spec.pop("kind", "mock")
-    if kind == "mock":
-        alias_groups = spec.pop("alias_groups", ())
-        alias_file = spec.pop("alias_groups_file", None)
-        if alias_file:
-            with open(alias_file, "r", encoding="utf-8") as fp:
-                alias_groups = json.load(fp)
-        return MockProvider(
-            dimension=spec.pop("dimension", 64),
-            seed=spec.pop("seed", 0),
-            alias_groups=alias_groups,
-            canned_generate=spec.pop("canned_generate", None),
-            canned_distributions=spec.pop("canned_distributions", None),
-        )
+    if kind not in _PROVIDER_KEYS:
+        raise ConfigError(f"unknown provider kind {kind!r}")
+    unknown = set(spec) - _PROVIDER_KEYS[kind]
+    if unknown:
+        raise ConfigError(f"unknown {kind} provider keys: {sorted(unknown)}")
     if kind == "http":
-        http_config = HttpProviderConfig(**spec).apply_env_overrides()
-        return HttpProvider(http_config)
-    raise ConfigError(f"unknown provider kind {kind!r}")
+        return HttpProvider(HttpProviderConfig(**spec).apply_env_overrides())
+    alias_file = spec.pop("alias_groups_file", None)
+    if alias_file:
+        with open(alias_file, "r", encoding="utf-8") as fp:
+            spec["alias_groups"] = json.load(fp)
+    return MockProvider(**spec)
 
 
 def _sha256_file(path: Path) -> str:
@@ -326,12 +324,9 @@ class StageManifest:
                 logger.warning("ignoring corrupt manifest %s", path)
 
     def save(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fp:
+        with atomic_open(self.path) as fp:
             json.dump({"stages": self.stages}, fp, indent=2, sort_keys=True)
             fp.write("\n")
-        os.replace(tmp, self.path)
 
     def can_skip(self, stage: str, input_digest: str, out_dir: Path) -> bool:
         entry = self.stages.get(stage)
@@ -381,12 +376,8 @@ class Pipeline:
 
     def _write_text(self, name: str, writer: Callable) -> None:
         """Write an artifact atomically with LF newlines."""
-        path = self._artifact(name)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fp:
+        with atomic_open(self._artifact(name)) as fp:
             writer(fp)
-        os.replace(tmp, path)
 
     def _load_ontology(self, name: str, onto_name: str) -> Ontology:
         with open(self._artifact(name), "r", encoding="utf-8") as fp:
@@ -444,14 +435,13 @@ class Pipeline:
         ]
         key = self._embedding_cache_key(texts)
         cache_base = Path(self.config.cache_dir) / "embed" / key
-        cache_base.parent.mkdir(parents=True, exist_ok=True)
         matrix = None
         if all(path.exists() for path in embedding_paths(cache_base)):
             try:
                 # Rows follow the texts the key covers, whatever IRIs the
                 # entry was written under.
                 _, matrix, _ = load_embeddings(cache_base)
-            except (ValueError, EOFError) as e:
+            except ValueError as e:
                 logger.warning("recomputing corrupt embedding cache entry %s: %s", key, e)
         if matrix is None:
             vectors = self.provider.embed_batch(texts)
@@ -523,7 +513,10 @@ class Pipeline:
             lambda fp: fused.write_tsv(fp, with_provenance=cfg.with_provenance),
         )
 
-    def _ranking_scorer(self) -> Callable[[str, str], float]:
+    def _ranking_scorer(self, reference: set[tuple[str, str]],
+                        candidates: dict[str, list[str]]) -> Callable[[str, str], float]:
+        """Scorer of the ranking cases ``make_ranking_cases`` builds from
+        ``reference`` and ``candidates``."""
         cfg = self.config
         if cfg.ranking_scorer == "cosine":
             src_iris, src_matrix, _ = load_embeddings(self._artifact("source.embeddings"))
@@ -538,27 +531,25 @@ class Pipeline:
                 return _cos(src[s], tgt[t])
 
             return score
-        source = self._load_ontology("source.enriched.jsonl", cfg.source_name)
-        target = self._load_ontology("target.enriched.jsonl", cfg.target_name)
-
-        def score(s: str, t: str) -> float:
-            sc = source.concepts.get(s)
-            tc = target.concepts.get(t)
-            if sc is None or tc is None:
-                return 0.0
-            judgement = judge_pair(
-                concept_context(sc, source),
-                concept_context(tc, target),
-                0.0,
-                self.provider,
-                shots=cfg.shots(),
-                include_definition=cfg.use_definitions,
-                cache=self.cache,
-                softmax_mode=cfg.softmax_mode,
-            )
-            return judgement.p_yes
-
-        return score
+        # Judge every pair a case scores, each once, in one batch.
+        pairs: dict[str, dict[str, float]] = {}
+        for src, gold in sorted(reference):
+            if src in candidates:
+                pairs.setdefault(src, {}).update(dict.fromkeys([gold, *candidates[src]], 0.0))
+        judgements = judge_candidates(
+            {src: list(targets.items()) for src, targets in pairs.items()},
+            self._load_ontology("source.enriched.jsonl", cfg.source_name),
+            self._load_ontology("target.enriched.jsonl", cfg.target_name),
+            self.provider,
+            shots=cfg.shots(),
+            include_definition=cfg.use_definitions,
+            cache=self.cache,
+            softmax_mode=cfg.softmax_mode,
+            max_workers=cfg.max_workers,
+        )
+        p_yes = {(j.source, j.target): j.p_yes for j in judgements}
+        # A pair whose concept is missing scores 0.0.
+        return lambda s, t: p_yes.get((s, t), 0.0)
 
     def _stage_eval(self, limit: int | None) -> None:
         cfg = self.config
@@ -579,10 +570,9 @@ class Pipeline:
         if cfg.ranking_cases:
             with open(cfg.ranking_cases, "r", encoding="utf-8") as fp:
                 rows = read_ranking_cases(fp)
+            candidates = {src: negs for src, (gold, negs) in rows.items()}
             cases = make_ranking_cases(
-                reference.pairs(),
-                self._ranking_scorer(),
-                {src: negs for src, (gold, negs) in rows.items()},
+                reference.pairs(), self._ranking_scorer(reference.pairs(), candidates), candidates
             )
             if cases:
                 mrr, hits = local_ranking(cases, ks=(1, 5, 10))

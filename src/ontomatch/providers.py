@@ -8,8 +8,8 @@ Two implementations ship in-package:
   pairs become near-identical vectors. Chat behaviour is rule-based with an
   optional canned-response map keyed by prompt digest.
 * ``HttpProvider`` -- a JSON-over-HTTP client for OpenAI-style endpoints
-  (``/embeddings``, ``/chat/completions``) with bounded retries, exponential
-  backoff, and an in-flight request cap.
+  (``/embeddings``, ``/chat/completions``) with bounded retries and
+  exponential backoff.
 
 Messages are ``{"role": ..., "content": ...}`` dicts: exactly one leading
 system message followed by user (and optionally assistant) turns.
@@ -22,15 +22,16 @@ import json
 import logging
 import os
 import re
-import threading
 import time
 from collections import deque
-from concurrent.futures import Executor, Future
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Protocol, Sequence
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import ExitStack
+from dataclasses import dataclass
+from typing import Callable, Iterable, NamedTuple, Protocol, Sequence, TypeVar
 
 import numpy as np
 
+from .cache import ResponseCache
 from .errors import (
     CapabilityError,
     EmptyCompletionError,
@@ -50,12 +51,13 @@ __all__ = [
     "HttpProvider",
     "HttpProviderConfig",
     "Prompt",
-    "ProviderPool",
     "prompt_digest",
+    "serve",
     "validate_messages",
 ]
 
 Message = dict[str, str]
+T = TypeVar("T")
 
 EMPTY_TEXT_PLACEHOLDER = "unknown concept"
 
@@ -112,44 +114,42 @@ class Prompt(NamedTuple):
     digest: str
 
 
-class ProviderPool:
-    """Threads that wait on provider calls, made on the first ``submit``.
+QUEUE_PER_WORKER = 4
 
-    A caller serves cached answers on its own thread and submits only the
-    calls that reach the provider, so a fully cached run makes no threads.
-    At most ``QUEUE_PER_WORKER * max_workers`` calls are queued or running:
-    past that, ``submit`` first waits for the oldest, so rendered prompts and
-    futures do not pile up. ``results`` returns every result in submission
-    order. Both re-raise the exception of a failed call when they reach it.
+
+def serve(cache: ResponseCache | None, kind: str, jobs: Iterable[tuple[str, Callable[[], T]]],
+          max_workers: int) -> tuple[list[T], int]:
+    """Run each ``(digest, job)`` of ``jobs``; returns the results in job
+    order and the number of jobs served from the cache.
+
+    A job whose ``kind``/``digest`` entry the cache holds runs on the calling
+    thread. The others wait on the provider, so they go to a pool of
+    ``max_workers`` threads, made at the first such job: a fully cached run
+    makes no threads. ``jobs`` is read lazily, and at most
+    ``QUEUE_PER_WORKER * max_workers`` jobs are queued or running, so rendered
+    prompts do not pile up. A failed job's exception is re-raised once its
+    result is reached, after the pool has finished the jobs it holds.
     """
-
-    QUEUE_PER_WORKER = 4
-
-    def __init__(self, executor: Callable[..., Executor], max_workers: int):
-        self._executor = executor
-        self._max_workers = max_workers
-        self._pool: Executor | None = None
-        self._pending: deque[Future] = deque()
-        self._done: list = []
-
-    def submit(self, fn: Callable, /, *args, **kwargs) -> None:
-        if self._pool is None:
-            self._pool = self._executor(max_workers=self._max_workers)
-        if len(self._pending) >= self.QUEUE_PER_WORKER * self._max_workers:
-            self._done.append(self._pending.popleft().result())
-        self._pending.append(self._pool.submit(fn, *args, **kwargs))
-
-    def results(self) -> list:
-        while self._pending:
-            self._done.append(self._pending.popleft().result())
-        return self._done
-
-    def __enter__(self) -> "ProviderPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
+    results: list = []
+    pending: deque[tuple[int, Future]] = deque()
+    served = 0
+    with ExitStack() as stack:
+        pool = None
+        for digest, job in jobs:
+            if cache is not None and cache.contains(kind, digest):
+                results.append(job())
+                served += 1
+                continue
+            if pool is None:
+                pool = stack.enter_context(ThreadPoolExecutor(max_workers=max_workers))
+            if len(pending) >= QUEUE_PER_WORKER * max_workers:
+                index, future = pending.popleft()
+                results[index] = future.result()
+            pending.append((len(results), pool.submit(job)))
+            results.append(None)
+        for index, future in pending:
+            results[index] = future.result()
+    return results, served
 
 
 class Provider(Protocol):
@@ -326,7 +326,6 @@ class HttpProviderConfig:
     timeout: float = 60.0
     max_attempts: int = 3
     backoff_base: float = 1.0
-    max_in_flight: int = 8
     top_logprobs: int = 20
     embed_batch_size: int = 256
     context_chars: int = 131072
@@ -344,8 +343,9 @@ class HttpProvider:
 
     Retries transport errors and HTTP 429/5xx responses up to
     ``max_attempts`` times with exponential backoff starting at
-    ``backoff_base`` seconds. At most ``max_in_flight`` requests run
-    concurrently. ``session`` and ``sleep`` are injectable for tests.
+    ``backoff_base`` seconds. Concurrency is the caller's: the pipeline
+    makes at most ``max_workers`` calls at once (see ``serve``).
+    ``session`` and ``sleep`` are injectable for tests.
     """
 
     def __init__(
@@ -361,7 +361,6 @@ class HttpProvider:
             session = requests.Session()
         self._session = session
         self._sleep = sleep
-        self._gate = threading.Semaphore(self.config.max_in_flight)
         self.embed_model_id = self.config.embed_model
         self.chat_model_id = self.config.chat_model
 
@@ -375,10 +374,9 @@ class HttpProvider:
             if attempt > 0:
                 self._sleep(self.config.backoff_base * (2 ** (attempt - 1)))
             try:
-                with self._gate:
-                    response = self._session.post(
-                        url, json=payload, headers=headers, timeout=self.config.timeout
-                    )
+                response = self._session.post(
+                    url, json=payload, headers=headers, timeout=self.config.timeout
+                )
             except Exception as e:  # transport error: retryable
                 last_error = e
                 logger.warning("provider transport error (attempt %d): %s", attempt + 1, e)

@@ -24,7 +24,9 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateVectorError, OntologyParseError
+from .cache import atomic_open
+from .errors import DegenerateVectorError
+from .model import read_tsv_rows
 
 logger = logging.getLogger(__name__)
 
@@ -335,16 +337,10 @@ def write_candidates(candidates: Mapping[str, list[tuple[str, float]]], fp: IO[s
 
 def read_candidates(fp: IO[str]) -> dict[str, list[tuple[str, float]]]:
     out: dict[str, list[tuple[str, float]]] = {}
-    for lineno, line in enumerate(fp, start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if lineno == 1 and parts[0] == "SrcEntity":
-            continue
-        if len(parts) != 4:
-            raise OntologyParseError("candidate row needs 4 columns", line=lineno)
-        out.setdefault(parts[0], []).append((parts[1], float(parts[3])))
+    for src, tgt, sim in read_tsv_rows(
+        fp, "candidate", 4, lambda parts: (parts[0], parts[1], float(parts[3]))
+    ):
+        out.setdefault(src, []).append((tgt, sim))
     return out
 
 
@@ -357,37 +353,46 @@ def embedding_paths(base: str | Path) -> tuple[Path, Path]:
 def save_embeddings(
     base: str | Path, iris: Sequence[str], matrix: np.ndarray, model: str
 ) -> None:
-    """Persist vectors as ``<base>.npy`` plus a ``<base>.json`` sidecar."""
+    """Persist vectors as ``<base>.npy`` plus a ``<base>.json`` sidecar, each
+    written atomically; the sidecar records the sha256 of the ``.npy`` bytes."""
     npy_path, json_path = embedding_paths(base)
     order = sorted(range(len(iris)), key=lambda i: iris[i])
     sorted_iris = [iris[i] for i in order]
     sorted_matrix = np.ascontiguousarray(np.asarray(matrix, dtype=np.float64)[order])
-    np.save(npy_path, sorted_matrix)
-    digest = hashlib.sha256(npy_path.read_bytes()).hexdigest()
+    buffer = io.BytesIO()
+    np.save(buffer, sorted_matrix)
+    raw = buffer.getvalue()
+    with atomic_open(npy_path, "wb") as fp:
+        fp.write(raw)
     sidecar = {
         "model": model,
         "dimension": int(sorted_matrix.shape[1]),
         "count": int(sorted_matrix.shape[0]),
-        "content_digest": digest,
+        "content_digest": hashlib.sha256(raw).hexdigest(),
         "iris": sorted_iris,
     }
-    with open(json_path, "w", encoding="utf-8") as fp:
+    with atomic_open(json_path) as fp:
         json.dump(sidecar, fp, ensure_ascii=False, indent=0)
         fp.write("\n")
 
 
 def load_embeddings(base: str | Path) -> tuple[list[str], np.ndarray, dict]:
-    """Read ``<base>.npy`` and its sidecar; raise ``ValueError`` when the
-    matrix shape, the IRI count or the ``.npy`` sha256 disagrees with it."""
+    """Read ``<base>.npy`` and its sidecar; raise ``ValueError`` for a
+    malformed entry: unreadable JSON or ``.npy`` data, a missing sidecar key,
+    or a matrix shape, IRI count or ``.npy`` sha256 that disagrees with the
+    sidecar."""
     npy_path, json_path = embedding_paths(base)
     with open(json_path, "r", encoding="utf-8") as fp:
         sidecar = json.load(fp)
     raw = npy_path.read_bytes()
-    matrix = np.load(io.BytesIO(raw))
-    if matrix.shape != (sidecar["count"], sidecar["dimension"]):
-        raise ValueError(f"embedding matrix shape {matrix.shape} disagrees with sidecar")
-    if len(sidecar["iris"]) != sidecar["count"]:
-        raise ValueError("sidecar IRI list length disagrees with count")
-    if hashlib.sha256(raw).hexdigest() != sidecar.get("content_digest"):
-        raise ValueError(f"{npy_path} disagrees with the sidecar content_digest")
+    try:
+        matrix = np.load(io.BytesIO(raw))
+        if matrix.shape != (sidecar["count"], sidecar["dimension"]):
+            raise ValueError(f"embedding matrix shape {matrix.shape} disagrees with sidecar")
+        if len(sidecar["iris"]) != sidecar["count"]:
+            raise ValueError("sidecar IRI list length disagrees with count")
+        if hashlib.sha256(raw).hexdigest() != sidecar["content_digest"]:
+            raise ValueError(f"{npy_path} disagrees with the sidecar content_digest")
+    except (EOFError, KeyError, TypeError) as e:
+        raise ValueError(f"malformed embedding entry {base}: {e!r}") from e
     return list(sidecar["iris"]), matrix, sidecar

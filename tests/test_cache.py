@@ -1,11 +1,14 @@
-"""Content-addressed response cache: round-trips, corruption, single-flight."""
+"""Content-addressed response cache: round-trips, corruption, single-flight,
+and the atomic writer every artifact goes through."""
 
 import sys
 import threading
 import time
 from collections import Counter
 
-from ontomatch.cache import ResponseCache
+import pytest
+
+from ontomatch.cache import ResponseCache, atomic_open
 
 
 def test_put_get_round_trip(tmp_path):
@@ -176,3 +179,43 @@ def test_get_or_compute_drops_per_digest_locks(tmp_path):
     assert not any(t.is_alive() for t in threads)
     assert computed == Counter({f"d{i}": 1 for i in range(20)})
     assert cache._locks == {}
+
+
+# -- atomic writes ------------------------------------------------------------------
+
+
+def test_atomic_open_failure_keeps_the_old_file_and_leaves_no_temporary(tmp_path):
+    path = tmp_path / "artifact.txt"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(path) as fp:
+            fp.write("new, half written")
+            raise RuntimeError("writer failed")
+    assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.txt"]
+
+
+def test_atomic_open_writes_lf_text_and_bytes(tmp_path):
+    with atomic_open(tmp_path / "sub" / "a.txt") as fp:
+        fp.write("x\ny\n")
+    with atomic_open(tmp_path / "sub" / "b.bin", "wb") as fp:
+        fp.write(b"\x00\x01")
+    assert (tmp_path / "sub" / "a.txt").read_bytes() == b"x\ny\n"
+    assert (tmp_path / "sub" / "b.bin").read_bytes() == b"\x00\x01"
+
+
+def test_atomic_open_gives_the_permissions_open_gives(tmp_path):
+    with open(tmp_path / "plain.txt", "w") as fp:
+        fp.write("x")
+    with atomic_open(tmp_path / "atomic.txt") as fp:
+        fp.write("x")
+    assert (tmp_path / "atomic.txt").stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+
+
+def test_put_failure_keeps_the_old_entry_and_leaves_no_temporary(tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+    cache.put("define", "d1", {"text": "kept"})
+    with pytest.raises(TypeError):
+        cache.put("define", "d1", {"text": object()})
+    assert cache.get("define", "d1")["text"] == "kept"
+    assert [p.name for p in (tmp_path / "cache" / "define").iterdir()] == ["d1.json"]

@@ -221,7 +221,7 @@ def test_enrich_ontology_fully_warm_makes_no_pool_and_no_calls(tmp_path, monkeyp
     cache = ResponseCache(tmp_path / "cache")
     cold = _ontology(4)
     enrich_ontology(cold, "tgt", MockProvider(), cache=cache)
-    monkeypatch.setattr("ontomatch.definitions.ThreadPoolExecutor", _no_pool)
+    monkeypatch.setattr("ontomatch.providers.ThreadPoolExecutor", _no_pool)
     provider = CountingProvider(MockProvider())
     warm = _ontology(4)
     assert enrich_ontology(warm, "tgt", provider, cache=cache) == 4

@@ -334,7 +334,7 @@ def test_judge_candidates_fully_warm_makes_no_pool_and_no_calls(tmp_path, monkey
     src, tgt = _ontologies()
     cache = ResponseCache(tmp_path / "cache")
     cold = judge_candidates(_all_candidates(), src, tgt, MockProvider(), cache=cache)
-    monkeypatch.setattr("ontomatch.judge.ThreadPoolExecutor", _no_pool)
+    monkeypatch.setattr("ontomatch.providers.ThreadPoolExecutor", _no_pool)
     provider = CountingProvider(MockProvider())
     warm = judge_candidates(_all_candidates(), src, tgt, provider, cache=cache)
     assert provider.total_calls == 0

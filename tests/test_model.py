@@ -6,6 +6,8 @@ import json
 import pytest
 
 from ontomatch.errors import OntologyParseError
+from ontomatch.evaluate import read_ranking_cases
+from ontomatch.judge import read_judgements
 from ontomatch.model import (
     Concept,
     Mapping,
@@ -17,8 +19,10 @@ from ontomatch.model import (
     is_absolute_iri,
     normalize_string,
     read_concept_jsonl,
+    read_tsv_rows,
     write_concept_jsonl,
 )
+from ontomatch.retrieval import read_candidates
 
 
 def test_iri_fragment_prefers_hash():
@@ -251,3 +255,35 @@ def test_concept_context_resolves_parent_labels_with_fragment_fallback():
     assert ctx.synonyms == ["kid"]
     assert ctx.descriptions == ["Child that is small."]
     assert ctx.display_name() == "Child"
+
+
+# -- TSV rows -----------------------------------------------------------------------
+
+
+_READERS = {
+    "candidate": (read_candidates, "s\tt\t1\tx"),
+    "judgement": (read_judgements, "s\tt\t0.9\tx\tyes"),
+    "mapping": (MappingSet.read_tsv, "s\tt\tx"),
+}
+
+
+def test_read_ranking_cases_skips_blank_lines_and_a_header():
+    text = "SrcEntity\tGold\tCandidates\n\ns\tg\tc1\tc2\n"
+    assert read_ranking_cases(io.StringIO(text)) == {"s": ("g", ["c1", "c2"])}
+
+
+@pytest.mark.parametrize("what", sorted(_READERS))
+def test_tsv_readers_report_a_bad_value_with_its_line(what):
+    reader, bad = _READERS[what]
+    text = "SrcEntity\tTgtEntity\n\n" + bad + "\n"
+    with pytest.raises(OntologyParseError, match=rf"bad {what} row: .*'x' \(line 3\)$"):
+        reader(io.StringIO(text))
+
+
+def test_read_tsv_rows_checks_the_column_count():
+    rows = io.StringIO("SrcEntity\ta\n1\t2\n\n1\t2\t3\n")
+    assert list(read_tsv_rows(rows, "pair", 2, tuple, at_least=True)) == [("1", "2"), ("1", "2", "3")]
+    with pytest.raises(OntologyParseError, match=r"pair row needs 2 columns \(line 3\)"):
+        list(read_tsv_rows(io.StringIO("1\t2\n\n1\t2\t3\n"), "pair", 2, tuple))
+    with pytest.raises(OntologyParseError, match=r"needs at least 2 columns \(line 1\)"):
+        list(read_tsv_rows(io.StringIO("1\n"), "pair", 2, tuple, at_least=True))

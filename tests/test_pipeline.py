@@ -1,6 +1,7 @@
 """Pipeline orchestration: end-to-end toy run, caching, resume, CLI."""
 
 import dataclasses
+import io
 import json
 from pathlib import Path
 
@@ -8,15 +9,24 @@ import pytest
 from click.testing import CliRunner
 
 import ontomatch.judge as judge_module
+import ontomatch.pipeline as pipeline_module
 import ontomatch.retrieval as retrieval_module
 from ontomatch.cli import build_config, main
 from ontomatch.errors import ConfigError, MissingArtifactError
-from ontomatch.judge import DEFAULT_FEW_SHOT
-from ontomatch.model import Mapping, MappingSet
-from ontomatch.pipeline import STAGES, Pipeline, PipelineConfig, make_provider
+from ontomatch.judge import DEFAULT_FEW_SHOT, judge_pair
+from ontomatch.model import Mapping, MappingSet, concept_context, read_concept_jsonl
+from ontomatch.pipeline import STAGES, Pipeline, PipelineConfig, StageManifest, make_provider
 from ontomatch.providers import HttpProvider, MockProvider
+from ontomatch.retrieval import (
+    ExactIndex,
+    generate_candidates,
+    load_embeddings,
+    merge_candidate_maps,
+    write_candidates,
+)
 
 from conftest import TOY_DIR, CountingProvider, load_toy_reference, toy_config
+from oracles import rank_by_score, reference_hit_at_k, reference_mrr
 
 
 def snapshot(out_dir: Path) -> dict[str, bytes]:
@@ -96,6 +106,89 @@ def test_provenance_counts_on_toy_run(tmp_path):
     for m in mappings:
         counts[m.provenance] = counts.get(m.provenance, 0) + 1
     assert counts == {"both": 14, "llm": 6, "exact": 1}
+
+
+def _pyes_oracle(config: PipelineConfig, cases_path: str) -> tuple[float, dict[str, float]]:
+    """MRR and Hit@k of the ranking cases, each pair judged on its own with
+    ``judge_pair`` and no cache; a pair with a missing concept scores 0.0."""
+    out = Path(config.out_dir)
+    ontologies = []
+    for name, onto_name in (("source.enriched.jsonl", config.source_name),
+                            ("target.enriched.jsonl", config.target_name)):
+        with open(out / name, encoding="utf-8") as fp:
+            ontologies.append(read_concept_jsonl(fp, name=onto_name))
+    source, target = ontologies
+    provider = make_provider(config)
+
+    def p_yes(s, t):
+        if s not in source.concepts or t not in target.concepts:
+            return 0.0
+        return judge_pair(
+            concept_context(source.concepts[s], source),
+            concept_context(target.concepts[t], target),
+            0.0, provider, shots=config.shots(),
+            include_definition=config.use_definitions, softmax_mode=config.softmax_mode,
+        ).p_yes
+
+    rows = {}
+    for line in Path(cases_path).read_text().splitlines():
+        src, _, *negatives = line.split("\t")
+        rows[src] = negatives
+    ranks = []
+    for src, gold in sorted(load_toy_reference()):
+        candidates = [gold] + [t for t in rows[src] if t != gold]
+        ranks.append(rank_by_score([(t, p_yes(src, t)) for t in candidates], gold))
+    return reference_mrr(ranks), {str(k): reference_hit_at_k(ranks, k) for k in (1, 5, 10)}
+
+
+def test_pyes_ranking_scorer_matches_a_per_pair_judge_oracle(tmp_path, monkeypatch,
+                                                             counting_toy_provider):
+    cases_path = Path(toy_ranking_cases(tmp_path))
+    lines = cases_path.read_text().splitlines()
+    # A negative the target ontology lacks scores 0.0; a repeated one is judged once.
+    first = lines[0].split("\t")
+    lines[0] = "\t".join([*first, "http://example.org/tgt#Missing", first[2]])
+    cases_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    config = toy_config(tmp_path, ranking_cases=str(cases_path), ranking_scorer="pyes",
+                        few_shot=1)
+    Pipeline(config).run()
+    metrics = read_metrics(config.out_dir)
+    mrr, hits = _pyes_oracle(config, str(cases_path))
+    assert metrics["mrr"] == pytest.approx(mrr, abs=1e-12)
+    assert metrics["hit_at"] == hits
+
+    batches = []
+    judge_candidates = pipeline_module.judge_candidates
+    monkeypatch.setattr(pipeline_module, "judge_candidates",
+                        lambda *a, **kw: batches.append(a[0]) or judge_candidates(*a, **kw))
+    before = snapshot(config.out_dir)
+    forced = counting_toy_provider(config)
+    assert Pipeline(config, provider=forced).run(stages=["eval"], force=True) == {
+        "eval": "complete"
+    }
+    assert forced.total_calls == 0
+    assert snapshot(config.out_dir) == before
+    # One batch, over each distinct pair a case scores.
+    assert len(batches) == 1
+    judged = [(s, t) for s, targets in batches[0].items() for t, _ in targets]
+    assert len(judged) == len(set(judged)) == 21 * 4 + 1
+
+
+def test_bidirectional_toy_run_merges_both_retrieval_directions(tmp_path):
+    config = toy_config(tmp_path, bidirectional=True, k=3)
+    assert Pipeline(config).run() == {s: "complete" for s in STAGES}
+    out = Path(config.out_dir)
+    src_iris, src_matrix, _ = load_embeddings(out / "source.embeddings")
+    tgt_iris, tgt_matrix, _ = load_embeddings(out / "target.embeddings")
+    sources = {iri: src_matrix[i] for i, iri in enumerate(src_iris)}
+    targets = {iri: tgt_matrix[i] for i, iri in enumerate(tgt_iris)}
+    forward = generate_candidates(sources, ExactIndex(tgt_iris, tgt_matrix), k=3)
+    backward = generate_candidates(targets, ExactIndex(src_iris, src_matrix), k=3)
+    merged = merge_candidate_maps(forward, backward)
+    assert sum(map(len, merged.values())) > sum(map(len, forward.values()))
+    expected = io.StringIO()
+    write_candidates(merged, expected)
+    assert (out / "candidates.tsv").read_text() == expected.getvalue()
 
 
 # -- manifest / resume -----------------------------------------------------------
@@ -350,6 +443,31 @@ def test_run_without_reference_omits_eval(tmp_path):
     assert not (Path(config.out_dir) / "metrics.json").exists()
 
 
+def test_failed_artifact_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path):
+    pipeline = Pipeline(toy_config(tmp_path))
+    pipeline._write_text("metrics.txt", lambda fp: fp.write("old\n"))
+
+    def failing(fp):
+        fp.write("new, half written")
+        raise RuntimeError("writer failed")
+
+    with pytest.raises(RuntimeError):
+        pipeline._write_text("metrics.txt", failing)
+    assert (tmp_path / "out" / "metrics.txt").read_text() == "old\n"
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["metrics.txt"]
+
+
+def test_failed_manifest_save_keeps_the_old_manifest_and_leaves_no_temporary(tmp_path):
+    manifest = StageManifest(tmp_path / "manifest.json")
+    manifest.record("ingest", "complete", "d", {}, 0.0)
+    old = (tmp_path / "manifest.json").read_bytes()
+    manifest.stages["define"] = {"status": object()}
+    with pytest.raises(TypeError):
+        manifest.save()
+    assert (tmp_path / "manifest.json").read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
 def test_run_stage_rejects_unknown_stage(tmp_path):
     with pytest.raises(ValueError):
         Pipeline(toy_config(tmp_path)).run_stage("transmogrify")
@@ -442,6 +560,16 @@ def test_make_provider_http_kind():
         "kind": "http", "base_url": "http://example.test/v1",
     }))
     assert isinstance(provider, HttpProvider)
+
+
+@pytest.mark.parametrize("spec, unknown", [
+    ({"kind": "mock", "dimensions": 32}, "dimensions"),
+    ({"kind": "http", "base_ur": "http://example.test/v1"}, "base_ur"),
+    ({"kind": "http", "max_in_flight": 4}, "max_in_flight"),
+])
+def test_make_provider_rejects_unknown_keys(spec, unknown):
+    with pytest.raises(ConfigError, match=f"unknown {spec['kind']} provider keys: \\['{unknown}'\\]"):
+        make_provider(PipelineConfig(provider=spec))
 
 
 def test_make_provider_unknown_kind():
@@ -569,6 +697,44 @@ def test_cli_eval_predictions_mode(tmp_path):
     assert "precision  0.500" in result.output
     assert "recall     1.000" in result.output
     assert "f1         0.667" in result.output
+
+
+_BAD_ROWS = {
+    "score": ("http://s#1\thttp://t#1\tabc\n", "could not convert string to float"),
+    "alpha": ("http://s#1\thttp://t#1\t95\n", "alpha must be in [0, 1]"),
+    "columns": ("http://s#1\n", "mapping row needs at least 2 columns"),
+}
+
+
+def _assert_clean_parse_error(result, message, line):
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # no uncaught exception
+    assert result.output.startswith("Error: ")
+    assert message in result.output
+    assert result.output.rstrip().endswith(f"(line {line})")
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_ROWS))
+def test_cli_eval_predictions_reports_a_malformed_row(tmp_path, bad):
+    row, message = _BAD_ROWS[bad]
+    predictions = tmp_path / "predictions.tsv"
+    predictions.write_text("SrcEntity\tTgtEntity\tScore\n\n" + row)
+    reference = tmp_path / "reference.tsv"
+    reference.write_text("SrcEntity\tTgtEntity\tScore\nhttp://s#1\thttp://t#1\t1.0\n")
+    result = CliRunner().invoke(main, [
+        "eval", "--predictions", str(predictions), "--reference", str(reference),
+    ])
+    _assert_clean_parse_error(result, message, 3)
+
+
+def test_cli_run_reports_a_malformed_reference_row(tmp_path):
+    reference = tmp_path / "reference.tsv"
+    reference.write_text((TOY_DIR / "reference.tsv").read_text() + _BAD_ROWS["score"][0])
+    config_path = write_config_file(tmp_path)
+    result = CliRunner().invoke(main, [
+        "run", "--config", config_path, "--reference", str(reference),
+    ])
+    _assert_clean_parse_error(result, _BAD_ROWS["score"][1], 23)
 
 
 def test_cli_eval_predictions_requires_reference(tmp_path):

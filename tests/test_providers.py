@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from ontomatch.cache import ResponseCache
 from ontomatch.errors import (
     CapabilityError,
     EmptyCompletionError,
@@ -18,11 +19,12 @@ from ontomatch.providers import (
     AliasTable,
     HttpProvider,
     HttpProviderConfig,
+    QUEUE_PER_WORKER,
     MockProvider,
-    ProviderPool,
     SamplingParams,
     TokenDistribution,
     prompt_digest,
+    serve,
     validate_messages,
 )
 
@@ -470,37 +472,89 @@ def test_http_explicit_config_ignores_environment(monkeypatch):
     assert provider.config.base_url == "http://test/v1"
 
 
-# -- ProviderPool -----------------------------------------------------------------
+# -- serve: cache hits inline, misses in a bounded pool ---------------------------
 
 
-def test_provider_pool_bounds_calls_in_flight_and_keeps_order():
+def _job(value, ran_on=None):
+    def job():
+        if ran_on is not None:
+            ran_on.append((value, threading.get_ident()))
+        return value
+
+    return job
+
+
+def test_serve_bounds_jobs_in_flight_and_keeps_order():
     release = threading.Event()
-    submitted = []
+    pulled = []
+    out = {}
 
-    def call(i):
+    def wait_then(i):
         release.wait(timeout=30)
         return i
 
-    def submit_all(pool):
+    def jobs():
         for i in range(20):
-            pool.submit(call, i)
-            submitted.append(i)
+            pulled.append(i)
+            yield f"d{i}", lambda i=i: wait_then(i)
 
-    with ProviderPool(ThreadPoolExecutor, max_workers=2) as pool:
-        producer = threading.Thread(target=submit_all, args=(pool,))
-        producer.start()
-        producer.join(timeout=0.5)
-        # Two running plus six queued; the ninth submit waits for the oldest.
-        assert submitted == list(range(2 * ProviderPool.QUEUE_PER_WORKER))
-        release.set()
-        producer.join(timeout=30)
-        assert not producer.is_alive()
-        assert pool.results() == list(range(20))
+    consumer = threading.Thread(
+        target=lambda: out.update(result=serve(None, "judge", jobs(), max_workers=2))
+    )
+    consumer.start()
+    consumer.join(timeout=0.5)
+    # Two running plus six queued; the ninth job waits for the oldest, and
+    # no further job is read.
+    assert pulled == list(range(2 * QUEUE_PER_WORKER + 1))
+    release.set()
+    consumer.join(timeout=30)
+    assert not consumer.is_alive()
+    assert out["result"] == (list(range(20)), 0)
 
 
-def test_provider_pool_makes_no_threads_without_a_submit():
-    def refuse(**kwargs):
+def test_serve_makes_no_threads_when_every_job_is_cached(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
         raise AssertionError("a thread pool was made")
 
-    with ProviderPool(refuse, max_workers=8) as pool:
-        assert pool.results() == []
+    monkeypatch.setattr("ontomatch.providers.ThreadPoolExecutor", refuse)
+    cache = ResponseCache(tmp_path / "cache")
+    for i in range(5):
+        cache.put("define", f"d{i}", {"text": str(i)})
+    ran_on = []
+    jobs = ((f"d{i}", _job(i, ran_on)) for i in range(5))
+    assert serve(cache, "define", jobs, max_workers=8) == ([0, 1, 2, 3, 4], 5)
+    assert {thread for _, thread in ran_on} == {threading.get_ident()}
+
+
+def test_serve_interleaves_hits_and_misses_in_job_order(tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+    for i in range(0, 10, 3):
+        cache.put("judge", f"d{i}", {"entries": {}})
+    ran_on = []
+    jobs = ((f"d{i}", _job(i, ran_on)) for i in range(10))
+    assert serve(cache, "judge", jobs, max_workers=2) == (list(range(10)), 4)
+    here = threading.get_ident()
+    assert sorted(i for i, thread in ran_on if thread == here) == [0, 3, 6, 9]
+
+
+def test_serve_reraises_a_failed_job_after_shutting_the_pool_down(monkeypatch):
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.shut_down = False
+            pools.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            super().shutdown(*args, **kwargs)
+            self.shut_down = True
+
+    def fail():
+        raise ProviderError("backend down")
+
+    monkeypatch.setattr("ontomatch.providers.ThreadPoolExecutor", RecordingPool)
+    jobs = [("d0", _job(0)), ("d1", fail), ("d2", _job(2))]
+    with pytest.raises(ProviderError, match="backend down"):
+        serve(None, "judge", iter(jobs), max_workers=2)
+    assert len(pools) == 1 and pools[0].shut_down

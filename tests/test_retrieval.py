@@ -440,6 +440,41 @@ def test_load_embeddings_rejects_iri_count_mismatch(tmp_path):
         load_embeddings(base)
 
 
+def test_load_embeddings_rejects_an_empty_npy_with_value_error(tmp_path):
+    base = tmp_path / "emb"
+    save_embeddings(base, ["http://t#A"], np.eye(1, 2), model="m")
+    npy_path, _ = embedding_paths(base)
+    npy_path.write_bytes(b"")
+    with pytest.raises(ValueError, match="malformed embedding entry"):
+        load_embeddings(base)
+
+
+@pytest.mark.parametrize("key", ["count", "dimension", "iris", "content_digest"])
+def test_load_embeddings_rejects_a_missing_sidecar_key_with_value_error(tmp_path, key):
+    base = tmp_path / "emb"
+    save_embeddings(base, ["http://t#A", "http://t#B"], np.eye(2), model="m")
+    _, json_path = embedding_paths(base)
+    sidecar = json.loads(json_path.read_text())
+    del sidecar[key]
+    json_path.write_text(json.dumps(sidecar))
+    with pytest.raises(ValueError, match="malformed embedding entry"):
+        load_embeddings(base)
+
+
+def test_save_embeddings_failure_keeps_the_old_sidecar_and_leaves_no_temporary(tmp_path):
+    base = tmp_path / "emb"
+    save_embeddings(base, ["http://t#A", "http://t#B"], np.eye(2), model="m")
+    _, json_path = embedding_paths(base)
+    old = json_path.read_bytes()
+    with pytest.raises(TypeError):
+        save_embeddings(base, ["http://t#A", "http://t#B"], 2 * np.eye(2), model=object())
+    assert json_path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.json", "emb.npy"]
+    # The new .npy beside the old sidecar is a torn pair, and it is reported.
+    with pytest.raises(ValueError, match="content_digest"):
+        load_embeddings(base)
+
+
 def test_load_embeddings_rejects_content_digest_mismatch(tmp_path):
     base = tmp_path / "emb"
     save_embeddings(base, ["http://t#A", "http://t#B"], np.eye(2), model="m")
