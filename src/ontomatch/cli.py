@@ -15,26 +15,10 @@ import sys
 import click
 
 from .errors import OntomatchError
-from .evaluate import MetricsReport, global_metrics
 from .model import MappingSet
-from .pipeline import Pipeline, PipelineConfig
+from .pipeline import Pipeline, PipelineConfig, global_report
 
 logger = logging.getLogger(__name__)
-
-_OVERRIDE_KEYS = (
-    ("source", "source"),
-    ("target", "target"),
-    ("source_name", "source_name"),
-    ("target_name", "target_name"),
-    ("k", "k"),
-    ("lambda_prob", "lambda_prob"),
-    ("lambda_cs", "lambda_cs"),
-    ("few_shot", "few_shot"),
-    ("cache_dir", "cache_dir"),
-    ("out", "out_dir"),
-    ("reference", "reference"),
-    ("bidirectional", "bidirectional"),
-)
 
 
 def common_options(fn):
@@ -53,13 +37,13 @@ def common_options(fn):
                   help="Cosine similarity threshold (default 0.97).")
     @click.option("--few-shot", type=int, default=None,
                   help="Number of few-shot examples for the judge (default 0).")
-    @click.option("--no-definitions", is_flag=True, default=False,
+    @click.option("--no-definitions", "use_definitions", flag_value=False, default=None,
                   help="Skip definition enrichment everywhere (ablation).")
     @click.option("--provider", type=click.Choice(["mock", "http"]), default=None,
                   help="Provider backend (default from config; mock otherwise).")
     @click.option("--cache-dir", type=click.Path(file_okay=False), default=None,
                   help="Response cache directory (default ./cache).")
-    @click.option("--out", type=click.Path(file_okay=False), default=None,
+    @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
                   help="Working/output directory (default ./out).")
     @click.option("--reference", type=click.Path(exists=True, dir_okay=False), default=None,
                   help="Reference mapping TSV for evaluation.")
@@ -67,7 +51,7 @@ def common_options(fn):
                   help="Re-run stages even when inputs are unchanged.")
     @click.option("--limit", type=int, default=None,
                   help="Bound the number of items processed by define/judge.")
-    @click.option("--bidirectional", is_flag=True, default=False,
+    @click.option("--bidirectional", flag_value=True, default=None,
                   help="Union candidates from both retrieval directions.")
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -76,16 +60,11 @@ def common_options(fn):
     return wrapper
 
 
-def build_config(config_path, no_definitions, provider, bidirectional, **overrides) -> PipelineConfig:
+def build_config(config_path, provider, **overrides) -> PipelineConfig:
+    """The config file's values (or the defaults), with every option that
+    was given, each named after the field it sets."""
     data = PipelineConfig.from_file(config_path).to_dict() if config_path else PipelineConfig().to_dict()
-    for option, key in _OVERRIDE_KEYS:
-        value = overrides.get(option)
-        if option == "bidirectional":
-            value = bidirectional or None
-        if value is not None:
-            data[key] = value
-    if no_definitions:
-        data["use_definitions"] = False
+    data.update((key, value) for key, value in overrides.items() if value is not None)
     if provider is not None and data.get("provider", {}).get("kind") != provider:
         data["provider"] = {"kind": provider}
     return PipelineConfig.from_dict(data)
@@ -151,17 +130,9 @@ def eval_command(config_path, force, limit, predictions, **kwargs):
             with open(predictions, "r", encoding="utf-8") as fp:
                 predicted = MappingSet.read_tsv(fp)
             with open(reference, "r", encoding="utf-8") as fp:
-                ref = MappingSet.read_tsv(fp)
+                report = global_report(predicted, MappingSet.read_tsv(fp))
         except OntomatchError as e:
             raise click.ClickException(str(e)) from e
-        precision, recall, f1 = global_metrics(predicted.pairs(), ref.pairs())
-        report = MetricsReport(
-            precision=precision,
-            recall=recall,
-            f1=f1,
-            predicted_count=len(predicted),
-            reference_count=len(ref),
-        )
         click.echo(report.to_text(), nl=False)
         return
     _run_stages(["eval"], config_path, force, limit, **kwargs)

@@ -8,14 +8,11 @@ broken by ascending candidate IRI.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Mapping as TMapping, Sequence
 
 from .errors import UndefinedMetricError
 from .model import read_tsv_rows
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "f1_score",
@@ -83,33 +80,31 @@ def local_ranking(
 
 
 def make_ranking_cases(
-    reference: Iterable[Pair],
-    scorer: Callable[[str, str], float],
-    candidates: TMapping[str, Sequence[str]],
+    rows: Iterable[tuple[str, str, Sequence[str]]],
+    score: Callable[[list[Pair]], TMapping[Pair, float]],
 ) -> list[RankingCase]:
-    """Build one case per reference pair: the gold target plus the source's
-    supplied candidates (``source IRI -> candidate IRIs``), as in Bio-ML's
-    local ranking. Reference pairs absent from ``candidates`` are skipped
-    with a warning.
+    """One case per row ``(source, gold, candidates)``, as in Bio-ML's local
+    ranking: the gold target, then the row's other candidates. Cases come in
+    ``(source, gold)`` order. ``score`` is called once, with every distinct
+    ``(source, target)`` pair the cases rank, and maps each to its score.
     """
-    cases: list[RankingCase] = []
-    for source, gold in sorted(set(reference)):
-        supplied = candidates.get(source)
-        if supplied is None:
-            logger.warning("no candidate row for %s; case skipped", source)
-            continue
-        candidate_iris = [gold] + [t for t in supplied if t != gold]
-        scored = tuple((iri, scorer(source, iri)) for iri in candidate_iris)
-        cases.append(RankingCase(source=source, gold=gold, candidates=scored))
-    return cases
+    ranked = [
+        (source, gold, [gold, *(t for t in candidates if t != gold)])
+        for source, gold, candidates in sorted(rows, key=lambda row: row[:2])
+    ]
+    scores = score(list(dict.fromkeys((s, t) for s, _, targets in ranked for t in targets)))
+    return [
+        RankingCase(source=s, gold=gold, candidates=tuple((t, scores[s, t]) for t in targets))
+        for s, gold, targets in ranked
+    ]
 
 
-def read_ranking_cases(fp: IO[str]) -> dict[str, tuple[str, list[str]]]:
-    """``source -> (gold, candidates)`` from rows ``source, gold, candidate...``."""
-    rows = read_tsv_rows(
-        fp, "ranking case", 2, lambda parts: (parts[0], (parts[1], parts[2:])), at_least=True
-    )
-    return dict(rows)
+def read_ranking_cases(fp: IO[str]) -> list[tuple[str, str, list[str]]]:
+    """``(source, gold, candidates)`` of every row ``source, gold, candidate...``,
+    in file order."""
+    return list(read_tsv_rows(
+        fp, "ranking case", 2, lambda parts: (parts[0], parts[1], parts[2:]), at_least=True
+    ))
 
 
 @dataclass

@@ -85,52 +85,65 @@ class FewShotExample:
         if self.answer not in ("YES", "NO"):
             raise ValueError(f"few-shot answer must be YES or NO, got {self.answer!r}")
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "FewShotExample":
+        """An example from ``{"a": {...}, "b": {...}, "answer": "YES" | "NO"}``.
+        Each concept takes ``label``, ``synonyms``, ``parents``,
+        ``descriptions``, ``definition`` and an ``iri``, which the prompt
+        does not show."""
 
-def _shot_context(name: str, synonyms: list[str], parents: list[str], definition: str) -> ContextBlock:
-    return ContextBlock(
-        iri=f"urn:example:{name.replace(' ', '-')}",
-        label=name,
-        synonyms=synonyms,
-        parents=parents,
-        descriptions=[],
-        definition=definition,
-    )
+        def context(block: dict) -> ContextBlock:
+            return ContextBlock(
+                iri=block.get("iri", "urn:example:shot"),
+                label=block.get("label"),
+                synonyms=list(block.get("synonyms", [])),
+                parents=list(block.get("parents", [])),
+                descriptions=list(block.get("descriptions", [])),
+                definition=block.get("definition"),
+            )
+
+        return cls(a=context(d["a"]), b=context(d["b"]), answer=d["answer"])
 
 
 # A static positive/negative pair of invented concepts; configuration may
 # replace these. They are intentionally generic so they leak no benchmark data.
-DEFAULT_FEW_SHOT = (
-    FewShotExample(
-        a=_shot_context(
-            "myocardium",
-            ["cardiac muscle tissue"],
-            ["muscle tissue"],
-            "The muscular tissue layer of the heart wall responsible for contraction.",
-        ),
-        b=_shot_context(
-            "heart muscle",
-            ["myocardial tissue"],
-            ["muscle structure"],
-            "The contractile muscle component forming the wall of the heart.",
-        ),
-        answer="YES",
-    ),
-    FewShotExample(
-        a=_shot_context(
-            "left kidney",
-            ["left renal organ"],
-            ["kidney"],
-            "The kidney located on the left side of the retroperitoneal space.",
-        ),
-        b=_shot_context(
-            "right kidney",
-            ["right renal organ"],
-            ["kidney"],
-            "The kidney located on the right side of the retroperitoneal space.",
-        ),
-        answer="NO",
-    ),
-)
+DEFAULT_FEW_SHOT = tuple(map(FewShotExample.from_dict, (
+    {
+        "a": {
+            "iri": "urn:example:myocardium",
+            "label": "myocardium",
+            "synonyms": ["cardiac muscle tissue"],
+            "parents": ["muscle tissue"],
+            "definition":
+                "The muscular tissue layer of the heart wall responsible for contraction.",
+        },
+        "b": {
+            "iri": "urn:example:heart-muscle",
+            "label": "heart muscle",
+            "synonyms": ["myocardial tissue"],
+            "parents": ["muscle structure"],
+            "definition": "The contractile muscle component forming the wall of the heart.",
+        },
+        "answer": "YES",
+    },
+    {
+        "a": {
+            "iri": "urn:example:left-kidney",
+            "label": "left kidney",
+            "synonyms": ["left renal organ"],
+            "parents": ["kidney"],
+            "definition": "The kidney located on the left side of the retroperitoneal space.",
+        },
+        "b": {
+            "iri": "urn:example:right-kidney",
+            "label": "right kidney",
+            "synonyms": ["right renal organ"],
+            "parents": ["kidney"],
+            "definition": "The kidney located on the right side of the retroperitoneal space.",
+        },
+        "answer": "NO",
+    },
+)))
 
 
 def build_judgement_prompt(

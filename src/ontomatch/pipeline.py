@@ -28,6 +28,7 @@ from .definitions import build_embedding_text, enrich_ontology
 from .errors import ConfigError, MissingArtifactError
 from .evaluate import (
     MetricsReport,
+    Pair,
     global_metrics,
     local_ranking,
     make_ranking_cases,
@@ -43,7 +44,6 @@ from .judge import (
     write_judgements,
 )
 from .model import (
-    ContextBlock,
     MappingSet,
     Ontology,
     read_concept_jsonl,
@@ -58,6 +58,7 @@ from .providers import (
 )
 from .retrieval import (
     build_index,
+    cosine,
     embedding_paths,
     generate_candidates,
     load_embeddings,
@@ -69,7 +70,8 @@ from .retrieval import (
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["PipelineConfig", "Pipeline", "StageManifest", "make_provider", "STAGES"]
+__all__ = ["PipelineConfig", "Pipeline", "StageManifest", "global_report", "make_provider",
+           "STAGES"]
 
 
 @dataclass(frozen=True)
@@ -248,7 +250,7 @@ class PipelineConfig:
         if self.few_shot == 0:
             return ()
         if self.few_shot_examples is not None:
-            pool = tuple(_shot_from_dict(d) for d in self.few_shot_examples)
+            pool = tuple(map(FewShotExample.from_dict, self.few_shot_examples))
         else:
             pool = DEFAULT_FEW_SHOT
         if self.few_shot > len(pool):
@@ -258,18 +260,17 @@ class PipelineConfig:
         return pool[: self.few_shot]
 
 
-def _shot_from_dict(d: dict) -> FewShotExample:
-    def ctx(block: dict) -> ContextBlock:
-        return ContextBlock(
-            iri=block.get("iri", "urn:example:shot"),
-            label=block.get("label"),
-            synonyms=list(block.get("synonyms", [])),
-            parents=list(block.get("parents", [])),
-            descriptions=list(block.get("descriptions", [])),
-            definition=block.get("definition"),
-        )
-
-    return FewShotExample(a=ctx(d["a"]), b=ctx(d["b"]), answer=d["answer"])
+def global_report(predicted: MappingSet, reference: MappingSet) -> MetricsReport:
+    """Precision, recall, F1 and the pair counts of ``predicted`` against
+    ``reference``."""
+    precision, recall, f1 = global_metrics(predicted.pairs(), reference.pairs())
+    return MetricsReport(
+        precision=precision,
+        recall=recall,
+        f1=f1,
+        predicted_count=len(predicted),
+        reference_count=len(reference),
+    )
 
 
 _PROVIDER_KEYS = {
@@ -513,43 +514,39 @@ class Pipeline:
             lambda fp: fused.write_tsv(fp, with_provenance=cfg.with_provenance),
         )
 
-    def _ranking_scorer(self, reference: set[tuple[str, str]],
-                        candidates: dict[str, list[str]]) -> Callable[[str, str], float]:
-        """Scorer of the ranking cases ``make_ranking_cases`` builds from
-        ``reference`` and ``candidates``."""
+    def _ranking_scorer(self) -> Callable[[list[Pair]], dict[Pair, float]]:
+        """Batch scorer of ranking-case pairs: the cosine of their embedding
+        artifacts (-1.0 for a missing concept), or their p_yes from one
+        ``judge_candidates`` call (0.0 for a missing concept)."""
         cfg = self.config
         if cfg.ranking_scorer == "cosine":
             src_iris, src_matrix, _ = load_embeddings(self._artifact("source.embeddings"))
             tgt_iris, tgt_matrix, _ = load_embeddings(self._artifact("target.embeddings"))
-            src = {iri: src_matrix[i] for i, iri in enumerate(src_iris)}
-            tgt = {iri: tgt_matrix[i] for i, iri in enumerate(tgt_iris)}
-            from .retrieval import cosine as _cos
+            src, tgt = dict(zip(src_iris, src_matrix)), dict(zip(tgt_iris, tgt_matrix))
+            return lambda pairs: {
+                (s, t): cosine(src[s], tgt[t]) if s in src and t in tgt else -1.0
+                for s, t in pairs
+            }
 
-            def score(s: str, t: str) -> float:
-                if s not in src or t not in tgt:
-                    return -1.0
-                return _cos(src[s], tgt[t])
+        def p_yes(pairs: list[Pair]) -> dict[Pair, float]:
+            targets: dict[str, list[tuple[str, float]]] = {}
+            for s, t in pairs:
+                targets.setdefault(s, []).append((t, 0.0))
+            judgements = judge_candidates(
+                targets,
+                self._load_ontology("source.enriched.jsonl", cfg.source_name),
+                self._load_ontology("target.enriched.jsonl", cfg.target_name),
+                self.provider,
+                shots=cfg.shots(),
+                include_definition=cfg.use_definitions,
+                cache=self.cache,
+                softmax_mode=cfg.softmax_mode,
+                max_workers=cfg.max_workers,
+            )
+            judged = {(j.source, j.target): j.p_yes for j in judgements}
+            return {pair: judged.get(pair, 0.0) for pair in pairs}
 
-            return score
-        # Judge every pair a case scores, each once, in one batch.
-        pairs: dict[str, dict[str, float]] = {}
-        for src, gold in sorted(reference):
-            if src in candidates:
-                pairs.setdefault(src, {}).update(dict.fromkeys([gold, *candidates[src]], 0.0))
-        judgements = judge_candidates(
-            {src: list(targets.items()) for src, targets in pairs.items()},
-            self._load_ontology("source.enriched.jsonl", cfg.source_name),
-            self._load_ontology("target.enriched.jsonl", cfg.target_name),
-            self.provider,
-            shots=cfg.shots(),
-            include_definition=cfg.use_definitions,
-            cache=self.cache,
-            softmax_mode=cfg.softmax_mode,
-            max_workers=cfg.max_workers,
-        )
-        p_yes = {(j.source, j.target): j.p_yes for j in judgements}
-        # A pair whose concept is missing scores 0.0.
-        return lambda s, t: p_yes.get((s, t), 0.0)
+        return p_yes
 
     def _stage_eval(self, limit: int | None) -> None:
         cfg = self.config
@@ -559,25 +556,18 @@ class Pipeline:
             predicted = MappingSet.read_tsv(fp)
         with open(cfg.reference, "r", encoding="utf-8") as fp:
             reference = MappingSet.read_tsv(fp)
-        precision, recall, f1 = global_metrics(predicted.pairs(), reference.pairs())
-        report = MetricsReport(
-            precision=precision,
-            recall=recall,
-            f1=f1,
-            predicted_count=len(predicted),
-            reference_count=len(reference),
-        )
+        report = global_report(predicted, reference)
         if cfg.ranking_cases:
             with open(cfg.ranking_cases, "r", encoding="utf-8") as fp:
                 rows = read_ranking_cases(fp)
-            candidates = {src: negs for src, (gold, negs) in rows.items()}
-            cases = make_ranking_cases(
-                reference.pairs(), self._ranking_scorer(reference.pairs(), candidates), candidates
-            )
+            referenced = reference.pairs()
+            unreferenced = sum(1 for source, gold, _ in rows if (source, gold) not in referenced)
+            if unreferenced:
+                logger.warning("%d of %d ranking-case rows have a (source, gold) pair the "
+                               "reference lacks; scoring them as written", unreferenced, len(rows))
+            cases = make_ranking_cases(rows, self._ranking_scorer())
             if cases:
-                mrr, hits = local_ranking(cases, ks=(1, 5, 10))
-                report.mrr = mrr
-                report.hit_at = hits
+                report.mrr, report.hit_at = local_ranking(cases, ks=(1, 5, 10))
         self._write_text("metrics.json", lambda fp: fp.write(report.to_json()))
         self._write_text("metrics.txt", lambda fp: fp.write(report.to_text()))
 

@@ -78,6 +78,20 @@ def toy_config(tmp_path: Path, **overrides) -> PipelineConfig:
     return PipelineConfig(**values)
 
 
+def toy_ranking_cases(tmp_path: Path) -> str:
+    """Ranking cases over the toy reference: each gold target against the
+    next three reference targets as negatives."""
+    reference = sorted(load_toy_reference())
+    targets = [t for _, t in reference]
+    lines = [
+        "\t".join([src, gold, *(targets[(i + j) % len(targets)] for j in (1, 2, 3))])
+        for i, (src, gold) in enumerate(reference)
+    ]
+    path = tmp_path / "ranking_cases.tsv"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return str(path)
+
+
 @pytest.fixture
 def counting_toy_provider():
     def build(config: PipelineConfig) -> CountingProvider:

@@ -112,49 +112,70 @@ def test_local_ranking_rejects_empty_case_list():
         local_ranking([])
 
 
-def scorer_by_table(table: dict[tuple[str, str], float]):
-    return lambda s, t: table.get((s, t), 0.0)
+def scorer_by_table(table: dict[tuple[str, str], float], calls: list | None = None):
+    """Batch scorer over a table (0.0 for a pair it lacks); appends each
+    pair list it is called with to ``calls``."""
+
+    def score(pairs):
+        if calls is not None:
+            calls.append(pairs)
+        return {pair: table.get(pair, 0.0) for pair in pairs}
+
+    return score
 
 
 def test_make_ranking_cases_input_order_invariant():
-    reference = [(f"s{i}", f"t{i}") for i in range(10)]
-    supplied = {f"s{i}": [f"t{(i + j) % 10}" for j in (1, 2, 3)] for i in range(10)}
+    rows = [(f"s{i}", f"t{i}", [f"t{(i + j) % 10}" for j in (1, 2, 3)]) for i in range(10)]
+    rows.append(("s4", "t2", ["t4"]))  # a second gold of s4 sorts before t4
     scorer = scorer_by_table({("s4", "t6"): 0.7, ("s4", "t4"): 0.2})
-    shuffled = list(reference)
+    shuffled = list(rows)
     random.Random(1).shuffle(shuffled)
-    a = make_ranking_cases(reference, scorer, supplied)
-    b = make_ranking_cases(shuffled, scorer, supplied)
-    assert [c.source for c in a] == [f"s{i}" for i in range(10)]
+    a = make_ranking_cases(rows, scorer)
+    b = make_ranking_cases(shuffled, scorer)
+    assert [(c.source, c.gold) for c in a] == sorted((s, g) for s, g, _ in rows)
     assert a == b
 
 
-def test_make_ranking_cases_with_candidate_mapping(caplog):
-    reference = [("s1", "t1"), ("s2", "t2")]
-    supplied = {"s1": ["t9", "t1", "t8"]}  # gold duplicate is dropped
-    with caplog.at_level("WARNING"):
-        cases = make_ranking_cases(reference, scorer_by_table({}), supplied)
+def test_make_ranking_cases_with_candidate_mapping():
+    rows = [("s1", "t1", ["t9", "t1", "t8", "t9"])]  # gold duplicate is dropped
+    cases = make_ranking_cases(rows, scorer_by_table({}))
     assert len(cases) == 1
     assert cases[0].source == "s1"
-    assert [iri for iri, _ in cases[0].candidates] == ["t1", "t9", "t8"]
-    assert any("case skipped" in r.message for r in caplog.records)
+    assert [iri for iri, _ in cases[0].candidates] == ["t1", "t9", "t8", "t9"]
 
 
 def test_make_ranking_cases_scorer_receives_source_and_candidate():
     table = {("s1", "t1"): 0.4, ("s1", "t2"): 0.9}
-    cases = make_ranking_cases([("s1", "t1")], scorer_by_table(table), {"s1": ["t2"]})
+    cases = make_ranking_cases([("s1", "t1", ["t2"])], scorer_by_table(table))
     assert cases[0].candidates == (("t1", 0.4), ("t2", 0.9))
     assert cases[0].rank_of_gold() == 2
+
+
+def test_make_ranking_cases_keeps_every_row_of_a_repeated_source():
+    rows = [("s", "g2", ["x"]), ("s", "g1", ["x", "g2"])]
+    cases = make_ranking_cases(rows, scorer_by_table({("s", "g2"): 0.5}))
+    assert [(c.source, c.gold) for c in cases] == [("s", "g1"), ("s", "g2")]
+    assert [c.rank_of_gold() for c in cases] == [2, 1]
+
+
+def test_make_ranking_cases_scores_each_distinct_pair_in_one_call():
+    rows = [("s2", "t2", ["t1", "t1"]), ("s1", "t1", ["t2"]), ("s1", "t2", ["t1", "t3"])]
+    calls = []
+    make_ranking_cases(rows, scorer_by_table({}, calls))
+    assert calls == [[("s1", "t1"), ("s1", "t2"), ("s1", "t3"), ("s2", "t2"), ("s2", "t1")]]
 
 
 def test_ranking_case_tsv_round_trip():
     text = (
         "http://s#S2\thttp://t#T2\thttp://t#T9\n"
         "http://s#S1\thttp://t#T1\thttp://t#T8\thttp://t#T7\n"
+        "http://s#S2\thttp://t#T3\n"
     )
-    assert read_ranking_cases(io.StringIO(text)) == {
-        "http://s#S2": ("http://t#T2", ["http://t#T9"]),
-        "http://s#S1": ("http://t#T1", ["http://t#T8", "http://t#T7"]),
-    }
+    assert read_ranking_cases(io.StringIO(text)) == [
+        ("http://s#S2", "http://t#T2", ["http://t#T9"]),
+        ("http://s#S1", "http://t#T1", ["http://t#T8", "http://t#T7"]),
+        ("http://s#S2", "http://t#T3", []),
+    ]
 
 
 def test_read_ranking_cases_rejects_short_rows():

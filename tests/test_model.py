@@ -269,7 +269,7 @@ _READERS = {
 
 def test_read_ranking_cases_skips_blank_lines_and_a_header():
     text = "SrcEntity\tGold\tCandidates\n\ns\tg\tc1\tc2\n"
-    assert read_ranking_cases(io.StringIO(text)) == {"s": ("g", ["c1", "c2"])}
+    assert read_ranking_cases(io.StringIO(text)) == [("s", "g", ["c1", "c2"])]
 
 
 @pytest.mark.parametrize("what", sorted(_READERS))

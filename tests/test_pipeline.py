@@ -25,8 +25,14 @@ from ontomatch.retrieval import (
     write_candidates,
 )
 
-from conftest import TOY_DIR, CountingProvider, load_toy_reference, toy_config
-from oracles import rank_by_score, reference_hit_at_k, reference_mrr
+from conftest import (
+    TOY_DIR,
+    CountingProvider,
+    load_toy_reference,
+    toy_config,
+    toy_ranking_cases,
+)
+from oracles import cosine, rank_by_score, reference_hit_at_k, reference_mrr
 
 
 def snapshot(out_dir: Path) -> dict[str, bytes]:
@@ -108,9 +114,20 @@ def test_provenance_counts_on_toy_run(tmp_path):
     assert counts == {"both": 14, "llm": 6, "exact": 1}
 
 
+def _ranking_oracle(cases_path: str, score) -> tuple[float, dict[str, float]]:
+    """MRR and Hit@k with one case per row of the ranking-cases file: the
+    row's gold and other candidates, ranked by ``score(source, target)``."""
+    ranks = []
+    for line in Path(cases_path).read_text().splitlines():
+        src, gold, *negatives = line.split("\t")
+        candidates = [gold] + [t for t in negatives if t != gold]
+        ranks.append(rank_by_score([(t, score(src, t)) for t in candidates], gold))
+    return reference_mrr(ranks), {str(k): reference_hit_at_k(ranks, k) for k in (1, 5, 10)}
+
+
 def _pyes_oracle(config: PipelineConfig, cases_path: str) -> tuple[float, dict[str, float]]:
-    """MRR and Hit@k of the ranking cases, each pair judged on its own with
-    ``judge_pair`` and no cache; a pair with a missing concept scores 0.0."""
+    """Ranking metrics with each pair judged on its own with ``judge_pair``
+    and no cache; a pair with a missing concept scores 0.0."""
     out = Path(config.out_dir)
     ontologies = []
     for name, onto_name in (("source.enriched.jsonl", config.source_name),
@@ -130,25 +147,41 @@ def _pyes_oracle(config: PipelineConfig, cases_path: str) -> tuple[float, dict[s
             include_definition=config.use_definitions, softmax_mode=config.softmax_mode,
         ).p_yes
 
-    rows = {}
-    for line in Path(cases_path).read_text().splitlines():
-        src, _, *negatives = line.split("\t")
-        rows[src] = negatives
-    ranks = []
-    for src, gold in sorted(load_toy_reference()):
-        candidates = [gold] + [t for t in rows[src] if t != gold]
-        ranks.append(rank_by_score([(t, p_yes(src, t)) for t in candidates], gold))
-    return reference_mrr(ranks), {str(k): reference_hit_at_k(ranks, k) for k in (1, 5, 10)}
+    return _ranking_oracle(cases_path, p_yes)
+
+
+def _cosine_oracle(config: PipelineConfig, cases_path: str) -> tuple[float, dict[str, float]]:
+    """Ranking metrics with each pair scored by ``oracles.cosine`` over the
+    embedding artifacts; a pair with a missing concept scores -1.0."""
+    vectors = []
+    for base in ("source.embeddings", "target.embeddings"):
+        iris, matrix, _ = load_embeddings(Path(config.out_dir) / base)
+        vectors.append({iri: matrix[i].tolist() for i, iri in enumerate(iris)})
+    source, target = vectors
+
+    def score(s, t):
+        if s not in source or t not in target:
+            return -1.0
+        return cosine(source[s], target[t])
+
+    return _ranking_oracle(cases_path, score)
+
+
+def _edited_ranking_cases(tmp_path: Path) -> Path:
+    """The toy ranking cases with a negative the target ontology lacks and a
+    repeated negative in the first row."""
+    cases_path = Path(toy_ranking_cases(tmp_path))
+    lines = cases_path.read_text().splitlines()
+    first = lines[0].split("\t")
+    lines[0] = "\t".join([*first, "http://example.org/tgt#Missing", first[2]])
+    cases_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return cases_path
 
 
 def test_pyes_ranking_scorer_matches_a_per_pair_judge_oracle(tmp_path, monkeypatch,
                                                              counting_toy_provider):
-    cases_path = Path(toy_ranking_cases(tmp_path))
-    lines = cases_path.read_text().splitlines()
     # A negative the target ontology lacks scores 0.0; a repeated one is judged once.
-    first = lines[0].split("\t")
-    lines[0] = "\t".join([*first, "http://example.org/tgt#Missing", first[2]])
-    cases_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    cases_path = _edited_ranking_cases(tmp_path)
     config = toy_config(tmp_path, ranking_cases=str(cases_path), ranking_scorer="pyes",
                         few_shot=1)
     Pipeline(config).run()
@@ -172,6 +205,61 @@ def test_pyes_ranking_scorer_matches_a_per_pair_judge_oracle(tmp_path, monkeypat
     assert len(batches) == 1
     judged = [(s, t) for s, targets in batches[0].items() for t, _ in targets]
     assert len(judged) == len(set(judged)) == 21 * 4 + 1
+
+
+def test_cosine_ranking_scorer_matches_an_oracle(tmp_path):
+    # A negative the target ontology lacks scores -1.0.
+    cases_path = _edited_ranking_cases(tmp_path)
+    config = toy_config(tmp_path, ranking_cases=str(cases_path), ranking_scorer="cosine")
+    Pipeline(config).run()
+    metrics = read_metrics(config.out_dir)
+    mrr, hits = _cosine_oracle(config, str(cases_path))
+    assert metrics["mrr"] == pytest.approx(mrr, abs=1e-12)
+    assert metrics["hit_at"] == hits
+
+
+def test_eval_scores_a_row_the_reference_lacks_as_written_and_warns(tmp_path, caplog):
+    cases_path = Path(toy_ranking_cases(tmp_path))
+    rows = [line.split("\t") for line in cases_path.read_text().splitlines()]
+    # The first source again, with the second row's gold as its gold.
+    extra = [rows[0][0], rows[1][1], rows[0][1]]
+    with open(cases_path, "a", encoding="utf-8") as fp:
+        fp.write("\t".join(extra) + "\n")
+    config = toy_config(tmp_path, ranking_cases=str(cases_path))
+    with caplog.at_level("WARNING", logger="ontomatch.pipeline"):
+        Pipeline(config).run()
+    warnings = [r.getMessage() for r in caplog.records
+                if r.name == "ontomatch.pipeline" and r.levelname == "WARNING"]
+    assert warnings == [
+        f"1 of {len(rows) + 1} ranking-case rows have a (source, gold) pair the reference "
+        "lacks; scoring them as written"
+    ]
+    metrics = read_metrics(config.out_dir)
+    mrr, hits = _cosine_oracle(config, str(cases_path))
+    assert metrics["mrr"] == pytest.approx(mrr, abs=1e-12)
+    assert metrics["hit_at"] == hits
+    assert metrics["mrr"] < 1.0  # the extra row's gold is not the match of its source
+
+
+@pytest.mark.parametrize("scorer", ["cosine", "pyes"])
+def test_ranking_scorer_is_called_once_with_the_distinct_pairs(tmp_path, monkeypatch, scorer):
+    cases_path = _edited_ranking_cases(tmp_path)
+    rows = [line.split("\t") for line in cases_path.read_text().splitlines()]
+    with open(cases_path, "a", encoding="utf-8") as fp:
+        fp.write("\t".join(rows[0]) + "\n")  # every pair of this row is already scored
+    calls = []
+    scorer_of = Pipeline._ranking_scorer
+
+    def recording(self):
+        score = scorer_of(self)
+        return lambda pairs: calls.append(list(pairs)) or score(pairs)
+
+    monkeypatch.setattr(Pipeline, "_ranking_scorer", recording)
+    config = toy_config(tmp_path, ranking_cases=str(cases_path), ranking_scorer=scorer)
+    Pipeline(config).run()
+    [pairs] = calls
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == {(row[0], t) for row in rows for t in row[1:]}
 
 
 def test_bidirectional_toy_run_merges_both_retrieval_directions(tmp_path):
@@ -239,20 +327,6 @@ def test_source_change_invalidates_ingest(tmp_path):
     results = Pipeline(toy_config(tmp_path, source=str(source_copy))).run()
     assert results["ingest"] == "complete"
     assert results["define"] == "complete"
-
-
-def toy_ranking_cases(tmp_path: Path) -> str:
-    """Ranking cases over the toy reference: each gold target against the
-    next three reference targets as negatives."""
-    reference = sorted(load_toy_reference())
-    targets = [t for _, t in reference]
-    lines = [
-        "\t".join([src, gold, *(targets[(i + j) % len(targets)] for j in (1, 2, 3))])
-        for i, (src, gold) in enumerate(reference)
-    ]
-    path = tmp_path / "ranking_cases.tsv"
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    return str(path)
 
 
 def test_ontology_name_change_reruns_define(tmp_path):
@@ -631,40 +705,30 @@ def test_cli_stage_command_runs_single_stage(tmp_path):
 
 def test_cli_option_overrides_config_file(tmp_path):
     config_path = write_config_file(tmp_path)
-    config = build_config(
-        config_path, no_definitions=False, provider=None, bidirectional=False,
-        k=3, lambda_prob=0.5,
-    )
+    config = build_config(config_path, provider=None, k=3, lambda_prob=0.5)
     assert config.k == 3
     assert config.lambda_prob == 0.5
     assert config.source_name == "toy-src"  # untouched keys keep file values
 
 
 def test_cli_no_definitions_flag(tmp_path):
-    config = build_config(
-        write_config_file(tmp_path), no_definitions=True, provider=None,
-        bidirectional=False,
-    )
+    config = build_config(write_config_file(tmp_path), provider=None, use_definitions=False)
     assert config.use_definitions is False
 
 
 def test_cli_provider_switch_replaces_spec_only_on_kind_change(tmp_path):
     config_path = write_config_file(tmp_path)
-    kept = build_config(config_path, no_definitions=False, provider="mock",
-                        bidirectional=False)
+    kept = build_config(config_path, provider="mock")
     assert kept.provider["dimension"] == 64  # same kind: detailed spec kept
-    swapped = build_config(config_path, no_definitions=False, provider="http",
-                           bidirectional=False)
+    swapped = build_config(config_path, provider="http")
     assert swapped.provider == {"kind": "http"}
 
 
 def test_cli_bidirectional_flag(tmp_path):
     config_path = write_config_file(tmp_path)
-    on = build_config(config_path, no_definitions=False, provider=None,
-                      bidirectional=True)
+    on = build_config(config_path, provider=None, bidirectional=True)
     assert on.bidirectional is True
-    off = build_config(config_path, no_definitions=False, provider=None,
-                       bidirectional=False)
+    off = build_config(config_path, provider=None, bidirectional=None)
     assert off.bidirectional is False
 
 
