@@ -38,12 +38,18 @@ from .providers import (
     HttpProvider,
     HttpProviderConfig,
     MockProvider,
+    Prompt,
     SamplingParams,
     TokenDistribution,
 )
-from .definitions import build_definition_prompt, build_embedding_text, generate_definition
+from .definitions import (
+    build_definition_prompt,
+    build_embedding_text,
+    definition_prompt,
+    generate_definition,
+)
 from .retrieval import ExactIndex, HnswIndex, HnswParams, build_index, cosine, generate_candidates
-from .judge import FewShotExample, build_judgement_prompt, judge_pair, p_yes
+from .judge import FewShotExample, build_judgement_prompt, judge_pair, judge_prompt, p_yes
 from .fusion import exact_match, filter_and_fuse
 from .evaluate import MetricsReport, RankingCase, global_metrics, local_ranking, make_ranking_cases
 from .cache import ResponseCache

@@ -123,15 +123,15 @@ _stage_command("fuse", "Filter judgements by thresholds and union exact matches.
 def eval_command(config_path, force, limit, predictions, **kwargs):
     """Score mappings against a reference alignment."""
     if predictions is not None:
-        reference = kwargs.get("reference")
-        if reference is None:
-            raise click.UsageError("--predictions requires --reference")
         try:
+            reference = build_config(config_path, **kwargs).reference
+            if not reference:
+                raise click.UsageError("--predictions requires --reference or a config reference")
             with open(predictions, "r", encoding="utf-8") as fp:
                 predicted = MappingSet.read_tsv(fp)
             with open(reference, "r", encoding="utf-8") as fp:
                 report = global_report(predicted, MappingSet.read_tsv(fp))
-        except OntomatchError as e:
+        except (OntomatchError, OSError) as e:  # click checks only a --reference path
             raise click.ClickException(str(e)) from e
         click.echo(report.to_text(), nl=False)
         return

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass
-from typing import Sequence
 
 from .cache import ResponseCache
 from .errors import EmptyCompletionError, ProviderError
@@ -31,6 +29,7 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "TEMPLATE_VERSION",
     "build_definition_prompt",
+    "definition_prompt",
     "generate_definition",
     "enrich_ontology",
     "build_embedding_text",
@@ -97,9 +96,10 @@ def _single_paragraph(text: str) -> str:
     return " ".join(paragraph.split())
 
 
-def _definition_prompt(
+def definition_prompt(
     ctx: ContextBlock, source_name: str, target_name: str, provider: Provider
 ) -> Prompt:
+    """The definition prompt of one concept, keyed for ``provider``'s chat model."""
     messages = build_definition_prompt(ctx, source_name, target_name)
     return Prompt(
         messages, prompt_digest("define", TEMPLATE_VERSION, provider.chat_model_id, messages)
@@ -107,36 +107,27 @@ def _definition_prompt(
 
 
 def generate_definition(
-    ctx: ContextBlock,
-    source_name: str,
-    target_name: str,
+    prompt: Prompt,
+    iri: str,
     provider: Provider,
-    cache: ResponseCache | None = None,
-    params: SamplingParams | None = None,
-    prompt: Prompt | None = None,
+    cache: ResponseCache,
+    params: SamplingParams = SamplingParams(),
 ) -> str:
-    """Generate (or replay from cache) one concept definition.
+    """Generate (or replay from ``cache``) the definition that the
+    ``definition_prompt`` of concept ``iri`` asks for.
 
     Returns "" when the provider persistently yields nothing usable; the
     caller records the concept as flagged rather than failing the stage.
-    ``prompt``, when given, is this concept's prompt as ``enrich_ontology``
-    already rendered it; it is not rendered again.
     """
-    params = params or SamplingParams()
-    if prompt is None:
-        prompt = _definition_prompt(ctx, source_name, target_name, provider)
-    messages = prompt.messages
 
     def compute() -> dict:
         try:
-            text = _single_paragraph(provider.generate(messages, params))
+            text = _single_paragraph(provider.generate(prompt.messages, params))
         except (EmptyCompletionError, ProviderError) as e:
-            logger.warning("definition generation failed for %s: %s", ctx.iri, e)
+            logger.warning("definition generation failed for %s: %s", iri, e)
             text = ""
         return {"model": provider.chat_model_id, "text": text}
 
-    if cache is None:
-        return compute()["text"]
     return cache.get_or_compute("define", prompt.digest, compute)["text"]
 
 
@@ -144,25 +135,24 @@ def enrich_ontology(
     ontology: Ontology,
     other_name: str,
     provider: Provider,
-    cache: ResponseCache | None = None,
-    params: SamplingParams | None = None,
+    cache: ResponseCache,
+    params: SamplingParams = SamplingParams(),
     limit: int | None = None,
     max_workers: int = 8,
 ) -> int:
     """Fill ``definition`` for up to ``limit`` concepts (IRI order); returns
     the number processed. Concepts that already carry a definition are skipped.
     ``serve`` fills concepts whose definition is cached on the calling thread
-    and the others on up to ``max_workers`` threads."""
+    and the others on up to ``max_workers`` threads; concepts with the same
+    prompt share one provider call, and so one definition, through the cache."""
     todo = [c for c in ontology.sorted_concepts() if c.definition is None][:limit]
     names = (ontology.name, other_name)
 
     def jobs():
         for concept in todo:
-            ctx = concept_context(concept, ontology)
-            prompt = _definition_prompt(ctx, *names, provider)
+            prompt = definition_prompt(concept_context(concept, ontology), *names, provider)
             yield prompt.digest, functools.partial(
-                generate_definition, ctx, *names, provider,
-                cache=cache, params=params, prompt=prompt,
+                generate_definition, prompt, concept.iri, provider, cache, params
             )
 
     results, served = serve(cache, "define", jobs(), max_workers)

@@ -34,6 +34,7 @@ __all__ = [
     "FewShotExample",
     "DEFAULT_FEW_SHOT",
     "build_judgement_prompt",
+    "judge_prompt",
     "p_yes",
     "judge_pair",
     "judge_candidates",
@@ -208,13 +209,14 @@ def p_yes(
     raise ValueError(f"unknown p_yes mode {mode!r}")
 
 
-def _judge_prompt(
+def judge_prompt(
     source_ctx: ContextBlock,
     target_ctx: ContextBlock,
-    shots: Sequence[FewShotExample],
-    include_definition: bool,
     provider: Provider,
+    shots: Sequence[FewShotExample] = (),
+    include_definition: bool = True,
 ) -> Prompt:
+    """The judge prompt of one pair, keyed for ``provider``'s chat model."""
     messages = build_judgement_prompt(
         source_ctx, target_ctx, shots=shots, include_definition=include_definition
     )
@@ -225,36 +227,28 @@ def _judge_prompt(
 
 
 def judge_pair(
-    source_ctx: ContextBlock,
-    target_ctx: ContextBlock,
+    prompt: Prompt,
+    source: str,
+    target: str,
     cos: float,
     provider: Provider,
-    shots: Sequence[FewShotExample] = (),
-    include_definition: bool = True,
-    cache: ResponseCache | None = None,
+    cache: ResponseCache,
     softmax_mode: str = "pair",
-    prompt: Prompt | None = None,
 ) -> Judgement:
-    """Judge one pair. ``prompt``, when given, is this pair's prompt as
-    ``judge_candidates`` already rendered it; it is not rendered again."""
-    if prompt is None:
-        prompt = _judge_prompt(source_ctx, target_ctx, shots, include_definition, provider)
-    messages = prompt.messages
+    """Judge the pair ``(source, target)`` from its ``judge_prompt``, served
+    from ``cache`` when it holds the answer. A reply without a YES or NO
+    variant raises ``UnparseableJudgementError`` and is not cached."""
+    scored: list[float] = []
 
     def compute() -> dict:
-        dist = provider.classify_first_token(messages)
-        return {"model": provider.chat_model_id, "entries": dist.entries}
+        entries = provider.classify_first_token(prompt.messages).entries
+        # Scored before it is returned, so an unparseable reply is never stored.
+        scored.append(p_yes(entries, mode=softmax_mode))
+        return {"model": provider.chat_model_id, "entries": entries}
 
-    if cache is None:
-        entries = compute()["entries"]
-    else:
-        entries = cache.get_or_compute("judge", prompt.digest, compute)["entries"]
-    return Judgement(
-        source=source_ctx.iri,
-        target=target_ctx.iri,
-        cosine=cos,
-        p_yes=p_yes(entries, mode=softmax_mode),
-    )
+    entries = cache.get_or_compute("judge", prompt.digest, compute)["entries"]
+    score = scored[0] if scored else p_yes(entries, mode=softmax_mode)
+    return Judgement(source=source, target=target, cosine=cos, p_yes=score)
 
 
 def _contexts(iris: set[str], onto: Ontology) -> dict[str, ContextBlock]:
@@ -267,9 +261,9 @@ def judge_candidates(
     source_onto: Ontology,
     target_onto: Ontology,
     provider: Provider,
+    cache: ResponseCache,
     shots: Sequence[FewShotExample] = (),
     include_definition: bool = True,
-    cache: ResponseCache | None = None,
     softmax_mode: str = "pair",
     limit: int | None = None,
     max_workers: int = 8,
@@ -280,7 +274,8 @@ def judge_candidates(
     warning. ``limit`` bounds the number of pairs judged (for smoke runs).
     Each concept's context block is built once and each prompt rendered once;
     ``serve`` judges cached pairs on the calling thread and the others on up
-    to ``max_workers`` threads.
+    to ``max_workers`` threads. Pairs with the same prompt share one provider
+    call through the cache.
     """
     pairs = [(src, tgt, sim) for src in sorted(candidates) for tgt, sim in candidates[src]]
     pairs = pairs[:limit]
@@ -294,11 +289,9 @@ def judge_candidates(
             if a is None or b is None:
                 logger.warning("skipping pair (%s, %s): concept missing", src, tgt)
                 continue
-            prompt = _judge_prompt(a, b, shots, include_definition, provider)
+            prompt = judge_prompt(a, b, provider, shots, include_definition)
             yield prompt.digest, functools.partial(
-                judge_pair, a, b, sim, provider, shots=shots,
-                include_definition=include_definition, cache=cache,
-                softmax_mode=softmax_mode, prompt=prompt,
+                judge_pair, prompt, src, tgt, sim, provider, cache, softmax_mode
             )
 
     results, served = serve(cache, "judge", jobs(), max_workers)

@@ -44,6 +44,7 @@ from .judge import (
     write_judgements,
 )
 from .model import (
+    Judgement,
     MappingSet,
     Ontology,
     read_concept_jsonl,
@@ -274,8 +275,7 @@ def global_report(predicted: MappingSet, reference: MappingSet) -> MetricsReport
 
 
 _PROVIDER_KEYS = {
-    "mock": {"dimension", "seed", "alias_groups", "alias_groups_file",
-             "canned_generate", "canned_distributions"},
+    "mock": {"dimension", "seed", "alias_groups", "alias_groups_file"},
     "http": {f.name for f in fields(HttpProviderConfig)},
 }
 
@@ -413,7 +413,7 @@ class Pipeline:
                     onto,
                     other,
                     self.provider,
-                    cache=self.cache,
+                    self.cache,
                     params=cfg.sampling(),
                     limit=remaining,
                     max_workers=cfg.max_workers,
@@ -464,40 +464,43 @@ class Pipeline:
         cfg = self.config
         src_iris, src_matrix, _ = load_embeddings(self._artifact("source.embeddings"))
         tgt_iris, tgt_matrix, _ = load_embeddings(self._artifact("target.embeddings"))
-        tgt_index = build_index({iri: tgt_matrix[i] for i, iri in enumerate(tgt_iris)})
-        queries = {iri: src_matrix[i] for i, iri in enumerate(src_iris)}
-        candidates = generate_candidates(queries, tgt_index, k=cfg.k)
+        candidates = generate_candidates(
+            src_iris, src_matrix, build_index(tgt_iris, tgt_matrix), k=cfg.k
+        )
         if cfg.bidirectional:
-            src_index = build_index(queries)
             backward = generate_candidates(
-                {iri: tgt_matrix[i] for i, iri in enumerate(tgt_iris)}, src_index, k=cfg.k
+                tgt_iris, tgt_matrix, build_index(src_iris, src_matrix), k=cfg.k
             )
             candidates = merge_candidate_maps(candidates, backward)
         self._write_text("candidates.tsv", lambda fp: write_candidates(candidates, fp))
 
-    def _stage_judge(self, limit: int | None) -> bool:
+    def _judge(self, candidates: dict[str, list[tuple[str, float]]],
+               limit: int | None = None) -> list[Judgement]:
+        """``judge_candidates`` over the enriched ontologies with the judge
+        config: the one judging call of the judge stage and the ``pyes`` scorer."""
         cfg = self.config
-        with open(self._artifact("candidates.tsv"), "r", encoding="utf-8") as fp:
-            candidates = read_candidates(fp)
-        source = self._load_ontology("source.enriched.jsonl", cfg.source_name)
-        target = self._load_ontology("target.enriched.jsonl", cfg.target_name)
-        total = sum(len(v) for v in candidates.values())
-        judgements = judge_candidates(
+        return judge_candidates(
             candidates,
-            source,
-            target,
+            self._load_ontology("source.enriched.jsonl", cfg.source_name),
+            self._load_ontology("target.enriched.jsonl", cfg.target_name),
             self.provider,
+            self.cache,
             shots=cfg.shots(),
             include_definition=cfg.use_definitions,
-            cache=self.cache,
             softmax_mode=cfg.softmax_mode,
             limit=limit,
             max_workers=cfg.max_workers,
         )
+
+    def _stage_judge(self, limit: int | None) -> bool:
+        with open(self._artifact("candidates.tsv"), "r", encoding="utf-8") as fp:
+            candidates = read_candidates(fp)
+        judgements = self._judge(candidates, limit)
         self._write_text(
-            "judgements.tsv", lambda fp: write_judgements(judgements, fp, cfg.lambda_prob)
+            "judgements.tsv",
+            lambda fp: write_judgements(judgements, fp, self.config.lambda_prob),
         )
-        return limit is None or limit >= total
+        return limit is None or limit >= sum(len(v) for v in candidates.values())
 
     def _stage_fuse(self, limit: int | None) -> None:
         cfg = self.config
@@ -532,18 +535,7 @@ class Pipeline:
             targets: dict[str, list[tuple[str, float]]] = {}
             for s, t in pairs:
                 targets.setdefault(s, []).append((t, 0.0))
-            judgements = judge_candidates(
-                targets,
-                self._load_ontology("source.enriched.jsonl", cfg.source_name),
-                self._load_ontology("target.enriched.jsonl", cfg.target_name),
-                self.provider,
-                shots=cfg.shots(),
-                include_definition=cfg.use_definitions,
-                cache=self.cache,
-                softmax_mode=cfg.softmax_mode,
-                max_workers=cfg.max_workers,
-            )
-            judged = {(j.source, j.target): j.p_yes for j in judgements}
+            judged = {(j.source, j.target): j.p_yes for j in self._judge(targets)}
             return {pair: judged.get(pair, 0.0) for pair in pairs}
 
         return p_yes

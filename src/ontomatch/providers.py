@@ -5,8 +5,7 @@ Two implementations ship in-package:
 * ``MockProvider`` -- pure, seeded functions of their inputs. Embeddings hash
   character trigrams into a fixed dimension; an optional alias table maps
   alias groups onto a shared canonical text before hashing so that fixture
-  pairs become near-identical vectors. Chat behaviour is rule-based with an
-  optional canned-response map keyed by prompt digest.
+  pairs become near-identical vectors. Chat behaviour is rule-based.
 * ``HttpProvider`` -- a JSON-over-HTTP client for OpenAI-style endpoints
   (``/embeddings``, ``/chat/completions``) with bounded retries and
   exponential backoff.
@@ -108,7 +107,8 @@ def prompt_digest(kind: str, template_version: str, model: str, messages: Sequen
 
 
 class Prompt(NamedTuple):
-    """A rendered prompt and its ``prompt_digest``, which keys its cache entry."""
+    """A rendered prompt and its ``prompt_digest``, which keys its cache entry.
+    ``judge.judge_prompt`` and ``definitions.definition_prompt`` build them."""
 
     messages: list[Message]
     digest: str
@@ -117,7 +117,7 @@ class Prompt(NamedTuple):
 QUEUE_PER_WORKER = 4
 
 
-def serve(cache: ResponseCache | None, kind: str, jobs: Iterable[tuple[str, Callable[[], T]]],
+def serve(cache: ResponseCache, kind: str, jobs: Iterable[tuple[str, Callable[[], T]]],
           max_workers: int) -> tuple[list[T], int]:
     """Run each ``(digest, job)`` of ``jobs``; returns the results in job
     order and the number of jobs served from the cache.
@@ -136,7 +136,7 @@ def serve(cache: ResponseCache | None, kind: str, jobs: Iterable[tuple[str, Call
     with ExitStack() as stack:
         pool = None
         for digest, job in jobs:
-            if cache is not None and cache.contains(kind, digest):
+            if cache.contains(kind, digest):
                 results.append(job())
                 served += 1
                 continue
@@ -204,10 +204,10 @@ class MockProvider:
     """Deterministic stand-in for the real model backends.
 
     * embeddings: seeded trigram feature hashing + L2 normalization;
-    * generate: canned map lookup by prompt digest, else a definition derived
-      from the prompt's ``Concept:`` line (alias-canonicalized);
-    * classify_first_token: canned map lookup, else YES/NO by equality of the
-      two canonicalized ``Name:`` lines in the final user message.
+    * generate: a definition derived from the prompt's ``Concept:`` line
+      (alias-canonicalized);
+    * classify_first_token: YES/NO by equality of the two canonicalized
+      ``Name:`` lines in the final user message.
     """
 
     def __init__(
@@ -215,8 +215,6 @@ class MockProvider:
         dimension: int = 64,
         seed: int = 0,
         alias_groups: Sequence[Sequence[str]] = (),
-        canned_generate: dict[str, str] | None = None,
-        canned_distributions: dict[str, dict[str, float]] | None = None,
         context_chars: int = 65536,
     ):
         if dimension < 2:
@@ -224,8 +222,6 @@ class MockProvider:
         self.dimension = dimension
         self.seed = seed
         self.alias = AliasTable(alias_groups)
-        self.canned_generate = canned_generate or {}
-        self.canned_distributions = canned_distributions or {}
         self.context_chars = context_chars
         self.embed_model_id = f"mock-embed-d{dimension}-s{seed}"
         self.chat_model_id = f"mock-chat-s{seed}"
@@ -278,9 +274,6 @@ class MockProvider:
     def generate(self, messages: Sequence[Message], params: SamplingParams) -> str:
         validate_messages(messages)
         self._check_size(messages)
-        digest = prompt_digest("generate", "-", self.chat_model_id, messages)
-        if digest in self.canned_generate:
-            return self.canned_generate[digest].rstrip()
         user = messages[-1]["content"]
         concept = _first_line_value(user, "Concept: ")
         if concept is None:
@@ -291,9 +284,6 @@ class MockProvider:
     def classify_first_token(self, messages: Sequence[Message]) -> TokenDistribution:
         validate_messages(messages)
         self._check_size(messages)
-        digest = prompt_digest("judge", "-", self.chat_model_id, messages)
-        if digest in self.canned_distributions:
-            return TokenDistribution(dict(self.canned_distributions[digest]))
         user = messages[-1]["content"]
         names = [
             line[len("Name: "):].strip()

@@ -271,29 +271,28 @@ class HnswIndex:
         return out
 
 
-def build_index(vectors: Mapping[str, np.ndarray]) -> ExactIndex:
-    """Build the exact retrieval index from ``iri -> vector``."""
-    iris = list(vectors)
-    if not iris:
-        raise ValueError("cannot build an index from zero vectors")
-    matrix = np.stack([np.asarray(vectors[i], dtype=np.float64) for i in iris])
+def build_index(iris: Sequence[str], matrix: np.ndarray) -> ExactIndex:
+    """Build the exact retrieval index over ``matrix``, whose row i is the
+    vector of ``iris[i]``."""
     return ExactIndex(iris, matrix)
 
 
 def generate_candidates(
-    queries: Mapping[str, np.ndarray],
+    iris: Sequence[str],
+    matrix: np.ndarray,
     index,
     k: int = 10,
 ) -> dict[str, list[tuple[str, float]]]:
-    """Top-k candidates per query concept, in ascending query-IRI order.
+    """Top-k candidates for each query concept ``iris[i]``, whose vector is
+    row i of ``matrix``, in ascending query-IRI order.
 
     Zero-norm or non-finite query vectors are flagged and produce an empty
     candidate list rather than failing the whole run.
     """
     out: dict[str, list[tuple[str, float]]] = {}
-    for iri in sorted(queries):
+    for iri, query in sorted(zip(iris, matrix, strict=True), key=lambda row: row[0]):
         try:
-            out[iri] = index.top_k(queries[iri], k)
+            out[iri] = index.top_k(query, k)
         except DegenerateVectorError:
             logger.warning("query %s has a degenerate embedding; no candidates", iri)
             out[iri] = []

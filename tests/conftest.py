@@ -1,4 +1,5 @@
-"""Shared fixtures: fixture paths, toy pipeline configs, counting providers."""
+"""Shared fixtures: fixture paths, toy pipeline configs, counting providers,
+an empty response cache."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from ontomatch.cache import ResponseCache
 from ontomatch.pipeline import PipelineConfig, make_provider
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -22,6 +24,11 @@ def toy_dir() -> Path:
 @pytest.fixture
 def golden_dir() -> Path:
     return GOLDEN_DIR
+
+
+@pytest.fixture
+def cache(tmp_path) -> ResponseCache:
+    return ResponseCache(tmp_path / "cache")
 
 
 def golden_text(name: str) -> str:

@@ -1,5 +1,7 @@
 """Definition prompts, generation with caching, and embedding text layout."""
 
+import threading
+
 import pytest
 
 from ontomatch.cache import ResponseCache
@@ -9,6 +11,7 @@ from ontomatch.definitions import (
     _single_paragraph,
     build_definition_prompt,
     build_embedding_text,
+    definition_prompt,
     enrich_ontology,
     generate_definition,
     truncate_words,
@@ -111,27 +114,20 @@ def test_single_paragraph_collapses_and_truncates():
     assert _single_paragraph(" \n\n ") == ""
 
 
-def test_generate_definition_uses_mock_provider():
+def test_generate_definition_uses_mock_provider(cache):
     provider = MockProvider()
-    text = generate_definition(minimal_context(), "A", "B", provider)
+    prompt = definition_prompt(minimal_context(), "A", "B", provider)
+    text = generate_definition(prompt, "http://x.org/c#C1", provider, cache)
     assert text == "A biomedical concept referring to heart."
 
 
-def test_generate_definition_cache_hit_skips_provider(tmp_path):
-    cache = ResponseCache(tmp_path / "cache")
+def test_generate_definition_cache_hit_skips_provider(cache):
     provider = CountingProvider(MockProvider())
-    ctx = minimal_context()
-    first = generate_definition(ctx, "A", "B", provider, cache=cache)
-    second = generate_definition(ctx, "A", "B", provider, cache=cache)
+    prompt = definition_prompt(minimal_context(), "A", "B", provider)
+    first = generate_definition(prompt, "http://x.org/c#C1", provider, cache)
+    second = generate_definition(prompt, "http://x.org/c#C1", provider, cache)
     assert first == second
     assert provider.generate_calls == 1
-
-
-def test_generate_definition_without_cache_calls_every_time():
-    provider = CountingProvider(MockProvider())
-    generate_definition(minimal_context(), "A", "B", provider)
-    generate_definition(minimal_context(), "A", "B", provider)
-    assert provider.generate_calls == 2
 
 
 class _FailingProvider:
@@ -155,14 +151,16 @@ class _FailingProvider:
     EmptyCompletionError("empty"),
     ProviderError("down"),
 ])
-def test_generate_definition_degrades_to_empty_string(tmp_path, error, caplog):
-    cache = ResponseCache(tmp_path / "cache")
+def test_generate_definition_degrades_to_empty_string(cache, error, caplog):
+    provider = _FailingProvider(error)
+    prompt = definition_prompt(minimal_context(), "A", "B", provider)
     with caplog.at_level("WARNING"):
-        text = generate_definition(
-            minimal_context(), "A", "B", _FailingProvider(error), cache=cache
-        )
+        text = generate_definition(prompt, "http://x.org/c#C1", provider, cache)
     assert text == ""
-    assert any("definition generation failed" in r.message for r in caplog.records)
+    assert any(
+        "definition generation failed for http://x.org/c#C1" in r.message
+        for r in caplog.records
+    )
 
 
 def _ontology(n: int) -> Ontology:
@@ -173,37 +171,37 @@ def _ontology(n: int) -> Ontology:
     return onto
 
 
-def test_enrich_ontology_fills_definitions_in_iri_order():
+def test_enrich_ontology_fills_definitions_in_iri_order(cache):
     onto = _ontology(3)
-    count = enrich_ontology(onto, "tgt", MockProvider())
+    count = enrich_ontology(onto, "tgt", MockProvider(), cache)
     assert count == 3
     for i in range(3):
         c = onto.concepts[f"http://x.org/c#C{i:02d}"]
         assert c.definition == f"A biomedical concept referring to concept {i:02d}."
 
 
-def test_enrich_ontology_skips_already_defined():
+def test_enrich_ontology_skips_already_defined(cache):
     onto = _ontology(3)
     onto.concepts["http://x.org/c#C01"].definition = "Existing."
     provider = CountingProvider(MockProvider())
-    count = enrich_ontology(onto, "tgt", provider)
+    count = enrich_ontology(onto, "tgt", provider, cache)
     assert count == 2
     assert provider.generate_calls == 2
     assert onto.concepts["http://x.org/c#C01"].definition == "Existing."
 
 
-def test_enrich_ontology_respects_limit():
+def test_enrich_ontology_respects_limit(cache):
     onto = _ontology(5)
-    count = enrich_ontology(onto, "tgt", MockProvider(), limit=2)
+    count = enrich_ontology(onto, "tgt", MockProvider(), cache, limit=2)
     assert count == 2
     assert onto.concepts["http://x.org/c#C01"].definition is not None
     assert onto.concepts["http://x.org/c#C02"].definition is None
 
 
-def test_enrich_ontology_empty_todo_returns_zero():
+def test_enrich_ontology_empty_todo_returns_zero(cache):
     onto = _ontology(1)
     onto.concepts["http://x.org/c#C00"].definition = "Done."
-    assert enrich_ontology(onto, "tgt", MockProvider()) == 0
+    assert enrich_ontology(onto, "tgt", MockProvider(), cache) == 0
 
 
 # -- cache routing: hits on the calling thread, misses in the pool -------------
@@ -220,11 +218,11 @@ def _definitions(onto: Ontology) -> dict[str, str | None]:
 def test_enrich_ontology_fully_warm_makes_no_pool_and_no_calls(tmp_path, monkeypatch):
     cache = ResponseCache(tmp_path / "cache")
     cold = _ontology(4)
-    enrich_ontology(cold, "tgt", MockProvider(), cache=cache)
+    enrich_ontology(cold, "tgt", MockProvider(), cache)
     monkeypatch.setattr("ontomatch.providers.ThreadPoolExecutor", _no_pool)
     provider = CountingProvider(MockProvider())
     warm = _ontology(4)
-    assert enrich_ontology(warm, "tgt", provider, cache=cache) == 4
+    assert enrich_ontology(warm, "tgt", provider, cache) == 4
     assert provider.total_calls == 0
     assert _definitions(warm) == _definitions(cold)
 
@@ -234,37 +232,60 @@ def test_enrich_ontology_half_warm_calls_provider_only_for_misses(tmp_path):
     warmed = _ontology(6)
     for i in range(1, 6, 2):
         warmed.concepts[f"http://x.org/c#C{i:02d}"].definition = "Skipped."
-    enrich_ontology(warmed, "tgt", MockProvider(), cache=cache)  # caches C00, C02, C04
+    enrich_ontology(warmed, "tgt", MockProvider(), cache)  # caches C00, C02, C04
     provider = CountingProvider(MockProvider())
     out = _ontology(6)
-    enrich_ontology(out, "tgt", provider, cache=cache)
+    enrich_ontology(out, "tgt", provider, cache)
     assert provider.generate_calls == 3
     fresh = _ontology(6)
-    enrich_ontology(fresh, "tgt", MockProvider(), cache=ResponseCache(tmp_path / "fresh"))
+    enrich_ontology(fresh, "tgt", MockProvider(), ResponseCache(tmp_path / "fresh"))
     assert _definitions(out) == _definitions(fresh)
 
 
 def test_enrich_ontology_limit_counts_hits_and_misses(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
-    enrich_ontology(_ontology(5), "tgt", MockProvider(), cache=cache, limit=2)
+    enrich_ontology(_ontology(5), "tgt", MockProvider(), cache, limit=2)
     provider = CountingProvider(MockProvider())
     onto = _ontology(5)
-    assert enrich_ontology(onto, "tgt", provider, cache=cache, limit=3) == 3
+    assert enrich_ontology(onto, "tgt", provider, cache, limit=3) == 3
     assert provider.generate_calls == 1
     assert [c.definition is not None for c in onto.sorted_concepts()] == [
         True, True, True, False, False,
     ]
 
 
+class _SamplingProvider(_FailingProvider):
+    """A sampling chat model: every generate call gives a new definition."""
+
+    def __init__(self):
+        self.generate_calls = 0
+        self._lock = threading.Lock()
+
+    def generate(self, messages, params):
+        with self._lock:
+            self.generate_calls += 1
+            return f"Definition number {self.generate_calls}."
+
+
+def test_enrich_ontology_calls_the_provider_once_per_prompt(cache):
+    onto = _ontology(2)
+    for concept in onto.concepts.values():
+        concept.label = "Heart"  # the same label gives the same prompt
+    provider = _SamplingProvider()
+    assert enrich_ontology(onto, "tgt", provider, cache, max_workers=8) == 2
+    assert provider.generate_calls == 1
+    assert set(_definitions(onto).values()) == {"Definition number 1."}
+
+
 def test_enrich_ontology_recomputes_corrupt_cached_definition(tmp_path, caplog):
     cache = ResponseCache(tmp_path / "cache")
-    enrich_ontology(_ontology(1), "tgt", MockProvider(), cache=cache)
+    enrich_ontology(_ontology(1), "tgt", MockProvider(), cache)
     [entry] = (tmp_path / "cache" / "define").glob("*.json")
     entry.write_text("{truncated", encoding="utf-8")
     provider = CountingProvider(MockProvider())
     onto = _ontology(1)
     with caplog.at_level("WARNING"):
-        enrich_ontology(onto, "tgt", provider, cache=cache)
+        enrich_ontology(onto, "tgt", provider, cache)
     assert onto.concepts["http://x.org/c#C00"].definition == (
         "A biomedical concept referring to concept 00."
     )
@@ -275,9 +296,9 @@ def test_enrich_ontology_recomputes_corrupt_cached_definition(tmp_path, caplog):
 
 def test_enrich_ontology_logs_hits_and_misses(tmp_path, caplog):
     cache = ResponseCache(tmp_path / "cache")
-    enrich_ontology(_ontology(3), "tgt", MockProvider(), cache=cache, limit=1)
+    enrich_ontology(_ontology(3), "tgt", MockProvider(), cache, limit=1)
     with caplog.at_level("INFO", logger="ontomatch.definitions"):
-        enrich_ontology(_ontology(3), "tgt", MockProvider(), cache=cache)
+        enrich_ontology(_ontology(3), "tgt", MockProvider(), cache)
     lines = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
     assert lines == ["defined 3 src concepts: 1 served from cache, 2 sent to the provider"]
 
@@ -289,7 +310,7 @@ def test_unlabeled_toy_concept_warns_once_per_run_cold_and_warm(tmp_path, caplog
             onto = read_concept_jsonl(fp, name="toy-src")
         caplog.clear()
         with caplog.at_level("WARNING"):
-            enrich_ontology(onto, "toy-tgt", MockProvider(), cache=cache)
+            enrich_ontology(onto, "toy-tgt", MockProvider(), cache)
         warnings = [
             r.getMessage() for r in caplog.records if "no label" in r.getMessage()
         ]

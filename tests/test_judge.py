@@ -15,6 +15,7 @@ from ontomatch.judge import (
     build_judgement_prompt,
     judge_candidates,
     judge_pair,
+    judge_prompt,
     p_yes,
     read_judgements,
     write_judgements,
@@ -216,10 +217,14 @@ def test_p_yes_rejects_unknown_mode():
 # -- judge_pair / judge_candidates ---------------------------------------------
 
 
-def test_judge_pair_positive_decision_with_default_thresholds():
+def _judge(a: ContextBlock, b: ContextBlock, cos: float, provider, cache) -> Judgement:
+    return judge_pair(judge_prompt(a, b, provider), a.iri, b.iri, cos, provider, cache)
+
+
+def test_judge_pair_positive_decision_with_default_thresholds(cache):
     a = simple_ctx("http://x.org/c#A", "heart")
     b = simple_ctx("http://y.org/c#B", "heart")
-    j = judge_pair(a, b, 0.95, MockProvider())
+    j = _judge(a, b, 0.95, MockProvider(), cache)
     assert j.source == "http://x.org/c#A"
     assert j.target == "http://y.org/c#B"
     assert j.cosine == 0.95
@@ -227,22 +232,43 @@ def test_judge_pair_positive_decision_with_default_thresholds():
     assert j.p_yes >= 0.99  # the default lambda_prob
 
 
-def test_judge_pair_negative_decision():
+def test_judge_pair_negative_decision(cache):
     a = simple_ctx("http://x.org/c#A", "left kidney")
     b = simple_ctx("http://y.org/c#B", "right kidney")
-    j = judge_pair(a, b, 0.8, MockProvider())
+    j = _judge(a, b, 0.8, MockProvider(), cache)
     assert j.p_yes < 0.01
 
 
-def test_judge_pair_cache_hit_skips_provider(tmp_path):
-    cache = ResponseCache(tmp_path / "cache")
+def test_judge_pair_cache_hit_skips_provider(cache):
     provider = CountingProvider(MockProvider())
     a = simple_ctx("http://x.org/c#A", "heart")
     b = simple_ctx("http://y.org/c#B", "heart")
-    first = judge_pair(a, b, 0.95, provider, cache=cache)
-    second = judge_pair(a, b, 0.95, provider, cache=cache)
+    first = _judge(a, b, 0.95, provider, cache)
+    second = _judge(a, b, 0.95, provider, cache)
     assert provider.classify_calls == 1
     assert first == second
+
+
+class _MaybeProvider:
+    """A chat model whose first token is neither YES nor NO."""
+
+    chat_model_id = MockProvider().chat_model_id
+    embed_model_id = MockProvider().embed_model_id
+
+    def classify_first_token(self, messages):
+        return TokenDistribution({"MAYBE": -0.1})
+
+
+def test_judge_pair_never_caches_an_unparseable_judgement(cache):
+    a = simple_ctx("http://x.org/c#A", "heart")
+    b = simple_ctx("http://y.org/c#B", "heart")
+    prompt = judge_prompt(a, b, MockProvider())
+    with pytest.raises(UnparseableJudgementError):
+        judge_pair(prompt, a.iri, b.iri, 0.95, _MaybeProvider(), cache)
+    assert not cache.contains("judge", prompt.digest)
+    j = judge_pair(prompt, a.iri, b.iri, 0.95, MockProvider(), cache)
+    assert j.p_yes >= 0.99
+    assert cache.contains("judge", prompt.digest)
 
 
 def _ontologies():
@@ -255,13 +281,13 @@ def _ontologies():
     return src, tgt
 
 
-def test_judge_candidates_sorted_and_decided():
+def test_judge_candidates_sorted_and_decided(cache):
     src, tgt = _ontologies()
     candidates = {
         "http://s#S2": [("http://t#T1", 0.4)],
         "http://s#S1": [("http://t#T2", 0.5), ("http://t#T1", 0.9)],
     }
-    out = judge_candidates(candidates, src, tgt, MockProvider())
+    out = judge_candidates(candidates, src, tgt, MockProvider(), cache)
     assert [(j.source, j.target) for j in out] == [
         ("http://s#S1", "http://t#T1"),
         ("http://s#S1", "http://t#T2"),
@@ -272,14 +298,14 @@ def test_judge_candidates_sorted_and_decided():
     assert by_pair[("http://s#S1", "http://t#T2")] < 0.99
 
 
-def test_judge_candidates_limit_bounds_pairs():
+def test_judge_candidates_limit_bounds_pairs(cache):
     src, tgt = _ontologies()
     candidates = {
         "http://s#S1": [("http://t#T2", 0.5), ("http://t#T1", 0.9)],
         "http://s#S2": [("http://t#T1", 0.4)],
     }
     provider = CountingProvider(MockProvider())
-    out = judge_candidates(candidates, src, tgt, provider, limit=2)
+    out = judge_candidates(candidates, src, tgt, provider, cache, limit=2)
     assert len(out) == 2
     assert provider.classify_calls == 2
     # limit applies in sorted-source order, preserving per-source candidate order
@@ -289,22 +315,33 @@ def test_judge_candidates_limit_bounds_pairs():
     ]
 
 
-def test_judge_candidates_skips_missing_concepts(caplog):
+def test_judge_candidates_skips_missing_concepts(cache, caplog):
     src, tgt = _ontologies()
     candidates = {
         "http://s#S1": [("http://t#T1", 0.9), ("http://t#Gone", 0.8)],
         "http://s#Gone": [("http://t#T1", 0.7)],
     }
     with caplog.at_level("WARNING"):
-        out = judge_candidates(candidates, src, tgt, MockProvider())
+        out = judge_candidates(candidates, src, tgt, MockProvider(), cache)
     assert [(j.source, j.target) for j in out] == [("http://s#S1", "http://t#T1")]
     assert sum("concept missing" in r.message for r in caplog.records) == 2
 
 
-def test_judge_candidates_empty_input():
+def test_judge_candidates_empty_input(cache):
     src, tgt = _ontologies()
-    assert judge_candidates({}, src, tgt, MockProvider()) == []
+    assert judge_candidates({}, src, tgt, MockProvider(), cache) == []
 
+
+def test_judge_candidates_calls_the_provider_once_per_prompt(cache):
+    src, tgt = _ontologies()
+    tgt.concepts["http://t#T3"] = Concept(iri="http://t#T3", label="heart")  # T1's prompt
+    candidates = {"http://s#S1": [("http://t#T1", 0.9), ("http://t#T3", 0.9)]}
+    provider = CountingProvider(MockProvider())
+    out = judge_candidates(candidates, src, tgt, provider, cache, max_workers=8)
+    assert provider.classify_calls == 1
+    assert [(j.target, j.p_yes) for j in out] == [
+        ("http://t#T1", out[0].p_yes), ("http://t#T3", out[0].p_yes),
+    ]
 
 
 # -- cache routing: hits on the calling thread, misses in the pool -------------
@@ -333,10 +370,10 @@ def _no_pool(*args, **kwargs):
 def test_judge_candidates_fully_warm_makes_no_pool_and_no_calls(tmp_path, monkeypatch):
     src, tgt = _ontologies()
     cache = ResponseCache(tmp_path / "cache")
-    cold = judge_candidates(_all_candidates(), src, tgt, MockProvider(), cache=cache)
+    cold = judge_candidates(_all_candidates(), src, tgt, MockProvider(), cache)
     monkeypatch.setattr("ontomatch.providers.ThreadPoolExecutor", _no_pool)
     provider = CountingProvider(MockProvider())
-    warm = judge_candidates(_all_candidates(), src, tgt, provider, cache=cache)
+    warm = judge_candidates(_all_candidates(), src, tgt, provider, cache)
     assert provider.total_calls == 0
     assert warm == cold
 
@@ -344,12 +381,12 @@ def test_judge_candidates_fully_warm_makes_no_pool_and_no_calls(tmp_path, monkey
 def test_judge_candidates_half_warm_calls_provider_only_for_misses(tmp_path):
     src, tgt = _ontologies()
     cache = ResponseCache(tmp_path / "cache")
-    judge_candidates(_every_other(_all_candidates()), src, tgt, MockProvider(), cache=cache)
+    judge_candidates(_every_other(_all_candidates()), src, tgt, MockProvider(), cache)
     provider = CountingProvider(MockProvider())
-    out = judge_candidates(_all_candidates(), src, tgt, provider, cache=cache)
+    out = judge_candidates(_all_candidates(), src, tgt, provider, cache)
     assert provider.classify_calls == 2
     fresh = judge_candidates(
-        _all_candidates(), src, tgt, MockProvider(), cache=ResponseCache(tmp_path / "fresh")
+        _all_candidates(), src, tgt, MockProvider(), ResponseCache(tmp_path / "fresh")
     )
     assert out == fresh
 
@@ -358,9 +395,9 @@ def test_judge_candidates_limit_counts_hits_and_misses(tmp_path):
     src, tgt = _ontologies()
     cache = ResponseCache(tmp_path / "cache")
     # Pairs 1 and 3 (of 4) are cached; the limit of 3 takes pairs 1-3.
-    judge_candidates(_every_other(_all_candidates()), src, tgt, MockProvider(), cache=cache)
+    judge_candidates(_every_other(_all_candidates()), src, tgt, MockProvider(), cache)
     provider = CountingProvider(MockProvider())
-    out = judge_candidates(_all_candidates(), src, tgt, provider, cache=cache, limit=3)
+    out = judge_candidates(_all_candidates(), src, tgt, provider, cache, limit=3)
     assert [(j.source, j.target) for j in out] == [
         ("http://s#S1", "http://t#T1"),
         ("http://s#S1", "http://t#T2"),
@@ -373,12 +410,12 @@ def test_judge_candidates_recomputes_corrupt_cached_answer(tmp_path, caplog):
     src, tgt = _ontologies()
     cache = ResponseCache(tmp_path / "cache")
     candidates = {"http://s#S1": [("http://t#T1", 0.9)]}
-    first = judge_candidates(candidates, src, tgt, MockProvider(), cache=cache)
+    first = judge_candidates(candidates, src, tgt, MockProvider(), cache)
     [entry] = (tmp_path / "cache" / "judge").glob("*.json")
     entry.write_text("{truncated", encoding="utf-8")
     provider = CountingProvider(MockProvider())
     with caplog.at_level("WARNING"):
-        again = judge_candidates(candidates, src, tgt, provider, cache=cache)
+        again = judge_candidates(candidates, src, tgt, provider, cache)
     assert again == first
     assert provider.classify_calls == 1
     assert any("corrupt" in r.message for r in caplog.records)
@@ -388,9 +425,9 @@ def test_judge_candidates_recomputes_corrupt_cached_answer(tmp_path, caplog):
 def test_judge_candidates_logs_hits_and_misses(tmp_path, caplog):
     src, tgt = _ontologies()
     cache = ResponseCache(tmp_path / "cache")
-    judge_candidates(_every_other(_all_candidates()), src, tgt, MockProvider(), cache=cache)
+    judge_candidates(_every_other(_all_candidates()), src, tgt, MockProvider(), cache)
     with caplog.at_level("INFO", logger="ontomatch.judge"):
-        judge_candidates(_all_candidates(), src, tgt, MockProvider(), cache=cache)
+        judge_candidates(_all_candidates(), src, tgt, MockProvider(), cache)
     lines = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
     assert lines == ["judged 4 pairs: 2 served from cache, 2 sent to the provider"]
 
@@ -413,10 +450,10 @@ def test_judgement_tsv_round_trip():
     assert back == sorted(rows, key=lambda j: (j.source, j.target))
 
 
-def test_write_judgements_decision_follows_lambda_prob():
+def test_write_judgements_decision_follows_lambda_prob(cache):
     a = simple_ctx("http://x.org/c#A", "heart")
     b = simple_ctx("http://y.org/c#B", "heart")
-    judgement = judge_pair(a, b, 0.95, MockProvider())
+    judgement = _judge(a, b, 0.95, MockProvider(), cache)
     for lambda_prob, decision in ((0.9999, "no"), (0.99, "yes")):
         buf = io.StringIO()
         write_judgements([judgement], buf, lambda_prob)

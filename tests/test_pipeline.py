@@ -3,6 +3,9 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,8 @@ import ontomatch.pipeline as pipeline_module
 import ontomatch.retrieval as retrieval_module
 from ontomatch.cli import build_config, main
 from ontomatch.errors import ConfigError, MissingArtifactError
-from ontomatch.judge import DEFAULT_FEW_SHOT, judge_pair
+from ontomatch.cache import ResponseCache
+from ontomatch.judge import DEFAULT_FEW_SHOT, judge_pair, judge_prompt
 from ontomatch.model import Mapping, MappingSet, concept_context, read_concept_jsonl
 from ontomatch.pipeline import STAGES, Pipeline, PipelineConfig, StageManifest, make_provider
 from ontomatch.providers import HttpProvider, MockProvider
@@ -127,7 +131,7 @@ def _ranking_oracle(cases_path: str, score) -> tuple[float, dict[str, float]]:
 
 def _pyes_oracle(config: PipelineConfig, cases_path: str) -> tuple[float, dict[str, float]]:
     """Ranking metrics with each pair judged on its own with ``judge_pair``
-    and no cache; a pair with a missing concept scores 0.0."""
+    and a cache of its own; a pair with a missing concept scores 0.0."""
     out = Path(config.out_dir)
     ontologies = []
     for name, onto_name in (("source.enriched.jsonl", config.source_name),
@@ -136,16 +140,17 @@ def _pyes_oracle(config: PipelineConfig, cases_path: str) -> tuple[float, dict[s
             ontologies.append(read_concept_jsonl(fp, name=onto_name))
     source, target = ontologies
     provider = make_provider(config)
+    cache = ResponseCache(out / "oracle-cache")
 
     def p_yes(s, t):
         if s not in source.concepts or t not in target.concepts:
             return 0.0
-        return judge_pair(
+        prompt = judge_prompt(
             concept_context(source.concepts[s], source),
             concept_context(target.concepts[t], target),
-            0.0, provider, shots=config.shots(),
-            include_definition=config.use_definitions, softmax_mode=config.softmax_mode,
-        ).p_yes
+            provider, shots=config.shots(), include_definition=config.use_definitions,
+        )
+        return judge_pair(prompt, s, t, 0.0, provider, cache, config.softmax_mode).p_yes
 
     return _ranking_oracle(cases_path, p_yes)
 
@@ -268,10 +273,8 @@ def test_bidirectional_toy_run_merges_both_retrieval_directions(tmp_path):
     out = Path(config.out_dir)
     src_iris, src_matrix, _ = load_embeddings(out / "source.embeddings")
     tgt_iris, tgt_matrix, _ = load_embeddings(out / "target.embeddings")
-    sources = {iri: src_matrix[i] for i, iri in enumerate(src_iris)}
-    targets = {iri: tgt_matrix[i] for i, iri in enumerate(tgt_iris)}
-    forward = generate_candidates(sources, ExactIndex(tgt_iris, tgt_matrix), k=3)
-    backward = generate_candidates(targets, ExactIndex(src_iris, src_matrix), k=3)
+    forward = generate_candidates(src_iris, src_matrix, ExactIndex(tgt_iris, tgt_matrix), k=3)
+    backward = generate_candidates(tgt_iris, tgt_matrix, ExactIndex(src_iris, src_matrix), k=3)
     merged = merge_candidate_maps(forward, backward)
     assert sum(map(len, merged.values())) > sum(map(len, forward.values()))
     expected = io.StringIO()
@@ -640,6 +643,7 @@ def test_make_provider_http_kind():
     ({"kind": "mock", "dimensions": 32}, "dimensions"),
     ({"kind": "http", "base_ur": "http://example.test/v1"}, "base_ur"),
     ({"kind": "http", "max_in_flight": 4}, "max_in_flight"),
+    ({"kind": "mock", "canned_generate": {}}, "canned_generate"),
 ])
 def test_make_provider_rejects_unknown_keys(spec, unknown):
     with pytest.raises(ConfigError, match=f"unknown {spec['kind']} provider keys: \\['{unknown}'\\]"):
@@ -742,7 +746,7 @@ def test_cli_config_errors_become_clean_failures(tmp_path):
     assert "Traceback" not in result.output
 
 
-def test_cli_eval_predictions_mode(tmp_path):
+def _predictions_and_reference(tmp_path) -> tuple[Path, Path]:
     predictions = tmp_path / "predictions.tsv"
     with open(predictions, "w", encoding="utf-8") as fp:
         MappingSet([
@@ -752,15 +756,43 @@ def test_cli_eval_predictions_mode(tmp_path):
     reference = tmp_path / "reference.tsv"
     with open(reference, "w", encoding="utf-8") as fp:
         MappingSet([Mapping("http://s#1", "http://t#1", 1.0)]).write_tsv(fp)
+    return predictions, reference
 
-    runner = CliRunner()
-    result = runner.invoke(main, [
-        "eval", "--predictions", str(predictions), "--reference", str(reference),
-    ])
+
+def _assert_half_precision_report(result):
     assert result.exit_code == 0, result.output
     assert "precision  0.500" in result.output
     assert "recall     1.000" in result.output
     assert "f1         0.667" in result.output
+
+
+def test_cli_eval_predictions_mode(tmp_path):
+    predictions, reference = _predictions_and_reference(tmp_path)
+    result = CliRunner().invoke(main, [
+        "eval", "--predictions", str(predictions), "--reference", str(reference),
+    ])
+    _assert_half_precision_report(result)
+
+
+def test_cli_eval_predictions_takes_the_config_reference(tmp_path):
+    predictions, reference = _predictions_and_reference(tmp_path)
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps({"reference": str(reference)}))
+    result = CliRunner().invoke(main, [
+        "eval", "--predictions", str(predictions), "--config", str(config_path),
+    ])
+    _assert_half_precision_report(result)
+
+
+def test_cli_eval_predictions_reports_a_missing_config_reference(tmp_path):
+    predictions, _ = _predictions_and_reference(tmp_path)
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps({"reference": str(tmp_path / "missing.tsv")}))
+    result = CliRunner().invoke(main, [
+        "eval", "--predictions", str(predictions), "--config", str(config_path),
+    ])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("Error: ") and "missing.tsv" in result.output
 
 
 _BAD_ROWS = {
@@ -808,3 +840,22 @@ def test_cli_eval_predictions_requires_reference(tmp_path):
     result = runner.invoke(main, ["eval", "--predictions", str(predictions)])
     assert result.exit_code == 2
     assert "--reference" in result.output
+
+
+def test_python_dash_m_ontomatch_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-m", "ontomatch", "--help"], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "Usage:" in result.stdout
+
+
+def test_readme_names_every_config_field_and_cli_flag():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    fields = [f.name for f in dataclasses.fields(PipelineConfig)]
+    flags = {opt for command in (main, *main.commands.values())
+             for param in command.params for opt in param.opts if opt.startswith("--")}
+    assert [f for f in fields if f"`{f}`" not in readme] == []
+    assert sorted(flag for flag in flags if flag not in readme) == []

@@ -212,16 +212,6 @@ def test_mock_generate_without_concept_line_uses_first_line():
     assert text == "A biomedical concept referring to heart."
 
 
-def test_mock_generate_canned_response_by_digest():
-    provider = MockProvider()
-    messages = chat("sys", "Concept: Heart")
-    digest = prompt_digest("generate", "-", provider.chat_model_id, messages)
-    provider.canned_generate[digest] = "Canned definition.\n"
-    assert provider.generate(messages, SamplingParams()) == "Canned definition."
-    other = chat("sys", "Concept: Kidney")
-    assert provider.generate(other, SamplingParams()).startswith("A biomedical")
-
-
 def test_mock_judge_yes_when_canonical_names_match():
     provider = MockProvider(alias_groups=ALIASES)
     dist = provider.classify_first_token(
@@ -234,14 +224,6 @@ def test_mock_judge_no_when_names_differ():
     provider = MockProvider()
     dist = provider.classify_first_token(judge_messages("left kidney", "right kidney"))
     assert dist.entries == {"YES": -7.0, "NO": -0.001}
-
-
-def test_mock_judge_canned_distribution_by_digest():
-    provider = MockProvider()
-    messages = judge_messages("a", "b")
-    digest = prompt_digest("judge", "-", provider.chat_model_id, messages)
-    provider.canned_distributions[digest] = {"YES": -0.5, "NO": -1.5}
-    assert provider.classify_first_token(messages).entries == {"YES": -0.5, "NO": -1.5}
 
 
 def test_mock_prompt_size_limit():
@@ -484,7 +466,7 @@ def _job(value, ran_on=None):
     return job
 
 
-def test_serve_bounds_jobs_in_flight_and_keeps_order():
+def test_serve_bounds_jobs_in_flight_and_keeps_order(cache):
     release = threading.Event()
     pulled = []
     out = {}
@@ -499,7 +481,7 @@ def test_serve_bounds_jobs_in_flight_and_keeps_order():
             yield f"d{i}", lambda i=i: wait_then(i)
 
     consumer = threading.Thread(
-        target=lambda: out.update(result=serve(None, "judge", jobs(), max_workers=2))
+        target=lambda: out.update(result=serve(cache, "judge", jobs(), max_workers=2))
     )
     consumer.start()
     consumer.join(timeout=0.5)
@@ -537,7 +519,7 @@ def test_serve_interleaves_hits_and_misses_in_job_order(tmp_path):
     assert sorted(i for i, thread in ran_on if thread == here) == [0, 3, 6, 9]
 
 
-def test_serve_reraises_a_failed_job_after_shutting_the_pool_down(monkeypatch):
+def test_serve_reraises_a_failed_job_after_shutting_the_pool_down(cache, monkeypatch):
     pools = []
 
     class RecordingPool(ThreadPoolExecutor):
@@ -556,5 +538,5 @@ def test_serve_reraises_a_failed_job_after_shutting_the_pool_down(monkeypatch):
     monkeypatch.setattr("ontomatch.providers.ThreadPoolExecutor", RecordingPool)
     jobs = [("d0", _job(0)), ("d1", fail), ("d2", _job(2))]
     with pytest.raises(ProviderError, match="backend down"):
-        serve(None, "judge", iter(jobs), max_workers=2)
+        serve(cache, "judge", iter(jobs), max_workers=2)
     assert len(pools) == 1 and pools[0].shut_down

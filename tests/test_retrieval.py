@@ -279,13 +279,13 @@ def test_hnsw_validates_queries():
 
 
 def test_build_index_dispatch():
-    vectors = {iri: np.array(v) for iri, v in FIVE.items()}
-    index = build_index(vectors)
+    iris = list(FIVE)
+    index = build_index(iris, np.array([FIVE[i] for i in iris]))
     assert isinstance(index, ExactIndex)
     query = np.array([1.0, 0.0])
     assert index.top_k(query, 5) == exact_index().top_k(query, 5)
     with pytest.raises(ValueError):
-        build_index({})
+        build_index([], np.empty((0, 2)))
 
 
 # -- candidate generation ---------------------------------------------------------
@@ -293,11 +293,8 @@ def test_build_index_dispatch():
 
 def test_generate_candidates_sorted_by_query_iri():
     index = exact_index()
-    queries = {
-        "http://s#S2": np.array([0.0, 1.0]),
-        "http://s#S1": np.array([1.0, 0.0]),
-    }
-    out = generate_candidates(queries, index, k=2)
+    iris = ["http://s#S2", "http://s#S1"]
+    out = generate_candidates(iris, np.array([[0.0, 1.0], [1.0, 0.0]]), index, k=2)
     assert list(out) == ["http://s#S1", "http://s#S2"]
     assert [iri for iri, _ in out["http://s#S1"]] == ["http://t#A", "http://t#B"]
     assert [iri for iri, _ in out["http://s#S2"]] == ["http://t#C", "http://t#D"]
@@ -305,9 +302,9 @@ def test_generate_candidates_sorted_by_query_iri():
 
 def test_generate_candidates_degenerate_query_yields_empty(caplog):
     index = exact_index()
-    queries = {"http://s#Bad": np.zeros(2), "http://s#Ok": np.array([1.0, 0.0])}
+    iris = ["http://s#Bad", "http://s#Ok"]
     with caplog.at_level("WARNING"):
-        out = generate_candidates(queries, index, k=2)
+        out = generate_candidates(iris, np.array([[0.0, 0.0], [1.0, 0.0]]), index, k=2)
     assert out["http://s#Bad"] == []
     assert len(out["http://s#Ok"]) == 2
     assert any("degenerate" in r.message for r in caplog.records)
@@ -329,13 +326,10 @@ def test_top_k_rejects_non_finite_query(index_cls, bad):
 @INDEX_CLASSES
 def test_generate_candidates_non_finite_query_yields_empty(index_cls, caplog):
     index = index_cls(list(FIVE), np.array([FIVE[i] for i in FIVE]))
-    queries = {
-        "http://s#Inf": np.array([np.inf, 0.0]),
-        "http://s#NaN": np.array([np.nan, 1.0]),
-        "http://s#Ok": np.array([1.0, 0.0]),
-    }
+    iris = ["http://s#Inf", "http://s#NaN", "http://s#Ok"]
+    queries = np.array([[np.inf, 0.0], [np.nan, 1.0], [1.0, 0.0]])
     with caplog.at_level("WARNING"):
-        out = generate_candidates(queries, index, k=2)
+        out = generate_candidates(iris, queries, index, k=2)
     assert out["http://s#Inf"] == [] and out["http://s#NaN"] == []
     assert [iri for iri, _ in out["http://s#Ok"]] == ["http://t#A", "http://t#B"]
     assert sum("degenerate" in r.message for r in caplog.records) == 2
