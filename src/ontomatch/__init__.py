@@ -40,7 +40,6 @@ from .providers import (
     MockProvider,
     Prompt,
     SamplingParams,
-    TokenDistribution,
 )
 from .definitions import (
     build_definition_prompt,

@@ -1,8 +1,9 @@
 """Content-addressed response cache.
 
-One JSON file per entry under ``<root>/<kind>/<digest>.json``. Writes go
-through ``atomic_open``, as every file the package writes does, so readers
-never observe a partial entry. ``get_or_compute`` deduplicates concurrent
+One JSON file per entry under ``<root>/<kind>/<digest>.json``, holding just
+the payload, so equal answers give byte-identical trees. Writes go through
+``atomic_open``, as every file the package writes does, so readers never
+observe a partial entry. ``get_or_compute`` deduplicates concurrent
 computation of the same digest (single-flight) within a process; its
 per-digest lock lives only while some caller holds or waits on it.
 """
@@ -13,7 +14,6 @@ import json
 import logging
 import os
 import threading
-import time
 import uuid
 from contextlib import contextmanager
 from pathlib import Path
@@ -74,11 +74,10 @@ class ResponseCache:
             return None
 
     def put(self, kind: str, digest: str, payload: dict) -> dict:
-        """Store ``payload`` and return the record written."""
-        record = {"digest": digest, "created_at": time.time(), **payload}
+        """Store ``payload`` as it is, replacing any entry; returns it."""
         with atomic_open(self._path(kind, digest)) as fp:
-            json.dump(record, fp, ensure_ascii=False)
-        return record
+            json.dump(payload, fp, ensure_ascii=False)
+        return payload
 
     @contextmanager
     def _single_flight(self, key: str):
@@ -108,5 +107,5 @@ class ResponseCache:
             found = self.get(kind, digest)
             if found is not None:
                 return found
-            # Payloads are JSON-native, so the record equals what get would read.
+            # Payloads are JSON-native, so this equals what get would read.
             return self.put(kind, digest, compute())

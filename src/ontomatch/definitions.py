@@ -126,7 +126,7 @@ def generate_definition(
         except (EmptyCompletionError, ProviderError) as e:
             logger.warning("definition generation failed for %s: %s", iri, e)
             text = ""
-        return {"model": provider.chat_model_id, "text": text}
+        return {"text": text}
 
     return cache.get_or_compute("define", prompt.digest, compute)["text"]
 

@@ -17,14 +17,7 @@ from typing import IO, Sequence
 from .cache import ResponseCache
 from .errors import UnparseableJudgementError
 from .model import ContextBlock, Judgement, Ontology, concept_context, read_tsv_rows
-from .providers import (
-    Message,
-    Prompt,
-    Provider,
-    TokenDistribution,
-    prompt_digest,
-    serve,
-)
+from .providers import Message, Prompt, Provider, prompt_digest, serve
 
 logger = logging.getLogger(__name__)
 
@@ -172,21 +165,15 @@ def _mass(dist: dict[str, float], variants: Sequence[str], floor: float) -> tupl
     return top + math.log(sum(math.exp(x - top) for x in present)), True
 
 
-def p_yes(
-    dist: TokenDistribution | dict[str, float],
-    floor: float = LOGPROB_FLOOR,
-    mode: str = "pair",
-) -> float:
-    """Probability of YES from a first-token distribution.
+def p_yes(entries: dict[str, float], floor: float = LOGPROB_FLOOR, mode: str = "pair") -> float:
+    """Probability of YES from a first-token distribution (token text ->
+    log-probability, as ``classify_first_token`` returns it).
 
     ``pair`` renormalizes the YES-variant mass against the NO-variant mass
     (an absent side takes ``floor``); ``full`` divides the YES mass by the
     total mass of every entry in the distribution. Shift-invariant in ``pair``
     mode. Raises UnparseableJudgementError when neither side has any variant.
     """
-    entries = dist.entries if isinstance(dist, TokenDistribution) else dist
-    if not entries:
-        raise UnparseableJudgementError("empty token distribution")
     yes_mass, yes_found = _mass(entries, YES_VARIANTS, floor)
     no_mass, no_found = _mass(entries, NO_VARIANTS, floor)
     if not yes_found and not no_found:
@@ -237,18 +224,24 @@ def judge_pair(
 ) -> Judgement:
     """Judge the pair ``(source, target)`` from its ``judge_prompt``, served
     from ``cache`` when it holds the answer. A reply without a YES or NO
-    variant raises ``UnparseableJudgementError`` and is not cached."""
+    variant raises ``UnparseableJudgementError`` and is not cached; a cached
+    one is never served but recomputed and overwritten."""
     scored: list[float] = []
 
     def compute() -> dict:
-        entries = provider.classify_first_token(prompt.messages).entries
+        entries = provider.classify_first_token(prompt.messages)
         # Scored before it is returned, so an unparseable reply is never stored.
         scored.append(p_yes(entries, mode=softmax_mode))
-        return {"model": provider.chat_model_id, "entries": entries}
+        return {"entries": entries}
 
     entries = cache.get_or_compute("judge", prompt.digest, compute)["entries"]
-    score = scored[0] if scored else p_yes(entries, mode=softmax_mode)
-    return Judgement(source=source, target=target, cosine=cos, p_yes=score)
+    if not scored:
+        try:
+            scored.append(p_yes(entries, mode=softmax_mode))
+        except UnparseableJudgementError as e:
+            logger.warning("recomputing cached judgement %s: %s", prompt.digest, e)
+            cache.put("judge", prompt.digest, compute())
+    return Judgement(source=source, target=target, cosine=cos, p_yes=scored[0])
 
 
 def _contexts(iris: set[str], onto: Ontology) -> dict[str, ContextBlock]:

@@ -213,6 +213,14 @@ class PipelineConfig:
             raise ConfigError(
                 f"ranking_scorer must be 'cosine' or 'pyes', got {self.ranking_scorer!r}"
             )
+        if self.max_workers < 1:
+            raise ConfigError(f"max_workers must be >= 1, got {self.max_workers}")
+        try:  # the objects the stages build from these fields check them
+            self.sampling()
+            self.extraction_config()
+            self.shots()
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -625,10 +633,15 @@ class Pipeline:
         limit: int | None = None,
     ) -> dict[str, str]:
         """Run the listed stages in pipeline order (defaults to all,
-        including eval only when a reference is configured)."""
+        including eval only when a reference is configured), once every
+        input file they read is there."""
         if stages is None:
             stages = [s for s in STAGES if s != "eval" or self.config.reference]
         ordered = [s for s in STAGES if s in set(stages)]
+        for name in (f for stage in ordered for f in STAGE_TABLE[stage].files):
+            path = getattr(self.config, name)
+            if path is not None and not Path(path).is_file():
+                raise ConfigError(f"{name} {path!r} is not a file")
         self.out_dir.mkdir(parents=True, exist_ok=True)
         results = {}
         for stage in ordered:

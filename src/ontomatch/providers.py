@@ -20,7 +20,6 @@ import hashlib
 import json
 import logging
 import os
-import re
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -43,7 +42,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "SamplingParams",
-    "TokenDistribution",
     "Provider",
     "MockProvider",
     "AliasTable",
@@ -74,17 +72,6 @@ class SamplingParams:
             raise ValueError(f"top_p must be in (0, 1], got {self.top_p}")
         if self.max_tokens <= 0:
             raise ValueError(f"max_tokens must be > 0, got {self.max_tokens}")
-
-
-@dataclass(frozen=True)
-class TokenDistribution:
-    """Token text -> log-probability for the first generated position."""
-
-    entries: dict[str, float]
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("TokenDistribution requires at least one entry")
 
 
 def validate_messages(messages: Sequence[Message]) -> None:
@@ -160,37 +147,45 @@ class Provider(Protocol):
 
     def generate(self, messages: Sequence[Message], params: SamplingParams) -> str: ...
 
-    def classify_first_token(self, messages: Sequence[Message]) -> TokenDistribution: ...
+    # Token text -> log-probability at the first generated position; never empty.
+    def classify_first_token(self, messages: Sequence[Message]) -> dict[str, float]: ...
 
 
 class AliasTable:
     """Maps members of alias groups onto the group's canonical (first) member.
 
-    Matching is case-insensitive on whitespace-collapsed text and replaces
-    occurrences longest-first, so overlapping aliases resolve deterministically.
+    Matching is case-insensitive on whitespace-collapsed text. A left-to-right
+    scan replaces the longest alias that starts at each position, so
+    overlapping aliases resolve deterministically. Members that collapse to
+    the empty string are ignored.
     """
 
     def __init__(self, groups: Sequence[Sequence[str]] = ()):
-        self._canon: dict[str, str] = {}
+        # A character trie; the key None ends an alias and holds its canonical.
+        self._trie: dict = {}
         for group in groups:
-            if not group:
-                continue
-            canonical = normalize_string(group[0])
             for member in group:
-                self._canon[normalize_string(member)] = canonical
-        if self._canon:
-            alternation = "|".join(
-                re.escape(k) for k in sorted(self._canon, key=len, reverse=True)
-            )
-            self._pattern: re.Pattern | None = re.compile(alternation)
-        else:
-            self._pattern = None
+                node = self._trie
+                for char in normalize_string(member):
+                    node = node.setdefault(char, {})
+                if node is not self._trie:
+                    node[None] = normalize_string(group[0])
 
     def canonicalize(self, text: str) -> str:
         collapsed = normalize_string(text)
-        if self._pattern is None:
-            return collapsed
-        return self._pattern.sub(lambda m: self._canon[m.group(0)], collapsed)
+        out: list[str] = []
+        i = 0
+        while i < len(collapsed):
+            node, end, replacement = self._trie, i + 1, collapsed[i]
+            for j in range(i, len(collapsed)):
+                node = node.get(collapsed[j])
+                if node is None:
+                    break
+                if None in node:
+                    end, replacement = j + 1, node[None]
+            out.append(replacement)
+            i = end
+        return "".join(out)
 
 
 def _first_line_value(text: str, prefix: str) -> str | None:
@@ -281,7 +276,7 @@ class MockProvider:
         canonical = self.alias.canonicalize(concept)
         return f"A biomedical concept referring to {canonical}."
 
-    def classify_first_token(self, messages: Sequence[Message]) -> TokenDistribution:
+    def classify_first_token(self, messages: Sequence[Message]) -> dict[str, float]:
         validate_messages(messages)
         self._check_size(messages)
         user = messages[-1]["content"]
@@ -295,8 +290,8 @@ class MockProvider:
             and self.alias.canonicalize(names[0]) == self.alias.canonicalize(names[1])
         )
         if same:
-            return TokenDistribution({"YES": -0.001, "NO": -7.0})
-        return TokenDistribution({"YES": -7.0, "NO": -0.001})
+            return {"YES": -0.001, "NO": -7.0}
+        return {"YES": -7.0, "NO": -0.001}
 
 
 # -- HTTP -------------------------------------------------------------------
@@ -444,7 +439,7 @@ class HttpProvider:
             )
         return text.rstrip()
 
-    def classify_first_token(self, messages: Sequence[Message]) -> TokenDistribution:
+    def classify_first_token(self, messages: Sequence[Message]) -> dict[str, float]:
         validate_messages(messages)
         self._check_size(sum(len(m.get("content", "")) for m in messages))
         body = self._post(
@@ -478,4 +473,4 @@ class HttpProvider:
                 f"backend for model {self.chat_model_id} returned an empty "
                 f"log-probability list"
             )
-        return TokenDistribution(entries)
+        return entries

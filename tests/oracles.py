@@ -9,6 +9,8 @@ purpose; correctness is the only goal.
 from __future__ import annotations
 
 import math
+import re
+from typing import Callable, Sequence
 
 import mpmath
 
@@ -97,3 +99,19 @@ def rank_by_score(candidates: list[tuple[str, float]], gold: str) -> int:
         if iri == gold:
             return position
     raise ValueError(f"gold {gold!r} not among candidates")
+
+
+def alias_rewriter(groups: Sequence[Sequence[str]]) -> Callable[[str], str]:
+    """The mock provider's alias rewrite as one regex alternation, longest
+    alias first: on whitespace-collapsed, case-folded text, the longest alias
+    starting at the leftmost possible position becomes its group's first
+    member. Members that collapse to the empty string are left out."""
+
+    def collapse(s: str) -> str:
+        return " ".join(s.split()).casefold()
+
+    canon = {collapse(m): collapse(g[0]) for g in groups for m in g if collapse(m)}
+    if not canon:
+        return collapse
+    pattern = re.compile("|".join(re.escape(k) for k in sorted(canon, key=len, reverse=True)))
+    return lambda text: pattern.sub(lambda m: canon[m.group(0)], collapse(text))

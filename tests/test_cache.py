@@ -13,12 +13,10 @@ from ontomatch.cache import ResponseCache, atomic_open
 
 def test_put_get_round_trip(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
-    cache.put("define", "abc123", {"text": "A definition.", "model": "m"})
-    got = cache.get("define", "abc123")
-    assert got["text"] == "A definition."
-    assert got["model"] == "m"
-    assert got["digest"] == "abc123"
-    assert "created_at" in got
+    cache.put("define", "abc123", {"text": "A définition."})
+    assert cache.get("define", "abc123") == {"text": "A définition."}
+    entry = tmp_path / "cache" / "define" / "abc123.json"
+    assert entry.read_bytes() == '{"text": "A définition."}'.encode("utf-8")
 
 
 def test_get_missing_returns_none(tmp_path):
@@ -119,8 +117,8 @@ def test_get_or_compute_distinct_digests_compute_separately(tmp_path):
 def test_get_or_compute_returns_canonical_record(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     got = cache.get_or_compute("define", "d1", lambda: {"text": "x"})
-    assert got["digest"] == "d1"
-    assert "created_at" in got
+    assert got == {"text": "x"}
+    assert cache.get_or_compute("define", "d1", lambda: {"text": "y"}) == got
 
 
 def test_get_or_compute_returns_written_record_without_reading_back(tmp_path, monkeypatch):

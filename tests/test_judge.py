@@ -21,7 +21,7 @@ from ontomatch.judge import (
     write_judgements,
 )
 from ontomatch.model import Concept, ContextBlock, Judgement, Ontology
-from ontomatch.providers import MockProvider, TokenDistribution
+from ontomatch.providers import MockProvider
 
 from conftest import CountingProvider, golden_text
 from oracles import reference_p_yes
@@ -127,11 +127,6 @@ def test_include_definition_false_strips_definition_lines_everywhere():
 
 def test_p_yes_symmetric_distribution_is_half():
     assert p_yes({"YES": -1.0, "NO": -1.0}) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_p_yes_accepts_token_distribution_objects():
-    dist = TokenDistribution({"YES": -0.5, "NO": -2.0})
-    assert p_yes(dist) == p_yes({"YES": -0.5, "NO": -2.0})
 
 
 @pytest.mark.parametrize("shift", [0.0, 5.0, -3.7, 123.456])
@@ -256,7 +251,7 @@ class _MaybeProvider:
     embed_model_id = MockProvider().embed_model_id
 
     def classify_first_token(self, messages):
-        return TokenDistribution({"MAYBE": -0.1})
+        return {"MAYBE": -0.1}
 
 
 def test_judge_pair_never_caches_an_unparseable_judgement(cache):
@@ -269,6 +264,21 @@ def test_judge_pair_never_caches_an_unparseable_judgement(cache):
     j = judge_pair(prompt, a.iri, b.iri, 0.95, MockProvider(), cache)
     assert j.p_yes >= 0.99
     assert cache.contains("judge", prompt.digest)
+
+
+def test_judge_pair_serves_an_entry_with_extra_keys_as_it_is(cache):
+    """Entries once also held the digest, model id and a timestamp."""
+    a = simple_ctx("http://x.org/c#A", "heart")
+    b = simple_ctx("http://y.org/c#B", "heart")
+    prompt = judge_prompt(a, b, MockProvider())
+    old = {"digest": prompt.digest, "created_at": 1.0, "model": "m",
+           "entries": {"YES": -0.5, "NO": -2.0}}
+    cache.put("judge", prompt.digest, old)
+    provider = CountingProvider(MockProvider())
+    j = judge_pair(prompt, a.iri, b.iri, 0.95, provider, cache)
+    assert provider.classify_calls == 0
+    assert j.p_yes == p_yes({"YES": -0.5, "NO": -2.0})
+    assert cache.get("judge", prompt.digest) == old
 
 
 def _ontologies():

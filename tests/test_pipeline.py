@@ -107,6 +107,39 @@ def test_forced_rerun_is_byte_identical_via_caches(tmp_path, counting_toy_provid
     assert snapshot(config.out_dir) == before
 
 
+def cache_tree(cache_dir: str) -> dict[str, bytes]:
+    root = Path(cache_dir)
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_two_cold_runs_write_byte_identical_cache_trees(tmp_path):
+    trees = []
+    for run in ("first", "second"):
+        config = toy_config(tmp_path / run, ranking_cases=toy_ranking_cases(tmp_path),
+                            ranking_scorer="pyes", few_shot=1)
+        Pipeline(config).run()
+        trees.append(cache_tree(config.cache_dir))
+    assert {name.split("/")[0] for name in trees[0]} == {"define", "embed", "judge"}
+    assert trees[0] == trees[1]
+
+
+def test_cached_unparseable_judgement_is_recomputed_once(tmp_path, counting_toy_provider):
+    config = toy_config(tmp_path)
+    Pipeline(config).run()
+    before = snapshot(config.out_dir)
+    poisoned = sorted((tmp_path / "cache" / "judge").glob("*.json"))[0]
+    answer = poisoned.read_bytes()
+    poisoned.write_text(json.dumps({"entries": {"MAYBE": -0.1}}))
+
+    for expected_calls in (1, 0):
+        provider = counting_toy_provider(config)
+        Pipeline(config, provider=provider).run(force=True)
+        assert (provider.classify_calls, provider.total_calls) == (expected_calls,) * 2
+        assert snapshot(config.out_dir) == before
+    assert poisoned.read_bytes() == answer
+
+
 def test_provenance_counts_on_toy_run(tmp_path):
     config = toy_config(tmp_path)
     Pipeline(config).run()
@@ -744,6 +777,35 @@ def test_cli_config_errors_become_clean_failures(tmp_path):
     assert result.exit_code == 1
     assert "lambda_prob" in result.output
     assert "Traceback" not in result.output
+
+
+_BAD_CONFIGS = {
+    "reference": ({"reference": "missing.tsv"}, "reference 'missing.tsv' is not a file"),
+    "ranking_cases": ({"ranking_cases": "missing.tsv"},
+                      "ranking_cases 'missing.tsv' is not a file"),
+    "source": ({"source": None}, "source '' is not a file"),
+    "temperature": ({"temperature": -1}, "temperature must be >= 0, got -1"),
+    "top_p": ({"top_p": 0}, "top_p must be in (0, 1], got 0"),
+    "label_property": ({"label_property": ""}, "label_property must be non-empty"),
+    "max_workers": ({"max_workers": 0}, "max_workers must be >= 1, got 0"),
+    "few_shot": ({"few_shot": 5}, "few_shot=5 but only 2 examples available"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_CONFIGS))
+def test_cli_rejects_a_bad_config_before_any_stage(tmp_path, bad):
+    """An override of None leaves the key out of the config file."""
+    overrides, message = _BAD_CONFIGS[bad]
+    data = toy_config(tmp_path).to_dict()
+    data.update(overrides)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({k: v for k, v in data.items() if v is not None}))
+    result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # no uncaught exception
+    assert result.output == f"Error: {message}\n"
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache").exists()
 
 
 def _predictions_and_reference(tmp_path) -> tuple[Path, Path]:

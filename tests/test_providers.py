@@ -1,8 +1,10 @@
 """Providers: deterministic mock backend and the JSON-over-HTTP client."""
 
 import json
+import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,13 +24,13 @@ from ontomatch.providers import (
     QUEUE_PER_WORKER,
     MockProvider,
     SamplingParams,
-    TokenDistribution,
     prompt_digest,
     serve,
     validate_messages,
 )
 
-from oracles import cosine
+from conftest import TOY_DIR, load_alias_groups
+from oracles import alias_rewriter, cosine
 
 ALIASES = [
     ["abducens nerve", "nervus abducens", "lateral rectus nerve"],
@@ -92,11 +94,6 @@ def test_sampling_params_validation():
         SamplingParams(max_tokens=0)
 
 
-def test_token_distribution_requires_entries():
-    with pytest.raises(ValueError):
-        TokenDistribution({})
-
-
 # -- alias table --------------------------------------------------------------
 
 
@@ -122,6 +119,53 @@ def test_alias_table_longest_match_wins():
 def test_empty_alias_table_only_collapses():
     table = AliasTable()
     assert table.canonicalize("  A   B ") == "a b"
+
+
+def test_alias_table_ignores_members_that_collapse_to_nothing():
+    table = AliasTable([["heart", " "], ["", "cor"]])
+    assert table.canonicalize("ab") == "ab"
+    assert table.canonicalize("cor heart") == " heart"
+
+
+def _assert_matches_regex_oracle(groups, texts):
+    table, oracle = AliasTable(groups), alias_rewriter(groups)
+    assert [table.canonicalize(t) for t in texts] == [oracle(t) for t in texts]
+
+
+def test_alias_table_matches_the_regex_oracle_on_the_toy_groups():
+    groups = load_alias_groups()
+    texts = [m for g in groups for m in g]
+    for name in ("source.jsonl", "target.jsonl"):
+        for line in (TOY_DIR / name).read_text(encoding="utf-8").splitlines():
+            concept = json.loads(line)
+            texts += [concept["label"] or "", *concept["synonyms"]]
+            texts.append("; ".join([concept["label"] or "", *concept["synonyms"]]))
+    _assert_matches_regex_oracle(groups, texts)
+
+
+def test_alias_table_matches_the_regex_oracle_on_the_bench_groups(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import gen
+
+    sources, targets, groups, _, _ = gen.build(3, 400)
+    texts = [m for g in groups for m in g]
+    for c in sources + targets:
+        texts += [c.label or "", *c.synonyms]
+        texts.append(f"Label: {c.label}; Synonyms: {', '.join(c.synonyms)};")
+    _assert_matches_regex_oracle(groups, texts)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_alias_table_matches_the_regex_oracle_on_random_strings(seed):
+    """Aliases of a few characters from "a", "b" and spaces, in either case,
+    nest inside and overlap each other and the texts; some collapse to ""."""
+    rng = random.Random(seed)
+
+    def word(low, high):
+        return "".join(rng.choice("abAB  ") for _ in range(rng.randint(low, high)))
+
+    groups = [[word(0, 5) for _ in range(rng.randint(1, 4))] for _ in range(rng.randint(1, 8))]
+    _assert_matches_regex_oracle(groups, [word(0, 40) for _ in range(50)])
 
 
 # -- mock embeddings ----------------------------------------------------------
@@ -217,13 +261,13 @@ def test_mock_judge_yes_when_canonical_names_match():
     dist = provider.classify_first_token(
         judge_messages("abducens nerve", "Nervus Abducens")
     )
-    assert dist.entries == {"YES": -0.001, "NO": -7.0}
+    assert dist == {"YES": -0.001, "NO": -7.0}
 
 
 def test_mock_judge_no_when_names_differ():
     provider = MockProvider()
     dist = provider.classify_first_token(judge_messages("left kidney", "right kidney"))
-    assert dist.entries == {"YES": -7.0, "NO": -0.001}
+    assert dist == {"YES": -7.0, "NO": -0.001}
 
 
 def test_mock_prompt_size_limit():
@@ -416,7 +460,7 @@ def test_http_classify_keeps_max_logprob_per_token():
         {"token": "YES", "logprob": -5.0},
     ])])
     dist = provider.classify_first_token(judge_messages("a", "b"))
-    assert dist.entries == {"YES": -0.01, "NO": -4.6, ".": -9.2}
+    assert dist == {"YES": -0.01, "NO": -4.6, ".": -9.2}
     sent = session.calls[0]["json"]
     assert sent["max_tokens"] == 1
     assert sent["temperature"] == 0.0
@@ -427,6 +471,12 @@ def test_http_classify_keeps_max_logprob_per_token():
 def test_http_classify_without_logprobs_is_a_capability_error():
     provider, _, _ = http_provider([chat_response("YES")])
     with pytest.raises(CapabilityError):
+        provider.classify_first_token(judge_messages("a", "b"))
+
+
+def test_http_classify_rejects_an_empty_logprob_list():
+    provider, _, _ = http_provider([logprob_response([])])
+    with pytest.raises(CapabilityError, match="empty"):
         provider.classify_first_token(judge_messages("a", "b"))
 
 
