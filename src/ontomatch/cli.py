@@ -25,7 +25,8 @@ def common_options(fn):
     @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
                   default=None, help="JSON config file.")
     @click.option("--source", type=click.Path(exists=True, dir_okay=False), default=None,
-                  help="Source ontology file (.owl/.rdf/.xml or .jsonl).")
+                  help="Source ontology file: RDF/XML or concept JSONL, told apart by "
+                       "its first non-blank byte ('<' or '{').")
     @click.option("--target", type=click.Path(exists=True, dir_okay=False), default=None,
                   help="Target ontology file.")
     @click.option("--source-name", default=None, help="Display name of the source ontology.")

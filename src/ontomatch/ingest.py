@@ -1,12 +1,12 @@
 """Ontology ingestion.
 
-Two input formats:
+Two input formats, told apart by the file's first non-blank byte:
 
-* ``owl-xml-subset`` -- RDF/XML restricted to named classes, ``rdfs:subClassOf``
+* RDF/XML (``<``) -- restricted to named classes, ``rdfs:subClassOf``
   with named superclasses, and ``owl:equivalentClass`` axioms built from
   intersections and existential restrictions over named fillers. Anything
   outside the subset is skipped and counted, never a hard failure.
-* ``concept-jsonl`` -- the package's canonical interchange format.
+* concept JSONL (``{``) -- the package's canonical interchange format.
 
 Annotation property IRIs select labels and synonyms; the defaults cover the
 conventional biomedical vocabularies (OBO, EFO, ORDO, FMA, SKOS, NCIt).
@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 import re
 import xml.etree.ElementTree as ET
+from codecs import BOM_UTF8
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Union
@@ -34,7 +35,7 @@ from .verbalize import ClassExpression, Intersection, Named, SomeValuesFrom, ver
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["ExtractionConfig", "parse_ontology", "infer_format"]
+__all__ = ["ExtractionConfig", "parse_ontology"]
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -96,13 +97,6 @@ def _resolve(ref: str, base: str) -> str:
     )
 
 
-def infer_format(path: Union[str, Path]) -> str:
-    suffix = Path(path).suffix.lower()
-    if suffix == ".jsonl":
-        return "concept-jsonl"
-    return "owl-xml-subset"
-
-
 @dataclass
 class _RawClass:
     iri: str
@@ -156,15 +150,18 @@ def _parse_expression(elem: ET.Element, base: str) -> ClassExpression | None:
     return None
 
 
-def _parse_owl(fp: IO[bytes], cfg: ExtractionConfig, name: str) -> Ontology:
+def _parse_owl(fp: IO[bytes], cfg: ExtractionConfig, name: str, skipped_lines: int) -> Ontology:
+    """Parse RDF/XML from ``fp``, positioned ``skipped_lines`` lines into the file."""
     try:
         tree = ET.parse(fp)
     except ET.ParseError as e:
-        line, column = e.position if e.position else (None, None)
+        line, column = e.position
         # expat already embeds ": line N, column M"; the position is attached
         # structurally, so strip the clause rather than printing it twice.
         msg = re.sub(r": line \d+, column \d+$", "", e.msg)
-        raise OntologyParseError(f"malformed XML: {msg}", line=line, column=column) from e
+        raise OntologyParseError(
+            f"malformed XML: {msg}", line=line + skipped_lines, column=column
+        ) from e
 
     root = tree.getroot()
     base = root.get(_XML_BASE, "")
@@ -240,17 +237,11 @@ def _parse_owl(fp: IO[bytes], cfg: ExtractionConfig, name: str) -> Ontology:
                 descriptions.append(verbalize(expr, label_index))
             except StructureError:
                 onto.stats.skipped_axioms += 1
-        seen_parents: set[str] = set()
-        parents = []
-        for p in rc.parents:
-            if p not in seen_parents:
-                seen_parents.add(p)
-                parents.append(p)
         concept = Concept(
             iri=iri,
             label=label,
             synonyms=dedupe_synonyms(label, extra_labels + rc.synonyms),
-            parents=parents,
+            parents=list(dict.fromkeys(rc.parents)),
             equiv_descriptions=descriptions,
         )
         if label is None:
@@ -272,25 +263,42 @@ def _parse_owl(fp: IO[bytes], cfg: ExtractionConfig, name: str) -> Ontology:
     return onto
 
 
+def _content_start(fp: IO[bytes]) -> tuple[int, int, bytes]:
+    """The offset and the number of blank lines before a binary file's first
+    non-blank line, after an optional UTF-8 BOM, and that line's first
+    non-blank byte (``b""`` when there is none)."""
+    if fp.read(len(BOM_UTF8)) != BOM_UTF8:
+        fp.seek(0)
+    lines = 0
+    while (line := fp.readline(1 << 16)).isspace():
+        lines += 1
+    return fp.tell() - len(line), lines, line.lstrip()[:1]
+
+
 def parse_ontology(
     source: Union[str, Path],
-    format: str = "auto",
     cfg: ExtractionConfig | None = None,
     name: str | None = None,
 ) -> Ontology:
     """Parse an ontology file into the in-memory model.
 
-    ``format`` is ``owl-xml-subset``, ``concept-jsonl``, or ``auto`` (inferred
-    from the file extension). ``name`` defaults to the file stem.
+    The reader follows the first non-blank byte after an optional UTF-8 BOM,
+    whatever the file is called: ``<`` is RDF/XML, ``{`` is concept JSONL,
+    and anything else, an empty file included, is an ``OntologyParseError``
+    that names the path. ``name`` defaults to the file stem.
     """
     cfg = cfg or ExtractionConfig()
     path = Path(source)
-    fmt = infer_format(path) if format == "auto" else format
     onto_name = name if name is not None else path.stem
-    if fmt == "concept-jsonl":
-        with open(path, "r", encoding="utf-8") as fp:
+    with open(path, "rb") as fp:
+        start, lines, first = _content_start(fp)
+        if first == b"<":
+            fp.seek(start)
+            return _parse_owl(fp, cfg, onto_name, lines)
+    if first == b"{":
+        with open(path, "r", encoding="utf-8-sig") as fp:
             return read_concept_jsonl(fp, name=onto_name)
-    if fmt == "owl-xml-subset":
-        with open(path, "rb") as fp:
-            return _parse_owl(fp, cfg, name=onto_name)
-    raise ValueError(f"unknown ontology format {fmt!r}")
+    found = f"starts with {first.decode('latin-1')!r}" if first else "is empty"
+    raise OntologyParseError(
+        f"{path} {found}: RDF/XML starts with '<' and concept JSONL with '{{'"
+    )

@@ -87,6 +87,8 @@ class FewShotExample:
         does not show."""
 
         def context(block: dict) -> ContextBlock:
+            if not isinstance(block, dict):
+                raise ValueError(f"few-shot concept must be an object, got {block!r}")
             return ContextBlock(
                 iri=block.get("iri", "urn:example:shot"),
                 label=block.get("label"),
@@ -96,6 +98,8 @@ class FewShotExample:
                 definition=block.get("definition"),
             )
 
+        if not isinstance(d, dict) or not {"a", "b", "answer"} <= d.keys():
+            raise ValueError(f"few-shot example must be an object with a, b and answer, got {d!r}")
         return cls(a=context(d["a"]), b=context(d["b"]), answer=d["answer"])
 
 

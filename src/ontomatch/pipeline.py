@@ -16,9 +16,10 @@ import json
 import logging
 import time
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
-from types import ModuleType
-from typing import Callable, Sequence
+from types import ModuleType, UnionType
+from typing import Callable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -96,22 +97,19 @@ class Stage:
     writes: tuple[str, ...] = ()
 
 
-_CONCEPTS = ("source.concepts.jsonl", "target.concepts.jsonl")
-_ENRICHED = ("source.enriched.jsonl", "target.enriched.jsonl")
-_EMBEDDINGS = (
-    "source.embeddings.npy",
-    "source.embeddings.json",
-    "target.embeddings.npy",
-    "target.embeddings.json",
-)
+# The two ontologies. Each has an input file and a display name in the config
+# (``{side}``, ``{side}_name``) and its own ``{side}.*`` artifacts.
+SIDES = ("source", "target")
+_CONCEPTS = tuple(f"{side}.concepts.jsonl" for side in SIDES)
+_ENRICHED = tuple(f"{side}.enriched.jsonl" for side in SIDES)
+_EMBEDDINGS = tuple(f"{side}.embeddings.{ext}" for side in SIDES for ext in ("npy", "json"))
 # Config that a pair's p_yes depends on, besides the model and template.
 _P_YES_CONFIG = ("shots", "use_definitions", "softmax_mode")
 
 STAGE_TABLE: dict[str, Stage] = {
     "ingest": Stage(
         files=("source", "target"),
-        config=("source_format", "target_format", "source_name", "target_name",
-                "label_property", "synonym_properties"),
+        config=("source_name", "target_name", "label_property", "synonym_properties"),
         writes=_CONCEPTS,
     ),
     "define": Stage(
@@ -163,12 +161,23 @@ STAGES = tuple(STAGE_TABLE)
 _PRODUCER = {a: stage for stage, row in STAGE_TABLE.items() for a in row.writes}
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has a config field's type: an int is a float, a
+    bool is only a bool, and a list's items have the item type."""
+    if get_origin(hint) is UnionType:
+        return any(_fits(value, h) for h in get_args(hint))
+    if get_origin(hint) is list:
+        (item,) = get_args(hint)
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 @dataclass
 class PipelineConfig:
     source: str = ""
     target: str = ""
-    source_format: str = "auto"
-    target_format: str = "auto"
     source_name: str = "source"
     target_name: str = "target"
     out_dir: str = "out"
@@ -194,27 +203,21 @@ class PipelineConfig:
     few_shot_examples: list[dict] | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.lambda_prob <= 1.0:
-            raise ConfigError(f"lambda_prob must be in [0, 1], got {self.lambda_prob}")
-        if not 0.0 <= self.lambda_cs <= 1.0:
-            raise ConfigError(f"lambda_cs must be in [0, 1], got {self.lambda_cs}")
-        for name in ("source_format", "target_format"):
-            value = getattr(self, name)
-            if value not in ("auto", "owl-xml-subset", "concept-jsonl"):
-                raise ConfigError(f"{name} must be 'auto', 'owl-xml-subset' or "
-                                  f"'concept-jsonl', got {value!r}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.few_shot < 0:
-            raise ConfigError(f"few_shot must be >= 0, got {self.few_shot}")
-        if self.softmax_mode not in ("pair", "full"):
-            raise ConfigError(f"softmax_mode must be 'pair' or 'full', got {self.softmax_mode!r}")
-        if self.ranking_scorer not in ("cosine", "pyes"):
-            raise ConfigError(
-                f"ranking_scorer must be 'cosine' or 'pyes', got {self.ranking_scorer!r}"
-            )
-        if self.max_workers < 1:
-            raise ConfigError(f"max_workers must be >= 1, got {self.max_workers}")
+        hints = get_type_hints(PipelineConfig)
+        for f in fields(self):
+            if not _fits(getattr(self, f.name), hints[f.name]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}")
+        for name, ok, rule in (
+            ("lambda_prob", 0.0 <= self.lambda_prob <= 1.0, "in [0, 1]"),
+            ("lambda_cs", 0.0 <= self.lambda_cs <= 1.0, "in [0, 1]"),
+            ("k", self.k >= 1, ">= 1"),
+            ("few_shot", self.few_shot >= 0, ">= 0"),
+            ("softmax_mode", self.softmax_mode in ("pair", "full"), "'pair' or 'full'"),
+            ("ranking_scorer", self.ranking_scorer in ("cosine", "pyes"), "'cosine' or 'pyes'"),
+            ("max_workers", self.max_workers >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         try:  # the objects the stages build from these fields check them
             self.sampling()
             self.extraction_config()
@@ -227,8 +230,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
@@ -240,6 +242,8 @@ class PipelineConfig:
                 data = json.load(fp)
             except json.JSONDecodeError as e:
                 raise ConfigError(f"invalid config JSON in {path}: {e}") from e
+        if not isinstance(data, dict):
+            raise ConfigError(f"config in {path} must be a JSON object, got {type(data).__name__}")
         return cls.from_dict(data)
 
     def extraction_config(self) -> ExtractionConfig:
@@ -256,12 +260,10 @@ class PipelineConfig:
         )
 
     def shots(self) -> tuple[FewShotExample, ...]:
-        if self.few_shot == 0:
-            return ()
-        if self.few_shot_examples is not None:
-            pool = tuple(map(FewShotExample.from_dict, self.few_shot_examples))
-        else:
+        if self.few_shot_examples is None:
             pool = DEFAULT_FEW_SHOT
+        else:
+            pool = tuple(map(FewShotExample.from_dict, self.few_shot_examples))
         if self.few_shot > len(pool):
             raise ConfigError(
                 f"few_shot={self.few_shot} but only {len(pool)} examples available"
@@ -328,8 +330,11 @@ class StageManifest:
         if path.exists():
             try:
                 with open(path, "r", encoding="utf-8") as fp:
-                    self.stages = json.load(fp).get("stages", {})
-            except json.JSONDecodeError:
+                    stages = json.load(fp).get("stages", {})
+                if not all(isinstance(e.get("outputs", {}), dict) for e in stages.values()):
+                    raise ValueError("an entry's outputs are not an object")
+                self.stages = stages
+            except (ValueError, AttributeError):  # not UTF-8 JSON of stage entries
                 logger.warning("ignoring corrupt manifest %s", path)
 
     def save(self) -> None:
@@ -388,38 +393,42 @@ class Pipeline:
         with atomic_open(self._artifact(name)) as fp:
             writer(fp)
 
-    def _load_ontology(self, name: str, onto_name: str) -> Ontology:
-        with open(self._artifact(name), "r", encoding="utf-8") as fp:
-            return read_concept_jsonl(fp, name=onto_name)
+    def _name(self, side: str) -> str:
+        return getattr(self.config, f"{side}_name")
+
+    def _load_ontology(self, side: str, kind: str) -> Ontology:
+        """One side's ``concepts`` or ``enriched`` artifact, under its name."""
+        with open(self._artifact(f"{side}.{kind}.jsonl"), "r", encoding="utf-8") as fp:
+            return read_concept_jsonl(fp, name=self._name(side))
+
+    def _load_embeddings(self, side: str) -> tuple[list[str], np.ndarray]:
+        """One side's embedding artifact: its IRIs and their vectors."""
+        iris, matrix, _ = load_embeddings(self._artifact(f"{side}.embeddings"))
+        return iris, matrix
 
     # -- stages ---------------------------------------------------------------
 
     def _stage_ingest(self, limit: int | None) -> None:
         cfg = self.config
-        for path, fmt, onto_name, artifact in (
-            (cfg.source, cfg.source_format, cfg.source_name, "source.concepts.jsonl"),
-            (cfg.target, cfg.target_format, cfg.target_name, "target.concepts.jsonl"),
-        ):
-            onto = parse_ontology(path, format=fmt, cfg=cfg.extraction_config(), name=onto_name)
+        for side in SIDES:
+            onto = parse_ontology(getattr(cfg, side), cfg=cfg.extraction_config(),
+                                  name=self._name(side))
             logger.info("ingested %s: %d concepts (%d dangling parent refs)",
-                        onto_name, len(onto), onto.dangling_parent_count)
-            self._write_text(artifact, lambda fp, o=onto: write_concept_jsonl(o, fp))
+                        onto.name, len(onto), onto.dangling_parent_count)
+            self._write_text(f"{side}.concepts.jsonl", partial(write_concept_jsonl, onto))
 
     def _stage_define(self, limit: int | None) -> bool:
         """Returns True when the stage fully covered all concepts."""
         cfg = self.config
         complete = True
         remaining = limit
-        for concepts_name, enriched_name, onto_name, other in (
-            ("source.concepts.jsonl", "source.enriched.jsonl", cfg.source_name, cfg.target_name),
-            ("target.concepts.jsonl", "target.enriched.jsonl", cfg.target_name, cfg.source_name),
-        ):
-            onto = self._load_ontology(concepts_name, onto_name)
+        for side, other in zip(SIDES, reversed(SIDES)):
+            onto = self._load_ontology(side, "concepts")
             if cfg.use_definitions:
                 todo = sum(1 for c in onto.concepts.values() if c.definition is None)
                 processed = enrich_ontology(
                     onto,
-                    other,
+                    self._name(other),
                     self.provider,
                     self.cache,
                     params=cfg.sampling(),
@@ -430,55 +439,37 @@ class Pipeline:
                     remaining = max(0, remaining - processed)
                 if processed < todo:
                     complete = False
-            self._write_text(enriched_name, lambda fp, o=onto: write_concept_jsonl(o, fp))
+            self._write_text(f"{side}.enriched.jsonl", partial(write_concept_jsonl, onto))
         return complete
 
-    def _embedding_cache_key(self, texts: list[str]) -> str:
-        return _digest_of({"model": self.provider.embed_model_id, "texts": texts})
-
-    def _embed_ontology(self, onto: Ontology, base_name: str) -> None:
-        iris = sorted(onto.concepts)
-        texts = [
-            build_embedding_text(onto.concepts[i], include_definition=self.config.use_definitions)
-            for i in iris
-        ]
-        key = self._embedding_cache_key(texts)
-        cache_base = Path(self.config.cache_dir) / "embed" / key
-        matrix = None
-        if all(path.exists() for path in embedding_paths(cache_base)):
-            try:
-                # Rows follow the texts the key covers, whatever IRIs the
-                # entry was written under.
-                _, matrix, _ = load_embeddings(cache_base)
-            except ValueError as e:
-                logger.warning("recomputing corrupt embedding cache entry %s: %s", key, e)
-        if matrix is None:
-            vectors = self.provider.embed_batch(texts)
-            matrix = np.stack(vectors)
-            save_embeddings(cache_base, iris, matrix, self.provider.embed_model_id)
-        save_embeddings(
-            self._artifact(base_name), iris, matrix, self.provider.embed_model_id
-        )
-
     def _stage_embed(self, limit: int | None) -> None:
-        for concepts_name, base, onto_name in (
-            ("source.enriched.jsonl", "source.embeddings", self.config.source_name),
-            ("target.enriched.jsonl", "target.embeddings", self.config.target_name),
-        ):
-            onto = self._load_ontology(concepts_name, onto_name)
-            self._embed_ontology(onto, base)
+        model = self.provider.embed_model_id
+        for side in SIDES:
+            onto = self._load_ontology(side, "enriched")
+            iris = sorted(onto.concepts)
+            texts = [build_embedding_text(onto.concepts[i], self.config.use_definitions)
+                     for i in iris]
+            key = _digest_of({"model": model, "texts": texts})
+            cache_base = Path(self.config.cache_dir) / "embed" / key
+            matrix = None
+            if all(path.exists() for path in embedding_paths(cache_base)):
+                try:
+                    # Rows follow the texts the key covers, whatever IRIs the
+                    # entry was written under.
+                    _, matrix, _ = load_embeddings(cache_base)
+                except ValueError as e:
+                    logger.warning("recomputing corrupt embedding cache entry %s: %s", key, e)
+            if matrix is None:
+                matrix = np.stack(self.provider.embed_batch(texts))
+                save_embeddings(cache_base, iris, matrix, model)
+            save_embeddings(self._artifact(f"{side}.embeddings"), iris, matrix, model)
 
     def _stage_match(self, limit: int | None) -> None:
         cfg = self.config
-        src_iris, src_matrix, _ = load_embeddings(self._artifact("source.embeddings"))
-        tgt_iris, tgt_matrix, _ = load_embeddings(self._artifact("target.embeddings"))
-        candidates = generate_candidates(
-            src_iris, src_matrix, build_index(tgt_iris, tgt_matrix), k=cfg.k
-        )
+        source, target = map(self._load_embeddings, SIDES)
+        candidates = generate_candidates(*source, build_index(*target), k=cfg.k)
         if cfg.bidirectional:
-            backward = generate_candidates(
-                tgt_iris, tgt_matrix, build_index(src_iris, src_matrix), k=cfg.k
-            )
+            backward = generate_candidates(*target, build_index(*source), k=cfg.k)
             candidates = merge_candidate_maps(candidates, backward)
         self._write_text("candidates.tsv", lambda fp: write_candidates(candidates, fp))
 
@@ -489,8 +480,7 @@ class Pipeline:
         cfg = self.config
         return judge_candidates(
             candidates,
-            self._load_ontology("source.enriched.jsonl", cfg.source_name),
-            self._load_ontology("target.enriched.jsonl", cfg.target_name),
+            *(self._load_ontology(side, "enriched") for side in SIDES),
             self.provider,
             self.cache,
             shots=cfg.shots(),
@@ -514,9 +504,7 @@ class Pipeline:
         cfg = self.config
         with open(self._artifact("judgements.tsv"), "r", encoding="utf-8") as fp:
             judgements = read_judgements(fp)
-        source = self._load_ontology("source.concepts.jsonl", cfg.source_name)
-        target = self._load_ontology("target.concepts.jsonl", cfg.target_name)
-        exact = exact_match(source, target)
+        exact = exact_match(*(self._load_ontology(side, "concepts") for side in SIDES))
         fused = filter_and_fuse(
             judgements, exact, lambda_prob=cfg.lambda_prob, lambda_cs=cfg.lambda_cs
         )
@@ -531,9 +519,7 @@ class Pipeline:
         ``judge_candidates`` call (0.0 for a missing concept)."""
         cfg = self.config
         if cfg.ranking_scorer == "cosine":
-            src_iris, src_matrix, _ = load_embeddings(self._artifact("source.embeddings"))
-            tgt_iris, tgt_matrix, _ = load_embeddings(self._artifact("target.embeddings"))
-            src, tgt = dict(zip(src_iris, src_matrix)), dict(zip(tgt_iris, tgt_matrix))
+            src, tgt = (dict(zip(*self._load_embeddings(side))) for side in SIDES)
             return lambda pairs: {
                 (s, t): cosine(src[s], tgt[t]) if s in src and t in tgt else -1.0
                 for s, t in pairs

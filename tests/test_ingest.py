@@ -1,11 +1,12 @@
-"""OWL/XML subset ingestion and format dispatch."""
+"""OWL/XML subset ingestion and format detection."""
 
 import json
+import re
 
 import pytest
 
 from ontomatch.errors import OntologyParseError
-from ontomatch.ingest import ExtractionConfig, infer_format, parse_ontology
+from ontomatch.ingest import ExtractionConfig, parse_ontology
 
 RDF_OPEN = (
     '<?xml version="1.0"?>\n'
@@ -222,7 +223,7 @@ def test_malformed_xml_reports_position(tmp_path):
     path = tmp_path / "broken.owl"
     path.write_text('<?xml version="1.0"?>\n<rdf:RDF>\n  <broken\n')
     with pytest.raises(OntologyParseError) as exc:
-        parse_ontology(str(path), format="owl-xml-subset")
+        parse_ontology(str(path))
     assert "malformed XML" in str(exc.value)
     assert exc.value.line is not None
 
@@ -247,12 +248,6 @@ def test_extraction_config_requires_label_property():
         ExtractionConfig(label_property="")
 
 
-def test_infer_format():
-    assert infer_format("x/concepts.jsonl") == "concept-jsonl"
-    assert infer_format("x/onto.owl") == "owl-xml-subset"
-    assert infer_format("x/onto.xml") == "owl-xml-subset"
-
-
 def test_parse_ontology_jsonl_path_and_default_name(tmp_path):
     path = tmp_path / "animals.jsonl"
     path.write_text(json.dumps({"iri": "http://x.org/c#Cat", "label": "Cat"}) + "\n")
@@ -265,6 +260,61 @@ def test_parse_ontology_jsonl_path_and_default_name(tmp_path):
 
 def test_parse_ontology_rejects_unknown_format(tmp_path):
     path = tmp_path / "onto.owl"
-    path.write_text("ignored")
-    with pytest.raises(ValueError):
-        parse_ontology(path, format="turtle")
+    path.write_text("@prefix owl: <http://www.w3.org/2002/07/owl#> .\n")
+    with pytest.raises(OntologyParseError) as exc:
+        parse_ontology(path)
+    assert str(path) in str(exc.value)
+    assert "starts with '@'" in str(exc.value)
+
+
+@pytest.mark.parametrize("content", ["", "\n \r\n\t\n", "\ufeff"])
+def test_parse_ontology_rejects_an_empty_file(tmp_path, content):
+    path = tmp_path / "onto.jsonl"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(OntologyParseError, match=re.escape(f"{path} is empty")):
+        parse_ontology(path)
+
+
+JSONL = json.dumps({"iri": "http://x.org/c#Cat", "label": "Cat", "synonyms": ["Moggy"]}) + "\n"
+
+
+def assert_same_ontology(left, right):
+    assert left.name == right.name
+    assert left.concepts == right.concepts
+    assert left.stats == right.stats
+
+
+def test_format_follows_the_content_not_the_file_name(tmp_path):
+    owl = parse_ontology(write_owl(tmp_path, BASIC_BODY), name="o")
+    (tmp_path / "onto.owl").rename(tmp_path / "owl.jsonl")
+    assert_same_ontology(parse_ontology(tmp_path / "owl.jsonl", name="o"), owl)
+
+    (tmp_path / "concepts.jsonl").write_text(JSONL, encoding="utf-8")
+    (tmp_path / "concepts.owl").write_text(JSONL, encoding="utf-8")
+    assert_same_ontology(parse_ontology(tmp_path / "concepts.owl", name="c"),
+                         parse_ontology(tmp_path / "concepts.jsonl", name="c"))
+
+
+@pytest.mark.parametrize("prefix", ["\ufeff", "\n\n", " \r\n\t\n", "\ufeff\n  \n"])
+def test_a_leading_bom_or_blank_lines_are_accepted(tmp_path, prefix):
+    owl = parse_ontology(write_owl(tmp_path, BASIC_BODY), name="o")
+    doc = (tmp_path / "onto.owl").read_text(encoding="utf-8")
+    (tmp_path / "padded.owl").write_text(prefix + doc, encoding="utf-8")
+    assert_same_ontology(parse_ontology(tmp_path / "padded.owl", name="o"), owl)
+
+    (tmp_path / "concepts.jsonl").write_text(JSONL, encoding="utf-8")
+    (tmp_path / "padded.jsonl").write_text(prefix + JSONL, encoding="utf-8")
+    assert_same_ontology(parse_ontology(tmp_path / "padded.jsonl", name="c"),
+                         parse_ontology(tmp_path / "concepts.jsonl", name="c"))
+
+
+def test_malformed_xml_after_blank_lines_reports_the_file_line(tmp_path):
+    path = tmp_path / "broken.owl"
+    path.write_text('\n\n<?xml version="1.0"?>\n<rdf:RDF>\n  <broken\n')
+    with pytest.raises(OntologyParseError) as exc:
+        parse_ontology(path)
+    unpadded = tmp_path / "unpadded.owl"
+    unpadded.write_text('<?xml version="1.0"?>\n<rdf:RDF>\n  <broken\n')
+    with pytest.raises(OntologyParseError) as expected:
+        parse_ontology(unpadded)
+    assert (exc.value.line, exc.value.column) == (expected.value.line + 2, expected.value.column)

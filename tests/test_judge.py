@@ -3,6 +3,7 @@
 import io
 import math
 import random
+import re
 
 import pytest
 
@@ -90,6 +91,17 @@ def test_few_shot_prompt_arity_and_roles():
 def test_few_shot_example_validates_answer():
     with pytest.raises(ValueError):
         FewShotExample(a=NERVE_A, b=NERVE_B, answer="MAYBE")
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"b": {"label": "x"}, "answer": "YES"}, "an object with a, b and answer, got {'b'"),
+    ({"a": {}, "b": {}}, "an object with a, b and answer, got {'a': {}, 'b': {}}"),
+    ("x", "an object with a, b and answer, got 'x'"),
+    ({"a": {}, "b": ["y"], "answer": "NO"}, "concept must be an object, got ['y']"),
+])
+def test_few_shot_example_from_dict_rejects_a_misshapen_entry(entry, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FewShotExample.from_dict(entry)
 
 
 def test_concept_block_omits_empty_lines():
