@@ -31,7 +31,7 @@ from .model import (
     read_concept_jsonl,
     write_concept_jsonl,
 )
-from .ingest import ExtractionConfig, parse_ontology
+from .ingest import parse_ontology
 from .verbalize import ClassExpression, Intersection, Named, SomeValuesFrom, verbalize
 from .providers import (
     AliasTable,

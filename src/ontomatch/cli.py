@@ -39,7 +39,8 @@ def common_options(fn):
     @click.option("--few-shot", type=int, default=None,
                   help="Number of few-shot examples for the judge (default 0).")
     @click.option("--no-definitions", "use_definitions", flag_value=False, default=None,
-                  help="Skip definition enrichment everywhere (ablation).")
+                  help="Ablation: define writes no definitions, so embed and judge "
+                       "see none.")
     @click.option("--provider", type=click.Choice(["mock", "http"]), default=None,
                   help="Provider backend (default from config; mock otherwise).")
     @click.option("--cache-dir", type=click.Path(file_okay=False), default=None,
@@ -50,7 +51,7 @@ def common_options(fn):
                   help="Reference mapping TSV for evaluation.")
     @click.option("--force", is_flag=True, default=False,
                   help="Re-run stages even when inputs are unchanged.")
-    @click.option("--limit", type=int, default=None,
+    @click.option("--limit", type=click.IntRange(min=0), default=None,
                   help="Bound the number of items processed by define/judge.")
     @click.option("--bidirectional", flag_value=True, default=None,
                   help="Union candidates from both retrieval directions.")

@@ -116,8 +116,9 @@ def generate_definition(
     """Generate (or replay from ``cache``) the definition that the
     ``definition_prompt`` of concept ``iri`` asks for.
 
-    Returns "" when the provider persistently yields nothing usable; the
-    caller records the concept as flagged rather than failing the stage.
+    Returns "" when the provider fails or yields nothing usable. That ""
+    is cached like any answer, so later runs serve it instead of asking the
+    provider again, and the stage does not fail.
     """
 
     def compute() -> dict:
@@ -172,7 +173,7 @@ def truncate_words(text: str, max_words: int = DEFINITION_MAX_WORDS) -> str:
     return " ".join(words[:max_words])
 
 
-def build_embedding_text(concept: Concept, include_definition: bool = True) -> str:
+def build_embedding_text(concept: Concept) -> str:
     """Embedding input string: ``Label: ...; Synonyms: a, b; Definition: ...;``.
 
     Absent segments are omitted. Definitions are truncated to
@@ -184,7 +185,7 @@ def build_embedding_text(concept: Concept, include_definition: bool = True) -> s
         segments.append(f"Label: {concept.label}")
     if concept.synonyms:
         segments.append("Synonyms: " + ", ".join(concept.synonyms))
-    if include_definition and concept.definition:
+    if concept.definition:
         segments.append("Definition: " + truncate_words(concept.definition))
     if not segments:
         logger.warning(

@@ -20,7 +20,7 @@ import xml.etree.ElementTree as ET
 from codecs import BOM_UTF8
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, Sequence, Union
 from urllib.parse import urljoin
 
 from .errors import OntologyParseError, StructureError
@@ -35,7 +35,7 @@ from .verbalize import ClassExpression, Intersection, Named, SomeValuesFrom, ver
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["ExtractionConfig", "parse_ontology"]
+__all__ = ["DEFAULT_LABEL_PROPERTY", "DEFAULT_SYNONYM_PROPERTIES", "parse_ontology"]
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -68,16 +68,6 @@ DEFAULT_SYNONYM_PROPERTIES = (
     "http://ncicb.nci.nih.gov/xml/owl/EVS/Thesaurus.owl#P108",
     "http://ncicb.nci.nih.gov/xml/owl/EVS/Thesaurus.owl#P90",
 )
-
-
-@dataclass(frozen=True)
-class ExtractionConfig:
-    label_property: str = DEFAULT_LABEL_PROPERTY
-    synonym_properties: tuple[str, ...] = DEFAULT_SYNONYM_PROPERTIES
-
-    def __post_init__(self):
-        if not self.label_property:
-            raise ValueError("label_property must be non-empty")
 
 
 def _tag_to_iri(tag: str) -> str:
@@ -150,7 +140,8 @@ def _parse_expression(elem: ET.Element, base: str) -> ClassExpression | None:
     return None
 
 
-def _parse_owl(fp: IO[bytes], cfg: ExtractionConfig, name: str, skipped_lines: int) -> Ontology:
+def _parse_owl(fp: IO[bytes], name: str, skipped_lines: int, label_property: str,
+               synonym_properties: Sequence[str]) -> Ontology:
     """Parse RDF/XML from ``fp``, positioned ``skipped_lines`` lines into the file."""
     try:
         tree = ET.parse(fp)
@@ -183,7 +174,7 @@ def _parse_owl(fp: IO[bytes], cfg: ExtractionConfig, name: str, skipped_lines: i
 
         # Any described entity may contribute a label for verbalization.
         for child in elem:
-            if _tag_to_iri(child.tag) == cfg.label_property and child.text and child.text.strip():
+            if _tag_to_iri(child.tag) == label_property and child.text and child.text.strip():
                 label_index.setdefault(iri, child.text.strip())
                 break
 
@@ -194,10 +185,10 @@ def _parse_owl(fp: IO[bytes], cfg: ExtractionConfig, name: str, skipped_lines: i
         for child in elem:
             child_iri = _tag_to_iri(child.tag)
             text = child.text.strip() if child.text else ""
-            if child_iri == cfg.label_property:
+            if child_iri == label_property:
                 if text:
                     rc.labels.append(text)
-            elif child_iri in cfg.synonym_properties:
+            elif child_iri in synonym_properties:
                 if text:
                     rc.synonyms.append(text)
             elif child.tag == _RDFS_SUBCLASS:
@@ -277,24 +268,28 @@ def _content_start(fp: IO[bytes]) -> tuple[int, int, bytes]:
 
 def parse_ontology(
     source: Union[str, Path],
-    cfg: ExtractionConfig | None = None,
     name: str | None = None,
+    label_property: str = DEFAULT_LABEL_PROPERTY,
+    synonym_properties: Sequence[str] = DEFAULT_SYNONYM_PROPERTIES,
 ) -> Ontology:
     """Parse an ontology file into the in-memory model.
 
     The reader follows the first non-blank byte after an optional UTF-8 BOM,
     whatever the file is called: ``<`` is RDF/XML, ``{`` is concept JSONL,
     and anything else, an empty file included, is an ``OntologyParseError``
-    that names the path. ``name`` defaults to the file stem.
+    that names the path. ``name`` defaults to the file stem. RDF/XML takes
+    labels from ``label_property`` and synonyms from ``synonym_properties``;
+    an empty ``label_property`` is a ``ValueError``.
     """
-    cfg = cfg or ExtractionConfig()
+    if not label_property:
+        raise ValueError("label_property must be non-empty")
     path = Path(source)
     onto_name = name if name is not None else path.stem
     with open(path, "rb") as fp:
         start, lines, first = _content_start(fp)
         if first == b"<":
             fp.seek(start)
-            return _parse_owl(fp, cfg, onto_name, lines)
+            return _parse_owl(fp, onto_name, lines, label_property, synonym_properties)
     if first == b"{":
         with open(path, "r", encoding="utf-8-sig") as fp:
             return read_concept_jsonl(fp, name=onto_name)

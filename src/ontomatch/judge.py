@@ -50,23 +50,19 @@ NO_VARIANTS = ("NO", "No", "no", " NO", " No", " no")
 LOGPROB_FLOOR = -20.0
 
 
-def _concept_block(heading: str, ctx: ContextBlock, include_definition: bool) -> str:
+def _concept_block(heading: str, ctx: ContextBlock) -> str:
     lines = [heading, f"Name: {ctx.display_name()}"]
     if ctx.synonyms:
         lines.append("Synonyms: " + ", ".join(ctx.synonyms))
     if ctx.parents:
         lines.append("Superclass: " + ", ".join(ctx.parents))
-    if include_definition and ctx.definition:
+    if ctx.definition:
         lines.append(f"Definition: {ctx.definition}")
     return "\n".join(lines)
 
 
-def _pair_text(a: ContextBlock, b: ContextBlock, include_definition: bool) -> str:
-    return (
-        _concept_block("Concept A", a, include_definition)
-        + "\n\n"
-        + _concept_block("Concept B", b, include_definition)
-    )
+def _pair_text(a: ContextBlock, b: ContextBlock) -> str:
+    return _concept_block("Concept A", a) + "\n\n" + _concept_block("Concept B", b)
 
 
 @dataclass(frozen=True)
@@ -84,11 +80,23 @@ class FewShotExample:
         """An example from ``{"a": {...}, "b": {...}, "answer": "YES" | "NO"}``.
         Each concept takes ``label``, ``synonyms``, ``parents``,
         ``descriptions``, ``definition`` and an ``iri``, which the prompt
-        does not show."""
+        does not show. A value of the wrong JSON type is a ``ValueError``
+        that names its key."""
 
         def context(block: dict) -> ContextBlock:
             if not isinstance(block, dict):
                 raise ValueError(f"few-shot concept must be an object, got {block!r}")
+            for key in ("synonyms", "parents", "descriptions"):
+                value = block.get(key, [])
+                if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                    raise ValueError(
+                        f"few-shot concept {key!r} must be a list of strings, got {value!r}")
+            for key, kind, wanted in (("iri", str, "a string"),
+                                      ("label", str | None, "a string or null"),
+                                      ("definition", str | None, "a string or null")):
+                value = block.get(key, "")
+                if not isinstance(value, kind):
+                    raise ValueError(f"few-shot concept {key!r} must be {wanted}, got {value!r}")
             return ContextBlock(
                 iri=block.get("iri", "urn:example:shot"),
                 label=block.get("label"),
@@ -148,16 +156,13 @@ def build_judgement_prompt(
     a: ContextBlock,
     b: ContextBlock,
     shots: Sequence[FewShotExample] = (),
-    include_definition: bool = True,
 ) -> list[Message]:
     """System turn, alternating few-shot user/assistant turns, live user turn."""
     messages: list[Message] = [{"role": "system", "content": JUDGE_SYSTEM}]
     for shot in shots:
-        messages.append(
-            {"role": "user", "content": _pair_text(shot.a, shot.b, include_definition)}
-        )
+        messages.append({"role": "user", "content": _pair_text(shot.a, shot.b)})
         messages.append({"role": "assistant", "content": shot.answer})
-    messages.append({"role": "user", "content": _pair_text(a, b, include_definition)})
+    messages.append({"role": "user", "content": _pair_text(a, b)})
     return messages
 
 
@@ -205,12 +210,9 @@ def judge_prompt(
     target_ctx: ContextBlock,
     provider: Provider,
     shots: Sequence[FewShotExample] = (),
-    include_definition: bool = True,
 ) -> Prompt:
     """The judge prompt of one pair, keyed for ``provider``'s chat model."""
-    messages = build_judgement_prompt(
-        source_ctx, target_ctx, shots=shots, include_definition=include_definition
-    )
+    messages = build_judgement_prompt(source_ctx, target_ctx, shots=shots)
     return Prompt(
         messages,
         prompt_digest("judge", JUDGE_TEMPLATE_VERSION, provider.chat_model_id, messages),
@@ -260,7 +262,6 @@ def judge_candidates(
     provider: Provider,
     cache: ResponseCache,
     shots: Sequence[FewShotExample] = (),
-    include_definition: bool = True,
     softmax_mode: str = "pair",
     limit: int | None = None,
     max_workers: int = 8,
@@ -286,7 +287,7 @@ def judge_candidates(
             if a is None or b is None:
                 logger.warning("skipping pair (%s, %s): concept missing", src, tgt)
                 continue
-            prompt = judge_prompt(a, b, provider, shots, include_definition)
+            prompt = judge_prompt(a, b, provider, shots)
             yield prompt.digest, functools.partial(
                 judge_pair, prompt, src, tgt, sim, provider, cache, softmax_mode
             )

@@ -8,7 +8,7 @@ Concept identity is the absolute IRI string. The JSONL interchange format
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 from .errors import OntologyParseError
@@ -29,8 +29,6 @@ __all__ = [
 ]
 
 T = TypeVar("T")
-
-_JSONL_KEYS = ("iri", "label", "synonyms", "parents", "equiv_descriptions", "definition")
 
 
 def is_absolute_iri(iri: str) -> bool:
@@ -55,6 +53,8 @@ def normalize_string(s: str) -> str:
 
 @dataclass
 class Concept:
+    """One class. Its fields, in this order, are the keys of a concept JSONL line."""
+
     iri: str
     label: str | None = None
     synonyms: list[str] = field(default_factory=list)
@@ -67,16 +67,6 @@ class Concept:
         out = [self.label] if self.label else []
         out.extend(self.synonyms)
         return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "iri": self.iri,
-            "label": self.label,
-            "synonyms": list(self.synonyms),
-            "parents": list(self.parents),
-            "equiv_descriptions": list(self.equiv_descriptions),
-            "definition": self.definition,
-        }
 
 
 def dedupe_synonyms(label: str | None, synonyms: Iterable[str]) -> list[str]:
@@ -302,5 +292,5 @@ def read_concept_jsonl(fp: IO[str], name: str) -> Ontology:
 def write_concept_jsonl(ontology: Ontology, fp: IO[str]) -> None:
     """Emit concepts sorted by IRI, UTF-8 JSON, LF line endings."""
     for concept in ontology.sorted_concepts():
-        fp.write(json.dumps(concept.to_json_dict(), ensure_ascii=False))
+        fp.write(json.dumps(asdict(concept), ensure_ascii=False))
         fp.write("\n")

@@ -15,7 +15,7 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from types import ModuleType, UnionType
@@ -36,7 +36,7 @@ from .evaluate import (
     read_ranking_cases,
 )
 from .fusion import exact_match, filter_and_fuse
-from .ingest import ExtractionConfig, parse_ontology
+from .ingest import DEFAULT_LABEL_PROPERTY, DEFAULT_SYNONYM_PROPERTIES, parse_ontology
 from .judge import (
     DEFAULT_FEW_SHOT,
     FewShotExample,
@@ -103,8 +103,9 @@ SIDES = ("source", "target")
 _CONCEPTS = tuple(f"{side}.concepts.jsonl" for side in SIDES)
 _ENRICHED = tuple(f"{side}.enriched.jsonl" for side in SIDES)
 _EMBEDDINGS = tuple(f"{side}.embeddings.{ext}" for side in SIDES for ext in ("npy", "json"))
-# Config that a pair's p_yes depends on, besides the model and template.
-_P_YES_CONFIG = ("shots", "use_definitions", "softmax_mode")
+# Config that a pair's p_yes depends on, besides the model, the template and
+# the enriched concepts.
+_P_YES_CONFIG = ("shots", "softmax_mode")
 
 STAGE_TABLE: dict[str, Stage] = {
     "ingest": Stage(
@@ -112,6 +113,8 @@ STAGE_TABLE: dict[str, Stage] = {
         config=("source_name", "target_name", "label_property", "synonym_properties"),
         writes=_CONCEPTS,
     ),
+    # Under use_definitions=False define writes every definition as null, so
+    # later stages find none to render; shots() drops the examples' own.
     "define": Stage(
         reads=_CONCEPTS,
         config=("source_name", "target_name", "use_definitions",
@@ -122,7 +125,6 @@ STAGE_TABLE: dict[str, Stage] = {
     ),
     "embed": Stage(
         reads=_ENRICHED,
-        config=("use_definitions",),
         model="embed_model_id",
         writes=_EMBEDDINGS,
     ),
@@ -197,8 +199,8 @@ class PipelineConfig:
     ranking_cases: str | None = None
     ranking_scorer: str = "cosine"
     max_workers: int = 8
-    label_property: str | None = None
-    synonym_properties: list[str] | None = None
+    label_property: str = DEFAULT_LABEL_PROPERTY
+    synonym_properties: list[str] = field(default_factory=lambda: list(DEFAULT_SYNONYM_PROPERTIES))
     provider: dict = field(default_factory=lambda: {"kind": "mock"})
     few_shot_examples: list[dict] | None = None
 
@@ -215,12 +217,12 @@ class PipelineConfig:
             ("softmax_mode", self.softmax_mode in ("pair", "full"), "'pair' or 'full'"),
             ("ranking_scorer", self.ranking_scorer in ("cosine", "pyes"), "'cosine' or 'pyes'"),
             ("max_workers", self.max_workers >= 1, ">= 1"),
+            ("label_property", bool(self.label_property), "non-empty"),
         ):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         try:  # the objects the stages build from these fields check them
             self.sampling()
-            self.extraction_config()
             self.shots()
         except ValueError as e:
             raise ConfigError(str(e)) from e
@@ -246,20 +248,14 @@ class PipelineConfig:
             raise ConfigError(f"config in {path} must be a JSON object, got {type(data).__name__}")
         return cls.from_dict(data)
 
-    def extraction_config(self) -> ExtractionConfig:
-        kwargs = {}
-        if self.label_property is not None:
-            kwargs["label_property"] = self.label_property
-        if self.synonym_properties is not None:
-            kwargs["synonym_properties"] = tuple(self.synonym_properties)
-        return ExtractionConfig(**kwargs)
-
     def sampling(self) -> SamplingParams:
         return SamplingParams(
             temperature=self.temperature, top_p=self.top_p, max_tokens=self.max_tokens
         )
 
     def shots(self) -> tuple[FewShotExample, ...]:
+        """The judge's few-shot examples, without their definitions under
+        ``use_definitions=False``."""
         if self.few_shot_examples is None:
             pool = DEFAULT_FEW_SHOT
         else:
@@ -268,6 +264,9 @@ class PipelineConfig:
             raise ConfigError(
                 f"few_shot={self.few_shot} but only {len(pool)} examples available"
             )
+        if not self.use_definitions:
+            pool = tuple(replace(shot, a=replace(shot.a, definition=None),
+                                 b=replace(shot.b, definition=None)) for shot in pool)
         return pool[: self.few_shot]
 
 
@@ -285,7 +284,7 @@ def global_report(predicted: MappingSet, reference: MappingSet) -> MetricsReport
 
 
 _PROVIDER_KEYS = {
-    "mock": {"dimension", "seed", "alias_groups", "alias_groups_file"},
+    "mock": {"dimension", "seed", "alias_groups_file"},
     "http": {f.name for f in fields(HttpProviderConfig)},
 }
 
@@ -411,8 +410,9 @@ class Pipeline:
     def _stage_ingest(self, limit: int | None) -> None:
         cfg = self.config
         for side in SIDES:
-            onto = parse_ontology(getattr(cfg, side), cfg=cfg.extraction_config(),
-                                  name=self._name(side))
+            onto = parse_ontology(getattr(cfg, side), name=self._name(side),
+                                  label_property=cfg.label_property,
+                                  synonym_properties=cfg.synonym_properties)
             logger.info("ingested %s: %d concepts (%d dangling parent refs)",
                         onto.name, len(onto), onto.dangling_parent_count)
             self._write_text(f"{side}.concepts.jsonl", partial(write_concept_jsonl, onto))
@@ -439,6 +439,9 @@ class Pipeline:
                     remaining = max(0, remaining - processed)
                 if processed < todo:
                     complete = False
+            else:
+                for concept in onto.concepts.values():
+                    concept.definition = None
             self._write_text(f"{side}.enriched.jsonl", partial(write_concept_jsonl, onto))
         return complete
 
@@ -447,8 +450,7 @@ class Pipeline:
         for side in SIDES:
             onto = self._load_ontology(side, "enriched")
             iris = sorted(onto.concepts)
-            texts = [build_embedding_text(onto.concepts[i], self.config.use_definitions)
-                     for i in iris]
+            texts = [build_embedding_text(onto.concepts[i]) for i in iris]
             key = _digest_of({"model": model, "texts": texts})
             cache_base = Path(self.config.cache_dir) / "embed" / key
             matrix = None
@@ -484,7 +486,6 @@ class Pipeline:
             self.provider,
             self.cache,
             shots=cfg.shots(),
-            include_definition=cfg.use_definitions,
             softmax_mode=cfg.softmax_mode,
             limit=limit,
             max_workers=cfg.max_workers,
@@ -586,6 +587,8 @@ class Pipeline:
         """Run one stage; returns 'complete', 'partial', or 'skipped'."""
         if stage not in STAGE_TABLE:
             raise ValueError(f"unknown stage {stage!r}")
+        if limit is not None and limit < 0:  # it would slice work lists from their end
+            raise ValueError(f"limit must be >= 0, got {limit}")
         for artifact in STAGE_TABLE[stage].reads:
             if not self._artifact(artifact).exists():
                 raise MissingArtifactError(artifact, _PRODUCER[artifact])

@@ -455,7 +455,7 @@ def test_no_definitions_removes_exactly_definition_segments(toy_artifacts, tmp_p
     defined = 0
     for with_onto, without_onto in ((source_def, source_nodef), (target_def, target_nodef)):
         for iri, with_c in with_onto.concepts.items():
-            stripped = build_embedding_text(with_c, include_definition=False)
+            stripped = build_embedding_text(replace(with_c, definition=None))
             assert build_embedding_text(without_onto.concepts[iri]) == stripped
             with_text = build_embedding_text(with_c)
             if with_c.definition:
@@ -470,9 +470,9 @@ def test_no_definitions_removes_exactly_definition_segments(toy_artifacts, tmp_p
     a_def = concept_context(source_def.concepts[src_iri], source_def)
     b_def = concept_context(target_def.concepts[tgt_iri], target_def)
     with_prompt = build_judgement_prompt(a_def, b_def)[-1]["content"]
-    without_prompt = build_judgement_prompt(a_def, b_def, include_definition=False)[-1][
-        "content"
-    ]
+    without_prompt = build_judgement_prompt(
+        replace(a_def, definition=None), replace(b_def, definition=None)
+    )[-1]["content"]
     assert with_prompt != without_prompt
     assert without_prompt == "\n".join(
         line for line in with_prompt.splitlines() if not line.startswith("Definition: ")

@@ -1,6 +1,7 @@
 """Definition prompts, generation with caching, and embedding text layout."""
 
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -378,8 +379,8 @@ def test_embedding_text_truncates_long_definitions():
 
 def test_embedding_text_without_definition_strips_exactly_that_segment():
     c = snomed_concept()
-    with_def = build_embedding_text(c, include_definition=True)
-    without = build_embedding_text(c, include_definition=False)
+    with_def = build_embedding_text(c)
+    without = build_embedding_text(replace(c, definition=None))
     assert with_def == without[:-1] + "; Definition: " + SNOMED_DEFINITION + ";"
     assert without == "Label: " + SNOMED_LABEL + "; Synonyms: " + SNOMED_SYNONYM + ";"
 

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from ontomatch.errors import OntologyParseError
-from ontomatch.ingest import ExtractionConfig, parse_ontology
+from ontomatch.ingest import parse_ontology
 
 RDF_OPEN = (
     '<?xml version="1.0"?>\n'
@@ -235,17 +235,17 @@ def test_custom_label_property(tmp_path):
     <skos:prefLabel>Right</skos:prefLabel>
   </owl:Class>
 """
-    cfg = ExtractionConfig(
+    onto = parse_ontology(
+        write_owl(tmp_path, body),
         label_property="http://www.w3.org/2004/02/skos/core#prefLabel",
         synonym_properties=(),
     )
-    onto = parse_ontology(write_owl(tmp_path, body), cfg=cfg)
     assert onto.concepts["http://x.org/onto#A"].label == "Right"
 
 
-def test_extraction_config_requires_label_property():
-    with pytest.raises(ValueError):
-        ExtractionConfig(label_property="")
+def test_parse_ontology_requires_label_property(tmp_path):
+    with pytest.raises(ValueError, match="label_property must be non-empty"):
+        parse_ontology(write_owl(tmp_path, ""), label_property="")
 
 
 def test_parse_ontology_jsonl_path_and_default_name(tmp_path):

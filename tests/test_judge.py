@@ -4,6 +4,7 @@ import io
 import math
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -22,6 +23,7 @@ from ontomatch.judge import (
     write_judgements,
 )
 from ontomatch.model import Concept, ContextBlock, Judgement, Ontology
+from ontomatch.pipeline import PipelineConfig
 from ontomatch.providers import MockProvider
 
 from conftest import CountingProvider, golden_text
@@ -98,6 +100,16 @@ def test_few_shot_example_validates_answer():
     ({"a": {}, "b": {}}, "an object with a, b and answer, got {'a': {}, 'b': {}}"),
     ("x", "an object with a, b and answer, got 'x'"),
     ({"a": {}, "b": ["y"], "answer": "NO"}, "concept must be an object, got ['y']"),
+    ({"a": {"synonyms": "heart"}, "b": {}, "answer": "NO"},
+     "concept 'synonyms' must be a list of strings, got 'heart'"),
+    ({"a": {}, "b": {"parents": ["x", 1]}, "answer": "NO"},
+     "concept 'parents' must be a list of strings, got ['x', 1]"),
+    ({"a": {"descriptions": None}, "b": {}, "answer": "NO"},
+     "concept 'descriptions' must be a list of strings, got None"),
+    ({"a": {"label": 7}, "b": {}, "answer": "NO"}, "concept 'label' must be a string or null, got 7"),
+    ({"a": {}, "b": {"definition": ["d"]}, "answer": "NO"},
+     "concept 'definition' must be a string or null, got ['d']"),
+    ({"a": {"iri": None}, "b": {}, "answer": "NO"}, "concept 'iri' must be a string, got None"),
 ])
 def test_few_shot_example_from_dict_rejects_a_misshapen_entry(entry, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -120,14 +132,15 @@ def test_unlabeled_concept_uses_iri_fragment():
     assert user.startswith("Concept A\nName: C9\n")
 
 
-def test_include_definition_false_strips_definition_lines_everywhere():
-    messages = build_judgement_prompt(
-        NERVE_A, NERVE_B, shots=DEFAULT_FEW_SHOT, include_definition=False
-    )
+def test_no_definitions_config_strips_definition_lines_everywhere():
+    a, b = (replace(ctx, definition=None) for ctx in (NERVE_A, NERVE_B))
+    shots = PipelineConfig(few_shot=2, use_definitions=False).shots()
+    assert len(shots) == 2
+    messages = build_judgement_prompt(a, b, shots=shots)
     for m in messages:
         assert "Definition:" not in m["content"]
     with_def = build_judgement_prompt(NERVE_A, NERVE_B)[-1]["content"]
-    without = build_judgement_prompt(NERVE_A, NERVE_B, include_definition=False)[-1]["content"]
+    without = build_judgement_prompt(a, b)[-1]["content"]
     expected = "\n".join(
         line for line in with_def.splitlines() if not line.startswith("Definition: ")
     )

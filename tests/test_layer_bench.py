@@ -41,7 +41,6 @@ def test_warm_judge_candidates_on_toy_pairs(tmp_path, benchmark):
         args=(candidates, source, target, provider),
         kwargs={
             "shots": config.shots(),
-            "include_definition": config.use_definitions,
             "cache": cache,
         },
         rounds=3,

@@ -190,7 +190,7 @@ def _pyes_oracle(config: PipelineConfig, cases_path: str) -> tuple[float, dict[s
         prompt = judge_prompt(
             concept_context(source.concepts[s], source),
             concept_context(target.concepts[t], target),
-            provider, shots=config.shots(), include_definition=config.use_definitions,
+            provider, shots=config.shots(),
         )
         return judge_pair(prompt, s, t, 0.0, provider, cache, config.softmax_mode).p_yes
 
@@ -527,6 +527,16 @@ def test_define_limit_records_partial_then_resumes(tmp_path):
     assert '"definition": null' not in enriched
 
 
+def test_negative_limit_is_rejected_before_any_stage_runs(tmp_path):
+    pipeline = Pipeline(toy_config(tmp_path))
+    with pytest.raises(ValueError, match="limit must be >= 0, got -1"):
+        pipeline.run(limit=-1)
+    with pytest.raises(ValueError, match="limit must be >= 0, got -1"):
+        pipeline.run_stage("ingest", limit=-1)
+    assert not (Path(pipeline.out_dir) / "manifest.json").exists()
+    assert not (Path(pipeline.out_dir) / "source.concepts.jsonl").exists()
+
+
 def test_failed_stage_is_recorded_and_reraised(tmp_path):
     config = toy_config(tmp_path, reference=None)
     pipeline = Pipeline(config)
@@ -662,6 +672,8 @@ def test_config_from_file_rejects_a_non_object(tmp_path):
     {"ranking_scorer": "bm25"},
     {"k": "10"},
     {"use_definitions": 1},
+    {"label_property": None},
+    {"synonym_properties": None},
 ])
 def test_config_validation(overrides):
     [(name, value)] = overrides.items()
@@ -712,6 +724,7 @@ def test_make_provider_http_kind():
     ({"kind": "http", "base_ur": "http://example.test/v1"}, "base_ur"),
     ({"kind": "http", "max_in_flight": 4}, "max_in_flight"),
     ({"kind": "mock", "canned_generate": {}}, "canned_generate"),
+    ({"kind": "mock", "alias_groups": [["a", "b"]]}, "alias_groups"),
 ])
 def test_make_provider_rejects_unknown_keys(spec, unknown):
     with pytest.raises(ConfigError, match=f"unknown {spec['kind']} provider keys: \\['{unknown}'\\]"):
@@ -736,6 +749,56 @@ def test_no_definitions_run_skips_generation_and_changes_texts(tmp_path, countin
     enriched = (Path(ablated.out_dir) / "source.enriched.jsonl").read_text()
     for line in enriched.splitlines():
         assert json.loads(line)["definition"] is None
+
+
+class RecordingProvider(CountingProvider):
+    """Counts calls and keeps every text embedded and every judge message."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.texts: list[str] = []
+        self.judge_messages: list[dict] = []
+
+    def embed_batch(self, texts):
+        self.texts.extend(texts)
+        return super().embed_batch(texts)
+
+    def classify_first_token(self, messages):
+        self.judge_messages.extend(messages)
+        return super().classify_first_token(messages)
+
+
+def test_no_definitions_drops_the_definitions_an_input_carries(tmp_path):
+    """Under use_definitions=False define writes every definition as null,
+    so no embedding text or judge message (few-shot turns included) has one."""
+    inputs = {}
+    for side in ("source", "target"):
+        rows = [json.loads(line) for line in (TOY_DIR / f"{side}.jsonl").read_text().splitlines()]
+        for row in rows:
+            row["definition"] = f"A given definition of {row['label']}."
+        inputs[side] = tmp_path / f"{side}.jsonl"
+        inputs[side].write_text("".join(json.dumps(row) + "\n" for row in rows))
+    config = toy_config(tmp_path, source=str(inputs["source"]), target=str(inputs["target"]),
+                        use_definitions=False, few_shot=2)
+    provider = RecordingProvider(make_provider(config))
+    results = Pipeline(config, provider=provider).run()
+    assert set(results.values()) == {"complete"}
+    assert provider.generate_calls == 0
+    assert '"definition": "A given' in (Path(config.out_dir) / "source.concepts.jsonl").read_text()
+    for side in ("source", "target"):
+        with open(Path(config.out_dir) / f"{side}.enriched.jsonl", encoding="utf-8") as fp:
+            enriched = read_concept_jsonl(fp, name=side)
+        assert len(enriched) == 30
+        assert all(c.definition is None for c in enriched.concepts.values())
+    assert len(provider.texts) == 60 and provider.classify_calls > 0
+    assert not [t for t in provider.texts if "Definition:" in t]
+    assert len(provider.judge_messages) == 6 * provider.classify_calls
+    assert not [m for m in provider.judge_messages if "Definition:" in m["content"]]
+
+
+def test_use_definitions_enters_only_the_define_digest():
+    rows = [s for s, row in pipeline_module.STAGE_TABLE.items() if "use_definitions" in row.config]
+    assert rows == ["define"]
 
 
 def test_no_definitions_still_finds_lexical_and_alias_pairs(tmp_path):
@@ -804,6 +867,14 @@ def test_cli_bidirectional_flag(tmp_path):
     assert off.bidirectional is False
 
 
+def test_cli_rejects_a_negative_limit(tmp_path):
+    result = CliRunner().invoke(main, ["define", "--config", write_config_file(tmp_path),
+                                       "--limit", "-1"])
+    assert result.exit_code == 2
+    assert "Invalid value for '--limit'" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_config_errors_become_clean_failures(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"lambda_prob": 1.5}))
@@ -821,13 +892,13 @@ _BAD_CONFIGS = {
     "source": ({"source": None}, "source '' is not a file"),
     "temperature": ({"temperature": -1}, "temperature must be >= 0, got -1"),
     "top_p": ({"top_p": 0}, "top_p must be in (0, 1], got 0"),
-    "label_property": ({"label_property": ""}, "label_property must be non-empty"),
+    "label_property": ({"label_property": ""}, "label_property must be non-empty, got ''"),
     "max_workers": ({"max_workers": 0}, "max_workers must be >= 1, got 0"),
     "few_shot": ({"few_shot": 5}, "few_shot=5 but only 2 examples available"),
     "k": ({"k": "10"}, "k must be int, got '10'"),
     "lambda_prob": ({"lambda_prob": "0.9"}, "lambda_prob must be float, got '0.9'"),
     "synonym_properties": ({"synonym_properties": "http://x"},
-                           "synonym_properties must be list[str] | None, got 'http://x'"),
+                           "synonym_properties must be list[str], got 'http://x'"),
     "provider": ({"provider": "mock"}, "provider must be dict, got 'mock'"),
     "few_shot_examples": ({"few_shot_examples": ["x"]},
                           "few_shot_examples must be list[dict] | None, got ['x']"),
@@ -839,6 +910,15 @@ _BAD_CONFIGS = {
     "few_shot_example_concept": (
         {"few_shot": 1, "few_shot_examples": [{"a": "x", "b": {}, "answer": "NO"}]},
         "few-shot concept must be an object, got 'x'",
+    ),
+    "few_shot_example_synonyms": (
+        {"few_shot": 1, "few_shot_examples": [
+            {"a": {"synonyms": "heart"}, "b": {}, "answer": "NO"}]},
+        "few-shot concept 'synonyms' must be a list of strings, got 'heart'",
+    ),
+    "few_shot_example_label": (
+        {"few_shot": 1, "few_shot_examples": [{"a": {}, "b": {"label": 1}, "answer": "NO"}]},
+        "few-shot concept 'label' must be a string or null, got 1",
     ),
 }
 
