@@ -63,15 +63,20 @@ class ResponseCache:
         return os.path.exists(self._path(kind, digest))
 
     def get(self, kind: str, digest: str) -> dict | None:
+        """The stored payload; None when there is none, or when the entry is
+        not a UTF-8 JSON object, which ``get_or_compute`` then replaces."""
         path = self._path(kind, digest)
         try:
             with open(path, "r", encoding="utf-8") as fp:
-                return json.load(fp)
+                payload = json.load(fp)
         except FileNotFoundError:
             return None
-        except json.JSONDecodeError:
+        except ValueError:  # JSONDecodeError and UnicodeDecodeError
+            payload = None
+        if not isinstance(payload, dict):
             logger.warning("discarding corrupt cache entry %s", path)
             return None
+        return payload
 
     def put(self, kind: str, digest: str, payload: dict) -> dict:
         """Store ``payload`` as it is, replacing any entry; returns it."""

@@ -4,8 +4,10 @@ Two input formats, told apart by the file's first non-blank byte:
 
 * RDF/XML (``<``) -- restricted to named classes, ``rdfs:subClassOf``
   with named superclasses, and ``owl:equivalentClass`` axioms built from
-  intersections and existential restrictions over named fillers. Anything
-  outside the subset is skipped and counted, never a hard failure.
+  named classes, intersections and existential restrictions, nested to any
+  depth. A property element points at its ``rdf:resource``, else at its
+  first nested node, read the same way wherever it appears (``_object``).
+  Anything outside the subset is skipped and counted, never a hard failure.
 * concept JSONL (``{``) -- the package's canonical interchange format.
 
 Annotation property IRIs select labels and synonyms; the defaults cover the
@@ -96,47 +98,43 @@ class _RawClass:
     equivs: list[ClassExpression] = field(default_factory=list)
 
 
-def _parse_expression(elem: ET.Element, base: str) -> ClassExpression | None:
-    """Return a ClassExpression for a supported node, else None."""
+def _object(prop: ET.Element, base: str) -> ClassExpression | None:
+    """What a property element points at: its ``rdf:resource``, else its
+    first nested node."""
+    resource = prop.get(_RDF_RESOURCE)
+    if resource is not None:
+        return Named(_resolve(resource, base))
+    for node in prop:
+        return _node(node, base)
+    return None
+
+
+def _node(elem: ET.Element, base: str) -> ClassExpression | None:
+    """The class expression a node states, or None outside the subset.
+
+    A node with ``rdf:about`` names that IRI, whatever its tag. An
+    ``owl:Class`` wraps an intersection (``verbalize`` rejects one of fewer
+    than two members, which counts as a skipped axiom), and an
+    ``owl:Restriction`` is ``onProperty`` plus ``someValuesFrom``; no other
+    child of a restriction is read.
+    """
+    about = elem.get(_RDF_ABOUT)
+    if about is not None:
+        return Named(_resolve(about, base))
     if elem.tag == _OWL_CLASS:
-        about = elem.get(_RDF_ABOUT)
-        if about is not None:
-            return Named(_resolve(about, base))
         for child in elem:
             if child.tag == _OWL_INTERSECTION:
-                members = []
-                for sub in child:
-                    parsed = _parse_expression(sub, base)
-                    if parsed is None:
-                        return None
-                    members.append(parsed)
-                if len(members) < 2:
-                    return None
-                return Intersection(tuple(members))
-        return None
-    if elem.tag == _OWL_RESTRICTION:
-        prop: str | None = None
-        filler: ClassExpression | None = None
+                members = tuple(_node(sub, base) for sub in child)
+                return None if None in members else Intersection(members)
+    elif elem.tag == _OWL_RESTRICTION:
+        prop = filler = None
         for child in elem:
             if child.tag == _OWL_ON_PROPERTY:
-                res = child.get(_RDF_RESOURCE)
-                if res is not None:
-                    prop = _resolve(res, base)
-                else:
-                    for sub in child:
-                        about = sub.get(_RDF_ABOUT)
-                        if about is not None:
-                            prop = _resolve(about, base)
+                prop = _object(child, base)
             elif child.tag == _OWL_SOME_VALUES:
-                res = child.get(_RDF_RESOURCE)
-                if res is not None:
-                    filler = Named(_resolve(res, base))
-                else:
-                    for sub in child:
-                        filler = _parse_expression(sub, base)
-        if prop is not None and filler is not None:
-            return SomeValuesFrom(prop, filler)
-        return None
+                filler = _object(child, base)
+        if isinstance(prop, Named) and filler is not None:
+            return SomeValuesFrom(prop.iri, filler)
     return None
 
 
@@ -172,48 +170,30 @@ def _parse_owl(fp: IO[bytes], name: str, skipped_lines: int, label_property: str
         else:
             continue
 
-        # Any described entity may contribute a label for verbalization.
-        for child in elem:
-            if _tag_to_iri(child.tag) == label_property and child.text and child.text.strip():
-                label_index.setdefault(iri, child.text.strip())
-                break
-
-        if elem.tag != _OWL_CLASS:
-            continue
-
-        rc = raw.setdefault(iri, _RawClass(iri=iri))
+        # Any described entity may contribute a label for verbalization;
+        # only classes become concepts.
+        rc = raw.setdefault(iri, _RawClass(iri=iri)) if elem.tag == _OWL_CLASS else None
         for child in elem:
             child_iri = _tag_to_iri(child.tag)
             text = child.text.strip() if child.text else ""
             if child_iri == label_property:
                 if text:
-                    rc.labels.append(text)
+                    label_index.setdefault(iri, text)
+                    if rc is not None:
+                        rc.labels.append(text)
+            elif rc is None:
+                continue
             elif child_iri in synonym_properties:
                 if text:
                     rc.synonyms.append(text)
             elif child.tag == _RDFS_SUBCLASS:
-                res = child.get(_RDF_RESOURCE)
-                if res is not None:
-                    rc.parents.append(_resolve(res, base))
-                    continue
-                named_child = None
-                for sub in child:
-                    if sub.tag == _OWL_CLASS and sub.get(_RDF_ABOUT) is not None:
-                        named_child = _resolve(sub.get(_RDF_ABOUT), base)
-                    break
-                if named_child is not None:
-                    rc.parents.append(named_child)
+                parent = _object(child, base)
+                if isinstance(parent, Named):
+                    rc.parents.append(parent.iri)
                 else:
                     onto.stats.dropped_anonymous_parents += 1
             elif child.tag == _OWL_EQUIVALENT:
-                res = child.get(_RDF_RESOURCE)
-                expr: ClassExpression | None = None
-                if res is not None:
-                    expr = Named(_resolve(res, base))
-                else:
-                    for sub in child:
-                        expr = _parse_expression(sub, base)
-                        break
+                expr = _object(child, base)
                 if expr is not None:
                     rc.equivs.append(expr)
                 else:
@@ -239,7 +219,6 @@ def _parse_owl(fp: IO[bytes], name: str, skipped_lines: int, label_property: str
             onto.stats.unlabeled_concepts += 1
         onto.concepts[iri] = concept
 
-    onto.recount_dangling()
     if onto.stats.unlabeled_concepts:
         logger.warning(
             "%s: %d concepts have no label", name, onto.stats.unlabeled_concepts

@@ -8,7 +8,7 @@ Concept identity is the absolute IRI string. The JSONL interchange format
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 from .errors import OntologyParseError
@@ -97,20 +97,15 @@ class OntologyStats:
 class Ontology:
     name: str
     concepts: dict[str, Concept] = field(default_factory=dict)
-    dangling_parent_count: int = 0
     stats: OntologyStats = field(default_factory=OntologyStats, compare=False)
 
     def __len__(self) -> int:
         return len(self.concepts)
 
-    def recount_dangling(self) -> None:
-        """Tally parent references that do not resolve within this ontology."""
-        n = 0
-        for c in self.concepts.values():
-            for p in c.parents:
-                if p not in self.concepts:
-                    n += 1
-        self.dangling_parent_count = n
+    @property
+    def dangling_parent_count(self) -> int:
+        """Parent references that do not resolve within this ontology."""
+        return sum(p not in self.concepts for c in self.concepts.values() for p in c.parents)
 
     def label_for(self, iri: str) -> str | None:
         c = self.concepts.get(iri)
@@ -285,12 +280,12 @@ def read_concept_jsonl(fp: IO[str], name: str) -> Ontology:
         if concept.label is None:
             onto.stats.unlabeled_concepts += 1
         onto.concepts[iri] = concept
-    onto.recount_dangling()
     return onto
 
 
 def write_concept_jsonl(ontology: Ontology, fp: IO[str]) -> None:
     """Emit concepts sorted by IRI, UTF-8 JSON, LF line endings."""
+    keys = [f.name for f in fields(Concept)]
     for concept in ontology.sorted_concepts():
-        fp.write(json.dumps(asdict(concept), ensure_ascii=False))
+        fp.write(json.dumps({key: getattr(concept, key) for key in keys}, ensure_ascii=False))
         fp.write("\n")

@@ -297,13 +297,16 @@ def make_provider(config: PipelineConfig) -> Provider:
     unknown = set(spec) - _PROVIDER_KEYS[kind]
     if unknown:
         raise ConfigError(f"unknown {kind} provider keys: {sorted(unknown)}")
-    if kind == "http":
-        return HttpProvider(HttpProviderConfig(**spec).apply_env_overrides())
-    alias_file = spec.pop("alias_groups_file", None)
-    if alias_file:
-        with open(alias_file, "r", encoding="utf-8") as fp:
-            spec["alias_groups"] = json.load(fp)
-    return MockProvider(**spec)
+    try:
+        if kind == "http":
+            return HttpProvider(HttpProviderConfig(**spec).apply_env_overrides())
+        alias_file = spec.pop("alias_groups_file", None)
+        if alias_file:
+            with open(alias_file, "r", encoding="utf-8") as fp:
+                spec["alias_groups"] = json.load(fp)
+        return MockProvider(**spec)
+    except ValueError as e:
+        raise ConfigError(f"{kind} provider: {e}") from e
 
 
 def _sha256_file(path: Path) -> str:
@@ -631,6 +634,8 @@ class Pipeline:
             path = getattr(self.config, name)
             if path is not None and not Path(path).is_file():
                 raise ConfigError(f"{name} {path!r} is not a file")
+        if any(STAGE_TABLE[stage].model for stage in ordered):
+            self.provider  # a bad provider spec fails here, before any stage writes
         self.out_dir.mkdir(parents=True, exist_ok=True)
         results = {}
         for stage in ordered:

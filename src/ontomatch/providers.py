@@ -213,7 +213,7 @@ class MockProvider:
         context_chars: int = 65536,
     ):
         if dimension < 2:
-            raise ValueError("dimension must be >= 2")
+            raise ValueError(f"dimension must be >= 2, got {dimension}")
         self.dimension = dimension
         self.seed = seed
         self.alias = AliasTable(alias_groups)
@@ -315,6 +315,14 @@ class HttpProviderConfig:
     embed_batch_size: int = 256
     context_chars: int = 131072
 
+    def __post_init__(self):
+        for name, low in (("max_attempts", 1), ("embed_batch_size", 1), ("top_logprobs", 1),
+                          ("backoff_base", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.timeout <= 0:
+            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+
     def apply_env_overrides(self) -> "HttpProviderConfig":
         self.base_url = os.environ.get(ENV_BASE_URL, self.base_url)
         self.api_key = os.environ.get(ENV_API_KEY, self.api_key)
@@ -410,8 +418,16 @@ class HttpProvider:
                     f" rows for {len(chunk)} inputs"
                 )
             for row in data:
-                vec = np.asarray(row["embedding"], dtype=np.float64)
-                if vec.ndim != 1 or not np.all(np.isfinite(vec)):
+                try:
+                    vec = np.asarray(row["embedding"], dtype=np.float64)
+                except (KeyError, TypeError, ValueError) as e:
+                    raise ProviderError(f"malformed embedding row: {e!r}") from e
+                if vec.ndim != 1 or not vec.size or (out and vec.size != out[0].size):
+                    raise ProviderError(
+                        f"embedding response row of shape {vec.shape} is not a vector "
+                        f"of the batch's length"
+                    )
+                if not np.all(np.isfinite(vec)):
                     raise ProviderError("embedding response contains a non-finite vector")
                 out.append(vec)
         return out
@@ -433,6 +449,10 @@ class HttpProvider:
             text = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as e:
             raise ProviderError(f"malformed completion response: {e}") from e
+        if text is not None and not isinstance(text, str):
+            raise ProviderError(
+                f"malformed completion response: content is a {type(text).__name__}"
+            )
         if text is None or not text.strip():
             raise EmptyCompletionError(
                 f"model {self.chat_model_id} returned an empty completion"
@@ -462,10 +482,16 @@ class HttpProvider:
                 f"backend for model {self.chat_model_id} does not expose token "
                 f"log-probabilities"
             ) from e
+        if not isinstance(top, list):
+            raise ProviderError(f"malformed top_logprobs {top!r}")
         entries: dict[str, float] = {}
         for item in top:
-            token = item["token"]
-            logprob = float(item["logprob"])
+            try:
+                token, logprob = item["token"], float(item["logprob"])
+            except (KeyError, TypeError, ValueError) as e:
+                raise ProviderError(f"malformed top_logprobs entry {item!r}") from e
+            if not isinstance(token, str) or np.isnan(logprob):
+                raise ProviderError(f"malformed top_logprobs entry {item!r}")
             if token not in entries or logprob > entries[token]:
                 entries[token] = logprob
         if not entries:

@@ -74,29 +74,22 @@ def _render(expr: ClassExpression, labels: Mapping[str, str], depth: int,
 def verbalize(expr: ClassExpression, labels: Mapping[str, str]) -> str:
     """Render ``expr`` to English using ``labels`` (IRI -> label) with IRI-fragment
     fallback. Deterministic; raises StructureError on malformed trees."""
-    if isinstance(expr, Intersection):
-        if len(expr.members) == 0:
-            raise StructureError("empty intersection")
-        if len(expr.members) < 2:
-            raise StructureError("intersection requires at least 2 members")
-        head, rest = expr.members[0], expr.members[1:]
-        if isinstance(head, Named):
-            parts = []
-            prev_property: str | None = None
-            for m in rest:
-                if isinstance(m, SomeValuesFrom):
-                    if m.property_iri == prev_property:
-                        # repeated property: filler alone, keeping its own prefix
-                        parts.append(_render(m.filler, labels, 2))
-                    else:
-                        parts.append(_render(m, labels, 1, bare_existential=True))
-                    prev_property = m.property_iri
-                else:
-                    parts.append(_render(m, labels, 1))
-                    prev_property = None
-            text = _label(head.iri, labels) + " that " + " and ".join(parts)
+    if not isinstance(expr, Intersection):
+        return _render(expr, labels, 0)
+    if len(expr.members) < 2 or not isinstance(expr.members[0], Named):
+        return _render(expr, labels, 0) + "."  # _render rejects a short intersection
+    head, *rest = expr.members
+    parts = []
+    prev_property: str | None = None
+    for m in rest:
+        if isinstance(m, SomeValuesFrom):
+            if m.property_iri == prev_property:
+                # repeated property: filler alone, keeping its own prefix
+                parts.append(_render(m.filler, labels, 2))
+            else:
+                parts.append(_render(m, labels, 1, bare_existential=True))
+            prev_property = m.property_iri
         else:
-            text = _render(expr, labels, 0)
-        return text + "."
-    return _render(expr, labels, 0)
-
+            parts.append(_render(m, labels, 1))
+            prev_property = None
+    return _label(head.iri, labels) + " that " + " and ".join(parts) + "."

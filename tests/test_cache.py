@@ -44,6 +44,21 @@ def test_corrupt_entry_is_discarded(tmp_path, caplog):
     assert any("corrupt" in r.message for r in caplog.records)
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{\"text\": 1}", b"[1]", b"null"],
+                         ids=["not-utf8", "array", "null"])
+def test_an_unreadable_entry_is_discarded_and_recomputed(tmp_path, caplog, content):
+    """Bytes that are not UTF-8, or JSON that is not an object, count as corrupt."""
+    cache = ResponseCache(tmp_path / "cache")
+    cache.put("judge", "d1", {"p_yes": 0.5})
+    path = tmp_path / "cache" / "judge" / "d1.json"
+    path.write_bytes(content)
+    with caplog.at_level("WARNING"):
+        assert cache.get("judge", "d1") is None
+    assert any("discarding corrupt cache entry" in r.message for r in caplog.records)
+    assert cache.get_or_compute("judge", "d1", lambda: {"p_yes": 0.25}) == {"p_yes": 0.25}
+    assert cache.get("judge", "d1") == {"p_yes": 0.25}
+
+
 def test_put_leaves_no_temporary_files(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     for i in range(20):

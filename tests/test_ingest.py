@@ -7,6 +7,7 @@ import pytest
 
 from ontomatch.errors import OntologyParseError
 from ontomatch.ingest import parse_ontology
+from ontomatch.model import Concept, Ontology
 
 RDF_OPEN = (
     '<?xml version="1.0"?>\n'
@@ -318,3 +319,120 @@ def test_malformed_xml_after_blank_lines_reports_the_file_line(tmp_path):
     with pytest.raises(OntologyParseError) as expected:
         parse_ontology(unpadded)
     assert (exc.value.line, exc.value.column) == (expected.value.line + 2, expected.value.column)
+
+
+NESTED_LABELS = """
+  <owl:ObjectProperty rdf:about="http://x.org/onto#partOf">
+    <rdfs:label>part of</rdfs:label>
+  </owl:ObjectProperty>
+  <owl:ObjectProperty rdf:about="http://x.org/onto#roleGroup">
+    <rdfs:label>role group</rdfs:label>
+  </owl:ObjectProperty>
+  <owl:Class rdf:about="http://x.org/onto#A">
+    <rdfs:label>Alpha</rdfs:label>
+  </owl:Class>
+  <owl:Class rdf:about="http://x.org/onto#B">
+    <rdfs:label>Beta</rdfs:label>
+  </owl:Class>
+"""
+
+
+def _intersection(restriction: str) -> str:
+    return f"""<owl:equivalentClass>
+      <owl:Class>
+        <owl:intersectionOf rdf:parseType="Collection">
+          <owl:Class rdf:about="http://x.org/onto#A"/>
+          {restriction}
+        </owl:intersectionOf>
+      </owl:Class>
+    </owl:equivalentClass>"""
+
+
+@pytest.mark.parametrize("axiom, description", [
+    # a role-group filler that is itself a restriction
+    (_intersection("""<owl:Restriction>
+            <owl:onProperty rdf:resource="http://x.org/onto#roleGroup"/>
+            <owl:someValuesFrom>
+              <owl:Restriction>
+                <owl:onProperty rdf:resource="http://x.org/onto#partOf"/>
+                <owl:someValuesFrom rdf:resource="http://x.org/onto#B"/>
+              </owl:Restriction>
+            </owl:someValuesFrom>
+          </owl:Restriction>"""),
+     "Alpha that role group something that part of Beta."),
+    # a nested property node under onProperty
+    (_intersection("""<owl:Restriction>
+            <owl:onProperty><owl:ObjectProperty rdf:about="http://x.org/onto#partOf"/></owl:onProperty>
+            <owl:someValuesFrom rdf:resource="http://x.org/onto#B"/>
+          </owl:Restriction>"""),
+     "Alpha that part of Beta."),
+    # a nested named filler
+    (_intersection("""<owl:Restriction>
+            <owl:onProperty rdf:resource="http://x.org/onto#partOf"/>
+            <owl:someValuesFrom><owl:Class rdf:about="http://x.org/onto#B"/></owl:someValuesFrom>
+          </owl:Restriction>"""),
+     "Alpha that part of Beta."),
+    # a nested named equivalent class
+    ("""<owl:equivalentClass><owl:Class rdf:about="http://x.org/onto#A"/></owl:equivalentClass>""",
+     "Alpha"),
+])
+def test_nested_class_expressions_are_verbalized(tmp_path, axiom, description):
+    body = NESTED_LABELS + f"""
+  <owl:Class rdf:about="http://x.org/onto#D">
+    <rdfs:label>Delta</rdfs:label>
+    <rdfs:subClassOf rdf:resource="http://x.org/onto#A"/>
+    <rdfs:subClassOf><owl:Class rdf:about="http://x.org/onto#B"/></rdfs:subClassOf>
+    {axiom}
+  </owl:Class>
+"""
+    onto = parse_ontology(write_owl(tmp_path, body))
+    d = onto.concepts["http://x.org/onto#D"]
+    assert d.equiv_descriptions == [description]
+    assert d.parents == ["http://x.org/onto#A", "http://x.org/onto#B"]
+    assert (onto.stats.skipped_axioms, onto.stats.dropped_anonymous_parents) == (0, 0)
+
+
+def test_a_described_node_under_subclass_of_is_a_parent(tmp_path):
+    """RDF/XML gives a nested node its rdf:about IRI whatever the node's tag."""
+    body = """
+  <owl:Class rdf:about="http://x.org/onto#A"/>
+  <owl:Class rdf:about="http://x.org/onto#B">
+    <rdfs:subClassOf><rdf:Description rdf:about="http://x.org/onto#A"/></rdfs:subClassOf>
+  </owl:Class>
+"""
+    onto = parse_ontology(write_owl(tmp_path, body))
+    assert onto.concepts["http://x.org/onto#B"].parents == ["http://x.org/onto#A"]
+    assert onto.stats.dropped_anonymous_parents == 0
+    assert onto.dangling_parent_count == 0
+
+
+def test_an_unread_restriction_child_is_not_resolved(tmp_path):
+    """Only onProperty and someValuesFrom are read, so a relative IRI
+    elsewhere in a restriction needs no xml:base."""
+    body = """
+  <owl:Class rdf:about="http://x.org/onto#D">
+    <owl:equivalentClass>
+      <owl:Restriction>
+        <owl:onProperty rdf:resource="http://x.org/onto#partOf"/>
+        <owl:allValuesFrom rdf:resource="#Relative"/>
+        <owl:someValuesFrom rdf:resource="http://x.org/onto#B"/>
+      </owl:Restriction>
+    </owl:equivalentClass>
+  </owl:Class>
+"""
+    onto = parse_ontology(write_owl(tmp_path, body))
+    assert onto.concepts["http://x.org/onto#D"].equiv_descriptions == [
+        "something that partOf B"
+    ]
+
+
+def test_a_directly_built_ontology_counts_its_dangling_parents():
+    onto = Ontology(name="o", concepts={
+        "http://x.org/onto#A": Concept("http://x.org/onto#A"),
+        "http://x.org/onto#B": Concept("http://x.org/onto#B", parents=[
+            "http://x.org/onto#A", "http://x.org/onto#Gone", "http://x.org/onto#Lost",
+        ]),
+    })
+    assert onto.dangling_parent_count == 2
+    del onto.concepts["http://x.org/onto#A"]
+    assert onto.dangling_parent_count == 3

@@ -900,6 +900,13 @@ _BAD_CONFIGS = {
     "synonym_properties": ({"synonym_properties": "http://x"},
                            "synonym_properties must be list[str], got 'http://x'"),
     "provider": ({"provider": "mock"}, "provider must be dict, got 'mock'"),
+    "provider_kind": ({"provider": {"kind": "bogus"}}, "unknown provider kind 'bogus'"),
+    "provider_dimension": ({"provider": {"kind": "mock", "dimension": 1}},
+                           "mock provider: dimension must be >= 2, got 1"),
+    "provider_embed_batch_size": ({"provider": {"kind": "http", "embed_batch_size": 0}},
+                                  "http provider: embed_batch_size must be >= 1, got 0"),
+    "provider_max_attempts": ({"provider": {"kind": "http", "max_attempts": 0}},
+                              "http provider: max_attempts must be >= 1, got 0"),
     "few_shot_examples": ({"few_shot_examples": ["x"]},
                           "few_shot_examples must be list[dict] | None, got ['x']"),
     "few_shot_example_key": (

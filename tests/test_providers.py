@@ -415,6 +415,29 @@ def test_http_embed_rejects_non_finite_vectors():
         provider.embed_batch(["a"])
 
 
+@pytest.mark.parametrize("data", [
+    [{"vector": [1.0, 0.0]}, {"embedding": [0.0, 1.0]}],
+    ["[1.0, 0.0]", {"embedding": [0.0, 1.0]}],
+    [{"embedding": ["a", "b"]}, {"embedding": [0.0, 1.0]}],
+    [{"embedding": [1.0, 0.0]}, {"embedding": [0.0, 1.0, 0.0]}],
+    [{"embedding": [1.0, 0.0]}, {"embedding": []}],
+    [{"embedding": [[1.0, 0.0]]}, {"embedding": [0.0, 1.0]}],
+])
+def test_http_embed_malformed_rows_raise_provider_error(data):
+    provider, _, _ = http_provider([FakeResponse(payload={"data": data})])
+    with pytest.raises(ProviderError):
+        provider.embed_batch(["a", "b"])
+
+
+def test_http_embed_rejects_vectors_of_another_length_in_a_later_chunk():
+    provider, _, _ = http_provider(
+        [embed_response([[1.0, 0.0]]), embed_response([[1.0, 0.0, 0.0]])],
+        embed_batch_size=1,
+    )
+    with pytest.raises(ProviderError, match="length"):
+        provider.embed_batch(["a", "b"])
+
+
 class NonJsonResponse(FakeResponse):
     def json(self):
         return json.loads(self.text)
@@ -452,6 +475,13 @@ def test_http_generate_malformed_body_raises():
         provider.generate(chat("sys", "user"), SamplingParams())
 
 
+@pytest.mark.parametrize("content", [["A", "definition"], 7, {"text": "A definition"}])
+def test_http_generate_non_string_content_raises_provider_error(content):
+    provider, _, _ = http_provider([chat_response(content)])
+    with pytest.raises(ProviderError, match="malformed completion response"):
+        provider.generate(chat("sys", "user"), SamplingParams())
+
+
 def test_http_classify_keeps_max_logprob_per_token():
     provider, session, _ = http_provider([logprob_response([
         {"token": "YES", "logprob": -0.01},
@@ -478,6 +508,30 @@ def test_http_classify_rejects_an_empty_logprob_list():
     provider, _, _ = http_provider([logprob_response([])])
     with pytest.raises(CapabilityError, match="empty"):
         provider.classify_first_token(judge_messages("a", "b"))
+
+
+@pytest.mark.parametrize("top", [
+    [{"token": "YES"}],
+    [{"token": "YES", "logprob": None}],
+    [{"token": "YES", "logprob": "high"}],
+    [{"token": "YES", "logprob": float("nan")}],
+    [{"token": 1, "logprob": -0.1}],
+    ["YES"],
+    None,
+])
+def test_http_classify_malformed_logprobs_raise_provider_error(top):
+    provider, _, _ = http_provider([logprob_response(top)])
+    with pytest.raises(ProviderError, match="malformed top_logprobs"):
+        provider.classify_first_token(judge_messages("a", "b"))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_attempts", 0), ("embed_batch_size", 0), ("top_logprobs", 0),
+    ("timeout", 0), ("backoff_base", -1),
+])
+def test_http_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        HttpProviderConfig(**{field: value})
 
 
 def test_http_prompt_size_limit():
