@@ -3,9 +3,12 @@
 One JSON file per entry under ``<root>/<kind>/<digest>.json``, holding just
 the payload, so equal answers give byte-identical trees. Writes go through
 ``atomic_open``, as every file the package writes does, so readers never
-observe a partial entry. ``get_or_compute`` deduplicates concurrent
-computation of the same digest (single-flight) within a process; its
-per-digest lock lives only while some caller holds or waits on it.
+observe a partial entry. ``stored`` lists the digests of one kind with a
+single directory scan, so a batch decides its hits without probing each
+entry; ``get`` reads an entry with one ``os.open``/``os.read``/``os.close``.
+``get_or_compute`` deduplicates concurrent computation of the same digest
+(single-flight) within a process; its per-digest lock lives only while some
+caller holds or waits on it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,10 @@ from pathlib import Path
 from typing import IO, Callable, Iterator
 
 logger = logging.getLogger(__name__)
+
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+# Entries are a few hundred bytes, so one read normally returns all of one.
+_READ_SIZE = 1 << 16
 
 __all__ = ["ResponseCache", "atomic_open"]
 
@@ -50,27 +57,44 @@ def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
 class ResponseCache:
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        self._prefix = os.path.join(self.root, "")
         # key -> [lock, number of callers holding or waiting on it]
         self._locks: dict[str, list] = {}
         self._locks_guard = threading.Lock()
 
     def _path(self, kind: str, digest: str) -> str:
-        # os.path rather than pathlib: this runs for every cached call.
-        return os.path.join(self.root, kind, f"{digest}.json")
+        # A string built on the root joined once, not pathlib or os.path.join:
+        # this runs for every cached call.
+        return f"{self._prefix}{kind}{os.sep}{digest}.json"
 
-    def contains(self, kind: str, digest: str) -> bool:
-        """Whether an entry file exists; its content is not checked."""
-        return os.path.exists(self._path(kind, digest))
+    def stored(self, kind: str) -> set[str]:
+        """The digests of the ``kind`` entries, from one listing of its
+        directory (empty when there is none); their content is not checked."""
+        try:
+            with os.scandir(f"{self._prefix}{kind}") as entries:
+                return {e.name[:-5] for e in entries if e.name.endswith(".json")}
+        except FileNotFoundError:
+            return set()
 
     def get(self, kind: str, digest: str) -> dict | None:
         """The stored payload; None when there is none, or when the entry is
         not a UTF-8 JSON object, which ``get_or_compute`` then replaces."""
         path = self._path(kind, digest)
         try:
-            with open(path, "r", encoding="utf-8") as fp:
-                payload = json.load(fp)
+            fd = os.open(path, _READ_FLAGS)
         except FileNotFoundError:
             return None
+        try:
+            # Read to end of file: a short read is not taken for the entry.
+            chunks = []
+            while chunk := os.read(fd, _READ_SIZE):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        try:
+            # An explicit UTF-8 decode: json.loads on bytes would also accept
+            # UTF-16 and UTF-32.
+            payload = json.loads(b"".join(chunks).decode("utf-8"))
         except ValueError:  # JSONDecodeError and UnicodeDecodeError
             payload = None
         if not isinstance(payload, dict):

@@ -109,21 +109,25 @@ def serve(cache: ResponseCache, kind: str, jobs: Iterable[tuple[str, Callable[[]
     """Run each ``(digest, job)`` of ``jobs``; returns the results in job
     order and the number of jobs served from the cache.
 
-    A job whose ``kind``/``digest`` entry the cache holds runs on the calling
+    A job whose ``kind``/``digest`` entry the cache held when the batch
+    started, by one ``cache.stored(kind)`` listing, runs on the calling
     thread. The others wait on the provider, so they go to a pool of
     ``max_workers`` threads, made at the first such job: a fully cached run
-    makes no threads. ``jobs`` is read lazily, and at most
-    ``QUEUE_PER_WORKER * max_workers`` jobs are queued or running, so rendered
-    prompts do not pile up. A failed job's exception is re-raised once its
-    result is reached, after the pool has finished the jobs it holds.
+    makes no threads. An entry written after the listing is read by its
+    job's own cache lookup in the pool, so it is not computed again. ``jobs``
+    is read lazily, and at most ``QUEUE_PER_WORKER * max_workers`` jobs are
+    queued or running, so rendered prompts do not pile up. A failed job's
+    exception is re-raised once its result is reached, after the pool has
+    finished the jobs it holds.
     """
     results: list = []
     pending: deque[tuple[int, Future]] = deque()
     served = 0
     with ExitStack() as stack:
         pool = None
+        stored = cache.stored(kind)
         for digest, job in jobs:
-            if cache.contains(kind, digest):
+            if digest in stored:
                 results.append(job())
                 served += 1
                 continue

@@ -19,6 +19,14 @@ def test_put_get_round_trip(tmp_path):
     assert entry.read_bytes() == '{"text": "A définition."}'.encode("utf-8")
 
 
+def test_an_entry_larger_than_one_read_round_trips(tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+    payload = {"text": "é" * 50_000, "entries": {f"t{i}": -i / 7 for i in range(2_000)}}
+    cache.put("define", "big", payload)
+    assert (tmp_path / "cache" / "define" / "big.json").stat().st_size > 1 << 16
+    assert cache.get("define", "big") == payload
+
+
 def test_get_missing_returns_none(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     assert cache.get("define", "nope") is None
@@ -44,10 +52,16 @@ def test_corrupt_entry_is_discarded(tmp_path, caplog):
     assert any("corrupt" in r.message for r in caplog.records)
 
 
-@pytest.mark.parametrize("content", [b"\xff\xfe{\"text\": 1}", b"[1]", b"null"],
-                         ids=["not-utf8", "array", "null"])
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{\"text\": 1}", b"[1]", b"null",
+     '{"p_yes": 0.5}'.encode("utf-16"), b"\xef\xbb\xbf" + b'{"p_yes": 0.5}'],
+    ids=["not-utf8", "array", "null", "utf16-object", "utf8-bom"],
+)
 def test_an_unreadable_entry_is_discarded_and_recomputed(tmp_path, caplog, content):
-    """Bytes that are not UTF-8, or JSON that is not an object, count as corrupt."""
+    """Bytes that are not UTF-8, or JSON that is not an object, count as corrupt.
+    A JSON object in UTF-16, or after a UTF-8 byte order mark, is corrupt too:
+    entries are decoded as UTF-8, never by detecting the encoding."""
     cache = ResponseCache(tmp_path / "cache")
     cache.put("judge", "d1", {"p_yes": 0.5})
     path = tmp_path / "cache" / "judge" / "d1.json"
@@ -151,12 +165,31 @@ def test_get_or_compute_returns_written_record_without_reading_back(tmp_path, mo
     assert got == real_get("judge", "d1")
 
 
-def test_contains_checks_for_the_entry_file(tmp_path):
+def test_stored_lists_only_json_entries(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
-    assert not cache.contains("define", "d1")
     cache.put("define", "d1", {"text": "def"})
-    assert cache.contains("define", "d1")
-    assert not cache.contains("judge", "d1")
+    cache.put("define", "d2", {"text": "other"})
+    kind_dir = tmp_path / "cache" / "define"
+    # What a writer killed before its rename leaves, and other strays.
+    (kind_dir / "tmp0123456789abcdef.tmp").write_text('{"text": "half')
+    (kind_dir / "notes.txt").write_text("x")
+    (kind_dir / "d3.json.bak").write_text("{}")
+    assert cache.stored("define") == {"d1", "d2"}
+
+
+def test_stored_is_empty_for_a_missing_kind_directory(tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+    assert cache.stored("judge") == set()
+    cache.put("define", "d1", {"text": "def"})
+    assert cache.stored("judge") == set()
+
+
+def test_stored_keeps_kinds_apart(tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+    cache.put("define", "d1", {"text": "def"})
+    cache.put("judge", "j1", {"entries": {"YES": -0.1}})
+    assert cache.stored("define") == {"d1"}
+    assert cache.stored("judge") == {"j1"}
 
 
 def test_get_or_compute_drops_per_digest_locks(tmp_path):

@@ -4,6 +4,7 @@ import io
 import math
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -24,7 +25,7 @@ from ontomatch.judge import (
 )
 from ontomatch.model import Concept, ContextBlock, Judgement, Ontology
 from ontomatch.pipeline import PipelineConfig
-from ontomatch.providers import MockProvider
+from ontomatch.providers import MockProvider, serve
 
 from conftest import CountingProvider, golden_text
 from oracles import reference_p_yes
@@ -285,10 +286,10 @@ def test_judge_pair_never_caches_an_unparseable_judgement(cache):
     prompt = judge_prompt(a, b, MockProvider())
     with pytest.raises(UnparseableJudgementError):
         judge_pair(prompt, a.iri, b.iri, 0.95, _MaybeProvider(), cache)
-    assert not cache.contains("judge", prompt.digest)
+    assert cache.get("judge", prompt.digest) is None
     j = judge_pair(prompt, a.iri, b.iri, 0.95, MockProvider(), cache)
     assert j.p_yes >= 0.99
-    assert cache.contains("judge", prompt.digest)
+    assert cache.get("judge", prompt.digest) is not None
 
 
 def test_judge_pair_serves_an_entry_with_extra_keys_as_it_is(cache):
@@ -411,6 +412,47 @@ def test_judge_candidates_fully_warm_makes_no_pool_and_no_calls(tmp_path, monkey
     warm = judge_candidates(_all_candidates(), src, tgt, provider, cache)
     assert provider.total_calls == 0
     assert warm == cold
+
+
+def test_judge_candidates_warm_reads_each_entry_once_and_probes_none(tmp_path, monkeypatch):
+    """A fully cached batch decides its hits from one listing of the kind
+    directory and reads each entry once, with no per-entry existence probe."""
+    src, tgt = _ontologies()
+    cache = ResponseCache(tmp_path / "cache")
+    judge_candidates(_all_candidates(), src, tgt, MockProvider(), cache)
+    entries = {p.stem for p in (tmp_path / "cache" / "judge").glob("*.json")}
+    assert len(entries) == 4
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an entry was probed")
+
+    reads = Counter()
+    real_get = ResponseCache.get
+
+    def counted_get(self, kind, digest):
+        reads[kind, digest] += 1
+        return real_get(self, kind, digest)
+
+    served = []
+
+    def spy_serve(*args, **kwargs):
+        result = serve(*args, **kwargs)
+        served.append(result[1])
+        return result
+
+    monkeypatch.setattr(ResponseCache, "get", counted_get)
+    monkeypatch.setattr("ontomatch.judge.serve", spy_serve)
+    monkeypatch.setattr("ontomatch.providers.ThreadPoolExecutor", _no_pool)
+    provider = CountingProvider(MockProvider())
+    # os.path.exists and os.stat are the os module's own, so they are
+    # restored before pytest, which uses them, reports a failure.
+    with monkeypatch.context() as probes:
+        probes.setattr("ontomatch.cache.os.path.exists", refuse)
+        probes.setattr("ontomatch.cache.os.stat", refuse)
+        out = judge_candidates(_all_candidates(), src, tgt, provider, cache)
+    assert len(out) == 4 and provider.total_calls == 0
+    assert reads == Counter({("judge", digest): 1 for digest in entries})
+    assert served == [4]
 
 
 def test_judge_candidates_half_warm_calls_provider_only_for_misses(tmp_path):
