@@ -6,9 +6,9 @@ the payload, so equal answers give byte-identical trees. Writes go through
 observe a partial entry. ``stored`` lists the digests of one kind with a
 single directory scan, so a batch decides its hits without probing each
 entry; ``get`` reads an entry with one ``os.open``/``os.read``/``os.close``.
-``get_or_compute`` deduplicates concurrent computation of the same digest
-(single-flight) within a process; its per-digest lock lives only while some
-caller holds or waits on it.
+The cache only stores: ``get_or_compute`` reads an entry once and computes
+it when that read finds nothing. Keeping two callers from computing the same
+digest at once is the scheduler's job (``providers.serve``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import threading
 import uuid
 from contextlib import contextmanager
 from pathlib import Path
@@ -58,9 +57,6 @@ class ResponseCache:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self._prefix = os.path.join(self.root, "")
-        # key -> [lock, number of callers holding or waiting on it]
-        self._locks: dict[str, list] = {}
-        self._locks_guard = threading.Lock()
 
     def _path(self, kind: str, digest: str) -> str:
         # A string built on the root joined once, not pathlib or os.path.join:
@@ -108,33 +104,14 @@ class ResponseCache:
             json.dump(payload, fp, ensure_ascii=False)
         return payload
 
-    @contextmanager
-    def _single_flight(self, key: str):
-        with self._locks_guard:
-            entry = self._locks.get(key)
-            if entry is None:
-                entry = self._locks[key] = [threading.Lock(), 0]
-            entry[1] += 1
-        try:
-            with entry[0]:
-                yield
-        finally:
-            with self._locks_guard:
-                entry[1] -= 1
-                if not entry[1]:
-                    del self._locks[key]
-
     def get_or_compute(
         self, kind: str, digest: str, compute: Callable[[], dict]
     ) -> dict:
-        """Return the cached payload, computing and storing it at most once
-        per digest even under concurrent callers."""
+        """Return the stored payload, or compute, store and return it when
+        there is none (or the entry is corrupt). Concurrent callers of one
+        digest each compute it; ``serve`` never makes two."""
         found = self.get(kind, digest)
         if found is not None:
             return found
-        with self._single_flight(f"{kind}/{digest}"):
-            found = self.get(kind, digest)
-            if found is not None:
-                return found
-            # Payloads are JSON-native, so this equals what get would read.
-            return self.put(kind, digest, compute())
+        # Payloads are JSON-native, so this equals what get would read.
+        return self.put(kind, digest, compute())

@@ -13,7 +13,7 @@ import functools
 import logging
 
 from .cache import ResponseCache
-from .errors import EmptyCompletionError, ProviderError
+from .errors import ProviderError
 from .model import Concept, ContextBlock, Ontology, concept_context, iri_fragment
 from .providers import (
     Message,
@@ -118,18 +118,23 @@ def generate_definition(
 
     Returns "" when the provider fails or yields nothing usable. That ""
     is cached like any answer, so later runs serve it instead of asking the
-    provider again, and the stage does not fail.
+    provider again, and the stage does not fail. A cached entry without a
+    ``text`` string is never served but recomputed and overwritten.
     """
 
     def compute() -> dict:
         try:
             text = _single_paragraph(provider.generate(prompt.messages, params))
-        except (EmptyCompletionError, ProviderError) as e:
+        except ProviderError as e:
             logger.warning("definition generation failed for %s: %s", iri, e)
             text = ""
         return {"text": text}
 
-    return cache.get_or_compute("define", prompt.digest, compute)["text"]
+    text = cache.get_or_compute("define", prompt.digest, compute).get("text")
+    if not isinstance(text, str):
+        logger.warning("recomputing cached definition %s: no text string", prompt.digest)
+        text = cache.put("define", prompt.digest, compute())["text"]
+    return text
 
 
 def enrich_ontology(
@@ -145,7 +150,7 @@ def enrich_ontology(
     the number processed. Concepts that already carry a definition are skipped.
     ``serve`` fills concepts whose definition is cached on the calling thread
     and the others on up to ``max_workers`` threads; concepts with the same
-    prompt share one provider call, and so one definition, through the cache."""
+    prompt share one provider call, and so one definition."""
     todo = [c for c in ontology.sorted_concepts() if c.definition is None][:limit]
     names = (ontology.name, other_name)
 

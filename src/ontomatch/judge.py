@@ -231,7 +231,8 @@ def judge_pair(
     """Judge the pair ``(source, target)`` from its ``judge_prompt``, served
     from ``cache`` when it holds the answer. A reply without a YES or NO
     variant raises ``UnparseableJudgementError`` and is not cached; a cached
-    one is never served but recomputed and overwritten."""
+    one, or a cached entry without an ``entries`` object of numeric
+    log-probabilities, is never served but recomputed and overwritten."""
     scored: list[float] = []
 
     def compute() -> dict:
@@ -240,9 +241,13 @@ def judge_pair(
         scored.append(p_yes(entries, mode=softmax_mode))
         return {"entries": entries}
 
-    entries = cache.get_or_compute("judge", prompt.digest, compute)["entries"]
+    entries = cache.get_or_compute("judge", prompt.digest, compute).get("entries")
     if not scored:
         try:
+            if not isinstance(entries, dict) or not all(
+                type(v) in (int, float) for v in entries.values()
+            ):
+                raise UnparseableJudgementError("no entries object of log-probabilities")
             scored.append(p_yes(entries, mode=softmax_mode))
         except UnparseableJudgementError as e:
             logger.warning("recomputing cached judgement %s: %s", prompt.digest, e)
@@ -273,7 +278,7 @@ def judge_candidates(
     Each concept's context block is built once and each prompt rendered once;
     ``serve`` judges cached pairs on the calling thread and the others on up
     to ``max_workers`` threads. Pairs with the same prompt share one provider
-    call through the cache.
+    call.
     """
     pairs = [(src, tgt, sim) for src in sorted(candidates) for tgt, sim in candidates[src]]
     pairs = pairs[:limit]

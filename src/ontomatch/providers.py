@@ -21,7 +21,6 @@ import json
 import logging
 import os
 import time
-from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -113,32 +112,38 @@ def serve(cache: ResponseCache, kind: str, jobs: Iterable[tuple[str, Callable[[]
     started, by one ``cache.stored(kind)`` listing, runs on the calling
     thread. The others wait on the provider, so they go to a pool of
     ``max_workers`` threads, made at the first such job: a fully cached run
-    makes no threads. An entry written after the listing is read by its
-    job's own cache lookup in the pool, so it is not computed again. ``jobs``
-    is read lazily, and at most ``QUEUE_PER_WORKER * max_workers`` jobs are
-    queued or running, so rendered prompts do not pile up. A failed job's
+    makes no threads. ``jobs`` is read lazily, and at most
+    ``QUEUE_PER_WORKER * max_workers`` jobs are queued or running, so
+    rendered prompts do not pile up. A digest is computed at most once per
+    batch: a job whose digest matches a queued or running job waits for it,
+    then runs on the calling thread and reads the entry that job wrote. A
+    duplicate of a job that has left the queue, like any entry written after
+    the listing, is read by its own cache lookup in the pool. A failed job's
     exception is re-raised once its result is reached, after the pool has
     finished the jobs it holds.
     """
     results: list = []
-    pending: deque[tuple[int, Future]] = deque()
+    # digest -> (index in results, future) of each queued or running job, oldest first
+    queued: dict[str, tuple[int, Future]] = {}
     served = 0
     with ExitStack() as stack:
         pool = None
         stored = cache.stored(kind)
         for digest, job in jobs:
-            if digest in stored:
-                results.append(job())
-                served += 1
+            if digest in queued:
+                queued[digest][1].result()
+            elif digest not in stored:
+                if pool is None:
+                    pool = stack.enter_context(ThreadPoolExecutor(max_workers=max_workers))
+                if len(queued) >= QUEUE_PER_WORKER * max_workers:
+                    index, future = queued.pop(next(iter(queued)))
+                    results[index] = future.result()
+                queued[digest] = (len(results), pool.submit(job))
+                results.append(None)
                 continue
-            if pool is None:
-                pool = stack.enter_context(ThreadPoolExecutor(max_workers=max_workers))
-            if len(pending) >= QUEUE_PER_WORKER * max_workers:
-                index, future = pending.popleft()
-                results[index] = future.result()
-            pending.append((len(results), pool.submit(job)))
-            results.append(None)
-        for index, future in pending:
+            results.append(job())
+            served += 1
+        for index, future in queued.values():
             results[index] = future.result()
     return results, served
 

@@ -1,10 +1,5 @@
-"""Content-addressed response cache: round-trips, corruption, single-flight,
+"""Content-addressed response cache: round-trips, corruption, get-or-compute,
 and the atomic writer every artifact goes through."""
-
-import sys
-import threading
-import time
-from collections import Counter
 
 import pytest
 
@@ -103,31 +98,6 @@ def test_get_or_compute_computes_once_then_hits(tmp_path):
     assert len(calls) == 1
 
 
-def test_get_or_compute_single_flight_under_threads(tmp_path):
-    cache = ResponseCache(tmp_path / "cache")
-    calls = []
-    gate = threading.Barrier(8)
-
-    def compute():
-        calls.append(1)
-        return {"text": "computed"}
-
-    results = []
-
-    def worker():
-        gate.wait()
-        results.append(cache.get_or_compute("judge", "shared", compute))
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(calls) == 1
-    assert len(results) == 8
-    assert all(r["text"] == "computed" for r in results)
-
-
 def test_get_or_compute_distinct_digests_compute_separately(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     calls = []
@@ -161,7 +131,7 @@ def test_get_or_compute_returns_written_record_without_reading_back(tmp_path, mo
 
     monkeypatch.setattr(cache, "get", counted_get)
     got = cache.get_or_compute("judge", "d1", lambda: {"entries": {"YES": -0.5, "NO": -1.0}})
-    assert reads == ["d1", "d1"]  # the check before the lock and the one under it
+    assert reads == ["d1"]
     assert got == real_get("judge", "d1")
 
 
@@ -190,41 +160,6 @@ def test_stored_keeps_kinds_apart(tmp_path):
     cache.put("judge", "j1", {"entries": {"YES": -0.1}})
     assert cache.stored("define") == {"d1"}
     assert cache.stored("judge") == {"j1"}
-
-
-def test_get_or_compute_drops_per_digest_locks(tmp_path):
-    cache = ResponseCache(tmp_path / "cache")
-    computed = Counter()
-    counted = threading.Lock()
-    gate = threading.Barrier(8)
-
-    def compute_for(digest):
-        def compute():
-            with counted:
-                computed[digest] += 1
-            time.sleep(0.001)
-            return {"text": digest}
-        return compute
-
-    def worker(n):
-        gate.wait()
-        for i in range(50):
-            digest = f"d{(i + n) % 20}"
-            cache.get_or_compute("judge", digest, compute_for(digest))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert computed == Counter({f"d{i}": 1 for i in range(20)})
-    assert cache._locks == {}
 
 
 # -- atomic writes ------------------------------------------------------------------

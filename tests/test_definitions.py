@@ -131,6 +131,21 @@ def test_generate_definition_cache_hit_skips_provider(cache):
     assert provider.generate_calls == 1
 
 
+@pytest.mark.parametrize("payload", [{}, {"text": 5}, {"text": None}, {"definition": "x"}])
+def test_generate_definition_recomputes_a_cached_entry_of_the_wrong_shape(
+    cache, caplog, payload
+):
+    provider = CountingProvider(MockProvider())
+    prompt = definition_prompt(minimal_context(), "A", "B", provider)
+    cache.put("define", prompt.digest, payload)
+    with caplog.at_level("WARNING"):
+        text = generate_definition(prompt, "http://x.org/c#C1", provider, cache)
+    assert text == "A biomedical concept referring to heart."
+    assert provider.generate_calls == 1
+    assert sum("recomputing cached definition" in m for m in caplog.messages) == 1
+    assert cache.get("define", prompt.digest) == {"text": text}
+
+
 class _FailingProvider:
     chat_model_id = "failing-chat"
     embed_model_id = "failing-embed"
@@ -268,13 +283,18 @@ class _SamplingProvider(_FailingProvider):
             return f"Definition number {self.generate_calls}."
 
 
-def test_enrich_ontology_calls_the_provider_once_per_prompt(cache):
+def test_enrich_ontology_calls_the_provider_once_per_prompt(cache, caplog):
     onto = _ontology(2)
     for concept in onto.concepts.values():
         concept.label = "Heart"  # the same label gives the same prompt
     provider = _SamplingProvider()
-    assert enrich_ontology(onto, "tgt", provider, cache, max_workers=8) == 2
+    with caplog.at_level("INFO", logger="ontomatch.definitions"):
+        assert enrich_ontology(onto, "tgt", provider, cache, max_workers=8) == 2
     assert provider.generate_calls == 1
+    assert (
+        f"defined 2 {onto.name} concepts: 1 served from cache, 1 sent to the provider"
+        in caplog.messages
+    )
     assert set(_definitions(onto).values()) == {"Definition number 1."}
 
 
@@ -291,7 +311,7 @@ def test_enrich_ontology_recomputes_corrupt_cached_definition(tmp_path, caplog):
         "A biomedical concept referring to concept 00."
     )
     assert provider.generate_calls == 1
-    assert any("corrupt" in r.message for r in caplog.records)
+    assert sum("discarding corrupt cache entry" in m for m in caplog.messages) == 1
     assert cache.get("define", entry.stem)["text"] == onto.concepts["http://x.org/c#C00"].definition
 
 

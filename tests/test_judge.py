@@ -307,6 +307,28 @@ def test_judge_pair_serves_an_entry_with_extra_keys_as_it_is(cache):
     assert cache.get("judge", prompt.digest) == old
 
 
+@pytest.mark.parametrize("payload", [
+    {},
+    {"text": "hi"},
+    {"entries": ["YES"]},
+    {"entries": {"YES": "x"}},
+    {"entries": {"YES": True, "NO": False}},
+    {"entries": {"YES": None}},
+])
+def test_judge_pair_recomputes_a_cached_entry_of_the_wrong_shape(cache, caplog, payload):
+    a = simple_ctx("http://x.org/c#A", "heart")
+    b = simple_ctx("http://y.org/c#B", "heart")
+    prompt = judge_prompt(a, b, MockProvider())
+    cache.put("judge", prompt.digest, payload)
+    provider = CountingProvider(MockProvider())
+    with caplog.at_level("WARNING"):
+        j = judge_pair(prompt, a.iri, b.iri, 0.95, provider, cache)
+    assert provider.classify_calls == 1
+    assert j.p_yes >= 0.99
+    assert sum("recomputing cached judgement" in m for m in caplog.messages) == 1
+    assert cache.get("judge", prompt.digest) == {"entries": {"YES": -0.001, "NO": -7.0}}
+
+
 def _ontologies():
     src = Ontology(name="src")
     tgt = Ontology(name="tgt")
@@ -368,13 +390,15 @@ def test_judge_candidates_empty_input(cache):
     assert judge_candidates({}, src, tgt, MockProvider(), cache) == []
 
 
-def test_judge_candidates_calls_the_provider_once_per_prompt(cache):
+def test_judge_candidates_calls_the_provider_once_per_prompt(cache, caplog):
     src, tgt = _ontologies()
     tgt.concepts["http://t#T3"] = Concept(iri="http://t#T3", label="heart")  # T1's prompt
     candidates = {"http://s#S1": [("http://t#T1", 0.9), ("http://t#T3", 0.9)]}
     provider = CountingProvider(MockProvider())
-    out = judge_candidates(candidates, src, tgt, provider, cache, max_workers=8)
+    with caplog.at_level("INFO", logger="ontomatch.judge"):
+        out = judge_candidates(candidates, src, tgt, provider, cache, max_workers=8)
     assert provider.classify_calls == 1
+    assert "judged 2 pairs: 1 served from cache, 1 sent to the provider" in caplog.messages
     assert [(j.target, j.p_yes) for j in out] == [
         ("http://t#T1", out[0].p_yes), ("http://t#T3", out[0].p_yes),
     ]
@@ -495,7 +519,7 @@ def test_judge_candidates_recomputes_corrupt_cached_answer(tmp_path, caplog):
         again = judge_candidates(candidates, src, tgt, provider, cache)
     assert again == first
     assert provider.classify_calls == 1
-    assert any("corrupt" in r.message for r in caplog.records)
+    assert sum("discarding corrupt cache entry" in m for m in caplog.messages) == 1
     assert cache.get("judge", entry.stem)["entries"]
 
 

@@ -2,7 +2,10 @@
 
 import json
 import random
+import sys
 import threading
+import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -621,6 +624,76 @@ def test_serve_interleaves_hits_and_misses_in_job_order(tmp_path):
     assert serve(cache, "judge", jobs, max_workers=2) == (list(range(10)), 4)
     here = threading.get_ident()
     assert sorted(i for i, thread in ran_on if thread == here) == [0, 3, 6, 9]
+
+
+def test_serve_runs_a_duplicate_of_a_queued_job_on_the_calling_thread(cache):
+    """The first job's compute is held while its duplicates arrive: they wait
+    for it and then read its entry, so the digest is computed once and the
+    duplicates count as served."""
+    release = threading.Event()
+    computed, ran_on, held = [], [], []
+
+    def compute():
+        computed.append(1)
+        release.wait(timeout=30)
+        return {"text": "shared"}
+
+    def job():
+        ran_on.append(threading.get_ident())
+        return cache.get_or_compute("define", "d0", compute)["text"]
+
+    def jobs():
+        for _ in range(4):
+            held.append(not release.is_set())
+            yield "d0", job
+
+    timer = threading.Timer(0.2, release.set)
+    timer.start()
+    try:
+        result = serve(cache, "define", jobs(), max_workers=4)
+    finally:
+        timer.cancel()
+    assert result == (["shared"] * 4, 3)
+    assert len(computed) == 1
+    assert held[:2] == [True, True]
+    here = threading.get_ident()
+    assert ran_on[0] != here and ran_on[1:] == [here] * 3
+
+
+def test_serve_computes_each_digest_once_under_threads(cache):
+    """Near and far repeats of 40 digests among 400 jobs, with threads
+    switched often: every digest is computed exactly once."""
+    rng = random.Random(7)
+    digests = [f"d{rng.randrange(40)}" for _ in range(400)]
+    computed = Counter()
+    counted = threading.Lock()
+
+    def compute_for(digest):
+        def compute():
+            with counted:
+                computed[digest] += 1
+            time.sleep(0.001)
+            return {"text": digest}
+        return compute
+
+    jobs = (
+        (d, lambda d=d: cache.get_or_compute("judge", d, compute_for(d))["text"])
+        for d in digests
+    )
+    out = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        consumer = threading.Thread(
+            target=lambda: out.update(result=serve(cache, "judge", jobs, max_workers=8))
+        )
+        consumer.start()
+        consumer.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not consumer.is_alive()
+    assert out["result"][0] == digests
+    assert computed == Counter(set(digests))
 
 
 def test_serve_reraises_a_failed_job_after_shutting_the_pool_down(cache, monkeypatch):
