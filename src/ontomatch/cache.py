@@ -9,6 +9,18 @@ entry; ``get`` reads an entry with one ``os.open``/``os.read``/``os.close``.
 The cache only stores: ``get_or_compute`` reads an entry once and computes
 it when that read finds nothing. Keeping two callers from computing the same
 digest at once is the scheduler's job (``providers.serve``).
+
+Inside ``batch`` (one per ``serve`` call), ``put`` encodes the entry and
+returns before its file exists: one writer thread, started at the batch's
+first put, writes the entries in order while the callers go on with their
+provider calls. Until its file is written an entry is served by ``get`` from
+memory, so a batch reads its own writes. The end of the batch is the
+durability point: leaving it waits for every queued write and raises the
+first write failure. A run killed inside a batch loses only the entries not
+yet written, which the next run recomputes; it never leaves a torn entry,
+since every write still goes through ``atomic_open``. The one lock guards
+the map of entries not yet written and the writer's start, never a
+computation or a file write.
 """
 
 from __future__ import annotations
@@ -16,6 +28,8 @@ from __future__ import annotations
 import json
 import logging
 import os
+import queue
+import threading
 import uuid
 from contextlib import contextmanager
 from pathlib import Path
@@ -53,10 +67,23 @@ def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
         raise
 
 
+def _write(path: str, data: bytes) -> None:
+    with atomic_open(path, "wb") as fp:
+        fp.write(data)
+
+
 class ResponseCache:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self._prefix = os.path.join(self.root, "")
+        self._lock = threading.Lock()
+        # path -> bytes of each entry put in the open batch and not yet written
+        self._pending: dict[str, bytes] = {}
+        # The open batch's write queue, its writer (from the first put) and
+        # its first write failure; None outside a batch.
+        self._writes: queue.SimpleQueue | None = None
+        self._writer: threading.Thread | None = None
+        self._write_error: BaseException | None = None
 
     def _path(self, kind: str, digest: str) -> str:
         # A string built on the root joined once, not pathlib or os.path.join:
@@ -65,32 +92,38 @@ class ResponseCache:
 
     def stored(self, kind: str) -> set[str]:
         """The digests of the ``kind`` entries, from one listing of its
-        directory (empty when there is none); their content is not checked."""
+        directory (empty when there is none, or it is not a directory); their
+        content is not checked."""
         try:
             with os.scandir(f"{self._prefix}{kind}") as entries:
                 return {e.name[:-5] for e in entries if e.name.endswith(".json")}
-        except FileNotFoundError:
+        except (FileNotFoundError, NotADirectoryError):
             return set()
 
     def get(self, kind: str, digest: str) -> dict | None:
         """The stored payload; None when there is none, or when the entry is
-        not a UTF-8 JSON object, which ``get_or_compute`` then replaces."""
+        not a UTF-8 JSON object, which ``get_or_compute`` then replaces. An
+        entry put in the open batch is read from memory until it is written."""
         path = self._path(kind, digest)
-        try:
-            fd = os.open(path, _READ_FLAGS)
-        except FileNotFoundError:
-            return None
-        try:
-            # Read to end of file: a short read is not taken for the entry.
-            chunks = []
-            while chunk := os.read(fd, _READ_SIZE):
-                chunks.append(chunk)
-        finally:
-            os.close(fd)
+        with self._lock:
+            data = self._pending.get(path)
+        if data is None:
+            try:
+                fd = os.open(path, _READ_FLAGS)
+            except (FileNotFoundError, NotADirectoryError):
+                return None
+            try:
+                # Read to end of file: a short read is not taken for the entry.
+                chunks = []
+                while chunk := os.read(fd, _READ_SIZE):
+                    chunks.append(chunk)
+            finally:
+                os.close(fd)
+            data = b"".join(chunks)
         try:
             # An explicit UTF-8 decode: json.loads on bytes would also accept
             # UTF-16 and UTF-32.
-            payload = json.loads(b"".join(chunks).decode("utf-8"))
+            payload = json.loads(data.decode("utf-8"))
         except ValueError:  # JSONDecodeError and UnicodeDecodeError
             payload = None
         if not isinstance(payload, dict):
@@ -99,10 +132,67 @@ class ResponseCache:
         return payload
 
     def put(self, kind: str, digest: str, payload: dict) -> dict:
-        """Store ``payload`` as it is, replacing any entry; returns it."""
-        with atomic_open(self._path(kind, digest)) as fp:
-            json.dump(payload, fp, ensure_ascii=False)
+        """Store ``payload`` as it is, replacing any entry; returns it.
+
+        The payload is encoded here, so one that is not JSON raises here.
+        Outside a batch the entry is written before ``put`` returns; inside
+        one it is queued for the batch's writer and lands by the batch's end.
+        """
+        data = json.dumps(payload, ensure_ascii=False).encode("utf-8")
+        path = self._path(kind, digest)
+        with self._lock:
+            if self._writes is not None:
+                self._pending[path] = data
+                if self._writer is None:
+                    self._writer = threading.Thread(
+                        target=self._drain, args=(self._writes,), name="cache-writer"
+                    )
+                    self._writer.start()
+                self._writes.put((path, data))
+                return payload
+        _write(path, data)
         return payload
+
+    def _drain(self, writes: queue.SimpleQueue) -> None:
+        while (item := writes.get()) is not None:
+            path, data = item
+            try:
+                _write(path, data)
+            except BaseException as exc:  # raised by batch() once the writer stops
+                if self._write_error is None:
+                    self._write_error = exc
+            finally:
+                # A failed entry is dropped too: a later get recomputes it.
+                with self._lock:
+                    if self._pending.get(path) is data:
+                        del self._pending[path]
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Within the block, ``put`` hands its writes to one writer thread;
+        leaving the block waits for all of them. Then the first write
+        failure is raised, or logged when the block itself is raising. A
+        block that puts nothing starts no thread. One batch at a time."""
+        with self._lock:
+            if self._writes is not None:
+                raise RuntimeError("a cache batch is already open")
+            self._writes = queue.SimpleQueue()
+        raising = True
+        try:
+            yield
+            raising = False
+        finally:
+            with self._lock:
+                writes, writer = self._writes, self._writer
+                self._writes = self._writer = None
+            if writer is not None:
+                writes.put(None)
+                writer.join()
+            error, self._write_error = self._write_error, None
+            if error is not None:
+                if not raising:
+                    raise error
+                logger.error("cache write failed while the batch was failing: %s", error)
 
     def get_or_compute(
         self, kind: str, digest: str, compute: Callable[[], dict]

@@ -116,17 +116,25 @@ def serve(cache: ResponseCache, kind: str, jobs: Iterable[tuple[str, Callable[[]
     ``QUEUE_PER_WORKER * max_workers`` jobs are queued or running, so
     rendered prompts do not pile up. A digest is computed at most once per
     batch: a job whose digest matches a queued or running job waits for it,
-    then runs on the calling thread and reads the entry that job wrote. A
+    then runs on the calling thread and reads the entry that job put. A
     duplicate of a job that has left the queue, like any entry written after
     the listing, is read by its own cache lookup in the pool. A failed job's
     exception is re-raised once its result is reached, after the pool has
     finished the jobs it holds.
+
+    The batch is one ``cache.batch()``, entered before the pool so that it
+    closes after the pool has shut down: a job's ``put`` returns before its
+    entry's file exists, and a later job of the batch reads the entry from
+    memory. ``serve`` returns only when every entry is written, and a write
+    failure raises here, once the jobs are done, unless a job already
+    raised.
     """
     results: list = []
     # digest -> (index in results, future) of each queued or running job, oldest first
     queued: dict[str, tuple[int, Future]] = {}
     served = 0
     with ExitStack() as stack:
+        stack.enter_context(cache.batch())
         pool = None
         stored = cache.stored(kind)
         for digest, job in jobs:

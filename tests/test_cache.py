@@ -1,8 +1,11 @@
 """Content-addressed response cache: round-trips, corruption, get-or-compute,
-and the atomic writer every artifact goes through."""
+batches, and the atomic writer every artifact goes through."""
+
+import threading
 
 import pytest
 
+import ontomatch.cache as cache_module
 from ontomatch.cache import ResponseCache, atomic_open
 
 
@@ -200,3 +203,41 @@ def test_put_failure_keeps_the_old_entry_and_leaves_no_temporary(tmp_path):
         cache.put("define", "d1", {"text": object()})
     assert cache.get("define", "d1")["text"] == "kept"
     assert [p.name for p in (tmp_path / "cache" / "define").iterdir()] == ["d1.json"]
+
+
+# -- batches: writes behind the callers ---------------------------------------------
+
+
+def test_a_batch_put_is_read_from_memory_and_written_by_the_batch_end(tmp_path, monkeypatch):
+    written = []
+    real_write = cache_module._write
+
+    def recorded_write(path, data):
+        written.append(path)
+        real_write(path, data)
+
+    monkeypatch.setattr(cache_module, "_write", recorded_write)
+    cache = ResponseCache(tmp_path / "cache")
+    entry = tmp_path / "cache" / "define" / "d1.json"
+    with cache.batch():
+        cache.put("define", "d1", {"text": "A définition."})
+        assert cache.get("define", "d1") == {"text": "A définition."}
+        with pytest.raises(TypeError):
+            cache.put("define", "d2", {"text": object()})
+        with pytest.raises(RuntimeError, match="already open"):
+            with cache.batch():
+                pass
+    assert written == [str(entry)]
+    assert entry.read_bytes() == '{"text": "A définition."}'.encode("utf-8")
+    assert ResponseCache(tmp_path / "cache").get("define", "d1") == {"text": "A définition."}
+
+
+def test_a_batch_that_puts_nothing_starts_no_thread(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    cache = ResponseCache(tmp_path / "cache")
+    cache.put("define", "d1", {"text": "def"})
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    with cache.batch():
+        assert cache.get("define", "d1") == {"text": "def"}

@@ -438,6 +438,21 @@ def test_judge_candidates_fully_warm_makes_no_pool_and_no_calls(tmp_path, monkey
     assert warm == cold
 
 
+def test_judge_candidates_raises_a_failed_entry_write_after_judging_every_pair(tmp_path):
+    """The cache's judge path is a regular file, so every entry write fails.
+    Each pair is still judged, then the write's OSError is raised, and no
+    temporary file is left."""
+    src, tgt = _ontologies()
+    cache = ResponseCache(tmp_path / "cache")
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "cache" / "judge").write_text("")
+    provider = CountingProvider(MockProvider())
+    with pytest.raises(OSError):
+        judge_candidates(_all_candidates(), src, tgt, provider, cache)
+    assert provider.classify_calls == 4
+    assert not list(tmp_path.rglob("tmp*.tmp"))
+
+
 def test_judge_candidates_warm_reads_each_entry_once_and_probes_none(tmp_path, monkeypatch):
     """A fully cached batch decides its hits from one listing of the kind
     directory and reads each entry once, with no per-entry existence probe."""

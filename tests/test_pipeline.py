@@ -548,6 +548,28 @@ def test_failed_stage_is_recorded_and_reraised(tmp_path):
     assert "reference" in manifest["stages"]["eval"]["error"]
 
 
+def test_a_failed_cache_write_fails_the_judge_stage_and_the_next_run_recomputes(tmp_path):
+    config = toy_config(tmp_path)
+    provider = CountingProvider(make_provider(config))
+    pipeline = Pipeline(config, provider=provider)
+    pipeline.run(stages=["ingest", "define", "embed", "match"])
+    judge_dir = Path(config.cache_dir) / "judge"
+    judge_dir.parent.mkdir(parents=True, exist_ok=True)
+    judge_dir.write_text("")  # a regular file where the entries go
+    with pytest.raises(OSError):
+        pipeline.run_stage("judge")
+    manifest = json.loads((Path(config.out_dir) / "manifest.json").read_text())
+    assert manifest["stages"]["judge"]["status"] == "failed"
+    assert not list(Path(config.cache_dir).rglob("tmp*.tmp"))
+    failed_calls = provider.classify_calls
+    assert failed_calls > 0
+
+    judge_dir.unlink()
+    assert pipeline.run_stage("judge") == "complete"
+    assert provider.classify_calls == 2 * failed_calls
+    assert len(ResponseCache(config.cache_dir).stored("judge")) == failed_calls
+
+
 def test_missing_prerequisite_names_the_stage_to_run(tmp_path):
     pipeline = Pipeline(toy_config(tmp_path))
     with pytest.raises(MissingArtifactError) as exc:

@@ -7,11 +7,13 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ontomatch.cache as cache_module
 from ontomatch.cache import ResponseCache
 from ontomatch.errors import (
     CapabilityError,
@@ -602,13 +604,18 @@ def test_serve_bounds_jobs_in_flight_and_keeps_order(cache):
 
 
 def test_serve_makes_no_threads_when_every_job_is_cached(tmp_path, monkeypatch):
+    """Neither a pool nor the cache's writer: a fully cached batch puts nothing."""
     def refuse(*args, **kwargs):
         raise AssertionError("a thread pool was made")
 
-    monkeypatch.setattr("ontomatch.providers.ThreadPoolExecutor", refuse)
+    def refuse_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
     cache = ResponseCache(tmp_path / "cache")
     for i in range(5):
         cache.put("define", f"d{i}", {"text": str(i)})
+    monkeypatch.setattr("ontomatch.providers.ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse_thread)
     ran_on = []
     jobs = ((f"d{i}", _job(i, ran_on)) for i in range(5))
     assert serve(cache, "define", jobs, max_workers=8) == ([0, 1, 2, 3, 4], 5)
@@ -662,7 +669,8 @@ def test_serve_runs_a_duplicate_of_a_queued_job_on_the_calling_thread(cache):
 
 def test_serve_computes_each_digest_once_under_threads(cache):
     """Near and far repeats of 40 digests among 400 jobs, with threads
-    switched often: every digest is computed exactly once."""
+    switched often: every digest is computed exactly once, and its entry is
+    on disk when serve returns."""
     rng = random.Random(7)
     digests = [f"d{rng.randrange(40)}" for _ in range(400)]
     computed = Counter()
@@ -694,6 +702,88 @@ def test_serve_computes_each_digest_once_under_threads(cache):
     assert not consumer.is_alive()
     assert out["result"][0] == digests
     assert computed == Counter(set(digests))
+    fresh = ResponseCache(cache.root)
+    assert fresh.stored("judge") == set(digests)
+    assert all(fresh.get("judge", d) == {"text": d} for d in set(digests))
+
+
+def _hold_writes(monkeypatch, release, fail_on=None, delay=0.0):
+    """Make every cache entry write wait for ``release``, then sleep ``delay``;
+    a write to a path ending in ``fail_on`` raises OSError."""
+    real_atomic_open = cache_module.atomic_open
+
+    @contextmanager
+    def held_atomic_open(path, mode="w"):
+        release.wait(timeout=30)
+        time.sleep(delay)
+        if fail_on is not None and str(path).endswith(fail_on):
+            raise OSError(f"cannot write {path}")
+        with real_atomic_open(path, mode) as fp:
+            yield fp
+
+    monkeypatch.setattr(cache_module, "atomic_open", held_atomic_open)
+
+
+def test_serve_reads_its_own_writes_while_the_writer_is_held(tmp_path, monkeypatch):
+    """Entry writes are held until every job has been pulled. A duplicate is
+    served from the entry its original put, which is not on disk yet, with
+    no second compute; serve returns only once the held writes have landed."""
+    release = threading.Event()
+    _hold_writes(monkeypatch, release, delay=0.05)
+    cache = ResponseCache(tmp_path / "cache")
+    kind_dir = tmp_path / "cache" / "judge"
+    computed = Counter()
+    on_disk = []
+
+    def job(digest):
+        def compute():
+            computed[digest] += 1
+            return {"text": digest}
+
+        def run():
+            on_disk.append((kind_dir / f"{digest}.json").exists())
+            return cache.get_or_compute("judge", digest, compute)["text"]
+        return run
+
+    digests = ["d0", "d0", "d1", "d1", "d2"]
+
+    def jobs():
+        for digest in digests:
+            yield digest, job(digest)
+        release.set()
+
+    assert serve(cache, "judge", jobs(), max_workers=2) == (digests, 2)
+    assert computed == Counter({"d0": 1, "d1": 1, "d2": 1})
+    assert on_disk == [False] * 5
+    fresh = ResponseCache(tmp_path / "cache")
+    assert fresh.stored("judge") == {"d0", "d1", "d2"}
+    assert all(fresh.get("judge", d) == {"text": d} for d in ("d0", "d1", "d2"))
+    assert not list(kind_dir.glob("*.tmp"))
+
+
+def test_serve_raises_a_failed_job_over_a_failed_write(tmp_path, monkeypatch, caplog):
+    """A job raises while the entries of earlier jobs are queued, and one of
+    those writes fails: serve raises the job's error, logs the write failure,
+    and the other entries are on disk when it returns."""
+    release = threading.Event()
+    _hold_writes(monkeypatch, release, fail_on="d1.json")
+    cache = ResponseCache(tmp_path / "cache")
+
+    def job(digest):
+        return lambda: cache.get_or_compute("judge", digest, lambda: {"text": digest})
+
+    def fail():
+        release.set()
+        raise ProviderError("backend down")
+
+    jobs = [("d0", job("d0")), ("d1", job("d1")), ("d2", fail)]
+    with caplog.at_level("ERROR", logger="ontomatch.cache"):
+        with pytest.raises(ProviderError, match="backend down"):
+            serve(cache, "judge", iter(jobs), max_workers=2)
+    assert any("cannot write" in r.getMessage() for r in caplog.records)
+    fresh = ResponseCache(tmp_path / "cache")
+    assert fresh.stored("judge") == {"d0"}
+    assert fresh.get("judge", "d0") == {"text": "d0"}
 
 
 def test_serve_reraises_a_failed_job_after_shutting_the_pool_down(cache, monkeypatch):
