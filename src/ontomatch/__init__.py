@@ -10,11 +10,9 @@ from .errors import (
     CapabilityError,
     ConfigError,
     DegenerateVectorError,
-    EmptyCompletionError,
     MissingArtifactError,
     OntologyParseError,
     OntomatchError,
-    PromptSizeError,
     ProviderError,
     StructureError,
     UndefinedMetricError,

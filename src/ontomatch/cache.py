@@ -16,11 +16,12 @@ first put, writes the entries in order while the callers go on with their
 provider calls. Until its file is written an entry is served by ``get`` from
 memory, so a batch reads its own writes. The end of the batch is the
 durability point: leaving it waits for every queued write and raises the
-first write failure. A run killed inside a batch loses only the entries not
-yet written, which the next run recomputes; it never leaves a torn entry,
-since every write still goes through ``atomic_open``. The one lock guards
-the map of entries not yet written and the writer's start, never a
-computation or a file write.
+first write failure, which ``serve`` sees as soon as it happens through
+``write_failed`` and so stops calling the provider. A run killed inside a
+batch loses only the entries not yet written, which the next run
+recomputes; it never leaves a torn entry, since every write still goes
+through ``atomic_open``. The one lock guards the map of entries not yet
+written and the writer's start, never a computation or a file write.
 """
 
 from __future__ import annotations
@@ -161,18 +162,25 @@ class ResponseCache:
             except BaseException as exc:  # raised by batch() once the writer stops
                 if self._write_error is None:
                     self._write_error = exc
+                    logger.error("cache write failed; the batch raises it when it ends: %s", exc)
             finally:
                 # A failed entry is dropped too: a later get recomputes it.
                 with self._lock:
                     if self._pending.get(path) is data:
                         del self._pending[path]
 
+    @property
+    def write_failed(self) -> bool:
+        """Whether a write of the open batch has failed."""
+        return self._write_error is not None
+
     @contextmanager
     def batch(self) -> Iterator[None]:
         """Within the block, ``put`` hands its writes to one writer thread;
-        leaving the block waits for all of them. Then the first write
-        failure is raised, or logged when the block itself is raising. A
-        block that puts nothing starts no thread. One batch at a time."""
+        leaving the block waits for all of them. The first write failure is
+        logged when it happens, sets ``write_failed`` and is raised when the
+        block ends, unless the block itself is raising. A block that puts
+        nothing starts no thread. One batch at a time."""
         with self._lock:
             if self._writes is not None:
                 raise RuntimeError("a cache batch is already open")
@@ -189,10 +197,8 @@ class ResponseCache:
                 writes.put(None)
                 writer.join()
             error, self._write_error = self._write_error, None
-            if error is not None:
-                if not raising:
-                    raise error
-                logger.error("cache write failed while the batch was failing: %s", error)
+            if error is not None and not raising:
+                raise error
 
     def get_or_compute(
         self, kind: str, digest: str, compute: Callable[[], dict]

@@ -27,19 +27,12 @@ class StructureError(OntomatchError):
 
 
 class ProviderError(OntomatchError):
-    """A provider call failed after exhausting retries."""
+    """A provider call failed: retries ran out, the response was malformed or
+    an empty completion, or the prompt exceeds the context limit."""
 
 
 class CapabilityError(ProviderError):
     """The backend lacks a required capability (e.g. token log-probabilities)."""
-
-
-class EmptyCompletionError(ProviderError):
-    """The backend returned an empty completion."""
-
-
-class PromptSizeError(ProviderError):
-    """A rendered prompt exceeds the provider's context limit."""
 
 
 class DegenerateVectorError(OntomatchError):

@@ -208,21 +208,16 @@ def _parse_owl(fp: IO[bytes], name: str, skipped_lines: int, label_property: str
                 descriptions.append(verbalize(expr, label_index))
             except StructureError:
                 onto.stats.skipped_axioms += 1
-        concept = Concept(
+        onto.concepts[iri] = Concept(
             iri=iri,
             label=label,
             synonyms=dedupe_synonyms(label, extra_labels + rc.synonyms),
             parents=list(dict.fromkeys(rc.parents)),
             equiv_descriptions=descriptions,
         )
-        if label is None:
-            onto.stats.unlabeled_concepts += 1
-        onto.concepts[iri] = concept
 
-    if onto.stats.unlabeled_concepts:
-        logger.warning(
-            "%s: %d concepts have no label", name, onto.stats.unlabeled_concepts
-        )
+    if unlabeled := onto.unlabeled_count:
+        logger.warning("%s: %d concepts have no label", name, unlabeled)
     if onto.stats.skipped_axioms or onto.stats.dropped_anonymous_parents:
         logger.info(
             "%s: skipped %d unsupported axioms, dropped %d anonymous superclasses",

@@ -12,11 +12,11 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Sequence, get_type_hints
 
 from .cache import ResponseCache
-from .errors import UnparseableJudgementError
-from .model import ContextBlock, Judgement, Ontology, concept_context, read_tsv_rows
+from .errors import ConfigError, UnparseableJudgementError
+from .model import ContextBlock, Judgement, Ontology, check_record, concept_context, read_tsv_rows
 from .providers import Message, Prompt, Provider, prompt_digest, serve
 
 logger = logging.getLogger(__name__)
@@ -78,36 +78,22 @@ class FewShotExample:
     @classmethod
     def from_dict(cls, d: dict) -> "FewShotExample":
         """An example from ``{"a": {...}, "b": {...}, "answer": "YES" | "NO"}``.
-        Each concept takes ``label``, ``synonyms``, ``parents``,
-        ``descriptions``, ``definition`` and an ``iri``, which the prompt
-        does not show. A value of the wrong JSON type is a ``ValueError``
-        that names its key."""
+        Each concept takes ``ContextBlock``'s keys, all optional: ``label``,
+        ``synonyms``, ``parents``, ``descriptions``, ``definition`` and an
+        ``iri``, which the prompt does not show. A misshapen example, or an
+        unknown key or a value of the wrong JSON type in a concept, is a
+        ``ConfigError`` that names it."""
 
         def context(block: dict) -> ContextBlock:
             if not isinstance(block, dict):
-                raise ValueError(f"few-shot concept must be an object, got {block!r}")
-            for key in ("synonyms", "parents", "descriptions"):
-                value = block.get(key, [])
-                if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                    raise ValueError(
-                        f"few-shot concept {key!r} must be a list of strings, got {value!r}")
-            for key, kind, wanted in (("iri", str, "a string"),
-                                      ("label", str | None, "a string or null"),
-                                      ("definition", str | None, "a string or null")):
-                value = block.get(key, "")
-                if not isinstance(value, kind):
-                    raise ValueError(f"few-shot concept {key!r} must be {wanted}, got {value!r}")
-            return ContextBlock(
-                iri=block.get("iri", "urn:example:shot"),
-                label=block.get("label"),
-                synonyms=list(block.get("synonyms", [])),
-                parents=list(block.get("parents", [])),
-                descriptions=list(block.get("descriptions", [])),
-                definition=block.get("definition"),
-            )
+                raise ConfigError(f"few-shot concept must be an object, got {block!r}")
+            check_record(block, get_type_hints(ContextBlock), "few-shot concept")
+            return ContextBlock(**{"iri": "urn:example:shot", "label": None, "synonyms": [],
+                                   "parents": [], "descriptions": [], **block})
 
         if not isinstance(d, dict) or not {"a", "b", "answer"} <= d.keys():
-            raise ValueError(f"few-shot example must be an object with a, b and answer, got {d!r}")
+            raise ConfigError(
+                f"few-shot example must be an object with a, b and answer, got {d!r}")
         return cls(a=context(d["a"]), b=context(d["b"]), answer=d["answer"])
 
 

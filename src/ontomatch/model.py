@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import IO, Callable, Iterable, Iterator, TypeVar
+from types import UnionType
+from typing import IO, Callable, Iterable, Iterator, TypeVar, get_args, get_origin
 
-from .errors import OntologyParseError
+from .errors import ConfigError, OntologyParseError
 
 __all__ = [
     "Concept",
@@ -20,6 +21,7 @@ __all__ = [
     "Mapping",
     "MappingSet",
     "Judgement",
+    "check_record",
     "iri_fragment",
     "is_absolute_iri",
     "normalize_string",
@@ -49,6 +51,35 @@ def iri_fragment(iri: str) -> str:
 def normalize_string(s: str) -> str:
     """Trim, collapse internal whitespace, case-fold."""
     return " ".join(s.split()).casefold()
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has a type hint's type: an int is a float, a
+    bool is only a bool, and a list's items have the item type."""
+    if get_origin(hint) is UnionType:
+        return any(_fits(value, h) for h in get_args(hint))
+    if get_origin(hint) is list:
+        (item,) = get_args(hint)
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def check_record(record: dict, hints: dict, what: str = "") -> None:
+    """Reject a key of the JSON object ``record`` that ``hints`` (key ->
+    type) lacks, or a value that does not fit its key's type, with a
+    ``ConfigError`` naming the key: ``unknown {what} keys: [...]`` or
+    ``{what} {key} must be {type}, got {value!r}``, the type as its
+    annotation reads. ``what`` names a record inside the config; without
+    it the record is the config, whose keys are named bare."""
+    unknown = sorted(record.keys() - hints.keys())
+    if unknown:
+        raise ConfigError(f"unknown {what or 'config'} keys: {unknown}")
+    for key, value in record.items():
+        if not _fits(value, hint := hints[key]):
+            name = hint if get_origin(hint) else hint.__name__
+            raise ConfigError(f"{what} {key} must be {name}, got {value!r}".lstrip())
 
 
 @dataclass
@@ -90,7 +121,6 @@ class OntologyStats:
 
     skipped_axioms: int = 0
     dropped_anonymous_parents: int = 0
-    unlabeled_concepts: int = 0
 
 
 @dataclass
@@ -106,6 +136,11 @@ class Ontology:
     def dangling_parent_count(self) -> int:
         """Parent references that do not resolve within this ontology."""
         return sum(p not in self.concepts for c in self.concepts.values() for p in c.parents)
+
+    @property
+    def unlabeled_count(self) -> int:
+        """Concepts without a label."""
+        return sum(c.label is None for c in self.concepts.values())
 
     def label_for(self, iri: str) -> str | None:
         c = self.concepts.get(iri)
@@ -269,7 +304,7 @@ def read_concept_jsonl(fp: IO[str], name: str) -> Ontology:
         definition = row.get("definition")
         if definition is not None and not isinstance(definition, str):
             raise OntologyParseError("'definition' must be a string or null", line=lineno)
-        concept = Concept(
+        onto.concepts[iri] = Concept(
             iri=iri,
             label=label,
             synonyms=dedupe_synonyms(label, row.get("synonyms", [])),
@@ -277,9 +312,6 @@ def read_concept_jsonl(fp: IO[str], name: str) -> Ontology:
             equiv_descriptions=list(row.get("equiv_descriptions", [])),
             definition=definition,
         )
-        if concept.label is None:
-            onto.stats.unlabeled_concepts += 1
-        onto.concepts[iri] = concept
     return onto
 
 

@@ -15,11 +15,11 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from types import ModuleType, UnionType
-from typing import Callable, Sequence, get_args, get_origin, get_type_hints
+from types import ModuleType
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .model import (
     Judgement,
     MappingSet,
     Ontology,
+    check_record,
     read_concept_jsonl,
     write_concept_jsonl,
 )
@@ -163,19 +164,6 @@ STAGES = tuple(STAGE_TABLE)
 _PRODUCER = {a: stage for stage, row in STAGE_TABLE.items() for a in row.writes}
 
 
-def _fits(value, hint) -> bool:
-    """Whether a JSON value has a config field's type: an int is a float, a
-    bool is only a bool, and a list's items have the item type."""
-    if get_origin(hint) is UnionType:
-        return any(_fits(value, h) for h in get_args(hint))
-    if get_origin(hint) is list:
-        (item,) = get_args(hint)
-        return isinstance(value, list) and all(_fits(v, item) for v in value)
-    if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
-
-
 @dataclass
 class PipelineConfig:
     source: str = ""
@@ -205,10 +193,7 @@ class PipelineConfig:
     few_shot_examples: list[dict] | None = None
 
     def __post_init__(self):
-        hints = get_type_hints(PipelineConfig)
-        for f in fields(self):
-            if not _fits(getattr(self, f.name), hints[f.name]):
-                raise ConfigError(f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}")
+        check_record(vars(self), get_type_hints(PipelineConfig))
         for name, ok, rule in (
             ("lambda_prob", 0.0 <= self.lambda_prob <= 1.0, "in [0, 1]"),
             ("lambda_cs", 0.0 <= self.lambda_cs <= 1.0, "in [0, 1]"),
@@ -232,9 +217,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        check_record(data, get_type_hints(cls))
         return cls(**data)
 
     @classmethod
@@ -283,29 +266,29 @@ def global_report(predicted: MappingSet, reference: MappingSet) -> MetricsReport
     )
 
 
-_PROVIDER_KEYS = {
-    "mock": {"dimension", "seed", "alias_groups_file"},
-    "http": {f.name for f in fields(HttpProviderConfig)},
-}
+# The mock provider's keys; the http provider's are HttpProviderConfig's fields.
+_MOCK_HINTS = {"dimension": int, "seed": int, "alias_groups_file": str}
 
 
 def make_provider(config: PipelineConfig) -> Provider:
     spec = dict(config.provider)
     kind = spec.pop("kind", "mock")
-    if kind not in _PROVIDER_KEYS:
+    if kind not in ("mock", "http"):
         raise ConfigError(f"unknown provider kind {kind!r}")
-    unknown = set(spec) - _PROVIDER_KEYS[kind]
-    if unknown:
-        raise ConfigError(f"unknown {kind} provider keys: {sorted(unknown)}")
+    check_record(spec, get_type_hints(HttpProviderConfig) if kind == "http" else _MOCK_HINTS,
+                 f"{kind} provider")
     try:
         if kind == "http":
             return HttpProvider(HttpProviderConfig(**spec).apply_env_overrides())
         alias_file = spec.pop("alias_groups_file", None)
         if alias_file:
             with open(alias_file, "r", encoding="utf-8") as fp:
-                spec["alias_groups"] = json.load(fp)
+                groups = json.load(fp)
+            check_record({alias_file: groups}, {alias_file: list[list[str]]},
+                         "mock provider alias_groups_file")
+            spec["alias_groups"] = groups
         return MockProvider(**spec)
-    except ValueError as e:
+    except (OSError, ValueError) as e:  # an unreadable alias file, or a value out of range
         raise ConfigError(f"{kind} provider: {e}") from e
 
 

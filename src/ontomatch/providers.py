@@ -29,12 +29,7 @@ from typing import Callable, Iterable, NamedTuple, Protocol, Sequence, TypeVar
 import numpy as np
 
 from .cache import ResponseCache
-from .errors import (
-    CapabilityError,
-    EmptyCompletionError,
-    PromptSizeError,
-    ProviderError,
-)
+from .errors import CapabilityError, ProviderError
 from .model import normalize_string
 
 logger = logging.getLogger(__name__)
@@ -125,9 +120,9 @@ def serve(cache: ResponseCache, kind: str, jobs: Iterable[tuple[str, Callable[[]
     The batch is one ``cache.batch()``, entered before the pool so that it
     closes after the pool has shut down: a job's ``put`` returns before its
     entry's file exists, and a later job of the batch reads the entry from
-    memory. ``serve`` returns only when every entry is written, and a write
-    failure raises here, once the jobs are done, unless a job already
-    raised.
+    memory. ``serve`` returns only when every entry is written. Once a
+    write has failed no job is handed to the pool: the jobs it holds
+    finish, and the write failure raises here unless a job already raised.
     """
     results: list = []
     # digest -> (index in results, future) of each queued or running job, oldest first
@@ -146,6 +141,8 @@ def serve(cache: ResponseCache, kind: str, jobs: Iterable[tuple[str, Callable[[]
                 if len(queued) >= QUEUE_PER_WORKER * max_workers:
                     index, future = queued.pop(next(iter(queued)))
                     results[index] = future.result()
+                if cache.write_failed:  # raised when the batch ends
+                    break
                 queued[digest] = (len(results), pool.submit(job))
                 results.append(None)
                 continue
@@ -278,7 +275,7 @@ class MockProvider:
     def _check_size(self, messages: Sequence[Message]) -> None:
         total = sum(len(m.get("content", "")) for m in messages)
         if total > self.context_chars:
-            raise PromptSizeError(
+            raise ProviderError(
                 f"prompt of {total} characters exceeds mock context limit "
                 f"{self.context_chars}"
             )
@@ -413,7 +410,7 @@ class HttpProvider:
 
     def _check_size(self, texts_len: int) -> None:
         if texts_len > self.config.context_chars:
-            raise PromptSizeError(
+            raise ProviderError(
                 f"prompt of {texts_len} characters exceeds context limit "
                 f"{self.config.context_chars} for model {self.chat_model_id}"
             )
@@ -471,7 +468,7 @@ class HttpProvider:
                 f"malformed completion response: content is a {type(text).__name__}"
             )
         if text is None or not text.strip():
-            raise EmptyCompletionError(
+            raise ProviderError(
                 f"model {self.chat_model_id} returned an empty completion"
             )
         return text.rstrip()

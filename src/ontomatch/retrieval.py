@@ -309,16 +309,12 @@ def merge_candidate_maps(
     the forward orientation; duplicate pairs keep the larger cosine.
     """
     best: dict[tuple[str, str], float] = {}
-    for src, cands in forward.items():
-        for tgt, sim in cands:
-            key = (src, tgt)
-            if key not in best or sim > best[key]:
-                best[key] = sim
-    for tgt, cands in backward.items():
-        for src, sim in cands:
-            key = (src, tgt)
-            if key not in best or sim > best[key]:
-                best[key] = sim
+    for candidate_map, folded in ((forward, False), (backward, True)):
+        for query, cands in candidate_map.items():
+            for hit, sim in cands:
+                key = (hit, query) if folded else (query, hit)
+                if key not in best or sim > best[key]:
+                    best[key] = sim
     merged: dict[str, list[tuple[str, float]]] = {}
     for (src, tgt), sim in best.items():
         merged.setdefault(src, []).append((tgt, sim))

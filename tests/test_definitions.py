@@ -17,7 +17,7 @@ from ontomatch.definitions import (
     generate_definition,
     truncate_words,
 )
-from ontomatch.errors import EmptyCompletionError, ProviderError
+from ontomatch.errors import ProviderError
 from ontomatch.model import Concept, ContextBlock, Ontology, read_concept_jsonl
 from ontomatch.providers import MockProvider, SamplingParams
 
@@ -164,7 +164,7 @@ class _FailingProvider:
 
 
 @pytest.mark.parametrize("error", [
-    EmptyCompletionError("empty"),
+    ProviderError("model m returned an empty completion"),
     ProviderError("down"),
 ])
 def test_generate_definition_degrades_to_empty_string(cache, error, caplog):

@@ -55,7 +55,7 @@ def test_basic_classes_labels_synonyms_parents(tmp_path):
     assert b.synonyms == ["Beta variant", "B exact"]
     assert b.parents == ["http://x.org/onto#A"]
     assert onto.dangling_parent_count == 1
-    assert onto.stats.unlabeled_concepts == 1  # C has no label
+    assert onto.unlabeled_count == 1  # C has no label
     assert onto.name == "onto"
 
 

@@ -1,16 +1,18 @@
 """Equivalence judging: prompt layout, YES-probability math, judgement IO."""
 
 import io
+import logging
 import math
 import random
 import re
+import threading
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from ontomatch.cache import ResponseCache
-from ontomatch.errors import OntologyParseError, UnparseableJudgementError
+from ontomatch.errors import ConfigError, OntologyParseError, UnparseableJudgementError
 from ontomatch.judge import (
     DEFAULT_FEW_SHOT,
     JUDGE_SYSTEM,
@@ -25,7 +27,7 @@ from ontomatch.judge import (
 )
 from ontomatch.model import Concept, ContextBlock, Judgement, Ontology
 from ontomatch.pipeline import PipelineConfig
-from ontomatch.providers import MockProvider, serve
+from ontomatch.providers import QUEUE_PER_WORKER, MockProvider, serve
 
 from conftest import CountingProvider, golden_text
 from oracles import reference_p_yes
@@ -102,18 +104,20 @@ def test_few_shot_example_validates_answer():
     ("x", "an object with a, b and answer, got 'x'"),
     ({"a": {}, "b": ["y"], "answer": "NO"}, "concept must be an object, got ['y']"),
     ({"a": {"synonyms": "heart"}, "b": {}, "answer": "NO"},
-     "concept 'synonyms' must be a list of strings, got 'heart'"),
+     "concept synonyms must be list[str], got 'heart'"),
     ({"a": {}, "b": {"parents": ["x", 1]}, "answer": "NO"},
-     "concept 'parents' must be a list of strings, got ['x', 1]"),
+     "concept parents must be list[str], got ['x', 1]"),
     ({"a": {"descriptions": None}, "b": {}, "answer": "NO"},
-     "concept 'descriptions' must be a list of strings, got None"),
-    ({"a": {"label": 7}, "b": {}, "answer": "NO"}, "concept 'label' must be a string or null, got 7"),
+     "concept descriptions must be list[str], got None"),
+    ({"a": {"label": 7}, "b": {}, "answer": "NO"}, "concept label must be str | None, got 7"),
     ({"a": {}, "b": {"definition": ["d"]}, "answer": "NO"},
-     "concept 'definition' must be a string or null, got ['d']"),
-    ({"a": {"iri": None}, "b": {}, "answer": "NO"}, "concept 'iri' must be a string, got None"),
+     "concept definition must be str | None, got ['d']"),
+    ({"a": {"iri": None}, "b": {}, "answer": "NO"}, "concept iri must be str, got None"),
+    ({"a": {"synonym": ["heart"]}, "b": {}, "answer": "NO"},
+     "unknown few-shot concept keys: ['synonym']"),
 ])
 def test_few_shot_example_from_dict_rejects_a_misshapen_entry(entry, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         FewShotExample.from_dict(entry)
 
 
@@ -438,18 +442,44 @@ def test_judge_candidates_fully_warm_makes_no_pool_and_no_calls(tmp_path, monkey
     assert warm == cold
 
 
-def test_judge_candidates_raises_a_failed_entry_write_after_judging_every_pair(tmp_path):
+def test_judge_candidates_stops_calling_the_provider_once_an_entry_write_fails(tmp_path):
     """The cache's judge path is a regular file, so every entry write fails.
-    Each pair is still judged, then the write's OSError is raised, and no
-    temporary file is left."""
-    src, tgt = _ontologies()
+    With one worker, serve holds at most QUEUE_PER_WORKER jobs, and every
+    classify call after the first waits until the writer has logged its
+    failure. So serve sees the failure before it hands the pool a job past
+    the second, and the later pairs are never sent to the provider. Then
+    the write's OSError is raised, and no temporary file is left."""
+    src, tgt = Ontology(name="src"), Ontology(name="tgt")
+    for i in range(3):
+        src.concepts[f"http://s#S{i}"] = Concept(f"http://s#S{i}", label=f"source {i}")
+        tgt.concepts[f"http://t#T{i}"] = Concept(f"http://t#T{i}", label=f"target {i}")
+    candidates = {s: [(t, 0.5) for t in tgt.concepts] for s in src.concepts}
+    pairs = len(src) * len(tgt)
+    assert pairs > QUEUE_PER_WORKER + 1
     cache = ResponseCache(tmp_path / "cache")
     (tmp_path / "cache").mkdir()
     (tmp_path / "cache" / "judge").write_text("")
-    provider = CountingProvider(MockProvider())
-    with pytest.raises(OSError):
-        judge_candidates(_all_candidates(), src, tgt, provider, cache)
-    assert provider.classify_calls == 4
+    logged = threading.Event()
+
+    class OnError(logging.Handler):
+        def emit(self, record):
+            logged.set()
+
+    class WaitingProvider(CountingProvider):
+        def classify_first_token(self, messages):
+            if self.classify_calls:
+                assert logged.wait(timeout=10), "the failed write was not logged"
+            return super().classify_first_token(messages)
+
+    provider = WaitingProvider(MockProvider())
+    handler = OnError(level=logging.ERROR)
+    logging.getLogger("ontomatch.cache").addHandler(handler)
+    try:
+        with pytest.raises(OSError):
+            judge_candidates(candidates, src, tgt, provider, cache, max_workers=1)
+    finally:
+        logging.getLogger("ontomatch.cache").removeHandler(handler)
+    assert 0 < provider.classify_calls <= QUEUE_PER_WORKER + 1 < pairs
     assert not list(tmp_path.rglob("tmp*.tmp"))
 
 

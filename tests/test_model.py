@@ -196,7 +196,14 @@ def test_read_concept_jsonl_counts_unlabeled():
         {"iri": "http://x.org/c#B", "label": "B"},
     )
     onto = read_concept_jsonl(fp, name="t")
-    assert onto.stats.unlabeled_concepts == 1
+    assert onto.unlabeled_count == 1
+
+
+def test_unlabeled_count_is_derived_from_the_concepts():
+    onto = Ontology("n", {"http://x.org/c#A": Concept("http://x.org/c#A")})
+    assert onto.unlabeled_count == 1
+    onto.concepts["http://x.org/c#A"].label = "A"
+    assert onto.unlabeled_count == 0
 
 
 def test_read_concept_jsonl_reports_bad_json_line():

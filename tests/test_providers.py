@@ -15,12 +15,7 @@ import pytest
 
 import ontomatch.cache as cache_module
 from ontomatch.cache import ResponseCache
-from ontomatch.errors import (
-    CapabilityError,
-    EmptyCompletionError,
-    PromptSizeError,
-    ProviderError,
-)
+from ontomatch.errors import CapabilityError, ProviderError
 from ontomatch.providers import (
     EMPTY_TEXT_PLACEHOLDER,
     AliasTable,
@@ -277,9 +272,9 @@ def test_mock_judge_no_when_names_differ():
 
 def test_mock_prompt_size_limit():
     provider = MockProvider(context_chars=50)
-    with pytest.raises(PromptSizeError):
+    with pytest.raises(ProviderError, match="prompt of 103 characters exceeds mock context"):
         provider.generate(chat("sys", "x" * 100), SamplingParams())
-    with pytest.raises(PromptSizeError):
+    with pytest.raises(ProviderError, match="exceeds mock context limit 50"):
         provider.classify_first_token(judge_messages("y" * 100, "z"))
 
 
@@ -470,7 +465,7 @@ def test_http_generate_returns_stripped_text_and_sends_params():
 
 def test_http_generate_empty_completion_raises():
     provider, _, _ = http_provider([chat_response("   ")])
-    with pytest.raises(EmptyCompletionError):
+    with pytest.raises(ProviderError, match="returned an empty completion"):
         provider.generate(chat("sys", "user"), SamplingParams())
 
 
@@ -541,7 +536,7 @@ def test_http_config_rejects_out_of_range_values(field, value):
 
 def test_http_prompt_size_limit():
     provider, _, _ = http_provider([], context_chars=10)
-    with pytest.raises(PromptSizeError):
+    with pytest.raises(ProviderError, match="prompt of 53 characters exceeds context limit 10"):
         provider.generate(chat("sys", "x" * 50), SamplingParams())
 
 
