@@ -9,6 +9,7 @@ mass in the first-token distribution, computed in log space.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from typing import IO, Sequence, get_type_hints
 from .cache import ResponseCache
 from .errors import ConfigError, UnparseableJudgementError
 from .model import ContextBlock, Judgement, Ontology, check_record, concept_context, read_tsv_rows
-from .providers import Message, Prompt, Provider, prompt_digest, serve
+from .providers import Message, Prompt, PromptFrame, Provider, json_escape, prompt_digest, serve
 
 logger = logging.getLogger(__name__)
 
@@ -63,6 +64,15 @@ def _concept_block(heading: str, ctx: ContextBlock) -> str:
 
 def _pair_text(a: ContextBlock, b: ContextBlock) -> str:
     return _concept_block("Concept A", a) + "\n\n" + _concept_block("Concept B", b)
+
+
+def _head_turns(shots: Sequence[FewShotExample]) -> list[Message]:
+    """The turns before the live pair's: system, then each shot's user/assistant turns."""
+    messages: list[Message] = [{"role": "system", "content": JUDGE_SYSTEM}]
+    for shot in shots:
+        messages.append({"role": "user", "content": _pair_text(shot.a, shot.b)})
+        messages.append({"role": "assistant", "content": shot.answer})
+    return messages
 
 
 @dataclass(frozen=True)
@@ -144,12 +154,7 @@ def build_judgement_prompt(
     shots: Sequence[FewShotExample] = (),
 ) -> list[Message]:
     """System turn, alternating few-shot user/assistant turns, live user turn."""
-    messages: list[Message] = [{"role": "system", "content": JUDGE_SYSTEM}]
-    for shot in shots:
-        messages.append({"role": "user", "content": _pair_text(shot.a, shot.b)})
-        messages.append({"role": "assistant", "content": shot.answer})
-    messages.append({"role": "user", "content": _pair_text(a, b)})
-    return messages
+    return [*_head_turns(shots), {"role": "user", "content": _pair_text(a, b)}]
 
 
 def _mass(dist: dict[str, float], variants: Sequence[str], floor: float) -> tuple[float, bool]:
@@ -241,9 +246,11 @@ def judge_pair(
     return Judgement(source=source, target=target, cosine=cos, p_yes=scored[0])
 
 
-def _contexts(iris: set[str], onto: Ontology) -> dict[str, ContextBlock]:
-    """The context block of each of ``iris`` that ``onto`` has."""
-    return {iri: concept_context(onto.concepts[iri], onto) for iri in iris if iri in onto.concepts}
+def _blocks(heading: str, iris: set[str], onto: Ontology) -> dict[str, tuple[str, str]]:
+    """The prompt block of each of ``iris`` that ``onto`` has, and its ``json_escape``."""
+    blocks = {iri: _concept_block(heading, concept_context(onto.concepts[iri], onto))
+              for iri in iris & onto.concepts.keys()}
+    return {iri: (block, json_escape(block)) for iri, block in blocks.items()}
 
 
 def judge_candidates(
@@ -261,24 +268,31 @@ def judge_candidates(
 
     Pairs whose concepts are missing from either ontology are skipped with a
     warning. ``limit`` bounds the number of pairs judged (for smoke runs).
-    Each concept's context block is built once and each prompt rendered once;
+    Each concept's block is rendered and escaped once; a ``PromptFrame`` keys each pair.
     ``serve`` judges cached pairs on the calling thread and the others on up
     to ``max_workers`` threads. Pairs with the same prompt share one provider
     call.
     """
-    pairs = [(src, tgt, sim) for src in sorted(candidates) for tgt, sim in candidates[src]]
-    pairs = pairs[:limit]
-    source_ctx = _contexts({src for src, _, _ in pairs}, source_onto)
-    target_ctx = _contexts({tgt for _, tgt, _ in pairs}, target_onto)
+    def pairs():  # read three times rather than held as a list: 64 bytes of tuple a pair
+        return itertools.islice(
+            ((src, tgt, sim) for src in sorted(candidates) for tgt, sim in candidates[src]), limit)
+
+    source_blocks = _blocks("Concept A", {src for src, _, _ in pairs()}, source_onto)
+    target_blocks = _blocks("Concept B", {tgt for _, tgt, _ in pairs()}, target_onto)
+    head = _head_turns(shots)
+    frame = PromptFrame("judge", JUDGE_TEMPLATE_VERSION, provider.chat_model_id,
+                        [*head, {"role": "user"}])
+    separator = json_escape("\n\n")
 
     def jobs():
-        for src, tgt, sim in pairs:
-            a = source_ctx.get(src)
-            b = target_ctx.get(tgt)
+        for src, tgt, sim in pairs():
+            a = source_blocks.get(src)
+            b = target_blocks.get(tgt)
             if a is None or b is None:
                 logger.warning("skipping pair (%s, %s): concept missing", src, tgt)
                 continue
-            prompt = judge_prompt(a, b, provider, shots)
+            prompt = Prompt([*head, {"role": "user", "content": a[0] + "\n\n" + b[0]}],
+                            frame.digest(a[1] + separator + b[1]))
             yield prompt.digest, functools.partial(
                 judge_pair, prompt, src, tgt, sim, provider, cache, softmax_mode
             )

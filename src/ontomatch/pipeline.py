@@ -506,9 +506,11 @@ class Pipeline:
         ``judge_candidates`` call (0.0 for a missing concept)."""
         cfg = self.config
         if cfg.ranking_scorer == "cosine":
-            src, tgt = (dict(zip(*self._load_embeddings(side))) for side in SIDES)
+            src, tgt = ({iri: (v, float(np.linalg.norm(v))) for iri, v in zip(*vectors)}
+                        for vectors in map(self._load_embeddings, SIDES))
             return lambda pairs: {
-                (s, t): cosine(src[s], tgt[t]) if s in src and t in tgt else -1.0
+                (s, t): cosine(src[s][0], tgt[t][0], src[s][1], tgt[t][1])
+                if s in src and t in tgt else -1.0
                 for s, t in pairs
             }
 

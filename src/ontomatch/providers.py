@@ -77,19 +77,42 @@ def validate_messages(messages: Sequence[Message]) -> None:
         raise ValueError("prompt must contain at least one user message")
 
 
+def json_escape(text: str) -> str:
+    """``text`` as ``json.dumps(ensure_ascii=False)`` writes it, less the quotes."""
+    return json.encoder.encode_basestring(text)[1:-1]
+
+
+class PromptFrame:
+    """``prompt_digest``'s JSON split around the last message's content:
+    ``digest(json_escape(text))`` keys ``messages`` with ``text`` as that
+    content. Escaping is per character, so escaped pieces can be joined."""
+
+    _BODY = os.urandom(16).hex()  # stands in for the content; occurs nowhere else
+
+    def __init__(self, kind: str, template_version: str, model: str, messages: Sequence[Message]):
+        *turns, last = messages
+        payload = json.dumps({"kind": kind, "template": template_version, "model": model,
+                              "messages": [*turns, {**last, "content": self._BODY}]},
+                             ensure_ascii=False, sort_keys=True)
+        head, tail = payload.split(self._BODY)
+        self._head, self._tail = hashlib.sha256(head.encode("utf-8")), tail.encode("utf-8")
+
+    def digest(self, body: str) -> str:
+        h = self._head.copy()
+        h.update(body.encode("utf-8") + self._tail)
+        return h.hexdigest()
+
+
 def prompt_digest(kind: str, template_version: str, model: str, messages: Sequence[Message]) -> str:
-    """Content address of a provider call: kind, template version, model, prompt."""
-    payload = json.dumps(
-        {"kind": kind, "template": template_version, "model": model, "messages": list(messages)},
-        ensure_ascii=False,
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """Content address of a provider call: the sha256 of ``json.dumps({"kind",
+    "template", "model", "messages"}, ensure_ascii=False, sort_keys=True)``."""
+    return PromptFrame(kind, template_version, model, messages).digest(
+        json_escape(messages[-1]["content"]))
 
 
 class Prompt(NamedTuple):
     """A rendered prompt and its ``prompt_digest``, which keys its cache entry.
-    ``judge.judge_prompt`` and ``definitions.definition_prompt`` build them."""
+    ``judge_prompt``, ``judge_candidates`` and ``definition_prompt`` build them."""
 
     messages: list[Message]
     digest: str

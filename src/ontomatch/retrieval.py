@@ -46,14 +46,14 @@ __all__ = [
 ]
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity, clamped to [-1, 1]."""
+def cosine(a: np.ndarray, b: np.ndarray, na: float | None = None, nb: float | None = None) -> float:
+    """Cosine similarity, clamped to [-1, 1]; ``na``/``nb`` are the norms, if known."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    na = float(np.linalg.norm(a)) if na is None else na
+    nb = float(np.linalg.norm(b)) if nb is None else nb
     if na == 0.0 or nb == 0.0:
         raise DegenerateVectorError("cosine of a zero-norm vector is undefined")
     value = float(np.dot(a, b) / (na * nb))

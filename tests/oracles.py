@@ -8,6 +8,8 @@ purpose; correctness is the only goal.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import re
 from typing import Callable, Sequence
@@ -29,6 +31,16 @@ def norm(a) -> float:
 def cosine(a, b) -> float:
     value = dot(a, b) / (norm(a) * norm(b))
     return max(-1.0, min(1.0, value))
+
+
+def reference_prompt_digest(kind: str, template: str, model: str, messages) -> str:
+    """The cache key formula, encoded whole: sha256 of the canonical JSON."""
+    payload = json.dumps(
+        {"kind": kind, "template": template, "model": model, "messages": list(messages)},
+        ensure_ascii=False,
+        sort_keys=True,
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def brute_force_top_k(items: list[tuple[str, list[float]]], query, k: int) -> list[tuple[str, float]]:

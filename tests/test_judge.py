@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+import ontomatch.judge as judge_module
 from ontomatch.cache import ResponseCache
 from ontomatch.errors import ConfigError, OntologyParseError, UnparseableJudgementError
 from ontomatch.judge import (
@@ -25,11 +26,18 @@ from ontomatch.judge import (
     read_judgements,
     write_judgements,
 )
-from ontomatch.model import Concept, ContextBlock, Judgement, Ontology
+from ontomatch.model import (
+    Concept,
+    ContextBlock,
+    Judgement,
+    Ontology,
+    concept_context,
+    read_concept_jsonl,
+)
 from ontomatch.pipeline import PipelineConfig
 from ontomatch.providers import QUEUE_PER_WORKER, MockProvider, serve
 
-from conftest import CountingProvider, golden_text
+from conftest import TOY_DIR, CountingProvider, golden_text
 from oracles import reference_p_yes
 
 NERVE_A = ContextBlock(
@@ -406,6 +414,47 @@ def test_judge_candidates_calls_the_provider_once_per_prompt(cache, caplog):
     assert [(j.target, j.p_yes) for j in out] == [
         ("http://t#T1", out[0].p_yes), ("http://t#T3", out[0].p_yes),
     ]
+
+
+def _toy_ontologies_with_an_awkward_concept():
+    ontologies = []
+    for side, prefix in (("source", "http://s#"), ("target", "http://t#")):
+        with open(TOY_DIR / f"{side}.jsonl", encoding="utf-8") as fp:
+            onto = read_concept_jsonl(fp, name=side)
+        iri = prefix + "Awkward"
+        onto.concepts[iri] = Concept(
+            iri=iri, label='a "quoted"\nlabel', synonyms=["tab\there", "back\\slash"],
+            parents=[next(iter(onto.concepts))], definition="naïve \u2028 \U0001d11e\x00",
+        )
+        ontologies.append(onto)
+    return ontologies
+
+
+@pytest.mark.parametrize("shots", [(), DEFAULT_FEW_SHOT], ids=["no_shots", "two_shots"])
+def test_judge_candidates_prompts_equal_judge_prompt_for_every_pair(tmp_path, monkeypatch, shots):
+    src, tgt = _toy_ontologies_with_an_awkward_concept()
+    targets = sorted(tgt.concepts)
+    candidates = {
+        s: [(t, 0.5) for t in targets[i % 7::7]] for i, s in enumerate(sorted(src.concepts))
+    }
+    judged = []
+    real_judge_pair = judge_module.judge_pair
+
+    def recording_judge_pair(prompt, source, target, *args):
+        judged.append((source, target, prompt))
+        return real_judge_pair(prompt, source, target, *args)
+
+    monkeypatch.setattr(judge_module, "judge_pair", recording_judge_pair)
+    provider = MockProvider()
+    out = judge_candidates(candidates, src, tgt, provider, ResponseCache(tmp_path / "cache"),
+                           shots=shots)
+    assert len(judged) == len(out) == sum(map(len, candidates.values()))
+    assert ("http://s#Awkward", "http://t#Awkward") in {(s, t) for s, t, _ in judged}
+    for source, target, prompt in judged:
+        a = concept_context(src.concepts[source], src)
+        b = concept_context(tgt.concepts[target], tgt)
+        assert prompt == judge_prompt(a, b, provider, shots)
+        assert prompt.messages == build_judgement_prompt(a, b, shots)
 
 
 # -- cache routing: hits on the calling thread, misses in the pool -------------

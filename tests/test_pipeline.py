@@ -15,7 +15,7 @@ import ontomatch.judge as judge_module
 import ontomatch.pipeline as pipeline_module
 import ontomatch.retrieval as retrieval_module
 from ontomatch.cli import build_config, main
-from ontomatch.errors import ConfigError, MissingArtifactError
+from ontomatch.errors import ConfigError, DegenerateVectorError, MissingArtifactError
 from ontomatch.cache import ResponseCache
 from ontomatch.judge import DEFAULT_FEW_SHOT, judge_pair, judge_prompt
 from ontomatch.model import Mapping, MappingSet, concept_context, read_concept_jsonl
@@ -263,6 +263,50 @@ def test_cosine_ranking_scorer_matches_an_oracle(tmp_path):
     mrr, hits = _cosine_oracle(config, str(cases_path))
     assert metrics["mrr"] == pytest.approx(mrr, abs=1e-12)
     assert metrics["hit_at"] == hits
+
+
+def _toy_ranking_pairs(cases_path: str) -> list[tuple[str, str]]:
+    rows = [line.split("\t") for line in Path(cases_path).read_text().splitlines()]
+    return [(row[0], t) for row in rows for t in row[1:]]
+
+
+def test_cosine_ranking_scorer_equals_cosine_bit_for_bit(tmp_path):
+    cases_path = toy_ranking_cases(tmp_path)
+    config = toy_config(tmp_path, ranking_cases=cases_path, ranking_scorer="cosine")
+    pipeline = Pipeline(config)
+    pipeline.run()
+    source, target = (
+        dict(zip(*load_embeddings(Path(config.out_dir) / f"{side}.embeddings")[:2]))
+        for side in ("source", "target")
+    )
+    pairs = _toy_ranking_pairs(cases_path)
+    scores = pipeline._ranking_scorer()(pairs)
+    assert len(pairs) == 21 * 4
+    for s, t in pairs:
+        assert scores[(s, t)].hex() == retrieval_module.cosine(source[s], target[t]).hex()
+
+
+def test_cosine_ranking_scorer_raises_on_a_zero_norm_vector_it_scores(tmp_path, monkeypatch):
+    cases_path = toy_ranking_cases(tmp_path)
+    config = toy_config(tmp_path, ranking_cases=cases_path, ranking_scorer="cosine")
+    pipeline = Pipeline(config)
+    pipeline.run()
+    (s, t), *others = _toy_ranking_pairs(cases_path)
+    load = Pipeline._load_embeddings
+
+    def zero_first_target(self, side):
+        iris, matrix = load(self, side)
+        if side == "target":
+            matrix = matrix.copy()
+            matrix[iris.index(t)] = 0.0
+        return iris, matrix
+
+    monkeypatch.setattr(Pipeline, "_load_embeddings", zero_first_target)
+    scorer = pipeline._ranking_scorer()
+    others = [pair for pair in others if pair[1] != t]
+    assert len(scorer(others)) == len(others)
+    with pytest.raises(DegenerateVectorError):
+        scorer([(s, t)])
 
 
 def test_eval_scores_a_row_the_reference_lacks_as_written_and_warns(tmp_path, caplog):

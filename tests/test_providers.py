@@ -23,14 +23,16 @@ from ontomatch.providers import (
     HttpProviderConfig,
     QUEUE_PER_WORKER,
     MockProvider,
+    PromptFrame,
     SamplingParams,
+    json_escape,
     prompt_digest,
     serve,
     validate_messages,
 )
 
 from conftest import TOY_DIR, load_alias_groups
-from oracles import alias_rewriter, cosine
+from oracles import alias_rewriter, cosine, reference_prompt_digest
 
 ALIASES = [
     ["abducens nerve", "nervus abducens", "lateral rectus nerve"],
@@ -82,6 +84,69 @@ def test_prompt_digest_stable_and_sensitive():
     assert d1 != prompt_digest("generate", "2", "model-x", messages)
     assert d1 != prompt_digest("generate", "1", "model-y", messages)
     assert d1 != prompt_digest("generate", "1", "model-x", chat("s", "u2"))
+
+
+CONTROL_CHARACTERS = "".join(map(chr, range(0x20)))
+AWKWARD_TEXTS = [
+    "",
+    'a "quoted" name',
+    "back\\slash \\n",
+    CONTROL_CHARACTERS,
+    "line\u2028separator\u2029paragraph",
+    "clef \U0001d11e and emoji \U0001f600",
+    "naïve café, 中文",
+    '"\\' + CONTROL_CHARACTERS + "\u2028\U0001d11e",
+]
+
+
+def few_shot_chat(system: str, user: str):
+    return [
+        {"role": "system", "content": system},
+        {"role": "user", "content": "shot one\n\nwith a blank line"},
+        {"role": "assistant", "content": "YES"},
+        {"role": "user", "content": "shot two"},
+        {"role": "assistant", "content": "NO"},
+        {"role": "user", "content": user},
+    ]
+
+
+@pytest.mark.parametrize("text", AWKWARD_TEXTS)
+@pytest.mark.parametrize("build", [chat, few_shot_chat])
+def test_prompt_digest_equals_the_whole_json_formula(build, text):
+    for messages in (build("s", text), build(text, "u"), build(text, text)):
+        assert prompt_digest("judge", "1", "model-x", messages) == \
+            reference_prompt_digest("judge", "1", "model-x", messages)
+    assert prompt_digest(text, text, text, build(text, text)) == \
+        reference_prompt_digest(text, text, text, build(text, text))
+
+
+def test_prompt_digest_covers_a_message_with_extra_keys():
+    messages = [
+        {"role": "system", "content": "s", "name": "judge"},
+        {"role": "user", "content": "u", "a_key_before_content": 1, "z_after_role": [None]},
+    ]
+    assert prompt_digest("judge", "1", "m", messages) == \
+        reference_prompt_digest("judge", "1", "m", messages)
+
+
+@pytest.mark.parametrize("messages", [chat("s", "lone \ud800 surrogate"),
+                                      chat("lone \udfff surrogate", "u")])
+def test_prompt_digest_raises_on_a_lone_surrogate_like_the_formula(messages):
+    with pytest.raises(UnicodeEncodeError):
+        reference_prompt_digest("judge", "1", "m", messages)
+    with pytest.raises(UnicodeEncodeError):
+        prompt_digest("judge", "1", "m", messages)
+
+
+@pytest.mark.parametrize("left", AWKWARD_TEXTS)
+def test_a_frame_keys_a_content_from_its_escaped_pieces(left):
+    frame = PromptFrame("judge", "1", "model-x", few_shot_chat("s", ""))
+    for right in AWKWARD_TEXTS:
+        text = left + "\n\n" + right
+        expected = reference_prompt_digest("judge", "1", "model-x", few_shot_chat("s", text))
+        assert frame.digest(json_escape(left) + json_escape("\n\n") + json_escape(right)) \
+            == expected
+        assert frame.digest(json_escape(text)) == expected
 
 
 def test_sampling_params_validation():
