@@ -1,12 +1,13 @@
 """The cache keys and entry bytes of a cold toy run, pinned.
 
-``tests/data/golden/cache_keys.json`` maps each config case to each
-prompt-keyed cache kind (``define``, ``judge``): the sorted names of its
-entry files and one sha256 over their bytes, in that order. A change to
-``prompt_digest``, to a prompt's text or to what an entry stores fails here,
-and an existing cache tree would no longer serve it. The ``embed`` entries
-are keyed by their texts, not by a prompt, and hold floats whose last bits
-depend on the BLAS build, so they are not pinned.
+``tests/data/golden/cache_keys.json`` maps each config case to each cache
+kind (``define``, ``judge``, ``embed``): the sorted names of its entry files
+and one sha256 over their bytes, in that order. A change to
+``prompt_digest``, to a prompt's text, to what an entry stores or to an
+embedding's bytes fails here, and an existing cache tree would no longer
+serve it. A mock vector is integer counts divided by the square root of an
+integer sum of squares, exact in float64, so its bytes do not depend on the
+BLAS build.
 
 A change that alters the keys on purpose regenerates the file with
 ``python tests/test_cache_keys.py`` and declares it.
@@ -35,10 +36,10 @@ CASES = {
 
 
 def cache_keys(cache_dir: Path) -> dict[str, dict]:
-    """Each of ``KINDS`` present under ``cache_dir``: its sorted entry file
+    """Each kind present under ``cache_dir``: its sorted entry file
     names and the sha256 of their bytes concatenated in that order."""
     keys = {}
-    for kind in KINDS:
+    for kind in (*KINDS, "embed"):
         directory = cache_dir / kind
         if not directory.is_dir():
             continue
