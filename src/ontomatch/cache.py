@@ -1,27 +1,28 @@
 """Content-addressed response cache.
 
-One JSON file per entry under ``<root>/<kind>/<digest>.json``, holding just
-the payload, so equal answers give byte-identical trees. Writes go through
-``atomic_open``, as every file the package writes does, so readers never
-observe a partial entry. ``stored`` lists the digests of one kind with a
-single directory scan, so a batch decides its hits without probing each
-entry; ``get`` reads an entry with one ``os.open``/``os.read``/``os.close``.
-The cache only stores: ``get_or_compute`` reads an entry once and computes
-it when that read finds nothing. Keeping two callers from computing the same
-digest at once is the scheduler's job (``providers.serve``).
+One append-only log per kind, ``<root>/<kind>.log``: a run of blocks, each a
+4-byte little-endian length and that many bytes of zlib-compressed records.
+A record is the digest and the payload bytes (the entry's JSON as ``put``
+encodes it), each behind its length. A block holds up to 64 entries and is
+appended with one ``os.write``.
 
-Inside ``batch`` (one per ``serve`` call), ``put`` encodes the entry and
-returns before its file exists: one writer thread, started at the batch's
-first put, writes the entries in order while the callers go on with their
-provider calls. Until its file is written an entry is served by ``get`` from
-memory, so a batch reads its own writes. The end of the batch is the
-durability point: leaving it waits for every queued write and raises the
-first write failure, which ``serve`` sees as soon as it happens through
-``write_failed`` and so stops calling the provider. A run killed inside a
-batch loses only the entries not yet written, which the next run
-recomputes; it never leaves a torn entry, since every write still goes
-through ``atomic_open``. The one lock guards the map of entries not yet
-written and the writer's start, never a computation or a file write.
+Building a cache touches no file. A kind's log is read at its first
+``stored``, ``get`` or ``put`` into a map of digest -> payload bytes, a later
+record of a digest replacing an earlier one. A block that fails to
+decompress or parse (zlib's adler32 and the length prefix catch a torn or
+corrupt one) is logged and skipped, so its entries are computed again; the
+log is cut there and the good blocks after it are appended again. The load
+also folds entry files of the old layout, ``<root>/<kind>/<digest>.json``,
+into the log, sorted by digest, and removes them once the log is synced.
+
+Outside a batch, ``put`` appends its entry at once. Inside ``batch`` (one
+per ``providers.serve`` call) ``put`` parks it, where ``get`` reads it, and
+``commit``, which ``serve`` calls per job in job order, moves it into the
+open block, so equal runs write equal logs. A full block is appended by the
+commit that fills it, and a failed append raises there. The batch's end is
+the durability point: a run killed inside one loses its parked entries and
+one open block, which the next run recomputes. Keeping two callers from
+computing one digest at once is the scheduler's job (``providers.serve``).
 """
 
 from __future__ import annotations
@@ -29,18 +30,19 @@ from __future__ import annotations
 import json
 import logging
 import os
-import queue
+import struct
 import threading
 import uuid
-from contextlib import contextmanager
+import zlib
+from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import IO, Callable, Iterator
+from typing import IO, Callable, Iterator, KeysView
 
 logger = logging.getLogger(__name__)
 
-_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
-# Entries are a few hundred bytes, so one read normally returns all of one.
-_READ_SIZE = 1 << 16
+_BLOCK = struct.Struct("<I")  # length of the compressed records
+_RECORD = struct.Struct("<HI")  # lengths of the digest and the payload
+BLOCK_ENTRIES = 64
 
 __all__ = ["ResponseCache", "atomic_open"]
 
@@ -68,59 +70,103 @@ def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
         raise
 
 
-def _write(path: str, data: bytes) -> None:
-    with atomic_open(path, "wb") as fp:
-        fp.write(data)
+def _append(path: str, data: bytes, sync: bool = False) -> None:
+    """Append ``data`` to ``path`` with one write; ``sync`` also fsyncs it."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    fd = os.open(path, flags, 0o666)
+    try:
+        if os.write(fd, data) != len(data):
+            raise OSError(f"short write to {path}")
+        if sync:
+            os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _record(digest: str, data: bytes) -> bytes:
+    key = digest.encode("utf-8")
+    return _RECORD.pack(len(key), len(data)) + key + data
+
+
+def _blocks(records: list[bytes]) -> bytes:
+    """``records`` as blocks of up to ``BLOCK_ENTRIES``."""
+    bodies = (zlib.compress(b"".join(records[i:i + BLOCK_ENTRIES]))
+              for i in range(0, len(records), BLOCK_ENTRIES))
+    return b"".join(_BLOCK.pack(len(body)) + body for body in bodies)
 
 
 class ResponseCache:
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self._prefix = os.path.join(self.root, "")
         self._lock = threading.Lock()
-        # path -> bytes of each entry put in the open batch and not yet written
-        self._pending: dict[str, bytes] = {}
-        # The open batch's write queue, its writer (from the first put) and
-        # its first write failure; None outside a batch.
-        self._writes: queue.SimpleQueue | None = None
-        self._writer: threading.Thread | None = None
-        self._write_error: BaseException | None = None
+        # kind -> digest -> payload bytes, from a kind's first use on
+        self._entries: dict[str, dict[str, bytes]] = {}
+        # kind -> records committed and not yet appended
+        self._open: dict[str, list[bytes]] = {}
+        # (kind, digest) -> record of each entry put in the open batch and
+        # not committed; None outside a batch
+        self._parked: dict[tuple[str, str], bytes] | None = None
 
-    def _path(self, kind: str, digest: str) -> str:
-        # A string built on the root joined once, not pathlib or os.path.join:
-        # this runs for every cached call.
-        return f"{self._prefix}{kind}{os.sep}{digest}.json"
+    def _log(self, kind: str) -> str:
+        return os.path.join(self.root, f"{kind}.log")
 
-    def stored(self, kind: str) -> set[str]:
-        """The digests of the ``kind`` entries, from one listing of its
-        directory (empty when there is none, or it is not a directory); their
-        content is not checked."""
-        try:
-            with os.scandir(f"{self._prefix}{kind}") as entries:
-                return {e.name[:-5] for e in entries if e.name.endswith(".json")}
-        except (FileNotFoundError, NotADirectoryError):
-            return set()
+    def _load(self, kind: str) -> dict[str, bytes]:
+        with self._lock:
+            if kind not in self._entries:
+                self._entries[kind] = self._read(kind)
+            return self._entries[kind]
+
+    def _read(self, kind: str) -> dict[str, bytes]:
+        """Load ``kind``'s log, cut it at a bad block, fold in old entry files."""
+        path, entries, pos, cut, kept = self._log(kind), {}, 0, None, []
+        log = Path(path).read_bytes() if os.path.exists(path) else b""
+        while pos < len(log):
+            start = pos
+            try:
+                (size,) = _BLOCK.unpack_from(log, start)
+                pos = start + _BLOCK.size + size
+                body, at, block = zlib.decompress(log[start + _BLOCK.size:pos]), 0, {}
+                while at < len(body):
+                    key_size, size = _RECORD.unpack_from(body, at)
+                    key = at + _RECORD.size
+                    at = key + key_size + size
+                    block[body[key:key + key_size].decode("utf-8")] = body[key + key_size:at]
+            except (struct.error, zlib.error, UnicodeDecodeError) as exc:
+                logger.warning("skipping a bad block at byte %d of %s: %s", start, path, exc)
+                cut = start if cut is None else cut
+                if not start < pos <= len(log):  # the rest is a torn tail
+                    break
+                continue
+            entries.update(block)
+            if cut is not None:
+                kept.append(log[start:pos])
+        if cut is not None:
+            os.truncate(path, cut)
+            _append(path, b"".join(kept))
+        old = sorted((self.root / kind).glob("*.json"))
+        if old:
+            for entry in old:
+                entries[entry.stem] = entry.read_bytes()
+            _append(path, _blocks([_record(e.stem, entries[e.stem]) for e in old]), sync=True)
+            for entry in old:
+                entry.unlink()
+            with suppress(OSError):
+                (self.root / kind).rmdir()
+            logger.info("folded %d old entry files of %s into %s", len(old), kind, path)
+        return entries
+
+    def stored(self, kind: str) -> KeysView[str]:
+        """The digests of the ``kind`` entries, a live view of the loaded
+        log; their content is not checked."""
+        return self._load(kind).keys()
 
     def get(self, kind: str, digest: str) -> dict | None:
         """The stored payload; None when there is none, or when the entry is
-        not a UTF-8 JSON object, which ``get_or_compute`` then replaces. An
-        entry put in the open batch is read from memory until it is written."""
-        path = self._path(kind, digest)
-        with self._lock:
-            data = self._pending.get(path)
+        not a UTF-8 JSON object, which ``get_or_compute`` then replaces."""
+        data = self._load(kind).get(digest)
         if data is None:
-            try:
-                fd = os.open(path, _READ_FLAGS)
-            except (FileNotFoundError, NotADirectoryError):
-                return None
-            try:
-                # Read to end of file: a short read is not taken for the entry.
-                chunks = []
-                while chunk := os.read(fd, _READ_SIZE):
-                    chunks.append(chunk)
-            finally:
-                os.close(fd)
-            data = b"".join(chunks)
+            return None
         try:
             # An explicit UTF-8 decode: json.loads on bytes would also accept
             # UTF-16 and UTF-32.
@@ -128,77 +174,72 @@ class ResponseCache:
         except ValueError:  # JSONDecodeError and UnicodeDecodeError
             payload = None
         if not isinstance(payload, dict):
-            logger.warning("discarding corrupt cache entry %s", path)
+            logger.warning("discarding corrupt cache entry %s of %s", digest, self._log(kind))
             return None
         return payload
 
     def put(self, kind: str, digest: str, payload: dict) -> dict:
-        """Store ``payload`` as it is, replacing any entry; returns it.
-
-        The payload is encoded here, so one that is not JSON raises here.
-        Outside a batch the entry is written before ``put`` returns; inside
-        one it is queued for the batch's writer and lands by the batch's end.
-        """
+        """Store ``payload`` as it is, replacing any entry; returns it. One
+        that is not JSON raises here. Outside a batch the entry is appended
+        before ``put`` returns; inside one it is parked for ``commit``."""
         data = json.dumps(payload, ensure_ascii=False).encode("utf-8")
-        path = self._path(kind, digest)
+        entries = self._load(kind)
         with self._lock:
-            if self._writes is not None:
-                self._pending[path] = data
-                if self._writer is None:
-                    self._writer = threading.Thread(
-                        target=self._drain, args=(self._writes,), name="cache-writer"
-                    )
-                    self._writer.start()
-                self._writes.put((path, data))
-                return payload
-        _write(path, data)
+            if self._parked is None:
+                self._flush(kind, [_record(digest, data)])
+            else:
+                self._parked[kind, digest] = _record(digest, data)
+            entries[digest] = data
         return payload
 
-    def _drain(self, writes: queue.SimpleQueue) -> None:
-        while (item := writes.get()) is not None:
-            path, data = item
-            try:
-                _write(path, data)
-            except BaseException as exc:  # raised by batch() once the writer stops
-                if self._write_error is None:
-                    self._write_error = exc
-                    logger.error("cache write failed; the batch raises it when it ends: %s", exc)
-            finally:
-                # A failed entry is dropped too: a later get recomputes it.
-                with self._lock:
-                    if self._pending.get(path) is data:
-                        del self._pending[path]
+    def _flush(self, kind: str, records: list[bytes]) -> None:
+        """Append ``records`` to ``kind``'s log. A failed append forgets the
+        loaded log, so entries that did not reach it are not served later."""
+        try:
+            _append(self._log(kind), _blocks(records))
+        except BaseException:
+            self._entries.pop(kind, None)
+            raise
 
-    @property
-    def write_failed(self) -> bool:
-        """Whether a write of the open batch has failed."""
-        return self._write_error is not None
+    def commit(self, kind: str, digest: str) -> None:
+        """Move the entry parked for ``digest`` in the open batch, if any,
+        into ``kind``'s open block; append the block when this fills it."""
+        with self._lock:
+            record = self._parked.pop((kind, digest), None)
+            if record is not None:
+                block = self._open.setdefault(kind, [])
+                block.append(record)
+                if len(block) == BLOCK_ENTRIES:
+                    self._flush(kind, self._open.pop(kind))
 
     @contextmanager
     def batch(self) -> Iterator[None]:
-        """Within the block, ``put`` hands its writes to one writer thread;
-        leaving the block waits for all of them. The first write failure is
-        logged when it happens, sets ``write_failed`` and is raised when the
-        block ends, unless the block itself is raising. A block that puts
-        nothing starts no thread. One batch at a time."""
+        """Within the block, ``put`` parks its entries for ``commit``.
+        Leaving the block appends each open block, then the entries never
+        committed, sorted by digest. When the block is raising, a failed
+        append is logged and the block's exception goes on. One batch at a
+        time."""
         with self._lock:
-            if self._writes is not None:
+            if self._parked is not None:
                 raise RuntimeError("a cache batch is already open")
-            self._writes = queue.SimpleQueue()
+            self._parked = {}
         raising = True
         try:
             yield
             raising = False
         finally:
             with self._lock:
-                writes, writer = self._writes, self._writer
-                self._writes = self._writer = None
-            if writer is not None:
-                writes.put(None)
-                writer.join()
-            error, self._write_error = self._write_error, None
-            if error is not None and not raising:
-                raise error
+                parked, self._parked = self._parked, None
+                for kind, digest in sorted(parked):
+                    self._open.setdefault(kind, []).append(parked[kind, digest])
+                blocks, self._open = self._open, {}
+                try:
+                    for kind, records in blocks.items():
+                        self._flush(kind, records)
+                except Exception as exc:
+                    if not raising:
+                        raise
+                    logger.error("cache append failed while the batch was raising: %s", exc)
 
     def get_or_compute(
         self, kind: str, digest: str, compute: Callable[[], dict]

@@ -126,26 +126,23 @@ def serve(cache: ResponseCache, kind: str, jobs: Iterable[tuple[str, Callable[[]
     """Run each ``(digest, job)`` of ``jobs``; returns the results in job
     order and the number of jobs served from the cache.
 
-    A job whose ``kind``/``digest`` entry the cache held when the batch
-    started, by one ``cache.stored(kind)`` listing, runs on the calling
-    thread. The others wait on the provider, so they go to a pool of
-    ``max_workers`` threads, made at the first such job: a fully cached run
-    makes no threads. ``jobs`` is read lazily, and at most
-    ``QUEUE_PER_WORKER * max_workers`` jobs are queued or running, so
-    rendered prompts do not pile up. A digest is computed at most once per
-    batch: a job whose digest matches a queued or running job waits for it,
-    then runs on the calling thread and reads the entry that job put. A
-    duplicate of a job that has left the queue, like any entry written after
-    the listing, is read by its own cache lookup in the pool. A failed job's
-    exception is re-raised once its result is reached, after the pool has
-    finished the jobs it holds.
+    A job whose ``kind``/``digest`` entry the cache holds, by
+    ``cache.stored(kind)``, runs on the calling thread. The others wait on
+    the provider, so they go to a pool of ``max_workers`` threads, made at
+    the first such job: a fully cached run makes no threads. ``jobs`` is read
+    lazily, and at most ``QUEUE_PER_WORKER * max_workers`` jobs are queued or
+    running, so rendered prompts do not pile up. A digest is computed at most
+    once per batch: a job whose digest matches a queued or running job waits
+    for it, then runs on the calling thread and reads the entry that job put.
+    A failed job's exception is re-raised once its result is reached, after
+    the pool has finished the jobs it holds.
 
     The batch is one ``cache.batch()``, entered before the pool so that it
-    closes after the pool has shut down: a job's ``put`` returns before its
-    entry's file exists, and a later job of the batch reads the entry from
-    memory. ``serve`` returns only when every entry is written. Once a
-    write has failed no job is handed to the pool: the jobs it holds
-    finish, and the write failure raises here unless a job already raised.
+    closes after the pool has shut down. A job's ``put`` parks its entry, and
+    each job's entry is committed when its result is collected, in job
+    order, so the cache's log does not depend on thread timing. A failed
+    append raises at that commit, so no job is handed to the pool after it.
+    ``serve`` returns once the batch's entries are appended.
     """
     results: list = []
     # digest -> (index in results, future) of each queued or running job, oldest first
@@ -162,17 +159,19 @@ def serve(cache: ResponseCache, kind: str, jobs: Iterable[tuple[str, Callable[[]
                 if pool is None:
                     pool = stack.enter_context(ThreadPoolExecutor(max_workers=max_workers))
                 if len(queued) >= QUEUE_PER_WORKER * max_workers:
-                    index, future = queued.pop(next(iter(queued)))
+                    oldest = next(iter(queued))
+                    index, future = queued.pop(oldest)
                     results[index] = future.result()
-                if cache.write_failed:  # raised when the batch ends
-                    break
+                    cache.commit(kind, oldest)
                 queued[digest] = (len(results), pool.submit(job))
                 results.append(None)
                 continue
             results.append(job())
+            cache.commit(kind, digest)
             served += 1
-        for index, future in queued.values():
+        for digest, (index, future) in queued.items():
             results[index] = future.result()
+            cache.commit(kind, digest)
     return results, served
 
 

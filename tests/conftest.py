@@ -1,13 +1,17 @@
 """Shared fixtures: fixture paths, toy pipeline configs, counting providers,
-an empty response cache."""
+an empty response cache, and a raw writer and readers of cache logs."""
 
 from __future__ import annotations
 
 import json
+import os
+import struct
+import zlib
 from pathlib import Path
 
 import pytest
 
+import ontomatch.cache as cache_module
 from ontomatch.cache import ResponseCache
 from ontomatch.pipeline import PipelineConfig, make_provider
 
@@ -29,6 +33,38 @@ def golden_dir() -> Path:
 @pytest.fixture
 def cache(tmp_path) -> ResponseCache:
     return ResponseCache(tmp_path / "cache")
+
+
+def append_raw_entry(cache_dir, kind: str, digest: str, data: bytes) -> None:
+    """Append a block of one entry holding ``data`` as it is to ``kind``'s
+    log under ``cache_dir``: the next load reads ``data`` for ``digest``."""
+    block = cache_module._blocks([cache_module._record(digest, data)])
+    cache_module._append(os.path.join(cache_dir, f"{kind}.log"), block)
+
+
+def log_blocks(path) -> list[tuple[int, int]]:
+    """(start, end) byte offsets of each block of a well-formed log."""
+    log, spans, pos = path.read_bytes(), [], 0
+    while pos < len(log):
+        (size,) = struct.unpack_from("<I", log, pos)
+        spans.append((pos, pos + 4 + size))
+        pos += 4 + size
+    assert pos == len(log)
+    return spans
+
+
+def block_digests(path) -> list[list[str]]:
+    """The digests of each block of a well-formed log, in order."""
+    log, out = path.read_bytes(), []
+    for start, end in log_blocks(path):
+        body, pos, digests = zlib.decompress(log[start + 4:end]), 0, []
+        while pos < len(body):
+            key_size, size = struct.unpack_from("<HI", body, pos)
+            pos += 6
+            digests.append(body[pos:pos + key_size].decode("utf-8"))
+            pos += key_size + size
+        out.append(digests)
+    return out
 
 
 def golden_text(name: str) -> str:

@@ -1,28 +1,39 @@
-"""Content-addressed response cache: round-trips, corruption, get-or-compute,
-batches, and the atomic writer every artifact goes through."""
+"""Content-addressed response cache: the log format, round-trips,
+corruption, bad blocks, the old file layout, get-or-compute, batches, and
+the atomic writer every artifact goes through."""
 
+import json
+import struct
 import threading
+import zlib
 
 import pytest
 
 import ontomatch.cache as cache_module
-from ontomatch.cache import ResponseCache, atomic_open
+from ontomatch.cache import BLOCK_ENTRIES, ResponseCache, atomic_open
+
+from conftest import append_raw_entry, block_digests, log_blocks
 
 
 def test_put_get_round_trip(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     cache.put("define", "abc123", {"text": "A définition."})
     assert cache.get("define", "abc123") == {"text": "A définition."}
-    entry = tmp_path / "cache" / "define" / "abc123.json"
-    assert entry.read_bytes() == '{"text": "A définition."}'.encode("utf-8")
+    # One block: its length, then the zlib-compressed record: the lengths of
+    # the digest and the payload, the digest, and the payload as put encodes it.
+    log = (tmp_path / "cache" / "define.log").read_bytes()
+    payload = '{"text": "A définition."}'.encode("utf-8")
+    assert struct.unpack_from("<I", log) == (len(log) - 4,)
+    assert zlib.decompress(log[4:]) == struct.pack("<HI", 6, len(payload)) + b"abc123" + payload
+    assert ResponseCache(tmp_path / "cache").get("define", "abc123") == {"text": "A définition."}
 
 
 def test_an_entry_larger_than_one_read_round_trips(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     payload = {"text": "é" * 50_000, "entries": {f"t{i}": -i / 7 for i in range(2_000)}}
     cache.put("define", "big", payload)
-    assert (tmp_path / "cache" / "define" / "big.json").stat().st_size > 1 << 16
-    assert cache.get("define", "big") == payload
+    assert len(json.dumps(payload, ensure_ascii=False).encode("utf-8")) > 1 << 16
+    assert ResponseCache(tmp_path / "cache").get("define", "big") == payload
 
 
 def test_get_missing_returns_none(tmp_path):
@@ -36,15 +47,13 @@ def test_entries_are_namespaced_by_kind(tmp_path):
     cache.put("judge", "d1", {"p_yes": 0.5})
     assert cache.get("define", "d1")["text"] == "def"
     assert cache.get("judge", "d1")["p_yes"] == 0.5
-    assert (tmp_path / "cache" / "define" / "d1.json").exists()
-    assert (tmp_path / "cache" / "judge" / "d1.json").exists()
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == ["define.log", "judge.log"]
 
 
 def test_corrupt_entry_is_discarded(tmp_path, caplog):
+    ResponseCache(tmp_path / "cache").put("define", "d1", {"text": "def"})
+    append_raw_entry(tmp_path / "cache", "define", "d1", b"{truncated")
     cache = ResponseCache(tmp_path / "cache")
-    cache.put("define", "d1", {"text": "def"})
-    path = tmp_path / "cache" / "define" / "d1.json"
-    path.write_text("{truncated", encoding="utf-8")
     with caplog.at_level("WARNING"):
         assert cache.get("define", "d1") is None
     assert any("corrupt" in r.message for r in caplog.records)
@@ -60,24 +69,23 @@ def test_an_unreadable_entry_is_discarded_and_recomputed(tmp_path, caplog, conte
     """Bytes that are not UTF-8, or JSON that is not an object, count as corrupt.
     A JSON object in UTF-16, or after a UTF-8 byte order mark, is corrupt too:
     entries are decoded as UTF-8, never by detecting the encoding."""
+    ResponseCache(tmp_path / "cache").put("judge", "d1", {"p_yes": 0.5})
+    append_raw_entry(tmp_path / "cache", "judge", "d1", content)
     cache = ResponseCache(tmp_path / "cache")
-    cache.put("judge", "d1", {"p_yes": 0.5})
-    path = tmp_path / "cache" / "judge" / "d1.json"
-    path.write_bytes(content)
     with caplog.at_level("WARNING"):
         assert cache.get("judge", "d1") is None
     assert any("discarding corrupt cache entry" in r.message for r in caplog.records)
     assert cache.get_or_compute("judge", "d1", lambda: {"p_yes": 0.25}) == {"p_yes": 0.25}
     assert cache.get("judge", "d1") == {"p_yes": 0.25}
+    assert ResponseCache(tmp_path / "cache").get("judge", "d1") == {"p_yes": 0.25}
 
 
 def test_put_leaves_no_temporary_files(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     for i in range(20):
         cache.put("define", f"d{i}", {"text": str(i)})
-    leftovers = list((tmp_path / "cache" / "define").glob("*.tmp"))
-    assert leftovers == []
-    assert len(list((tmp_path / "cache" / "define").glob("*.json"))) == 20
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["define.log"]
+    assert len(ResponseCache(tmp_path / "cache").stored("define")) == 20
 
 
 def test_put_overwrites_existing_entry(tmp_path):
@@ -85,6 +93,7 @@ def test_put_overwrites_existing_entry(tmp_path):
     cache.put("define", "d1", {"text": "old"})
     cache.put("define", "d1", {"text": "new"})
     assert cache.get("define", "d1")["text"] == "new"
+    assert ResponseCache(tmp_path / "cache").get("define", "d1")["text"] == "new"
 
 
 def test_get_or_compute_computes_once_then_hits(tmp_path):
@@ -139,15 +148,42 @@ def test_get_or_compute_returns_written_record_without_reading_back(tmp_path, mo
 
 
 def test_stored_lists_only_json_entries(tmp_path):
-    cache = ResponseCache(tmp_path / "cache")
-    cache.put("define", "d1", {"text": "def"})
-    cache.put("define", "d2", {"text": "other"})
+    """Entry files of the layout before the logs are folded into the log at
+    the kind's first use, sorted by digest and with their bytes as they are,
+    and removed; strays in their directory are left alone."""
     kind_dir = tmp_path / "cache" / "define"
-    # What a writer killed before its rename leaves, and other strays.
+    kind_dir.mkdir(parents=True)
+    (kind_dir / "d2.json").write_bytes(b'{"text": "other"}')
+    (kind_dir / "d1.json").write_bytes(b'{"text": "def"}')
+    # What a writer killed before its rename left, and other strays.
     (kind_dir / "tmp0123456789abcdef.tmp").write_text('{"text": "half')
     (kind_dir / "notes.txt").write_text("x")
     (kind_dir / "d3.json.bak").write_text("{}")
+    cache = ResponseCache(tmp_path / "cache")
     assert cache.stored("define") == {"d1", "d2"}
+    assert sorted(p.name for p in kind_dir.iterdir()) == [
+        "d3.json.bak", "notes.txt", "tmp0123456789abcdef.tmp"]
+    log = tmp_path / "cache" / "define.log"
+    assert log.read_bytes() == cache_module._blocks([
+        cache_module._record("d1", b'{"text": "def"}'),
+        cache_module._record("d2", b'{"text": "other"}')])
+    assert ResponseCache(tmp_path / "cache").get("define", "d2") == {"text": "other"}
+
+
+def test_old_entry_files_of_a_kind_are_folded_once_and_their_directory_goes(tmp_path):
+    kind_dir = tmp_path / "cache" / "judge"
+    kind_dir.mkdir(parents=True)
+    for i in range(BLOCK_ENTRIES + 1):
+        (kind_dir / f"d{i:03d}.json").write_text(f'{{"p_yes": {i}}}')
+    ResponseCache(tmp_path / "cache").put("judge", "new", {"p_yes": -1})
+    assert not kind_dir.exists()
+    log = tmp_path / "cache" / "judge.log"
+    assert block_digests(log) == [
+        [f"d{i:03d}" for i in range(BLOCK_ENTRIES)], [f"d{BLOCK_ENTRIES:03d}"], ["new"]]
+    fresh = ResponseCache(tmp_path / "cache")
+    assert len(fresh.stored("judge")) == BLOCK_ENTRIES + 2
+    assert fresh.get("judge", "d007") == {"p_yes": 7}
+    assert log.stat().st_size == sum(e - s for s, e in log_blocks(log))
 
 
 def test_stored_is_empty_for_a_missing_kind_directory(tmp_path):
@@ -202,23 +238,79 @@ def test_put_failure_keeps_the_old_entry_and_leaves_no_temporary(tmp_path):
     with pytest.raises(TypeError):
         cache.put("define", "d1", {"text": object()})
     assert cache.get("define", "d1")["text"] == "kept"
-    assert [p.name for p in (tmp_path / "cache" / "define").iterdir()] == ["d1.json"]
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["define.log"]
+    assert ResponseCache(tmp_path / "cache").get("define", "d1")["text"] == "kept"
 
 
-# -- batches: writes behind the callers ---------------------------------------------
+def test_a_failed_append_stores_nothing(tmp_path, monkeypatch):
+    def refuse(path, data, sync=False):
+        raise OSError(f"cannot append to {path}")
 
-
-def test_a_batch_put_is_read_from_memory_and_written_by_the_batch_end(tmp_path, monkeypatch):
-    written = []
-    real_write = cache_module._write
-
-    def recorded_write(path, data):
-        written.append(path)
-        real_write(path, data)
-
-    monkeypatch.setattr(cache_module, "_write", recorded_write)
     cache = ResponseCache(tmp_path / "cache")
-    entry = tmp_path / "cache" / "define" / "d1.json"
+    monkeypatch.setattr(cache_module, "_append", refuse)
+    with pytest.raises(OSError, match="cannot append"):
+        cache.put("define", "d1", {"text": "lost"})
+    assert cache.get("define", "d1") is None
+
+
+def test_building_a_cache_touches_no_file(tmp_path, monkeypatch):
+    ResponseCache(tmp_path / "cache").put("judge", "d1", {"p_yes": 0.5})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cache file was touched")
+
+    monkeypatch.setattr(ResponseCache, "_read", refuse)
+    monkeypatch.setattr(cache_module, "_append", refuse)
+    ResponseCache(tmp_path / "cache")
+    ResponseCache(tmp_path / "missing")
+
+
+# -- bad blocks ---------------------------------------------------------------------
+
+
+def test_a_torn_tail_is_cut_before_the_next_append(tmp_path, caplog):
+    cache = ResponseCache(tmp_path / "cache")
+    for i in range(3):
+        cache.put("judge", f"d{i}", {"p_yes": i})
+    log = tmp_path / "cache" / "judge.log"
+    spans = log_blocks(log)
+    with open(log, "r+b") as fp:
+        fp.truncate(spans[2][0] + 5)
+    with caplog.at_level("WARNING"):
+        fresh = ResponseCache(tmp_path / "cache")
+        assert fresh.stored("judge") == {"d0", "d1"}
+    assert any("bad block" in m for m in caplog.messages)
+    assert log.stat().st_size == spans[1][1]
+    fresh.put("judge", "d2", {"p_yes": 2})
+    caplog.clear()
+    assert ResponseCache(tmp_path / "cache").get("judge", "d2") == {"p_yes": 2}
+    assert not caplog.messages
+
+
+def test_a_corrupt_block_is_skipped_and_the_blocks_after_it_are_kept(tmp_path, caplog):
+    cache = ResponseCache(tmp_path / "cache")
+    for i in range(3):
+        cache.put("judge", f"d{i}", {"p_yes": i})
+    log = tmp_path / "cache" / "judge.log"
+    start, end = log_blocks(log)[1]
+    data = bytearray(log.read_bytes())
+    data[(start + 4 + end) // 2] ^= 0xFF
+    log.write_bytes(bytes(data))
+    with caplog.at_level("WARNING"):
+        assert ResponseCache(tmp_path / "cache").stored("judge") == {"d0", "d2"}
+    assert sum("bad block" in m for m in caplog.messages) == 1
+    assert block_digests(log) == [["d0"], ["d2"]]
+    caplog.clear()
+    assert ResponseCache(tmp_path / "cache").stored("judge") == {"d0", "d2"}
+    assert not caplog.messages
+
+
+# -- batches: appends in commit order -----------------------------------------------
+
+
+def test_a_batch_put_is_read_from_memory_and_written_by_the_batch_end(tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+    log = tmp_path / "cache" / "define.log"
     with cache.batch():
         cache.put("define", "d1", {"text": "A définition."})
         assert cache.get("define", "d1") == {"text": "A définition."}
@@ -227,8 +319,8 @@ def test_a_batch_put_is_read_from_memory_and_written_by_the_batch_end(tmp_path, 
         with pytest.raises(RuntimeError, match="already open"):
             with cache.batch():
                 pass
-    assert written == [str(entry)]
-    assert entry.read_bytes() == '{"text": "A définition."}'.encode("utf-8")
+        assert not log.exists()
+    assert block_digests(log) == [["d1"]]
     assert ResponseCache(tmp_path / "cache").get("define", "d1") == {"text": "A définition."}
 
 
@@ -238,6 +330,64 @@ def test_a_batch_that_puts_nothing_starts_no_thread(tmp_path, monkeypatch):
 
     cache = ResponseCache(tmp_path / "cache")
     cache.put("define", "d1", {"text": "def"})
+    size = (tmp_path / "cache" / "define.log").stat().st_size
     monkeypatch.setattr(threading.Thread, "start", refuse)
     with cache.batch():
         assert cache.get("define", "d1") == {"text": "def"}
+    assert (tmp_path / "cache" / "define.log").stat().st_size == size
+
+
+def test_a_batch_appends_full_blocks_in_commit_order_and_the_rest_at_its_end(tmp_path):
+    """A block is appended at the commit that fills it; the end of the batch
+    appends the open block and then what was never committed, by digest."""
+    cache = ResponseCache(tmp_path / "cache")
+    log = tmp_path / "cache" / "judge.log"
+    digests = [f"d{i:03d}" for i in range(BLOCK_ENTRIES + 3)]
+    with cache.batch():
+        for digest in reversed(digests):
+            cache.put("judge", digest, {"p_yes": 0.5})
+        cache.put("judge", "z-never-committed", {"p_yes": 0.5})
+        cache.put("judge", "a-never-committed", {"p_yes": 0.5})
+        for digest in digests[:-1]:
+            cache.commit("judge", digest)
+            assert log.exists() == (digest >= digests[BLOCK_ENTRIES - 1])
+        cache.commit("judge", "not-put")
+        cache.commit("judge", digests[-1])
+        cache.commit("judge", digests[-1])  # a second commit finds nothing parked
+    assert block_digests(log) == [
+        digests[:BLOCK_ENTRIES], [*digests[BLOCK_ENTRIES:], "a-never-committed", "z-never-committed"]]
+
+
+def test_a_failed_append_raises_at_the_commit_that_fills_a_block(tmp_path, monkeypatch):
+    def refuse(path, data, sync=False):
+        raise OSError(f"cannot append to {path}")
+
+    cache = ResponseCache(tmp_path / "cache")
+    cache.stored("judge")
+    monkeypatch.setattr(cache_module, "_append", refuse)
+    with cache.batch():
+        for i in range(BLOCK_ENTRIES):
+            cache.put("judge", f"d{i}", {"p_yes": 0.5})
+        for i in range(BLOCK_ENTRIES - 1):
+            cache.commit("judge", f"d{i}")
+        with pytest.raises(OSError, match="cannot append"):
+            cache.commit("judge", f"d{BLOCK_ENTRIES - 1}")
+
+
+def test_a_raising_batch_logs_a_failed_append_and_keeps_its_own_error(tmp_path, monkeypatch,
+                                                                      caplog):
+    def refuse(path, data, sync=False):
+        raise OSError(f"cannot append to {path}")
+
+    cache = ResponseCache(tmp_path / "cache")
+    cache.stored("judge")
+    monkeypatch.setattr(cache_module, "_append", refuse)
+    with caplog.at_level("ERROR", logger="ontomatch.cache"):
+        with pytest.raises(KeyError, match="the batch's own"):
+            with cache.batch():
+                cache.put("judge", "d0", {"p_yes": 0.5})
+                raise KeyError("the batch's own")
+    assert any("cannot append" in m for m in caplog.messages)
+    with pytest.raises(OSError, match="cannot append"):
+        with cache.batch():
+            cache.put("judge", "d1", {"p_yes": 0.5})

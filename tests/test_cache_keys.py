@@ -1,11 +1,14 @@
 """The cache keys and entry bytes of a cold toy run, pinned.
 
 ``tests/data/golden/cache_keys.json`` maps each config case to each cache
-kind (``define``, ``judge``, ``embed``): the sorted names of its entry files
-and one sha256 over their bytes, in that order. A change to
+kind. For the prompt-keyed kinds (``define``, ``judge``) it holds the entry
+names (``<digest>.json``, as the files of the layout before the logs were
+named) in digest order, and one sha256 over the entries' payload bytes, read
+through the store, in that order. For ``embed`` it holds the sorted names of
+the entry files and one sha256 over their bytes. A change to
 ``prompt_digest``, to a prompt's text, to what an entry stores or to an
-embedding's bytes fails here, and an existing cache tree would no longer
-serve it. A mock vector is integer counts divided by the square root of an
+embedding's bytes fails here, and an existing cache would no longer serve
+it. A mock vector is integer counts divided by the square root of an
 integer sum of squares, exact in float64, so its bytes do not depend on the
 BLAS build.
 
@@ -17,15 +20,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from ontomatch.pipeline import Pipeline
+from ontomatch.cache import ResponseCache
+from ontomatch.pipeline import Pipeline, make_provider
 
-from conftest import GOLDEN_DIR, toy_config
+from conftest import GOLDEN_DIR, CountingProvider, toy_config
 
 GOLDEN = GOLDEN_DIR / "cache_keys.json"
 KINDS = ("define", "judge")
@@ -36,18 +41,25 @@ CASES = {
 
 
 def cache_keys(cache_dir: Path) -> dict[str, dict]:
-    """Each kind present under ``cache_dir``: its sorted entry file
-    names and the sha256 of their bytes concatenated in that order."""
+    """Each kind present under ``cache_dir``: its entry names in order and
+    the sha256 of their bytes concatenated in that order."""
     keys = {}
-    for kind in (*KINDS, "embed"):
-        directory = cache_dir / kind
-        if not directory.is_dir():
-            continue
+    store = ResponseCache(cache_dir)
+    for kind in KINDS:
+        entries = store._load(kind)
+        if entries:
+            digests = sorted(entries)
+            h = hashlib.sha256()
+            for digest in digests:
+                h.update(entries[digest])
+            keys[kind] = {"entries": [f"{d}.json" for d in digests], "sha256": h.hexdigest()}
+    directory = cache_dir / "embed"
+    if directory.is_dir():
         names = sorted(p.name for p in directory.iterdir())
         h = hashlib.sha256()
         for name in names:
             h.update((directory / name).read_bytes())
-        keys[kind] = {"entries": names, "sha256": h.hexdigest()}
+        keys["embed"] = {"entries": names, "sha256": h.hexdigest()}
     return keys
 
 
@@ -65,6 +77,40 @@ def test_a_cold_toy_run_writes_the_pinned_cache_keys_and_bytes(tmp_path, case):
     for kind in expected:
         assert actual[kind]["entries"] == expected[kind]["entries"], kind
         assert actual[kind]["sha256"] == expected[kind]["sha256"], kind
+
+
+def test_a_warm_run_over_the_old_file_layout_calls_no_provider_and_folds_it(tmp_path):
+    """A cache in the layout before the logs, one ``<kind>/<digest>.json``
+    file per entry holding the golden bytes, serves a whole run: no
+    provider call, the artifacts of the run that made it, and no old entry
+    file left afterwards."""
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))["default"]
+    made = toy_config(tmp_path / "made")
+    Pipeline(made).run()
+    store = ResponseCache(made.cache_dir)
+    old = tmp_path / "old" / "cache"
+    shutil.copytree(Path(made.cache_dir) / "embed", old / "embed")
+    for kind in KINDS:
+        (old / kind).mkdir()
+        for digest, data in store._load(kind).items():
+            (old / kind / f"{digest}.json").write_bytes(data)
+        names = sorted(p.name for p in (old / kind).iterdir())
+        h = hashlib.sha256()
+        for name in names:
+            h.update((old / kind / name).read_bytes())
+        assert {"entries": names, "sha256": h.hexdigest()} == expected[kind], kind
+
+    config = toy_config(tmp_path / "old")
+    provider = CountingProvider(make_provider(config))
+    Pipeline(config, provider=provider).run()
+    assert provider.total_calls == 0
+
+    def artifacts(out_dir):
+        return {p.name: p.read_bytes() for p in Path(out_dir).iterdir() if p.name != "manifest.json"}
+
+    assert artifacts(config.out_dir) == artifacts(made.out_dir)
+    assert sorted(p.name for p in old.iterdir()) == ["define.log", "embed", "judge.log"]
+    assert cache_keys(old) == expected
 
 
 if __name__ == "__main__":

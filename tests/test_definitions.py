@@ -21,7 +21,7 @@ from ontomatch.errors import ProviderError
 from ontomatch.model import Concept, ContextBlock, Ontology, read_concept_jsonl
 from ontomatch.providers import MockProvider, SamplingParams
 
-from conftest import TOY_DIR, CountingProvider, golden_text
+from conftest import TOY_DIR, CountingProvider, append_raw_entry, golden_text
 
 SNOMED_LABEL = "Product containing only betamethasone and calcipotriol (medicinal product)"
 SNOMED_SYNONYM = "Betamethasone and calcipotriol only product"
@@ -301,8 +301,9 @@ def test_enrich_ontology_calls_the_provider_once_per_prompt(cache, caplog):
 def test_enrich_ontology_recomputes_corrupt_cached_definition(tmp_path, caplog):
     cache = ResponseCache(tmp_path / "cache")
     enrich_ontology(_ontology(1), "tgt", MockProvider(), cache)
-    [entry] = (tmp_path / "cache" / "define").glob("*.json")
-    entry.write_text("{truncated", encoding="utf-8")
+    [digest] = cache.stored("define")
+    append_raw_entry(tmp_path / "cache", "define", digest, b"{truncated")
+    cache = ResponseCache(tmp_path / "cache")
     provider = CountingProvider(MockProvider())
     onto = _ontology(1)
     with caplog.at_level("WARNING"):
@@ -312,7 +313,7 @@ def test_enrich_ontology_recomputes_corrupt_cached_definition(tmp_path, caplog):
     )
     assert provider.generate_calls == 1
     assert sum("discarding corrupt cache entry" in m for m in caplog.messages) == 1
-    assert cache.get("define", entry.stem)["text"] == onto.concepts["http://x.org/c#C00"].definition
+    assert ResponseCache(tmp_path / "cache").get("define", digest)["text"] == onto.concepts["http://x.org/c#C00"].definition
 
 
 def test_enrich_ontology_logs_hits_and_misses(tmp_path, caplog):

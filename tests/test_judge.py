@@ -1,18 +1,17 @@
 """Equivalence judging: prompt layout, YES-probability math, judgement IO."""
 
 import io
-import logging
 import math
 import random
 import re
-import threading
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+import ontomatch.cache as cache_module
 import ontomatch.judge as judge_module
-from ontomatch.cache import ResponseCache
+from ontomatch.cache import BLOCK_ENTRIES, ResponseCache
 from ontomatch.errors import ConfigError, OntologyParseError, UnparseableJudgementError
 from ontomatch.judge import (
     DEFAULT_FEW_SHOT,
@@ -37,7 +36,7 @@ from ontomatch.model import (
 from ontomatch.pipeline import PipelineConfig
 from ontomatch.providers import QUEUE_PER_WORKER, MockProvider, serve
 
-from conftest import TOY_DIR, CountingProvider, golden_text
+from conftest import TOY_DIR, CountingProvider, append_raw_entry, golden_text
 from oracles import reference_p_yes
 
 NERVE_A = ContextBlock(
@@ -491,54 +490,39 @@ def test_judge_candidates_fully_warm_makes_no_pool_and_no_calls(tmp_path, monkey
     assert warm == cold
 
 
-def test_judge_candidates_stops_calling_the_provider_once_an_entry_write_fails(tmp_path):
-    """The cache's judge path is a regular file, so every entry write fails.
-    With one worker, serve holds at most QUEUE_PER_WORKER jobs, and every
-    classify call after the first waits until the writer has logged its
-    failure. So serve sees the failure before it hands the pool a job past
-    the second, and the later pairs are never sent to the provider. Then
-    the write's OSError is raised, and no temporary file is left."""
+def test_judge_candidates_stops_calling_the_provider_once_an_entry_write_fails(tmp_path,
+                                                                              monkeypatch):
+    """Every append to the cache's log fails. With one worker, serve holds at
+    most QUEUE_PER_WORKER jobs, and the commit that fills the first block
+    raises on serve's thread, so the later pairs are never sent to the
+    provider. The append's OSError is raised, and no log is left."""
     src, tgt = Ontology(name="src"), Ontology(name="tgt")
-    for i in range(3):
+    for i in range(9):
         src.concepts[f"http://s#S{i}"] = Concept(f"http://s#S{i}", label=f"source {i}")
         tgt.concepts[f"http://t#T{i}"] = Concept(f"http://t#T{i}", label=f"target {i}")
     candidates = {s: [(t, 0.5) for t in tgt.concepts] for s in src.concepts}
     pairs = len(src) * len(tgt)
-    assert pairs > QUEUE_PER_WORKER + 1
-    cache = ResponseCache(tmp_path / "cache")
-    (tmp_path / "cache").mkdir()
-    (tmp_path / "cache" / "judge").write_text("")
-    logged = threading.Event()
+    assert pairs > BLOCK_ENTRIES + QUEUE_PER_WORKER
 
-    class OnError(logging.Handler):
-        def emit(self, record):
-            logged.set()
+    def refuse(path, data, sync=False):
+        raise OSError(f"cannot append to {path}")
 
-    class WaitingProvider(CountingProvider):
-        def classify_first_token(self, messages):
-            if self.classify_calls:
-                assert logged.wait(timeout=10), "the failed write was not logged"
-            return super().classify_first_token(messages)
-
-    provider = WaitingProvider(MockProvider())
-    handler = OnError(level=logging.ERROR)
-    logging.getLogger("ontomatch.cache").addHandler(handler)
-    try:
-        with pytest.raises(OSError):
-            judge_candidates(candidates, src, tgt, provider, cache, max_workers=1)
-    finally:
-        logging.getLogger("ontomatch.cache").removeHandler(handler)
-    assert 0 < provider.classify_calls <= QUEUE_PER_WORKER + 1 < pairs
-    assert not list(tmp_path.rglob("tmp*.tmp"))
+    monkeypatch.setattr(cache_module, "_append", refuse)
+    provider = CountingProvider(MockProvider())
+    with pytest.raises(OSError, match="cannot append"):
+        judge_candidates(candidates, src, tgt, provider, ResponseCache(tmp_path / "cache"),
+                         max_workers=1)
+    assert BLOCK_ENTRIES <= provider.classify_calls <= BLOCK_ENTRIES + QUEUE_PER_WORKER < pairs
+    assert not (tmp_path / "cache").exists()
 
 
 def test_judge_candidates_warm_reads_each_entry_once_and_probes_none(tmp_path, monkeypatch):
-    """A fully cached batch decides its hits from one listing of the kind
-    directory and reads each entry once, with no per-entry existence probe."""
+    """A fully cached batch decides its hits from the loaded log and reads
+    each entry once, with no per-entry file probe."""
     src, tgt = _ontologies()
     cache = ResponseCache(tmp_path / "cache")
     judge_candidates(_all_candidates(), src, tgt, MockProvider(), cache)
-    entries = {p.stem for p in (tmp_path / "cache" / "judge").glob("*.json")}
+    entries = set(cache.stored("judge"))
     assert len(entries) == 4
 
     def refuse(*args, **kwargs):
@@ -606,15 +590,16 @@ def test_judge_candidates_recomputes_corrupt_cached_answer(tmp_path, caplog):
     cache = ResponseCache(tmp_path / "cache")
     candidates = {"http://s#S1": [("http://t#T1", 0.9)]}
     first = judge_candidates(candidates, src, tgt, MockProvider(), cache)
-    [entry] = (tmp_path / "cache" / "judge").glob("*.json")
-    entry.write_text("{truncated", encoding="utf-8")
+    [digest] = cache.stored("judge")
+    append_raw_entry(tmp_path / "cache", "judge", digest, b"{truncated")
+    cache = ResponseCache(tmp_path / "cache")
     provider = CountingProvider(MockProvider())
     with caplog.at_level("WARNING"):
         again = judge_candidates(candidates, src, tgt, provider, cache)
     assert again == first
     assert provider.classify_calls == 1
     assert sum("discarding corrupt cache entry" in m for m in caplog.messages) == 1
-    assert cache.get("judge", entry.stem)["entries"]
+    assert ResponseCache(tmp_path / "cache").get("judge", digest)["entries"]
 
 
 def test_judge_candidates_logs_hits_and_misses(tmp_path, caplog):

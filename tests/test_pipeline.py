@@ -6,21 +6,23 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import ontomatch.cache as cache_module
 import ontomatch.judge as judge_module
 import ontomatch.pipeline as pipeline_module
 import ontomatch.retrieval as retrieval_module
 from ontomatch.cli import build_config, main
 from ontomatch.errors import ConfigError, DegenerateVectorError, MissingArtifactError
-from ontomatch.cache import ResponseCache
+from ontomatch.cache import BLOCK_ENTRIES, ResponseCache
 from ontomatch.judge import DEFAULT_FEW_SHOT, judge_pair, judge_prompt
 from ontomatch.model import Mapping, MappingSet, concept_context, read_concept_jsonl
 from ontomatch.pipeline import STAGES, Pipeline, PipelineConfig, StageManifest, make_provider
-from ontomatch.providers import HttpProvider, MockProvider
+from ontomatch.providers import QUEUE_PER_WORKER, HttpProvider, MockProvider
 from ontomatch.retrieval import (
     ExactIndex,
     generate_candidates,
@@ -32,6 +34,9 @@ from ontomatch.retrieval import (
 from conftest import (
     TOY_DIR,
     CountingProvider,
+    append_raw_entry,
+    block_digests,
+    log_blocks,
     load_toy_reference,
     toy_config,
     toy_ranking_cases,
@@ -129,7 +134,7 @@ def test_two_cold_runs_write_byte_identical_cache_trees(tmp_path):
                             ranking_scorer="pyes", few_shot=1)
         Pipeline(config).run()
         trees.append(cache_tree(config.cache_dir))
-    assert {name.split("/")[0] for name in trees[0]} == {"define", "embed", "judge"}
+    assert {name.split("/")[0] for name in trees[0]} == {"define.log", "embed", "judge.log"}
     assert trees[0] == trees[1]
 
 
@@ -137,16 +142,113 @@ def test_cached_unparseable_judgement_is_recomputed_once(tmp_path, counting_toy_
     config = toy_config(tmp_path)
     Pipeline(config).run()
     before = snapshot(config.out_dir)
-    poisoned = sorted((tmp_path / "cache" / "judge").glob("*.json"))[0]
-    answer = poisoned.read_bytes()
-    poisoned.write_text(json.dumps({"entries": {"MAYBE": -0.1}}))
+    poisoned = sorted(ResponseCache(config.cache_dir).stored("judge"))[0]
+    answer = ResponseCache(config.cache_dir).get("judge", poisoned)
+    append_raw_entry(config.cache_dir, "judge", poisoned, b'{"entries": {"MAYBE": -0.1}}')
 
     for expected_calls in (1, 0):
         provider = counting_toy_provider(config)
         Pipeline(config, provider=provider).run(force=True)
         assert (provider.classify_calls, provider.total_calls) == (expected_calls,) * 2
         assert snapshot(config.out_dir) == before
-    assert poisoned.read_bytes() == answer
+    assert ResponseCache(config.cache_dir).get("judge", poisoned) == answer
+
+
+def test_bad_judge_blocks_are_recomputed_in_the_pool_and_cut_from_the_log(tmp_path, monkeypatch,
+                                                                         caplog):
+    """One flipped byte inside the judge log's second block and its last
+    block torn mid-way: a forced judge run recomputes exactly the entries of
+    those two blocks, on pool threads, serves the rest, and leaves a log
+    whose next load finds no bad block."""
+    config = toy_config(tmp_path)
+    Pipeline(config).run()
+    before = snapshot(config.out_dir)
+    log = Path(config.cache_dir) / "judge.log"
+    blocks, spans = block_digests(log), log_blocks(log)
+    assert len(blocks) > 2
+    lost = set(blocks[1]) | set(blocks[-1])
+    data = bytearray(log.read_bytes())
+    start, end = spans[1]
+    data[(start + 4 + end) // 2] ^= 0x01
+    start, end = spans[-1]
+    log.write_bytes(bytes(data[:(start + end) // 2]))
+
+    put_on = {}
+    real_put = ResponseCache.put
+
+    def recorded_put(self, kind, digest, payload):
+        put_on[digest] = threading.current_thread().name
+        return real_put(self, kind, digest, payload)
+
+    served = []
+    real_serve = judge_module.serve
+
+    def spy_serve(*args, **kwargs):
+        result = real_serve(*args, **kwargs)
+        served.append(result[1])
+        return result
+
+    monkeypatch.setattr(ResponseCache, "put", recorded_put)
+    monkeypatch.setattr(judge_module, "serve", spy_serve)
+    provider = CountingProvider(make_provider(config))
+    with caplog.at_level("WARNING", logger="ontomatch.cache"):
+        assert Pipeline(config, provider=provider).run_stage("judge", force=True) == "complete"
+    assert sum("bad block" in m for m in caplog.messages) == 2
+    assert set(put_on) == lost and provider.classify_calls == len(lost)
+    assert "MainThread" not in put_on.values()
+    assert served == [sum(map(len, blocks)) - len(lost)]
+    assert snapshot(config.out_dir) == before
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="ontomatch.cache"):
+        assert len(ResponseCache(config.cache_dir).stored("judge")) == sum(map(len, blocks))
+    assert not caplog.messages
+
+
+_KILLED_RUN = """
+import os, sys, threading
+from pathlib import Path
+from conftest import toy_config
+from ontomatch.pipeline import Pipeline, make_provider
+
+config = toy_config(Path(sys.argv[1]))
+provider = make_provider(config)
+classify, calls, lock = provider.classify_first_token, [], threading.Lock()
+
+def killing_classify(messages):
+    with lock:
+        calls.append(1)
+        if len(calls) > int(sys.argv[2]):
+            os._exit(3)
+    return classify(messages)
+
+provider.classify_first_token = killing_classify
+Pipeline(config, provider=provider).run()
+"""
+
+
+def test_a_run_killed_mid_judge_resumes_to_the_same_artifacts(tmp_path):
+    """A cold toy run exits abruptly after its 150th classify call; the
+    rerun sends exactly the pairs whose answers the kill lost, at most the
+    pool's queue and one open block, and writes what an uninterrupted run
+    writes."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), str(root / "tests"), env.get("PYTHONPATH")) if p)
+    killed = subprocess.run([sys.executable, "-c", _KILLED_RUN, str(tmp_path / "killed"), "150"],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert killed.returncode == 3, killed.stderr
+    config = toy_config(tmp_path / "killed")
+    kept = len(ResponseCache(config.cache_dir).stored("judge"))
+    assert 0 < 150 - kept <= QUEUE_PER_WORKER * config.max_workers + BLOCK_ENTRIES
+
+    provider = CountingProvider(make_provider(config))
+    Pipeline(config, provider=provider).run()
+    pairs = len(ResponseCache(config.cache_dir).stored("judge"))
+    assert provider.total_calls == provider.classify_calls == pairs - kept
+    whole = toy_config(tmp_path / "whole")
+    Pipeline(whole).run()
+    assert snapshot(config.out_dir) == snapshot(whole.out_dir)
 
 
 def test_provenance_counts_on_toy_run(tmp_path):
@@ -592,26 +694,36 @@ def test_failed_stage_is_recorded_and_reraised(tmp_path):
     assert "reference" in manifest["stages"]["eval"]["error"]
 
 
-def test_a_failed_cache_write_fails_the_judge_stage_and_the_next_run_recomputes(tmp_path):
+def test_a_failed_cache_write_fails_the_judge_stage_and_the_next_run_recomputes(tmp_path,
+                                                                              monkeypatch):
+    """Appends to the judge log fail: the commit that fills the first block
+    raises, so the stage fails having sent at most a pool's worth of pairs
+    past that block. Nothing reached the log, so the next run recomputes
+    every pair, the answers of the failed run included."""
     config = toy_config(tmp_path)
     provider = CountingProvider(make_provider(config))
     pipeline = Pipeline(config, provider=provider)
     pipeline.run(stages=["ingest", "define", "embed", "match"])
-    judge_dir = Path(config.cache_dir) / "judge"
-    judge_dir.parent.mkdir(parents=True, exist_ok=True)
-    judge_dir.write_text("")  # a regular file where the entries go
-    with pytest.raises(OSError):
+    real_append = cache_module._append
+
+    def refuse_judge(path, data, sync=False):
+        if path.endswith("judge.log"):
+            raise OSError(f"cannot append to {path}")
+        real_append(path, data, sync)
+
+    monkeypatch.setattr(cache_module, "_append", refuse_judge)
+    with pytest.raises(OSError, match="cannot append"):
         pipeline.run_stage("judge")
     manifest = json.loads((Path(config.out_dir) / "manifest.json").read_text())
     assert manifest["stages"]["judge"]["status"] == "failed"
-    assert not list(Path(config.cache_dir).rglob("tmp*.tmp"))
     failed_calls = provider.classify_calls
-    assert failed_calls > 0
+    assert BLOCK_ENTRIES <= failed_calls <= BLOCK_ENTRIES + QUEUE_PER_WORKER * config.max_workers
 
-    judge_dir.unlink()
+    monkeypatch.undo()
     assert pipeline.run_stage("judge") == "complete"
-    stored = len(ResponseCache(config.cache_dir).stored("judge"))
-    assert failed_calls <= stored == provider.classify_calls - failed_calls
+    pairs = len((Path(config.out_dir) / "judgements.tsv").read_text().splitlines()) - 1
+    assert len(ResponseCache(config.cache_dir).stored("judge")) == pairs
+    assert provider.classify_calls - failed_calls == pairs
 
 
 def test_missing_prerequisite_names_the_stage_to_run(tmp_path):

@@ -7,7 +7,6 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,7 @@ from ontomatch.providers import (
     validate_messages,
 )
 
-from conftest import TOY_DIR, load_alias_groups
+from conftest import TOY_DIR, block_digests, load_alias_groups
 from oracles import alias_rewriter, cosine, reference_prompt_digest
 
 ALIASES = [
@@ -664,7 +663,7 @@ def test_serve_bounds_jobs_in_flight_and_keeps_order(cache):
 
 
 def test_serve_makes_no_threads_when_every_job_is_cached(tmp_path, monkeypatch):
-    """Neither a pool nor the cache's writer: a fully cached batch puts nothing."""
+    """No pool and no other thread: a fully cached batch puts nothing."""
     def refuse(*args, **kwargs):
         raise AssertionError("a thread pool was made")
 
@@ -730,7 +729,7 @@ def test_serve_runs_a_duplicate_of_a_queued_job_on_the_calling_thread(cache):
 def test_serve_computes_each_digest_once_under_threads(cache):
     """Near and far repeats of 40 digests among 400 jobs, with threads
     switched often: every digest is computed exactly once, and its entry is
-    on disk when serve returns."""
+    in the log when serve returns."""
     rng = random.Random(7)
     digests = [f"d{rng.randrange(40)}" for _ in range(400)]
     computed = Counter()
@@ -767,31 +766,12 @@ def test_serve_computes_each_digest_once_under_threads(cache):
     assert all(fresh.get("judge", d) == {"text": d} for d in set(digests))
 
 
-def _hold_writes(monkeypatch, release, fail_on=None, delay=0.0):
-    """Make every cache entry write wait for ``release``, then sleep ``delay``;
-    a write to a path ending in ``fail_on`` raises OSError."""
-    real_atomic_open = cache_module.atomic_open
-
-    @contextmanager
-    def held_atomic_open(path, mode="w"):
-        release.wait(timeout=30)
-        time.sleep(delay)
-        if fail_on is not None and str(path).endswith(fail_on):
-            raise OSError(f"cannot write {path}")
-        with real_atomic_open(path, mode) as fp:
-            yield fp
-
-    monkeypatch.setattr(cache_module, "atomic_open", held_atomic_open)
-
-
-def test_serve_reads_its_own_writes_while_the_writer_is_held(tmp_path, monkeypatch):
-    """Entry writes are held until every job has been pulled. A duplicate is
-    served from the entry its original put, which is not on disk yet, with
-    no second compute; serve returns only once the held writes have landed."""
-    release = threading.Event()
-    _hold_writes(monkeypatch, release, delay=0.05)
+def test_serve_reads_its_own_writes_before_they_are_appended(tmp_path):
+    """Nothing is appended while the jobs run. A duplicate is served from
+    the entry its original put, with no second compute, and serve returns
+    once the entries are in the log."""
     cache = ResponseCache(tmp_path / "cache")
-    kind_dir = tmp_path / "cache" / "judge"
+    log = tmp_path / "cache" / "judge.log"
     computed = Counter()
     on_disk = []
 
@@ -801,49 +781,64 @@ def test_serve_reads_its_own_writes_while_the_writer_is_held(tmp_path, monkeypat
             return {"text": digest}
 
         def run():
-            on_disk.append((kind_dir / f"{digest}.json").exists())
+            on_disk.append(log.exists())
             return cache.get_or_compute("judge", digest, compute)["text"]
         return run
 
     digests = ["d0", "d0", "d1", "d1", "d2"]
-
-    def jobs():
-        for digest in digests:
-            yield digest, job(digest)
-        release.set()
-
-    assert serve(cache, "judge", jobs(), max_workers=2) == (digests, 2)
+    jobs = ((digest, job(digest)) for digest in digests)
+    assert serve(cache, "judge", jobs, max_workers=2) == (digests, 2)
     assert computed == Counter({"d0": 1, "d1": 1, "d2": 1})
     assert on_disk == [False] * 5
     fresh = ResponseCache(tmp_path / "cache")
     assert fresh.stored("judge") == {"d0", "d1", "d2"}
     assert all(fresh.get("judge", d) == {"text": d} for d in ("d0", "d1", "d2"))
-    assert not list(kind_dir.glob("*.tmp"))
+
+
+def test_serve_appends_in_job_order_whatever_order_the_jobs_finish_in(tmp_path):
+    """Later jobs finish first, yet the log holds the entries in job order,
+    so two equal runs write equal logs."""
+    digests = [f"d{i:02d}" for i in range(20)]
+
+    def job(i, digest):
+        def run():
+            time.sleep((len(digests) - i) * 0.002)
+            return cache.get_or_compute("judge", digest, lambda: {"text": digest})["text"]
+        return run
+
+    logs = []
+    for name in ("first", "second"):
+        cache = ResponseCache(tmp_path / name)
+        jobs = ((d, job(i, d)) for i, d in enumerate(digests))
+        assert serve(cache, "judge", jobs, max_workers=4) == (digests, 0)
+        assert block_digests(tmp_path / name / "judge.log") == [digests]
+        logs.append((tmp_path / name / "judge.log").read_bytes())
+    assert logs[0] == logs[1]
 
 
 def test_serve_raises_a_failed_job_over_a_failed_write(tmp_path, monkeypatch, caplog):
-    """A job raises while the entries of earlier jobs are queued, and one of
-    those writes fails: serve raises the job's error, logs the write failure,
-    and the other entries are on disk when it returns."""
-    release = threading.Event()
-    _hold_writes(monkeypatch, release, fail_on="d1.json")
+    """A job raises while the entries of earlier jobs wait for the batch's
+    end, and that append fails: serve raises the job's error and logs the
+    append failure."""
+    def refuse(path, data, sync=False):
+        raise OSError(f"cannot append to {path}")
+
     cache = ResponseCache(tmp_path / "cache")
 
     def job(digest):
         return lambda: cache.get_or_compute("judge", digest, lambda: {"text": digest})
 
     def fail():
-        release.set()
         raise ProviderError("backend down")
 
+    monkeypatch.setattr(cache_module, "_append", refuse)
     jobs = [("d0", job("d0")), ("d1", job("d1")), ("d2", fail)]
     with caplog.at_level("ERROR", logger="ontomatch.cache"):
         with pytest.raises(ProviderError, match="backend down"):
             serve(cache, "judge", iter(jobs), max_workers=2)
-    assert any("cannot write" in r.getMessage() for r in caplog.records)
-    fresh = ResponseCache(tmp_path / "cache")
-    assert fresh.stored("judge") == {"d0"}
-    assert fresh.get("judge", "d0") == {"text": "d0"}
+    assert any("cannot append" in r.getMessage() for r in caplog.records)
+    monkeypatch.undo()
+    assert ResponseCache(tmp_path / "cache").stored("judge") == set()
 
 
 def test_serve_reraises_a_failed_job_after_shutting_the_pool_down(cache, monkeypatch):
