@@ -4,9 +4,10 @@ cache so warm reruns make zero provider calls.
 
 Every stage writes its artifacts atomically under the output directory and
 records input/output digests in ``manifest.json``. What each stage reads and
-writes is declared once, in ``STAGE_TABLE``. A stage re-runs iff its input
-digest changed or ``force`` is set; a stage interrupted by ``limit``
-records status ``partial`` and re-runs next time.
+writes is declared once, in ``STAGE_TABLE``; a stage sees only its row, through
+a ``StageContext`` that hashes the same values into its input digest. A stage
+re-runs iff its input digest changed or ``force`` is set; a stage interrupted
+by ``limit`` records status ``partial`` and re-runs next time.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from types import ModuleType
+from types import ModuleType, SimpleNamespace
 from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
@@ -74,7 +75,7 @@ from .retrieval import (
 logger = logging.getLogger(__name__)
 
 __all__ = ["PipelineConfig", "Pipeline", "StageManifest", "global_report", "make_provider",
-           "STAGES"]
+           "STAGES", "StageContext"]
 
 
 @dataclass(frozen=True)
@@ -207,7 +208,7 @@ class PipelineConfig:
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         try:  # the objects the stages build from these fields check them
-            self.sampling()
+            SamplingParams(self.temperature, self.top_p, self.max_tokens)
             self.shots()
         except ValueError as e:
             raise ConfigError(str(e)) from e
@@ -230,11 +231,6 @@ class PipelineConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"config in {path} must be a JSON object, got {type(data).__name__}")
         return cls.from_dict(data)
-
-    def sampling(self) -> SamplingParams:
-        return SamplingParams(
-            temperature=self.temperature, top_p=self.top_p, max_tokens=self.max_tokens
-        )
 
     def shots(self) -> tuple[FewShotExample, ...]:
         """The judge's few-shot examples, without their definitions under
@@ -354,6 +350,229 @@ class StageManifest:
         self.save()
 
 
+class _RowConfig(SimpleNamespace):
+    """A stage row's config values (``shots``: the method's result) and ``_stage``."""
+
+    def __getattr__(self, name: str):  # only for a name the row does not declare
+        raise AttributeError(f"stage {self._stage!r} does not declare config field {name!r} "
+                             "in its STAGE_TABLE row")
+
+
+class StageContext:
+    """All one stage may read, taken from its ``STAGE_TABLE`` row: ``config``
+    (the row's fields), ``path`` and the ``read``/``write``/``ontology`` built
+    on it (the row's artifacts), ``provider`` (only when the row names a
+    model), ``cache`` and ``max_workers``, which sets speed and never output.
+    Anything else raises ``AttributeError``. ``input_digest`` hashes the same
+    values, so a stage reads only what its digest covers."""
+
+    def __init__(self, stage: str, config: PipelineConfig, cache: ResponseCache,
+                 provider: Provider | None = None):
+        row = STAGE_TABLE[stage]
+        self.stage, self._row, self.cache = stage, row, cache
+        self.config = _RowConfig(_stage=stage, **{
+            name: value() if callable(value := getattr(config, name)) else value
+            for name in row.files + row.config
+        })
+        self.max_workers = config.max_workers
+        self._out_dir = Path(config.out_dir)
+        self._provider = provider
+
+    @property
+    def provider(self) -> Provider:
+        if not self._row.model:
+            raise AttributeError(f"stage {self.stage!r} names no model in its STAGE_TABLE row")
+        return self._provider
+
+    def path(self, name: str) -> Path:
+        """A declared artifact, or an embedding base whose ``.npy`` is one."""
+        if not {name, f"{name}.npy"} & {*self._row.reads, *self._row.writes}:
+            raise AttributeError(f"stage {self.stage!r} does not declare artifact {name!r} "
+                                 "in its STAGE_TABLE row")
+        return self._out_dir / name
+
+    def read(self, name: str, reader: Callable):
+        """``reader(fp)`` over a declared artifact, opened as UTF-8 text."""
+        with open(self.path(name), "r", encoding="utf-8") as fp:
+            return reader(fp)
+
+    def write(self, name: str, writer: Callable) -> None:
+        """Write a declared artifact atomically with LF newlines."""
+        with atomic_open(self.path(name)) as fp:
+            writer(fp)
+
+    def ontology(self, side: str, kind: str) -> Ontology:
+        """One side's ``concepts`` or ``enriched`` artifact, under its config
+        name where the row declares it (``define``), else under its side."""
+        name = vars(self.config).get(f"{side}_name", side)
+        return self.read(f"{side}.{kind}.jsonl", partial(read_concept_jsonl, name=name))
+
+    def input_digest(self) -> str:
+        """Digest of all the stage reads; ``run_stage`` skips it while unchanged."""
+        row, cfg = self._row, self.config
+        return _digest_of({
+            "artifacts": {a: _sha256_file(self.path(a)) for a in row.reads},
+            "files": {f: _sha256_file(Path(getattr(cfg, f))) if getattr(cfg, f) else None
+                      for f in row.files},
+            "config": {name: getattr(cfg, name) for name in row.config},
+            "model": getattr(self.provider, row.model) if row.model else None,
+            "template": getattr(*row.template) if row.template else None,
+        })
+
+
+def _ingest(ctx: StageContext, limit: int | None) -> None:
+    cfg = ctx.config
+    for side in SIDES:
+        onto = parse_ontology(getattr(cfg, side), name=getattr(cfg, f"{side}_name"),
+                              label_property=cfg.label_property,
+                              synonym_properties=cfg.synonym_properties)
+        logger.info("ingested %s: %d concepts (%d dangling parent refs)",
+                    onto.name, len(onto), onto.dangling_parent_count)
+        ctx.write(f"{side}.concepts.jsonl", partial(write_concept_jsonl, onto))
+
+
+def _define(ctx: StageContext, limit: int | None) -> bool:
+    """Returns True when the stage fully covered all concepts."""
+    cfg = ctx.config
+    complete = True
+    remaining = limit
+    for side, other in zip(SIDES, reversed(SIDES)):
+        onto = ctx.ontology(side, "concepts")
+        if cfg.use_definitions:
+            todo = sum(1 for c in onto.concepts.values() if c.definition is None)
+            processed = enrich_ontology(
+                onto,
+                getattr(cfg, f"{other}_name"),
+                ctx.provider,
+                ctx.cache,
+                params=SamplingParams(cfg.temperature, cfg.top_p, cfg.max_tokens),
+                limit=remaining,
+                max_workers=ctx.max_workers,
+            )
+            if remaining is not None:
+                remaining = max(0, remaining - processed)
+            if processed < todo:
+                complete = False
+        else:
+            for concept in onto.concepts.values():
+                concept.definition = None
+        ctx.write(f"{side}.enriched.jsonl", partial(write_concept_jsonl, onto))
+    return complete
+
+
+def _embed(ctx: StageContext, limit: int | None) -> None:
+    model = ctx.provider.embed_model_id
+    for side in SIDES:
+        onto = ctx.ontology(side, "enriched")
+        iris = sorted(onto.concepts)
+        texts = [build_embedding_text(onto.concepts[i]) for i in iris]
+        key = _digest_of({"model": model, "texts": texts})
+        cache_base = ctx.cache.root / "embed" / key
+        matrix = None
+        if all(path.exists() for path in embedding_paths(cache_base)):
+            try:
+                # Rows follow the texts the key covers, whatever IRIs the
+                # entry was written under.
+                _, matrix, _ = load_embeddings(cache_base)
+            except ValueError as e:
+                logger.warning("recomputing corrupt embedding cache entry %s: %s", key, e)
+        if matrix is None:
+            matrix = np.stack(ctx.provider.embed_batch(texts))
+            save_embeddings(cache_base, iris, matrix, model)
+        save_embeddings(ctx.path(f"{side}.embeddings"), iris, matrix, model)
+
+
+def _match(ctx: StageContext, limit: int | None) -> None:
+    cfg = ctx.config
+    source, target = (load_embeddings(ctx.path(f"{side}.embeddings"))[:2] for side in SIDES)
+    candidates = generate_candidates(*source, build_index(*target), k=cfg.k)
+    if cfg.bidirectional:
+        backward = generate_candidates(*target, build_index(*source), k=cfg.k)
+        candidates = merge_candidate_maps(candidates, backward)
+    ctx.write("candidates.tsv", lambda fp: write_candidates(candidates, fp))
+
+
+def _judge_pairs(ctx: StageContext, candidates: dict[str, list[tuple[str, float]]],
+                 limit: int | None = None) -> list[Judgement]:
+    """``judge_candidates`` over the enriched ontologies with the judge
+    config: the one judging call of the judge stage and the ``pyes`` scorer."""
+    return judge_candidates(
+        candidates,
+        *(ctx.ontology(side, "enriched") for side in SIDES),
+        ctx.provider,
+        ctx.cache,
+        shots=ctx.config.shots,
+        softmax_mode=ctx.config.softmax_mode,
+        limit=limit,
+        max_workers=ctx.max_workers,
+    )
+
+
+def _judge(ctx: StageContext, limit: int | None) -> bool:
+    candidates = ctx.read("candidates.tsv", read_candidates)
+    judgements = _judge_pairs(ctx, candidates, limit)
+    ctx.write("judgements.tsv",
+              lambda fp: write_judgements(judgements, fp, ctx.config.lambda_prob))
+    return limit is None or limit >= sum(len(v) for v in candidates.values())
+
+
+def _fuse(ctx: StageContext, limit: int | None) -> None:
+    cfg = ctx.config
+    judgements = ctx.read("judgements.tsv", read_judgements)
+    exact = exact_match(*(ctx.ontology(side, "concepts") for side in SIDES))
+    fused = filter_and_fuse(
+        judgements, exact, lambda_prob=cfg.lambda_prob, lambda_cs=cfg.lambda_cs
+    )
+    ctx.write("mappings.tsv", lambda fp: fused.write_tsv(fp, with_provenance=cfg.with_provenance))
+
+
+def _ranking_scorer(ctx: StageContext) -> Callable[[list[Pair]], dict[Pair, float]]:
+    """Batch scorer of ranking-case pairs: the cosine of their embedding
+    artifacts (-1.0 for a missing concept), or their p_yes from one
+    ``judge_candidates`` call (0.0 for a missing concept)."""
+    if ctx.config.ranking_scorer == "cosine":
+        src, tgt = ({iri: (v, float(np.linalg.norm(v))) for iri, v in zip(iris, matrix)}
+                    for iris, matrix, _ in (load_embeddings(ctx.path(f"{side}.embeddings"))
+                                            for side in SIDES))
+        return lambda pairs: {
+            (s, t): cosine(src[s][0], tgt[t][0], src[s][1], tgt[t][1])
+            if s in src and t in tgt else -1.0
+            for s, t in pairs
+        }
+
+    def p_yes(pairs: list[Pair]) -> dict[Pair, float]:
+        targets: dict[str, list[tuple[str, float]]] = {}
+        for s, t in pairs:
+            targets.setdefault(s, []).append((t, 0.0))
+        judged = {(j.source, j.target): j.p_yes for j in _judge_pairs(ctx, targets)}
+        return {pair: judged.get(pair, 0.0) for pair in pairs}
+
+    return p_yes
+
+
+def _eval(ctx: StageContext, limit: int | None) -> None:
+    cfg = ctx.config
+    if not cfg.reference:
+        raise ConfigError("eval stage needs a reference mapping file")
+    predicted = ctx.read("mappings.tsv", MappingSet.read_tsv)
+    with open(cfg.reference, "r", encoding="utf-8") as fp:
+        reference = MappingSet.read_tsv(fp)
+    report = global_report(predicted, reference)
+    if cfg.ranking_cases:
+        with open(cfg.ranking_cases, "r", encoding="utf-8") as fp:
+            rows = read_ranking_cases(fp)
+        referenced = reference.pairs()
+        unreferenced = sum(1 for source, gold, _ in rows if (source, gold) not in referenced)
+        if unreferenced:
+            logger.warning("%d of %d ranking-case rows have a (source, gold) pair the "
+                           "reference lacks; scoring them as written", unreferenced, len(rows))
+        cases = make_ranking_cases(rows, _ranking_scorer(ctx))
+        if cases:
+            report.mrr, report.hit_at = local_ranking(cases, ks=(1, 5, 10))
+    ctx.write("metrics.json", lambda fp: fp.write(report.to_json()))
+    ctx.write("metrics.txt", lambda fp: fp.write(report.to_text()))
+
+
 class Pipeline:
     def __init__(self, config: PipelineConfig, provider: Provider | None = None):
         self.config = config
@@ -368,208 +587,10 @@ class Pipeline:
             self._provider = make_provider(self.config)
         return self._provider
 
-    # -- helpers -------------------------------------------------------------
-
-    def _artifact(self, name: str) -> Path:
-        return self.out_dir / name
-
-    def _write_text(self, name: str, writer: Callable) -> None:
-        """Write an artifact atomically with LF newlines."""
-        with atomic_open(self._artifact(name)) as fp:
-            writer(fp)
-
-    def _name(self, side: str) -> str:
-        return getattr(self.config, f"{side}_name")
-
-    def _load_ontology(self, side: str, kind: str) -> Ontology:
-        """One side's ``concepts`` or ``enriched`` artifact, under its name."""
-        with open(self._artifact(f"{side}.{kind}.jsonl"), "r", encoding="utf-8") as fp:
-            return read_concept_jsonl(fp, name=self._name(side))
-
-    def _load_embeddings(self, side: str) -> tuple[list[str], np.ndarray]:
-        """One side's embedding artifact: its IRIs and their vectors."""
-        iris, matrix, _ = load_embeddings(self._artifact(f"{side}.embeddings"))
-        return iris, matrix
-
-    # -- stages ---------------------------------------------------------------
-
-    def _stage_ingest(self, limit: int | None) -> None:
-        cfg = self.config
-        for side in SIDES:
-            onto = parse_ontology(getattr(cfg, side), name=self._name(side),
-                                  label_property=cfg.label_property,
-                                  synonym_properties=cfg.synonym_properties)
-            logger.info("ingested %s: %d concepts (%d dangling parent refs)",
-                        onto.name, len(onto), onto.dangling_parent_count)
-            self._write_text(f"{side}.concepts.jsonl", partial(write_concept_jsonl, onto))
-
-    def _stage_define(self, limit: int | None) -> bool:
-        """Returns True when the stage fully covered all concepts."""
-        cfg = self.config
-        complete = True
-        remaining = limit
-        for side, other in zip(SIDES, reversed(SIDES)):
-            onto = self._load_ontology(side, "concepts")
-            if cfg.use_definitions:
-                todo = sum(1 for c in onto.concepts.values() if c.definition is None)
-                processed = enrich_ontology(
-                    onto,
-                    self._name(other),
-                    self.provider,
-                    self.cache,
-                    params=cfg.sampling(),
-                    limit=remaining,
-                    max_workers=cfg.max_workers,
-                )
-                if remaining is not None:
-                    remaining = max(0, remaining - processed)
-                if processed < todo:
-                    complete = False
-            else:
-                for concept in onto.concepts.values():
-                    concept.definition = None
-            self._write_text(f"{side}.enriched.jsonl", partial(write_concept_jsonl, onto))
-        return complete
-
-    def _stage_embed(self, limit: int | None) -> None:
-        model = self.provider.embed_model_id
-        for side in SIDES:
-            onto = self._load_ontology(side, "enriched")
-            iris = sorted(onto.concepts)
-            texts = [build_embedding_text(onto.concepts[i]) for i in iris]
-            key = _digest_of({"model": model, "texts": texts})
-            cache_base = Path(self.config.cache_dir) / "embed" / key
-            matrix = None
-            if all(path.exists() for path in embedding_paths(cache_base)):
-                try:
-                    # Rows follow the texts the key covers, whatever IRIs the
-                    # entry was written under.
-                    _, matrix, _ = load_embeddings(cache_base)
-                except ValueError as e:
-                    logger.warning("recomputing corrupt embedding cache entry %s: %s", key, e)
-            if matrix is None:
-                matrix = np.stack(self.provider.embed_batch(texts))
-                save_embeddings(cache_base, iris, matrix, model)
-            save_embeddings(self._artifact(f"{side}.embeddings"), iris, matrix, model)
-
-    def _stage_match(self, limit: int | None) -> None:
-        cfg = self.config
-        source, target = map(self._load_embeddings, SIDES)
-        candidates = generate_candidates(*source, build_index(*target), k=cfg.k)
-        if cfg.bidirectional:
-            backward = generate_candidates(*target, build_index(*source), k=cfg.k)
-            candidates = merge_candidate_maps(candidates, backward)
-        self._write_text("candidates.tsv", lambda fp: write_candidates(candidates, fp))
-
-    def _judge(self, candidates: dict[str, list[tuple[str, float]]],
-               limit: int | None = None) -> list[Judgement]:
-        """``judge_candidates`` over the enriched ontologies with the judge
-        config: the one judging call of the judge stage and the ``pyes`` scorer."""
-        cfg = self.config
-        return judge_candidates(
-            candidates,
-            *(self._load_ontology(side, "enriched") for side in SIDES),
-            self.provider,
-            self.cache,
-            shots=cfg.shots(),
-            softmax_mode=cfg.softmax_mode,
-            limit=limit,
-            max_workers=cfg.max_workers,
-        )
-
-    def _stage_judge(self, limit: int | None) -> bool:
-        with open(self._artifact("candidates.tsv"), "r", encoding="utf-8") as fp:
-            candidates = read_candidates(fp)
-        judgements = self._judge(candidates, limit)
-        self._write_text(
-            "judgements.tsv",
-            lambda fp: write_judgements(judgements, fp, self.config.lambda_prob),
-        )
-        return limit is None or limit >= sum(len(v) for v in candidates.values())
-
-    def _stage_fuse(self, limit: int | None) -> None:
-        cfg = self.config
-        with open(self._artifact("judgements.tsv"), "r", encoding="utf-8") as fp:
-            judgements = read_judgements(fp)
-        exact = exact_match(*(self._load_ontology(side, "concepts") for side in SIDES))
-        fused = filter_and_fuse(
-            judgements, exact, lambda_prob=cfg.lambda_prob, lambda_cs=cfg.lambda_cs
-        )
-        self._write_text(
-            "mappings.tsv",
-            lambda fp: fused.write_tsv(fp, with_provenance=cfg.with_provenance),
-        )
-
-    def _ranking_scorer(self) -> Callable[[list[Pair]], dict[Pair, float]]:
-        """Batch scorer of ranking-case pairs: the cosine of their embedding
-        artifacts (-1.0 for a missing concept), or their p_yes from one
-        ``judge_candidates`` call (0.0 for a missing concept)."""
-        cfg = self.config
-        if cfg.ranking_scorer == "cosine":
-            src, tgt = ({iri: (v, float(np.linalg.norm(v))) for iri, v in zip(*vectors)}
-                        for vectors in map(self._load_embeddings, SIDES))
-            return lambda pairs: {
-                (s, t): cosine(src[s][0], tgt[t][0], src[s][1], tgt[t][1])
-                if s in src and t in tgt else -1.0
-                for s, t in pairs
-            }
-
-        def p_yes(pairs: list[Pair]) -> dict[Pair, float]:
-            targets: dict[str, list[tuple[str, float]]] = {}
-            for s, t in pairs:
-                targets.setdefault(s, []).append((t, 0.0))
-            judged = {(j.source, j.target): j.p_yes for j in self._judge(targets)}
-            return {pair: judged.get(pair, 0.0) for pair in pairs}
-
-        return p_yes
-
-    def _stage_eval(self, limit: int | None) -> None:
-        cfg = self.config
-        if not cfg.reference:
-            raise ConfigError("eval stage needs a reference mapping file")
-        with open(self._artifact("mappings.tsv"), "r", encoding="utf-8") as fp:
-            predicted = MappingSet.read_tsv(fp)
-        with open(cfg.reference, "r", encoding="utf-8") as fp:
-            reference = MappingSet.read_tsv(fp)
-        report = global_report(predicted, reference)
-        if cfg.ranking_cases:
-            with open(cfg.ranking_cases, "r", encoding="utf-8") as fp:
-                rows = read_ranking_cases(fp)
-            referenced = reference.pairs()
-            unreferenced = sum(1 for source, gold, _ in rows if (source, gold) not in referenced)
-            if unreferenced:
-                logger.warning("%d of %d ranking-case rows have a (source, gold) pair the "
-                               "reference lacks; scoring them as written", unreferenced, len(rows))
-            cases = make_ranking_cases(rows, self._ranking_scorer())
-            if cases:
-                report.mrr, report.hit_at = local_ranking(cases, ks=(1, 5, 10))
-        self._write_text("metrics.json", lambda fp: fp.write(report.to_json()))
-        self._write_text("metrics.txt", lambda fp: fp.write(report.to_text()))
-
-    # -- digests --------------------------------------------------------------
-
     def input_digest(self, stage: str) -> str:
-        """Digest of everything ``stage`` reads, per its ``STAGE_TABLE`` row;
-        ``run_stage`` skips the stage while this matches the manifest."""
-        row = STAGE_TABLE[stage]
-        cfg = self.config
-
-        def config_value(name: str):
-            value = getattr(cfg, name)
-            return value() if callable(value) else value
-
-        return _digest_of({
-            "artifacts": {a: _sha256_file(self._artifact(a)) for a in row.reads},
-            "files": {
-                f: _sha256_file(Path(getattr(cfg, f))) if getattr(cfg, f) else None
-                for f in row.files
-            },
-            "config": {name: config_value(name) for name in row.config},
-            "model": getattr(self.provider, row.model) if row.model else None,
-            "template": getattr(*row.template) if row.template else None,
-        })
-
-    # -- driver ---------------------------------------------------------------
+        """``stage``'s input digest, per its ``STAGE_TABLE`` row."""
+        provider = self.provider if STAGE_TABLE[stage].model else None
+        return StageContext(stage, self.config, self.cache, provider).input_digest()
 
     def run_stage(self, stage: str, force: bool = False, limit: int | None = None) -> str:
         """Run one stage; returns 'complete', 'partial', or 'skipped'."""
@@ -577,17 +598,18 @@ class Pipeline:
             raise ValueError(f"unknown stage {stage!r}")
         if limit is not None and limit < 0:  # it would slice work lists from their end
             raise ValueError(f"limit must be >= 0, got {limit}")
-        for artifact in STAGE_TABLE[stage].reads:
-            if not self._artifact(artifact).exists():
+        row = STAGE_TABLE[stage]
+        for artifact in row.reads:
+            if not (self.out_dir / artifact).exists():
                 raise MissingArtifactError(artifact, _PRODUCER[artifact])
-        input_digest = self.input_digest(stage)
+        ctx = StageContext(stage, self.config, self.cache, self.provider if row.model else None)
+        input_digest = ctx.input_digest()
         if not force and self.manifest.can_skip(stage, input_digest, self.out_dir):
             logger.info("stage %s: inputs unchanged, skipping", stage)
             return "skipped"
         started = time.monotonic()
-        runner = getattr(self, f"_stage_{stage}")
         try:
-            outcome = runner(limit)
+            outcome = globals()[f"_{stage}"](ctx, limit)
         except Exception as e:
             self.manifest.record(
                 stage, "failed", input_digest, {}, time.monotonic() - started, error=str(e)
@@ -595,9 +617,7 @@ class Pipeline:
             raise
         status = "complete" if outcome in (None, True) else "partial"
         outputs = {
-            a: _sha256_file(self._artifact(a))
-            for a in STAGE_TABLE[stage].writes
-            if self._artifact(a).exists()
+            a: _sha256_file(self.out_dir / a) for a in row.writes if (self.out_dir / a).exists()
         }
         self.manifest.record(stage, status, input_digest, outputs, time.monotonic() - started)
         logger.info("stage %s: %s", stage, status)

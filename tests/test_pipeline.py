@@ -1,9 +1,12 @@
 """Pipeline orchestration: end-to-end toy run, caching, resume, CLI."""
 
+import builtins
 import dataclasses
+import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -21,7 +24,15 @@ from ontomatch.errors import ConfigError, DegenerateVectorError, MissingArtifact
 from ontomatch.cache import BLOCK_ENTRIES, ResponseCache
 from ontomatch.judge import DEFAULT_FEW_SHOT, judge_pair, judge_prompt
 from ontomatch.model import Mapping, MappingSet, concept_context, read_concept_jsonl
-from ontomatch.pipeline import STAGES, Pipeline, PipelineConfig, StageManifest, make_provider
+from ontomatch.pipeline import (
+    STAGE_TABLE,
+    STAGES,
+    Pipeline,
+    PipelineConfig,
+    StageContext,
+    StageManifest,
+    make_provider,
+)
 from ontomatch.providers import QUEUE_PER_WORKER, HttpProvider, MockProvider
 from ontomatch.retrieval import (
     ExactIndex,
@@ -372,6 +383,10 @@ def _toy_ranking_pairs(cases_path: str) -> list[tuple[str, str]]:
     return [(row[0], t) for row in rows for t in row[1:]]
 
 
+def _eval_context(pipeline: Pipeline) -> StageContext:
+    return StageContext("eval", pipeline.config, pipeline.cache, pipeline.provider)
+
+
 def test_cosine_ranking_scorer_equals_cosine_bit_for_bit(tmp_path):
     cases_path = toy_ranking_cases(tmp_path)
     config = toy_config(tmp_path, ranking_cases=cases_path, ranking_scorer="cosine")
@@ -382,7 +397,7 @@ def test_cosine_ranking_scorer_equals_cosine_bit_for_bit(tmp_path):
         for side in ("source", "target")
     )
     pairs = _toy_ranking_pairs(cases_path)
-    scores = pipeline._ranking_scorer()(pairs)
+    scores = pipeline_module._ranking_scorer(_eval_context(pipeline))(pairs)
     assert len(pairs) == 21 * 4
     for s, t in pairs:
         assert scores[(s, t)].hex() == retrieval_module.cosine(source[s], target[t]).hex()
@@ -394,17 +409,17 @@ def test_cosine_ranking_scorer_raises_on_a_zero_norm_vector_it_scores(tmp_path, 
     pipeline = Pipeline(config)
     pipeline.run()
     (s, t), *others = _toy_ranking_pairs(cases_path)
-    load = Pipeline._load_embeddings
+    load = pipeline_module.load_embeddings
 
-    def zero_first_target(self, side):
-        iris, matrix = load(self, side)
-        if side == "target":
+    def zero_first_target(base):
+        iris, matrix, sidecar = load(base)
+        if Path(base).name == "target.embeddings":
             matrix = matrix.copy()
             matrix[iris.index(t)] = 0.0
-        return iris, matrix
+        return iris, matrix, sidecar
 
-    monkeypatch.setattr(Pipeline, "_load_embeddings", zero_first_target)
-    scorer = pipeline._ranking_scorer()
+    monkeypatch.setattr(pipeline_module, "load_embeddings", zero_first_target)
+    scorer = pipeline_module._ranking_scorer(_eval_context(pipeline))
     others = [pair for pair in others if pair[1] != t]
     assert len(scorer(others)) == len(others)
     with pytest.raises(DegenerateVectorError):
@@ -441,13 +456,13 @@ def test_ranking_scorer_is_called_once_with_the_distinct_pairs(tmp_path, monkeyp
     with open(cases_path, "a", encoding="utf-8") as fp:
         fp.write("\t".join(rows[0]) + "\n")  # every pair of this row is already scored
     calls = []
-    scorer_of = Pipeline._ranking_scorer
+    scorer_of = pipeline_module._ranking_scorer
 
-    def recording(self):
-        score = scorer_of(self)
+    def recording(ctx):
+        score = scorer_of(ctx)
         return lambda pairs: calls.append(list(pairs)) or score(pairs)
 
-    monkeypatch.setattr(Pipeline, "_ranking_scorer", recording)
+    monkeypatch.setattr(pipeline_module, "_ranking_scorer", recording)
     config = toy_config(tmp_path, ranking_cases=str(cases_path), ranking_scorer=scorer)
     Pipeline(config).run()
     [pairs] = calls
@@ -659,6 +674,76 @@ def test_every_config_field_enters_some_stage_digest(tmp_path):
         assert changed, f"changing {field.name} changes no stage digest"
 
 
+def _fields_read(read, config: PipelineConfig) -> set[str]:
+    """The config fields ``read(config)`` looks up."""
+    seen = set()
+
+    class Recorder:
+        def __getattr__(self, name):
+            seen.add(name)
+            return getattr(config, name)
+
+    read(Recorder())
+    return seen
+
+
+def test_the_config_fields_outside_every_row_are_those_that_set_no_output(tmp_path):
+    """A method a row names (``shots``) covers the fields it reads, and a row
+    that names a model covers the fields ``make_provider`` reads."""
+    config = toy_config(tmp_path, few_shot=1)
+    declared = set()
+    for row in STAGE_TABLE.values():
+        for name in row.files + row.config:
+            method = getattr(PipelineConfig, name, None)
+            declared |= _fields_read(method, config) if callable(method) else {name}
+        if row.model:
+            declared |= _fields_read(make_provider, config)
+    fields = {field.name for field in dataclasses.fields(PipelineConfig)}
+    assert declared <= fields
+    assert fields - declared == NO_DIGEST_EFFECT
+
+
+TEMPORARY = re.compile(r"tmp[0-9a-f]{32}\.tmp")  # atomic_open's
+
+
+@pytest.mark.parametrize("scorer", ["cosine", "pyes"])
+def test_each_stage_opens_only_what_its_row_declares(tmp_path, monkeypatch, scorer):
+    """A spy on every way a file is opened, and on the rename that ends an
+    atomic write. Each stage, with its input digest and manifest record,
+    opens in the output directory only its row's artifacts, the manifest and
+    temporary files, and of the input files only its row's ``files``."""
+    config = toy_config(tmp_path, few_shot=1, ranking_cases=toy_ranking_cases(tmp_path),
+                        ranking_scorer=scorer)
+    out = Path(config.out_dir)
+    input_files = {Path(getattr(config, name)): name
+                   for name in ("source", "target", "reference", "ranking_cases")}
+    opened: set[Path] = set()
+
+    def spy(fn, arg=0):
+        def spied(*args, **kwargs):
+            if isinstance(args[arg], (str, os.PathLike)):
+                opened.add(Path(args[arg]))
+            return fn(*args, **kwargs)
+        return spied
+
+    for owner, name in ((builtins, "open"), (io, "open"), (os, "open")):
+        monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
+    monkeypatch.setattr(os, "replace", spy(os.replace, arg=1))
+    pipeline = Pipeline(config)
+    for stage in STAGES:
+        assert list(inspect.signature(getattr(pipeline_module, f"_{stage}")).parameters) == [
+            "ctx", "limit"]
+        row = STAGE_TABLE[stage]
+        opened.clear()
+        assert pipeline.run_stage(stage, force=True) == "complete"
+        artifacts = {path.name for path in opened if path.parent == out}
+        undeclared = {name for name in artifacts - {*row.reads, *row.writes, "manifest.json"}
+                      if not TEMPORARY.fullmatch(name)}
+        assert not undeclared, f"{stage} opens {sorted(undeclared)}, which its row lacks"
+        assert {*row.reads, *row.writes} <= artifacts  # the spy sees them all
+        assert {input_files[path] for path in opened if path in input_files} == set(row.files)
+
+
 def test_define_limit_records_partial_then_resumes(tmp_path):
     config = toy_config(tmp_path)
     pipeline = Pipeline(config)
@@ -749,15 +834,16 @@ def test_run_without_reference_omits_eval(tmp_path):
 
 
 def test_failed_artifact_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path):
-    pipeline = Pipeline(toy_config(tmp_path))
-    pipeline._write_text("metrics.txt", lambda fp: fp.write("old\n"))
+    config = toy_config(tmp_path)
+    ctx = StageContext("eval", config, ResponseCache(config.cache_dir))
+    ctx.write("metrics.txt", lambda fp: fp.write("old\n"))
 
     def failing(fp):
         fp.write("new, half written")
         raise RuntimeError("writer failed")
 
     with pytest.raises(RuntimeError):
-        pipeline._write_text("metrics.txt", failing)
+        ctx.write("metrics.txt", failing)
     assert (tmp_path / "out" / "metrics.txt").read_text() == "old\n"
     assert [p.name for p in (tmp_path / "out").iterdir()] == ["metrics.txt"]
 
