@@ -15,14 +15,15 @@ log is cut there and the good blocks after it are appended again. The load
 also folds entry files of the old layout, ``<root>/<kind>/<digest>.json``,
 into the log, sorted by digest, and removes them once the log is synced.
 
-Outside a batch, ``put`` appends its entry at once. Inside ``batch`` (one
-per ``providers.serve`` call) ``put`` parks it, where ``get`` reads it, and
-``commit``, which ``serve`` calls per job in job order, moves it into the
-open block, so equal runs write equal logs. A full block is appended by the
-commit that fills it, and a failed append raises there. The batch's end is
-the durability point: a run killed inside one loses its parked entries and
-one open block, which the next run recomputes. Keeping two callers from
-computing one digest at once is the scheduler's job (``providers.serve``).
+Outside ``serve``, ``put`` appends its entry at once. Inside it (one call per
+stage batch) ``put`` parks the entry in memory, where ``get`` reads it, and
+``serve`` moves each job's entry into the open block when it collects that
+job's result, in job order, so equal runs write equal logs whatever order
+the jobs finish in. A full block is appended by the collection that fills
+it, and a failed append raises there. Once the pool has shut down, ``serve``
+appends the open blocks, then the entries never collected, sorted by digest:
+that is the durability point. A run killed inside ``serve`` loses its parked
+entries and one open block, which the next run recomputes.
 """
 
 from __future__ import annotations
@@ -34,15 +35,18 @@ import struct
 import threading
 import uuid
 import zlib
-from contextlib import contextmanager, suppress
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
-from typing import IO, Callable, Iterator, KeysView
+from typing import IO, Callable, Iterable, Iterator, KeysView, TypeVar
 
 logger = logging.getLogger(__name__)
 
 _BLOCK = struct.Struct("<I")  # length of the compressed records
 _RECORD = struct.Struct("<HI")  # lengths of the digest and the payload
 BLOCK_ENTRIES = 64
+QUEUE_PER_WORKER = 4
+T = TypeVar("T")
 
 __all__ = ["ResponseCache", "atomic_open"]
 
@@ -102,10 +106,8 @@ class ResponseCache:
         self._lock = threading.Lock()
         # kind -> digest -> payload bytes, from a kind's first use on
         self._entries: dict[str, dict[str, bytes]] = {}
-        # kind -> records committed and not yet appended
-        self._open: dict[str, list[bytes]] = {}
-        # (kind, digest) -> record of each entry put in the open batch and
-        # not committed; None outside a batch
+        # (kind, digest) -> record of each entry put inside ``serve`` and not
+        # yet collected; None outside ``serve``
         self._parked: dict[tuple[str, str], bytes] | None = None
 
     def _log(self, kind: str) -> str:
@@ -180,8 +182,9 @@ class ResponseCache:
 
     def put(self, kind: str, digest: str, payload: dict) -> dict:
         """Store ``payload`` as it is, replacing any entry; returns it. One
-        that is not JSON raises here. Outside a batch the entry is appended
-        before ``put`` returns; inside one it is parked for ``commit``."""
+        that is not JSON raises here. Outside ``serve`` the entry is appended
+        before ``put`` returns; inside it the entry is parked until its job is
+        collected."""
         data = json.dumps(payload, ensure_ascii=False).encode("utf-8")
         entries = self._load(kind)
         with self._lock:
@@ -201,45 +204,86 @@ class ResponseCache:
             self._entries.pop(kind, None)
             raise
 
-    def commit(self, kind: str, digest: str) -> None:
-        """Move the entry parked for ``digest`` in the open batch, if any,
-        into ``kind``'s open block; append the block when this fills it."""
-        with self._lock:
-            record = self._parked.pop((kind, digest), None)
-            if record is not None:
-                block = self._open.setdefault(kind, [])
-                block.append(record)
-                if len(block) == BLOCK_ENTRIES:
-                    self._flush(kind, self._open.pop(kind))
+    def serve(self, kind: str, jobs: Iterable[tuple[str, Callable[[], T]]],
+              max_workers: int) -> tuple[list[T], int]:
+        """Run each ``(digest, job)`` of ``jobs``; returns the results in job
+        order and the number of jobs served from the cache. Each job reaches
+        the provider only through ``get_or_compute(kind, digest, ...)``.
 
-    @contextmanager
-    def batch(self) -> Iterator[None]:
-        """Within the block, ``put`` parks its entries for ``commit``.
-        Leaving the block appends each open block, then the entries never
-        committed, sorted by digest. When the block is raising, a failed
-        append is logged and the block's exception goes on. One batch at a
-        time."""
+        A job whose digest is in ``stored(kind)`` runs on the calling thread.
+        The others wait on the provider, so they go to a pool of
+        ``max_workers`` threads, made at the first such job: a fully cached
+        call makes no threads. ``jobs`` is read lazily, and at most
+        ``QUEUE_PER_WORKER * max_workers`` jobs are queued or running, so
+        rendered prompts do not pile up. A digest is computed at most once
+        per call: a job whose digest matches a queued or running job waits
+        for it, then runs on the calling thread and reads the entry that job
+        put. A failed job's exception is re-raised
+        once its result is reached, after the pool has shut down; if an
+        append then fails too, that failure is logged and the job's error
+        goes on. One ``serve`` at a time per cache.
+        """
         with self._lock:
             if self._parked is not None:
-                raise RuntimeError("a cache batch is already open")
+                raise RuntimeError("a cache serve is already running")
             self._parked = {}
+        results: list = []
+        # digest -> (index in results, future) of each queued or running job, oldest first
+        queued: dict[str, tuple[int, Future]] = {}
+        block: list[bytes] = []  # records of collected jobs, not yet appended
+        served = 0
+
+        def collect(digest: str) -> None:
+            nonlocal block
+            with self._lock:
+                record = self._parked.pop((kind, digest), None)
+                if record is not None:
+                    block.append(record)
+                    if len(block) == BLOCK_ENTRIES:
+                        full, block = block, []
+                        self._flush(kind, full)
+
         raising = True
         try:
-            yield
+            with ExitStack() as stack:
+                pool = None
+                stored = self.stored(kind)
+                for digest, job in jobs:
+                    if digest in queued:
+                        queued[digest][1].result()
+                    elif digest not in stored:
+                        if pool is None:
+                            pool = stack.enter_context(ThreadPoolExecutor(max_workers=max_workers))
+                        if len(queued) >= QUEUE_PER_WORKER * max_workers:
+                            oldest = next(iter(queued))
+                            index, future = queued.pop(oldest)
+                            results[index] = future.result()
+                            collect(oldest)
+                        queued[digest] = (len(results), pool.submit(job))
+                        results.append(None)
+                        continue
+                    results.append(job())
+                    collect(digest)
+                    served += 1
+                for digest, (index, future) in queued.items():
+                    results[index] = future.result()
+                    collect(digest)
             raising = False
         finally:
             with self._lock:
                 parked, self._parked = self._parked, None
-                for kind, digest in sorted(parked):
-                    self._open.setdefault(kind, []).append(parked[kind, digest])
-                blocks, self._open = self._open, {}
+                blocks = {kind: block}
+                for key in sorted(parked):
+                    blocks.setdefault(key[0], []).append(parked[key])
                 try:
-                    for kind, records in blocks.items():
-                        self._flush(kind, records)
+                    for name, records in blocks.items():
+                        if records:
+                            self._flush(name, records)
                 except Exception as exc:
                     if not raising:
                         raise
-                    logger.error("cache append failed while the batch was raising: %s", exc)
+                    logger.error("cache append failed while serve was raising: %s", exc)
+        return results, served
 
     def get_or_compute(
         self, kind: str, digest: str, compute: Callable[[], dict]

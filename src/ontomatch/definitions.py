@@ -15,14 +15,7 @@ import logging
 from .cache import ResponseCache
 from .errors import ProviderError
 from .model import Concept, ContextBlock, Ontology, concept_context, iri_fragment
-from .providers import (
-    Message,
-    Prompt,
-    Provider,
-    SamplingParams,
-    prompt_digest,
-    serve,
-)
+from .providers import Message, Prompt, Provider, SamplingParams, prompt_digest
 
 logger = logging.getLogger(__name__)
 
@@ -148,7 +141,7 @@ def enrich_ontology(
 ) -> int:
     """Fill ``definition`` for up to ``limit`` concepts (IRI order); returns
     the number processed. Concepts that already carry a definition are skipped.
-    ``serve`` fills concepts whose definition is cached on the calling thread
+    ``cache.serve`` fills concepts whose definition is cached on the calling thread
     and the others on up to ``max_workers`` threads; concepts with the same
     prompt share one provider call, and so one definition."""
     todo = [c for c in ontology.sorted_concepts() if c.definition is None][:limit]
@@ -161,7 +154,7 @@ def enrich_ontology(
                 generate_definition, prompt, concept.iri, provider, cache, params
             )
 
-    results, served = serve(cache, "define", jobs(), max_workers)
+    results, served = cache.serve("define", jobs(), max_workers)
     for concept, definition in zip(todo, results):
         concept.definition = definition
     logger.info(

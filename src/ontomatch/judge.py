@@ -18,7 +18,7 @@ from typing import IO, Sequence, get_type_hints
 from .cache import ResponseCache
 from .errors import ConfigError, UnparseableJudgementError
 from .model import ContextBlock, Judgement, Ontology, check_record, concept_context, read_tsv_rows
-from .providers import Message, Prompt, PromptFrame, Provider, json_escape, prompt_digest, serve
+from .providers import Message, Prompt, PromptFrame, Provider, json_escape, prompt_digest
 
 logger = logging.getLogger(__name__)
 
@@ -269,7 +269,7 @@ def judge_candidates(
     Pairs whose concepts are missing from either ontology are skipped with a
     warning. ``limit`` bounds the number of pairs judged (for smoke runs).
     Each concept's block is rendered and escaped once; a ``PromptFrame`` keys each pair.
-    ``serve`` judges cached pairs on the calling thread and the others on up
+    ``cache.serve`` judges cached pairs on the calling thread and the others on up
     to ``max_workers`` threads. Pairs with the same prompt share one provider
     call.
     """
@@ -297,7 +297,7 @@ def judge_candidates(
                 judge_pair, prompt, src, tgt, sim, provider, cache, softmax_mode
             )
 
-    results, served = serve(cache, "judge", jobs(), max_workers)
+    results, served = cache.serve("judge", jobs(), max_workers)
     logger.info(
         "judged %d pairs: %d served from cache, %d sent to the provider",
         len(results), served, len(results) - served,

@@ -21,14 +21,11 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Protocol, Sequence, TypeVar
+from typing import Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .cache import ResponseCache
 from .errors import CapabilityError, ProviderError
 from .model import normalize_string
 
@@ -43,12 +40,10 @@ __all__ = [
     "HttpProviderConfig",
     "Prompt",
     "prompt_digest",
-    "serve",
     "validate_messages",
 ]
 
 Message = dict[str, str]
-T = TypeVar("T")
 
 EMPTY_TEXT_PLACEHOLDER = "unknown concept"
 
@@ -116,63 +111,6 @@ class Prompt(NamedTuple):
 
     messages: list[Message]
     digest: str
-
-
-QUEUE_PER_WORKER = 4
-
-
-def serve(cache: ResponseCache, kind: str, jobs: Iterable[tuple[str, Callable[[], T]]],
-          max_workers: int) -> tuple[list[T], int]:
-    """Run each ``(digest, job)`` of ``jobs``; returns the results in job
-    order and the number of jobs served from the cache.
-
-    A job whose ``kind``/``digest`` entry the cache holds, by
-    ``cache.stored(kind)``, runs on the calling thread. The others wait on
-    the provider, so they go to a pool of ``max_workers`` threads, made at
-    the first such job: a fully cached run makes no threads. ``jobs`` is read
-    lazily, and at most ``QUEUE_PER_WORKER * max_workers`` jobs are queued or
-    running, so rendered prompts do not pile up. A digest is computed at most
-    once per batch: a job whose digest matches a queued or running job waits
-    for it, then runs on the calling thread and reads the entry that job put.
-    A failed job's exception is re-raised once its result is reached, after
-    the pool has finished the jobs it holds.
-
-    The batch is one ``cache.batch()``, entered before the pool so that it
-    closes after the pool has shut down. A job's ``put`` parks its entry, and
-    each job's entry is committed when its result is collected, in job
-    order, so the cache's log does not depend on thread timing. A failed
-    append raises at that commit, so no job is handed to the pool after it.
-    ``serve`` returns once the batch's entries are appended.
-    """
-    results: list = []
-    # digest -> (index in results, future) of each queued or running job, oldest first
-    queued: dict[str, tuple[int, Future]] = {}
-    served = 0
-    with ExitStack() as stack:
-        stack.enter_context(cache.batch())
-        pool = None
-        stored = cache.stored(kind)
-        for digest, job in jobs:
-            if digest in queued:
-                queued[digest][1].result()
-            elif digest not in stored:
-                if pool is None:
-                    pool = stack.enter_context(ThreadPoolExecutor(max_workers=max_workers))
-                if len(queued) >= QUEUE_PER_WORKER * max_workers:
-                    oldest = next(iter(queued))
-                    index, future = queued.pop(oldest)
-                    results[index] = future.result()
-                    cache.commit(kind, oldest)
-                queued[digest] = (len(results), pool.submit(job))
-                results.append(None)
-                continue
-            results.append(job())
-            cache.commit(kind, digest)
-            served += 1
-        for digest, (index, future) in queued.items():
-            results[index] = future.result()
-            cache.commit(kind, digest)
-    return results, served
 
 
 class Provider(Protocol):
@@ -373,7 +311,7 @@ class HttpProvider:
     Retries transport errors and HTTP 429/5xx responses up to
     ``max_attempts`` times with exponential backoff starting at
     ``backoff_base`` seconds. Concurrency is the caller's: the pipeline
-    makes at most ``max_workers`` calls at once (see ``serve``).
+    makes at most ``max_workers`` calls at once (see ``ResponseCache.serve``).
     ``session`` and ``sleep`` are injectable for tests.
     """
 
@@ -430,12 +368,18 @@ class HttpProvider:
             f"provider call to {url} failed after {self.config.max_attempts} attempts"
         ) from last_error
 
-    def _check_size(self, texts_len: int) -> None:
-        if texts_len > self.config.context_chars:
+    def _chat(self, messages: Sequence[Message], **fields) -> dict:
+        """POST ``messages`` to ``/chat/completions`` with the chat model and
+        ``fields``, once they are checked for shape and size."""
+        validate_messages(messages)
+        size = sum(len(m.get("content", "")) for m in messages)
+        if size > self.config.context_chars:
             raise ProviderError(
-                f"prompt of {texts_len} characters exceeds context limit "
+                f"prompt of {size} characters exceeds context limit "
                 f"{self.config.context_chars} for model {self.chat_model_id}"
             )
+        return self._post("/chat/completions",
+                          {"model": self.config.chat_model, "messages": list(messages), **fields})
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
         if len(texts) == 0:
@@ -469,18 +413,8 @@ class HttpProvider:
         return out
 
     def generate(self, messages: Sequence[Message], params: SamplingParams) -> str:
-        validate_messages(messages)
-        self._check_size(sum(len(m.get("content", "")) for m in messages))
-        body = self._post(
-            "/chat/completions",
-            {
-                "model": self.config.chat_model,
-                "messages": list(messages),
-                "temperature": params.temperature,
-                "top_p": params.top_p,
-                "max_tokens": params.max_tokens,
-            },
-        )
+        body = self._chat(messages, temperature=params.temperature, top_p=params.top_p,
+                          max_tokens=params.max_tokens)
         try:
             text = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as e:
@@ -496,20 +430,8 @@ class HttpProvider:
         return text.rstrip()
 
     def classify_first_token(self, messages: Sequence[Message]) -> dict[str, float]:
-        validate_messages(messages)
-        self._check_size(sum(len(m.get("content", "")) for m in messages))
-        body = self._post(
-            "/chat/completions",
-            {
-                "model": self.config.chat_model,
-                "messages": list(messages),
-                "temperature": 0.0,
-                "top_p": 1.0,
-                "max_tokens": 1,
-                "logprobs": True,
-                "top_logprobs": self.config.top_logprobs,
-            },
-        )
+        body = self._chat(messages, temperature=0.0, top_p=1.0, max_tokens=1, logprobs=True,
+                          top_logprobs=self.config.top_logprobs)
         try:
             content = body["choices"][0]["logprobs"]["content"]
             top = content[0]["top_logprobs"]

@@ -305,21 +305,27 @@ def test_a_corrupt_block_is_skipped_and_the_blocks_after_it_are_kept(tmp_path, c
     assert not caplog.messages
 
 
-# -- batches: appends in commit order -----------------------------------------------
+# -- batches: one serve call, appends in commit order ------------------------------
+
+# A batch is one ``ResponseCache.serve`` call; an entry is committed to the open
+# block when serve collects its job's result.
 
 
 def test_a_batch_put_is_read_from_memory_and_written_by_the_batch_end(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     log = tmp_path / "cache" / "define.log"
-    with cache.batch():
+
+    def job():
         cache.put("define", "d1", {"text": "A définition."})
         assert cache.get("define", "d1") == {"text": "A définition."}
         with pytest.raises(TypeError):
             cache.put("define", "d2", {"text": object()})
-        with pytest.raises(RuntimeError, match="already open"):
-            with cache.batch():
-                pass
+        with pytest.raises(RuntimeError, match="already running"):
+            cache.serve("define", iter([]), max_workers=1)
         assert not log.exists()
+        return "done"
+
+    assert cache.serve("define", iter([("d1", job)]), max_workers=1) == (["done"], 0)
     assert block_digests(log) == [["d1"]]
     assert ResponseCache(tmp_path / "cache").get("define", "d1") == {"text": "A définition."}
 
@@ -332,28 +338,36 @@ def test_a_batch_that_puts_nothing_starts_no_thread(tmp_path, monkeypatch):
     cache.put("define", "d1", {"text": "def"})
     size = (tmp_path / "cache" / "define.log").stat().st_size
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    with cache.batch():
-        assert cache.get("define", "d1") == {"text": "def"}
+    jobs = iter([("d1", lambda: cache.get("define", "d1"))])
+    assert cache.serve("define", jobs, max_workers=4) == ([{"text": "def"}], 1)
     assert (tmp_path / "cache" / "define.log").stat().st_size == size
+    assert cache.serve("judge", iter([]), max_workers=4) == ([], 0)
+    assert not (tmp_path / "cache" / "judge.log").exists()
 
 
 def test_a_batch_appends_full_blocks_in_commit_order_and_the_rest_at_its_end(tmp_path):
-    """A block is appended at the commit that fills it; the end of the batch
-    appends the open block and then what was never committed, by digest."""
+    """A block is appended at the commit that fills it; the end of serve
+    appends the open block and then what was never committed, by digest. The
+    jobs' entries are put, in reverse, before the first job is read, so each
+    job is a hit that runs on the calling thread and is committed at once."""
     cache = ResponseCache(tmp_path / "cache")
     log = tmp_path / "cache" / "judge.log"
     digests = [f"d{i:03d}" for i in range(BLOCK_ENTRIES + 3)]
-    with cache.batch():
+
+    def jobs():
         for digest in reversed(digests):
             cache.put("judge", digest, {"p_yes": 0.5})
         cache.put("judge", "z-never-committed", {"p_yes": 0.5})
         cache.put("judge", "a-never-committed", {"p_yes": 0.5})
         for digest in digests[:-1]:
-            cache.commit("judge", digest)
+            yield digest, lambda: None
             assert log.exists() == (digest >= digests[BLOCK_ENTRIES - 1])
-        cache.commit("judge", "not-put")
-        cache.commit("judge", digests[-1])
-        cache.commit("judge", digests[-1])  # a second commit finds nothing parked
+        yield "not-put", lambda: None  # a miss whose job puts nothing
+        yield digests[-1], lambda: None
+        yield digests[-1], lambda: None  # a second commit finds nothing parked
+
+    assert cache.serve("judge", jobs(), max_workers=1) == ([None] * (len(digests) + 2),
+                                                           len(digests) + 1)
     assert block_digests(log) == [
         digests[:BLOCK_ENTRIES], [*digests[BLOCK_ENTRIES:], "a-never-committed", "z-never-committed"]]
 
@@ -365,13 +379,18 @@ def test_a_failed_append_raises_at_the_commit_that_fills_a_block(tmp_path, monke
     cache = ResponseCache(tmp_path / "cache")
     cache.stored("judge")
     monkeypatch.setattr(cache_module, "_append", refuse)
-    with cache.batch():
+    collected = []
+
+    def jobs():
         for i in range(BLOCK_ENTRIES):
             cache.put("judge", f"d{i}", {"p_yes": 0.5})
-        for i in range(BLOCK_ENTRIES - 1):
-            cache.commit("judge", f"d{i}")
-        with pytest.raises(OSError, match="cannot append"):
-            cache.commit("judge", f"d{BLOCK_ENTRIES - 1}")
+        for i in range(BLOCK_ENTRIES):
+            yield f"d{i}", lambda: None
+            collected.append(i)
+
+    with pytest.raises(OSError, match="cannot append"):
+        cache.serve("judge", jobs(), max_workers=1)
+    assert collected == list(range(BLOCK_ENTRIES - 1))
 
 
 def test_a_raising_batch_logs_a_failed_append_and_keeps_its_own_error(tmp_path, monkeypatch,
@@ -379,15 +398,17 @@ def test_a_raising_batch_logs_a_failed_append_and_keeps_its_own_error(tmp_path, 
     def refuse(path, data, sync=False):
         raise OSError(f"cannot append to {path}")
 
+    def fail():
+        cache.put("judge", "d0", {"p_yes": 0.5})
+        raise KeyError("the job's own")
+
     cache = ResponseCache(tmp_path / "cache")
     cache.stored("judge")
     monkeypatch.setattr(cache_module, "_append", refuse)
     with caplog.at_level("ERROR", logger="ontomatch.cache"):
-        with pytest.raises(KeyError, match="the batch's own"):
-            with cache.batch():
-                cache.put("judge", "d0", {"p_yes": 0.5})
-                raise KeyError("the batch's own")
+        with pytest.raises(KeyError, match="the job's own"):
+            cache.serve("judge", iter([("d0", fail)]), max_workers=1)
     assert any("cannot append" in m for m in caplog.messages)
     with pytest.raises(OSError, match="cannot append"):
-        with cache.batch():
-            cache.put("judge", "d1", {"p_yes": 0.5})
+        jobs = iter([("d1", lambda: cache.put("judge", "d1", {"p_yes": 0.5}))])
+        cache.serve("judge", jobs, max_workers=1)

@@ -11,7 +11,7 @@ import pytest
 
 import ontomatch.cache as cache_module
 import ontomatch.judge as judge_module
-from ontomatch.cache import BLOCK_ENTRIES, ResponseCache
+from ontomatch.cache import BLOCK_ENTRIES, QUEUE_PER_WORKER, ResponseCache
 from ontomatch.errors import ConfigError, OntologyParseError, UnparseableJudgementError
 from ontomatch.judge import (
     DEFAULT_FEW_SHOT,
@@ -34,7 +34,7 @@ from ontomatch.model import (
     read_concept_jsonl,
 )
 from ontomatch.pipeline import PipelineConfig
-from ontomatch.providers import QUEUE_PER_WORKER, MockProvider, serve
+from ontomatch.providers import MockProvider
 
 from conftest import TOY_DIR, CountingProvider, append_raw_entry, golden_text
 from oracles import reference_p_yes
@@ -483,7 +483,7 @@ def test_judge_candidates_fully_warm_makes_no_pool_and_no_calls(tmp_path, monkey
     src, tgt = _ontologies()
     cache = ResponseCache(tmp_path / "cache")
     cold = judge_candidates(_all_candidates(), src, tgt, MockProvider(), cache)
-    monkeypatch.setattr("ontomatch.providers.ThreadPoolExecutor", _no_pool)
+    monkeypatch.setattr("ontomatch.cache.ThreadPoolExecutor", _no_pool)
     provider = CountingProvider(MockProvider())
     warm = judge_candidates(_all_candidates(), src, tgt, provider, cache)
     assert provider.total_calls == 0
@@ -536,15 +536,16 @@ def test_judge_candidates_warm_reads_each_entry_once_and_probes_none(tmp_path, m
         return real_get(self, kind, digest)
 
     served = []
+    real_serve = ResponseCache.serve
 
-    def spy_serve(*args, **kwargs):
-        result = serve(*args, **kwargs)
+    def spy_serve(self, *args, **kwargs):
+        result = real_serve(self, *args, **kwargs)
         served.append(result[1])
         return result
 
     monkeypatch.setattr(ResponseCache, "get", counted_get)
-    monkeypatch.setattr("ontomatch.judge.serve", spy_serve)
-    monkeypatch.setattr("ontomatch.providers.ThreadPoolExecutor", _no_pool)
+    monkeypatch.setattr(ResponseCache, "serve", spy_serve)
+    monkeypatch.setattr("ontomatch.cache.ThreadPoolExecutor", _no_pool)
     provider = CountingProvider(MockProvider())
     # os.path.exists and os.stat are the os module's own, so they are
     # restored before pytest, which uses them, reports a failure.

@@ -21,7 +21,7 @@ import ontomatch.pipeline as pipeline_module
 import ontomatch.retrieval as retrieval_module
 from ontomatch.cli import build_config, main
 from ontomatch.errors import ConfigError, DegenerateVectorError, MissingArtifactError
-from ontomatch.cache import BLOCK_ENTRIES, ResponseCache
+from ontomatch.cache import BLOCK_ENTRIES, QUEUE_PER_WORKER, ResponseCache
 from ontomatch.judge import DEFAULT_FEW_SHOT, judge_pair, judge_prompt
 from ontomatch.model import Mapping, MappingSet, concept_context, read_concept_jsonl
 from ontomatch.pipeline import (
@@ -33,7 +33,7 @@ from ontomatch.pipeline import (
     StageManifest,
     make_provider,
 )
-from ontomatch.providers import QUEUE_PER_WORKER, HttpProvider, MockProvider
+from ontomatch.providers import HttpProvider, MockProvider
 from ontomatch.retrieval import (
     ExactIndex,
     generate_candidates,
@@ -132,6 +132,58 @@ def test_forced_rerun_is_byte_identical_via_caches(tmp_path, counting_toy_provid
     assert snapshot(config.out_dir) == before
 
 
+@pytest.mark.parametrize("change", ["overwrite", "delete"])
+def test_a_changed_or_missing_output_reruns_only_the_stage_that_wrote_it(tmp_path, change):
+    """The manifest records each output's hash, so a finished run whose
+    mappings.tsv was edited or removed reruns fuse alone, which writes the
+    original bytes back; eval, reading them, stays skipped."""
+    config = toy_config(tmp_path)
+    Pipeline(config).run()
+    before = snapshot(config.out_dir)
+    mappings = Path(config.out_dir) / "mappings.tsv"
+    if change == "overwrite":
+        mappings.write_text("SrcEntity\tTgtEntity\tScore\n", encoding="utf-8")
+    else:
+        mappings.unlink()
+    assert Pipeline(config).run() == {s: "complete" if s == "fuse" else "skipped" for s in STAGES}
+    assert snapshot(config.out_dir) == before
+
+
+def test_a_stage_context_refuses_what_its_row_does_not_declare(tmp_path):
+    context = StageContext("fuse", toy_config(tmp_path), ResponseCache(tmp_path / "cache"),
+                           provider=MockProvider())
+    assert context.config.lambda_prob == toy_config(tmp_path).lambda_prob
+    with pytest.raises(AttributeError,
+                       match="stage 'fuse' does not declare config field 'k' in its STAGE_TABLE"):
+        context.config.k
+    with pytest.raises(AttributeError, match="stage 'fuse' names no model in its STAGE_TABLE"):
+        context.provider
+    with pytest.raises(AttributeError, match="stage 'fuse' does not declare artifact "
+                                             "'candidates.tsv' in its STAGE_TABLE"):
+        context.path("candidates.tsv")
+
+
+def _readme_library_blocks() -> list[str]:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", section, re.S)
+
+
+def test_readme_library_examples_run_as_written(tmp_path, monkeypatch):
+    """README's two library blocks, run from a directory that holds the test
+    data: the pipeline completes every stage, and the judged pair scores the
+    p_yes that README's comment states."""
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "data").symlink_to(TOY_DIR.parent, target_is_directory=True)
+    monkeypatch.chdir(tmp_path)
+    run_block, judge_block = _readme_library_blocks()
+    run_scope, judge_scope = {}, {}
+    exec(compile(run_block, "README.md", "exec"), run_scope)
+    assert run_scope["statuses"] == {s: "complete" for s in STAGES}
+    exec(compile(judge_block, "README.md", "exec"), judge_scope)
+    assert round(judge_scope["judgement"].p_yes, 5) == 0.99909
+
+
 def cache_tree(cache_dir: str) -> dict[str, bytes]:
     root = Path(cache_dir)
     return {p.relative_to(root).as_posix(): p.read_bytes()
@@ -192,15 +244,15 @@ def test_bad_judge_blocks_are_recomputed_in_the_pool_and_cut_from_the_log(tmp_pa
         return real_put(self, kind, digest, payload)
 
     served = []
-    real_serve = judge_module.serve
+    real_serve = ResponseCache.serve
 
-    def spy_serve(*args, **kwargs):
-        result = real_serve(*args, **kwargs)
+    def spy_serve(self, *args, **kwargs):
+        result = real_serve(self, *args, **kwargs)
         served.append(result[1])
         return result
 
     monkeypatch.setattr(ResponseCache, "put", recorded_put)
-    monkeypatch.setattr(judge_module, "serve", spy_serve)
+    monkeypatch.setattr(ResponseCache, "serve", spy_serve)
     provider = CountingProvider(make_provider(config))
     with caplog.at_level("WARNING", logger="ontomatch.cache"):
         assert Pipeline(config, provider=provider).run_stage("judge", force=True) == "complete"
@@ -1273,6 +1325,17 @@ def test_cli_eval_predictions_takes_the_config_reference(tmp_path):
         "eval", "--predictions", str(predictions), "--config", str(config_path),
     ])
     _assert_half_precision_report(result)
+
+
+def test_cli_eval_without_predictions_runs_the_eval_stage(tmp_path):
+    config_path = write_config_file(tmp_path)
+    assert CliRunner().invoke(main, ["run", "--config", config_path]).exit_code == 0
+    (tmp_path / "out" / "metrics.json").unlink()
+    result = CliRunner().invoke(main, ["eval", "--config", config_path])
+    assert result.exit_code == 0, result.output
+    assert [line for line in result.output.splitlines()
+            if line.split(":")[0] in STAGES] == ["eval: complete"]
+    assert read_metrics(str(tmp_path / "out"))["f1"] == 1.0
 
 
 def test_cli_eval_predictions_reports_a_missing_config_reference(tmp_path):

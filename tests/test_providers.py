@@ -1,4 +1,5 @@
-"""Providers: deterministic mock backend and the JSON-over-HTTP client."""
+"""Providers: deterministic mock backend, the JSON-over-HTTP client, and
+the scheduler that calls them, ``ResponseCache.serve``."""
 
 import json
 import random
@@ -13,20 +14,18 @@ import numpy as np
 import pytest
 
 import ontomatch.cache as cache_module
-from ontomatch.cache import ResponseCache
+from ontomatch.cache import QUEUE_PER_WORKER, ResponseCache
 from ontomatch.errors import CapabilityError, ProviderError
 from ontomatch.providers import (
     EMPTY_TEXT_PLACEHOLDER,
     AliasTable,
     HttpProvider,
     HttpProviderConfig,
-    QUEUE_PER_WORKER,
     MockProvider,
     PromptFrame,
     SamplingParams,
     json_escape,
     prompt_digest,
-    serve,
     validate_messages,
 )
 
@@ -622,7 +621,7 @@ def test_http_explicit_config_ignores_environment(monkeypatch):
     assert provider.config.base_url == "http://test/v1"
 
 
-# -- serve: cache hits inline, misses in a bounded pool ---------------------------
+# -- ResponseCache.serve: cache hits inline, misses in a bounded pool -------------
 
 
 def _job(value, ran_on=None):
@@ -649,7 +648,7 @@ def test_serve_bounds_jobs_in_flight_and_keeps_order(cache):
             yield f"d{i}", lambda i=i: wait_then(i)
 
     consumer = threading.Thread(
-        target=lambda: out.update(result=serve(cache, "judge", jobs(), max_workers=2))
+        target=lambda: out.update(result=cache.serve("judge", jobs(), max_workers=2))
     )
     consumer.start()
     consumer.join(timeout=0.5)
@@ -663,7 +662,7 @@ def test_serve_bounds_jobs_in_flight_and_keeps_order(cache):
 
 
 def test_serve_makes_no_threads_when_every_job_is_cached(tmp_path, monkeypatch):
-    """No pool and no other thread: a fully cached batch puts nothing."""
+    """No pool and no other thread: a fully cached call puts nothing."""
     def refuse(*args, **kwargs):
         raise AssertionError("a thread pool was made")
 
@@ -673,11 +672,11 @@ def test_serve_makes_no_threads_when_every_job_is_cached(tmp_path, monkeypatch):
     cache = ResponseCache(tmp_path / "cache")
     for i in range(5):
         cache.put("define", f"d{i}", {"text": str(i)})
-    monkeypatch.setattr("ontomatch.providers.ThreadPoolExecutor", refuse)
+    monkeypatch.setattr("ontomatch.cache.ThreadPoolExecutor", refuse)
     monkeypatch.setattr(threading.Thread, "start", refuse_thread)
     ran_on = []
     jobs = ((f"d{i}", _job(i, ran_on)) for i in range(5))
-    assert serve(cache, "define", jobs, max_workers=8) == ([0, 1, 2, 3, 4], 5)
+    assert cache.serve("define", jobs, max_workers=8) == ([0, 1, 2, 3, 4], 5)
     assert {thread for _, thread in ran_on} == {threading.get_ident()}
 
 
@@ -687,7 +686,7 @@ def test_serve_interleaves_hits_and_misses_in_job_order(tmp_path):
         cache.put("judge", f"d{i}", {"entries": {}})
     ran_on = []
     jobs = ((f"d{i}", _job(i, ran_on)) for i in range(10))
-    assert serve(cache, "judge", jobs, max_workers=2) == (list(range(10)), 4)
+    assert cache.serve("judge", jobs, max_workers=2) == (list(range(10)), 4)
     here = threading.get_ident()
     assert sorted(i for i, thread in ran_on if thread == here) == [0, 3, 6, 9]
 
@@ -716,7 +715,7 @@ def test_serve_runs_a_duplicate_of_a_queued_job_on_the_calling_thread(cache):
     timer = threading.Timer(0.2, release.set)
     timer.start()
     try:
-        result = serve(cache, "define", jobs(), max_workers=4)
+        result = cache.serve("define", jobs(), max_workers=4)
     finally:
         timer.cancel()
     assert result == (["shared"] * 4, 3)
@@ -752,7 +751,7 @@ def test_serve_computes_each_digest_once_under_threads(cache):
     sys.setswitchinterval(1e-5)
     try:
         consumer = threading.Thread(
-            target=lambda: out.update(result=serve(cache, "judge", jobs, max_workers=8))
+            target=lambda: out.update(result=cache.serve("judge", jobs, max_workers=8))
         )
         consumer.start()
         consumer.join(timeout=60)
@@ -787,7 +786,7 @@ def test_serve_reads_its_own_writes_before_they_are_appended(tmp_path):
 
     digests = ["d0", "d0", "d1", "d1", "d2"]
     jobs = ((digest, job(digest)) for digest in digests)
-    assert serve(cache, "judge", jobs, max_workers=2) == (digests, 2)
+    assert cache.serve("judge", jobs, max_workers=2) == (digests, 2)
     assert computed == Counter({"d0": 1, "d1": 1, "d2": 1})
     assert on_disk == [False] * 5
     fresh = ResponseCache(tmp_path / "cache")
@@ -810,15 +809,15 @@ def test_serve_appends_in_job_order_whatever_order_the_jobs_finish_in(tmp_path):
     for name in ("first", "second"):
         cache = ResponseCache(tmp_path / name)
         jobs = ((d, job(i, d)) for i, d in enumerate(digests))
-        assert serve(cache, "judge", jobs, max_workers=4) == (digests, 0)
+        assert cache.serve("judge", jobs, max_workers=4) == (digests, 0)
         assert block_digests(tmp_path / name / "judge.log") == [digests]
         logs.append((tmp_path / name / "judge.log").read_bytes())
     assert logs[0] == logs[1]
 
 
 def test_serve_raises_a_failed_job_over_a_failed_write(tmp_path, monkeypatch, caplog):
-    """A job raises while the entries of earlier jobs wait for the batch's
-    end, and that append fails: serve raises the job's error and logs the
+    """A job raises while the entries of earlier jobs wait for serve's end,
+    and that append fails: serve raises the job's error and logs the
     append failure."""
     def refuse(path, data, sync=False):
         raise OSError(f"cannot append to {path}")
@@ -835,7 +834,7 @@ def test_serve_raises_a_failed_job_over_a_failed_write(tmp_path, monkeypatch, ca
     jobs = [("d0", job("d0")), ("d1", job("d1")), ("d2", fail)]
     with caplog.at_level("ERROR", logger="ontomatch.cache"):
         with pytest.raises(ProviderError, match="backend down"):
-            serve(cache, "judge", iter(jobs), max_workers=2)
+            cache.serve("judge", iter(jobs), max_workers=2)
     assert any("cannot append" in r.getMessage() for r in caplog.records)
     monkeypatch.undo()
     assert ResponseCache(tmp_path / "cache").stored("judge") == set()
@@ -857,8 +856,8 @@ def test_serve_reraises_a_failed_job_after_shutting_the_pool_down(cache, monkeyp
     def fail():
         raise ProviderError("backend down")
 
-    monkeypatch.setattr("ontomatch.providers.ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr("ontomatch.cache.ThreadPoolExecutor", RecordingPool)
     jobs = [("d0", _job(0)), ("d1", fail), ("d2", _job(2))]
     with pytest.raises(ProviderError, match="backend down"):
-        serve(cache, "judge", iter(jobs), max_workers=2)
+        cache.serve("judge", iter(jobs), max_workers=2)
     assert len(pools) == 1 and pools[0].shut_down
