@@ -17,6 +17,7 @@ import click
 from .errors import OntomatchError
 from .model import MappingSet
 from .pipeline import Pipeline, PipelineConfig, global_report
+from .providers import DEFAULT_PROVIDER_KIND, PROVIDER_KINDS
 
 logger = logging.getLogger(__name__)
 
@@ -41,7 +42,7 @@ def common_options(fn):
     @click.option("--no-definitions", "use_definitions", flag_value=False, default=None,
                   help="Ablation: define writes no definitions, so embed and judge "
                        "see none.")
-    @click.option("--provider", type=click.Choice(["mock", "http"]), default=None,
+    @click.option("--provider", type=click.Choice(PROVIDER_KINDS), default=None,
                   help="Provider backend (default from config; mock otherwise).")
     @click.option("--cache-dir", type=click.Path(file_okay=False), default=None,
                   help="Response cache directory (default ./cache).")
@@ -67,7 +68,7 @@ def build_config(config_path, provider, **overrides) -> PipelineConfig:
     was given, each named after the field it sets."""
     data = PipelineConfig.from_file(config_path).to_dict() if config_path else PipelineConfig().to_dict()
     data.update((key, value) for key, value in overrides.items() if value is not None)
-    if provider is not None and data.get("provider", {}).get("kind") != provider:
+    if provider is not None and data["provider"].get("kind", DEFAULT_PROVIDER_KIND) != provider:
         data["provider"] = {"kind": provider}
     return PipelineConfig.from_dict(data)
 

@@ -53,13 +53,7 @@ from .model import (
     read_concept_jsonl,
     write_concept_jsonl,
 )
-from .providers import (
-    HttpProvider,
-    HttpProviderConfig,
-    MockProvider,
-    Provider,
-    SamplingParams,
-)
+from .providers import DEFAULT_PROVIDER_KIND, Provider, SamplingParams, make_provider
 from .retrieval import (
     build_index,
     cosine,
@@ -190,7 +184,7 @@ class PipelineConfig:
     max_workers: int = 8
     label_property: str = DEFAULT_LABEL_PROPERTY
     synonym_properties: list[str] = field(default_factory=lambda: list(DEFAULT_SYNONYM_PROPERTIES))
-    provider: dict = field(default_factory=lambda: {"kind": "mock"})
+    provider: dict = field(default_factory=lambda: {"kind": DEFAULT_PROVIDER_KIND})
     few_shot_examples: list[dict] | None = None
 
     def __post_init__(self):
@@ -260,32 +254,6 @@ def global_report(predicted: MappingSet, reference: MappingSet) -> MetricsReport
         predicted_count=len(predicted),
         reference_count=len(reference),
     )
-
-
-# The mock provider's keys; the http provider's are HttpProviderConfig's fields.
-_MOCK_HINTS = {"dimension": int, "seed": int, "alias_groups_file": str}
-
-
-def make_provider(config: PipelineConfig) -> Provider:
-    spec = dict(config.provider)
-    kind = spec.pop("kind", "mock")
-    if kind not in ("mock", "http"):
-        raise ConfigError(f"unknown provider kind {kind!r}")
-    check_record(spec, get_type_hints(HttpProviderConfig) if kind == "http" else _MOCK_HINTS,
-                 f"{kind} provider")
-    try:
-        if kind == "http":
-            return HttpProvider(HttpProviderConfig(**spec).apply_env_overrides())
-        alias_file = spec.pop("alias_groups_file", None)
-        if alias_file:
-            with open(alias_file, "r", encoding="utf-8") as fp:
-                groups = json.load(fp)
-            check_record({alias_file: groups}, {alias_file: list[list[str]]},
-                         "mock provider alias_groups_file")
-            spec["alias_groups"] = groups
-        return MockProvider(**spec)
-    except (OSError, ValueError) as e:  # an unreadable alias file, or a value out of range
-        raise ConfigError(f"{kind} provider: {e}") from e
 
 
 def _sha256_file(path: Path) -> str:
@@ -586,11 +554,6 @@ class Pipeline:
         if self._provider is None:
             self._provider = make_provider(self.config)
         return self._provider
-
-    def input_digest(self, stage: str) -> str:
-        """``stage``'s input digest, per its ``STAGE_TABLE`` row."""
-        provider = self.provider if STAGE_TABLE[stage].model else None
-        return StageContext(stage, self.config, self.cache, provider).input_digest()
 
     def run_stage(self, stage: str, force: bool = False, limit: int | None = None) -> str:
         """Run one stage; returns 'complete', 'partial', or 'skipped'."""

@@ -22,12 +22,12 @@ import logging
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Protocol, Sequence
+from typing import Callable, NamedTuple, Protocol, Sequence, get_type_hints
 
 import numpy as np
 
-from .errors import CapabilityError, ProviderError
-from .model import normalize_string
+from .errors import CapabilityError, ConfigError, ProviderError
+from .model import check_record, normalize_string
 
 logger = logging.getLogger(__name__)
 
@@ -38,6 +38,7 @@ __all__ = [
     "AliasTable",
     "HttpProvider",
     "HttpProviderConfig",
+    "make_provider",
     "Prompt",
     "prompt_digest",
     "validate_messages",
@@ -458,3 +459,35 @@ class HttpProvider:
                 f"log-probability list"
             )
         return entries
+
+
+# -- provider specs ----------------------------------------------------------
+
+# The kinds a config's ``provider`` spec may name (a spec without one is mock),
+# and the mock's keys; the http provider's are HttpProviderConfig's fields.
+PROVIDER_KINDS = ("mock", "http")
+DEFAULT_PROVIDER_KIND = "mock"
+_MOCK_HINTS = {"dimension": int, "seed": int, "alias_groups_file": str}
+
+
+def make_provider(config) -> Provider:
+    """The provider ``config.provider`` specifies; a bad spec is a ``ConfigError``."""
+    spec = dict(config.provider)
+    kind = spec.pop("kind", DEFAULT_PROVIDER_KIND)
+    if kind not in PROVIDER_KINDS:
+        raise ConfigError(f"unknown provider kind {kind!r}")
+    check_record(spec, get_type_hints(HttpProviderConfig) if kind == "http" else _MOCK_HINTS,
+                 f"{kind} provider")
+    try:
+        if kind == "http":
+            return HttpProvider(HttpProviderConfig(**spec).apply_env_overrides())
+        alias_file = spec.pop("alias_groups_file", None)
+        if alias_file:
+            with open(alias_file, "r", encoding="utf-8") as fp:
+                groups = json.load(fp)
+            check_record({alias_file: groups}, {alias_file: list[list[str]]},
+                         "mock provider alias_groups_file")
+            spec["alias_groups"] = groups
+        return MockProvider(**spec)
+    except (OSError, ValueError) as e:  # an unreadable alias file, or a value out of range
+        raise ConfigError(f"{kind} provider: {e}") from e

@@ -679,10 +679,19 @@ def test_judge_template_version_reruns_judge_not_define(tmp_path, monkeypatch):
 NO_DIGEST_EFFECT = {"out_dir", "cache_dir", "max_workers"}
 
 
+def _input_digests(config: PipelineConfig) -> dict[str, str]:
+    """Each stage's input digest over ``config``, with the provider only
+    where the stage's row names a model, as ``Pipeline.run_stage`` builds it."""
+    cache, provider = ResponseCache(Path(config.cache_dir)), make_provider(config)
+    return {stage: StageContext(stage, config, cache,
+                                provider if STAGE_TABLE[stage].model else None).input_digest()
+            for stage in STAGES}
+
+
 def test_every_config_field_enters_some_stage_digest(tmp_path):
     base = toy_config(tmp_path, few_shot=1, ranking_cases=toy_ranking_cases(tmp_path))
     Pipeline(base).run()
-    base_digests = {s: Pipeline(base).input_digest(s) for s in STAGES}
+    base_digests = _input_digests(base)
 
     def edited_copy(path: str) -> str:
         copy = tmp_path / ("edited-" + Path(path).name)
@@ -721,8 +730,8 @@ def test_every_config_field_enters_some_stage_digest(tmp_path):
         )
         value = perturbed[field.name]
         assert value != getattr(base, field.name)
-        pipeline = Pipeline(dataclasses.replace(base, **{field.name: value}))
-        changed = [s for s in STAGES if pipeline.input_digest(s) != base_digests[s]]
+        digests = _input_digests(dataclasses.replace(base, **{field.name: value}))
+        changed = [s for s in STAGES if digests[s] != base_digests[s]]
         assert changed, f"changing {field.name} changes no stage digest"
 
 
@@ -1173,6 +1182,15 @@ def test_cli_provider_switch_replaces_spec_only_on_kind_change(tmp_path):
     assert kept.provider["dimension"] == 64  # same kind: detailed spec kept
     swapped = build_config(config_path, provider="http")
     assert swapped.provider == {"kind": "http"}
+
+
+def test_cli_provider_mock_keeps_a_spec_without_kind(tmp_path):
+    """A spec without ``kind`` is mock, so ``--provider mock`` keeps it and
+    ``--provider http`` replaces it."""
+    spec = {key: value for key, value in toy_config(tmp_path).provider.items() if key != "kind"}
+    config_path = write_config_file(tmp_path, provider=spec)
+    assert build_config(config_path, provider="mock").provider == spec
+    assert build_config(config_path, provider="http").provider == {"kind": "http"}
 
 
 def test_cli_bidirectional_flag(tmp_path):
