@@ -193,8 +193,11 @@ class MockProvider:
         self.seed = seed
         self.alias = AliasTable(alias_groups)
         self.context_chars = context_chars
-        self.embed_model_id = f"mock-embed-d{dimension}-s{seed}"
-        self.chat_model_id = f"mock-chat-s{seed}"
+        # The alias groups shape vectors and answers, so both model ids name them.
+        digest = hashlib.sha256(json.dumps(alias_groups).encode("utf-8")).hexdigest()[:12]
+        tag = f"-a{digest}" if alias_groups else ""
+        self.embed_model_id = f"mock-embed-d{dimension}-s{seed}{tag}"
+        self.chat_model_id = f"mock-chat-s{seed}{tag}"
         self._key = seed.to_bytes(8, "little", signed=True)
 
     # -- embeddings ---------------------------------------------------------
@@ -481,8 +484,7 @@ def make_provider(config) -> Provider:
     try:
         if kind == "http":
             return HttpProvider(HttpProviderConfig(**spec).apply_env_overrides())
-        alias_file = spec.pop("alias_groups_file", None)
-        if alias_file:
+        if alias_file := spec.pop("alias_groups_file", None):
             with open(alias_file, "r", encoding="utf-8") as fp:
                 groups = json.load(fp)
             check_record({alias_file: groups}, {alias_file: list[list[str]]},

@@ -48,6 +48,7 @@ from conftest import (
     append_raw_entry,
     block_digests,
     log_blocks,
+    load_alias_groups,
     load_toy_reference,
     toy_config,
     toy_ranking_cases,
@@ -595,6 +596,29 @@ def test_ontology_name_change_reruns_define(tmp_path):
     assert results["define"] == "complete"
 
 
+def test_a_changed_alias_file_reruns_define_through_eval(tmp_path):
+    """The mock's alias groups shape its vectors and answers, so its model
+    ids name them: a changed file re-runs every stage after ingest, and a
+    fresh ``out/`` over the shared cache writes what a fresh cache does."""
+    aliases = tmp_path / "aliases.json"
+    aliases.write_text(json.dumps(load_alias_groups()))
+    provider = dict(toy_config(tmp_path).provider, alias_groups_file=str(aliases))
+    config = toy_config(tmp_path, provider=provider)
+    Pipeline(config).run()
+    aliased = snapshot(config.out_dir)
+
+    aliases.write_text("[]")
+    assert Pipeline(config).run() == {s: "skipped" if s == "ingest" else "complete"
+                                      for s in STAGES}
+    assert snapshot(config.out_dir) != aliased
+    shared_cache = toy_config(tmp_path, provider=provider, out_dir=str(tmp_path / "fresh-out"))
+    Pipeline(shared_cache).run()
+    fresh_cache = toy_config(tmp_path / "fresh", provider=provider)
+    Pipeline(fresh_cache).run()
+    assert snapshot(shared_cache.out_dir) == snapshot(fresh_cache.out_dir)
+    assert snapshot(config.out_dir) == snapshot(fresh_cache.out_dir)
+
+
 def test_embedding_change_reruns_ranking_eval(tmp_path):
     config = toy_config(tmp_path, ranking_cases=toy_ranking_cases(tmp_path))
     Pipeline(config).run()
@@ -1033,7 +1057,7 @@ def test_make_provider_mock_with_alias_file(tmp_path):
         "alias_groups_file": str(alias_file),
     }))
     assert isinstance(provider, MockProvider)
-    assert provider.embed_model_id == "mock-embed-d32-s7"
+    assert provider.embed_model_id == "mock-embed-d32-s7-acccb00f1aa26"
     assert provider.alias.canonicalize("b") == "a"
 
 

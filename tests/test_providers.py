@@ -302,6 +302,19 @@ def test_mock_model_ids_reflect_parameters():
     assert provider.chat_model_id == "mock-chat-s5"
 
 
+def test_mock_model_ids_name_the_alias_groups():
+    """The groups change vectors and answers, so they change both ids; no
+    groups keep the ids of a mock without them."""
+    plain = MockProvider(dimension=32, seed=5, alias_groups=[])
+    assert (plain.embed_model_id, plain.chat_model_id) == ("mock-embed-d32-s5", "mock-chat-s5")
+    aliased = MockProvider(dimension=32, seed=5, alias_groups=[["a", "b"]])
+    assert aliased.embed_model_id == "mock-embed-d32-s5-acccb00f1aa26"
+    assert aliased.chat_model_id == "mock-chat-s5-acccb00f1aa26"
+    other = MockProvider(dimension=32, seed=5, alias_groups=[["a", "c"]])
+    assert other.embed_model_id != aliased.embed_model_id
+    assert other.chat_model_id != aliased.chat_model_id
+
+
 # -- mock chat ----------------------------------------------------------------
 
 
