@@ -109,10 +109,10 @@ class ExactIndex:
     """Brute-force cosine ranking over all stored vectors."""
 
     def __init__(self, iris: Sequence[str], matrix: np.ndarray):
+        matrix = np.asarray(matrix, dtype=np.float64)
+        _validate_vectors(iris, matrix)  # before the sort, which would drop extra rows
         order = sorted(range(len(iris)), key=lambda i: iris[i])
-        self.iris = [iris[i] for i in order]
-        self._matrix = np.asarray(matrix, dtype=np.float64)[order]
-        _validate_vectors(self.iris, self._matrix)
+        self.iris, self._matrix = [iris[i] for i in order], matrix[order]
         self.dimension = int(self._matrix.shape[1])
         self._norms = np.linalg.norm(self._matrix, axis=1)
 
@@ -145,10 +145,10 @@ class HnswIndex:
     """
 
     def __init__(self, iris: Sequence[str], matrix: np.ndarray, params: HnswParams = HnswParams()):
+        raw = np.asarray(matrix, dtype=np.float64)
+        _validate_vectors(iris, raw)  # before the sort, which would drop extra rows
         order = sorted(range(len(iris)), key=lambda i: iris[i])
-        self.iris = [iris[i] for i in order]
-        raw = np.asarray(matrix, dtype=np.float64)[order]
-        _validate_vectors(self.iris, raw)
+        self.iris, raw = [iris[i] for i in order], raw[order]
         self.dimension = int(raw.shape[1])
         self.params = params
         self._unit = raw / np.linalg.norm(raw, axis=1, keepdims=True)

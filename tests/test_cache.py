@@ -3,6 +3,7 @@ corruption, bad blocks, the old file layout, get-or-compute, batches, and
 the atomic writer every artifact goes through."""
 
 import json
+import os
 import struct
 import threading
 import zlib
@@ -251,6 +252,23 @@ def test_a_failed_append_stores_nothing(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="cannot append"):
         cache.put("define", "d1", {"text": "lost"})
     assert cache.get("define", "d1") is None
+
+
+def test_a_short_write_raises_and_its_torn_block_is_never_served(tmp_path, monkeypatch,
+                                                                   caplog):
+    """``os.write`` may write less than it was given. The append raises, the
+    loaded log is forgotten, and reading it again skips the torn block."""
+    cache = ResponseCache(tmp_path / "cache")
+    cache.put("define", "d0", {"text": "kept"})
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:len(data) // 2]))
+    with pytest.raises(OSError, match="short write"):
+        cache.put("define", "d1", {"text": "torn"})
+    monkeypatch.undo()
+    with caplog.at_level("WARNING"):
+        assert cache.get("define", "d1") is None
+    assert any("bad block" in m for m in caplog.messages)
+    assert cache.get("define", "d0") == {"text": "kept"}
 
 
 def test_building_a_cache_touches_no_file(tmp_path, monkeypatch):

@@ -220,6 +220,53 @@ def test_relative_iri_without_base_is_an_error(tmp_path):
     assert "xml:base" in str(exc.value)
 
 
+def test_rdf_id_without_an_absolute_base_is_an_error(tmp_path):
+    with pytest.raises(OntologyParseError, match="rdf:ID 'F' without an absolute xml:base"):
+        parse_ontology(write_owl(tmp_path, '<owl:Class rdf:ID="F"/>\n'))
+
+
+def test_a_top_level_node_without_an_iri_is_skipped(tmp_path):
+    body = """
+  <owl:Class>
+    <rdfs:label>Anonymous</rdfs:label>
+  </owl:Class>
+  <owl:Class rdf:about="http://x.org/onto#A">
+    <rdfs:label>Alpha</rdfs:label>
+  </owl:Class>
+"""
+    onto = parse_ontology(write_owl(tmp_path, body))
+    assert list(onto.concepts) == ["http://x.org/onto#A"]
+    assert onto.concepts["http://x.org/onto#A"].label == "Alpha"
+
+
+def test_a_property_element_without_a_namespace_is_ignored(tmp_path):
+    body = """
+  <owl:Class rdf:about="http://x.org/onto#A">
+    <label>Not the label</label>
+    <rdfs:label>Alpha</rdfs:label>
+  </owl:Class>
+"""
+    a = parse_ontology(write_owl(tmp_path, body)).concepts["http://x.org/onto#A"]
+    assert (a.label, a.synonyms, a.parents) == ("Alpha", [], [])
+
+
+def test_a_property_entity_gives_only_its_label(tmp_path):
+    """Of an ``owl:ObjectProperty``, only the label is read: for the
+    descriptions that name it. Its domain makes no parent or concept."""
+    body = EQUIV_BODY.replace(
+        "<rdfs:label>part of (attribute)</rdfs:label>",
+        '<rdfs:label>part of (attribute)</rdfs:label>\n'
+        '    <rdfs:domain rdf:resource="http://x.org/onto#B"/>\n'
+        '    <rdfs:subClassOf rdf:resource="http://x.org/onto#A"/>',
+    )
+    assert body != EQUIV_BODY
+    onto = parse_ontology(write_owl(tmp_path, body))
+    assert sorted(onto.concepts) == [f"http://x.org/onto#{c}" for c in "ABD"]
+    assert onto.concepts["http://x.org/onto#D"].equiv_descriptions == [
+        "Alpha that part of (attribute) Beta."]
+    assert all(c.parents == [] for c in onto.concepts.values())
+
+
 def test_malformed_xml_reports_position(tmp_path):
     path = tmp_path / "broken.owl"
     path.write_text('<?xml version="1.0"?>\n<rdf:RDF>\n  <broken\n')

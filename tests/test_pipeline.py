@@ -185,6 +185,37 @@ def test_readme_library_examples_run_as_written(tmp_path, monkeypatch):
     assert round(judge_scope["judgement"].p_yes, 5) == 0.99909
 
 
+def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch):
+    """README's quick-start ``toy.json`` through the command line, from a
+    directory that holds the test data: 21 predicted at f1 1.000 and the
+    golden mappings, every stage skipped on a rerun, and the same mappings
+    from the spec without ``kind`` under ``--provider mock``, into a fresh
+    out/ and cache. CI runs the same checks with the installed script."""
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "data").symlink_to(TOY_DIR.parent, target_is_directory=True)
+    monkeypatch.chdir(tmp_path)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"cat > toy\.json <<'EOF'\n(.*?)\nEOF\n", readme, re.S).group(1)
+    Path("toy.json").write_text(block, encoding="utf-8")
+    runner, golden = CliRunner(), (TOY_DIR / "mappings.golden.tsv").read_bytes()
+    result = runner.invoke(main, ["run", "--config", "toy.json"])
+    assert result.exit_code == 0, result.output
+    metrics = Path("out/toy/metrics.txt").read_text(encoding="utf-8")
+    assert re.search(r"^predicted +21$", metrics, re.M)
+    assert re.search(r"^f1 +1\.000$", metrics, re.M)
+    assert Path("out/toy/mappings.tsv").read_bytes() == golden
+    rerun = runner.invoke(main, ["run", "--config", "toy.json"])
+    assert rerun.stdout == "".join(f"{stage}: skipped\n" for stage in STAGES)
+
+    config = json.loads(block)
+    del config["provider"]["kind"]
+    config.update(out_dir="out/toy-no-kind", cache_dir="cache/toy-no-kind")
+    Path("toy-no-kind.json").write_text(json.dumps(config), encoding="utf-8")
+    result = runner.invoke(main, ["run", "--config", "toy-no-kind.json", "--provider", "mock"])
+    assert result.exit_code == 0, result.output
+    assert Path("out/toy-no-kind/mappings.tsv").read_bytes() == golden
+
+
 def cache_tree(cache_dir: str) -> dict[str, bytes]:
     root = Path(cache_dir)
     return {p.relative_to(root).as_posix(): p.read_bytes()

@@ -291,6 +291,24 @@ def test_mock_embed_batch_rejects_empty_list():
         MockProvider().embed_batch([])
 
 
+def test_mock_embedding_falls_back_to_one_unit_component_when_features_cancel():
+    """Two trigrams of opposite sign in one bucket sum to zero; the vector is
+    then the text's own feature bucket at 1.0."""
+    provider = MockProvider(dimension=2)
+
+    def cancels(text):
+        (b1, s1), (b2, s2) = (provider._hash_feature(text[i:i + 3]) for i in (0, 1))
+        return b1 == b2 and s1 == -s2
+
+    texts = ["".join(random.Random(seed).choices("abcdefgh", k=4)) for seed in range(40)]
+    cancelled = [text for text in texts if cancels(text)]
+    assert cancelled
+    for text in cancelled:
+        expected = np.zeros(2)
+        expected[provider._hash_feature(text)[0]] = 1.0
+        assert provider.embed_batch([text])[0].tolist() == expected.tolist()
+
+
 def test_mock_provider_rejects_tiny_dimension():
     with pytest.raises(ValueError):
         MockProvider(dimension=1)
@@ -471,6 +489,13 @@ def test_http_embed_chunks_large_batches():
     assert session.calls[0]["json"]["input"] == ["a", "b"]
     assert session.calls[2]["json"]["input"] == ["e"]
     assert session.calls[0]["headers"]["Authorization"] == "Bearer secret"
+
+
+def test_http_embed_batch_rejects_an_empty_list_without_a_request():
+    provider, session, _ = http_provider([])
+    with pytest.raises(ValueError, match="non-empty text list"):
+        provider.embed_batch([])
+    assert session.calls == []
 
 
 def test_http_embed_replaces_empty_texts():

@@ -120,6 +120,15 @@ def test_exact_index_input_validation():
     assert len(idx) == len(FIVE)
 
 
+@pytest.mark.parametrize("index_cls", [ExactIndex, HnswIndex])
+@pytest.mark.parametrize("matrix", [np.ones((3, 4)), np.ones((1, 4)), np.ones(4)])
+def test_an_index_rejects_a_matrix_that_does_not_match_its_iris(index_cls, matrix):
+    """The shape is checked before the rows are sorted by IRI, a sort that
+    would drop extra rows and fail on missing ones with an ``IndexError``."""
+    with pytest.raises(ValueError, match=r"matrix must be \(n_iris, dimension\)"):
+        index_cls(["http://t#B", "http://t#A"], matrix)
+
+
 def test_exact_index_matches_oracle_on_random_instances():
     rng = random.Random(2024)
     for _ in range(25):

@@ -133,6 +133,12 @@ def test_nested_single_member_intersection_rejected():
         verbalize(expr, {})
 
 
+def test_an_unsupported_node_type_is_rejected():
+    expr = SomeValuesFrom("http://x.org/p#p", "http://x.org/c#NotANode")
+    with pytest.raises(StructureError, match="unsupported expression node str"):
+        verbalize(expr, {})
+
+
 def test_depth_limit_rejects_pathological_trees():
     expr = Named("http://x.org/c#Leaf")
     for _ in range(40):
