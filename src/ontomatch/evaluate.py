@@ -60,11 +60,9 @@ class RankingCase:
             raise ValueError(f"gold target {self.gold!r} missing from candidates")
 
     def rank_of_gold(self) -> int:
-        ordered = sorted(self.candidates, key=lambda t: (-t[1], t[0]))
-        for position, (iri, _) in enumerate(ordered, start=1):
-            if iri == self.gold:
-                return position
-        raise AssertionError("unreachable: gold presence checked at construction")
+        """1 plus the number of candidates ahead of the gold's best entry."""
+        best = min((-score, iri) for iri, score in self.candidates if iri == self.gold)
+        return 1 + sum((-score, iri) < best for iri, score in self.candidates)
 
 
 def local_ranking(

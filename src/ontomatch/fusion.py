@@ -24,30 +24,17 @@ logger = logging.getLogger(__name__)
 __all__ = ["exact_match", "filter_and_fuse"]
 
 
-def _string_index(ontology: Ontology) -> dict[str, list[str]]:
-    index: dict[str, list[str]] = {}
-    for iri in sorted(ontology.concepts):
-        for text in ontology.concepts[iri].lexical_strings():
-            key = normalize_string(text)
-            if not key:
-                continue
-            bucket = index.setdefault(key, [])
-            if iri not in bucket:
-                bucket.append(iri)
-    return index
-
-
 def exact_match(source: Ontology, target: Ontology) -> MappingSet:
     """All (source, target) pairs sharing a normalized label or synonym."""
-    src_index = _string_index(source)
-    tgt_index = _string_index(target)
+    index: dict[str, list[str]] = {}
+    for iri, concept in target.concepts.items():
+        for text in concept.lexical_strings():
+            if key := normalize_string(text):
+                index.setdefault(key, []).append(iri)
     out = MappingSet()
-    for key, src_iris in src_index.items():
-        tgt_iris = tgt_index.get(key)
-        if not tgt_iris:
-            continue
-        for s in src_iris:
-            for t in tgt_iris:
+    for s, concept in source.concepts.items():
+        for text in concept.lexical_strings():
+            for t in index.get(normalize_string(text), ()):
                 out.add(Mapping(source=s, target=t, alpha=1.0, provenance="exact"))
     return out
 

@@ -316,11 +316,9 @@ def merge_candidate_maps(
                 if key not in best or sim > best[key]:
                     best[key] = sim
     merged: dict[str, list[tuple[str, float]]] = {}
-    for (src, tgt), sim in best.items():
-        merged.setdefault(src, []).append((tgt, sim))
-    for src in merged:
-        merged[src].sort(key=lambda t: (-t[1], t[0]))
-    return {src: merged[src] for src in sorted(merged)}
+    for src, tgt in sorted(best, key=lambda pair: (pair[0], -best[pair], pair[1])):
+        merged.setdefault(src, []).append((tgt, best[src, tgt]))
+    return merged
 
 
 def write_candidates(candidates: Mapping[str, list[tuple[str, float]]], fp: IO[str]) -> None:

@@ -43,6 +43,24 @@ def reference_prompt_digest(kind: str, template: str, model: str, messages) -> s
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def exact_pairs(
+    source: Sequence[tuple[str, Sequence[str]]], target: Sequence[tuple[str, Sequence[str]]]
+) -> set[tuple[str, str]]:
+    """Every (source IRI, target IRI) of two ``(iri, strings)`` lists whose
+    strings share a non-empty whitespace-collapsed, case-folded form, found by
+    checking every pair."""
+
+    def forms(strings: Sequence[str]) -> set[str]:
+        return {" ".join(s.split()).casefold() for s in strings} - {""}
+
+    return {
+        (s, t)
+        for s, s_strings in source
+        for t, t_strings in target
+        if forms(s_strings) & forms(t_strings)
+    }
+
+
 def brute_force_top_k(items: list[tuple[str, list[float]]], query, k: int) -> list[tuple[str, float]]:
     """Rank every stored (iri, vector) by cosine to the query.
 

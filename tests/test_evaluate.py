@@ -98,6 +98,17 @@ def test_local_ranking_agrees_with_oracle_formulas():
         scored = [(f"t{j:02d}", rng.random()) for j in range(n)]
         gold = scored[rng.randrange(n)][0]
         cases.append(case(f"s{i:02d}", gold, scored))
+    # Ties from a few scores, and half the golds listed a second time at
+    # another score: the rank is that of the gold's best entry.
+    values = (0.25, 0.5, 0.75)
+    for i in range(60, 160):
+        n = rng.randint(1, 12)
+        scored = [(f"t{j:02d}", rng.choice(values)) for j in range(n)]
+        gold, gold_score = scored[rng.randrange(n)]
+        if rng.random() < 0.5:
+            again = rng.choice([v for v in values if v != gold_score])
+            scored.insert(rng.randint(0, n), (gold, again))
+        cases.append(case(f"s{i:03d}", gold, scored))
     mrr, hits = local_ranking(cases, ks=(1, 5, 10))
     ranks = [oracles.rank_by_score(list(c.candidates), c.gold) for c in cases]
     assert mrr == pytest.approx(oracles.reference_mrr(ranks), abs=1e-12)

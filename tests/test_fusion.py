@@ -1,9 +1,13 @@
 """Fusion: lexical exact matching and dual-threshold filtering with union."""
 
+import random
+
 import pytest
 
 from ontomatch.fusion import exact_match, filter_and_fuse
 from ontomatch.model import Concept, Judgement, Mapping, MappingSet, Ontology
+
+import oracles
 
 
 def build_ontology(name: str, rows: list[tuple[str, str | None, list[str]]]) -> Ontology:
@@ -62,6 +66,40 @@ def test_exact_match_ignores_empty_strings():
     src = build_ontology("s", [("http://s#1", None, ["  "])])
     tgt = build_ontology("t", [("http://t#1", None, ["   "])])
     assert len(exact_match(src, tgt)) == 0
+
+
+def test_exact_match_agrees_with_pairwise_oracle():
+    """Random pairs drawn from a few strings, so that several concepts share
+    a string, in case and whitespace variants, with blank synonyms."""
+    rng = random.Random(4242)
+    words = ("heart", "left kidney", "cor", "nervus abducens", "liver")
+
+    def pad() -> str:
+        return rng.choice(("", " ", "\t", "  "))
+
+    def variant() -> str:
+        text = "".join(c.upper() if rng.random() < 0.3 else c for c in rng.choice(words))
+        return pad() + text.replace(" ", rng.choice((" ", "  ", " \t"))) + pad()
+
+    def rows(prefix: str) -> list[tuple[str, str | None, list[str]]]:
+        return [
+            (f"http://{prefix}#{i}", variant() if rng.random() < 0.8 else None,
+             [rng.choice(("", " \t", variant(), variant())) for _ in range(rng.randint(0, 3))])
+            for i in range(rng.randint(0, 8))
+        ]
+
+    found = 0
+    for _ in range(200):
+        src_rows, tgt_rows = rows("s"), rows("t")
+        expected = oracles.exact_pairs(
+            *([(iri, [t for t in (label, *synonyms) if t is not None])
+               for iri, label, synonyms in side] for side in (src_rows, tgt_rows))
+        )
+        out = exact_match(build_ontology("s", src_rows), build_ontology("t", tgt_rows))
+        assert out.pairs() == expected
+        assert all(m.alpha == 1.0 and m.provenance == "exact" for m in out)
+        found += len(expected)
+    assert found > 1000
 
 
 def judgement(src: str, tgt: str, cos: float, p: float) -> Judgement:

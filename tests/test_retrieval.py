@@ -363,6 +363,22 @@ def test_merge_candidate_maps_orders_by_similarity_then_target():
     assert merged["http://s#S1"] == [
         ("http://t#C", 0.9), ("http://t#A", 0.5), ("http://t#B", 0.5),
     ]
+    # Sources out of IRI order in both maps come out in IRI order.
+    forward = {
+        "http://s#S3": [("http://t#B", 0.4)],
+        "http://s#S1": [("http://t#B", 0.5), ("http://t#A", 0.7)],
+    }
+    backward = {
+        "http://t#C": [("http://s#S2", 0.6), ("http://s#S1", 0.5)],
+        "http://t#A": [("http://s#S3", 0.4), ("http://s#S1", 0.6)],
+    }
+    merged = merge_candidate_maps(forward, backward)
+    assert list(merged) == ["http://s#S1", "http://s#S2", "http://s#S3"]
+    assert merged == {
+        "http://s#S1": [("http://t#A", 0.7), ("http://t#B", 0.5), ("http://t#C", 0.5)],
+        "http://s#S2": [("http://t#C", 0.6)],
+        "http://s#S3": [("http://t#A", 0.4), ("http://t#B", 0.4)],
+    }
 
 
 def test_candidates_tsv_round_trip():
