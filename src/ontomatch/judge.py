@@ -162,6 +162,8 @@ def _mass(dist: dict[str, float], variants: Sequence[str], floor: float) -> tupl
     if not present:
         return floor, False
     top = max(present)
+    if top == -math.inf:
+        return top, True
     return top + math.log(sum(math.exp(x - top) for x in present)), True
 
 
@@ -172,7 +174,8 @@ def p_yes(entries: dict[str, float], floor: float = LOGPROB_FLOOR, mode: str = "
     ``pair`` renormalizes the YES-variant mass against the NO-variant mass
     (an absent side takes ``floor``); ``full`` divides the YES mass by the
     total mass of every entry in the distribution. Shift-invariant in ``pair``
-    mode. Raises UnparseableJudgementError when neither side has any variant.
+    mode. Raises UnparseableJudgementError when neither side has any variant,
+    or when the masses it divides are all zero (log-probability ``-inf``).
     """
     yes_mass, yes_found = _mass(entries, YES_VARIANTS, floor)
     no_mass, no_found = _mass(entries, NO_VARIANTS, floor)
@@ -181,6 +184,8 @@ def p_yes(entries: dict[str, float], floor: float = LOGPROB_FLOOR, mode: str = "
             f"no YES or NO variant among tokens {sorted(entries)[:8]}"
         )
     if mode == "pair":
+        if yes_mass == no_mass == -math.inf:
+            raise UnparseableJudgementError("YES and NO both have log-probability -inf")
         # 1 / (1 + exp(no - yes)), stable for large |no - yes|
         diff = no_mass - yes_mass
         if diff >= 0:
@@ -189,6 +194,8 @@ def p_yes(entries: dict[str, float], floor: float = LOGPROB_FLOOR, mode: str = "
     if mode == "full":
         values = list(entries.values())
         top = max(values)
+        if top == -math.inf:
+            raise UnparseableJudgementError("every token has log-probability -inf")
         total = top + math.log(sum(math.exp(v - top) for v in values))
         if not yes_found:
             return 0.0

@@ -452,7 +452,7 @@ class HttpProvider:
                 token, logprob = item["token"], float(item["logprob"])
             except (KeyError, TypeError, ValueError) as e:
                 raise ProviderError(f"malformed top_logprobs entry {item!r}") from e
-            if not isinstance(token, str) or np.isnan(logprob):
+            if not isinstance(token, str) or np.isnan(logprob) or logprob == np.inf:
                 raise ProviderError(f"malformed top_logprobs entry {item!r}")
             if token not in entries or logprob > entries[token]:
                 entries[token] = logprob

@@ -207,16 +207,23 @@ def test_p_yes_complement_sums_to_one():
 
 
 def test_p_yes_matches_reference_on_random_distributions():
+    """A quarter of the entries have probability 0 (log-probability -inf)."""
     rng = random.Random(31337)
     tokens = ("YES", "Yes", "yes", " YES", "NO", "No", " no", ".", "I", "the")
     for _ in range(200):
         entries = {
-            t: rng.uniform(-25, 0)
+            t: -math.inf if rng.random() < 0.25 else rng.uniform(-25, 0)
             for t in rng.sample(tokens, rng.randint(2, len(tokens)))
         }
         if not any(k.strip().casefold() in ("yes", "no") for k in entries):
             continue
-        assert p_yes(entries) == pytest.approx(reference_p_yes(entries), abs=1e-9)
+        try:
+            expected = reference_p_yes(entries)
+        except ZeroDivisionError:  # YES and NO both have mass 0
+            with pytest.raises(UnparseableJudgementError):
+                p_yes(entries)
+            continue
+        assert p_yes(entries) == pytest.approx(expected, abs=1e-9)
 
 
 def test_p_yes_full_mode_divides_by_total_mass():
@@ -239,6 +246,9 @@ def test_p_yes_rejects_unparseable_distributions():
         p_yes({".": -1.0, "maybe": -2.0})
     with pytest.raises(UnparseableJudgementError):
         p_yes({})
+    for mode in ("pair", "full"):
+        with pytest.raises(UnparseableJudgementError):
+            p_yes({"YES": -math.inf, "NO": -math.inf}, mode=mode)
 
 
 def test_p_yes_rejects_unknown_mode():
@@ -281,23 +291,28 @@ def test_judge_pair_cache_hit_skips_provider(cache):
     assert first == second
 
 
-class _MaybeProvider:
-    """A chat model whose first token is neither YES nor NO."""
+class _FirstTokenProvider:
+    """A chat model whose first-token distribution is fixed."""
 
     chat_model_id = MockProvider().chat_model_id
     embed_model_id = MockProvider().embed_model_id
 
+    def __init__(self, entries):
+        self.entries = entries
+
     def classify_first_token(self, messages):
-        return {"MAYBE": -0.1}
+        return dict(self.entries)
 
 
 def test_judge_pair_never_caches_an_unparseable_judgement(cache):
+    """Neither YES nor NO, or both with probability 0."""
     a = simple_ctx("http://x.org/c#A", "heart")
     b = simple_ctx("http://y.org/c#B", "heart")
     prompt = judge_prompt(a, b, MockProvider())
-    with pytest.raises(UnparseableJudgementError):
-        judge_pair(prompt, a.iri, b.iri, 0.95, _MaybeProvider(), cache)
-    assert cache.get("judge", prompt.digest) is None
+    for entries in ({"MAYBE": -0.1}, {"YES": -math.inf, "NO": -math.inf}):
+        with pytest.raises(UnparseableJudgementError):
+            judge_pair(prompt, a.iri, b.iri, 0.95, _FirstTokenProvider(entries), cache)
+        assert cache.get("judge", prompt.digest) is None
     j = judge_pair(prompt, a.iri, b.iri, 0.95, MockProvider(), cache)
     assert j.p_yes >= 0.99
     assert cache.get("judge", prompt.digest) is not None

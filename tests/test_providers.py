@@ -619,6 +619,7 @@ def test_http_classify_rejects_an_empty_logprob_list():
     [{"token": 1, "logprob": -0.1}],
     ["YES"],
     None,
+    [{"token": "YES", "logprob": float("inf")}],
 ])
 def test_http_classify_malformed_logprobs_raise_provider_error(top):
     provider, _, _ = http_provider([logprob_response(top)])
