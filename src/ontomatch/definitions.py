@@ -90,13 +90,13 @@ def _single_paragraph(text: str) -> str:
 
 
 def definition_prompt(
-    ctx: ContextBlock, source_name: str, target_name: str, provider: Provider
+    ctx: ContextBlock, source_name: str, target_name: str, provider: Provider,
+    params: SamplingParams = SamplingParams(),
 ) -> Prompt:
-    """The definition prompt of one concept, keyed for ``provider``'s chat model."""
+    """The definition prompt of one concept, keyed for ``provider``'s chat model and ``params``."""
     messages = build_definition_prompt(ctx, source_name, target_name)
-    return Prompt(
-        messages, prompt_digest("define", TEMPLATE_VERSION, provider.chat_model_id, messages)
-    )
+    digest = prompt_digest("define", TEMPLATE_VERSION, provider.chat_model_id, messages, params)
+    return Prompt(messages, digest)
 
 
 def generate_definition(
@@ -149,7 +149,7 @@ def enrich_ontology(
 
     def jobs():
         for concept in todo:
-            prompt = definition_prompt(concept_context(concept, ontology), *names, provider)
+            prompt = definition_prompt(concept_context(concept, ontology), *names, provider, params)
             yield prompt.digest, functools.partial(
                 generate_definition, prompt, concept.iri, provider, cache, params
             )

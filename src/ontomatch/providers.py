@@ -21,7 +21,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Protocol, Sequence, get_type_hints
 
 import numpy as np
@@ -85,11 +85,14 @@ class PromptFrame:
 
     _BODY = os.urandom(16).hex()  # stands in for the content; occurs nowhere else
 
-    def __init__(self, kind: str, template_version: str, model: str, messages: Sequence[Message]):
+    def __init__(self, kind: str, template_version: str, model: str, messages: Sequence[Message],
+                 params: SamplingParams | None = None):
         *turns, last = messages
-        payload = json.dumps({"kind": kind, "template": template_version, "model": model,
-                              "messages": [*turns, {**last, "content": self._BODY}]},
-                             ensure_ascii=False, sort_keys=True)
+        key = {"kind": kind, "template": template_version, "model": model,
+               "messages": [*turns, {**last, "content": self._BODY}]}
+        if params is not None:
+            key["params"] = asdict(params)
+        payload = json.dumps(key, ensure_ascii=False, sort_keys=True)
         head, tail = payload.split(self._BODY)
         self._head, self._tail = hashlib.sha256(head.encode("utf-8")), tail.encode("utf-8")
 
@@ -99,10 +102,12 @@ class PromptFrame:
         return h.hexdigest()
 
 
-def prompt_digest(kind: str, template_version: str, model: str, messages: Sequence[Message]) -> str:
+def prompt_digest(kind: str, template_version: str, model: str, messages: Sequence[Message],
+                  params: SamplingParams | None = None) -> str:
     """Content address of a provider call: the sha256 of ``json.dumps({"kind",
-    "template", "model", "messages"}, ensure_ascii=False, sort_keys=True)``."""
-    return PromptFrame(kind, template_version, model, messages).digest(
+    "template", "model", "messages"}, ensure_ascii=False, sort_keys=True)``,
+    the dict gaining ``"params": asdict(params)`` when ``params`` is given."""
+    return PromptFrame(kind, template_version, model, messages, params).digest(
         json_escape(messages[-1]["content"]))
 
 

@@ -33,13 +33,14 @@ def cosine(a, b) -> float:
     return max(-1.0, min(1.0, value))
 
 
-def reference_prompt_digest(kind: str, template: str, model: str, messages) -> str:
-    """The cache key formula, encoded whole: sha256 of the canonical JSON."""
-    payload = json.dumps(
-        {"kind": kind, "template": template, "model": model, "messages": list(messages)},
-        ensure_ascii=False,
-        sort_keys=True,
-    )
+def reference_prompt_digest(kind: str, template: str, model: str, messages, params=None) -> str:
+    """The cache key formula, encoded whole: sha256 of the canonical JSON,
+    which holds the sampling ``params`` when they are given."""
+    key = {"kind": kind, "template": template, "model": model, "messages": list(messages)}
+    if params is not None:
+        key["params"] = {"temperature": params.temperature, "top_p": params.top_p,
+                         "max_tokens": params.max_tokens}
+    payload = json.dumps(key, ensure_ascii=False, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

@@ -627,6 +627,22 @@ def test_ontology_name_change_reruns_define(tmp_path):
     assert results["define"] == "complete"
 
 
+def test_changed_sampling_params_ask_for_every_definition_again(tmp_path,
+                                                                counting_toy_provider):
+    """A definition's cache key names the sampling parameters it was
+    generated with, so a changed ``max_tokens`` misses every cached one, and
+    a forced rerun under it is served from the cache."""
+    config = toy_config(tmp_path)
+    cold = counting_toy_provider(config)
+    Pipeline(config, provider=cold).run()
+    changed = toy_config(tmp_path, max_tokens=16)
+    first, second = counting_toy_provider(changed), counting_toy_provider(changed)
+    assert Pipeline(changed, provider=first).run()["define"] == "complete"
+    assert first.generate_calls == cold.generate_calls > 0
+    assert Pipeline(changed, provider=second).run(force=True)["define"] == "complete"
+    assert second.generate_calls == 0
+
+
 def test_a_changed_alias_file_reruns_define_through_eval(tmp_path):
     """The mock's alias groups shape its vectors and answers, so its model
     ids name them: a changed file re-runs every stage after ingest, and a

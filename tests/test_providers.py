@@ -116,6 +116,9 @@ def test_prompt_digest_equals_the_whole_json_formula(build, text):
             reference_prompt_digest("judge", "1", "model-x", messages)
     assert prompt_digest(text, text, text, build(text, text)) == \
         reference_prompt_digest(text, text, text, build(text, text))
+    params = SamplingParams(temperature=0.0, top_p=0.5, max_tokens=16)
+    assert prompt_digest("define", "1", "model-x", build(text, text), params) == \
+        reference_prompt_digest("define", "1", "model-x", build(text, text), params)
 
 
 def test_prompt_digest_covers_a_message_with_extra_keys():
