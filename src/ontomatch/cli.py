@@ -53,7 +53,8 @@ def common_options(fn):
     @click.option("--force", is_flag=True, default=False,
                   help="Re-run stages even when inputs are unchanged.")
     @click.option("--limit", type=click.IntRange(min=0), default=None,
-                  help="Bound the number of items processed by define/judge.")
+                  help="Hand define (both ontologies, source first) or judge at most this many "
+                       "items, cached ones included: the same limit again makes no new call.")
     @click.option("--bidirectional", flag_value=True, default=None,
                   help="Union candidates from both retrieval directions.")
     @functools.wraps(fn)

@@ -876,13 +876,21 @@ def test_each_stage_opens_only_what_its_row_declares(tmp_path, monkeypatch, scor
         assert {input_files[path] for path in opened if path in input_files} == set(row.files)
 
 
-def test_define_limit_records_partial_then_resumes(tmp_path):
+def test_define_limit_records_partial_then_resumes(tmp_path, counting_toy_provider):
     config = toy_config(tmp_path)
-    pipeline = Pipeline(config)
+    provider = counting_toy_provider(config)
+    pipeline = Pipeline(config, provider=provider)
     pipeline.run(stages=["ingest"])
     assert pipeline.run_stage("define", limit=10) == "partial"
     manifest = json.loads((Path(config.out_dir) / "manifest.json").read_text())
     assert manifest["stages"]["define"]["status"] == "partial"
+    calls = provider.generate_calls
+    assert calls > 0
+
+    # cached items count toward the limit: the same limit takes the same
+    # concepts again, so it makes no provider call and stays partial
+    assert pipeline.run_stage("define", limit=10) == "partial"
+    assert provider.generate_calls == calls
 
     # a partial stage is never skipped; the rerun finishes the remainder
     assert pipeline.run_stage("define") == "complete"
