@@ -15,7 +15,15 @@ import logging
 from .cache import ResponseCache
 from .errors import ProviderError
 from .model import Concept, ContextBlock, Ontology, concept_context, iri_fragment
-from .providers import Message, Prompt, Provider, SamplingParams, prompt_digest
+from .providers import (
+    Message,
+    Prompt,
+    PromptFrame,
+    Provider,
+    SamplingParams,
+    json_escape,
+    prompt_digest,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -71,13 +79,15 @@ def build_definition_prompt(
         lines.append(
             "Description: " + "; ".join(_strip_period(d) for d in ctx.descriptions)
         )
-    system = DEFINITION_SYSTEM_TEMPLATE.format(
-        source_name=source_name, target_name=target_name
-    )
     return [
-        {"role": "system", "content": system},
+        _system_turn(source_name, target_name),
         {"role": "user", "content": "\n".join(lines)},
     ]
+
+
+def _system_turn(source_name: str, target_name: str) -> Message:
+    return {"role": "system", "content": DEFINITION_SYSTEM_TEMPLATE.format(
+        source_name=source_name, target_name=target_name)}
 
 
 def _single_paragraph(text: str) -> str:
@@ -143,13 +153,18 @@ def enrich_ontology(
     the number processed. Concepts that already carry a definition are skipped.
     ``cache.serve`` fills concepts whose definition is cached on the calling thread
     and the others on up to ``max_workers`` threads; concepts with the same
-    prompt share one provider call, and so one definition."""
+    prompt share one provider call, and so one definition. The system turn
+    depends only on the two names, so one ``PromptFrame`` keys every concept:
+    its digest equals ``definition_prompt``'s."""
     todo = [c for c in ontology.sorted_concepts() if c.definition is None][:limit]
     names = (ontology.name, other_name)
+    frame = PromptFrame("define", TEMPLATE_VERSION, provider.chat_model_id,
+                        [_system_turn(*names), {"role": "user"}], params)
 
     def jobs():
         for concept in todo:
-            prompt = definition_prompt(concept_context(concept, ontology), *names, provider, params)
+            messages = build_definition_prompt(concept_context(concept, ontology), *names)
+            prompt = Prompt(messages, frame.digest(json_escape(messages[-1]["content"])))
             yield prompt.digest, functools.partial(
                 generate_definition, prompt, concept.iri, provider, cache, params
             )

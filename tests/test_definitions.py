@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+import ontomatch.definitions as definitions_module
 from ontomatch.cache import ResponseCache
 from ontomatch.definitions import (
     DEFINITION_MAX_WORDS,
@@ -18,10 +19,11 @@ from ontomatch.definitions import (
     truncate_words,
 )
 from ontomatch.errors import ProviderError
-from ontomatch.model import Concept, ContextBlock, Ontology, read_concept_jsonl
-from ontomatch.providers import MockProvider, SamplingParams
+from ontomatch.model import Concept, ContextBlock, Ontology, concept_context, read_concept_jsonl
+from ontomatch.providers import MockProvider, PromptFrame, SamplingParams
 
 from conftest import TOY_DIR, CountingProvider, append_raw_entry, golden_text
+from oracles import reference_prompt_digest
 
 SNOMED_LABEL = "Product containing only betamethasone and calcipotriol (medicinal product)"
 SNOMED_SYNONYM = "Betamethasone and calcipotriol only product"
@@ -323,6 +325,59 @@ def test_enrich_ontology_logs_hits_and_misses(tmp_path, caplog):
         enrich_ontology(_ontology(3), "tgt", MockProvider(), cache)
     lines = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
     assert lines == ["defined 3 src concepts: 1 served from cache, 2 sent to the provider"]
+
+
+# Text that JSON escapes or keeps as it is: quotes, backslashes, newlines, tabs,
+# control and non-ASCII characters, and a lone surrogate-free emoji.
+AWKWARD = ('say "hi" \\ back\\slash', "line one\nline two\r\n\ttab", "café – Ω ✓ 🫀",
+           "ctrl \x01\x1f end", "")
+
+
+def _awkward_ontology(name: str) -> Ontology:
+    onto = Ontology(name=name)
+    for i, text in enumerate(AWKWARD):
+        iri = f"http://x.org/c#\u00e9{i}"
+        onto.concepts[iri] = Concept(
+            iri=iri, label=text or None, synonyms=[t for t in AWKWARD if t and t != text][:2],
+            parents=[f"http://x.org/c#\u00e9{(i + 1) % len(AWKWARD)}", 'http://x.org/"q"\\'],
+            equiv_descriptions=[f"{text}."] if text else [])
+    return onto
+
+
+@pytest.mark.parametrize("params", [SamplingParams(), SamplingParams(0.0, 1.0, 7)])
+def test_enrich_ontology_keys_each_concept_as_the_reference_digest(tmp_path, monkeypatch,
+                                                                   params):
+    """One ``PromptFrame`` per call keys every concept exactly as the whole
+    cache-key JSON, encoded independently, would."""
+    frames, prompts = [], {}
+
+    class SpyFrame(PromptFrame):
+        def __init__(self, *args, **kwargs):
+            frames.append(self)
+            super().__init__(*args, **kwargs)
+
+    def spy_generate(prompt, iri, *args, **kwargs):
+        prompts[iri] = prompt
+        return generate_definition(prompt, iri, *args, **kwargs)
+
+    monkeypatch.setattr(definitions_module, "PromptFrame", SpyFrame)
+    monkeypatch.setattr(definitions_module, "generate_definition", spy_generate)
+    provider, cache = MockProvider(), ResponseCache(tmp_path / "cache")
+    names = ('src "A" \\ \n', "tgt – Ω")
+    for call, (name, other) in enumerate((names, names[::-1]), start=1):
+        onto = _awkward_ontology(name)
+        expected = {
+            c.iri: build_definition_prompt(concept_context(c, onto), name, other)
+            for c in onto.sorted_concepts()
+        }
+        prompts.clear()
+        assert enrich_ontology(onto, other, provider, cache, params=params) == len(AWKWARD)
+        assert len(frames) == call
+        assert {iri: p.messages for iri, p in prompts.items()} == expected
+        for prompt in prompts.values():
+            assert prompt.digest == reference_prompt_digest(
+                "define", TEMPLATE_VERSION, provider.chat_model_id, prompt.messages, params)
+    assert len(set(cache.stored("define"))) == 2 * len(AWKWARD)
 
 
 def test_unlabeled_toy_concept_warns_once_per_run_cold_and_warm(tmp_path, caplog):

@@ -11,9 +11,11 @@ import pytest
 pytest.importorskip("pytest_benchmark")
 
 from ontomatch.cache import ResponseCache
+from ontomatch.definitions import enrich_ontology
 from ontomatch.judge import judge_candidates
 from ontomatch.model import read_concept_jsonl
 from ontomatch.pipeline import Pipeline
+from ontomatch.providers import SamplingParams
 from ontomatch.retrieval import ExactIndex, read_candidates
 
 from conftest import CountingProvider, toy_config
@@ -46,6 +48,25 @@ def test_warm_judge_candidates_on_toy_pairs(tmp_path, benchmark):
         rounds=3,
     )
     assert len(judgements) == sum(len(v) for v in candidates.values())
+    assert provider.total_calls == 0
+
+
+def test_warm_enrich_ontology_on_toy_concepts(tmp_path, benchmark):
+    """Prompt rendering and keying of a fully cached define batch."""
+    config = toy_config(tmp_path)
+    pipeline = Pipeline(config)
+    pipeline.run()
+    concepts = Path(config.out_dir) / "source.concepts.jsonl"
+    provider = CountingProvider(pipeline.provider)
+    cache = ResponseCache(config.cache_dir)
+    params = SamplingParams(config.temperature, config.top_p, config.max_tokens)
+
+    def fresh_concepts():  # enrich_ontology fills what it is given
+        return (_read(concepts, config.source_name), config.target_name, provider, cache), {
+            "params": params}
+
+    processed = benchmark.pedantic(enrich_ontology, setup=fresh_concepts, rounds=3)
+    assert processed == len(_read(concepts, config.source_name))
     assert provider.total_calls == 0
 
 
