@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
-from typing import Callable, Sequence, get_type_hints
+from typing import Callable, Sequence, TypeVar, get_type_hints
 
 import numpy as np
 
@@ -67,6 +67,7 @@ from .retrieval import (
 )
 
 logger = logging.getLogger(__name__)
+T = TypeVar("T")
 
 __all__ = ["PipelineConfig", "Pipeline", "StageManifest", "global_report", "make_provider",
            "STAGES", "StageContext"]
@@ -328,14 +329,22 @@ class _RowConfig(SimpleNamespace):
 
 class StageContext:
     """All one stage may read, taken from its ``STAGE_TABLE`` row: ``config``
-    (the row's fields), ``path`` and the ``read``/``write``/``ontology`` built
-    on it (the row's artifacts), ``provider`` (only when the row names a
-    model), ``cache`` and ``max_workers``, which sets speed and never output.
-    Anything else raises ``AttributeError``. ``input_digest`` hashes the same
-    values, so a stage reads only what its digest covers."""
+    (the row's fields), ``path`` and the ``read``/``write``/``ontology``/
+    ``embeddings`` built on it (the row's artifacts), ``provider`` (only when
+    the row names a model), ``cache`` and ``max_workers``, which sets speed
+    and never output. Anything else raises ``AttributeError``.
+    ``input_digest`` hashes the same values, so a stage reads only what its
+    digest covers.
+
+    ``parses`` is the run's store of artifact parses, keyed by artifact name
+    and the sha256 ``input_digest`` took of it: ``ontology`` and
+    ``embeddings`` serve a parse an earlier stage of the run made of the same
+    bytes, and store their own. Served parses are shared, so a stage must not
+    change them. Without ``parses``, or before ``input_digest``, every call
+    parses."""
 
     def __init__(self, stage: str, config: PipelineConfig, cache: ResponseCache,
-                 provider: Provider | None = None):
+                 provider: Provider | None = None, parses: dict | None = None):
         row = STAGE_TABLE[stage]
         self.stage, self._row, self.cache = stage, row, cache
         self.config = _RowConfig(_stage=stage, **{
@@ -345,6 +354,8 @@ class StageContext:
         self.max_workers = config.max_workers
         self._out_dir = Path(config.out_dir)
         self._provider = provider
+        self._parses = parses
+        self._digests: dict[str, str] = {}  # artifact -> sha256, set by input_digest
 
     @property
     def provider(self) -> Provider:
@@ -369,17 +380,36 @@ class StageContext:
         with atomic_open(self.path(name)) as fp:
             writer(fp)
 
+    def _shared(self, artifacts: tuple[str, ...], parse: Callable[[], T]) -> T:
+        """``parse()`` of ``artifacts``, or the run's parse of the same bytes."""
+        if self._parses is None or not all(a in self._digests for a in artifacts):
+            return parse()
+        key = (artifacts[0], *(self._digests[a] for a in artifacts))
+        if key not in self._parses:
+            self._parses[key] = parse()
+        return self._parses[key]
+
     def ontology(self, side: str, kind: str) -> Ontology:
         """One side's ``concepts`` or ``enriched`` artifact, under its config
         name where the row declares it (``define``), else under its side."""
         name = vars(self.config).get(f"{side}_name", side)
-        return self.read(f"{side}.{kind}.jsonl", partial(read_concept_jsonl, name=name))
+        artifact = f"{side}.{kind}.jsonl"
+        onto = self._shared((artifact,),
+                            lambda: self.read(artifact, partial(read_concept_jsonl, name=name)))
+        return onto if onto.name == name else replace(onto, name=name)
+
+    def embeddings(self, side: str) -> tuple[list[str], np.ndarray]:
+        """One side's IRIs and embedding matrix, from its ``embeddings`` artifact."""
+        base = f"{side}.embeddings"
+        return self._shared((f"{base}.npy", f"{base}.json"),
+                            lambda: load_embeddings(self.path(base))[:2])
 
     def input_digest(self) -> str:
         """Digest of all the stage reads; ``run_stage`` skips it while unchanged."""
         row, cfg = self._row, self.config
+        self._digests = {a: _sha256_file(self.path(a)) for a in row.reads}
         return _digest_of({
-            "artifacts": {a: _sha256_file(self.path(a)) for a in row.reads},
+            "artifacts": self._digests,
             "files": {f: _sha256_file(Path(getattr(cfg, f))) if getattr(cfg, f) else None
                       for f in row.files},
             "config": {name: getattr(cfg, name) for name in row.config},
@@ -405,7 +435,8 @@ def _define(ctx: StageContext, limit: int | None) -> bool:
     complete = True
     remaining = limit
     for side, other in zip(SIDES, reversed(SIDES)):
-        onto = ctx.ontology(side, "concepts")
+        onto = ctx.ontology(side, "concepts")  # shared with fuse, so filled in a copy
+        onto = replace(onto, concepts={iri: replace(c) for iri, c in onto.concepts.items()})
         if cfg.use_definitions:
             todo = sum(1 for c in onto.concepts.values() if c.definition is None)
             processed = enrich_ontology(
@@ -452,7 +483,7 @@ def _embed(ctx: StageContext, limit: int | None) -> None:
 
 def _match(ctx: StageContext, limit: int | None) -> None:
     cfg = ctx.config
-    source, target = (load_embeddings(ctx.path(f"{side}.embeddings"))[:2] for side in SIDES)
+    source, target = map(ctx.embeddings, SIDES)
     candidates = generate_candidates(*source, build_index(*target), k=cfg.k)
     if cfg.bidirectional:
         backward = generate_candidates(*target, build_index(*source), k=cfg.k)
@@ -499,9 +530,8 @@ def _ranking_scorer(ctx: StageContext) -> Callable[[list[Pair]], dict[Pair, floa
     artifacts (-1.0 for a missing concept), or their p_yes from one
     ``judge_candidates`` call (0.0 for a missing concept)."""
     if ctx.config.ranking_scorer == "cosine":
-        src, tgt = ({iri: (v, float(np.linalg.norm(v))) for iri, v in zip(iris, matrix)}
-                    for iris, matrix, _ in (load_embeddings(ctx.path(f"{side}.embeddings"))
-                                            for side in SIDES))
+        src, tgt = ({iri: (v, float(np.linalg.norm(v))) for iri, v in zip(*ctx.embeddings(side))}
+                    for side in SIDES)
         return lambda pairs: {
             (s, t): cosine(src[s][0], tgt[t][0], src[s][1], tgt[t][1])
             if s in src and t in tgt else -1.0
@@ -548,6 +578,7 @@ class Pipeline:
         self.cache = ResponseCache(Path(config.cache_dir))
         self._provider = provider
         self.manifest = StageManifest(self.out_dir / "manifest.json")
+        self._parses: dict | None = None  # the artifact parses of the running run()
 
     @property
     def provider(self) -> Provider:
@@ -565,7 +596,8 @@ class Pipeline:
         for artifact in row.reads:
             if not (self.out_dir / artifact).exists():
                 raise MissingArtifactError(artifact, _PRODUCER[artifact])
-        ctx = StageContext(stage, self.config, self.cache, self.provider if row.model else None)
+        ctx = StageContext(stage, self.config, self.cache, self.provider if row.model else None,
+                           self._parses)
         input_digest = ctx.input_digest()
         if not force and self.manifest.can_skip(stage, input_digest, self.out_dir):
             logger.info("stage %s: inputs unchanged, skipping", stage)
@@ -594,7 +626,9 @@ class Pipeline:
     ) -> dict[str, str]:
         """Run the listed stages in pipeline order (defaults to all,
         including eval only when a reference is configured), once every
-        input file they read is there."""
+        input file they read is there. A stage reuses an artifact parse an
+        earlier stage of this run made of the same bytes; a parse is dropped
+        after the last listed stage whose row reads its artifact."""
         if stages is None:
             stages = [s for s in STAGES if s != "eval" or self.config.reference]
         ordered = [s for s in STAGES if s in set(stages)]
@@ -605,7 +639,14 @@ class Pipeline:
         if any(STAGE_TABLE[stage].model for stage in ordered):
             self.provider  # a bad provider spec fails here, before any stage writes
         self.out_dir.mkdir(parents=True, exist_ok=True)
+        last_reader = {a: stage for stage in ordered for a in STAGE_TABLE[stage].reads}
         results = {}
-        for stage in ordered:
-            results[stage] = self.run_stage(stage, force=force, limit=limit)
+        self._parses = {}
+        try:
+            for stage in ordered:
+                results[stage] = self.run_stage(stage, force=force, limit=limit)
+                for key in [k for k in self._parses if last_reader[k[0]] == stage]:
+                    del self._parses[key]
+        finally:
+            self._parses = None
         return results

@@ -133,6 +133,122 @@ def test_forced_rerun_is_byte_identical_via_caches(tmp_path, counting_toy_provid
     assert snapshot(config.out_dir) == before
 
 
+# -- parse reuse within a run -----------------------------------------------------
+
+
+def _spy_parses(monkeypatch, out_dir: str) -> tuple[list[str], list[str]]:
+    """Names of the concept JSONL files parsed, and of the ``out/`` embedding
+    bases loaded, through the pipeline module from here on."""
+    jsonl, embeddings = [], []
+    read, load = pipeline_module.read_concept_jsonl, pipeline_module.load_embeddings
+
+    def spy_read(fp, name):
+        jsonl.append(Path(fp.name).name)
+        return read(fp, name)
+
+    def spy_load(base):
+        if Path(base).parent == Path(out_dir):
+            embeddings.append(Path(base).name)
+        return load(base)
+
+    monkeypatch.setattr(pipeline_module, "read_concept_jsonl", spy_read)
+    monkeypatch.setattr(pipeline_module, "load_embeddings", spy_load)
+    return jsonl, embeddings
+
+
+@pytest.mark.parametrize("scorer", ["cosine", "pyes"])
+def test_a_forced_run_parses_each_artifact_once(tmp_path, monkeypatch, scorer):
+    """define's concepts serve fuse, embed's enriched concepts serve judge
+    (and the pyes scorer), match's embeddings serve the cosine scorer."""
+    config = toy_config(tmp_path, few_shot=1, ranking_cases=toy_ranking_cases(tmp_path),
+                        ranking_scorer=scorer)
+    Pipeline(config).run()
+    before = snapshot(config.out_dir)
+    jsonl, embeddings = _spy_parses(monkeypatch, config.out_dir)
+    assert Pipeline(config).run(force=True) == {s: "complete" for s in STAGES}
+    assert sorted(jsonl) == [f"{side}.{kind}.jsonl" for side in ("source", "target")
+                             for kind in ("concepts", "enriched")]
+    assert embeddings == ["source.embeddings", "target.embeddings"]
+    assert snapshot(config.out_dir) == before
+
+
+def test_an_artifact_rewritten_within_a_run_is_parsed_again(tmp_path, monkeypatch):
+    """A parse is keyed by the bytes its stage digested: concepts rewritten
+    after define reach fuse as written."""
+    config = toy_config(tmp_path)
+    Pipeline(config).run()
+    concepts = Path(config.out_dir) / "source.concepts.jsonl"
+    rewritten = concepts.read_text(encoding="utf-8").replace(
+        "Anatomical structure alpha 01", "Relabelled structure")
+    exact_inputs = []
+    exact_match = pipeline_module.exact_match
+
+    def spy_exact(source, target):
+        exact_inputs.append(source)
+        return exact_match(source, target)
+
+    jsonl, _ = _spy_parses(monkeypatch, config.out_dir)
+    monkeypatch.setattr(pipeline_module, "exact_match", spy_exact)
+    pipeline = Pipeline(config)
+    run_stage = pipeline.run_stage
+
+    def rewrite_after_define(stage, **kwargs):
+        status = run_stage(stage, **kwargs)
+        if stage == "define":
+            concepts.write_text(rewritten, encoding="utf-8")
+        return status
+
+    pipeline.run_stage = rewrite_after_define
+    pipeline.run(stages=["define", "fuse"], force=True)
+    assert jsonl.count("source.concepts.jsonl") == 2
+    assert jsonl.count("target.concepts.jsonl") == 1
+    [source] = exact_inputs
+    assert source.concepts["http://example.org/src#S01"].label == "Relabelled structure"
+
+
+def test_define_fills_a_copy_so_fuse_sees_the_concepts_as_parsed(tmp_path, monkeypatch):
+    config = toy_config(tmp_path)
+    Pipeline(config).run()
+    out = Path(config.out_dir)
+    fused_from = []
+    exact_match = pipeline_module.exact_match
+
+    def spy_exact(source, target):
+        fused_from.append((source, target))
+        return exact_match(source, target)
+
+    monkeypatch.setattr(pipeline_module, "exact_match", spy_exact)
+    Pipeline(config).run(force=True)
+    fresh = []
+    for side in ("source", "target"):
+        with open(out / f"{side}.concepts.jsonl", encoding="utf-8") as fp:
+            fresh.append(read_concept_jsonl(fp, name=side))
+    [shared] = fused_from
+    assert [o.concepts for o in shared] == [o.concepts for o in fresh]
+    assert all(c.definition is None for o in shared for c in o.concepts.values())
+    assert exact_match(*shared).pairs() == exact_match(*fresh).pairs()
+
+
+def test_a_parse_is_held_only_until_its_last_reader_in_the_run(tmp_path):
+    config = toy_config(tmp_path, ranking_cases=toy_ranking_cases(tmp_path))
+    pipeline = Pipeline(config)
+    run_stage, held = pipeline.run_stage, {}
+
+    def record(stage, **kwargs):
+        held[stage] = {key[0] for key in pipeline._parses}
+        return run_stage(stage, **kwargs)
+
+    pipeline.run_stage = record
+    pipeline.run()
+    for i, stage in enumerate(STAGES):
+        read_later = {a for later in STAGES[i:] for a in STAGE_TABLE[later].reads}
+        assert held[stage] <= read_later, stage
+    assert held["fuse"] >= {"source.concepts.jsonl", "target.concepts.jsonl"}
+    assert held["eval"] == {"source.embeddings.npy", "target.embeddings.npy",
+                            "source.enriched.jsonl", "target.enriched.jsonl"}
+    assert pipeline._parses is None
+
+
 @pytest.mark.parametrize("change", ["overwrite", "delete"])
 def test_a_changed_or_missing_output_reruns_only_the_stage_that_wrote_it(tmp_path, change):
     """The manifest records each output's hash, so a finished run whose
