@@ -137,12 +137,15 @@ class AliasTable:
     Matching is case-insensitive on whitespace-collapsed text. A left-to-right
     scan replaces the longest alias that starts at each position, so
     overlapping aliases resolve deterministically. Members that collapse to
-    the empty string are ignored.
+    the empty string are ignored. Each distinct text is canonicalized once
+    per table.
     """
 
     def __init__(self, groups: Sequence[Sequence[str]] = ()):
         # A character trie; the key None ends an alias and holds its canonical.
         self._trie: dict = {}
+        # text -> its canonical form; two threads may both fill one entry, with equal values
+        self._canonical: dict[str, str] = {}
         for group in groups:
             for member in group:
                 node = self._trie
@@ -152,6 +155,12 @@ class AliasTable:
                     node[None] = normalize_string(group[0])
 
     def canonicalize(self, text: str) -> str:
+        canonical = self._canonical.get(text)
+        if canonical is None:
+            canonical = self._canonical[text] = self._rewrite(text)
+        return canonical
+
+    def _rewrite(self, text: str) -> str:
         collapsed = normalize_string(text)
         out: list[str] = []
         i = 0
@@ -204,28 +213,34 @@ class MockProvider:
         self.embed_model_id = f"mock-embed-d{dimension}-s{seed}{tag}"
         self.chat_model_id = f"mock-chat-s{seed}{tag}"
         self._key = seed.to_bytes(8, "little", signed=True)
+        # token -> _hash_feature(token); two threads may both fill one entry, with equal values
+        self._features: dict[str, tuple[int, float]] = {}
 
     # -- embeddings ---------------------------------------------------------
 
     def _hash_feature(self, token: str) -> tuple[int, float]:
-        digest = hashlib.blake2b(token.encode("utf-8"), key=self._key, digest_size=8).digest()
-        value = int.from_bytes(digest, "little")
-        bucket = value % self.dimension
-        sign = 1.0 if (value >> 63) & 1 == 0 else -1.0
-        return bucket, sign
+        feature = self._features.get(token)
+        if feature is None:
+            digest = hashlib.blake2b(token.encode("utf-8"), key=self._key, digest_size=8).digest()
+            value = int.from_bytes(digest, "little")
+            sign = 1.0 if (value >> 63) & 1 == 0 else -1.0
+            feature = self._features[token] = (value % self.dimension, sign)
+        return feature
 
     def _embed_one(self, text: str) -> np.ndarray:
         if not text.strip():
             text = EMPTY_TEXT_PLACEHOLDER
         canonical = self.alias.canonicalize(text)
-        vec = np.zeros(self.dimension, dtype=np.float64)
         if len(canonical) < 3:
             tokens = [canonical]
         else:
             tokens = [canonical[i : i + 3] for i in range(len(canonical) - 2)]
+        # Sums of +-1.0 are exact, so a list accumulates them as numpy would.
+        counts = [0.0] * self.dimension
         for token in tokens:
             bucket, sign = self._hash_feature(token)
-            vec[bucket] += sign
+            counts[bucket] += sign
+        vec = np.array(counts, dtype=np.float64)
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
             # all features cancelled; fall back to a single unit component

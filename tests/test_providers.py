@@ -244,6 +244,52 @@ def test_mock_embeddings_pure_across_instances():
         assert np.array_equal(x, y)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_a_memoizing_mock_answers_as_a_fresh_one_on_random_texts(seed):
+    """One provider, whose trigram and alias memos fill as it goes, against
+    a fresh provider per call, on texts that repeat, hold alias members and
+    hit the memos on the second pass."""
+    rng = random.Random(seed)
+    members = [m for g in ALIASES for m in g]
+    words = [*members, "heart", "Kidney", "  lobe ", "é", "", "ab"]
+    texts = [" ".join(rng.choice(words) for _ in range(rng.randint(0, 4))) for _ in range(40)]
+    memoizing = MockProvider(dimension=16, seed=seed, alias_groups=ALIASES)
+
+    def fresh():
+        return MockProvider(dimension=16, seed=seed, alias_groups=ALIASES)
+
+    for text in texts + texts[::-1]:
+        assert np.array_equal(memoizing.embed_batch([text])[0], fresh().embed_batch([text])[0])
+        prompt = chat("system", f"Concept: {text}")
+        assert memoizing.generate(prompt, SamplingParams()) == fresh().generate(
+            prompt, SamplingParams())
+        pair = chat("system", f"Name: {text}\nName: {rng.choice(texts)}")
+        assert memoizing.classify_first_token(pair) == fresh().classify_first_token(pair)
+
+
+def test_a_mock_shared_by_threads_answers_as_a_fresh_one():
+    """Threads racing to fill the same memo entries (with a short switch
+    interval) each get a fresh provider's vectors and answers."""
+    texts = [f"{name} {i % 7}" for i in range(60) for name in ("heart", "abducens nerve")]
+    fresh = MockProvider(dimension=16, alias_groups=ALIASES)
+    expected = [(fresh.embed_batch([t])[0].tolist(),
+                 fresh.classify_first_token(judge_messages(t, texts[0]))) for t in texts]
+    shared = MockProvider(dimension=16, alias_groups=ALIASES)
+
+    def answers(_):
+        return [(shared.embed_batch([t])[0].tolist(),
+                 shared.classify_first_token(judge_messages(t, texts[0]))) for t in texts]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(answers, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 8
+
+
 def test_mock_embeddings_unit_norm_and_shape():
     vecs = MockProvider(dimension=48, seed=3).embed_batch(["heart", "ab", ""])
     for v in vecs:
