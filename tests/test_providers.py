@@ -271,10 +271,13 @@ def test_a_mock_shared_by_threads_answers_as_a_fresh_one():
     """Threads racing to fill the same memo entries (with a short switch
     interval) each get a fresh provider's vectors and answers."""
     texts = [f"{name} {i % 7}" for i in range(60) for name in ("heart", "abducens nerve")]
-    fresh = MockProvider(dimension=16, alias_groups=ALIASES)
-    expected = [(fresh.embed_batch([t])[0].tolist(),
-                 fresh.classify_first_token(judge_messages(t, texts[0]))) for t in texts]
-    shared = MockProvider(dimension=16, alias_groups=ALIASES)
+
+    def fresh():
+        return MockProvider(dimension=16, alias_groups=ALIASES)
+
+    expected = [(fresh().embed_batch([t])[0].tolist(),
+                 fresh().classify_first_token(judge_messages(t, texts[0]))) for t in texts]
+    shared = fresh()
 
     def answers(_):
         return [(shared.embed_batch([t])[0].tolist(),
