@@ -8,12 +8,11 @@ appended with one ``os.write``.
 
 Building a cache touches no file. A kind's log is read at its first
 ``stored``, ``get`` or ``put`` into a map of digest -> payload bytes, a later
-record of a digest replacing an earlier one. A block that fails to
-decompress or parse (zlib's adler32 and the length prefix catch a torn or
-corrupt one) is logged and skipped, so its entries are computed again; the
-log is cut there and the good blocks after it are appended again. The load
-also folds entry files of the old layout, ``<root>/<kind>/<digest>.json``,
-into the log, sorted by digest, and removes them once the log is synced.
+record of a digest replacing an earlier one. A load only reads. A block that
+fails to decompress or parse (zlib's adler32 and the length prefix catch a
+torn or corrupt one) is logged and skipped to the next length followed by
+the zlib header that starts every block body. Its entries are computed again
+and appended; its bytes stay, so every load skips them again.
 
 Outside ``serve``, ``put`` appends its entry at once. Inside it (one call per
 stage batch) ``put`` parks the entry in memory, where ``get`` reads it, and
@@ -36,7 +35,7 @@ import threading
 import uuid
 import zlib
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, KeysView, TypeVar
 
@@ -44,6 +43,7 @@ logger = logging.getLogger(__name__)
 
 _BLOCK = struct.Struct("<I")  # length of the compressed records
 _RECORD = struct.Struct("<HI")  # lengths of the digest and the payload
+_SYNC = zlib.compress(b"")[:2]  # the zlib header, b"x\x9c", that starts every block body
 BLOCK_ENTRIES = 64
 QUEUE_PER_WORKER = 4
 T = TypeVar("T")
@@ -74,16 +74,14 @@ def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
         raise
 
 
-def _append(path: str, data: bytes, sync: bool = False) -> None:
-    """Append ``data`` to ``path`` with one write; ``sync`` also fsyncs it."""
+def _append(path: str, data: bytes) -> None:
+    """Append ``data`` to ``path`` with one write."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
     flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT | getattr(os, "O_BINARY", 0)
     fd = os.open(path, flags, 0o666)
     try:
         if os.write(fd, data) != len(data):
             raise OSError(f"short write to {path}")
-        if sync:
-            os.fsync(fd)
     finally:
         os.close(fd)
 
@@ -120,8 +118,8 @@ class ResponseCache:
             return self._entries[kind]
 
     def _read(self, kind: str) -> dict[str, bytes]:
-        """Load ``kind``'s log, cut it at a bad block, fold in old entry files."""
-        path, entries, pos, cut, kept = self._log(kind), {}, 0, None, []
+        """Parse ``kind``'s log, skipping bad blocks; writes nothing."""
+        path, entries, pos, skipping = self._log(kind), {}, 0, False
         log = Path(path).read_bytes() if os.path.exists(path) else b""
         while pos < len(log):
             start = pos
@@ -135,27 +133,17 @@ class ResponseCache:
                     at = key + key_size + size
                     block[body[key:key + key_size].decode("utf-8")] = body[key + key_size:at]
             except (struct.error, zlib.error, UnicodeDecodeError) as exc:
-                logger.warning("skipping a bad block at byte %d of %s: %s", start, path, exc)
-                cut = start if cut is None else cut
-                if not start < pos <= len(log):  # the rest is a torn tail
+                if not skipping:
+                    logger.warning("skipping a bad block at byte %d of %s: %s", start, path, exc)
+                skipping = True
+                # Go on at the next offset where a length is followed by the
+                # header every block body starts with; adler32 rejects a false start.
+                pos = log.find(_SYNC, start + _BLOCK.size + 1) - _BLOCK.size
+                if pos < start:
                     break
                 continue
+            skipping = False
             entries.update(block)
-            if cut is not None:
-                kept.append(log[start:pos])
-        if cut is not None:
-            os.truncate(path, cut)
-            _append(path, b"".join(kept))
-        old = sorted((self.root / kind).glob("*.json"))
-        if old:
-            for entry in old:
-                entries[entry.stem] = entry.read_bytes()
-            _append(path, _blocks([_record(e.stem, entries[e.stem]) for e in old]), sync=True)
-            for entry in old:
-                entry.unlink()
-            with suppress(OSError):
-                (self.root / kind).rmdir()
-            logger.info("folded %d old entry files of %s into %s", len(old), kind, path)
         return entries
 
     def stored(self, kind: str) -> KeysView[str]:
@@ -208,7 +196,9 @@ class ResponseCache:
               max_workers: int) -> tuple[list[T], int]:
         """Run each ``(digest, job)`` of ``jobs``; returns the results in job
         order and the number of jobs served from the cache. Each job reaches
-        the provider only through ``get_or_compute(kind, digest, ...)``.
+        the provider only through ``get_or_compute(kind, digest, ...)``; a job
+        that puts its own entry, as one whose stored entry is unusable does,
+        is not served from the cache.
 
         A job whose digest is in ``stored(kind)`` runs on the calling thread.
         The others wait on the provider, so they go to a pool of
@@ -233,7 +223,7 @@ class ResponseCache:
         block: list[bytes] = []  # records of collected jobs, not yet appended
         served = 0
 
-        def collect(digest: str) -> None:
+        def collect(digest: str) -> bytes | None:
             nonlocal block
             with self._lock:
                 record = self._parked.pop((kind, digest), None)
@@ -242,6 +232,7 @@ class ResponseCache:
                     if len(block) == BLOCK_ENTRIES:
                         full, block = block, []
                         self._flush(kind, full)
+            return record
 
         raising = True
         try:
@@ -262,9 +253,14 @@ class ResponseCache:
                         queued[digest] = (len(results), pool.submit(job))
                         results.append(None)
                         continue
+                    with self._lock:
+                        before = self._parked.get((kind, digest))
                     results.append(job())
-                    collect(digest)
-                    served += 1
+                    # A job that put its own entry (its stored one was
+                    # unusable) asked the provider; one that reads what
+                    # another job put is a hit.
+                    if collect(digest) is before:
+                        served += 1
                 for digest, (index, future) in queued.items():
                     results[index] = future.result()
                     collect(digest)

@@ -1,7 +1,8 @@
 """Content-addressed response cache: the log format, round-trips,
-corruption, bad blocks, the old file layout, get-or-compute, batches, and
-the atomic writer every artifact goes through."""
+corruption, bad blocks, get-or-compute, batches, and the atomic writer every
+artifact goes through."""
 
+import hashlib
 import json
 import os
 import struct
@@ -148,43 +149,17 @@ def test_get_or_compute_returns_written_record_without_reading_back(tmp_path, mo
     assert got == real_get("judge", "d1")
 
 
-def test_stored_lists_only_json_entries(tmp_path):
-    """Entry files of the layout before the logs are folded into the log at
-    the kind's first use, sorted by digest and with their bytes as they are,
-    and removed; strays in their directory are left alone."""
-    kind_dir = tmp_path / "cache" / "define"
-    kind_dir.mkdir(parents=True)
-    (kind_dir / "d2.json").write_bytes(b'{"text": "other"}')
-    (kind_dir / "d1.json").write_bytes(b'{"text": "def"}')
-    # What a writer killed before its rename left, and other strays.
-    (kind_dir / "tmp0123456789abcdef.tmp").write_text('{"text": "half')
-    (kind_dir / "notes.txt").write_text("x")
-    (kind_dir / "d3.json.bak").write_text("{}")
-    cache = ResponseCache(tmp_path / "cache")
-    assert cache.stored("define") == {"d1", "d2"}
-    assert sorted(p.name for p in kind_dir.iterdir()) == [
-        "d3.json.bak", "notes.txt", "tmp0123456789abcdef.tmp"]
-    log = tmp_path / "cache" / "define.log"
-    assert log.read_bytes() == cache_module._blocks([
-        cache_module._record("d1", b'{"text": "def"}'),
-        cache_module._record("d2", b'{"text": "other"}')])
-    assert ResponseCache(tmp_path / "cache").get("define", "d2") == {"text": "other"}
-
-
-def test_old_entry_files_of_a_kind_are_folded_once_and_their_directory_goes(tmp_path):
+def test_a_leftover_entry_directory_is_ignored(tmp_path):
+    """Entry files of the layout before the logs are not read, and their
+    directory is left as it is."""
     kind_dir = tmp_path / "cache" / "judge"
     kind_dir.mkdir(parents=True)
-    for i in range(BLOCK_ENTRIES + 1):
-        (kind_dir / f"d{i:03d}.json").write_text(f'{{"p_yes": {i}}}')
-    ResponseCache(tmp_path / "cache").put("judge", "new", {"p_yes": -1})
-    assert not kind_dir.exists()
-    log = tmp_path / "cache" / "judge.log"
-    assert block_digests(log) == [
-        [f"d{i:03d}" for i in range(BLOCK_ENTRIES)], [f"d{BLOCK_ENTRIES:03d}"], ["new"]]
-    fresh = ResponseCache(tmp_path / "cache")
-    assert len(fresh.stored("judge")) == BLOCK_ENTRIES + 2
-    assert fresh.get("judge", "d007") == {"p_yes": 7}
-    assert log.stat().st_size == sum(e - s for s, e in log_blocks(log))
+    (kind_dir / "d1.json").write_bytes(b'{"p_yes": 0.5}')
+    cache = ResponseCache(tmp_path / "cache")
+    assert cache.get("judge", "d1") is None
+    assert cache.stored("judge") == set()
+    assert [p.name for p in kind_dir.iterdir()] == ["d1.json"]
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == ["judge"]
 
 
 def test_stored_is_empty_for_a_missing_kind_directory(tmp_path):
@@ -244,7 +219,7 @@ def test_put_failure_keeps_the_old_entry_and_leaves_no_temporary(tmp_path):
 
 
 def test_a_failed_append_stores_nothing(tmp_path, monkeypatch):
-    def refuse(path, data, sync=False):
+    def refuse(path, data):
         raise OSError(f"cannot append to {path}")
 
     cache = ResponseCache(tmp_path / "cache")
@@ -283,10 +258,52 @@ def test_building_a_cache_touches_no_file(tmp_path, monkeypatch):
     ResponseCache(tmp_path / "missing")
 
 
+def test_a_load_of_a_half_appended_block_writes_nothing(tmp_path, monkeypatch):
+    """A block that another process is still appending: a load skips its
+    first half and leaves the log byte for byte as it was; once the rest is
+    appended, a fresh load serves the block's entry."""
+    ResponseCache(tmp_path / "cache").put("judge", "d0", {"p_yes": 0.5})
+    log = tmp_path / "cache" / "judge.log"
+    block = cache_module._blocks([cache_module._record("d1", b'{"p_yes": 0.25}')])
+    with open(log, "ab") as fp:
+        fp.write(block[:len(block) // 2])
+    before = hashlib.sha256(log.read_bytes()).hexdigest()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a load appended to the log")
+
+    monkeypatch.setattr(cache_module, "_append", refuse)
+    assert ResponseCache(tmp_path / "cache").stored("judge") == {"d0"}
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == before
+    monkeypatch.undo()
+    with open(log, "ab") as fp:
+        fp.write(block[len(block) // 2:])
+    fresh = ResponseCache(tmp_path / "cache")
+    assert fresh.get("judge", "d1") == {"p_yes": 0.25}
+    assert fresh.get("judge", "d0") == {"p_yes": 0.5}
+
+
+def test_every_block_body_starts_with_the_sync_header():
+    """A load that meets a bad block goes on at the next length followed by
+    ``_SYNC``, so every block ``_blocks`` writes must start with it: a change
+    of compression level would otherwise hide every block after a bad one."""
+    assert cache_module._SYNC == b"x\x9c"
+    records = [cache_module._record(f"d{i}", bytes(range(i % 256)) * i)
+               for i in range(BLOCK_ENTRIES * 3)]
+    data, pos, bodies = cache_module._blocks(records), 0, 0
+    while pos < len(data):
+        (size,) = struct.unpack_from("<I", data, pos)
+        assert data[pos + 4:pos + 6] == cache_module._SYNC
+        pos, bodies = pos + 4 + size, bodies + 1
+    assert pos == len(data) and bodies == 3
+
+
 # -- bad blocks ---------------------------------------------------------------------
 
 
-def test_a_torn_tail_is_cut_before_the_next_append(tmp_path, caplog):
+def test_a_torn_tail_stays_and_the_blocks_appended_after_it_load(tmp_path, caplog):
+    """A torn last block is skipped at every load and never cut: a put
+    appends after it, and the next load finds that block past the torn one."""
     cache = ResponseCache(tmp_path / "cache")
     for i in range(3):
         cache.put("judge", f"d{i}", {"p_yes": i})
@@ -294,18 +311,21 @@ def test_a_torn_tail_is_cut_before_the_next_append(tmp_path, caplog):
     spans = log_blocks(log)
     with open(log, "r+b") as fp:
         fp.truncate(spans[2][0] + 5)
+    torn = log.read_bytes()
     with caplog.at_level("WARNING"):
         fresh = ResponseCache(tmp_path / "cache")
         assert fresh.stored("judge") == {"d0", "d1"}
-    assert any("bad block" in m for m in caplog.messages)
-    assert log.stat().st_size == spans[1][1]
+    assert sum("bad block" in m for m in caplog.messages) == 1
+    assert log.read_bytes() == torn
     fresh.put("judge", "d2", {"p_yes": 2})
+    assert log.read_bytes()[:len(torn)] == torn
     caplog.clear()
-    assert ResponseCache(tmp_path / "cache").get("judge", "d2") == {"p_yes": 2}
-    assert not caplog.messages
+    with caplog.at_level("WARNING"):
+        assert ResponseCache(tmp_path / "cache").get("judge", "d2") == {"p_yes": 2}
+    assert [f"byte {spans[2][0]} " in m for m in caplog.messages] == [True]
 
 
-def test_a_corrupt_block_is_skipped_and_the_blocks_after_it_are_kept(tmp_path, caplog):
+def test_a_corrupt_block_stays_and_every_load_skips_it(tmp_path, caplog):
     cache = ResponseCache(tmp_path / "cache")
     for i in range(3):
         cache.put("judge", f"d{i}", {"p_yes": i})
@@ -314,13 +334,32 @@ def test_a_corrupt_block_is_skipped_and_the_blocks_after_it_are_kept(tmp_path, c
     data = bytearray(log.read_bytes())
     data[(start + 4 + end) // 2] ^= 0xFF
     log.write_bytes(bytes(data))
+    for _ in range(2):
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert ResponseCache(tmp_path / "cache").stored("judge") == {"d0", "d2"}
+        assert sum("bad block" in m for m in caplog.messages) == 1
+        assert log.read_bytes() == bytes(data)
+
+
+def test_a_load_resyncs_past_false_block_starts(tmp_path, caplog):
+    """Garbage between two blocks that holds the header behind a length, once
+    with a length past the end of the log and once before an empty stream
+    whose adler32 is wrong, is one bad stretch: one warning, and the block
+    after it loads."""
+    cache = ResponseCache(tmp_path / "cache")
+    cache.put("judge", "d0", {"p_yes": 0})
+    log = tmp_path / "cache" / "judge.log"
+    sync = cache_module._SYNC
+    with open(log, "ab") as fp:
+        fp.write(b"\x00garbage" + struct.pack("<I", 1 << 30) + sync + b"\x01\x02"
+                 + struct.pack("<I", 8) + sync + b"\x03\x00\x00\x00\x00\x02")
+    cache.put("judge", "d1", {"p_yes": 1})
     with caplog.at_level("WARNING"):
-        assert ResponseCache(tmp_path / "cache").stored("judge") == {"d0", "d2"}
+        fresh = ResponseCache(tmp_path / "cache")
+        assert fresh.stored("judge") == {"d0", "d1"}
+        assert fresh.get("judge", "d1") == {"p_yes": 1}
     assert sum("bad block" in m for m in caplog.messages) == 1
-    assert block_digests(log) == [["d0"], ["d2"]]
-    caplog.clear()
-    assert ResponseCache(tmp_path / "cache").stored("judge") == {"d0", "d2"}
-    assert not caplog.messages
 
 
 # -- batches: one serve call, appends in commit order ------------------------------
@@ -391,7 +430,7 @@ def test_a_batch_appends_full_blocks_in_commit_order_and_the_rest_at_its_end(tmp
 
 
 def test_a_failed_append_raises_at_the_commit_that_fills_a_block(tmp_path, monkeypatch):
-    def refuse(path, data, sync=False):
+    def refuse(path, data):
         raise OSError(f"cannot append to {path}")
 
     cache = ResponseCache(tmp_path / "cache")
@@ -413,7 +452,7 @@ def test_a_failed_append_raises_at_the_commit_that_fills_a_block(tmp_path, monke
 
 def test_a_raising_batch_logs_a_failed_append_and_keeps_its_own_error(tmp_path, monkeypatch,
                                                                       caplog):
-    def refuse(path, data, sync=False):
+    def refuse(path, data):
         raise OSError(f"cannot append to {path}")
 
     def fail():

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -28,9 +27,9 @@ from pathlib import Path
 import pytest
 
 from ontomatch.cache import ResponseCache
-from ontomatch.pipeline import Pipeline, make_provider
+from ontomatch.pipeline import Pipeline
 
-from conftest import GOLDEN_DIR, CountingProvider, toy_config
+from conftest import GOLDEN_DIR, toy_config
 
 GOLDEN = GOLDEN_DIR / "cache_keys.json"
 KINDS = ("define", "judge")
@@ -77,40 +76,6 @@ def test_a_cold_toy_run_writes_the_pinned_cache_keys_and_bytes(tmp_path, case):
     for kind in expected:
         assert actual[kind]["entries"] == expected[kind]["entries"], kind
         assert actual[kind]["sha256"] == expected[kind]["sha256"], kind
-
-
-def test_a_warm_run_over_the_old_file_layout_calls_no_provider_and_folds_it(tmp_path):
-    """A cache in the layout before the logs, one ``<kind>/<digest>.json``
-    file per entry holding the golden bytes, serves a whole run: no
-    provider call, the artifacts of the run that made it, and no old entry
-    file left afterwards."""
-    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))["default"]
-    made = toy_config(tmp_path / "made")
-    Pipeline(made).run()
-    store = ResponseCache(made.cache_dir)
-    old = tmp_path / "old" / "cache"
-    shutil.copytree(Path(made.cache_dir) / "embed", old / "embed")
-    for kind in KINDS:
-        (old / kind).mkdir()
-        for digest, data in store._load(kind).items():
-            (old / kind / f"{digest}.json").write_bytes(data)
-        names = sorted(p.name for p in (old / kind).iterdir())
-        h = hashlib.sha256()
-        for name in names:
-            h.update((old / kind / name).read_bytes())
-        assert {"entries": names, "sha256": h.hexdigest()} == expected[kind], kind
-
-    config = toy_config(tmp_path / "old")
-    provider = CountingProvider(make_provider(config))
-    Pipeline(config, provider=provider).run()
-    assert provider.total_calls == 0
-
-    def artifacts(out_dir):
-        return {p.name: p.read_bytes() for p in Path(out_dir).iterdir() if p.name != "manifest.json"}
-
-    assert artifacts(config.out_dir) == artifacts(made.out_dir)
-    assert sorted(p.name for p in old.iterdir()) == ["define.log", "embed", "judge.log"]
-    assert cache_keys(old) == expected
 
 
 if __name__ == "__main__":

@@ -519,7 +519,7 @@ def test_judge_candidates_stops_calling_the_provider_once_an_entry_write_fails(t
     pairs = len(src) * len(tgt)
     assert pairs > BLOCK_ENTRIES + QUEUE_PER_WORKER
 
-    def refuse(path, data, sync=False):
+    def refuse(path, data):
         raise OSError(f"cannot append to {path}")
 
     monkeypatch.setattr(cache_module, "_append", refuse)

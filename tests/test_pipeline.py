@@ -304,9 +304,10 @@ def test_readme_library_examples_run_as_written(tmp_path, monkeypatch):
 def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch):
     """README's quick-start ``toy.json`` through the command line, from a
     directory that holds the test data: 21 predicted at f1 1.000 and the
-    golden mappings, every stage skipped on a rerun, and the same mappings
-    from the spec without ``kind`` under ``--provider mock``, into a fresh
-    out/ and cache. CI runs the same checks with the installed script."""
+    golden mappings, every stage skipped on a rerun, both cache logs
+    unchanged by a forced warm run, and the same mappings from the spec
+    without ``kind`` under ``--provider mock``, into a fresh out/ and cache.
+    CI runs the same checks with the installed script."""
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "data").symlink_to(TOY_DIR.parent, target_is_directory=True)
     monkeypatch.chdir(tmp_path)
@@ -322,6 +323,9 @@ def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch):
     assert Path("out/toy/mappings.tsv").read_bytes() == golden
     rerun = runner.invoke(main, ["run", "--config", "toy.json"])
     assert rerun.stdout == "".join(f"{stage}: skipped\n" for stage in STAGES)
+    logs = {name: Path("cache/toy", name).read_bytes() for name in ("define.log", "judge.log")}
+    assert runner.invoke(main, ["run", "--config", "toy.json", "--force"]).exit_code == 0
+    assert {name: Path("cache/toy", name).read_bytes() for name in logs} == logs
 
     config = json.loads(block)
     del config["provider"]["kind"]
@@ -365,12 +369,42 @@ def test_cached_unparseable_judgement_is_recomputed_once(tmp_path, counting_toy_
     assert ResponseCache(config.cache_dir).get("judge", poisoned) == answer
 
 
-def test_bad_judge_blocks_are_recomputed_in_the_pool_and_cut_from_the_log(tmp_path, monkeypatch,
+def spy_served(monkeypatch) -> list[int]:
+    """The served count of each ``ResponseCache.serve`` call from now on."""
+    served = []
+    real_serve = ResponseCache.serve
+
+    def spy_serve(self, *args, **kwargs):
+        result = real_serve(self, *args, **kwargs)
+        served.append(result[1])
+        return result
+
+    monkeypatch.setattr(ResponseCache, "serve", spy_serve)
+    return served
+
+
+def test_a_cached_judgement_of_the_wrong_shape_is_not_counted_as_served(tmp_path, monkeypatch):
+    """A block-sound entry without ``entries`` is recomputed on the calling
+    thread; that pair is a provider call, not a cache hit."""
+    config = toy_config(tmp_path)
+    Pipeline(config).run()
+    stored = ResponseCache(config.cache_dir).stored("judge")
+    append_raw_entry(config.cache_dir, "judge", sorted(stored)[0], b'{"p_yes": 0.5}')
+    served = spy_served(monkeypatch)
+    provider = CountingProvider(make_provider(config))
+    assert Pipeline(config, provider=provider).run_stage("judge", force=True) == "complete"
+    pairs = len((Path(config.out_dir) / "judgements.tsv").read_text().splitlines()) - 1
+    assert provider.classify_calls == 1
+    assert served == [pairs - 1]
+
+
+def test_bad_judge_blocks_are_recomputed_in_the_pool_and_stay_in_the_log(tmp_path, monkeypatch,
                                                                          caplog):
     """One flipped byte inside the judge log's second block and its last
     block torn mid-way: a forced judge run recomputes exactly the entries of
-    those two blocks, on pool threads, serves the rest, and leaves a log
-    whose next load finds no bad block."""
+    those two blocks, on pool threads, and serves the rest. The bad bytes
+    stay where they were, the recomputed entries are appended after them,
+    and every later load skips both blocks again and serves every entry."""
     config = toy_config(tmp_path)
     Pipeline(config).run()
     before = snapshot(config.out_dir)
@@ -382,7 +416,8 @@ def test_bad_judge_blocks_are_recomputed_in_the_pool_and_cut_from_the_log(tmp_pa
     start, end = spans[1]
     data[(start + 4 + end) // 2] ^= 0x01
     start, end = spans[-1]
-    log.write_bytes(bytes(data[:(start + end) // 2]))
+    bad = bytes(data[:(start + end) // 2])
+    log.write_bytes(bad)
 
     put_on = {}
     real_put = ResponseCache.put
@@ -391,16 +426,8 @@ def test_bad_judge_blocks_are_recomputed_in_the_pool_and_cut_from_the_log(tmp_pa
         put_on[digest] = threading.current_thread().name
         return real_put(self, kind, digest, payload)
 
-    served = []
-    real_serve = ResponseCache.serve
-
-    def spy_serve(self, *args, **kwargs):
-        result = real_serve(self, *args, **kwargs)
-        served.append(result[1])
-        return result
-
     monkeypatch.setattr(ResponseCache, "put", recorded_put)
-    monkeypatch.setattr(ResponseCache, "serve", spy_serve)
+    served = spy_served(monkeypatch)
     provider = CountingProvider(make_provider(config))
     with caplog.at_level("WARNING", logger="ontomatch.cache"):
         assert Pipeline(config, provider=provider).run_stage("judge", force=True) == "complete"
@@ -409,10 +436,12 @@ def test_bad_judge_blocks_are_recomputed_in_the_pool_and_cut_from_the_log(tmp_pa
     assert "MainThread" not in put_on.values()
     assert served == [sum(map(len, blocks)) - len(lost)]
     assert snapshot(config.out_dir) == before
-    caplog.clear()
-    with caplog.at_level("WARNING", logger="ontomatch.cache"):
-        assert len(ResponseCache(config.cache_dir).stored("judge")) == sum(map(len, blocks))
-    assert not caplog.messages
+    assert log.read_bytes()[:len(bad)] == bad
+    for _ in range(2):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="ontomatch.cache"):
+            assert len(ResponseCache(config.cache_dir).stored("judge")) == sum(map(len, blocks))
+        assert sum("bad block" in m for m in caplog.messages) == 2
 
 
 _KILLED_RUN = """
@@ -1047,10 +1076,10 @@ def test_a_failed_cache_write_fails_the_judge_stage_and_the_next_run_recomputes(
     pipeline.run(stages=["ingest", "define", "embed", "match"])
     real_append = cache_module._append
 
-    def refuse_judge(path, data, sync=False):
+    def refuse_judge(path, data):
         if path.endswith("judge.log"):
             raise OSError(f"cannot append to {path}")
-        real_append(path, data, sync)
+        real_append(path, data)
 
     monkeypatch.setattr(cache_module, "_append", refuse_judge)
     with pytest.raises(OSError, match="cannot append"):

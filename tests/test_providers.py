@@ -910,7 +910,7 @@ def test_serve_raises_a_failed_job_over_a_failed_write(tmp_path, monkeypatch, ca
     """A job raises while the entries of earlier jobs wait for serve's end,
     and that append fails: serve raises the job's error and logs the
     append failure."""
-    def refuse(path, data, sync=False):
+    def refuse(path, data):
         raise OSError(f"cannot append to {path}")
 
     cache = ResponseCache(tmp_path / "cache")
