@@ -121,12 +121,13 @@ class ResponseCache:
         """Parse ``kind``'s log, skipping bad blocks; writes nothing."""
         path, entries, pos, skipping = self._log(kind), {}, 0, False
         log = Path(path).read_bytes() if os.path.exists(path) else b""
+        view = memoryview(log)  # slices of it copy nothing, so a false start is cheap
         while pos < len(log):
             start = pos
             try:
                 (size,) = _BLOCK.unpack_from(log, start)
                 pos = start + _BLOCK.size + size
-                body, at, block = zlib.decompress(log[start + _BLOCK.size:pos]), 0, {}
+                body, at, block = zlib.decompress(view[start + _BLOCK.size:pos]), 0, {}
                 while at < len(body):
                     key_size, size = _RECORD.unpack_from(body, at)
                     key = at + _RECORD.size

@@ -57,7 +57,6 @@ from .providers import DEFAULT_PROVIDER_KIND, Provider, SamplingParams, make_pro
 from .retrieval import (
     build_index,
     cosine,
-    embedding_paths,
     generate_candidates,
     load_embeddings,
     merge_candidate_maps,
@@ -99,7 +98,7 @@ class Stage:
 SIDES = ("source", "target")
 _CONCEPTS = tuple(f"{side}.concepts.jsonl" for side in SIDES)
 _ENRICHED = tuple(f"{side}.enriched.jsonl" for side in SIDES)
-_EMBEDDINGS = tuple(f"{side}.embeddings.{ext}" for side in SIDES for ext in ("npy", "json"))
+_EMBEDDINGS = tuple(f"{side}.embeddings.npz" for side in SIDES)
 # Config that a pair's p_yes depends on, besides the model, the template and
 # the enriched concepts.
 _P_YES_CONFIG = ("shots", "softmax_mode")
@@ -298,7 +297,12 @@ class StageManifest:
             return False
         if entry.get("input_digest") != input_digest:
             return False
-        for artifact, digest in entry.get("outputs", {}).items():
+        outputs = entry.get("outputs", {})
+        # An entry that names other artifacts than the row writes (one from
+        # before an artifact was renamed) did not write what later stages read.
+        if outputs.keys() != set(STAGE_TABLE[stage].writes):
+            return False
+        for artifact, digest in outputs.items():
             path = out_dir / artifact
             if not path.exists() or _sha256_file(path) != digest:
                 return False
@@ -364,8 +368,8 @@ class StageContext:
         return self._provider
 
     def path(self, name: str) -> Path:
-        """A declared artifact, or an embedding base whose ``.npy`` is one."""
-        if not {name, f"{name}.npy"} & {*self._row.reads, *self._row.writes}:
+        """A declared artifact."""
+        if name not in {*self._row.reads, *self._row.writes}:
             raise AttributeError(f"stage {self.stage!r} does not declare artifact {name!r} "
                                  "in its STAGE_TABLE row")
         return self._out_dir / name
@@ -380,11 +384,11 @@ class StageContext:
         with atomic_open(self.path(name)) as fp:
             writer(fp)
 
-    def _shared(self, artifacts: tuple[str, ...], parse: Callable[[], T]) -> T:
-        """``parse()`` of ``artifacts``, or the run's parse of the same bytes."""
-        if self._parses is None or not all(a in self._digests for a in artifacts):
+    def _shared(self, artifact: str, parse: Callable[[], T]) -> T:
+        """``parse()`` of ``artifact``, or the run's parse of the same bytes."""
+        if self._parses is None or artifact not in self._digests:
             return parse()
-        key = (artifacts[0], *(self._digests[a] for a in artifacts))
+        key = (artifact, self._digests[artifact])
         if key not in self._parses:
             self._parses[key] = parse()
         return self._parses[key]
@@ -394,15 +398,14 @@ class StageContext:
         name where the row declares it (``define``), else under its side."""
         name = vars(self.config).get(f"{side}_name", side)
         artifact = f"{side}.{kind}.jsonl"
-        onto = self._shared((artifact,),
+        onto = self._shared(artifact,
                             lambda: self.read(artifact, partial(read_concept_jsonl, name=name)))
         return onto if onto.name == name else replace(onto, name=name)
 
     def embeddings(self, side: str) -> tuple[list[str], np.ndarray]:
         """One side's IRIs and embedding matrix, from its ``embeddings`` artifact."""
-        base = f"{side}.embeddings"
-        return self._shared((f"{base}.npy", f"{base}.json"),
-                            lambda: load_embeddings(self.path(base))[:2])
+        artifact = f"{side}.embeddings.npz"
+        return self._shared(artifact, lambda: load_embeddings(self.path(artifact)))
 
     def input_digest(self) -> str:
         """Digest of all the stage reads; ``run_stage`` skips it while unchanged."""
@@ -466,19 +469,19 @@ def _embed(ctx: StageContext, limit: int | None) -> None:
         iris = sorted(onto.concepts)
         texts = [build_embedding_text(onto.concepts[i]) for i in iris]
         key = _digest_of({"model": model, "texts": texts})
-        cache_base = ctx.cache.root / "embed" / key
+        entry = ctx.cache.root / "embed" / f"{key}.npz"
         matrix = None
-        if all(path.exists() for path in embedding_paths(cache_base)):
+        if entry.exists():
             try:
                 # Rows follow the texts the key covers, whatever IRIs the
                 # entry was written under.
-                _, matrix, _ = load_embeddings(cache_base)
+                _, matrix = load_embeddings(entry)
             except ValueError as e:
                 logger.warning("recomputing corrupt embedding cache entry %s: %s", key, e)
         if matrix is None:
             matrix = np.stack(ctx.provider.embed_batch(texts))
-            save_embeddings(cache_base, iris, matrix, model)
-        save_embeddings(ctx.path(f"{side}.embeddings"), iris, matrix, model)
+            save_embeddings(entry, iris, matrix)
+        save_embeddings(ctx.path(f"{side}.embeddings.npz"), iris, matrix)
 
 
 def _match(ctx: StageContext, limit: int | None) -> None:

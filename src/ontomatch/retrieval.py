@@ -7,17 +7,19 @@ an ``ExactIndex``, a full numpy scan. ``HnswIndex`` (with ``HnswParams``), a
 seeded, self-contained small-world graph whose recall is approximate, remains
 a library class that no pipeline path reaches; it is to be deleted with the
 benchmark revision of ROADMAP item 1.
+
+An embedding matrix is stored as one uncompressed ``.npz`` of its IRIs and
+vectors, sorted by IRI (``save_embeddings``/``load_embeddings``); the zip
+checks each member's CRC-32 on load, and one rename writes the file.
 """
 
 from __future__ import annotations
 
-import hashlib
 import heapq
-import io
-import json
 import logging
 import math
 import random
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Mapping, Sequence
@@ -40,7 +42,6 @@ __all__ = [
     "merge_candidate_maps",
     "write_candidates",
     "read_candidates",
-    "embedding_paths",
     "save_embeddings",
     "load_embeddings",
 ]
@@ -337,55 +338,28 @@ def read_candidates(fp: IO[str]) -> dict[str, list[tuple[str, float]]]:
     return out
 
 
-def embedding_paths(base: str | Path) -> tuple[Path, Path]:
-    """(<base>.npy, <base>.json); suffixes append even when base contains dots."""
-    base = Path(base)
-    return base.parent / (base.name + ".npy"), base.parent / (base.name + ".json")
-
-
-def save_embeddings(
-    base: str | Path, iris: Sequence[str], matrix: np.ndarray, model: str
-) -> None:
-    """Persist vectors as ``<base>.npy`` plus a ``<base>.json`` sidecar, each
-    written atomically; the sidecar records the sha256 of the ``.npy`` bytes."""
-    npy_path, json_path = embedding_paths(base)
+def save_embeddings(path: str | Path, iris: Sequence[str], matrix: np.ndarray) -> None:
+    """Write ``iris`` (as UTF-8 bytes) and ``matrix`` (as float64), both
+    sorted by IRI, to one uncompressed ``.npz`` at ``path``, atomically."""
     order = sorted(range(len(iris)), key=lambda i: iris[i])
-    sorted_iris = [iris[i] for i in order]
-    sorted_matrix = np.ascontiguousarray(np.asarray(matrix, dtype=np.float64)[order])
-    buffer = io.BytesIO()
-    np.save(buffer, sorted_matrix)
-    raw = buffer.getvalue()
-    with atomic_open(npy_path, "wb") as fp:
-        fp.write(raw)
-    sidecar = {
-        "model": model,
-        "dimension": int(sorted_matrix.shape[1]),
-        "count": int(sorted_matrix.shape[0]),
-        "content_digest": hashlib.sha256(raw).hexdigest(),
-        "iris": sorted_iris,
-    }
-    with atomic_open(json_path) as fp:
-        json.dump(sidecar, fp, ensure_ascii=False, indent=0)
-        fp.write("\n")
+    encoded = np.array([iris[i].encode("utf-8") for i in order], dtype=np.bytes_)
+    with atomic_open(path, "wb") as fp:
+        np.savez(fp, iris=encoded, matrix=np.asarray(matrix, dtype=np.float64)[order])
 
 
-def load_embeddings(base: str | Path) -> tuple[list[str], np.ndarray, dict]:
-    """Read ``<base>.npy`` and its sidecar; raise ``ValueError`` for a
-    malformed entry: unreadable JSON or ``.npy`` data, a missing sidecar key,
-    or a matrix shape, IRI count or ``.npy`` sha256 that disagrees with the
-    sidecar."""
-    npy_path, json_path = embedding_paths(base)
-    with open(json_path, "r", encoding="utf-8") as fp:
-        sidecar = json.load(fp)
-    raw = npy_path.read_bytes()
+def load_embeddings(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """The IRIs and matrix ``save_embeddings`` wrote to ``path``. A malformed
+    file raises ``ValueError``: one that is not a zip of arrays or fails a
+    member's CRC-32, a missing array, IRIs that are not UTF-8, or a matrix
+    whose rows do not match the IRIs."""
     try:
-        matrix = np.load(io.BytesIO(raw))
-        if matrix.shape != (sidecar["count"], sidecar["dimension"]):
-            raise ValueError(f"embedding matrix shape {matrix.shape} disagrees with sidecar")
-        if len(sidecar["iris"]) != sidecar["count"]:
-            raise ValueError("sidecar IRI list length disagrees with count")
-        if hashlib.sha256(raw).hexdigest() != sidecar["content_digest"]:
-            raise ValueError(f"{npy_path} disagrees with the sidecar content_digest")
-    except (EOFError, KeyError, TypeError) as e:
-        raise ValueError(f"malformed embedding entry {base}: {e!r}") from e
-    return list(sidecar["iris"]), matrix, sidecar
+        # Opened here: np.load leaks a file it opens itself if ZipFile rejects it.
+        with open(path, "rb") as fp, np.load(fp, allow_pickle=False) as npz:
+            iris = [iri.decode("utf-8") for iri in npz["iris"].tolist()]
+            matrix = npz["matrix"]
+    # TypeError: a bare .npy, which np.load returns as an array, not an archive
+    except (zipfile.BadZipFile, KeyError, OSError, EOFError, UnicodeDecodeError, TypeError) as e:
+        raise ValueError(f"malformed embedding file {path}: {e!r}") from e
+    if matrix.ndim != 2 or len(matrix) != len(iris):
+        raise ValueError(f"{path} holds a matrix of shape {matrix.shape} for {len(iris)} IRIs")
+    return iris, matrix

@@ -12,11 +12,11 @@ pytest.importorskip("pytest_benchmark")
 
 from ontomatch.cache import ResponseCache
 from ontomatch.definitions import enrich_ontology
-from ontomatch.judge import judge_candidates
+from ontomatch.judge import judge_candidates, p_yes
 from ontomatch.model import read_concept_jsonl
 from ontomatch.pipeline import Pipeline
 from ontomatch.providers import SamplingParams
-from ontomatch.retrieval import ExactIndex, read_candidates
+from ontomatch.retrieval import ExactIndex, load_embeddings, read_candidates, save_embeddings
 
 from conftest import CountingProvider, toy_config
 
@@ -80,3 +80,28 @@ def test_exact_index_top_k_over_2k_rows(benchmark):
         lambda: [index.top_k(q, 10) for q in queries], rounds=3
     )
     assert len(results) == 400 and all(len(r) == 10 for r in results)
+
+
+def test_save_and_load_embeddings_of_2k_by_64(tmp_path, benchmark):
+    rng = np.random.default_rng(7)
+    iris = [f"http://bench#{j:05d}" for j in range(2000)]
+    matrix = rng.standard_normal((2000, 64))
+    path = tmp_path / "source.embeddings.npz"
+
+    def round_trip():
+        save_embeddings(path, iris, matrix)
+        return load_embeddings(path)
+
+    got_iris, got_matrix = benchmark.pedantic(round_trip, rounds=3)
+    assert got_iris == iris and np.array_equal(got_matrix, matrix)
+
+
+def test_p_yes_over_4k_two_token_distributions(benchmark):
+    """The first-token distributions of a judge batch: one YES and one NO
+    variant each, as the mock provider returns them."""
+    rng = np.random.default_rng(7)
+    distributions = [{"YES": float(yes), "NO": float(no)}
+                     for yes, no in rng.uniform(-12.0, 0.0, (4000, 2))]
+
+    results = benchmark.pedantic(lambda: [p_yes(d) for d in distributions], rounds=3)
+    assert len(results) == 4000 and all(0.0 < r < 1.0 for r in results)

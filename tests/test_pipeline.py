@@ -2,6 +2,7 @@
 
 import builtins
 import dataclasses
+import hashlib
 import inspect
 import io
 import json
@@ -138,7 +139,7 @@ def test_forced_rerun_is_byte_identical_via_caches(tmp_path, counting_toy_provid
 
 def _spy_parses(monkeypatch, out_dir: str) -> tuple[list[str], list[str]]:
     """Names of the concept JSONL files parsed, and of the ``out/`` embedding
-    bases loaded, through the pipeline module from here on."""
+    files loaded, through the pipeline module from here on."""
     jsonl, embeddings = [], []
     read, load = pipeline_module.read_concept_jsonl, pipeline_module.load_embeddings
 
@@ -146,10 +147,10 @@ def _spy_parses(monkeypatch, out_dir: str) -> tuple[list[str], list[str]]:
         jsonl.append(Path(fp.name).name)
         return read(fp, name)
 
-    def spy_load(base):
-        if Path(base).parent == Path(out_dir):
-            embeddings.append(Path(base).name)
-        return load(base)
+    def spy_load(path):
+        if Path(path).parent == Path(out_dir):
+            embeddings.append(Path(path).name)
+        return load(path)
 
     monkeypatch.setattr(pipeline_module, "read_concept_jsonl", spy_read)
     monkeypatch.setattr(pipeline_module, "load_embeddings", spy_load)
@@ -168,7 +169,7 @@ def test_a_forced_run_parses_each_artifact_once(tmp_path, monkeypatch, scorer):
     assert Pipeline(config).run(force=True) == {s: "complete" for s in STAGES}
     assert sorted(jsonl) == [f"{side}.{kind}.jsonl" for side in ("source", "target")
                              for kind in ("concepts", "enriched")]
-    assert embeddings == ["source.embeddings", "target.embeddings"]
+    assert embeddings == ["source.embeddings.npz", "target.embeddings.npz"]
     assert snapshot(config.out_dir) == before
 
 
@@ -244,7 +245,7 @@ def test_a_parse_is_held_only_until_its_last_reader_in_the_run(tmp_path):
         read_later = {a for later in STAGES[i:] for a in STAGE_TABLE[later].reads}
         assert held[stage] <= read_later, stage
     assert held["fuse"] >= {"source.concepts.jsonl", "target.concepts.jsonl"}
-    assert held["eval"] == {"source.embeddings.npy", "target.embeddings.npy",
+    assert held["eval"] == {"source.embeddings.npz", "target.embeddings.npz",
                             "source.enriched.jsonl", "target.enriched.jsonl"}
     assert pipeline._parses is None
 
@@ -263,6 +264,25 @@ def test_a_changed_or_missing_output_reruns_only_the_stage_that_wrote_it(tmp_pat
     else:
         mappings.unlink()
     assert Pipeline(config).run() == {s: "complete" if s == "fuse" else "skipped" for s in STAGES}
+    assert snapshot(config.out_dir) == before
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_an_entry_naming_an_artifact_its_row_does_not_write_reruns_its_stage(tmp_path, stage):
+    """A manifest entry from before an artifact was renamed names files that
+    may still exist with the recorded bytes; its stage runs again rather than
+    leave the renamed artifact unwritten. Here the stage writes the same
+    bytes again, so every other stage stays skipped."""
+    config = toy_config(tmp_path)
+    Pipeline(config).run()
+    out = Path(config.out_dir)
+    (out / "stale.npy").write_bytes(b"stale")
+    before = snapshot(config.out_dir)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["stages"][stage]["outputs"]["stale.npy"] = hashlib.sha256(b"stale").hexdigest()
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert Pipeline(config).run() == {s: "complete" if s == stage else "skipped" for s in STAGES}
+    assert Pipeline(config).run() == {s: "skipped" for s in STAGES}
     assert snapshot(config.out_dir) == before
 
 
@@ -304,9 +324,10 @@ def test_readme_library_examples_run_as_written(tmp_path, monkeypatch):
 def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch):
     """README's quick-start ``toy.json`` through the command line, from a
     directory that holds the test data: 21 predicted at f1 1.000 and the
-    golden mappings, every stage skipped on a rerun, both cache logs
-    unchanged by a forced warm run, and the same mappings from the spec
-    without ``kind`` under ``--provider mock``, into a fresh out/ and cache.
+    golden mappings, every stage skipped on a rerun, the four cache files
+    (two logs, two embedding entries) unchanged by a forced warm run, and
+    the same mappings from the spec without ``kind`` under ``--provider
+    mock``, into a fresh out/ and cache.
     CI runs the same checks with the installed script."""
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "data").symlink_to(TOY_DIR.parent, target_is_directory=True)
@@ -323,9 +344,14 @@ def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch):
     assert Path("out/toy/mappings.tsv").read_bytes() == golden
     rerun = runner.invoke(main, ["run", "--config", "toy.json"])
     assert rerun.stdout == "".join(f"{stage}: skipped\n" for stage in STAGES)
-    logs = {name: Path("cache/toy", name).read_bytes() for name in ("define.log", "judge.log")}
+
+    def cache_files():
+        return {p.as_posix(): p.read_bytes() for p in Path("cache/toy").rglob("*") if p.is_file()}
+
+    cached = cache_files()
+    assert sorted(Path(p).suffix for p in cached) == [".log", ".log", ".npz", ".npz"]
     assert runner.invoke(main, ["run", "--config", "toy.json", "--force"]).exit_code == 0
-    assert {name: Path("cache/toy", name).read_bytes() for name in logs} == logs
+    assert cache_files() == cached
 
     config = json.loads(block)
     del config["provider"]["kind"]
@@ -543,8 +569,8 @@ def _cosine_oracle(config: PipelineConfig, cases_path: str) -> tuple[float, dict
     """Ranking metrics with each pair scored by ``oracles.cosine`` over the
     embedding artifacts; a pair with a missing concept scores -1.0."""
     vectors = []
-    for base in ("source.embeddings", "target.embeddings"):
-        iris, matrix, _ = load_embeddings(Path(config.out_dir) / base)
+    for name in ("source.embeddings.npz", "target.embeddings.npz"):
+        iris, matrix = load_embeddings(Path(config.out_dir) / name)
         vectors.append({iri: matrix[i].tolist() for i, iri in enumerate(iris)})
     source, target = vectors
 
@@ -622,7 +648,7 @@ def test_cosine_ranking_scorer_equals_cosine_bit_for_bit(tmp_path):
     pipeline = Pipeline(config)
     pipeline.run()
     source, target = (
-        dict(zip(*load_embeddings(Path(config.out_dir) / f"{side}.embeddings")[:2]))
+        dict(zip(*load_embeddings(Path(config.out_dir) / f"{side}.embeddings.npz")))
         for side in ("source", "target")
     )
     pairs = _toy_ranking_pairs(cases_path)
@@ -640,12 +666,12 @@ def test_cosine_ranking_scorer_raises_on_a_zero_norm_vector_it_scores(tmp_path, 
     (s, t), *others = _toy_ranking_pairs(cases_path)
     load = pipeline_module.load_embeddings
 
-    def zero_first_target(base):
-        iris, matrix, sidecar = load(base)
-        if Path(base).name == "target.embeddings":
+    def zero_first_target(path):
+        iris, matrix = load(path)
+        if Path(path).name == "target.embeddings.npz":
             matrix = matrix.copy()
             matrix[iris.index(t)] = 0.0
-        return iris, matrix, sidecar
+        return iris, matrix
 
     monkeypatch.setattr(pipeline_module, "load_embeddings", zero_first_target)
     scorer = pipeline_module._ranking_scorer(_eval_context(pipeline))
@@ -703,8 +729,8 @@ def test_bidirectional_toy_run_merges_both_retrieval_directions(tmp_path):
     config = toy_config(tmp_path, bidirectional=True, k=3)
     assert Pipeline(config).run() == {s: "complete" for s in STAGES}
     out = Path(config.out_dir)
-    src_iris, src_matrix, _ = load_embeddings(out / "source.embeddings")
-    tgt_iris, tgt_matrix, _ = load_embeddings(out / "target.embeddings")
+    src_iris, src_matrix = load_embeddings(out / "source.embeddings.npz")
+    tgt_iris, tgt_matrix = load_embeddings(out / "target.embeddings.npz")
     forward = generate_candidates(src_iris, src_matrix, ExactIndex(tgt_iris, tgt_matrix), k=3)
     backward = generate_candidates(tgt_iris, tgt_matrix, ExactIndex(src_iris, src_matrix), k=3)
     merged = merge_candidate_maps(forward, backward)
@@ -846,10 +872,12 @@ def test_torn_embedding_cache_entry_is_recomputed(tmp_path, counting_toy_provide
     config = toy_config(tmp_path)
     Pipeline(config).run(stages=["ingest", "define", "embed"])
     before = snapshot(config.out_dir)
-    sidecars = sorted((tmp_path / "cache" / "embed").glob("*.json"))
-    assert len(sidecars) == 2
-    text = sidecars[0].read_text()
-    sidecars[0].write_text(text[: len(text) // 2])
+    entries = sorted((tmp_path / "cache" / "embed").iterdir())
+    assert [entry.suffix for entry in entries] == [".npz", ".npz"]
+    original = entries[0].read_bytes()
+    torn = bytearray(original)
+    torn[original.index(load_embeddings(entries[0])[1].tobytes())] ^= 0x01  # under the CRC-32
+    entries[0].write_bytes(bytes(torn))
 
     provider = counting_toy_provider(config)
     with caplog.at_level("WARNING", logger="ontomatch.pipeline"):
@@ -858,7 +886,7 @@ def test_torn_embedding_cache_entry_is_recomputed(tmp_path, counting_toy_provide
     assert provider.embed_calls == 1
     assert any("corrupt embedding cache entry" in r.getMessage() for r in caplog.records)
     assert snapshot(config.out_dir) == before
-    assert json.loads(sidecars[0].read_text()) == json.loads(text)
+    assert entries[0].read_bytes() == original
 
 
 def test_embedding_cache_serves_renamed_namespace(tmp_path, counting_toy_provider):
@@ -876,8 +904,8 @@ def test_embedding_cache_serves_renamed_namespace(tmp_path, counting_toy_provide
     assert provider.total_calls == 0
 
     load = retrieval_module.load_embeddings
-    old_iris, old_matrix, _ = load(tmp_path / "first" / "source.embeddings")
-    new_iris, new_matrix, _ = load(tmp_path / "second" / "source.embeddings")
+    old_iris, old_matrix = load(tmp_path / "first" / "source.embeddings.npz")
+    new_iris, new_matrix = load(tmp_path / "second" / "source.embeddings.npz")
     assert new_iris == [iri.replace("/src#", "/renamed#") for iri in old_iris]
     assert (new_matrix == old_matrix).all()
 

@@ -1,9 +1,9 @@
 """Retrieval: cosine, exact and graph indexes, candidate IO, embedding files."""
 
 import io
-import json
 import math
 import random
+import zipfile
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from ontomatch.retrieval import (
     HnswParams,
     build_index,
     cosine,
-    embedding_paths,
     generate_candidates,
     load_embeddings,
     merge_candidate_maps,
@@ -404,102 +403,92 @@ def test_read_candidates_rejects_malformed_rows():
 # -- embedding persistence ---------------------------------------------------------
 
 
-def test_embedding_paths_append_suffixes_to_dotted_bases(tmp_path):
-    npy, sidecar = embedding_paths(tmp_path / "out" / "source.embeddings")
-    assert npy.name == "source.embeddings.npy"
-    assert sidecar.name == "source.embeddings.json"
-    plain_npy, plain_json = embedding_paths(tmp_path / "plain")
-    assert plain_npy.name == "plain.npy"
-    assert plain_json.name == "plain.json"
-
-
 def test_save_load_embeddings_round_trip(tmp_path):
-    base = tmp_path / "target.embeddings"
-    iris = ["http://t#B", "http://t#A", "http://t#C"]
-    matrix = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
-    save_embeddings(base, iris, matrix, model="mock-embed-d2-s0")
-    got_iris, got_matrix, sidecar = load_embeddings(base)
-    assert got_iris == ["http://t#A", "http://t#B", "http://t#C"]
-    assert np.array_equal(got_matrix[0], [1.0, 0.0])
-    assert np.array_equal(got_matrix[1], [0.0, 1.0])
-    assert sidecar["model"] == "mock-embed-d2-s0"
-    assert sidecar["dimension"] == 2
-    assert sidecar["count"] == 3
-    assert len(sidecar["content_digest"]) == 64
+    path = tmp_path / "target.embeddings.npz"
+    iris = ["http://t#B", "http://t#Å", "http://t#A"]
+    matrix = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]], dtype=np.float32)
+    save_embeddings(path, iris, matrix)
+    got_iris, got_matrix = load_embeddings(path)
+    assert got_iris == ["http://t#A", "http://t#B", "http://t#Å"]
+    assert got_matrix.dtype == np.float64
+    assert np.array_equal(got_matrix, [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+    with zipfile.ZipFile(path) as npz:  # stored, with the IRIs as UTF-8 bytes
+        assert [(i.filename, i.compress_type) for i in npz.infolist()] == [
+            ("iris.npy", zipfile.ZIP_STORED), ("matrix.npy", zipfile.ZIP_STORED)]
+    with np.load(path) as npz:
+        assert npz["iris"].tolist() == [b"http://t#A", b"http://t#B", "http://t#Å".encode()]
+    again = tmp_path / "again.npz"
+    save_embeddings(again, iris, matrix)
+    assert again.read_bytes() == path.read_bytes()
 
 
-def test_save_embeddings_digest_tracks_file_contents(tmp_path):
-    import hashlib
-
-    base = tmp_path / "emb"
-    save_embeddings(base, ["http://t#A"], np.array([[1.0, 0.0]]), model="m")
-    npy_path, json_path = embedding_paths(base)
-    sidecar = json.loads(json_path.read_text())
-    assert sidecar["content_digest"] == hashlib.sha256(npy_path.read_bytes()).hexdigest()
+def _saved(tmp_path):
+    path = tmp_path / "emb.npz"
+    save_embeddings(path, ["http://t#A", "http://t#B"], np.eye(2))
+    return path
 
 
-def test_load_embeddings_rejects_shape_mismatch(tmp_path):
-    base = tmp_path / "emb"
-    save_embeddings(base, ["http://t#A", "http://t#B"],
-                    np.eye(2), model="m")
-    npy_path, _ = embedding_paths(base)
-    np.save(npy_path, np.eye(3))
-    with pytest.raises(ValueError, match="disagrees"):
-        load_embeddings(base)
+def test_load_embeddings_rejects_a_flipped_matrix_byte_through_the_crc(tmp_path):
+    path = _saved(tmp_path)
+    raw = bytearray(path.read_bytes())
+    at = raw.find(np.eye(2).tobytes())
+    assert at > 0
+    raw[at + 31] ^= 0x01  # one bit of the last matrix entry; every header still parses
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="Bad CRC-32 for file 'matrix.npy'"):
+        load_embeddings(path)
+
+
+def _bare_npy(path):
+    with open(path, "wb") as fp:
+        np.save(fp, np.eye(2))
+
+
+MALFORMED = {
+    "bare-npy": _bare_npy,
+    "empty": lambda path: path.write_bytes(b""),
+    "truncated": lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
+    "no-iris": lambda path: np.savez(path, matrix=np.eye(2)),
+    "no-matrix": lambda path: np.savez(path, iris=np.array([b"http://t#A"])),
+    "not-utf8": lambda path: np.savez(path, iris=np.array([b"\xff"]), matrix=np.eye(1, 2)),
+    "pickled": lambda path: np.savez(path, iris=np.array(["http://t#A"], dtype=object),
+                                     matrix=np.eye(1, 2)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MALFORMED))
+def test_load_embeddings_rejects_a_malformed_file_with_value_error(tmp_path, fault):
+    path = _saved(tmp_path)
+    MALFORMED[fault](path)
+    with pytest.raises(ValueError):
+        load_embeddings(path)
 
 
 def test_load_embeddings_rejects_iri_count_mismatch(tmp_path):
-    base = tmp_path / "emb"
-    save_embeddings(base, ["http://t#A", "http://t#B"], np.eye(2), model="m")
-    _, json_path = embedding_paths(base)
-    sidecar = json.loads(json_path.read_text())
-    sidecar["iris"] = sidecar["iris"][:1]
-    json_path.write_text(json.dumps(sidecar))
-    with pytest.raises(ValueError, match="IRI list"):
-        load_embeddings(base)
+    path = tmp_path / "emb.npz"
+    np.savez(path, iris=np.array([b"http://t#A"]), matrix=np.eye(2))
+    with pytest.raises(ValueError, match=r"matrix of shape \(2, 2\) for 1 IRIs"):
+        load_embeddings(path)
 
 
-def test_load_embeddings_rejects_an_empty_npy_with_value_error(tmp_path):
-    base = tmp_path / "emb"
-    save_embeddings(base, ["http://t#A"], np.eye(1, 2), model="m")
-    npy_path, _ = embedding_paths(base)
-    npy_path.write_bytes(b"")
-    with pytest.raises(ValueError, match="malformed embedding entry"):
-        load_embeddings(base)
+def test_load_embeddings_rejects_shape_mismatch(tmp_path):
+    path = tmp_path / "emb.npz"
+    np.savez(path, iris=np.array([b"http://t#A", b"http://t#B"]), matrix=np.ones(2))
+    with pytest.raises(ValueError, match=r"matrix of shape \(2,\) for 2 IRIs"):
+        load_embeddings(path)
 
 
-@pytest.mark.parametrize("key", ["count", "dimension", "iris", "content_digest"])
-def test_load_embeddings_rejects_a_missing_sidecar_key_with_value_error(tmp_path, key):
-    base = tmp_path / "emb"
-    save_embeddings(base, ["http://t#A", "http://t#B"], np.eye(2), model="m")
-    _, json_path = embedding_paths(base)
-    sidecar = json.loads(json_path.read_text())
-    del sidecar[key]
-    json_path.write_text(json.dumps(sidecar))
-    with pytest.raises(ValueError, match="malformed embedding entry"):
-        load_embeddings(base)
+def test_save_embeddings_failure_keeps_the_old_file_and_leaves_no_temporary(tmp_path,
+                                                                           monkeypatch):
+    path = _saved(tmp_path)
+    old = path.read_bytes()
 
+    def torn_savez(fp, **arrays):
+        fp.write(old[:100])
+        raise OSError("No space left on device")
 
-def test_save_embeddings_failure_keeps_the_old_sidecar_and_leaves_no_temporary(tmp_path):
-    base = tmp_path / "emb"
-    save_embeddings(base, ["http://t#A", "http://t#B"], np.eye(2), model="m")
-    _, json_path = embedding_paths(base)
-    old = json_path.read_bytes()
-    with pytest.raises(TypeError):
-        save_embeddings(base, ["http://t#A", "http://t#B"], 2 * np.eye(2), model=object())
-    assert json_path.read_bytes() == old
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.json", "emb.npy"]
-    # The new .npy beside the old sidecar is a torn pair, and it is reported.
-    with pytest.raises(ValueError, match="content_digest"):
-        load_embeddings(base)
-
-
-def test_load_embeddings_rejects_content_digest_mismatch(tmp_path):
-    base = tmp_path / "emb"
-    save_embeddings(base, ["http://t#A", "http://t#B"], np.eye(2), model="m")
-    npy_path, _ = embedding_paths(base)
-    raw = bytearray(npy_path.read_bytes())
-    raw[-1] ^= 0x01  # one bit of the last matrix entry; shape and count still agree
-    npy_path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="content_digest"):
-        load_embeddings(base)
+    monkeypatch.setattr(np, "savez", torn_savez)
+    with pytest.raises(OSError):
+        save_embeddings(path, ["http://t#A", "http://t#B"], 2 * np.eye(2))
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["emb.npz"]
