@@ -13,7 +13,7 @@ import functools
 import logging
 
 from .cache import ResponseCache
-from .errors import ProviderError
+from .errors import ItemError
 from .model import Concept, ContextBlock, Ontology, concept_context, iri_fragment
 from .providers import (
     Message,
@@ -92,10 +92,7 @@ def _system_turn(source_name: str, target_name: str) -> Message:
 
 def _single_paragraph(text: str) -> str:
     """First paragraph of the completion, internal newlines collapsed."""
-    stripped = text.strip()
-    if not stripped:
-        return ""
-    paragraph = stripped.split("\n\n", 1)[0]
+    paragraph = text.strip().split("\n\n", 1)[0]
     return " ".join(paragraph.split())
 
 
@@ -115,28 +112,29 @@ def generate_definition(
     provider: Provider,
     cache: ResponseCache,
     params: SamplingParams = SamplingParams(),
-) -> str:
+) -> str | None:
     """Generate (or replay from ``cache``) the definition that the
     ``definition_prompt`` of concept ``iri`` asks for.
 
-    Returns "" when the provider fails or yields nothing usable. That ""
-    is cached like any answer, so later runs serve it instead of asking the
-    provider again, and the stage does not fail. A cached entry without a
-    ``text`` string is never served but recomputed and overwritten.
+    Returns None when the provider fails or yields nothing usable; nothing
+    is cached then, so a later run asks again. A cached entry without a
+    non-empty ``text`` string is never served but recomputed and overwritten.
     """
 
     def compute() -> dict:
-        try:
-            text = _single_paragraph(provider.generate(prompt.messages, params))
-        except ProviderError as e:
-            logger.warning("definition generation failed for %s: %s", iri, e)
-            text = ""
+        text = _single_paragraph(provider.generate(prompt.messages, params))
+        if not text:
+            raise ItemError(f"model {provider.chat_model_id} returned an empty definition")
         return {"text": text}
 
-    text = cache.get_or_compute("define", prompt.digest, compute).get("text")
-    if not isinstance(text, str):
-        logger.warning("recomputing cached definition %s: no text string", prompt.digest)
-        text = cache.put("define", prompt.digest, compute())["text"]
+    try:
+        text = cache.get_or_compute("define", prompt.digest, compute).get("text")
+        if not isinstance(text, str) or not text:
+            logger.warning("recomputing cached definition %s: no text", prompt.digest)
+            text = cache.put("define", prompt.digest, compute())["text"]
+    except ItemError as e:
+        logger.warning("definition generation failed for %s: %s", iri, e)
+        return None
     return text
 
 
@@ -150,7 +148,8 @@ def enrich_ontology(
     max_workers: int = 8,
 ) -> int:
     """Fill ``definition`` for up to ``limit`` concepts (IRI order); returns
-    the number processed. Concepts that already carry a definition are skipped.
+    the number processed. Concepts that already carry a definition are skipped,
+    and one whose generation fails keeps None.
     ``cache.serve`` fills concepts whose definition is cached on the calling thread
     and the others on up to ``max_workers`` threads; concepts with the same
     prompt share one provider call, and so one definition. The system turn

@@ -1,4 +1,13 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline.
+
+There are two kinds. An ``ItemError`` is the failure of one item: one
+provider call, one judgement, one query vector or one class expression. A
+caller that handles items one by one may catch it, skip or flag the item and
+go on. Every other ``OntomatchError`` is run-fatal: bad config, an input or
+artifact that cannot be parsed, a missing artifact, or a backend that lacks
+a capability the run needs. The command line prints either kind as one
+``Error:`` line and exits 1.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +16,16 @@ class OntomatchError(Exception):
     """Base class for all package errors."""
 
 
+class ItemError(OntomatchError):
+    """One item failed: a provider call (retries ran out, a malformed
+    response, an empty completion, a prompt over the context limit), a token
+    distribution with no usable YES or NO variant, a zero-norm or non-finite
+    vector, or a class expression outside the accepted structural subset."""
+
+
 class OntologyParseError(OntomatchError):
-    """Raised when an ontology document cannot be parsed.
+    """An input or artifact cannot be parsed: an ontology, a TSV or an
+    embedding file.
 
     Carries the 1-based line (and column, when known) of the offending input.
     """
@@ -22,25 +39,8 @@ class OntologyParseError(OntomatchError):
         super().__init__(message + where)
 
 
-class StructureError(OntomatchError):
-    """A class expression violates the accepted structural subset."""
-
-
-class ProviderError(OntomatchError):
-    """A provider call failed: retries ran out, the response was malformed or
-    an empty completion, or the prompt exceeds the context limit."""
-
-
-class CapabilityError(ProviderError):
+class CapabilityError(OntomatchError):
     """The backend lacks a required capability (e.g. token log-probabilities)."""
-
-
-class DegenerateVectorError(OntomatchError):
-    """A zero-norm vector reached a similarity computation."""
-
-
-class UnparseableJudgementError(OntomatchError):
-    """A token distribution contains no recognizable YES or NO variant."""
 
 
 class MissingArtifactError(OntomatchError):
@@ -52,10 +52,6 @@ class MissingArtifactError(OntomatchError):
         )
         self.artifact = artifact
         self.stage = stage
-
-
-class UndefinedMetricError(OntomatchError):
-    """A metric was requested over an empty case list."""
 
 
 class ConfigError(OntomatchError):

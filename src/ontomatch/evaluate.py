@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Mapping as TMapping, Sequence
 
-from .errors import UndefinedMetricError
 from .model import read_tsv_rows
 
 __all__ = [
@@ -70,7 +69,7 @@ def local_ranking(
 ) -> tuple[float, dict[int, float]]:
     """(MRR, {k: Hit@k}) over the cases. Raises on an empty case list."""
     if not cases:
-        raise UndefinedMetricError("local ranking metrics need at least one case")
+        raise ValueError("local ranking metrics need at least one case")
     ranks = [case.rank_of_gold() for case in cases]
     mrr = sum(1.0 / r for r in ranks) / len(ranks)
     hits = {k: sum(1 for r in ranks if r <= k) / len(ranks) for k in ks}

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import IO, Sequence, Union
 from urllib.parse import urljoin
 
-from .errors import OntologyParseError, StructureError
+from .errors import ItemError, OntologyParseError
 from .model import (
     Concept,
     Ontology,
@@ -206,7 +206,7 @@ def _parse_owl(fp: IO[bytes], name: str, skipped_lines: int, label_property: str
         for expr in rc.equivs:
             try:
                 descriptions.append(verbalize(expr, label_index))
-            except StructureError:
+            except ItemError:
                 onto.stats.skipped_axioms += 1
         onto.concepts[iri] = Concept(
             iri=iri,

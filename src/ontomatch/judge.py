@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import IO, Sequence, get_type_hints
 
 from .cache import ResponseCache
-from .errors import ConfigError, UnparseableJudgementError
+from .errors import ConfigError, ItemError
 from .model import ContextBlock, Judgement, Ontology, check_record, concept_context, read_tsv_rows
 from .providers import Message, Prompt, PromptFrame, Provider, json_escape, prompt_digest
 
@@ -157,35 +157,33 @@ def build_judgement_prompt(
     return [*_head_turns(shots), {"role": "user", "content": _pair_text(a, b)}]
 
 
-def _mass(dist: dict[str, float], variants: Sequence[str], floor: float) -> tuple[float, bool]:
+def _mass(dist: dict[str, float], variants: Sequence[str]) -> tuple[float, bool]:
     present = [dist[v] for v in variants if v in dist]
     if not present:
-        return floor, False
+        return LOGPROB_FLOOR, False
     top = max(present)
     if top == -math.inf:
         return top, True
     return top + math.log(sum(math.exp(x - top) for x in present)), True
 
 
-def p_yes(entries: dict[str, float], floor: float = LOGPROB_FLOOR, mode: str = "pair") -> float:
+def p_yes(entries: dict[str, float], mode: str = "pair") -> float:
     """Probability of YES from a first-token distribution (token text ->
     log-probability, as ``classify_first_token`` returns it).
 
     ``pair`` renormalizes the YES-variant mass against the NO-variant mass
-    (an absent side takes ``floor``); ``full`` divides the YES mass by the
-    total mass of every entry in the distribution. Shift-invariant in ``pair``
-    mode. Raises UnparseableJudgementError when neither side has any variant,
-    or when the masses it divides are all zero (log-probability ``-inf``).
+    (an absent side takes ``LOGPROB_FLOOR``); ``full`` divides the YES mass by
+    the total mass of every entry in the distribution. Shift-invariant in
+    ``pair`` mode. Raises ``ItemError`` when neither side has any variant, or
+    when the masses it divides are all zero (log-probability ``-inf``).
     """
-    yes_mass, yes_found = _mass(entries, YES_VARIANTS, floor)
-    no_mass, no_found = _mass(entries, NO_VARIANTS, floor)
+    yes_mass, yes_found = _mass(entries, YES_VARIANTS)
+    no_mass, no_found = _mass(entries, NO_VARIANTS)
     if not yes_found and not no_found:
-        raise UnparseableJudgementError(
-            f"no YES or NO variant among tokens {sorted(entries)[:8]}"
-        )
+        raise ItemError(f"no YES or NO variant among tokens {sorted(entries)[:8]}")
     if mode == "pair":
         if yes_mass == no_mass == -math.inf:
-            raise UnparseableJudgementError("YES and NO both have log-probability -inf")
+            raise ItemError("YES and NO both have log-probability -inf")
         # 1 / (1 + exp(no - yes)), stable for large |no - yes|
         diff = no_mass - yes_mass
         if diff >= 0:
@@ -195,7 +193,7 @@ def p_yes(entries: dict[str, float], floor: float = LOGPROB_FLOOR, mode: str = "
         values = list(entries.values())
         top = max(values)
         if top == -math.inf:
-            raise UnparseableJudgementError("every token has log-probability -inf")
+            raise ItemError("every token has log-probability -inf")
         total = top + math.log(sum(math.exp(v - top) for v in values))
         if not yes_found:
             return 0.0
@@ -228,9 +226,9 @@ def judge_pair(
 ) -> Judgement:
     """Judge the pair ``(source, target)`` from its ``judge_prompt``, served
     from ``cache`` when it holds the answer. A reply without a YES or NO
-    variant raises ``UnparseableJudgementError`` and is not cached; a cached
-    one, or a cached entry without an ``entries`` object of numeric
-    log-probabilities, is never served but recomputed and overwritten."""
+    variant raises ``ItemError`` and is not cached; a cached one, or a cached
+    entry without an ``entries`` object of numeric log-probabilities, is
+    never served but recomputed and overwritten."""
     scored: list[float] = []
 
     def compute() -> dict:
@@ -245,9 +243,9 @@ def judge_pair(
             if not isinstance(entries, dict) or not all(
                 type(v) in (int, float) for v in entries.values()
             ):
-                raise UnparseableJudgementError("no entries object of log-probabilities")
+                raise ItemError("no entries object of log-probabilities")
             scored.append(p_yes(entries, mode=softmax_mode))
-        except UnparseableJudgementError as e:
+        except ItemError as e:
             logger.warning("recomputing cached judgement %s: %s", prompt.digest, e)
             cache.put("judge", prompt.digest, compute())
     return Judgement(source=source, target=target, cosine=cos, p_yes=scored[0])

@@ -27,7 +27,7 @@ import numpy as np
 from . import definitions, judge
 from .cache import ResponseCache, atomic_open
 from .definitions import build_embedding_text, enrich_ontology
-from .errors import ConfigError, MissingArtifactError
+from .errors import ConfigError, MissingArtifactError, OntologyParseError
 from .evaluate import (
     MetricsReport,
     Pair,
@@ -423,17 +423,23 @@ class StageContext:
 
 def _ingest(ctx: StageContext, limit: int | None) -> None:
     cfg = ctx.config
+    ontologies = {}
     for side in SIDES:
-        onto = parse_ontology(getattr(cfg, side), name=getattr(cfg, f"{side}_name"),
+        path = getattr(cfg, side)
+        onto = parse_ontology(path, name=getattr(cfg, f"{side}_name"),
                               label_property=cfg.label_property,
                               synonym_properties=cfg.synonym_properties)
+        if not onto.concepts:
+            raise OntologyParseError(f"{path} has no classes")
         logger.info("ingested %s: %d concepts (%d dangling parent refs)",
                     onto.name, len(onto), onto.dangling_parent_count)
+        ontologies[side] = onto
+    for side, onto in ontologies.items():
         ctx.write(f"{side}.concepts.jsonl", partial(write_concept_jsonl, onto))
 
 
 def _define(ctx: StageContext, limit: int | None) -> bool:
-    """Returns True when the stage fully covered all concepts."""
+    """Returns True when every concept has a definition (or none is wanted)."""
     cfg = ctx.config
     complete = True
     remaining = limit
@@ -441,7 +447,6 @@ def _define(ctx: StageContext, limit: int | None) -> bool:
         onto = ctx.ontology(side, "concepts")  # shared with fuse, so filled in a copy
         onto = replace(onto, concepts={iri: replace(c) for iri, c in onto.concepts.items()})
         if cfg.use_definitions:
-            todo = sum(1 for c in onto.concepts.values() if c.definition is None)
             processed = enrich_ontology(
                 onto,
                 getattr(cfg, f"{other}_name"),
@@ -453,8 +458,7 @@ def _define(ctx: StageContext, limit: int | None) -> bool:
             )
             if remaining is not None:
                 remaining = max(0, remaining - processed)
-            if processed < todo:
-                complete = False
+            complete = complete and all(c.definition is not None for c in onto.concepts.values())
         else:
             for concept in onto.concepts.values():
                 concept.definition = None
@@ -476,7 +480,7 @@ def _embed(ctx: StageContext, limit: int | None) -> None:
                 # Rows follow the texts the key covers, whatever IRIs the
                 # entry was written under.
                 _, matrix = load_embeddings(entry)
-            except ValueError as e:
+            except OntologyParseError as e:
                 logger.warning("recomputing corrupt embedding cache entry %s: %s", key, e)
         if matrix is None:
             matrix = np.stack(ctx.provider.embed_batch(texts))

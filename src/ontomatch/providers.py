@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Protocol, Sequence, get_type_hints
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigError, ProviderError
+from .errors import CapabilityError, ConfigError, ItemError
 from .model import check_record, normalize_string
 
 logger = logging.getLogger(__name__)
@@ -259,10 +259,8 @@ class MockProvider:
     def _check_size(self, messages: Sequence[Message]) -> None:
         total = sum(len(m.get("content", "")) for m in messages)
         if total > self.context_chars:
-            raise ProviderError(
-                f"prompt of {total} characters exceeds mock context limit "
-                f"{self.context_chars}"
-            )
+            raise ItemError(f"prompt of {total} characters exceeds mock context limit "
+                            f"{self.context_chars}")
 
     def generate(self, messages: Sequence[Message], params: SamplingParams) -> str:
         validate_messages(messages)
@@ -374,21 +372,21 @@ class HttpProvider:
                 continue
             status = getattr(response, "status_code", 0)
             if status == 429 or 500 <= status < 600:
-                last_error = ProviderError(f"HTTP {status} from {url}")
+                last_error = ItemError(f"HTTP {status} from {url}")
                 logger.warning("provider HTTP %s (attempt %d)", status, attempt + 1)
                 continue
             if status >= 400:
-                raise ProviderError(f"HTTP {status} from {url}: {response.text[:500]}")
+                raise ItemError(f"HTTP {status} from {url}: {response.text[:500]}")
             try:
                 body = response.json()
             except ValueError as e:  # includes json.JSONDecodeError
-                raise ProviderError(
+                raise ItemError(
                     f"HTTP {status} from {url} has a non-JSON body: {response.text[:500]}"
                 ) from e
             if not isinstance(body, dict):
-                raise ProviderError(f"HTTP {status} from {url}: expected a JSON object")
+                raise ItemError(f"HTTP {status} from {url}: expected a JSON object")
             return body
-        raise ProviderError(
+        raise ItemError(
             f"provider call to {url} failed after {self.config.max_attempts} attempts"
         ) from last_error
 
@@ -398,7 +396,7 @@ class HttpProvider:
         validate_messages(messages)
         size = sum(len(m.get("content", "")) for m in messages)
         if size > self.config.context_chars:
-            raise ProviderError(
+            raise ItemError(
                 f"prompt of {size} characters exceeds context limit "
                 f"{self.config.context_chars} for model {self.chat_model_id}"
             )
@@ -417,7 +415,7 @@ class HttpProvider:
             )
             data = body.get("data")
             if not isinstance(data, list) or len(data) != len(chunk):
-                raise ProviderError(
+                raise ItemError(
                     f"embedding response contains {len(data) if isinstance(data, list) else 'no'}"
                     f" rows for {len(chunk)} inputs"
                 )
@@ -425,14 +423,14 @@ class HttpProvider:
                 try:
                     vec = np.asarray(row["embedding"], dtype=np.float64)
                 except (KeyError, TypeError, ValueError) as e:
-                    raise ProviderError(f"malformed embedding row: {e!r}") from e
+                    raise ItemError(f"malformed embedding row: {e!r}") from e
                 if vec.ndim != 1 or not vec.size or (out and vec.size != out[0].size):
-                    raise ProviderError(
+                    raise ItemError(
                         f"embedding response row of shape {vec.shape} is not a vector "
                         f"of the batch's length"
                     )
                 if not np.all(np.isfinite(vec)):
-                    raise ProviderError("embedding response contains a non-finite vector")
+                    raise ItemError("embedding response contains a non-finite vector")
                 out.append(vec)
         return out
 
@@ -442,15 +440,11 @@ class HttpProvider:
         try:
             text = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as e:
-            raise ProviderError(f"malformed completion response: {e}") from e
+            raise ItemError(f"malformed completion response: {e}") from e
         if text is not None and not isinstance(text, str):
-            raise ProviderError(
-                f"malformed completion response: content is a {type(text).__name__}"
-            )
+            raise ItemError(f"malformed completion response: content is a {type(text).__name__}")
         if text is None or not text.strip():
-            raise ProviderError(
-                f"model {self.chat_model_id} returned an empty completion"
-            )
+            raise ItemError(f"model {self.chat_model_id} returned an empty completion")
         return text.rstrip()
 
     def classify_first_token(self, messages: Sequence[Message]) -> dict[str, float]:
@@ -465,15 +459,15 @@ class HttpProvider:
                 f"log-probabilities"
             ) from e
         if not isinstance(top, list):
-            raise ProviderError(f"malformed top_logprobs {top!r}")
+            raise ItemError(f"malformed top_logprobs {top!r}")
         entries: dict[str, float] = {}
         for item in top:
             try:
                 token, logprob = item["token"], float(item["logprob"])
             except (KeyError, TypeError, ValueError) as e:
-                raise ProviderError(f"malformed top_logprobs entry {item!r}") from e
+                raise ItemError(f"malformed top_logprobs entry {item!r}") from e
             if not isinstance(token, str) or np.isnan(logprob) or logprob == np.inf:
-                raise ProviderError(f"malformed top_logprobs entry {item!r}")
+                raise ItemError(f"malformed top_logprobs entry {item!r}")
             if token not in entries or logprob > entries[token]:
                 entries[token] = logprob
         if not entries:

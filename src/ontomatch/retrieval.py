@@ -27,7 +27,7 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from .cache import atomic_open
-from .errors import DegenerateVectorError
+from .errors import ItemError, OntologyParseError
 from .model import read_tsv_rows
 
 logger = logging.getLogger(__name__)
@@ -56,7 +56,7 @@ def cosine(a: np.ndarray, b: np.ndarray, na: float | None = None, nb: float | No
     na = float(np.linalg.norm(a)) if na is None else na
     nb = float(np.linalg.norm(b)) if nb is None else nb
     if na == 0.0 or nb == 0.0:
-        raise DegenerateVectorError("cosine of a zero-norm vector is undefined")
+        raise ItemError("cosine of a zero-norm vector is undefined")
     value = float(np.dot(a, b) / (na * nb))
     return max(-1.0, min(1.0, value))
 
@@ -87,22 +87,22 @@ def _validate_vectors(iris: Sequence[str], matrix: np.ndarray) -> None:
     norms = np.linalg.norm(matrix, axis=1)
     if np.any(norms == 0.0):
         bad = [iris[i] for i in np.nonzero(norms == 0.0)[0][:5]]
-        raise DegenerateVectorError(f"zero-norm vectors for {bad}")
+        raise ItemError(f"zero-norm vectors for {bad}")
 
 
 def _validate_query(query: np.ndarray, k: int, dimension: int) -> tuple[np.ndarray, float]:
     """Return ``(query as float64, its norm)``; a non-finite or zero-norm
-    query raises ``DegenerateVectorError``."""
+    query raises ``ItemError``."""
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (dimension,):
         raise ValueError(f"query has shape {query.shape}, expected ({dimension},)")
     if not np.all(np.isfinite(query)):
-        raise DegenerateVectorError("non-finite query vector")
+        raise ItemError("non-finite query vector")
     qnorm = float(np.linalg.norm(query))
     if qnorm == 0.0:
-        raise DegenerateVectorError("zero-norm query vector")
+        raise ItemError("zero-norm query vector")
     return query, qnorm
 
 
@@ -294,7 +294,7 @@ def generate_candidates(
     for iri, query in sorted(zip(iris, matrix, strict=True), key=lambda row: row[0]):
         try:
             out[iri] = index.top_k(query, k)
-        except DegenerateVectorError:
+        except ItemError:
             logger.warning("query %s has a degenerate embedding; no candidates", iri)
             out[iri] = []
     return out
@@ -340,26 +340,32 @@ def read_candidates(fp: IO[str]) -> dict[str, list[tuple[str, float]]]:
 
 def save_embeddings(path: str | Path, iris: Sequence[str], matrix: np.ndarray) -> None:
     """Write ``iris`` (as UTF-8 bytes) and ``matrix`` (as float64), both
-    sorted by IRI, to one uncompressed ``.npz`` at ``path``, atomically."""
+    sorted by IRI, to one uncompressed ``.npz`` at ``path``, atomically. A
+    matrix without one row per IRI is a ``ValueError``, and writes nothing."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or len(matrix) != len(iris):
+        raise ValueError(f"a matrix of shape {matrix.shape} for {len(iris)} IRIs")
     order = sorted(range(len(iris)), key=lambda i: iris[i])
     encoded = np.array([iris[i].encode("utf-8") for i in order], dtype=np.bytes_)
     with atomic_open(path, "wb") as fp:
-        np.savez(fp, iris=encoded, matrix=np.asarray(matrix, dtype=np.float64)[order])
+        np.savez(fp, iris=encoded, matrix=matrix[order])
 
 
 def load_embeddings(path: str | Path) -> tuple[list[str], np.ndarray]:
     """The IRIs and matrix ``save_embeddings`` wrote to ``path``. A malformed
-    file raises ``ValueError``: one that is not a zip of arrays or fails a
-    member's CRC-32, a missing array, IRIs that are not UTF-8, or a matrix
-    whose rows do not match the IRIs."""
+    file raises ``OntologyParseError`` naming ``path``: one that is not a zip
+    of arrays or fails a member's CRC-32, a missing or pickled array, IRIs
+    that are not UTF-8, or a matrix whose rows do not match the IRIs."""
     try:
         # Opened here: np.load leaks a file it opens itself if ZipFile rejects it.
         with open(path, "rb") as fp, np.load(fp, allow_pickle=False) as npz:
             iris = [iri.decode("utf-8") for iri in npz["iris"].tolist()]
             matrix = npz["matrix"]
-    # TypeError: a bare .npy, which np.load returns as an array, not an archive
-    except (zipfile.BadZipFile, KeyError, OSError, EOFError, UnicodeDecodeError, TypeError) as e:
-        raise ValueError(f"malformed embedding file {path}: {e!r}") from e
+    # TypeError: a bare .npy, which np.load returns as an array, not an archive;
+    # ValueError: a pickled array, a header numpy cannot read, or IRIs not in UTF-8
+    except (zipfile.BadZipFile, KeyError, OSError, EOFError, TypeError, ValueError) as e:
+        raise OntologyParseError(f"malformed embedding file {path}: {e!r}") from e
     if matrix.ndim != 2 or len(matrix) != len(iris):
-        raise ValueError(f"{path} holds a matrix of shape {matrix.shape} for {len(iris)} IRIs")
+        raise OntologyParseError(
+            f"{path} holds a matrix of shape {matrix.shape} for {len(iris)} IRIs")
     return iris, matrix

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .errors import StructureError
+from .errors import ItemError
 from .model import iri_fragment
 
 __all__ = ["Named", "SomeValuesFrom", "Intersection", "ClassExpression", "verbalize"]
@@ -54,7 +54,7 @@ def _label(iri: str, labels: Mapping[str, str]) -> str:
 def _render(expr: ClassExpression, labels: Mapping[str, str], depth: int,
             bare_existential: bool = False) -> str:
     if depth > MAX_DEPTH:
-        raise StructureError(f"class expression exceeds depth limit {MAX_DEPTH}")
+        raise ItemError(f"class expression exceeds depth limit {MAX_DEPTH}")
     if isinstance(expr, Named):
         return _label(expr.iri, labels)
     if isinstance(expr, SomeValuesFrom):
@@ -64,16 +64,16 @@ def _render(expr: ClassExpression, labels: Mapping[str, str], depth: int,
         )
     if isinstance(expr, Intersection):
         if len(expr.members) == 0:
-            raise StructureError("empty intersection")
+            raise ItemError("empty intersection")
         if len(expr.members) < 2:
-            raise StructureError("intersection requires at least 2 members")
+            raise ItemError("intersection requires at least 2 members")
         return " and ".join(_render(m, labels, depth + 1) for m in expr.members)
-    raise StructureError(f"unsupported expression node {type(expr).__name__}")
+    raise ItemError(f"unsupported expression node {type(expr).__name__}")
 
 
 def verbalize(expr: ClassExpression, labels: Mapping[str, str]) -> str:
     """Render ``expr`` to English using ``labels`` (IRI -> label) with IRI-fragment
-    fallback. Deterministic; raises StructureError on malformed trees."""
+    fallback. Deterministic; raises ItemError on malformed trees."""
     if not isinstance(expr, Intersection):
         return _render(expr, labels, 0)
     if len(expr.members) < 2 or not isinstance(expr.members[0], Named):

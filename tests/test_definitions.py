@@ -18,7 +18,7 @@ from ontomatch.definitions import (
     generate_definition,
     truncate_words,
 )
-from ontomatch.errors import ProviderError
+from ontomatch.errors import ItemError
 from ontomatch.model import Concept, ContextBlock, Ontology, concept_context, read_concept_jsonl
 from ontomatch.providers import MockProvider, PromptFrame, SamplingParams
 
@@ -133,7 +133,8 @@ def test_generate_definition_cache_hit_skips_provider(cache):
     assert provider.generate_calls == 1
 
 
-@pytest.mark.parametrize("payload", [{}, {"text": 5}, {"text": None}, {"definition": "x"}])
+@pytest.mark.parametrize("payload", [{}, {"text": 5}, {"text": None}, {"definition": "x"},
+                                     {"text": ""}])
 def test_generate_definition_recomputes_a_cached_entry_of_the_wrong_shape(
     cache, caplog, payload
 ):
@@ -156,6 +157,8 @@ class _FailingProvider:
         self._error = error
 
     def generate(self, messages, params):
+        if isinstance(self._error, str):  # a reply with nothing usable in it
+            return self._error
         raise self._error
 
     def embed_batch(self, texts):
@@ -166,19 +169,32 @@ class _FailingProvider:
 
 
 @pytest.mark.parametrize("error", [
-    ProviderError("model m returned an empty completion"),
-    ProviderError("down"),
+    ItemError("model m returned an empty completion"),
+    ItemError("down"),
+    pytest.param(" \n\n ", id="blank"),
 ])
-def test_generate_definition_degrades_to_empty_string(cache, error, caplog):
+def test_generate_definition_failure_returns_none_and_caches_nothing(cache, error, caplog):
     provider = _FailingProvider(error)
     prompt = definition_prompt(minimal_context(), "A", "B", provider)
     with caplog.at_level("WARNING"):
         text = generate_definition(prompt, "http://x.org/c#C1", provider, cache)
-    assert text == ""
+    assert text is None
+    assert cache.get("define", prompt.digest) is None
+    assert not ResponseCache(cache.root).stored("define")
     assert any(
         "definition generation failed for http://x.org/c#C1" in r.message
         for r in caplog.records
     )
+
+
+def test_generate_definition_failure_keeps_a_cached_entry(cache):
+    """An unusable entry from an older run stays as it was when its
+    recomputation fails too, and the concept has no definition."""
+    provider = _FailingProvider(ItemError("down"))
+    prompt = definition_prompt(minimal_context(), "A", "B", provider)
+    cache.put("define", prompt.digest, {"text": ""})
+    assert generate_definition(prompt, "http://x.org/c#C1", provider, cache) is None
+    assert ResponseCache(cache.root).get("define", prompt.digest) == {"text": ""}
 
 
 def _ontology(n: int) -> Ontology:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ontomatch.errors import OntologyParseError, UndefinedMetricError
+from ontomatch.errors import OntologyParseError
 from ontomatch.evaluate import (
     MetricsReport,
     RankingCase,
@@ -119,7 +119,7 @@ def test_local_ranking_agrees_with_oracle_formulas():
 
 
 def test_local_ranking_rejects_empty_case_list():
-    with pytest.raises(UndefinedMetricError):
+    with pytest.raises(ValueError, match="at least one case"):
         local_ranking([])
 
 

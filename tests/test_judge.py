@@ -12,7 +12,7 @@ import pytest
 import ontomatch.cache as cache_module
 import ontomatch.judge as judge_module
 from ontomatch.cache import BLOCK_ENTRIES, QUEUE_PER_WORKER, ResponseCache
-from ontomatch.errors import ConfigError, OntologyParseError, UnparseableJudgementError
+from ontomatch.errors import ConfigError, ItemError, OntologyParseError
 from ontomatch.judge import (
     DEFAULT_FEW_SHOT,
     JUDGE_SYSTEM,
@@ -220,7 +220,7 @@ def test_p_yes_matches_reference_on_random_distributions():
         try:
             expected = reference_p_yes(entries)
         except ZeroDivisionError:  # YES and NO both have mass 0
-            with pytest.raises(UnparseableJudgementError):
+            with pytest.raises(ItemError):
                 p_yes(entries)
             continue
         assert p_yes(entries) == pytest.approx(expected, abs=1e-9)
@@ -242,12 +242,12 @@ def test_p_yes_ignores_non_variant_tokens_in_pair_mode():
 
 
 def test_p_yes_rejects_unparseable_distributions():
-    with pytest.raises(UnparseableJudgementError):
+    with pytest.raises(ItemError):
         p_yes({".": -1.0, "maybe": -2.0})
-    with pytest.raises(UnparseableJudgementError):
+    with pytest.raises(ItemError):
         p_yes({})
     for mode in ("pair", "full"):
-        with pytest.raises(UnparseableJudgementError):
+        with pytest.raises(ItemError):
             p_yes({"YES": -math.inf, "NO": -math.inf}, mode=mode)
 
 
@@ -310,7 +310,7 @@ def test_judge_pair_never_caches_an_unparseable_judgement(cache):
     b = simple_ctx("http://y.org/c#B", "heart")
     prompt = judge_prompt(a, b, MockProvider())
     for entries in ({"MAYBE": -0.1}, {"YES": -math.inf, "NO": -math.inf}):
-        with pytest.raises(UnparseableJudgementError):
+        with pytest.raises(ItemError):
             judge_pair(prompt, a.iri, b.iri, 0.95, _FirstTokenProvider(entries), cache)
         assert cache.get("judge", prompt.digest) is None
     j = judge_pair(prompt, a.iri, b.iri, 0.95, MockProvider(), cache)

@@ -21,7 +21,7 @@ import ontomatch.judge as judge_module
 import ontomatch.pipeline as pipeline_module
 import ontomatch.retrieval as retrieval_module
 from ontomatch.cli import build_config, main
-from ontomatch.errors import ConfigError, DegenerateVectorError, MissingArtifactError
+from ontomatch.errors import ConfigError, ItemError, MissingArtifactError
 from ontomatch.cache import BLOCK_ENTRIES, QUEUE_PER_WORKER, ResponseCache
 from ontomatch.judge import DEFAULT_FEW_SHOT, judge_pair, judge_prompt
 from ontomatch.model import Mapping, MappingSet, concept_context, read_concept_jsonl
@@ -677,7 +677,7 @@ def test_cosine_ranking_scorer_raises_on_a_zero_norm_vector_it_scores(tmp_path, 
     scorer = pipeline_module._ranking_scorer(_eval_context(pipeline))
     others = [pair for pair in others if pair[1] != t]
     assert len(scorer(others)) == len(others)
-    with pytest.raises(DegenerateVectorError):
+    with pytest.raises(ItemError):
         scorer([(s, t)])
 
 
@@ -1069,6 +1069,42 @@ def test_define_limit_records_partial_then_resumes(tmp_path, counting_toy_provid
     assert pipeline.run_stage("define") == "complete"
     enriched = (Path(config.out_dir) / "target.enriched.jsonl").read_text()
     assert '"definition": null' not in enriched
+
+
+class FailingConceptProvider(CountingProvider):
+    """Its generate call for the concept labelled ``label`` raises an ``ItemError``."""
+
+    def __init__(self, inner, label):
+        super().__init__(inner)
+        self.label = label
+
+    def generate(self, messages, params):
+        if messages[-1]["content"].startswith(f"Concept: {self.label}\n"):
+            self.generate_calls += 1
+            raise ItemError("backend down")
+        return super().generate(messages, params)
+
+
+def test_a_failed_definition_is_not_cached_and_only_it_is_asked_for_again(tmp_path):
+    """One concept's generate call fails: define is partial and caches
+    nothing for that concept, the later stages still run, and a rerun with
+    a healthy provider makes one generate call and writes what an
+    uninterrupted run writes."""
+    config = toy_config(tmp_path / "failed")
+    provider = FailingConceptProvider(make_provider(config), "Anatomical structure alpha 02")
+    assert Pipeline(config, provider=provider).run()["define"] == "partial"
+    with open(Path(config.out_dir) / "source.enriched.jsonl", encoding="utf-8") as fp:
+        enriched = read_concept_jsonl(fp, name="toy-src")
+    undefined = [iri for iri, c in enriched.concepts.items() if c.definition is None]
+    assert undefined == ["http://example.org/src#S02"]
+    assert len(ResponseCache(config.cache_dir).stored("define")) == provider.generate_calls - 1
+
+    rerun = CountingProvider(make_provider(config))
+    assert Pipeline(config, provider=rerun).run()["define"] == "complete"
+    assert rerun.generate_calls == 1
+    whole = toy_config(tmp_path / "whole")
+    Pipeline(whole).run()
+    assert snapshot(config.out_dir) == snapshot(whole.out_dir)
 
 
 def test_negative_limit_is_rejected_before_any_stage_runs(tmp_path):
@@ -1469,6 +1505,42 @@ def test_cli_config_errors_become_clean_failures(tmp_path):
     assert result.exit_code == 1
     assert "lambda_prob" in result.output
     assert "Traceback" not in result.output
+
+
+def _assert_one_clean_error(result, message: str) -> None:
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # no uncaught exception
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error: ")]
+    assert len(errors) == 1 and message in errors[0], result.output
+
+
+def test_cli_reports_a_corrupt_embedding_artifact_and_a_run_rebuilds_it(tmp_path):
+    config_path = write_config_file(tmp_path)
+    runner = CliRunner()
+    assert runner.invoke(main, ["run", "--config", config_path]).exit_code == 0
+    artifact = tmp_path / "out" / "target.embeddings.npz"
+    artifact.write_bytes(b"garbage\n")
+    result = runner.invoke(main, ["match", "--config", config_path, "--force"])
+    _assert_one_clean_error(result, f"malformed embedding file {artifact}")
+
+    result = runner.invoke(main, ["run", "--config", config_path])
+    assert result.exit_code == 0, result.output
+    assert result.output == "".join(
+        f"{stage}: {'complete' if stage in ('embed', 'match') else 'skipped'}\n"
+        for stage in STAGES)
+    assert (tmp_path / "out" / "mappings.tsv").read_bytes() == (
+        TOY_DIR / "mappings.golden.tsv").read_bytes()
+
+
+def test_cli_reports_an_ontology_without_classes_before_ingest_writes(tmp_path):
+    empty = tmp_path / "empty.owl"
+    empty.write_text('<?xml version="1.0"?>\n'
+                     '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"/>\n')
+    result = CliRunner().invoke(main, ["run", "--config", write_config_file(tmp_path),
+                                       "--target", str(empty)])
+    _assert_one_clean_error(result, f"{empty} has no classes")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json"]
 
 
 _BAD_CONFIGS = {

@@ -15,7 +15,7 @@ import pytest
 
 import ontomatch.cache as cache_module
 from ontomatch.cache import QUEUE_PER_WORKER, ResponseCache
-from ontomatch.errors import CapabilityError, ProviderError
+from ontomatch.errors import CapabilityError, ItemError
 from ontomatch.providers import (
     EMPTY_TEXT_PLACEHOLDER,
     AliasTable,
@@ -418,9 +418,9 @@ def test_mock_judge_no_when_names_differ():
 
 def test_mock_prompt_size_limit():
     provider = MockProvider(context_chars=50)
-    with pytest.raises(ProviderError, match="prompt of 103 characters exceeds mock context"):
+    with pytest.raises(ItemError, match="prompt of 103 characters exceeds mock context"):
         provider.generate(chat("sys", "x" * 100), SamplingParams())
-    with pytest.raises(ProviderError, match="exceeds mock context limit 50"):
+    with pytest.raises(ItemError, match="exceeds mock context limit 50"):
         provider.classify_first_token(judge_messages("y" * 100, "z"))
 
 
@@ -510,7 +510,7 @@ def test_http_gives_up_after_max_attempts():
         FakeResponse(status_code=503),
         FakeResponse(status_code=503),
     ])
-    with pytest.raises(ProviderError, match="3 attempts"):
+    with pytest.raises(ItemError, match="3 attempts"):
         provider.embed_batch(["heart"])
     assert sleeps == [1.0, 2.0]
 
@@ -519,7 +519,7 @@ def test_http_client_errors_fail_immediately():
     provider, session, sleeps = http_provider([
         FakeResponse(status_code=400, text="bad request"),
     ])
-    with pytest.raises(ProviderError, match="HTTP 400"):
+    with pytest.raises(ItemError, match="HTTP 400"):
         provider.embed_batch(["heart"])
     assert len(session.calls) == 1
     assert sleeps == []
@@ -558,13 +558,13 @@ def test_http_embed_replaces_empty_texts():
 
 def test_http_embed_rejects_row_count_mismatch():
     provider, _, _ = http_provider([embed_response([[1.0, 0.0]])])
-    with pytest.raises(ProviderError, match="rows"):
+    with pytest.raises(ItemError, match="rows"):
         provider.embed_batch(["a", "b"])
 
 
 def test_http_embed_rejects_non_finite_vectors():
     provider, _, _ = http_provider([embed_response([[float("nan"), 0.0]])])
-    with pytest.raises(ProviderError, match="non-finite"):
+    with pytest.raises(ItemError, match="non-finite"):
         provider.embed_batch(["a"])
 
 
@@ -578,7 +578,7 @@ def test_http_embed_rejects_non_finite_vectors():
 ])
 def test_http_embed_malformed_rows_raise_provider_error(data):
     provider, _, _ = http_provider([FakeResponse(payload={"data": data})])
-    with pytest.raises(ProviderError):
+    with pytest.raises(ItemError):
         provider.embed_batch(["a", "b"])
 
 
@@ -587,7 +587,7 @@ def test_http_embed_rejects_vectors_of_another_length_in_a_later_chunk():
         [embed_response([[1.0, 0.0]]), embed_response([[1.0, 0.0, 0.0]])],
         embed_batch_size=1,
     )
-    with pytest.raises(ProviderError, match="length"):
+    with pytest.raises(ItemError, match="length"):
         provider.embed_batch(["a", "b"])
 
 
@@ -599,7 +599,7 @@ class NonJsonResponse(FakeResponse):
 @pytest.mark.parametrize("text", ["<html>gateway page</html>", "[1, 2]"])
 def test_http_success_without_a_json_object_raises_provider_error(text):
     provider, session, sleeps = http_provider([NonJsonResponse(text=text)])
-    with pytest.raises(ProviderError, match="HTTP 200"):
+    with pytest.raises(ItemError, match="HTTP 200"):
         provider.embed_batch(["heart"])
     assert len(session.calls) == 1
 
@@ -618,20 +618,20 @@ def test_http_generate_returns_stripped_text_and_sends_params():
 
 def test_http_generate_empty_completion_raises():
     provider, _, _ = http_provider([chat_response("   ")])
-    with pytest.raises(ProviderError, match="returned an empty completion"):
+    with pytest.raises(ItemError, match="returned an empty completion"):
         provider.generate(chat("sys", "user"), SamplingParams())
 
 
 def test_http_generate_malformed_body_raises():
     provider, _, _ = http_provider([FakeResponse(payload={"choices": []})])
-    with pytest.raises(ProviderError, match="malformed"):
+    with pytest.raises(ItemError, match="malformed"):
         provider.generate(chat("sys", "user"), SamplingParams())
 
 
 @pytest.mark.parametrize("content", [["A", "definition"], 7, {"text": "A definition"}])
 def test_http_generate_non_string_content_raises_provider_error(content):
     provider, _, _ = http_provider([chat_response(content)])
-    with pytest.raises(ProviderError, match="malformed completion response"):
+    with pytest.raises(ItemError, match="malformed completion response"):
         provider.generate(chat("sys", "user"), SamplingParams())
 
 
@@ -653,8 +653,10 @@ def test_http_classify_keeps_max_logprob_per_token():
 
 def test_http_classify_without_logprobs_is_a_capability_error():
     provider, _, _ = http_provider([chat_response("YES")])
-    with pytest.raises(CapabilityError):
+    with pytest.raises(CapabilityError) as exc:
         provider.classify_first_token(judge_messages("a", "b"))
+    # Run-fatal: a caller that skips failed items must not skip this one.
+    assert not isinstance(exc.value, ItemError)
 
 
 def test_http_classify_rejects_an_empty_logprob_list():
@@ -675,7 +677,7 @@ def test_http_classify_rejects_an_empty_logprob_list():
 ])
 def test_http_classify_malformed_logprobs_raise_provider_error(top):
     provider, _, _ = http_provider([logprob_response(top)])
-    with pytest.raises(ProviderError, match="malformed top_logprobs"):
+    with pytest.raises(ItemError, match="malformed top_logprobs"):
         provider.classify_first_token(judge_messages("a", "b"))
 
 
@@ -690,7 +692,7 @@ def test_http_config_rejects_out_of_range_values(field, value):
 
 def test_http_prompt_size_limit():
     provider, _, _ = http_provider([], context_chars=10)
-    with pytest.raises(ProviderError, match="prompt of 53 characters exceeds context limit 10"):
+    with pytest.raises(ItemError, match="prompt of 53 characters exceeds context limit 10"):
         provider.generate(chat("sys", "x" * 50), SamplingParams())
 
 
@@ -919,12 +921,12 @@ def test_serve_raises_a_failed_job_over_a_failed_write(tmp_path, monkeypatch, ca
         return lambda: cache.get_or_compute("judge", digest, lambda: {"text": digest})
 
     def fail():
-        raise ProviderError("backend down")
+        raise ItemError("backend down")
 
     monkeypatch.setattr(cache_module, "_append", refuse)
     jobs = [("d0", job("d0")), ("d1", job("d1")), ("d2", fail)]
     with caplog.at_level("ERROR", logger="ontomatch.cache"):
-        with pytest.raises(ProviderError, match="backend down"):
+        with pytest.raises(ItemError, match="backend down"):
             cache.serve("judge", iter(jobs), max_workers=2)
     assert any("cannot append" in r.getMessage() for r in caplog.records)
     monkeypatch.undo()
@@ -945,10 +947,10 @@ def test_serve_reraises_a_failed_job_after_shutting_the_pool_down(cache, monkeyp
             self.shut_down = True
 
     def fail():
-        raise ProviderError("backend down")
+        raise ItemError("backend down")
 
     monkeypatch.setattr("ontomatch.cache.ThreadPoolExecutor", RecordingPool)
     jobs = [("d0", _job(0)), ("d1", fail), ("d2", _job(2))]
-    with pytest.raises(ProviderError, match="backend down"):
+    with pytest.raises(ItemError, match="backend down"):
         cache.serve("judge", iter(jobs), max_workers=2)
     assert len(pools) == 1 and pools[0].shut_down

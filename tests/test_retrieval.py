@@ -3,12 +3,13 @@
 import io
 import math
 import random
+import re
 import zipfile
 
 import numpy as np
 import pytest
 
-from ontomatch.errors import DegenerateVectorError, OntologyParseError
+from ontomatch.errors import ItemError, OntologyParseError
 from ontomatch.retrieval import (
     ExactIndex,
     HnswIndex,
@@ -42,7 +43,7 @@ def test_cosine_is_clamped():
 
 
 def test_cosine_rejects_zero_vectors_and_shape_mismatch():
-    with pytest.raises(DegenerateVectorError):
+    with pytest.raises(ItemError):
         cosine(np.zeros(3), np.ones(3))
     with pytest.raises(ValueError):
         cosine(np.ones(3), np.ones(4))
@@ -108,9 +109,9 @@ def test_exact_index_input_validation():
         idx.top_k(np.array([1.0, 0.0]), 0)
     with pytest.raises(ValueError):
         idx.top_k(np.array([1.0, 0.0, 0.0]), 3)
-    with pytest.raises(DegenerateVectorError):
+    with pytest.raises(ItemError):
         idx.top_k(np.zeros(2), 3)
-    with pytest.raises(DegenerateVectorError):
+    with pytest.raises(ItemError):
         ExactIndex(["http://t#A"], np.zeros((1, 4)))
     with pytest.raises(ValueError):
         ExactIndex(["http://t#A"], np.array([[np.inf, 0.0]]))
@@ -281,7 +282,7 @@ def test_hnsw_validates_queries():
         idx.top_k(np.array([1.0, 0.0]), 0)
     with pytest.raises(ValueError):
         idx.top_k(np.ones(3), 2)
-    with pytest.raises(DegenerateVectorError):
+    with pytest.raises(ItemError):
         idx.top_k(np.zeros(2), 2)
     assert len(idx) == len(FIVE)
 
@@ -327,7 +328,7 @@ INDEX_CLASSES = pytest.mark.parametrize(
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_top_k_rejects_non_finite_query(index_cls, bad):
     index = index_cls(list(FIVE), np.array([FIVE[i] for i in FIVE]))
-    with pytest.raises(DegenerateVectorError, match="non-finite"):
+    with pytest.raises(ItemError, match="non-finite"):
         index.top_k(np.array([1.0, bad]), 3)
 
 
@@ -435,7 +436,7 @@ def test_load_embeddings_rejects_a_flipped_matrix_byte_through_the_crc(tmp_path)
     assert at > 0
     raw[at + 31] ^= 0x01  # one bit of the last matrix entry; every header still parses
     path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="Bad CRC-32 for file 'matrix.npy'"):
+    with pytest.raises(OntologyParseError, match="Bad CRC-32 for file 'matrix.npy'"):
         load_embeddings(path)
 
 
@@ -458,24 +459,33 @@ MALFORMED = {
 
 @pytest.mark.parametrize("fault", sorted(MALFORMED))
 def test_load_embeddings_rejects_a_malformed_file_with_value_error(tmp_path, fault):
+    """Every fault raises an ``OntologyParseError`` that names the file."""
     path = _saved(tmp_path)
     MALFORMED[fault](path)
-    with pytest.raises(ValueError):
+    with pytest.raises(OntologyParseError, match=re.escape(f"malformed embedding file {path}")):
         load_embeddings(path)
 
 
 def test_load_embeddings_rejects_iri_count_mismatch(tmp_path):
     path = tmp_path / "emb.npz"
     np.savez(path, iris=np.array([b"http://t#A"]), matrix=np.eye(2))
-    with pytest.raises(ValueError, match=r"matrix of shape \(2, 2\) for 1 IRIs"):
+    with pytest.raises(OntologyParseError, match=r"matrix of shape \(2, 2\) for 1 IRIs"):
         load_embeddings(path)
 
 
 def test_load_embeddings_rejects_shape_mismatch(tmp_path):
     path = tmp_path / "emb.npz"
     np.savez(path, iris=np.array([b"http://t#A", b"http://t#B"]), matrix=np.ones(2))
-    with pytest.raises(ValueError, match=r"matrix of shape \(2,\) for 2 IRIs"):
+    with pytest.raises(OntologyParseError, match=r"matrix of shape \(2,\) for 2 IRIs"):
         load_embeddings(path)
+
+
+@pytest.mark.parametrize("matrix", [np.eye(3), np.ones((0, 3)), np.ones(1), np.ones((1, 1, 1))],
+                         ids=["more-rows", "no-rows", "1-d", "3-d"])
+def test_save_embeddings_rejects_a_matrix_without_one_row_per_iri(tmp_path, matrix):
+    with pytest.raises(ValueError, match=r"a matrix of shape \(.*\) for 1 IRIs"):
+        save_embeddings(tmp_path / "emb.npz", ["http://t#A"], matrix)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_save_embeddings_failure_keeps_the_old_file_and_leaves_no_temporary(tmp_path,

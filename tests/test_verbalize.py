@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ontomatch.errors import StructureError
+from ontomatch.errors import ItemError
 from ontomatch.verbalize import (
     Intersection,
     Named,
@@ -113,12 +113,12 @@ def test_trailing_period_only_on_intersection_root():
 
 
 def test_empty_intersection_rejected():
-    with pytest.raises(StructureError):
+    with pytest.raises(ItemError):
         verbalize(Intersection(()), {})
 
 
 def test_single_member_intersection_rejected():
-    with pytest.raises(StructureError):
+    with pytest.raises(ItemError):
         verbalize(Intersection((Named("http://x.org/c#A"),)), {})
 
 
@@ -129,13 +129,13 @@ def test_nested_single_member_intersection_rejected():
             "http://x.org/p#p", Intersection((Named("http://x.org/c#B"),))
         ),
     ))
-    with pytest.raises(StructureError):
+    with pytest.raises(ItemError):
         verbalize(expr, {})
 
 
 def test_an_unsupported_node_type_is_rejected():
     expr = SomeValuesFrom("http://x.org/p#p", "http://x.org/c#NotANode")
-    with pytest.raises(StructureError, match="unsupported expression node str"):
+    with pytest.raises(ItemError, match="unsupported expression node str"):
         verbalize(expr, {})
 
 
@@ -143,7 +143,7 @@ def test_depth_limit_rejects_pathological_trees():
     expr = Named("http://x.org/c#Leaf")
     for _ in range(40):
         expr = SomeValuesFrom("http://x.org/p#p", expr)
-    with pytest.raises(StructureError):
+    with pytest.raises(ItemError):
         verbalize(expr, {})
 
 
