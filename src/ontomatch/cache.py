@@ -107,15 +107,21 @@ class ResponseCache:
         # (kind, digest) -> record of each entry put inside ``serve`` and not
         # yet collected; None outside ``serve``
         self._parked: dict[tuple[str, str], bytes] | None = None
+        # the thread running ``serve``, and the ``recompute`` calls made on it
+        self._serving: int | None = None
+        self._recomputes = 0
 
     def _log(self, kind: str) -> str:
         return os.path.join(self.root, f"{kind}.log")
 
     def _load(self, kind: str) -> dict[str, bytes]:
-        with self._lock:
-            if kind not in self._entries:
-                self._entries[kind] = self._read(kind)
-            return self._entries[kind]
+        entries = self._entries.get(kind)  # a loaded map is read without the lock
+        if entries is None:
+            with self._lock:
+                if kind not in self._entries:
+                    self._entries[kind] = self._read(kind)
+                entries = self._entries[kind]
+        return entries
 
     def _read(self, kind: str) -> dict[str, bytes]:
         """Parse ``kind``'s log, skipping bad blocks; writes nothing."""
@@ -197,9 +203,10 @@ class ResponseCache:
               max_workers: int) -> tuple[list[T], int]:
         """Run each ``(digest, job)`` of ``jobs``; returns the results in job
         order and the number of jobs served from the cache. Each job reaches
-        the provider only through ``get_or_compute(kind, digest, ...)``; a job
-        that puts its own entry, as one whose stored entry is unusable does,
-        is not served from the cache.
+        the provider only through ``get_or_compute(kind, digest, ...)`` or
+        ``recompute(kind, digest, ...)``; a job that recomputes its entry, as
+        one whose stored entry is unusable does, is not served from the
+        cache, whether or not the computation succeeds.
 
         A job whose digest is in ``stored(kind)`` runs on the calling thread.
         The others wait on the provider, so they go to a pool of
@@ -217,7 +224,7 @@ class ResponseCache:
         with self._lock:
             if self._parked is not None:
                 raise RuntimeError("a cache serve is already running")
-            self._parked = {}
+            self._parked, self._serving = {}, threading.get_ident()
         results: list = []
         # digest -> (index in results, future) of each queued or running job, oldest first
         queued: dict[str, tuple[int, Future]] = {}
@@ -254,13 +261,16 @@ class ResponseCache:
                         queued[digest] = (len(results), pool.submit(job))
                         results.append(None)
                         continue
-                    with self._lock:
-                        before = self._parked.get((kind, digest))
+                    recomputes = self._recomputes
                     results.append(job())
-                    # A job that put its own entry (its stored one was
-                    # unusable) asked the provider; one that reads what
-                    # another job put is a hit.
-                    if collect(digest) is before:
+                    # Only this thread, or a job it has waited for, parks this
+                    # digest's record, so an empty map needs no lock.
+                    if self._parked:
+                        collect(digest)
+                    # A job that recomputed its entry (the stored one was
+                    # unusable) asked the provider, even if that failed; one
+                    # that reads what another job put is a hit.
+                    if self._recomputes == recomputes:
                         served += 1
                 for digest, (index, future) in queued.items():
                     results[index] = future.result()
@@ -268,7 +278,7 @@ class ResponseCache:
             raising = False
         finally:
             with self._lock:
-                parked, self._parked = self._parked, None
+                parked, self._parked, self._serving = self._parked, None, None
                 blocks = {kind: block}
                 for key in sorted(parked):
                     blocks.setdefault(key[0], []).append(parked[key])
@@ -285,11 +295,19 @@ class ResponseCache:
     def get_or_compute(
         self, kind: str, digest: str, compute: Callable[[], dict]
     ) -> dict:
-        """Return the stored payload, or compute, store and return it when
-        there is none (or the entry is corrupt). Concurrent callers of one
-        digest each compute it; ``serve`` never makes two."""
+        """Return the stored payload, or ``recompute`` it when there is none
+        (or the entry is corrupt). Concurrent callers of one digest each
+        compute it; ``serve`` never makes two."""
         found = self.get(kind, digest)
         if found is not None:
             return found
+        return self.recompute(kind, digest, compute)
+
+    def recompute(self, kind: str, digest: str, compute: Callable[[], dict]) -> dict:
+        """Compute, store and return the payload of ``digest``, replacing any
+        entry. Inside ``serve`` the job that calls it is not served from the
+        cache, even when ``compute`` raises."""
+        if threading.get_ident() == self._serving:
+            self._recomputes += 1
         # Payloads are JSON-native, so this equals what get would read.
         return self.put(kind, digest, compute())

@@ -131,7 +131,7 @@ def generate_definition(
         text = cache.get_or_compute("define", prompt.digest, compute).get("text")
         if not isinstance(text, str) or not text:
             logger.warning("recomputing cached definition %s: no text", prompt.digest)
-            text = cache.put("define", prompt.digest, compute())["text"]
+            text = cache.recompute("define", prompt.digest, compute)["text"]
     except ItemError as e:
         logger.warning("definition generation failed for %s: %s", iri, e)
         return None

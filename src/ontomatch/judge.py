@@ -13,6 +13,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import IO, Sequence, get_type_hints
 
 from .cache import ResponseCache
@@ -49,6 +50,8 @@ YES_VARIANTS = ("YES", "Yes", "yes", " YES", " Yes", " yes")
 NO_VARIANTS = ("NO", "No", "no", " NO", " No", " no")
 
 LOGPROB_FLOOR = -20.0
+_NUMBER_TYPES = frozenset((int, float))  # a bool is not a log-probability
+_PAIR = itemgetter(0, 1)  # a Judgement's (source, target)
 
 
 def _concept_block(heading: str, ctx: ContextBlock) -> str:
@@ -161,6 +164,8 @@ def _mass(dist: dict[str, float], variants: Sequence[str]) -> tuple[float, bool]
     present = [dist[v] for v in variants if v in dist]
     if not present:
         return LOGPROB_FLOOR, False
+    if len(present) == 1 and present[0] != math.inf:
+        return present[0] + 0.0, True  # the sum below, bit for bit; that is NaN at +inf
     top = max(present)
     if top == -math.inf:
         return top, True
@@ -240,15 +245,15 @@ def judge_pair(
     entries = cache.get_or_compute("judge", prompt.digest, compute).get("entries")
     if not scored:
         try:
-            if not isinstance(entries, dict) or not all(
-                type(v) in (int, float) for v in entries.values()
+            if not isinstance(entries, dict) or not _NUMBER_TYPES.issuperset(
+                map(type, entries.values())
             ):
                 raise ItemError("no entries object of log-probabilities")
             scored.append(p_yes(entries, mode=softmax_mode))
         except ItemError as e:
             logger.warning("recomputing cached judgement %s: %s", prompt.digest, e)
-            cache.put("judge", prompt.digest, compute())
-    return Judgement(source=source, target=target, cosine=cos, p_yes=scored[0])
+            cache.recompute("judge", prompt.digest, compute)
+    return Judgement(source, target, cos, scored[0])
 
 
 def _blocks(heading: str, iris: set[str], onto: Ontology) -> dict[str, tuple[str, str]]:
@@ -278,19 +283,18 @@ def judge_candidates(
     to ``max_workers`` threads. Pairs with the same prompt share one provider
     call.
     """
-    def pairs():  # read three times rather than held as a list: 64 bytes of tuple a pair
-        return itertools.islice(
-            ((src, tgt, sim) for src in sorted(candidates) for tgt, sim in candidates[src]), limit)
-
-    source_blocks = _blocks("Concept A", {src for src, _, _ in pairs()}, source_onto)
-    target_blocks = _blocks("Concept B", {tgt for _, tgt, _ in pairs()}, target_onto)
+    # Blocks of every candidate's concepts, also those a limit leaves unjudged.
+    source_blocks = _blocks("Concept A", set(candidates), source_onto)
+    target_blocks = _blocks("Concept B", {tgt for targets in candidates.values()
+                                          for tgt, _ in targets}, target_onto)
     head = _head_turns(shots)
     frame = PromptFrame("judge", JUDGE_TEMPLATE_VERSION, provider.chat_model_id,
                         [*head, {"role": "user"}])
     separator = json_escape("\n\n")
 
     def jobs():
-        for src, tgt, sim in pairs():
+        pairs = ((src, tgt, sim) for src in sorted(candidates) for tgt, sim in candidates[src])
+        for src, tgt, sim in itertools.islice(pairs, limit):
             a = source_blocks.get(src)
             b = target_blocks.get(tgt)
             if a is None or b is None:
@@ -307,18 +311,18 @@ def judge_candidates(
         "judged %d pairs: %d served from cache, %d sent to the provider",
         len(results), served, len(results) - served,
     )
-    results.sort(key=lambda j: (j.source, j.target))
+    results.sort(key=_PAIR)
     return results
 
 
 def write_judgements(judgements: Sequence[Judgement], fp: IO[str], lambda_prob: float) -> None:
-    """One row per pair; ``Decision`` is ``yes`` iff ``p_yes >= lambda_prob``."""
+    """One row per pair, in (source, target) order; ``Decision`` is ``yes``
+    iff ``p_yes >= lambda_prob``."""
     fp.write("SrcEntity\tTgtEntity\tCosine\tPYes\tDecision\n")
-    for j in sorted(judgements, key=lambda j: (j.source, j.target)):
-        fp.write(
-            f"{j.source}\t{j.target}\t{j.cosine:.8f}\t{j.p_yes:.8f}\t"
-            f"{'yes' if j.p_yes >= lambda_prob else 'no'}\n"
-        )
+    fp.writelines(
+        f"{source}\t{target}\t{cosine:.8f}\t{p:.8f}\t{'yes' if p >= lambda_prob else 'no'}\n"
+        for source, target, cosine, p in sorted(judgements, key=_PAIR)
+    )
 
 
 def read_judgements(fp: IO[str]) -> list[Judgement]:

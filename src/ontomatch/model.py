@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from types import UnionType
-from typing import IO, Callable, Iterable, Iterator, TypeVar, get_args, get_origin
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar, get_args, get_origin
 
 from .errors import ConfigError, OntologyParseError
 
@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 T = TypeVar("T")
+_STR = frozenset((str,))
 
 
 def is_absolute_iri(iri: str) -> bool:
@@ -264,8 +265,9 @@ class MappingSet:
         return cls(read_tsv_rows(fp, "mapping", 2, parse, at_least=True))
 
 
-@dataclass(frozen=True)
-class Judgement:
+class Judgement(NamedTuple):
+    """One judged pair: a tuple, cheap to build for each of a run's pairs."""
+
     source: str
     target: str
     cosine: float
@@ -297,19 +299,23 @@ def read_concept_jsonl(fp: IO[str], name: str) -> Ontology:
         label = row.get("label")
         if label is not None and not isinstance(label, str):
             raise OntologyParseError("'label' must be a string or null", line=lineno)
+        lists = []
         for key in ("synonyms", "parents", "equiv_descriptions"):
             value = row.get(key, [])
-            if not isinstance(value, list) or any(not isinstance(x, str) for x in value):
+            # json.loads makes no str subclass, so type() is as good as isinstance
+            if not isinstance(value, list) or not _STR.issuperset(map(type, value)):
                 raise OntologyParseError(f"{key!r} must be an array of strings", line=lineno)
+            lists.append(value)
         definition = row.get("definition")
         if definition is not None and not isinstance(definition, str):
             raise OntologyParseError("'definition' must be a string or null", line=lineno)
+        synonyms, parents, descriptions = lists  # fresh lists, owned by the new concept
         onto.concepts[iri] = Concept(
             iri=iri,
             label=label,
-            synonyms=dedupe_synonyms(label, row.get("synonyms", [])),
-            parents=list(row.get("parents", [])),
-            equiv_descriptions=list(row.get("equiv_descriptions", [])),
+            synonyms=dedupe_synonyms(label, synonyms) if synonyms else synonyms,
+            parents=parents,
+            equiv_descriptions=descriptions,
             definition=definition,
         )
     return onto

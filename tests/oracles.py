@@ -104,6 +104,46 @@ def reference_p_yes(entries: dict[str, float], floor: float = -20.0) -> float:
         return float(yes / (yes + no))
 
 
+class Unscorable(Exception):
+    """``two_pass_p_yes``'s stand-in for the package's ``ItemError``."""
+
+
+def _two_pass_mass(dist: dict[str, float], variants: Sequence[str]) -> tuple[float, bool]:
+    present = [dist[v] for v in variants if v in dist]
+    if not present:
+        return -20.0, False
+    top = max(present)
+    if top == -math.inf:
+        return top, True
+    return top + math.log(sum(math.exp(x - top) for x in present)), True
+
+
+def two_pass_p_yes(entries: dict[str, float], mode: str = "pair") -> float:
+    """``judge.p_yes`` as it was before its one-variant shortcut: every side
+    takes the max pass and the log-sum-exp pass. Production must equal it
+    bit for bit, and raise ``ItemError`` with the message it raises
+    ``Unscorable`` with."""
+    yes_mass, yes_found = _two_pass_mass(entries, YES_FORMS)
+    no_mass, no_found = _two_pass_mass(entries, NO_FORMS)
+    if not yes_found and not no_found:
+        raise Unscorable(f"no YES or NO variant among tokens {sorted(entries)[:8]}")
+    if mode == "pair":
+        if yes_mass == no_mass == -math.inf:
+            raise Unscorable("YES and NO both have log-probability -inf")
+        diff = no_mass - yes_mass
+        if diff >= 0:
+            return math.exp(-math.log1p(math.exp(-diff)) - diff)
+        return 1.0 / (1.0 + math.exp(diff))
+    values = list(entries.values())
+    top = max(values)
+    if top == -math.inf:
+        raise Unscorable("every token has log-probability -inf")
+    total = top + math.log(sum(math.exp(v - top) for v in values))
+    if not yes_found:
+        return 0.0
+    return math.exp(yes_mass - total)
+
+
 def reference_f1(precision: float, recall: float) -> float:
     if precision == 0.0 and recall == 0.0:
         return 0.0

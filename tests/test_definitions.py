@@ -343,6 +343,24 @@ def test_enrich_ontology_logs_hits_and_misses(tmp_path, caplog):
     assert lines == ["defined 3 src concepts: 1 served from cache, 2 sent to the provider"]
 
 
+@pytest.mark.parametrize("entry", [b'{"text": ""}', b"{truncated"], ids=["no-text", "corrupt"])
+def test_enrich_ontology_counts_a_failed_recomputation_as_sent_to_the_provider(
+    tmp_path, caplog, entry
+):
+    """A cached entry that cannot be served is recomputed; when the provider
+    fails, the concept was still sent to it, not served from the cache."""
+    provider = _FailingProvider(ItemError("down"))
+    onto = _ontology(1)
+    [concept] = onto.concepts.values()
+    prompt = definition_prompt(concept_context(concept, onto), onto.name, "tgt", provider)
+    append_raw_entry(tmp_path / "cache", "define", prompt.digest, entry)
+    with caplog.at_level("INFO", logger="ontomatch.definitions"):
+        assert enrich_ontology(onto, "tgt", provider, ResponseCache(tmp_path / "cache")) == 1
+    assert concept.definition is None
+    lines = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+    assert lines == ["defined 1 src concepts: 0 served from cache, 1 sent to the provider"]
+
+
 # Text that JSON escapes or keeps as it is: quotes, backslashes, newlines, tabs,
 # control and non-ASCII characters, and a lone surrogate-free emoji.
 AWKWARD = ('say "hi" \\ back\\slash', "line one\nline two\r\n\ttab", "café – Ω ✓ 🫀",

@@ -37,7 +37,7 @@ from ontomatch.pipeline import PipelineConfig
 from ontomatch.providers import MockProvider
 
 from conftest import TOY_DIR, CountingProvider, append_raw_entry, golden_text
-from oracles import reference_p_yes
+from oracles import NO_FORMS, YES_FORMS, Unscorable, reference_p_yes, two_pass_p_yes
 
 NERVE_A = ContextBlock(
     iri="http://snomed.info/id/A",
@@ -224,6 +224,45 @@ def test_p_yes_matches_reference_on_random_distributions():
                 p_yes(entries)
             continue
         assert p_yes(entries) == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["pair", "full"])
+def test_p_yes_equals_the_two_pass_oracle_bit_for_bit(mode):
+    """Every count of YES and NO variants from 0 to 6, drawn from a pool
+    with -inf, +inf, signed zeros and ints, among 0 to 3 other tokens, and
+    distributions whose masses are all zero: the same float, or an
+    ItemError with the oracle's message."""
+    rng = random.Random(2024)
+    values = (-math.inf, math.inf, 0.0, -0.0, -3, -0.001, -7.0, -20.0, -25.5)
+    others = (".", "I", "the", "maybe")
+
+    def draw():
+        return rng.choice(values) if rng.random() < 0.4 else rng.uniform(-25.0, 0.0)
+
+    cases = [
+        {"YES": -math.inf, "NO": -math.inf},
+        {" yes": -math.inf, "No": -math.inf, ".": -math.inf},
+        {"Yes": -math.inf, ".": -1.0},
+    ]
+    for yes_count in range(7):
+        for no_count in range(7):
+            for _ in range(16):
+                tokens = [*rng.sample(YES_FORMS, yes_count), *rng.sample(NO_FORMS, no_count),
+                          *rng.sample(others, rng.randint(0, 3))]
+                rng.shuffle(tokens)
+                cases.append({token: draw() for token in tokens})
+    raised = 0
+    for entries in cases:
+        try:
+            expected = two_pass_p_yes(entries, mode)
+        except Unscorable as e:
+            with pytest.raises(ItemError) as exc:
+                p_yes(entries, mode)
+            assert str(exc.value) == str(e)
+            raised += 1
+            continue
+        assert p_yes(entries, mode).hex() == expected.hex(), entries
+    assert 16 < raised < 30  # beyond the 16 draws with no variant at all
 
 
 def test_p_yes_full_mode_divides_by_total_mass():

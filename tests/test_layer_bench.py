@@ -15,11 +15,17 @@ from ontomatch.cache import ResponseCache
 from ontomatch.definitions import enrich_ontology
 from ontomatch.fusion import exact_match, filter_and_fuse
 from ontomatch.ingest import parse_ontology
-from ontomatch.judge import judge_candidates, p_yes
+from ontomatch.judge import judge_candidates, p_yes, read_judgements, write_judgements
 from ontomatch.model import Concept, Judgement, Ontology, read_concept_jsonl, write_concept_jsonl
 from ontomatch.pipeline import Pipeline
-from ontomatch.providers import SamplingParams
-from ontomatch.retrieval import ExactIndex, load_embeddings, read_candidates, save_embeddings
+from ontomatch.providers import MockProvider, SamplingParams
+from ontomatch.retrieval import (
+    ExactIndex,
+    load_embeddings,
+    read_candidates,
+    save_embeddings,
+    write_candidates,
+)
 
 from conftest import CountingProvider, toy_config
 
@@ -52,6 +58,74 @@ def test_warm_judge_candidates_on_toy_pairs(tmp_path, benchmark):
     )
     assert len(judgements) == sum(len(v) for v in candidates.values())
     assert provider.total_calls == 0
+
+
+def _judge_sides() -> tuple[Ontology, Ontology, dict[str, list[tuple[str, float]]]]:
+    """The benchmark's judge batch: 400 concepts a side, each source with
+    k=10 candidates, so 4000 pairs; every target is some source's first."""
+    sides = []
+    for name in ("src", "tgt"):
+        onto = _ontology(name, ((f"concept {i}", [f"synonym {i}"]) for i in range(400)))
+        for concept in onto.concepts.values():
+            concept.definition = f"A concept of the {name} ontology named {concept.label}."
+        sides.append(onto)
+    s, t = (sorted(onto.concepts) for onto in sides)
+    candidates = {s[i]: [(t[(i + 37 * j) % 400], 1.0 - j / 16) for j in range(10)]
+                  for i in range(400)}
+    return *sides, candidates
+
+
+def test_warm_judge_candidates_over_4k_pairs(tmp_path, benchmark):
+    """A judge pass of a retune step: a new cache object over a full log,
+    so each round also loads the log."""
+    source, target, candidates = _judge_sides()
+    judge_candidates(candidates, source, target, MockProvider(),
+                     ResponseCache(tmp_path / "cache"), max_workers=2)
+    provider = CountingProvider(MockProvider())
+
+    def warm_cache():
+        return (candidates, source, target, provider, ResponseCache(tmp_path / "cache")), {}
+
+    judgements = benchmark.pedantic(judge_candidates, setup=warm_cache, rounds=3)
+    assert len(judgements) == 4000
+    assert provider.total_calls == 0
+
+
+def _judgement_rows() -> list[Judgement]:
+    _, _, candidates = _judge_sides()
+    return [Judgement(src, tgt, sim, 1.0 / (2 + rank))
+            for src, targets in sorted(candidates.items())
+            for rank, (tgt, sim) in enumerate(targets)]
+
+
+def test_read_judgements_of_4k_rows(tmp_path, benchmark):
+    rows = _judgement_rows()
+    path = tmp_path / "judgements.tsv"
+    with open(path, "w", encoding="utf-8") as fp:
+        write_judgements(rows, fp, 0.99)
+
+    def read():
+        with open(path, "r", encoding="utf-8") as fp:
+            return read_judgements(fp)
+
+    got = benchmark.pedantic(read, rounds=3)
+    assert len(got) == 4000
+    assert [j[:2] for j in got] == sorted(j[:2] for j in rows)
+
+
+def test_read_candidates_of_4k_rows(tmp_path, benchmark):
+    _, _, candidates = _judge_sides()
+    path = tmp_path / "candidates.tsv"
+    with open(path, "w", encoding="utf-8") as fp:
+        write_candidates(candidates, fp)
+
+    def read():
+        with open(path, "r", encoding="utf-8") as fp:
+            return read_candidates(fp)
+
+    got = benchmark.pedantic(read, rounds=3)
+    assert sum(map(len, got.values())) == 4000
+    assert got == candidates  # cosines of a few binary digits print exactly
 
 
 def test_warm_enrich_ontology_on_toy_concepts(tmp_path, benchmark):
