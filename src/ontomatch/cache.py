@@ -47,6 +47,8 @@ _SYNC = zlib.compress(b"")[:2]  # the zlib header, b"x\x9c", that starts every b
 BLOCK_ENTRIES = 64
 QUEUE_PER_WORKER = 4
 T = TypeVar("T")
+# json.loads of a str, less its per-call checks of its arguments
+_decode_json = json.JSONDecoder().decode
 
 __all__ = ["ResponseCache", "atomic_open"]
 
@@ -167,7 +169,7 @@ class ResponseCache:
         try:
             # An explicit UTF-8 decode: json.loads on bytes would also accept
             # UTF-16 and UTF-32.
-            payload = json.loads(data.decode("utf-8"))
+            payload = _decode_json(data.decode("utf-8"))
         except ValueError:  # JSONDecodeError and UnicodeDecodeError
             payload = None
         if not isinstance(payload, dict):

@@ -161,15 +161,23 @@ def build_judgement_prompt(
 
 
 def _mass(dist: dict[str, float], variants: Sequence[str]) -> tuple[float, bool]:
-    present = [dist[v] for v in variants if v in dist]
+    """The log-sum-exp of the log-probabilities of ``variants`` in ``dist``,
+    summed in variant order, and whether any is there. Plain loops: a
+    comprehension or generator costs more than the work on a short reply,
+    and this runs twice for every judged pair."""
+    present = []
+    for v in variants:
+        if v in dist:
+            present.append(dist[v])
     if not present:
         return LOGPROB_FLOOR, False
-    if len(present) == 1 and present[0] != math.inf:
-        return present[0] + 0.0, True  # the sum below, bit for bit; that is NaN at +inf
     top = max(present)
     if top == -math.inf:
         return top, True
-    return top + math.log(sum(math.exp(x - top) for x in present)), True
+    total = 0.0  # as sum() starts: 0 + x is x for every exp(x - top) >= 0
+    for x in present:
+        total += math.exp(x - top)
+    return top + math.log(total), True
 
 
 def p_yes(entries: dict[str, float], mode: str = "pair") -> float:
@@ -283,18 +291,19 @@ def judge_candidates(
     to ``max_workers`` threads. Pairs with the same prompt share one provider
     call.
     """
-    # Blocks of every candidate's concepts, also those a limit leaves unjudged.
-    source_blocks = _blocks("Concept A", set(candidates), source_onto)
-    target_blocks = _blocks("Concept B", {tgt for targets in candidates.values()
-                                          for tgt, _ in targets}, target_onto)
+    def pairs():  # read three times rather than held as a list: 64 bytes of tuple a pair
+        return itertools.islice(
+            ((src, tgt, sim) for src in sorted(candidates) for tgt, sim in candidates[src]), limit)
+
+    source_blocks = _blocks("Concept A", {src for src, _, _ in pairs()}, source_onto)
+    target_blocks = _blocks("Concept B", {tgt for _, tgt, _ in pairs()}, target_onto)
     head = _head_turns(shots)
     frame = PromptFrame("judge", JUDGE_TEMPLATE_VERSION, provider.chat_model_id,
                         [*head, {"role": "user"}])
     separator = json_escape("\n\n")
 
     def jobs():
-        pairs = ((src, tgt, sim) for src in sorted(candidates) for tgt, sim in candidates[src])
-        for src, tgt, sim in itertools.islice(pairs, limit):
+        for src, tgt, sim in pairs():
             a = source_blocks.get(src)
             b = target_blocks.get(tgt)
             if a is None or b is None:

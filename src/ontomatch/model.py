@@ -31,7 +31,6 @@ __all__ = [
 ]
 
 T = TypeVar("T")
-_STR = frozenset((str,))
 
 
 def is_absolute_iri(iri: str) -> bool:
@@ -274,6 +273,18 @@ class Judgement(NamedTuple):
     p_yes: float
 
 
+_STR = frozenset((str,))
+
+
+def _strings(row: dict, key: str, lineno: int) -> list[str]:
+    """``row[key]``, a list of strings (``[]`` when absent), as ``json.loads`` made it."""
+    value = row.get(key, [])
+    # json.loads makes no str or list subclass, so type() is as good as isinstance
+    if type(value) is not list or not _STR.issuperset(map(type, value)):
+        raise OntologyParseError(f"{key!r} must be an array of strings", line=lineno)
+    return value
+
+
 def read_concept_jsonl(fp: IO[str], name: str) -> Ontology:
     """Parse the JSONL interchange format into an Ontology.
 
@@ -299,24 +310,15 @@ def read_concept_jsonl(fp: IO[str], name: str) -> Ontology:
         label = row.get("label")
         if label is not None and not isinstance(label, str):
             raise OntologyParseError("'label' must be a string or null", line=lineno)
-        lists = []
-        for key in ("synonyms", "parents", "equiv_descriptions"):
-            value = row.get(key, [])
-            # json.loads makes no str subclass, so type() is as good as isinstance
-            if not isinstance(value, list) or not _STR.issuperset(map(type, value)):
-                raise OntologyParseError(f"{key!r} must be an array of strings", line=lineno)
-            lists.append(value)
+        synonyms = _strings(row, "synonyms", lineno)
+        parents = _strings(row, "parents", lineno)
+        descriptions = _strings(row, "equiv_descriptions", lineno)
         definition = row.get("definition")
         if definition is not None and not isinstance(definition, str):
             raise OntologyParseError("'definition' must be a string or null", line=lineno)
-        synonyms, parents, descriptions = lists  # fresh lists, owned by the new concept
+        # Fresh lists, owned by the new concept; the fields in their order.
         onto.concepts[iri] = Concept(
-            iri=iri,
-            label=label,
-            synonyms=dedupe_synonyms(label, synonyms) if synonyms else synonyms,
-            parents=parents,
-            equiv_descriptions=descriptions,
-            definition=definition,
+            iri, label, dedupe_synonyms(label, synonyms), parents, descriptions, definition
         )
     return onto
 

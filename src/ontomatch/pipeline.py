@@ -27,7 +27,7 @@ import numpy as np
 from . import definitions, judge
 from .cache import ResponseCache, atomic_open
 from .definitions import build_embedding_text, enrich_ontology
-from .errors import ConfigError, ItemError, MissingArtifactError, OntologyParseError
+from .errors import ConfigError, MissingArtifactError, OntologyParseError
 from .evaluate import (
     MetricsReport,
     Pair,
@@ -59,6 +59,7 @@ from .retrieval import (
     generate_candidates,
     load_embeddings,
     merge_candidate_maps,
+    normed_cosine,
     read_candidates,
     save_embeddings,
     write_candidates,
@@ -536,19 +537,12 @@ def _ranking_scorer(ctx: StageContext) -> Callable[[list[Pair]], dict[Pair, floa
     artifacts (-1.0 for a missing concept), or their p_yes from one
     ``judge_candidates`` call (0.0 for a missing concept)."""
     if ctx.config.ranking_scorer == "cosine":
+        # Each row as float64, as cosine takes it, with its norm.
         src, tgt = ({iri: (v, float(np.linalg.norm(v)))
                      for iri, v in zip(iris, matrix.astype(np.float64, copy=False))}
                     for iris, matrix in map(ctx.embeddings, SIDES))
-
-        def cosine(a: np.ndarray, na: float, b: np.ndarray, nb: float) -> float:
-            """``retrieval.cosine`` of two loaded rows, bit for bit, with one
-            ``np.dot`` and none of its per-call conversions and checks."""
-            if na == 0.0 or nb == 0.0:
-                raise ItemError("cosine of a zero-norm vector is undefined")
-            return max(-1.0, min(1.0, float(np.dot(a, b) / (na * nb))))
-
         return lambda pairs: {
-            (s, t): cosine(*src[s], *tgt[t]) if s in src and t in tgt else -1.0
+            (s, t): normed_cosine(*src[s], *tgt[t]) if s in src and t in tgt else -1.0
             for s, t in pairs
         }
 

@@ -34,6 +34,7 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "cosine",
+    "normed_cosine",
     "HnswParams",
     "ExactIndex",
     "HnswIndex",
@@ -48,17 +49,20 @@ __all__ = [
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity, clamped to [-1, 1]."""
+    """Cosine similarity of two vectors, clamped to [-1, 1]."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    return normed_cosine(a, float(np.linalg.norm(a)), b, float(np.linalg.norm(b)))
+
+
+def normed_cosine(a: np.ndarray, na: float, b: np.ndarray, nb: float) -> float:
+    """``cosine`` of two float64 vectors of one length whose norms are ``na``
+    and ``nb``: one ``np.dot``, and no conversion or check of the vectors."""
     if na == 0.0 or nb == 0.0:
         raise ItemError("cosine of a zero-norm vector is undefined")
-    value = float(np.dot(a, b) / (na * nb))
-    return max(-1.0, min(1.0, value))
+    return max(-1.0, min(1.0, float(np.dot(a, b) / (na * nb))))
 
 
 @dataclass(frozen=True)

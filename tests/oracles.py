@@ -119,7 +119,7 @@ def _two_pass_mass(dist: dict[str, float], variants: Sequence[str]) -> tuple[flo
 
 
 def two_pass_p_yes(entries: dict[str, float], mode: str = "pair") -> float:
-    """``judge.p_yes`` as it was before its one-variant shortcut: every side
+    """``judge.p_yes``'s two-pass formula, copied as a reference: every side
     takes the max pass and the log-sum-exp pass. Production must equal it
     bit for bit, and raise ``ItemError`` with the message it raises
     ``Unscorable`` with."""

@@ -438,6 +438,19 @@ def test_judge_candidates_limit_bounds_pairs(cache):
     ]
 
 
+def test_judge_candidates_limit_renders_only_the_concepts_it_judges(cache, monkeypatch):
+    """A smoke run's limit also bounds the prompt blocks rendered: S2 and
+    its candidates are never rendered when only S1's pair is judged."""
+    src, tgt = _ontologies()
+    candidates = {"http://s#S1": [("http://t#T2", 0.5)], "http://s#S2": [("http://t#T1", 0.4)]}
+    rendered = []
+    real = judge_module.concept_context
+    monkeypatch.setattr(judge_module, "concept_context",
+                        lambda concept, onto: rendered.append(concept.iri) or real(concept, onto))
+    judge_candidates(candidates, src, tgt, MockProvider(), cache, limit=1)
+    assert sorted(rendered) == ["http://s#S1", "http://t#T2"]
+
+
 def test_judge_candidates_skips_missing_concepts(cache, caplog):
     src, tgt = _ontologies()
     candidates = {

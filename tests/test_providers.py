@@ -29,7 +29,7 @@ from ontomatch.providers import (
     validate_messages,
 )
 
-from conftest import TOY_DIR, block_digests, load_alias_groups
+from conftest import TOY_DIR, append_raw_entry, block_digests, load_alias_groups
 from oracles import alias_rewriter, cosine, reference_prompt_digest
 
 ALIASES = [
@@ -818,10 +818,14 @@ def test_serve_runs_a_duplicate_of_a_queued_job_on_the_calling_thread(cache):
     assert ran_on[0] != here and ran_on[1:] == [here] * 3
 
 
-def test_serve_computes_each_digest_once_under_threads(cache):
-    """Near and far repeats of 40 digests among 400 jobs, with threads
-    switched often: every digest is computed exactly once, and its entry is
-    in the log when serve returns."""
+def _serve_under_threads(cache: ResponseCache, good: frozenset[str] = frozenset(),
+                         unusable: frozenset[str] = frozenset()) -> None:
+    """Serve 400 jobs over 40 digests, drawn with near and far repeats, on 8
+    workers with threads switched often. ``good`` digests are stored before,
+    so they are never computed; every other digest is computed exactly once
+    and its entry is in the log when serve returns, and every job that
+    computed nothing counts as served. ``unusable`` names the digests stored
+    with an entry that cannot be read."""
     rng = random.Random(7)
     digests = [f"d{rng.randrange(40)}" for _ in range(400)]
     computed = Counter()
@@ -851,11 +855,28 @@ def test_serve_computes_each_digest_once_under_threads(cache):
     finally:
         sys.setswitchinterval(interval)
     assert not consumer.is_alive()
-    assert out["result"][0] == digests
-    assert computed == Counter(set(digests))
+    asked = set(digests) - good
+    assert out["result"] == (digests, len(digests) - len(asked))
+    assert computed == Counter(asked)
     fresh = ResponseCache(cache.root)
-    assert fresh.stored("judge") == set(digests)
+    assert fresh.stored("judge") == set(digests) | good | unusable
     assert all(fresh.get("judge", d) == {"text": d} for d in set(digests))
+
+
+def test_serve_computes_each_digest_once_under_threads(cache):
+    _serve_under_threads(cache)
+
+
+def test_serve_under_threads_serves_stored_entries_and_recomputes_unusable_ones(cache):
+    """Ten digests stored and five stored unusable: the calling thread serves
+    the ten and recomputes the five while the pool's jobs put theirs."""
+    good = frozenset(f"d{i}" for i in range(10))
+    unusable = frozenset(f"d{i}" for i in range(10, 15))
+    for d in good:
+        cache.put("judge", d, {"text": d})
+    for d in unusable:
+        append_raw_entry(cache.root, "judge", d, b"{truncated")
+    _serve_under_threads(cache, good, unusable)
 
 
 def test_serve_reads_its_own_writes_before_they_are_appended(tmp_path):

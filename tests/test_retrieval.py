@@ -19,6 +19,7 @@ from ontomatch.retrieval import (
     generate_candidates,
     load_embeddings,
     merge_candidate_maps,
+    normed_cosine,
     read_candidates,
     save_embeddings,
     write_candidates,
@@ -58,6 +59,20 @@ def test_cosine_agrees_with_oracle_on_random_vectors():
         assert cosine(np.array(a), np.array(b)) == pytest.approx(
             oracles.cosine(a, b), abs=1e-12
         )
+
+
+def test_normed_cosine_equals_cosine_bit_for_bit():
+    """Given the vectors' norms, normed_cosine is cosine's value, clamp and
+    zero-norm error included."""
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        a, b = rng.normal(size=(2, int(rng.integers(2, 64))))
+        for x, y in ((a, b), (a, a), (a, -a)):
+            expected = cosine(x, y)
+            got = normed_cosine(x, float(np.linalg.norm(x)), y, float(np.linalg.norm(y)))
+            assert got.hex() == expected.hex()
+    with pytest.raises(ItemError, match="zero-norm"):
+        normed_cosine(np.zeros(3), 0.0, np.ones(3), math.sqrt(3.0))
 
 
 # -- exact index ---------------------------------------------------------------
