@@ -15,7 +15,7 @@ import sys
 import click
 
 from .errors import OntomatchError
-from .model import MappingSet
+from .fusion import read_mappings
 from .pipeline import Pipeline, PipelineConfig, global_report
 from .providers import DEFAULT_PROVIDER_KIND, PROVIDER_KINDS
 
@@ -132,9 +132,9 @@ def eval_command(config_path, force, limit, predictions, **kwargs):
             if not reference:
                 raise click.UsageError("--predictions requires --reference or a config reference")
             with open(predictions, "r", encoding="utf-8") as fp:
-                predicted = MappingSet.read_tsv(fp)
+                predicted = read_mappings(fp)
             with open(reference, "r", encoding="utf-8") as fp:
-                report = global_report(predicted, MappingSet.read_tsv(fp))
+                report = global_report(predicted, read_mappings(fp))
         except (OntomatchError, OSError) as e:  # click checks only a --reference path
             raise click.ClickException(str(e)) from e
         click.echo(report.to_text(), nl=False)

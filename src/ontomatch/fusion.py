@@ -1,5 +1,5 @@
 """Result fusion: dual-threshold filtering of judgements plus lexical
-exact matching, combined by union.
+exact matching, combined by union; and the mapping TSV's reader and writer.
 
 Exact matching goes through an inverted index over normalized labels and
 synonyms (trim, whitespace collapse, case-fold) — never a pairwise scan.
@@ -8,44 +8,39 @@ Exact pairs carry score 1.0 and survive any threshold setting.
 
 from __future__ import annotations
 
-import logging
-from typing import Iterable, Sequence
+from typing import IO, Iterable
 
-from .model import (
-    Judgement,
-    Mapping,
-    MappingSet,
-    Ontology,
-    normalize_string,
-)
+from .evaluate import Pair
+from .model import Judgement, Mapping, Ontology, bounded_float, normalize_string, read_tsv_rows
 
-logger = logging.getLogger(__name__)
+__all__ = ["exact_match", "filter_and_fuse", "read_mappings", "write_mappings"]
 
-__all__ = ["exact_match", "filter_and_fuse"]
+PROVENANCES = ("llm", "exact", "both")
 
 
-def exact_match(source: Ontology, target: Ontology) -> MappingSet:
-    """All (source, target) pairs sharing a normalized label or synonym."""
+def exact_match(source: Ontology, target: Ontology) -> list[Mapping]:
+    """All (source, target) pairs sharing a normalized label or synonym, once each."""
     index: dict[str, list[str]] = {}
     for iri, concept in target.concepts.items():
         for text in concept.lexical_strings():
             if key := normalize_string(text):
                 index.setdefault(key, []).append(iri)
-    out = MappingSet()
+    pairs: dict[Pair, None] = {}
     for s, concept in source.concepts.items():
         for text in concept.lexical_strings():
             for t in index.get(normalize_string(text), ()):
-                out.add(Mapping(source=s, target=t, alpha=1.0, provenance="exact"))
-    return out
+                pairs[s, t] = None
+    return [Mapping(s, t, 1.0, "exact") for s, t in pairs]
 
 
 def filter_and_fuse(
     judgements: Iterable[Judgement],
-    exact: MappingSet | Sequence[Mapping] = (),
+    exact: Iterable[Mapping] = (),
     lambda_prob: float = 0.99,
     lambda_cs: float = 0.97,
-) -> MappingSet:
-    """Keep judgements passing both thresholds, then union exact matches.
+) -> list[Mapping]:
+    """Keep judgements passing both thresholds, then union exact matches:
+    one mapping per pair, a later one of a pair replacing an earlier one.
 
     A pair found by both routes gets provenance ``both`` and score 1.0 (the
     max of the two scores). Exact pairs are never removed by thresholds.
@@ -53,11 +48,38 @@ def filter_and_fuse(
     for name, value in (("lambda_prob", lambda_prob), ("lambda_cs", lambda_cs)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {value}")
-    fused = MappingSet()
-    for j in judgements:
-        if j.p_yes >= lambda_prob and j.cosine >= lambda_cs:
-            fused.add(Mapping(source=j.source, target=j.target, alpha=j.p_yes, provenance="llm"))
+    fused = {
+        (j.source, j.target): Mapping(j.source, j.target, j.p_yes, "llm")
+        for j in judgements if j.p_yes >= lambda_prob and j.cosine >= lambda_cs
+    }
     for m in exact:
-        provenance = "exact" if fused.get(m.source, m.target) is None else "both"
-        fused.add(Mapping(source=m.source, target=m.target, alpha=1.0, provenance=provenance))
-    return fused
+        pair = (m.source, m.target)
+        fused[pair] = Mapping(m.source, m.target, 1.0, "both" if pair in fused else "exact")
+    return list(fused.values())
+
+
+def _mapping(parts: list[str]) -> Mapping:
+    score = bounded_float(parts[2], "Score", 0.0, 1.0) if len(parts) > 2 and parts[2] else 1.0
+    provenance = parts[3] if len(parts) > 3 else "llm"
+    if provenance not in PROVENANCES:
+        raise ValueError(f"unknown provenance {provenance!r}")
+    return Mapping(parts[0], parts[1], score, provenance)
+
+
+def read_mappings(fp: IO[str]) -> dict[Pair, Mapping]:
+    """The mappings of a ``SrcEntity TgtEntity [Score [Provenance]]`` TSV
+    (``mappings.tsv``, a reference), keyed by pair: a later row of a pair
+    replaces an earlier one, the score defaults to 1.0 and the provenance to
+    ``llm``. A score outside [0, 1] or an unknown provenance raises
+    ``OntologyParseError`` naming its line."""
+    return {(m.source, m.target): m
+            for m in read_tsv_rows(fp, "mapping", 2, _mapping, at_least=True)}
+
+
+def write_mappings(mappings: Iterable[Mapping], fp: IO[str], with_provenance: bool = False) -> None:
+    """One row per mapping, sorted by (source, -score, target), the score
+    with 8 decimals; a ``Provenance`` column only ``with_provenance``."""
+    fp.write("SrcEntity\tTgtEntity\tScore" + ("\tProvenance\n" if with_provenance else "\n"))
+    for m in sorted(mappings, key=lambda m: (m.source, -m.alpha, m.target)):
+        row = f"{m.source}\t{m.target}\t{m.alpha:.8f}"
+        fp.write(row + (f"\t{m.provenance}\n" if with_provenance else "\n"))

@@ -18,7 +18,9 @@ from typing import IO, Sequence, get_type_hints
 
 from .cache import ResponseCache
 from .errors import ConfigError, ItemError
-from .model import ContextBlock, Judgement, Ontology, check_record, concept_context, read_tsv_rows
+from .model import (
+    ContextBlock, Judgement, Ontology, bounded_float, check_record, concept_context, read_tsv_rows,
+)
 from .providers import Message, Prompt, PromptFrame, Provider, json_escape, prompt_digest
 
 logger = logging.getLogger(__name__)
@@ -335,8 +337,11 @@ def write_judgements(judgements: Sequence[Judgement], fp: IO[str], lambda_prob: 
 
 
 def read_judgements(fp: IO[str]) -> list[Judgement]:
-    """Scores of a ``judgements.tsv``; the ``Decision`` column is not read."""
+    """Scores of a ``judgements.tsv``; the ``Decision`` column is not read. A
+    ``Cosine`` outside [-1, 1] or a ``PYes`` outside [0, 1] raises
+    ``OntologyParseError`` naming its line."""
     return list(read_tsv_rows(
         fp, "judgement", 5,
-        lambda parts: Judgement(parts[0], parts[1], float(parts[2]), float(parts[3])),
+        lambda parts: Judgement(parts[0], parts[1], bounded_float(parts[2], "Cosine", -1.0, 1.0),
+                                bounded_float(parts[3], "PYes", 0.0, 1.0)),
     ))

@@ -19,8 +19,8 @@ __all__ = [
     "Ontology",
     "ContextBlock",
     "Mapping",
-    "MappingSet",
     "Judgement",
+    "bounded_float",
     "check_record",
     "iri_fragment",
     "is_absolute_iri",
@@ -204,64 +204,23 @@ def read_tsv_rows(fp: IO[str], what: str, columns: int, parse: Callable[[list[st
         yield row
 
 
-@dataclass(frozen=True)
-class Mapping:
+def bounded_float(text: str, column: str, low: float, high: float) -> float:
+    """``float(text)``, a ``ValueError`` naming ``column`` unless it lies in
+    [low, high]: a TSV cell for ``read_tsv_rows``'s ``parse``. NaN lies in no range."""
+    value = float(text)
+    if not low <= value <= high:
+        raise ValueError(f"{column} must be in [{low:g}, {high:g}], got {value}")
+    return value
+
+
+class Mapping(NamedTuple):
+    """One kept pair: a tuple, cheap to build. ``fusion.read_mappings``
+    checks the score and provenance of a row read from a file."""
+
     source: str
     target: str
     alpha: float
     provenance: str = "llm"  # llm | exact | both
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.provenance not in ("llm", "exact", "both"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-
-
-class MappingSet:
-    """An ordered set of mappings, unique per (source, target) pair."""
-
-    def __init__(self, mappings: Iterable[Mapping] = ()):
-        self._by_pair: dict[tuple[str, str], Mapping] = {}
-        for m in mappings:
-            self.add(m)
-
-    def add(self, m: Mapping) -> None:
-        self._by_pair[(m.source, m.target)] = m
-
-    def get(self, source: str, target: str) -> Mapping | None:
-        return self._by_pair.get((source, target))
-
-    def pairs(self) -> set[tuple[str, str]]:
-        return set(self._by_pair)
-
-    def sorted_mappings(self) -> list[Mapping]:
-        return sorted(self._by_pair.values(), key=lambda m: (m.source, -m.alpha, m.target))
-
-    def __len__(self) -> int:
-        return len(self._by_pair)
-
-    def __iter__(self):
-        return iter(self.sorted_mappings())
-
-    def __contains__(self, pair: tuple[str, str]) -> bool:
-        return pair in self._by_pair
-
-    def write_tsv(self, fp: IO[str], with_provenance: bool = False) -> None:
-        cols = "SrcEntity\tTgtEntity\tScore"
-        fp.write(cols + ("\tProvenance\n" if with_provenance else "\n"))
-        for m in self.sorted_mappings():
-            row = f"{m.source}\t{m.target}\t{m.alpha:.8f}"
-            fp.write(row + (f"\t{m.provenance}\n" if with_provenance else "\n"))
-
-    @classmethod
-    def read_tsv(cls, fp: IO[str]) -> "MappingSet":
-        def parse(parts: list[str]) -> Mapping:
-            score = float(parts[2]) if len(parts) > 2 and parts[2] else 1.0
-            prov = parts[3] if len(parts) > 3 else "llm"
-            return Mapping(parts[0], parts[1], score, prov)
-
-        return cls(read_tsv_rows(fp, "mapping", 2, parse, at_least=True))
 
 
 class Judgement(NamedTuple):

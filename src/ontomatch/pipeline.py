@@ -36,7 +36,7 @@ from .evaluate import (
     make_ranking_cases,
     read_ranking_cases,
 )
-from .fusion import exact_match, filter_and_fuse
+from .fusion import exact_match, filter_and_fuse, read_mappings, write_mappings
 from .ingest import DEFAULT_LABEL_PROPERTY, DEFAULT_SYNONYM_PROPERTIES, parse_ontology
 from .judge import (
     DEFAULT_FEW_SHOT,
@@ -47,7 +47,7 @@ from .judge import (
 )
 from .model import (
     Judgement,
-    MappingSet,
+    Mapping,
     Ontology,
     check_record,
     read_concept_jsonl,
@@ -243,10 +243,10 @@ class PipelineConfig:
         return pool[: self.few_shot]
 
 
-def global_report(predicted: MappingSet, reference: MappingSet) -> MetricsReport:
+def global_report(predicted: dict[Pair, Mapping], reference: dict[Pair, Mapping]) -> MetricsReport:
     """Precision, recall, F1 and the pair counts of ``predicted`` against
-    ``reference``."""
-    precision, recall, f1 = global_metrics(predicted.pairs(), reference.pairs())
+    ``reference``, each keyed by pair as ``read_mappings`` returns it."""
+    precision, recall, f1 = global_metrics(predicted, reference)
     return MetricsReport(
         precision=precision,
         recall=recall,
@@ -529,7 +529,7 @@ def _fuse(ctx: StageContext, limit: int | None) -> None:
     fused = filter_and_fuse(
         judgements, exact, lambda_prob=cfg.lambda_prob, lambda_cs=cfg.lambda_cs
     )
-    ctx.write("mappings.tsv", lambda fp: fused.write_tsv(fp, with_provenance=cfg.with_provenance))
+    ctx.write("mappings.tsv", lambda fp: write_mappings(fused, fp, cfg.with_provenance))
 
 
 def _ranking_scorer(ctx: StageContext) -> Callable[[list[Pair]], dict[Pair, float]]:
@@ -560,15 +560,14 @@ def _eval(ctx: StageContext, limit: int | None) -> None:
     cfg = ctx.config
     if not cfg.reference:
         raise ConfigError("eval stage needs a reference mapping file")
-    predicted = ctx.read("mappings.tsv", MappingSet.read_tsv)
+    predicted = ctx.read("mappings.tsv", read_mappings)
     with open(cfg.reference, "r", encoding="utf-8") as fp:
-        reference = MappingSet.read_tsv(fp)
+        reference = read_mappings(fp)
     report = global_report(predicted, reference)
     if cfg.ranking_cases:
         with open(cfg.ranking_cases, "r", encoding="utf-8") as fp:
             rows = read_ranking_cases(fp)
-        referenced = reference.pairs()
-        unreferenced = sum(1 for source, gold, _ in rows if (source, gold) not in referenced)
+        unreferenced = sum(1 for source, gold, _ in rows if (source, gold) not in reference)
         if unreferenced:
             logger.warning("%d of %d ranking-case rows have a (source, gold) pair the "
                            "reference lacks; scoring them as written", unreferenced, len(rows))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .cache import atomic_open
 from .errors import ItemError, OntologyParseError
-from .model import read_tsv_rows
+from .model import bounded_float, read_tsv_rows
 
 logger = logging.getLogger(__name__)
 
@@ -334,9 +334,12 @@ def write_candidates(candidates: Mapping[str, list[tuple[str, float]]], fp: IO[s
 
 
 def read_candidates(fp: IO[str]) -> dict[str, list[tuple[str, float]]]:
+    """Each source's ``(target, cosine)`` list of a ``candidates.tsv``, in file
+    order. A ``Cosine`` outside [-1, 1] raises ``OntologyParseError`` naming its line."""
     out: dict[str, list[tuple[str, float]]] = {}
     for src, tgt, sim in read_tsv_rows(
-        fp, "candidate", 4, lambda parts: (parts[0], parts[1], float(parts[3]))
+        fp, "candidate", 4,
+        lambda parts: (parts[0], parts[1], bounded_float(parts[3], "Cosine", -1.0, 1.0)),
     ):
         out.setdefault(src, []).append((tgt, sim))
     return out

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ontomatch.fusion import exact_match, filter_and_fuse
-from ontomatch.model import Concept, Judgement, Mapping, MappingSet, Ontology
+from ontomatch.model import Concept, Judgement, Mapping, Ontology
 
 import oracles
 
@@ -17,20 +17,23 @@ def build_ontology(name: str, rows: list[tuple[str, str | None, list[str]]]) -> 
     return onto
 
 
+def by_pair(mappings: list[Mapping]) -> dict[tuple[str, str], Mapping]:
+    """The mappings keyed by pair; a pair listed twice fails."""
+    out = {(m.source, m.target): m for m in mappings}
+    assert len(out) == len(mappings)
+    return out
+
+
 def test_exact_match_on_case_and_whitespace_variants():
     src = build_ontology("s", [("http://s#1", "Nervus  Abducens", [])])
     tgt = build_ontology("t", [("http://t#1", "nervus abducens", [])])
-    out = exact_match(src, tgt)
-    assert out.pairs() == {("http://s#1", "http://t#1")}
-    m = out.get("http://s#1", "http://t#1")
-    assert m.alpha == 1.0
-    assert m.provenance == "exact"
+    assert exact_match(src, tgt) == [Mapping("http://s#1", "http://t#1", 1.0, "exact")]
 
 
 def test_exact_match_label_to_synonym():
     src = build_ontology("s", [("http://s#1", "Shared exact string 30", [])])
     tgt = build_ontology("t", [("http://t#1", "Unrelated", ["shared EXACT string 30"])])
-    assert exact_match(src, tgt).pairs() == {("http://s#1", "http://t#1")}
+    assert by_pair(exact_match(src, tgt)).keys() == {("http://s#1", "http://t#1")}
 
 
 def test_exact_match_no_shared_string_is_empty():
@@ -49,7 +52,7 @@ def test_exact_match_multi_bucket_cross_products():
         ("http://t#2", "other", ["alpha"]),
     ])
     out = exact_match(src, tgt)
-    assert out.pairs() == {
+    assert by_pair(out).keys() == {
         ("http://s#1", "http://t#1"), ("http://s#1", "http://t#2"),
         ("http://s#2", "http://t#1"), ("http://s#2", "http://t#2"),
     }
@@ -96,7 +99,7 @@ def test_exact_match_agrees_with_pairwise_oracle():
                for iri, label, synonyms in side] for side in (src_rows, tgt_rows))
         )
         out = exact_match(build_ontology("s", src_rows), build_ontology("t", tgt_rows))
-        assert out.pairs() == expected
+        assert by_pair(out).keys() == expected
         assert all(m.alpha == 1.0 and m.provenance == "exact" for m in out)
         found += len(expected)
     assert found > 1000
@@ -113,32 +116,32 @@ def test_filter_keeps_only_pairs_passing_both_thresholds():
         judgement("s3", "t3", 0.99, 0.90),    # fails probability
         judgement("s4", "t4", 0.969, 0.999),  # just under cosine threshold
     ]
-    fused = filter_and_fuse(rows, lambda_prob=0.99, lambda_cs=0.97)
-    assert fused.pairs() == {("s1", "t1")}
-    m = fused.get("s1", "t1")
+    fused = by_pair(filter_and_fuse(rows, lambda_prob=0.99, lambda_cs=0.97))
+    assert fused.keys() == {("s1", "t1")}
+    m = fused["s1", "t1"]
     assert m.alpha == 0.999
     assert m.provenance == "llm"
 
 
 def test_filter_thresholds_are_inclusive():
     rows = [judgement("s1", "t1", 0.97, 0.99)]
-    fused = filter_and_fuse(rows, lambda_prob=0.99, lambda_cs=0.97)
-    assert fused.pairs() == {("s1", "t1")}
+    fused = by_pair(filter_and_fuse(rows, lambda_prob=0.99, lambda_cs=0.97))
+    assert fused.keys() == {("s1", "t1")}
 
 
 def test_exact_only_pairs_survive_any_thresholds():
-    exact = MappingSet([Mapping("s9", "t9", 1.0, "exact")])
-    fused = filter_and_fuse([], exact=exact, lambda_prob=1.0, lambda_cs=1.0)
-    m = fused.get("s9", "t9")
+    exact = [Mapping("s9", "t9", 1.0, "exact")]
+    fused = by_pair(filter_and_fuse([], exact=exact, lambda_prob=1.0, lambda_cs=1.0))
+    m = fused["s9", "t9"]
     assert m.provenance == "exact"
     assert m.alpha == 1.0
 
 
 def test_pair_found_by_both_routes_gets_both_provenance_and_score_one():
     rows = [judgement("s1", "t1", 0.99, 0.9991)]
-    exact = MappingSet([Mapping("s1", "t1", 1.0, "exact")])
-    fused = filter_and_fuse(rows, exact=exact)
-    m = fused.get("s1", "t1")
+    exact = [Mapping("s1", "t1", 1.0, "exact")]
+    fused = by_pair(filter_and_fuse(rows, exact=exact))
+    m = fused["s1", "t1"]
     assert m.provenance == "both"
     assert m.alpha == 1.0
     assert len(fused) == 1
@@ -146,24 +149,25 @@ def test_pair_found_by_both_routes_gets_both_provenance_and_score_one():
 
 def test_exact_route_rescues_pairs_rejected_by_thresholds():
     rows = [judgement("s1", "t1", 0.5, 0.5)]
-    exact = MappingSet([Mapping("s1", "t1", 1.0, "exact")])
-    fused = filter_and_fuse(rows, exact=exact)
+    exact = [Mapping("s1", "t1", 1.0, "exact")]
+    fused = by_pair(filter_and_fuse(rows, exact=exact))
     # the judgement failed the filter, so the pair is exact, not both
-    assert fused.get("s1", "t1").provenance == "exact"
+    assert fused["s1", "t1"].provenance == "exact"
 
 
 def test_fusion_union_keeps_distinct_pairs_from_each_route():
     rows = [judgement("s1", "t1", 0.99, 0.999)]
-    exact = MappingSet([Mapping("s2", "t2", 1.0, "exact")])
-    fused = filter_and_fuse(rows, exact=exact)
-    assert fused.pairs() == {("s1", "t1"), ("s2", "t2")}
-    assert fused.get("s1", "t1").provenance == "llm"
-    assert fused.get("s2", "t2").provenance == "exact"
+    exact = [Mapping("s2", "t2", 1.0, "exact")]
+    fused = by_pair(filter_and_fuse(rows, exact=exact))
+    assert fused.keys() == {("s1", "t1"), ("s2", "t2")}
+    assert fused["s1", "t1"].provenance == "llm"
+    assert fused["s2", "t2"].provenance == "exact"
 
 
 def test_fusion_accepts_plain_mapping_sequences():
-    fused = filter_and_fuse([], exact=[Mapping("s1", "t1", 1.0, "exact")])
-    assert fused.pairs() == {("s1", "t1")}
+    """Any iterable of mappings, read once: here a generator."""
+    exact = (Mapping(s, t, 1.0, "exact") for s, t in [("s1", "t1")])
+    assert filter_and_fuse([], exact=exact) == [Mapping("s1", "t1", 1.0, "exact")]
 
 
 def test_fusion_validates_thresholds():
@@ -178,10 +182,10 @@ def test_raising_thresholds_never_adds_mappings():
         judgement(f"s{i}", f"t{i}", 0.5 + 0.05 * i, 0.5 + 0.049 * i)
         for i in range(10)
     ]
-    exact = MappingSet([Mapping("s0", "t0", 1.0, "exact")])
+    exact = [Mapping("s0", "t0", 1.0, "exact")]
     sizes = []
     for lam in (0.5, 0.7, 0.9, 0.99):
-        fused = filter_and_fuse(rows, exact=exact, lambda_prob=lam, lambda_cs=lam)
+        fused = by_pair(filter_and_fuse(rows, exact=exact, lambda_prob=lam, lambda_cs=lam))
         sizes.append(len(fused))
-        assert fused.get("s0", "t0") is not None  # exact pair invariant
+        assert ("s0", "t0") in fused  # exact pair invariant
     assert sizes == sorted(sizes, reverse=True)

@@ -1,17 +1,18 @@
-"""Data model: IRI helpers, concepts, mapping sets, JSONL interchange."""
+"""Data model: IRI helpers, concepts, mapping files, JSONL interchange."""
 
 import io
 import json
+import math
 
 import pytest
 
 from ontomatch.errors import OntologyParseError
 from ontomatch.evaluate import read_ranking_cases
+from ontomatch.fusion import read_mappings, write_mappings
 from ontomatch.judge import read_judgements
 from ontomatch.model import (
     Concept,
     Mapping,
-    MappingSet,
     Ontology,
     concept_context,
     dedupe_synonyms,
@@ -81,82 +82,93 @@ def test_concept_lexical_strings_order():
     assert Concept(iri="http://x.org/c#C1", synonyms=["Cor"]).lexical_strings() == ["Cor"]
 
 
+def _mappings(text: str) -> dict:
+    return read_mappings(io.StringIO(text))
+
+
+def _written(mappings, with_provenance: bool = False) -> str:
+    buf = io.StringIO()
+    write_mappings(mappings, buf, with_provenance)
+    return buf.getvalue()
+
+
 def test_mapping_validates_alpha_range():
-    Mapping("a", "b", 0.0)
-    Mapping("a", "b", 1.0)
-    with pytest.raises(ValueError):
-        Mapping("a", "b", 1.5)
-    with pytest.raises(ValueError):
-        Mapping("a", "b", -0.1)
+    """A mapping row is checked where its file is read, not where a Mapping is built."""
+    assert _mappings("a\tb\t0.0\na\tc\t1.0\n") == {
+        ("a", "b"): Mapping("a", "b", 0.0), ("a", "c"): Mapping("a", "c", 1.0)}
+    for score in ("1.5", "-0.1", "nan", "inf"):
+        with pytest.raises(OntologyParseError, match=r"bad mapping row: Score must be in "
+                                                     r"\[0, 1\], got .* \(line 3\)$"):
+            _mappings(f"SrcEntity\tTgtEntity\tScore\na\tb\t0.5\na\tc\t{score}\n")
 
 
 def test_mapping_validates_provenance():
-    for prov in ("llm", "exact", "both"):
-        Mapping("a", "b", 0.5, prov)
-    with pytest.raises(ValueError):
-        Mapping("a", "b", 0.5, "guess")
+    rows = "".join(f"a\t{prov}\t0.5\t{prov}\n" for prov in ("llm", "exact", "both"))
+    assert [m.provenance for m in _mappings(rows).values()] == ["llm", "exact", "both"]
+    for bad in ("guess", ""):
+        with pytest.raises(OntologyParseError,
+                           match=rf"bad mapping row: unknown provenance '{bad}' \(line 2\)$"):
+            _mappings(f"a\tb\t0.5\tllm\na\tb\t0.5\t{bad}\n")
 
 
 def test_mapping_set_is_unique_per_pair_last_wins():
-    ms = MappingSet([Mapping("a", "b", 0.5), Mapping("a", "b", 0.9)])
-    assert len(ms) == 1
-    assert ms.get("a", "b").alpha == 0.9
-    assert ("a", "b") in ms
-    assert ms.get("a", "zzz") is None
+    mappings = _mappings("SrcEntity\tTgtEntity\tScore\na\tb\t0.5\na\tc\t0.7\na\tb\t0.9\n")
+    assert len(mappings) == 2
+    assert mappings[("a", "b")] == Mapping("a", "b", 0.9, "llm")
+    assert ("a", "zzz") not in mappings
+    assert _written(mappings.values()) == "SrcEntity\tTgtEntity\tScore\n" \
+        "a\tb\t0.90000000\na\tc\t0.70000000\n"
 
 
 def test_mapping_set_sorted_by_source_then_alpha_desc_then_target():
-    ms = MappingSet([
+    mappings = [
         Mapping("s2", "t1", 0.5),
         Mapping("s1", "t2", 0.7),
         Mapping("s1", "t1", 0.9),
         Mapping("s1", "t0", 0.7),
-    ])
-    order = [(m.source, m.target) for m in ms.sorted_mappings()]
+    ]
+    order = [tuple(line.split("\t")[:2]) for line in _written(mappings).splitlines()[1:]]
     assert order == [("s1", "t1"), ("s1", "t0"), ("s1", "t2"), ("s2", "t1")]
-    assert list(ms) == ms.sorted_mappings()
+    assert list(_mappings(_written(mappings))) == order
 
 
 def test_mapping_set_tsv_round_trip_with_provenance():
-    ms = MappingSet([
+    mappings = [
         Mapping("http://a#1", "http://b#1", 0.99908804, "llm"),
         Mapping("http://a#2", "http://b#2", 1.0, "both"),
-    ])
-    buf = io.StringIO()
-    ms.write_tsv(buf, with_provenance=True)
-    text = buf.getvalue()
+    ]
+    text = _written(mappings, with_provenance=True)
     assert text.splitlines()[0] == "SrcEntity\tTgtEntity\tScore\tProvenance"
     assert "\t0.99908804\tllm" in text
-    back = MappingSet.read_tsv(io.StringIO(text))
-    assert back.pairs() == ms.pairs()
-    assert back.get("http://a#2", "http://b#2").provenance == "both"
+    assert list(_mappings(text).values()) == mappings
 
 
 def test_mapping_set_tsv_without_provenance_defaults_to_llm():
-    ms = MappingSet([Mapping("http://a#1", "http://b#1", 0.5, "exact")])
-    buf = io.StringIO()
-    ms.write_tsv(buf)
-    assert buf.getvalue().splitlines()[0] == "SrcEntity\tTgtEntity\tScore"
-    back = MappingSet.read_tsv(io.StringIO(buf.getvalue()))
-    m = back.get("http://a#1", "http://b#1")
-    assert m.alpha == 0.5
-    assert m.provenance == "llm"
+    text = _written([Mapping("http://a#1", "http://b#1", 0.5, "exact")])
+    assert text.splitlines()[0] == "SrcEntity\tTgtEntity\tScore"
+    [m] = _mappings(text).values()
+    assert m == Mapping("http://a#1", "http://b#1", 0.5, "llm")
 
 
 def test_mapping_set_read_tsv_score_defaults_to_one():
-    back = MappingSet.read_tsv(io.StringIO("http://a#1\thttp://b#1\n"))
-    assert back.get("http://a#1", "http://b#1").alpha == 1.0
+    back = _mappings("http://a#1\thttp://b#1\nhttp://a#2\thttp://b#2\t\n")
+    assert [m.alpha for m in back.values()] == [1.0, 1.0]
 
 
 def test_mapping_set_read_tsv_rejects_short_rows():
     with pytest.raises(OntologyParseError) as exc:
-        MappingSet.read_tsv(io.StringIO("SrcEntity\tTgtEntity\tScore\nonly-one-column\n"))
+        _mappings("SrcEntity\tTgtEntity\tScore\nonly-one-column\n")
     assert exc.value.line == 2
 
 
 def test_mapping_set_read_tsv_skips_blank_lines():
-    back = MappingSet.read_tsv(io.StringIO("\nhttp://a#1\thttp://b#1\t0.5\n\n"))
-    assert len(back) == 1
+    assert len(_mappings("\nhttp://a#1\thttp://b#1\t0.5\n\n")) == 1
+
+
+def test_mapping_is_a_plain_tuple():
+    m = Mapping("a", "b", 0.5)
+    assert m == ("a", "b", 0.5, "llm")
+    assert Mapping("a", "b", 1.5, "guess").alpha == 1.5  # built unchecked
 
 
 def _onto_lines(*rows: dict) -> io.StringIO:
@@ -270,8 +282,31 @@ def test_concept_context_resolves_parent_labels_with_fragment_fallback():
 _READERS = {
     "candidate": (read_candidates, "s\tt\t1\tx"),
     "judgement": (read_judgements, "s\tt\t0.9\tx\tyes"),
-    "mapping": (MappingSet.read_tsv, "s\tt\tx"),
+    "mapping": (read_mappings, "s\tt\tx"),
 }
+
+
+# A reader, one of its rows with {} for a value checked against a range,
+# and the value's column and range.
+_RANGED = {
+    "candidate cosine": (read_candidates, "s\tt\t1\t{}", "Cosine", -1, 1),
+    "judgement cosine": (read_judgements, "s\tt\t{}\t0.5\tno", "Cosine", -1, 1),
+    "judgement p_yes": (read_judgements, "s\tt\t0.5\t{}\tyes", "PYes", 0, 1),
+    "mapping score": (read_mappings, "s\tt\t{}", "Score", 0, 1),
+}
+
+
+@pytest.mark.parametrize("outside", ["below", "above", "nan", "inf"])
+@pytest.mark.parametrize("what", sorted(_RANGED))
+def test_tsv_readers_reject_a_value_out_of_range_with_its_line(what, outside):
+    reader, row, column, low, high = _RANGED[what]
+    value = {"below": low - 0.5, "above": high + 0.5, "nan": math.nan, "inf": math.inf}[outside]
+    bounds = row.format(low) + "\n" + row.format(high) + "\n"
+    assert reader(io.StringIO(bounds))
+    with pytest.raises(OntologyParseError) as exc:
+        reader(io.StringIO("SrcEntity\tTgtEntity\n" + bounds + "\n" + row.format(value) + "\n"))
+    assert str(exc.value) == (
+        f"bad {what.split()[0]} row: {column} must be in [{low}, {high}], got {value} (line 5)")
 
 
 def test_read_ranking_cases_skips_blank_lines_and_a_header():

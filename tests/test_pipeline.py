@@ -24,7 +24,8 @@ from ontomatch.cli import build_config, main
 from ontomatch.errors import ConfigError, ItemError, MissingArtifactError
 from ontomatch.cache import BLOCK_ENTRIES, QUEUE_PER_WORKER, ResponseCache
 from ontomatch.judge import DEFAULT_FEW_SHOT, judge_pair, judge_prompt
-from ontomatch.model import Mapping, MappingSet, concept_context, read_concept_jsonl
+from ontomatch.fusion import read_mappings, write_mappings
+from ontomatch.model import Mapping, concept_context, read_concept_jsonl
 from ontomatch.pipeline import (
     STAGE_TABLE,
     STAGES,
@@ -227,7 +228,7 @@ def test_define_fills_a_copy_so_fuse_sees_the_concepts_as_parsed(tmp_path, monke
     [shared] = fused_from
     assert [o.concepts for o in shared] == [o.concepts for o in fresh]
     assert all(c.definition is None for o in shared for c in o.concepts.values())
-    assert exact_match(*shared).pairs() == exact_match(*fresh).pairs()
+    assert exact_match(*shared) == exact_match(*fresh)
 
 
 def test_a_parse_is_held_only_until_its_last_reader_in_the_run(tmp_path):
@@ -492,19 +493,25 @@ Pipeline(config, provider=provider).run()
 """
 
 
+def _killed_toy_run(tmp_path: Path, script: str, *args: str) -> PipelineConfig:
+    """The toy config under ``tmp_path``, after ``script`` ran a toy run
+    there in a subprocess and exited with status 3."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), str(root / "tests"), env.get("PYTHONPATH")) if p)
+    killed = subprocess.run([sys.executable, "-c", script, str(tmp_path), *args],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert killed.returncode == 3, killed.stderr
+    return toy_config(tmp_path)
+
+
 def test_a_run_killed_mid_judge_resumes_to_the_same_artifacts(tmp_path):
     """A cold toy run exits abruptly after its 150th classify call; the
     rerun sends exactly the pairs whose answers the kill lost, at most the
     pool's queue and one open block, and writes what an uninterrupted run
     writes."""
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), str(root / "tests"), env.get("PYTHONPATH")) if p)
-    killed = subprocess.run([sys.executable, "-c", _KILLED_RUN, str(tmp_path / "killed"), "150"],
-                            env=env, capture_output=True, text=True, timeout=120)
-    assert killed.returncode == 3, killed.stderr
-    config = toy_config(tmp_path / "killed")
+    config = _killed_toy_run(tmp_path / "killed", _KILLED_RUN, "150")
     kept = len(ResponseCache(config.cache_dir).stored("judge"))
     assert 0 < 150 - kept <= QUEUE_PER_WORKER * config.max_workers + BLOCK_ENTRIES
 
@@ -517,13 +524,50 @@ def test_a_run_killed_mid_judge_resumes_to_the_same_artifacts(tmp_path):
     assert snapshot(config.out_dir) == snapshot(whole.out_dir)
 
 
+_KILLED_AT_FUSE_RECORD = """
+import os, sys
+from pathlib import Path
+from conftest import toy_config
+from ontomatch.pipeline import Pipeline, StageManifest
+
+save = StageManifest.save
+
+def killing_save(self):
+    if "fuse" in self.stages:
+        os._exit(3)
+    save(self)
+
+StageManifest.save = killing_save
+Pipeline(toy_config(Path(sys.argv[1]))).run()
+"""
+
+
+def test_a_run_killed_before_fuse_is_recorded_reruns_only_fuse_and_eval(tmp_path):
+    """A cold toy run exits abruptly while the manifest records fuse, after
+    ``mappings.tsv`` was renamed into place; the rerun re-runs fuse and eval
+    only, with no provider call, and writes what an uninterrupted run writes."""
+    config = _killed_toy_run(tmp_path / "killed", _KILLED_AT_FUSE_RECORD)
+    out = Path(config.out_dir)
+    assert (out / "mappings.tsv").exists() and not (out / "metrics.json").exists()
+    assert "fuse" not in StageManifest(out / "manifest.json").stages
+
+    provider = CountingProvider(make_provider(config))
+    statuses = Pipeline(config, provider=provider).run()
+    assert statuses == {stage: "complete" if stage in ("fuse", "eval") else "skipped"
+                        for stage in STAGES}
+    assert provider.total_calls == 0
+    whole = toy_config(tmp_path / "whole")
+    Pipeline(whole).run()
+    assert snapshot(config.out_dir) == snapshot(whole.out_dir)
+
+
 def test_provenance_counts_on_toy_run(tmp_path):
     config = toy_config(tmp_path)
     Pipeline(config).run()
     with open(Path(config.out_dir) / "mappings.tsv", encoding="utf-8") as fp:
-        mappings = MappingSet.read_tsv(fp)
+        mappings = read_mappings(fp)
     counts: dict[str, int] = {}
-    for m in mappings:
+    for m in mappings.values():
         counts[m.provenance] = counts.get(m.provenance, 0) + 1
     assert counts == {"both": 14, "llm": 6, "exact": 1}
 
@@ -762,7 +806,7 @@ def test_stricter_probability_threshold_drops_llm_only_pairs(tmp_path):
     config = toy_config(tmp_path, lambda_prob=0.9995)
     Pipeline(config).run()
     with open(Path(config.out_dir) / "mappings.tsv", encoding="utf-8") as fp:
-        mappings = MappingSet.read_tsv(fp)
+        mappings = read_mappings(fp).values()
     # the mock YES probability 0.99908804 fails the stricter threshold, so
     # only lexically matching pairs survive (via the exact route)
     assert len(mappings) == 15
@@ -863,7 +907,7 @@ def test_decision_column_is_p_yes_at_lambda_prob(tmp_path):
             "yes" if float(r[3]) >= lambda_prob else "no" for r in rows
         ]
         with open(out / "mappings.tsv", encoding="utf-8") as fp:
-            llm = [m for m in MappingSet.read_tsv(fp) if m.provenance != "exact"]
+            llm = [m for m in read_mappings(fp).values() if m.provenance != "exact"]
         assert all(decisions[(m.source, m.target)] == "yes" for m in llm)
     assert seen == {"yes", "no"}
 
@@ -1533,6 +1577,32 @@ def test_cli_reports_a_corrupt_embedding_artifact_and_a_run_rebuilds_it(tmp_path
         TOY_DIR / "mappings.golden.tsv").read_bytes()
 
 
+# An artifact, the column of a scored cell in it, a value outside the
+# column's range, the stage that reads it, and the error line's message.
+_OUT_OF_RANGE = {
+    "judgement p_yes": ("judgements.tsv", 3, "1.5", "fuse", "PYes must be in [0, 1], got 1.5"),
+    "judgement cosine": ("judgements.tsv", 2, "nan", "fuse", "Cosine must be in [-1, 1], got nan"),
+    "candidate cosine": ("candidates.tsv", 3, "-inf", "judge",
+                         "Cosine must be in [-1, 1], got -inf"),
+}
+
+
+@pytest.mark.parametrize("what", sorted(_OUT_OF_RANGE))
+def test_cli_reports_a_scored_artifact_cell_out_of_range(tmp_path, what):
+    artifact, column, value, stage, message = _OUT_OF_RANGE[what]
+    config_path = write_config_file(tmp_path)
+    runner = CliRunner()
+    assert runner.invoke(main, ["run", "--config", config_path]).exit_code == 0
+    path = tmp_path / "out" / artifact
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    cells = lines[5].rstrip("\n").split("\t")
+    cells[column] = value
+    lines[5] = "\t".join(cells) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    result = runner.invoke(main, [stage, "--config", config_path])
+    _assert_one_clean_error(result, f"bad {what.split()[0]} row: {message} (line 6)")
+
+
 def test_cli_reports_an_ontology_without_classes_before_ingest_writes(tmp_path):
     empty = tmp_path / "empty.owl"
     empty.write_text('<?xml version="1.0"?>\n'
@@ -1634,13 +1704,13 @@ def test_cli_rejects_a_bad_config_before_any_stage(tmp_path, monkeypatch, bad):
 def _predictions_and_reference(tmp_path) -> tuple[Path, Path]:
     predictions = tmp_path / "predictions.tsv"
     with open(predictions, "w", encoding="utf-8") as fp:
-        MappingSet([
+        write_mappings([
             Mapping("http://s#1", "http://t#1", 1.0),
             Mapping("http://s#2", "http://t#2", 1.0),
-        ]).write_tsv(fp)
+        ], fp)
     reference = tmp_path / "reference.tsv"
     with open(reference, "w", encoding="utf-8") as fp:
-        MappingSet([Mapping("http://s#1", "http://t#1", 1.0)]).write_tsv(fp)
+        write_mappings([Mapping("http://s#1", "http://t#1", 1.0)], fp)
     return predictions, reference
 
 
@@ -1693,7 +1763,8 @@ def test_cli_eval_predictions_reports_a_missing_config_reference(tmp_path):
 
 _BAD_ROWS = {
     "score": ("http://s#1\thttp://t#1\tabc\n", "could not convert string to float"),
-    "alpha": ("http://s#1\thttp://t#1\t95\n", "alpha must be in [0, 1]"),
+    "alpha": ("http://s#1\thttp://t#1\t95\n", "Score must be in [0, 1], got 95.0"),
+    "provenance": ("http://s#1\thttp://t#1\t0.5\tguess\n", "unknown provenance 'guess'"),
     "columns": ("http://s#1\n", "mapping row needs at least 2 columns"),
 }
 
@@ -1746,6 +1817,9 @@ def test_python_dash_m_ontomatch_runs_the_cli():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert "Usage:" in result.stdout
+    commands = result.stdout.split("Commands:\n", 1)[1]
+    assert sorted(line.split()[0] for line in commands.splitlines() if line.strip()) == sorted(
+        ("run", *STAGES))
 
 
 def test_readme_names_every_config_field_and_cli_flag():
