@@ -3,7 +3,10 @@ exact matching, combined by union; and the mapping TSV's reader and writer.
 
 Exact matching goes through an inverted index over normalized labels and
 synonyms (trim, whitespace collapse, case-fold) — never a pairwise scan.
-Exact pairs carry score 1.0 and survive any threshold setting.
+The pipeline runs it once, in ``ingest``, and writes its pairs to
+``exact.tsv`` with ``write_mappings``; ``fuse`` reads them back with
+``read_mappings``. Exact pairs carry score 1.0 and survive any threshold
+setting.
 """
 
 from __future__ import annotations

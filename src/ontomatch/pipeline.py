@@ -107,7 +107,7 @@ STAGE_TABLE: dict[str, Stage] = {
     "ingest": Stage(
         files=("source", "target"),
         config=("source_name", "target_name", "label_property", "synonym_properties"),
-        writes=_CONCEPTS,
+        writes=(*_CONCEPTS, "exact.tsv"),
     ),
     # Under use_definitions=False define writes every definition as null, so
     # later stages find none to render; shots() drops the examples' own.
@@ -138,7 +138,7 @@ STAGE_TABLE: dict[str, Stage] = {
         writes=("judgements.tsv",),
     ),
     "fuse": Stage(
-        reads=("judgements.tsv", *_CONCEPTS),
+        reads=("judgements.tsv", "exact.tsv"),
         config=("lambda_prob", "lambda_cs", "with_provenance"),
         writes=("mappings.tsv",),
     ),
@@ -436,6 +436,8 @@ def _ingest(ctx: StageContext, limit: int | None) -> None:
         ontologies[side] = onto
     for side, onto in ontologies.items():
         ctx.write(f"{side}.concepts.jsonl", partial(write_concept_jsonl, onto))
+    exact = exact_match(*ontologies.values())
+    ctx.write("exact.tsv", lambda fp: write_mappings(exact, fp, with_provenance=True))
 
 
 def _define(ctx: StageContext, limit: int | None) -> bool:
@@ -444,7 +446,7 @@ def _define(ctx: StageContext, limit: int | None) -> bool:
     complete = True
     remaining = limit
     for side, other in zip(SIDES, reversed(SIDES)):
-        onto = ctx.ontology(side, "concepts")  # shared with fuse, so filled in a copy
+        onto = ctx.ontology(side, "concepts")  # a served parse, so filled in a copy
         onto = replace(onto, concepts={iri: replace(c) for iri, c in onto.concepts.items()})
         if cfg.use_definitions:
             processed = enrich_ontology(
@@ -525,7 +527,7 @@ def _judge(ctx: StageContext, limit: int | None) -> bool:
 def _fuse(ctx: StageContext, limit: int | None) -> None:
     cfg = ctx.config
     judgements = ctx.read("judgements.tsv", read_judgements)
-    exact = exact_match(*(ctx.ontology(side, "concepts") for side in SIDES))
+    exact = ctx.read("exact.tsv", read_mappings).values()
     fused = filter_and_fuse(
         judgements, exact, lambda_prob=cfg.lambda_prob, lambda_cs=cfg.lambda_cs
     )

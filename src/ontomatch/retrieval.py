@@ -335,13 +335,19 @@ def write_candidates(candidates: Mapping[str, list[tuple[str, float]]], fp: IO[s
 
 def read_candidates(fp: IO[str]) -> dict[str, list[tuple[str, float]]]:
     """Each source's ``(target, cosine)`` list of a ``candidates.tsv``, in file
-    order. A ``Cosine`` outside [-1, 1] raises ``OntologyParseError`` naming its line."""
+    order. Each source's ``Rank`` cells must read 1, 2, ... in that order; a
+    rank that does not, or a ``Cosine`` outside [-1, 1], raises
+    ``OntologyParseError`` naming its line."""
     out: dict[str, list[tuple[str, float]]] = {}
-    for src, tgt, sim in read_tsv_rows(
-        fp, "candidate", 4,
-        lambda parts: (parts[0], parts[1], bounded_float(parts[3], "Cosine", -1.0, 1.0)),
-    ):
-        out.setdefault(src, []).append((tgt, sim))
+
+    def add(parts: list[str]) -> None:
+        ranked = out.setdefault(parts[0], [])
+        if parts[2] != str(len(ranked) + 1):
+            raise ValueError(f"Rank of {parts[0]} must be {len(ranked) + 1}, got {parts[2]!r}")
+        ranked.append((parts[1], bounded_float(parts[3], "Cosine", -1.0, 1.0)))
+
+    for _ in read_tsv_rows(fp, "candidate", 4, add):
+        pass
     return out
 
 

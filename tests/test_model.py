@@ -287,9 +287,10 @@ _READERS = {
 
 
 # A reader, one of its rows with {} for a value checked against a range,
-# and the value's column and range.
+# and the value's column and range. The candidate row ({0}) takes its source
+# from the value too, so that each row is its source's rank 1.
 _RANGED = {
-    "candidate cosine": (read_candidates, "s\tt\t1\t{}", "Cosine", -1, 1),
+    "candidate cosine": (read_candidates, "{0}\tt\t1\t{0}", "Cosine", -1, 1),
     "judgement cosine": (read_judgements, "s\tt\t{}\t0.5\tno", "Cosine", -1, 1),
     "judgement p_yes": (read_judgements, "s\tt\t0.5\t{}\tyes", "PYes", 0, 1),
     "mapping score": (read_mappings, "s\tt\t{}", "Score", 0, 1),

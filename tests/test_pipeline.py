@@ -24,7 +24,7 @@ from ontomatch.cli import build_config, main
 from ontomatch.errors import ConfigError, ItemError, MissingArtifactError
 from ontomatch.cache import BLOCK_ENTRIES, QUEUE_PER_WORKER, ResponseCache
 from ontomatch.judge import DEFAULT_FEW_SHOT, judge_pair, judge_prompt
-from ontomatch.fusion import read_mappings, write_mappings
+from ontomatch.fusion import exact_match, read_mappings, write_mappings
 from ontomatch.model import Mapping, concept_context, read_concept_jsonl
 from ontomatch.pipeline import (
     STAGE_TABLE,
@@ -160,8 +160,8 @@ def _spy_parses(monkeypatch, out_dir: str) -> tuple[list[str], list[str]]:
 
 @pytest.mark.parametrize("scorer", ["cosine", "pyes"])
 def test_a_forced_run_parses_each_artifact_once(tmp_path, monkeypatch, scorer):
-    """define's concepts serve fuse, embed's enriched concepts serve judge
-    (and the pyes scorer), match's embeddings serve the cosine scorer."""
+    """define alone parses the concepts, embed's enriched concepts serve
+    judge (and the pyes scorer), match's embeddings serve the cosine scorer."""
     config = toy_config(tmp_path, few_shot=1, ranking_cases=toy_ranking_cases(tmp_path),
                         ranking_scorer=scorer)
     Pipeline(config).run()
@@ -175,60 +175,64 @@ def test_a_forced_run_parses_each_artifact_once(tmp_path, monkeypatch, scorer):
 
 
 def test_an_artifact_rewritten_within_a_run_is_parsed_again(tmp_path, monkeypatch):
-    """A parse is keyed by the bytes its stage digested: concepts rewritten
-    after define reach fuse as written."""
+    """A parse is keyed by the bytes its stage digested: enriched concepts
+    rewritten after embed reach judge as written."""
     config = toy_config(tmp_path)
     Pipeline(config).run()
-    concepts = Path(config.out_dir) / "source.concepts.jsonl"
-    rewritten = concepts.read_text(encoding="utf-8").replace(
+    enriched = Path(config.out_dir) / "source.enriched.jsonl"
+    rewritten = enriched.read_text(encoding="utf-8").replace(
         "Anatomical structure alpha 01", "Relabelled structure")
-    exact_inputs = []
-    exact_match = pipeline_module.exact_match
+    judge_inputs = []
+    judge_candidates = pipeline_module.judge_candidates
 
-    def spy_exact(source, target):
-        exact_inputs.append(source)
-        return exact_match(source, target)
+    def spy_judge(candidates, source, *args, **kwargs):
+        judge_inputs.append(source)
+        return judge_candidates(candidates, source, *args, **kwargs)
 
     jsonl, _ = _spy_parses(monkeypatch, config.out_dir)
-    monkeypatch.setattr(pipeline_module, "exact_match", spy_exact)
+    monkeypatch.setattr(pipeline_module, "judge_candidates", spy_judge)
     pipeline = Pipeline(config)
     run_stage = pipeline.run_stage
 
-    def rewrite_after_define(stage, **kwargs):
+    def rewrite_after_embed(stage, **kwargs):
         status = run_stage(stage, **kwargs)
-        if stage == "define":
-            concepts.write_text(rewritten, encoding="utf-8")
+        if stage == "embed":
+            enriched.write_text(rewritten, encoding="utf-8")
         return status
 
-    pipeline.run_stage = rewrite_after_define
-    pipeline.run(stages=["define", "fuse"], force=True)
-    assert jsonl.count("source.concepts.jsonl") == 2
-    assert jsonl.count("target.concepts.jsonl") == 1
-    [source] = exact_inputs
+    pipeline.run_stage = rewrite_after_embed
+    pipeline.run(stages=["embed", "judge"], force=True)
+    assert jsonl.count("source.enriched.jsonl") == 2
+    assert jsonl.count("target.enriched.jsonl") == 1
+    [source] = judge_inputs
     assert source.concepts["http://example.org/src#S01"].label == "Relabelled structure"
 
 
-def test_define_fills_a_copy_so_fuse_sees_the_concepts_as_parsed(tmp_path, monkeypatch):
+def test_define_fills_a_copy_so_the_served_concepts_stay_as_parsed(tmp_path):
+    """A served parse is shared, so define enriches a copy: after define, the
+    run's parse of each concepts artifact still reads as its file."""
     config = toy_config(tmp_path)
     Pipeline(config).run()
     out = Path(config.out_dir)
-    fused_from = []
-    exact_match = pipeline_module.exact_match
+    pipeline = Pipeline(config)
+    run_stage, served = pipeline.run_stage, {}
 
-    def spy_exact(source, target):
-        fused_from.append((source, target))
-        return exact_match(source, target)
+    def record(stage, **kwargs):
+        status = run_stage(stage, **kwargs)
+        if stage == "define":  # before run() drops the parses only define reads
+            served.update((key[0], onto) for key, onto in pipeline._parses.items())
+        return status
 
-    monkeypatch.setattr(pipeline_module, "exact_match", spy_exact)
-    Pipeline(config).run(force=True)
-    fresh = []
+    pipeline.run_stage = record
+    pipeline.run(force=True)
     for side in ("source", "target"):
         with open(out / f"{side}.concepts.jsonl", encoding="utf-8") as fp:
-            fresh.append(read_concept_jsonl(fp, name=side))
-    [shared] = fused_from
-    assert [o.concepts for o in shared] == [o.concepts for o in fresh]
-    assert all(c.definition is None for o in shared for c in o.concepts.values())
-    assert exact_match(*shared) == exact_match(*fresh)
+            fresh = read_concept_jsonl(fp, name=side)
+        shared = served[f"{side}.concepts.jsonl"]
+        assert shared.concepts == fresh.concepts
+        assert all(c.definition is None for c in shared.concepts.values())
+        with open(out / f"{side}.enriched.jsonl", encoding="utf-8") as fp:
+            assert all(c.definition for c in read_concept_jsonl(fp, name=side).concepts.values())
 
 
 def test_a_parse_is_held_only_until_its_last_reader_in_the_run(tmp_path):
@@ -245,10 +249,72 @@ def test_a_parse_is_held_only_until_its_last_reader_in_the_run(tmp_path):
     for i, stage in enumerate(STAGES):
         read_later = {a for later in STAGES[i:] for a in STAGE_TABLE[later].reads}
         assert held[stage] <= read_later, stage
-    assert held["fuse"] >= {"source.concepts.jsonl", "target.concepts.jsonl"}
+    assert held["fuse"] == held["eval"]  # fuse holds nothing of its own
     assert held["eval"] == {"source.embeddings.npz", "target.embeddings.npz",
                             "source.enriched.jsonl", "target.enriched.jsonl"}
     assert pipeline._parses is None
+
+
+# -- exact matches ---------------------------------------------------------------
+
+
+def test_ingest_writes_the_exact_matches_of_the_ingested_ontologies(tmp_path):
+    config = toy_config(tmp_path)
+    Pipeline(config).run(stages=["ingest"])
+    out = Path(config.out_dir)
+    ontologies = []
+    for side in ("source", "target"):
+        with open(out / f"{side}.concepts.jsonl", encoding="utf-8") as fp:
+            ontologies.append(read_concept_jsonl(fp, name=side))
+    with open(out / "exact.tsv", encoding="utf-8") as fp:
+        written = read_mappings(fp)
+    expected = exact_match(*ontologies)
+    assert expected and all(m.provenance == "exact" for m in expected)
+    assert written == {(m.source, m.target): m for m in expected}
+
+
+def test_fuse_takes_the_exact_matches_from_exact_tsv_alone(tmp_path, monkeypatch):
+    """fuse parses no concepts and matches nothing itself, and without
+    ``exact.tsv`` it names ingest rather than compute the matches."""
+    config = toy_config(tmp_path)
+    Pipeline(config).run()
+    before = snapshot(config.out_dir)
+    calls = []
+    for name in ("read_concept_jsonl", "exact_match"):
+        monkeypatch.setattr(pipeline_module, name,
+                            lambda *args, name=name, **kwargs: calls.append(name))
+    assert Pipeline(config).run_stage("fuse", force=True) == "complete"
+    assert snapshot(config.out_dir) == before
+    (Path(config.out_dir) / "exact.tsv").unlink()
+    with pytest.raises(MissingArtifactError,
+                       match="missing artifact 'exact.tsv': run the 'ingest' stage first"):
+        Pipeline(config).run_stage("fuse", force=True)
+    assert calls == []
+
+
+def test_an_out_dir_from_before_exact_tsv_resumes_with_one_plain_run(
+        tmp_path, counting_toy_provider):
+    """An ``out/`` written before ingest wrote ``exact.tsv``: no such file, an
+    ingest entry without it, and a fuse entry digested from the concept
+    files. Ingest runs again and writes the same concepts, so every stage up
+    to judge stays skipped; fuse runs on its new reads and writes the same
+    mappings, so eval stays skipped."""
+    config = toy_config(tmp_path)
+    Pipeline(config).run()
+    out = Path(config.out_dir)
+    before = snapshot(out)
+    (out / "exact.tsv").unlink()
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    del manifest["stages"]["ingest"]["outputs"]["exact.tsv"]
+    manifest["stages"]["fuse"]["input_digest"] = "0" * 64  # stands for the old digest
+    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+    provider = counting_toy_provider(config)
+    assert Pipeline(config, provider=provider).run() == {
+        s: "complete" if s in ("ingest", "fuse") else "skipped" for s in STAGES}
+    assert provider.total_calls == 0
+    assert snapshot(out) == before
+    assert Pipeline(config, provider=provider).run() == {s: "skipped" for s in STAGES}
 
 
 @pytest.mark.parametrize("change", ["overwrite", "delete"])

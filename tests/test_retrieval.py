@@ -416,6 +416,26 @@ def test_read_candidates_rejects_malformed_rows():
     assert exc.value.line == 1
 
 
+@pytest.mark.parametrize("rows, line, message", [
+    (["s\tb\t2\t0.9", "s\ta\tx\t0.5"], 1, "Rank of s must be 1, got '2'"),
+    (["s\tb\t1\t0.9", "s\ta\tx\t0.5"], 2, "Rank of s must be 2, got 'x'"),
+    (["s\tb\t1\t0.9", "s\ta\t1\t0.5"], 2, "Rank of s must be 2, got '1'"),
+    (["s\tb\t1\t0.9", "t\tb\t1\t0.9", "s\ta\t3\t0.5"], 3, "Rank of s must be 2, got '3'"),
+    (["s\tb\t1.0\t0.9"], 1, "Rank of s must be 1, got '1.0'"),
+], ids=["starts-at-2", "not-a-number", "repeated", "skipped", "not-an-integer"])
+def test_read_candidates_rejects_a_rank_out_of_order_with_its_line(rows, line, message):
+    text = "SrcEntity\tTgtEntity\tRank\tCosine\n" + "".join(row + "\n" for row in rows)
+    with pytest.raises(OntologyParseError) as exc:
+        read_candidates(io.StringIO(text))
+    assert str(exc.value) == f"bad candidate row: {message} (line {line + 1})"
+
+
+def test_read_candidates_counts_ranks_per_source():
+    text = "s\tb\t1\t0.9\nt\ta\t1\t0.8\ns\ta\t2\t0.5\n"
+    assert read_candidates(io.StringIO(text)) == {"s": [("b", 0.9), ("a", 0.5)],
+                                                  "t": [("a", 0.8)]}
+
+
 # -- embedding persistence ---------------------------------------------------------
 
 
@@ -473,7 +493,7 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("fault", sorted(MALFORMED))
-def test_load_embeddings_rejects_a_malformed_file_with_value_error(tmp_path, fault):
+def test_load_embeddings_rejects_a_malformed_file_with_ontology_parse_error(tmp_path, fault):
     """Every fault raises an ``OntologyParseError`` that names the file."""
     path = _saved(tmp_path)
     MALFORMED[fault](path)
