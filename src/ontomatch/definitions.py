@@ -140,7 +140,7 @@ def generate_definition(
 
 def enrich_ontology(
     ontology: Ontology,
-    other_name: str,
+    names: tuple[str, str],
     provider: Provider,
     cache: ResponseCache,
     params: SamplingParams = SamplingParams(),
@@ -148,15 +148,15 @@ def enrich_ontology(
     max_workers: int = 8,
 ) -> int:
     """Fill ``definition`` for up to ``limit`` concepts (IRI order); returns
-    the number processed. Concepts that already carry a definition are skipped,
-    and one whose generation fails keeps None.
+    the number processed. ``names`` are the display names the prompt gives
+    this ontology and the other one. Concepts that already carry a definition
+    are skipped, and one whose generation fails keeps None.
     ``cache.serve`` fills concepts whose definition is cached on the calling thread
     and the others on up to ``max_workers`` threads; concepts with the same
     prompt share one provider call, and so one definition. The system turn
     depends only on the two names, so one ``PromptFrame`` keys every concept:
     its digest equals ``definition_prompt``'s."""
     todo = [c for c in ontology.sorted_concepts() if c.definition is None][:limit]
-    names = (ontology.name, other_name)
     frame = PromptFrame("define", TEMPLATE_VERSION, provider.chat_model_id,
                         [_system_turn(*names), {"role": "user"}], params)
 
@@ -173,7 +173,7 @@ def enrich_ontology(
         concept.definition = definition
     logger.info(
         "defined %d %s concepts: %d served from cache, %d sent to the provider",
-        len(todo), ontology.name, served, len(todo) - served,
+        len(todo), names[0], served, len(todo) - served,
     )
     return len(todo)
 

@@ -8,7 +8,7 @@ broken by ascending candidate IRI.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import IO, Callable, Iterable, Mapping as TMapping, Sequence
 
 from .model import read_tsv_rows
@@ -96,12 +96,18 @@ def make_ranking_cases(
     ]
 
 
+def _ranking_row(parts: list[str]) -> tuple[str, str, list[str]]:
+    source, gold, *candidates = parts
+    if all(t == gold for t in candidates):
+        raise ValueError(f"no candidate but the gold {gold!r} to rank it against")
+    return source, gold, candidates
+
+
 def read_ranking_cases(fp: IO[str]) -> list[tuple[str, str, list[str]]]:
     """``(source, gold, candidates)`` of every row ``source, gold, candidate...``,
-    in file order."""
-    return list(read_tsv_rows(
-        fp, "ranking case", 2, lambda parts: (parts[0], parts[1], parts[2:]), at_least=True
-    ))
+    in file order. A row with no candidate other than its gold, which would
+    rank first under any scorer, raises ``OntologyParseError`` naming its line."""
+    return list(read_tsv_rows(fp, "ranking case", 2, _ranking_row, at_least=True))
 
 
 @dataclass
@@ -115,15 +121,7 @@ class MetricsReport:
     reference_count: int | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "mrr": self.mrr,
-            "hit_at": {str(k): v for k, v in sorted(self.hit_at.items())},
-            "predicted_count": self.predicted_count,
-            "reference_count": self.reference_count,
-        }
+        payload = {**asdict(self), "hit_at": {str(k): v for k, v in self.hit_at.items()}}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def to_text(self) -> str:

@@ -138,7 +138,7 @@ def _node(elem: ET.Element, base: str) -> ClassExpression | None:
     return None
 
 
-def _parse_owl(fp: IO[bytes], name: str, skipped_lines: int, label_property: str,
+def _parse_owl(fp: IO[bytes], path: Path, skipped_lines: int, label_property: str,
                synonym_properties: Sequence[str]) -> Ontology:
     """Parse RDF/XML from ``fp``, positioned ``skipped_lines`` lines into the file."""
     try:
@@ -154,7 +154,7 @@ def _parse_owl(fp: IO[bytes], name: str, skipped_lines: int, label_property: str
 
     root = tree.getroot()
     base = root.get(_XML_BASE, "")
-    onto = Ontology(name=name)
+    onto = Ontology()
     raw: dict[str, _RawClass] = {}
     label_index: dict[str, str] = {}  # classes and properties, for verbalization
 
@@ -217,11 +217,11 @@ def _parse_owl(fp: IO[bytes], name: str, skipped_lines: int, label_property: str
         )
 
     if unlabeled := onto.unlabeled_count:
-        logger.warning("%s: %d concepts have no label", name, unlabeled)
+        logger.warning("%s: %d concepts have no label", path, unlabeled)
     if onto.stats.skipped_axioms or onto.stats.dropped_anonymous_parents:
         logger.info(
             "%s: skipped %d unsupported axioms, dropped %d anonymous superclasses",
-            name,
+            path,
             onto.stats.skipped_axioms,
             onto.stats.dropped_anonymous_parents,
         )
@@ -242,7 +242,6 @@ def _content_start(fp: IO[bytes]) -> tuple[int, int, bytes]:
 
 def parse_ontology(
     source: Union[str, Path],
-    name: str | None = None,
     label_property: str = DEFAULT_LABEL_PROPERTY,
     synonym_properties: Sequence[str] = DEFAULT_SYNONYM_PROPERTIES,
 ) -> Ontology:
@@ -251,22 +250,21 @@ def parse_ontology(
     The reader follows the first non-blank byte after an optional UTF-8 BOM,
     whatever the file is called: ``<`` is RDF/XML, ``{`` is concept JSONL,
     and anything else, an empty file included, is an ``OntologyParseError``
-    that names the path. ``name`` defaults to the file stem. RDF/XML takes
-    labels from ``label_property`` and synonyms from ``synonym_properties``;
-    an empty ``label_property`` is a ``ValueError``.
+    that names the path. RDF/XML takes labels from ``label_property`` and
+    synonyms from ``synonym_properties``; an empty ``label_property`` is a
+    ``ValueError``.
     """
     if not label_property:
         raise ValueError("label_property must be non-empty")
     path = Path(source)
-    onto_name = name if name is not None else path.stem
     with open(path, "rb") as fp:
         start, lines, first = _content_start(fp)
         if first == b"<":
             fp.seek(start)
-            return _parse_owl(fp, onto_name, lines, label_property, synonym_properties)
+            return _parse_owl(fp, path, lines, label_property, synonym_properties)
     if first == b"{":
         with open(path, "r", encoding="utf-8-sig") as fp:
-            return read_concept_jsonl(fp, name=onto_name)
+            return read_concept_jsonl(fp)
     found = f"starts with {first.decode('latin-1')!r}" if first else "is empty"
     raise OntologyParseError(
         f"{path} {found}: RDF/XML starts with '<' and concept JSONL with '{{'"

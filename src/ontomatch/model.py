@@ -125,7 +125,6 @@ class OntologyStats:
 
 @dataclass
 class Ontology:
-    name: str
     concepts: dict[str, Concept] = field(default_factory=dict)
     stats: OntologyStats = field(default_factory=OntologyStats, compare=False)
 
@@ -244,12 +243,12 @@ def _strings(row: dict, key: str, lineno: int) -> list[str]:
     return value
 
 
-def read_concept_jsonl(fp: IO[str], name: str) -> Ontology:
+def read_concept_jsonl(fp: IO[str]) -> Ontology:
     """Parse the JSONL interchange format into an Ontology.
 
     Raises OntologyParseError with the 1-based line number on malformed input.
     """
-    onto = Ontology(name=name)
+    onto = Ontology()
     for lineno, line in enumerate(fp, start=1):
         if not line.strip():
             continue

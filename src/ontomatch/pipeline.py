@@ -93,8 +93,9 @@ class Stage:
     writes: tuple[str, ...] = ()
 
 
-# The two ontologies. Each has an input file and a display name in the config
-# (``{side}``, ``{side}_name``) and its own ``{side}.*`` artifacts.
+# The two ontologies. Each has an input file in the config (``{side}``) and its
+# own ``{side}.*`` artifacts; its display name (``{side}_name``) enters only
+# define's prompt.
 SIDES = ("source", "target")
 _CONCEPTS = tuple(f"{side}.concepts.jsonl" for side in SIDES)
 _ENRICHED = tuple(f"{side}.enriched.jsonl" for side in SIDES)
@@ -106,7 +107,7 @@ _P_YES_CONFIG = ("shots", "softmax_mode")
 STAGE_TABLE: dict[str, Stage] = {
     "ingest": Stage(
         files=("source", "target"),
-        config=("source_name", "target_name", "label_property", "synonym_properties"),
+        config=("label_property", "synonym_properties"),
         writes=(*_CONCEPTS, "exact.tsv"),
     ),
     # Under use_definitions=False define writes every definition as null, so
@@ -394,13 +395,9 @@ class StageContext:
         return self._parses[key]
 
     def ontology(self, side: str, kind: str) -> Ontology:
-        """One side's ``concepts`` or ``enriched`` artifact, under its config
-        name where the row declares it (``define``), else under its side."""
-        name = vars(self.config).get(f"{side}_name", side)
+        """One side's ``concepts`` or ``enriched`` artifact."""
         artifact = f"{side}.{kind}.jsonl"
-        onto = self._shared(artifact,
-                            lambda: self.read(artifact, partial(read_concept_jsonl, name=name)))
-        return onto if onto.name == name else replace(onto, name=name)
+        return self._shared(artifact, lambda: self.read(artifact, read_concept_jsonl))
 
     def embeddings(self, side: str) -> tuple[list[str], np.ndarray]:
         """One side's IRIs and embedding matrix, from its ``embeddings`` artifact."""
@@ -426,13 +423,12 @@ def _ingest(ctx: StageContext, limit: int | None) -> None:
     ontologies = {}
     for side in SIDES:
         path = getattr(cfg, side)
-        onto = parse_ontology(path, name=getattr(cfg, f"{side}_name"),
-                              label_property=cfg.label_property,
+        onto = parse_ontology(path, label_property=cfg.label_property,
                               synonym_properties=cfg.synonym_properties)
         if not onto.concepts:
             raise OntologyParseError(f"{path} has no classes")
         logger.info("ingested %s: %d concepts (%d dangling parent refs)",
-                    onto.name, len(onto), onto.dangling_parent_count)
+                    side, len(onto), onto.dangling_parent_count)
         ontologies[side] = onto
     for side, onto in ontologies.items():
         ctx.write(f"{side}.concepts.jsonl", partial(write_concept_jsonl, onto))
@@ -451,7 +447,7 @@ def _define(ctx: StageContext, limit: int | None) -> bool:
         if cfg.use_definitions:
             processed = enrich_ontology(
                 onto,
-                getattr(cfg, f"{other}_name"),
+                (getattr(cfg, f"{side}_name"), getattr(cfg, f"{other}_name")),
                 ctx.provider,
                 ctx.cache,
                 params=SamplingParams(cfg.temperature, cfg.top_p, cfg.max_tokens),

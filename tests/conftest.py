@@ -1,14 +1,19 @@
-"""Shared fixtures: fixture paths, toy pipeline configs, counting providers,
-an empty response cache, and a raw writer and readers of cache logs."""
+"""Shared fixtures: fixture paths, toy pipeline configs, counting and
+argument-digesting providers, an empty response cache, and a raw writer and
+readers of cache logs."""
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import os
 import struct
 import zlib
+from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ontomatch.cache as cache_module
@@ -97,6 +102,41 @@ class CountingProvider:
     def classify_first_token(self, messages):
         self.classify_calls += 1
         return self.inner.classify_first_token(messages)
+
+
+class DigestProvider:
+    """A provider whose every answer is a digest of all it receives, so an
+    answer served for other arguments than it was computed for changes some
+    artifact byte. ``generate`` digests the messages and the sampling
+    parameters, ``classify_first_token`` the messages (about half of its
+    answers give p_yes above 0.99, the rest spread over 0.01 to 0.98), and
+    ``embed_batch`` each text, as a vector of positive components, so
+    cosines spread around 0.75. Its model ids name the config's ``provider``
+    spec."""
+
+    def __init__(self, config: PipelineConfig):
+        spec = hashlib.sha256(json.dumps(config.provider, sort_keys=True).encode()).hexdigest()
+        self.embed_model_id = f"digest-embed-{spec[:12]}"
+        self.chat_model_id = f"digest-chat-{spec[:12]}"
+        self.dimension = config.provider.get("dimension", 16)
+
+    @staticmethod
+    def _digest(*args) -> bytes:
+        return hashlib.sha256(json.dumps(args, sort_keys=True).encode()).digest()
+
+    def generate(self, messages, params):
+        return f"Definition {self._digest(messages, asdict(params)).hex()[:16]}."
+
+    def classify_first_token(self, messages):
+        digest = self._digest(messages)
+        spread = (digest[1] + 0.5) / 256
+        p = 0.9905 + 0.009 * spread if digest[0] % 2 else 0.01 + 0.97 * spread
+        gap = math.log(p / (1 - p))  # YES minus NO, so that pair-mode p_yes is p
+        return {"YES": -0.001 + min(gap, 0.0), "NO": -0.001 - max(gap, 0.0), "Maybe": -9.0}
+
+    def embed_batch(self, texts):
+        return [np.frombuffer(hashlib.shake_256(text.encode()).digest(self.dimension),
+                              dtype=np.uint8) + 0.5 for text in texts]
 
 
 def toy_config(tmp_path: Path, **overrides) -> PipelineConfig:

@@ -58,7 +58,7 @@ def check(name: str, ok: bool, detail: str) -> None:
 
 def _load_ontology(path: Path, name: str):
     with open(path, "r", encoding="utf-8") as fp:
-        return read_concept_jsonl(fp, name=name)
+        return read_concept_jsonl(fp)
 
 
 @pytest.fixture(scope="module")

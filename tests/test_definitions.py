@@ -198,7 +198,7 @@ def test_generate_definition_failure_keeps_a_cached_entry(cache):
 
 
 def _ontology(n: int) -> Ontology:
-    onto = Ontology(name="src")
+    onto = Ontology()
     for i in range(n):
         iri = f"http://x.org/c#C{i:02d}"
         onto.concepts[iri] = Concept(iri=iri, label=f"Concept {i:02d}")
@@ -207,7 +207,7 @@ def _ontology(n: int) -> Ontology:
 
 def test_enrich_ontology_fills_definitions_in_iri_order(cache):
     onto = _ontology(3)
-    count = enrich_ontology(onto, "tgt", MockProvider(), cache)
+    count = enrich_ontology(onto, ("src", "tgt"), MockProvider(), cache)
     assert count == 3
     for i in range(3):
         c = onto.concepts[f"http://x.org/c#C{i:02d}"]
@@ -218,7 +218,7 @@ def test_enrich_ontology_skips_already_defined(cache):
     onto = _ontology(3)
     onto.concepts["http://x.org/c#C01"].definition = "Existing."
     provider = CountingProvider(MockProvider())
-    count = enrich_ontology(onto, "tgt", provider, cache)
+    count = enrich_ontology(onto, ("src", "tgt"), provider, cache)
     assert count == 2
     assert provider.generate_calls == 2
     assert onto.concepts["http://x.org/c#C01"].definition == "Existing."
@@ -226,7 +226,7 @@ def test_enrich_ontology_skips_already_defined(cache):
 
 def test_enrich_ontology_respects_limit(cache):
     onto = _ontology(5)
-    count = enrich_ontology(onto, "tgt", MockProvider(), cache, limit=2)
+    count = enrich_ontology(onto, ("src", "tgt"), MockProvider(), cache, limit=2)
     assert count == 2
     assert onto.concepts["http://x.org/c#C01"].definition is not None
     assert onto.concepts["http://x.org/c#C02"].definition is None
@@ -235,7 +235,7 @@ def test_enrich_ontology_respects_limit(cache):
 def test_enrich_ontology_empty_todo_returns_zero(cache):
     onto = _ontology(1)
     onto.concepts["http://x.org/c#C00"].definition = "Done."
-    assert enrich_ontology(onto, "tgt", MockProvider(), cache) == 0
+    assert enrich_ontology(onto, ("src", "tgt"), MockProvider(), cache) == 0
 
 
 # -- cache routing: hits on the calling thread, misses in the pool -------------
@@ -252,11 +252,11 @@ def _definitions(onto: Ontology) -> dict[str, str | None]:
 def test_enrich_ontology_fully_warm_makes_no_pool_and_no_calls(tmp_path, monkeypatch):
     cache = ResponseCache(tmp_path / "cache")
     cold = _ontology(4)
-    enrich_ontology(cold, "tgt", MockProvider(), cache)
+    enrich_ontology(cold, ("src", "tgt"), MockProvider(), cache)
     monkeypatch.setattr("ontomatch.cache.ThreadPoolExecutor", _no_pool)
     provider = CountingProvider(MockProvider())
     warm = _ontology(4)
-    assert enrich_ontology(warm, "tgt", provider, cache) == 4
+    assert enrich_ontology(warm, ("src", "tgt"), provider, cache) == 4
     assert provider.total_calls == 0
     assert _definitions(warm) == _definitions(cold)
 
@@ -266,22 +266,22 @@ def test_enrich_ontology_half_warm_calls_provider_only_for_misses(tmp_path):
     warmed = _ontology(6)
     for i in range(1, 6, 2):
         warmed.concepts[f"http://x.org/c#C{i:02d}"].definition = "Skipped."
-    enrich_ontology(warmed, "tgt", MockProvider(), cache)  # caches C00, C02, C04
+    enrich_ontology(warmed, ("src", "tgt"), MockProvider(), cache)  # caches C00, C02, C04
     provider = CountingProvider(MockProvider())
     out = _ontology(6)
-    enrich_ontology(out, "tgt", provider, cache)
+    enrich_ontology(out, ("src", "tgt"), provider, cache)
     assert provider.generate_calls == 3
     fresh = _ontology(6)
-    enrich_ontology(fresh, "tgt", MockProvider(), ResponseCache(tmp_path / "fresh"))
+    enrich_ontology(fresh, ("src", "tgt"), MockProvider(), ResponseCache(tmp_path / "fresh"))
     assert _definitions(out) == _definitions(fresh)
 
 
 def test_enrich_ontology_limit_counts_hits_and_misses(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
-    enrich_ontology(_ontology(5), "tgt", MockProvider(), cache, limit=2)
+    enrich_ontology(_ontology(5), ("src", "tgt"), MockProvider(), cache, limit=2)
     provider = CountingProvider(MockProvider())
     onto = _ontology(5)
-    assert enrich_ontology(onto, "tgt", provider, cache, limit=3) == 3
+    assert enrich_ontology(onto, ("src", "tgt"), provider, cache, limit=3) == 3
     assert provider.generate_calls == 1
     assert [c.definition is not None for c in onto.sorted_concepts()] == [
         True, True, True, False, False,
@@ -307,10 +307,10 @@ def test_enrich_ontology_calls_the_provider_once_per_prompt(cache, caplog):
         concept.label = "Heart"  # the same label gives the same prompt
     provider = _SamplingProvider()
     with caplog.at_level("INFO", logger="ontomatch.definitions"):
-        assert enrich_ontology(onto, "tgt", provider, cache, max_workers=8) == 2
+        assert enrich_ontology(onto, ("src", "tgt"), provider, cache, max_workers=8) == 2
     assert provider.generate_calls == 1
     assert (
-        f"defined 2 {onto.name} concepts: 1 served from cache, 1 sent to the provider"
+        "defined 2 src concepts: 1 served from cache, 1 sent to the provider"
         in caplog.messages
     )
     assert set(_definitions(onto).values()) == {"Definition number 1."}
@@ -318,14 +318,14 @@ def test_enrich_ontology_calls_the_provider_once_per_prompt(cache, caplog):
 
 def test_enrich_ontology_recomputes_corrupt_cached_definition(tmp_path, caplog):
     cache = ResponseCache(tmp_path / "cache")
-    enrich_ontology(_ontology(1), "tgt", MockProvider(), cache)
+    enrich_ontology(_ontology(1), ("src", "tgt"), MockProvider(), cache)
     [digest] = cache.stored("define")
     append_raw_entry(tmp_path / "cache", "define", digest, b"{truncated")
     cache = ResponseCache(tmp_path / "cache")
     provider = CountingProvider(MockProvider())
     onto = _ontology(1)
     with caplog.at_level("WARNING"):
-        enrich_ontology(onto, "tgt", provider, cache)
+        enrich_ontology(onto, ("src", "tgt"), provider, cache)
     assert onto.concepts["http://x.org/c#C00"].definition == (
         "A biomedical concept referring to concept 00."
     )
@@ -336,9 +336,9 @@ def test_enrich_ontology_recomputes_corrupt_cached_definition(tmp_path, caplog):
 
 def test_enrich_ontology_logs_hits_and_misses(tmp_path, caplog):
     cache = ResponseCache(tmp_path / "cache")
-    enrich_ontology(_ontology(3), "tgt", MockProvider(), cache, limit=1)
+    enrich_ontology(_ontology(3), ("src", "tgt"), MockProvider(), cache, limit=1)
     with caplog.at_level("INFO", logger="ontomatch.definitions"):
-        enrich_ontology(_ontology(3), "tgt", MockProvider(), cache)
+        enrich_ontology(_ontology(3), ("src", "tgt"), MockProvider(), cache)
     lines = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
     assert lines == ["defined 3 src concepts: 1 served from cache, 2 sent to the provider"]
 
@@ -352,10 +352,11 @@ def test_enrich_ontology_counts_a_failed_recomputation_as_sent_to_the_provider(
     provider = _FailingProvider(ItemError("down"))
     onto = _ontology(1)
     [concept] = onto.concepts.values()
-    prompt = definition_prompt(concept_context(concept, onto), onto.name, "tgt", provider)
+    prompt = definition_prompt(concept_context(concept, onto), "src", "tgt", provider)
     append_raw_entry(tmp_path / "cache", "define", prompt.digest, entry)
     with caplog.at_level("INFO", logger="ontomatch.definitions"):
-        assert enrich_ontology(onto, "tgt", provider, ResponseCache(tmp_path / "cache")) == 1
+        cache = ResponseCache(tmp_path / "cache")
+        assert enrich_ontology(onto, ("src", "tgt"), provider, cache) == 1
     assert concept.definition is None
     lines = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
     assert lines == ["defined 1 src concepts: 0 served from cache, 1 sent to the provider"]
@@ -367,8 +368,8 @@ AWKWARD = ('say "hi" \\ back\\slash', "line one\nline two\r\n\ttab", "café – 
            "ctrl \x01\x1f end", "")
 
 
-def _awkward_ontology(name: str) -> Ontology:
-    onto = Ontology(name=name)
+def _awkward_ontology() -> Ontology:
+    onto = Ontology()
     for i, text in enumerate(AWKWARD):
         iri = f"http://x.org/c#\u00e9{i}"
         onto.concepts[iri] = Concept(
@@ -399,13 +400,13 @@ def test_enrich_ontology_keys_each_concept_as_the_reference_digest(tmp_path, mon
     provider, cache = MockProvider(), ResponseCache(tmp_path / "cache")
     names = ('src "A" \\ \n', "tgt – Ω")
     for call, (name, other) in enumerate((names, names[::-1]), start=1):
-        onto = _awkward_ontology(name)
+        onto = _awkward_ontology()
         expected = {
             c.iri: build_definition_prompt(concept_context(c, onto), name, other)
             for c in onto.sorted_concepts()
         }
         prompts.clear()
-        assert enrich_ontology(onto, other, provider, cache, params=params) == len(AWKWARD)
+        assert enrich_ontology(onto, (name, other), provider, cache, params=params) == len(AWKWARD)
         assert len(frames) == call
         assert {iri: p.messages for iri, p in prompts.items()} == expected
         for prompt in prompts.values():
@@ -418,10 +419,10 @@ def test_unlabeled_toy_concept_warns_once_per_run_cold_and_warm(tmp_path, caplog
     cache = ResponseCache(tmp_path / "cache")
     for run in ("cold", "warm"):
         with open(TOY_DIR / "source.jsonl", encoding="utf-8") as fp:
-            onto = read_concept_jsonl(fp, name="toy-src")
+            onto = read_concept_jsonl(fp)
         caplog.clear()
         with caplog.at_level("WARNING"):
-            enrich_ontology(onto, "toy-tgt", MockProvider(), cache)
+            enrich_ontology(onto, ("toy-src", "toy-tgt"), MockProvider(), cache)
         warnings = [
             r.getMessage() for r in caplog.records if "no label" in r.getMessage()
         ]

@@ -180,12 +180,12 @@ def test_ranking_case_tsv_round_trip():
     text = (
         "http://s#S2\thttp://t#T2\thttp://t#T9\n"
         "http://s#S1\thttp://t#T1\thttp://t#T8\thttp://t#T7\n"
-        "http://s#S2\thttp://t#T3\n"
+        "http://s#S2\thttp://t#T3\thttp://t#T3\thttp://t#T2\n"
     )
     assert read_ranking_cases(io.StringIO(text)) == [
         ("http://s#S2", "http://t#T2", ["http://t#T9"]),
         ("http://s#S1", "http://t#T1", ["http://t#T8", "http://t#T7"]),
-        ("http://s#S2", "http://t#T3", []),
+        ("http://s#S2", "http://t#T3", ["http://t#T3", "http://t#T2"]),
     ]
 
 
@@ -193,6 +193,14 @@ def test_read_ranking_cases_rejects_short_rows():
     with pytest.raises(OntologyParseError) as exc:
         read_ranking_cases(io.StringIO("only-source\n"))
     assert exc.value.line == 1
+
+
+@pytest.mark.parametrize("row", ["s\tg", "s\tg\tg", "s\tg\tg\tg"])
+def test_read_ranking_cases_rejects_a_row_with_nothing_to_rank_against(row):
+    """Such a row's gold would rank first under any scorer."""
+    with pytest.raises(OntologyParseError, match="no candidate but the gold 'g'") as exc:
+        read_ranking_cases(io.StringIO(f"s\tg\tx\n\n{row}\n"))
+    assert exc.value.line == 3
 
 
 def test_metrics_report_json_format():

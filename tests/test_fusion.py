@@ -10,8 +10,8 @@ from ontomatch.model import Concept, Judgement, Mapping, Ontology
 import oracles
 
 
-def build_ontology(name: str, rows: list[tuple[str, str | None, list[str]]]) -> Ontology:
-    onto = Ontology(name=name)
+def build_ontology(rows: list[tuple[str, str | None, list[str]]]) -> Ontology:
+    onto = Ontology()
     for iri, label, synonyms in rows:
         onto.concepts[iri] = Concept(iri=iri, label=label, synonyms=synonyms)
     return onto
@@ -25,29 +25,29 @@ def by_pair(mappings: list[Mapping]) -> dict[tuple[str, str], Mapping]:
 
 
 def test_exact_match_on_case_and_whitespace_variants():
-    src = build_ontology("s", [("http://s#1", "Nervus  Abducens", [])])
-    tgt = build_ontology("t", [("http://t#1", "nervus abducens", [])])
+    src = build_ontology([("http://s#1", "Nervus  Abducens", [])])
+    tgt = build_ontology([("http://t#1", "nervus abducens", [])])
     assert exact_match(src, tgt) == [Mapping("http://s#1", "http://t#1", 1.0, "exact")]
 
 
 def test_exact_match_label_to_synonym():
-    src = build_ontology("s", [("http://s#1", "Shared exact string 30", [])])
-    tgt = build_ontology("t", [("http://t#1", "Unrelated", ["shared EXACT string 30"])])
+    src = build_ontology([("http://s#1", "Shared exact string 30", [])])
+    tgt = build_ontology([("http://t#1", "Unrelated", ["shared EXACT string 30"])])
     assert by_pair(exact_match(src, tgt)).keys() == {("http://s#1", "http://t#1")}
 
 
 def test_exact_match_no_shared_string_is_empty():
-    src = build_ontology("s", [("http://s#1", "heart", [])])
-    tgt = build_ontology("t", [("http://t#1", "kidney", [])])
+    src = build_ontology([("http://s#1", "heart", [])])
+    tgt = build_ontology([("http://t#1", "kidney", [])])
     assert len(exact_match(src, tgt)) == 0
 
 
 def test_exact_match_multi_bucket_cross_products():
-    src = build_ontology("s", [
+    src = build_ontology([
         ("http://s#1", "alpha", []),
         ("http://s#2", "Alpha", []),
     ])
-    tgt = build_ontology("t", [
+    tgt = build_ontology([
         ("http://t#1", "ALPHA", []),
         ("http://t#2", "other", ["alpha"]),
     ])
@@ -59,15 +59,15 @@ def test_exact_match_multi_bucket_cross_products():
 
 
 def test_exact_match_two_shared_strings_yield_one_mapping():
-    src = build_ontology("s", [("http://s#1", "heart", ["cor"])])
-    tgt = build_ontology("t", [("http://t#1", "Heart", ["Cor"])])
+    src = build_ontology([("http://s#1", "heart", ["cor"])])
+    tgt = build_ontology([("http://t#1", "Heart", ["Cor"])])
     out = exact_match(src, tgt)
     assert len(out) == 1
 
 
 def test_exact_match_ignores_empty_strings():
-    src = build_ontology("s", [("http://s#1", None, ["  "])])
-    tgt = build_ontology("t", [("http://t#1", None, ["   "])])
+    src = build_ontology([("http://s#1", None, ["  "])])
+    tgt = build_ontology([("http://t#1", None, ["   "])])
     assert len(exact_match(src, tgt)) == 0
 
 
@@ -98,7 +98,7 @@ def test_exact_match_agrees_with_pairwise_oracle():
             *([(iri, [t for t in (label, *synonyms) if t is not None])
                for iri, label, synonyms in side] for side in (src_rows, tgt_rows))
         )
-        out = exact_match(build_ontology("s", src_rows), build_ontology("t", tgt_rows))
+        out = exact_match(build_ontology(src_rows), build_ontology(tgt_rows))
         assert by_pair(out).keys() == expected
         assert all(m.alpha == 1.0 and m.provenance == "exact" for m in out)
         found += len(expected)

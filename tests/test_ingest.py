@@ -56,7 +56,6 @@ def test_basic_classes_labels_synonyms_parents(tmp_path):
     assert b.parents == ["http://x.org/onto#A"]
     assert onto.dangling_parent_count == 1
     assert onto.unlabeled_count == 1  # C has no label
-    assert onto.name == "onto"
 
 
 def test_nested_named_superclass_is_kept(tmp_path):
@@ -296,14 +295,14 @@ def test_parse_ontology_requires_label_property(tmp_path):
         parse_ontology(write_owl(tmp_path, ""), label_property="")
 
 
-def test_parse_ontology_jsonl_path_and_default_name(tmp_path):
+def test_parse_ontology_of_a_jsonl_path_depends_on_its_bytes_alone(tmp_path):
     path = tmp_path / "animals.jsonl"
     path.write_text(json.dumps({"iri": "http://x.org/c#Cat", "label": "Cat"}) + "\n")
     onto = parse_ontology(path)
-    assert onto.name == "animals"
     assert onto.concepts["http://x.org/c#Cat"].label == "Cat"
-    named = parse_ontology(path, name="custom")
-    assert named.name == "custom"
+    assert not hasattr(onto, "name")
+    renamed = path.rename(tmp_path / "custom.jsonl")
+    assert parse_ontology(renamed) == onto
 
 
 def test_parse_ontology_rejects_unknown_format(tmp_path):
@@ -327,33 +326,32 @@ JSONL = json.dumps({"iri": "http://x.org/c#Cat", "label": "Cat", "synonyms": ["M
 
 
 def assert_same_ontology(left, right):
-    assert left.name == right.name
     assert left.concepts == right.concepts
     assert left.stats == right.stats
 
 
 def test_format_follows_the_content_not_the_file_name(tmp_path):
-    owl = parse_ontology(write_owl(tmp_path, BASIC_BODY), name="o")
+    owl = parse_ontology(write_owl(tmp_path, BASIC_BODY))
     (tmp_path / "onto.owl").rename(tmp_path / "owl.jsonl")
-    assert_same_ontology(parse_ontology(tmp_path / "owl.jsonl", name="o"), owl)
+    assert_same_ontology(parse_ontology(tmp_path / "owl.jsonl"), owl)
 
     (tmp_path / "concepts.jsonl").write_text(JSONL, encoding="utf-8")
     (tmp_path / "concepts.owl").write_text(JSONL, encoding="utf-8")
-    assert_same_ontology(parse_ontology(tmp_path / "concepts.owl", name="c"),
-                         parse_ontology(tmp_path / "concepts.jsonl", name="c"))
+    assert_same_ontology(parse_ontology(tmp_path / "concepts.owl"),
+                         parse_ontology(tmp_path / "concepts.jsonl"))
 
 
 @pytest.mark.parametrize("prefix", ["\ufeff", "\n\n", " \r\n\t\n", "\ufeff\n  \n"])
 def test_a_leading_bom_or_blank_lines_are_accepted(tmp_path, prefix):
-    owl = parse_ontology(write_owl(tmp_path, BASIC_BODY), name="o")
+    owl = parse_ontology(write_owl(tmp_path, BASIC_BODY))
     doc = (tmp_path / "onto.owl").read_text(encoding="utf-8")
     (tmp_path / "padded.owl").write_text(prefix + doc, encoding="utf-8")
-    assert_same_ontology(parse_ontology(tmp_path / "padded.owl", name="o"), owl)
+    assert_same_ontology(parse_ontology(tmp_path / "padded.owl"), owl)
 
     (tmp_path / "concepts.jsonl").write_text(JSONL, encoding="utf-8")
     (tmp_path / "padded.jsonl").write_text(prefix + JSONL, encoding="utf-8")
-    assert_same_ontology(parse_ontology(tmp_path / "padded.jsonl", name="c"),
-                         parse_ontology(tmp_path / "concepts.jsonl", name="c"))
+    assert_same_ontology(parse_ontology(tmp_path / "padded.jsonl"),
+                         parse_ontology(tmp_path / "concepts.jsonl"))
 
 
 def test_malformed_xml_after_blank_lines_reports_the_file_line(tmp_path):
@@ -474,7 +472,7 @@ def test_an_unread_restriction_child_is_not_resolved(tmp_path):
 
 
 def test_a_directly_built_ontology_counts_its_dangling_parents():
-    onto = Ontology(name="o", concepts={
+    onto = Ontology(concepts={
         "http://x.org/onto#A": Concept("http://x.org/onto#A"),
         "http://x.org/onto#B": Concept("http://x.org/onto#B", parents=[
             "http://x.org/onto#A", "http://x.org/onto#Gone", "http://x.org/onto#Lost",

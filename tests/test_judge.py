@@ -395,8 +395,8 @@ def test_judge_pair_recomputes_a_cached_entry_of_the_wrong_shape(cache, caplog, 
 
 
 def _ontologies():
-    src = Ontology(name="src")
-    tgt = Ontology(name="tgt")
+    src = Ontology()
+    tgt = Ontology()
     for iri, label in [("http://s#S1", "heart"), ("http://s#S2", "lungs")]:
         src.concepts[iri] = Concept(iri=iri, label=label)
     for iri, label in [("http://t#T1", "heart"), ("http://t#T2", "kidney")]:
@@ -486,7 +486,7 @@ def _toy_ontologies_with_an_awkward_concept():
     ontologies = []
     for side, prefix in (("source", "http://s#"), ("target", "http://t#")):
         with open(TOY_DIR / f"{side}.jsonl", encoding="utf-8") as fp:
-            onto = read_concept_jsonl(fp, name=side)
+            onto = read_concept_jsonl(fp)
         iri = prefix + "Awkward"
         onto.concepts[iri] = Concept(
             iri=iri, label='a "quoted"\nlabel', synonyms=["tab\there", "back\\slash"],
@@ -563,7 +563,7 @@ def test_judge_candidates_stops_calling_the_provider_once_an_entry_write_fails(t
     most QUEUE_PER_WORKER jobs, and the commit that fills the first block
     raises on serve's thread, so the later pairs are never sent to the
     provider. The append's OSError is raised, and no log is left."""
-    src, tgt = Ontology(name="src"), Ontology(name="tgt")
+    src, tgt = Ontology(), Ontology()
     for i in range(9):
         src.concepts[f"http://s#S{i}"] = Concept(f"http://s#S{i}", label=f"source {i}")
         tgt.concepts[f"http://t#T{i}"] = Concept(f"http://t#T{i}", label=f"target {i}")

@@ -30,9 +30,9 @@ from ontomatch.retrieval import (
 from conftest import CountingProvider, toy_config
 
 
-def _read(path: Path, name: str):
+def _read(path: Path):
     with open(path, "r", encoding="utf-8") as fp:
-        return read_concept_jsonl(fp, name=name)
+        return read_concept_jsonl(fp)
 
 
 def test_warm_judge_candidates_on_toy_pairs(tmp_path, benchmark):
@@ -42,8 +42,8 @@ def test_warm_judge_candidates_on_toy_pairs(tmp_path, benchmark):
     out = Path(config.out_dir)
     with open(out / "candidates.tsv", "r", encoding="utf-8") as fp:
         candidates = read_candidates(fp)
-    source = _read(out / "source.enriched.jsonl", config.source_name)
-    target = _read(out / "target.enriched.jsonl", config.target_name)
+    source = _read(out / "source.enriched.jsonl")
+    target = _read(out / "target.enriched.jsonl")
     provider = CountingProvider(pipeline.provider)
     cache = ResponseCache(config.cache_dir)
 
@@ -137,13 +137,13 @@ def test_warm_enrich_ontology_on_toy_concepts(tmp_path, benchmark):
     provider = CountingProvider(pipeline.provider)
     cache = ResponseCache(config.cache_dir)
     params = SamplingParams(config.temperature, config.top_p, config.max_tokens)
+    names = (config.source_name, config.target_name)
 
     def fresh_concepts():  # enrich_ontology fills what it is given
-        return (_read(concepts, config.source_name), config.target_name, provider, cache), {
-            "params": params}
+        return (_read(concepts), names, provider, cache), {"params": params}
 
     processed = benchmark.pedantic(enrich_ontology, setup=fresh_concepts, rounds=3)
-    assert processed == len(_read(concepts, config.source_name))
+    assert processed == len(_read(concepts))
     assert provider.total_calls == 0
 
 
@@ -224,7 +224,7 @@ def test_parse_ontology_of_2k_owl_classes(tmp_path, benchmark):
 
 
 def _ontology(name: str, labels) -> Ontology:
-    onto = Ontology(name=name)
+    onto = Ontology()
     for i, (label, synonyms) in enumerate(labels):
         iri = f"http://bench.org/{name}#C{i:05d}"
         onto.concepts[iri] = Concept(iri=iri, label=label, synonyms=synonyms)
@@ -237,7 +237,7 @@ def test_read_concept_jsonl_of_2k_concepts(tmp_path, benchmark):
     with open(path, "w", encoding="utf-8") as fp:
         write_concept_jsonl(onto, fp)
 
-    got = benchmark.pedantic(_read, args=(path, "src"), rounds=3)
+    got = benchmark.pedantic(_read, args=(path,), rounds=3)
     assert len(got) == 2000 and got.concepts == onto.concepts
 
 

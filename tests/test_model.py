@@ -70,7 +70,7 @@ def test_dedupe_synonyms_keeps_first_spelling():
 
 
 def test_concept_display_name_falls_back_to_fragment():
-    onto = Ontology(name="o")
+    onto = Ontology()
     labelled = Concept(iri="http://x.org/c#C1", label="Heart")
     assert concept_context(labelled, onto).display_name() == "Heart"
     assert concept_context(Concept(iri="http://x.org/c#C1"), onto).display_name() == "C1"
@@ -176,7 +176,7 @@ def _onto_lines(*rows: dict) -> io.StringIO:
 
 
 def test_read_concept_jsonl_round_trip_sorted_by_iri():
-    onto = Ontology(name="t")
+    onto = Ontology()
     onto.concepts["http://x.org/c#B"] = Concept(
         iri="http://x.org/c#B", label="B", synonyms=["b alt"],
         parents=["http://x.org/c#A", "http://x.org/c#Gone"],
@@ -189,7 +189,7 @@ def test_read_concept_jsonl_round_trip_sorted_by_iri():
     write_concept_jsonl(onto, buf)
     lines = buf.getvalue().splitlines()
     assert [json.loads(l)["iri"] for l in lines] == ["http://x.org/c#A", "http://x.org/c#B"]
-    back = read_concept_jsonl(io.StringIO(buf.getvalue()), name="t")
+    back = read_concept_jsonl(io.StringIO(buf.getvalue()))
     assert back.concepts == onto.concepts
     assert back.dangling_parent_count == 1
 
@@ -198,7 +198,7 @@ def test_read_concept_jsonl_skips_blank_lines_and_dedupes_synonyms():
     fp = _onto_lines({"iri": "http://x.org/c#A", "label": "Heart",
                       "synonyms": ["heart", "Cor", "cor", "Pump"]})
     fp = io.StringIO("\n" + fp.getvalue() + "\n")
-    onto = read_concept_jsonl(fp, name="t")
+    onto = read_concept_jsonl(fp)
     assert onto.concepts["http://x.org/c#A"].synonyms == ["Cor", "Pump"]
 
 
@@ -207,12 +207,12 @@ def test_read_concept_jsonl_counts_unlabeled():
         {"iri": "http://x.org/c#A", "label": None},
         {"iri": "http://x.org/c#B", "label": "B"},
     )
-    onto = read_concept_jsonl(fp, name="t")
+    onto = read_concept_jsonl(fp)
     assert onto.unlabeled_count == 1
 
 
 def test_unlabeled_count_is_derived_from_the_concepts():
-    onto = Ontology("n", {"http://x.org/c#A": Concept("http://x.org/c#A")})
+    onto = Ontology({"http://x.org/c#A": Concept("http://x.org/c#A")})
     assert onto.unlabeled_count == 1
     onto.concepts["http://x.org/c#A"].label = "A"
     assert onto.unlabeled_count == 0
@@ -221,7 +221,7 @@ def test_unlabeled_count_is_derived_from_the_concepts():
 def test_read_concept_jsonl_reports_bad_json_line():
     fp = io.StringIO('{"iri": "http://x.org/c#A"}\n{not json\n')
     with pytest.raises(OntologyParseError) as exc:
-        read_concept_jsonl(fp, name="t")
+        read_concept_jsonl(fp)
     assert exc.value.line == 2
     assert "line 2" in str(exc.value)
 
@@ -240,7 +240,7 @@ def test_read_concept_jsonl_reports_bad_json_line():
 ])
 def test_read_concept_jsonl_rejects_malformed_rows(row, fragment):
     with pytest.raises(OntologyParseError) as exc:
-        read_concept_jsonl(_onto_lines(row), name="t")
+        read_concept_jsonl(_onto_lines(row))
     assert exc.value.line == 1
     assert fragment in str(exc.value)
 
@@ -248,7 +248,7 @@ def test_read_concept_jsonl_rejects_malformed_rows(row, fragment):
 def test_read_concept_jsonl_rejects_duplicate_iri():
     fp = _onto_lines({"iri": "http://x.org/c#A"}, {"iri": "http://x.org/c#A"})
     with pytest.raises(OntologyParseError) as exc:
-        read_concept_jsonl(fp, name="t")
+        read_concept_jsonl(fp)
     assert exc.value.line == 2
 
 
@@ -256,7 +256,7 @@ def test_ontology_recount_dangling():
     onto = read_concept_jsonl(_onto_lines(
         {"iri": "http://x.org/c#A", "parents": ["http://x.org/c#B", "http://x.org/c#Gone"]},
         {"iri": "http://x.org/c#B"},
-    ), name="t")
+    ))
     assert onto.dangling_parent_count == 1
     assert len(onto) == 2
     assert onto.label_for("http://x.org/c#Missing") is None
@@ -268,7 +268,7 @@ def test_concept_context_resolves_parent_labels_with_fragment_fallback():
          "parents": ["http://x.org/c#B", "http://x.org/onto/C123"],
          "synonyms": ["kid"], "equiv_descriptions": ["Child that is small."]},
         {"iri": "http://x.org/c#B", "label": "Parent class"},
-    ), name="t")
+    ))
     ctx = concept_context(onto.concepts["http://x.org/c#A"], onto)
     assert ctx.parents == ["Parent class", "C123"]
     assert ctx.synonyms == ["kid"]

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -47,6 +48,7 @@ from ontomatch.retrieval import (
 from conftest import (
     TOY_DIR,
     CountingProvider,
+    DigestProvider,
     append_raw_entry,
     block_digests,
     log_blocks,
@@ -144,9 +146,9 @@ def _spy_parses(monkeypatch, out_dir: str) -> tuple[list[str], list[str]]:
     jsonl, embeddings = [], []
     read, load = pipeline_module.read_concept_jsonl, pipeline_module.load_embeddings
 
-    def spy_read(fp, name):
+    def spy_read(fp):
         jsonl.append(Path(fp.name).name)
-        return read(fp, name)
+        return read(fp)
 
     def spy_load(path):
         if Path(path).parent == Path(out_dir):
@@ -172,6 +174,32 @@ def test_a_forced_run_parses_each_artifact_once(tmp_path, monkeypatch, scorer):
                              for kind in ("concepts", "enriched")]
     assert embeddings == ["source.embeddings.npz", "target.embeddings.npz"]
     assert snapshot(config.out_dir) == before
+
+
+def test_every_reader_in_a_run_gets_the_one_parse_of_an_artifact(tmp_path, monkeypatch):
+    """A parse depends on its artifact's bytes alone, so each reader gets the
+    object the run stores, never a copy: define the concepts, and embed,
+    judge and the pyes scorer one object for each enriched artifact."""
+    config = toy_config(tmp_path, ranking_cases=toy_ranking_cases(tmp_path),
+                        ranking_scorer="pyes")
+    served = {}
+    ontology = StageContext.ontology
+
+    def spy(self, side, kind):
+        onto = ontology(self, side, kind)
+        artifact = f"{side}.{kind}.jsonl"
+        assert onto is self._parses[artifact, self._digests[artifact]], (self.stage, artifact)
+        served.setdefault(artifact, []).append((self.stage, onto))
+        return onto
+
+    monkeypatch.setattr(StageContext, "ontology", spy)
+    assert Pipeline(config).run() == {s: "complete" for s in STAGES}
+    assert {artifact: [stage for stage, _ in readers] for artifact, readers in served.items()} == {
+        **{f"{side}.concepts.jsonl": ["define"] for side in ("source", "target")},
+        **{f"{side}.enriched.jsonl": ["embed", "judge", "eval"] for side in ("source", "target")},
+    }
+    for artifact, readers in served.items():
+        assert all(onto is readers[0][1] for _, onto in readers), artifact
 
 
 def test_an_artifact_rewritten_within_a_run_is_parsed_again(tmp_path, monkeypatch):
@@ -227,12 +255,12 @@ def test_define_fills_a_copy_so_the_served_concepts_stay_as_parsed(tmp_path):
     pipeline.run(force=True)
     for side in ("source", "target"):
         with open(out / f"{side}.concepts.jsonl", encoding="utf-8") as fp:
-            fresh = read_concept_jsonl(fp, name=side)
+            fresh = read_concept_jsonl(fp)
         shared = served[f"{side}.concepts.jsonl"]
         assert shared.concepts == fresh.concepts
         assert all(c.definition is None for c in shared.concepts.values())
         with open(out / f"{side}.enriched.jsonl", encoding="utf-8") as fp:
-            assert all(c.definition for c in read_concept_jsonl(fp, name=side).concepts.values())
+            assert all(c.definition for c in read_concept_jsonl(fp).concepts.values())
 
 
 def test_a_parse_is_held_only_until_its_last_reader_in_the_run(tmp_path):
@@ -265,7 +293,7 @@ def test_ingest_writes_the_exact_matches_of_the_ingested_ontologies(tmp_path):
     ontologies = []
     for side in ("source", "target"):
         with open(out / f"{side}.concepts.jsonl", encoding="utf-8") as fp:
-            ontologies.append(read_concept_jsonl(fp, name=side))
+            ontologies.append(read_concept_jsonl(fp))
     with open(out / "exact.tsv", encoding="utf-8") as fp:
         written = read_mappings(fp)
     expected = exact_match(*ontologies)
@@ -654,10 +682,9 @@ def _pyes_oracle(config: PipelineConfig, cases_path: str) -> tuple[float, dict[s
     and a cache of its own; a pair with a missing concept scores 0.0."""
     out = Path(config.out_dir)
     ontologies = []
-    for name, onto_name in (("source.enriched.jsonl", config.source_name),
-                            ("target.enriched.jsonl", config.target_name)):
+    for name in ("source.enriched.jsonl", "target.enriched.jsonl"):
         with open(out / name, encoding="utf-8") as fp:
-            ontologies.append(read_concept_jsonl(fp, name=onto_name))
+            ontologies.append(read_concept_jsonl(fp))
     source, target = ontologies
     provider = make_provider(config)
     cache = ResponseCache(out / "oracle-cache")
@@ -901,10 +928,10 @@ def test_source_change_invalidates_ingest(tmp_path):
 
 
 def test_ontology_name_change_reruns_define(tmp_path):
-    # the definition prompt names both vocabularies
+    # the definition prompt names both vocabularies, and nothing else does
     Pipeline(toy_config(tmp_path)).run()
     results = Pipeline(toy_config(tmp_path, source_name="renamed-src")).run()
-    assert results["ingest"] == "complete"
+    assert results["ingest"] == "skipped"
     assert results["define"] == "complete"
 
 
@@ -1042,17 +1069,16 @@ def _input_digests(config: PipelineConfig) -> dict[str, str]:
             for stage in STAGES}
 
 
-def test_every_config_field_enters_some_stage_digest(tmp_path):
-    base = toy_config(tmp_path, few_shot=1, ranking_cases=toy_ranking_cases(tmp_path))
-    Pipeline(base).run()
-    base_digests = _input_digests(base)
+def _perturbations(base: PipelineConfig, tmp_path: Path) -> dict:
+    """A changed value of every config field but ``NO_DIGEST_EFFECT``'s; an
+    input file's is an edited copy of it under ``tmp_path``."""
 
     def edited_copy(path: str) -> str:
         copy = tmp_path / ("edited-" + Path(path).name)
         copy.write_bytes(Path(path).read_bytes() + b"\n")
         return str(copy)
 
-    perturbed = {
+    return {
         "source": edited_copy(base.source),
         "target": edited_copy(base.target),
         "source_name": "renamed-src",
@@ -1076,6 +1102,17 @@ def test_every_config_field_enters_some_stage_digest(tmp_path):
         "provider": dict(base.provider, dimension=32),
         "few_shot_examples": [{"a": {"label": "x"}, "b": {"label": "y"}, "answer": "NO"}],
     }
+
+
+def _perturbation_base(tmp_path: Path) -> PipelineConfig:
+    return toy_config(tmp_path, few_shot=1, ranking_cases=toy_ranking_cases(tmp_path))
+
+
+def test_every_config_field_enters_some_stage_digest(tmp_path):
+    base = _perturbation_base(tmp_path)
+    Pipeline(base).run()
+    base_digests = _input_digests(base)
+    perturbed = _perturbations(base, tmp_path)
     for field in dataclasses.fields(PipelineConfig):
         if field.name in NO_DIGEST_EFFECT:
             continue
@@ -1087,6 +1124,39 @@ def test_every_config_field_enters_some_stage_digest(tmp_path):
         digests = _input_digests(dataclasses.replace(base, **{field.name: value}))
         changed = [s for s in STAGES if digests[s] != base_digests[s]]
         assert changed, f"changing {field.name} changes no stage digest"
+
+
+@pytest.fixture(scope="module")
+def digest_base_run(tmp_path_factory) -> PipelineConfig:
+    """The config of a finished perturbation-base run under ``DigestProvider``."""
+    base = _perturbation_base(tmp_path_factory.mktemp("base"))
+    Pipeline(base, provider=DigestProvider(base)).run()
+    return base
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(PipelineConfig)
+                                   if f.name not in NO_DIGEST_EFFECT])
+def test_a_resumed_run_of_a_changed_config_writes_what_a_fresh_run_writes(
+        tmp_path, digest_base_run, field):
+    """A copy of a finished run, resumed under one changed field, writes
+    every artifact as a run of the changed config into a fresh ``out/`` and
+    cache does, and then skips every stage. ``DigestProvider`` answers a
+    digest of its arguments, so a cached answer served for other arguments
+    than its own, or a stage skipped on inputs it did not digest, shows."""
+    base = digest_base_run
+    value = _perturbations(base, tmp_path)[field]
+    resumed, fresh = (dataclasses.replace(base, out_dir=str(tmp_path / run / "out"),
+                                          cache_dir=str(tmp_path / run / "cache"),
+                                          **{field: value})
+                      for run in ("resumed", "fresh"))
+    shutil.copytree(base.out_dir, resumed.out_dir)
+    shutil.copytree(base.cache_dir, resumed.cache_dir)
+    for config in (resumed, fresh):
+        Pipeline(config, provider=DigestProvider(config)).run()
+    assert snapshot(resumed.out_dir) == snapshot(fresh.out_dir)
+    provider = CountingProvider(DigestProvider(resumed))
+    assert Pipeline(resumed, provider=provider).run() == {s: "skipped" for s in STAGES}
+    assert provider.total_calls == 0
 
 
 def _fields_read(read, config: PipelineConfig) -> set[str]:
@@ -1204,7 +1274,7 @@ def test_a_failed_definition_is_not_cached_and_only_it_is_asked_for_again(tmp_pa
     provider = FailingConceptProvider(make_provider(config), "Anatomical structure alpha 02")
     assert Pipeline(config, provider=provider).run()["define"] == "partial"
     with open(Path(config.out_dir) / "source.enriched.jsonl", encoding="utf-8") as fp:
-        enriched = read_concept_jsonl(fp, name="toy-src")
+        enriched = read_concept_jsonl(fp)
     undefined = [iri for iri, c in enriched.concepts.items() if c.definition is None]
     assert undefined == ["http://example.org/src#S02"]
     assert len(ResponseCache(config.cache_dir).stored("define")) == provider.generate_calls - 1
@@ -1510,7 +1580,7 @@ def test_no_definitions_drops_the_definitions_an_input_carries(tmp_path):
     assert '"definition": "A given' in (Path(config.out_dir) / "source.concepts.jsonl").read_text()
     for side in ("source", "target"):
         with open(Path(config.out_dir) / f"{side}.enriched.jsonl", encoding="utf-8") as fp:
-            enriched = read_concept_jsonl(fp, name=side)
+            enriched = read_concept_jsonl(fp)
         assert len(enriched) == 30
         assert all(c.definition is None for c in enriched.concepts.values())
     assert len(provider.texts) == 60 and provider.classify_calls > 0
