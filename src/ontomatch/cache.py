@@ -109,8 +109,7 @@ class ResponseCache:
         # (kind, digest) -> record of each entry put inside ``serve`` and not
         # yet collected; None outside ``serve``
         self._parked: dict[tuple[str, str], bytes] | None = None
-        # the thread running ``serve``, and the ``recompute`` calls made on it
-        self._serving: int | None = None
+        # calls of ``recompute`` on any thread; ``serve`` counts a batch's misses by it
         self._recomputes = 0
 
     def _log(self, kind: str) -> str:
@@ -204,11 +203,13 @@ class ResponseCache:
     def serve(self, kind: str, jobs: Iterable[tuple[str, Callable[[], T]]],
               max_workers: int) -> tuple[list[T], int]:
         """Run each ``(digest, job)`` of ``jobs``; returns the results in job
-        order and the number of jobs served from the cache. Each job reaches
-        the provider only through ``get_or_compute(kind, digest, ...)`` or
-        ``recompute(kind, digest, ...)``; a job that recomputes its entry, as
-        one whose stored entry is unusable does, is not served from the
-        cache, whether or not the computation succeeds.
+        order and the number served from the cache: the jobs less the
+        ``recompute`` calls made during the batch, on any thread. Each job
+        reaches the provider only through ``get_or_compute(kind, digest, ...)``
+        or ``recompute(kind, digest, ...)``, so a job that computes its entry
+        (a miss, or a stored entry that is unusable) counts as sent to the
+        provider whether or not the computation succeeds, and a job that
+        computes nothing counts as served.
 
         A job whose digest is in ``stored(kind)`` runs on the calling thread.
         The others wait on the provider, so they go to a pool of
@@ -221,17 +222,17 @@ class ResponseCache:
         put. A failed job's exception is re-raised
         once its result is reached, after the pool has shut down; if an
         append then fails too, that failure is logged and the job's error
-        goes on. One ``serve`` at a time per cache.
+        goes on. One ``serve`` at a time per cache, and no computing outside
+        it meanwhile, which its served count would subtract too.
         """
         with self._lock:
             if self._parked is not None:
                 raise RuntimeError("a cache serve is already running")
-            self._parked, self._serving = {}, threading.get_ident()
+            self._parked, recomputes = {}, self._recomputes
         results: list = []
         # digest -> (index in results, future) of each queued or running job, oldest first
         queued: dict[str, tuple[int, Future]] = {}
         block: list[bytes] = []  # records of collected jobs, not yet appended
-        served = 0
 
         def collect(digest: str) -> bytes | None:
             nonlocal block
@@ -263,24 +264,18 @@ class ResponseCache:
                         queued[digest] = (len(results), pool.submit(job))
                         results.append(None)
                         continue
-                    recomputes = self._recomputes
                     results.append(job())
                     # Only this thread, or a job it has waited for, parks this
                     # digest's record, so an empty map needs no lock.
                     if self._parked:
                         collect(digest)
-                    # A job that recomputed its entry (the stored one was
-                    # unusable) asked the provider, even if that failed; one
-                    # that reads what another job put is a hit.
-                    if self._recomputes == recomputes:
-                        served += 1
                 for digest, (index, future) in queued.items():
                     results[index] = future.result()
                     collect(digest)
             raising = False
         finally:
             with self._lock:
-                parked, self._parked, self._serving = self._parked, None, None
+                parked, self._parked = self._parked, None
                 blocks = {kind: block}
                 for key in sorted(parked):
                     blocks.setdefault(key[0], []).append(parked[key])
@@ -292,7 +287,7 @@ class ResponseCache:
                     if not raising:
                         raise
                     logger.error("cache append failed while serve was raising: %s", exc)
-        return results, served
+        return results, len(results) - (self._recomputes - recomputes)
 
     def get_or_compute(
         self, kind: str, digest: str, compute: Callable[[], dict]
@@ -307,9 +302,9 @@ class ResponseCache:
 
     def recompute(self, kind: str, digest: str, compute: Callable[[], dict]) -> dict:
         """Compute, store and return the payload of ``digest``, replacing any
-        entry. Inside ``serve`` the job that calls it is not served from the
-        cache, even when ``compute`` raises."""
-        if threading.get_ident() == self._serving:
+        entry. Each call, on any thread and even when ``compute`` raises, is
+        one computation that ``serve``'s count of served jobs subtracts."""
+        with self._lock:
             self._recomputes += 1
         # Payloads are JSON-native, so this equals what get would read.
         return self.put(kind, digest, compute())

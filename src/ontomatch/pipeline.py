@@ -342,7 +342,7 @@ class StageContext:
     digest covers.
 
     ``parses`` is the run's store of artifact parses, keyed by artifact name
-    and the sha256 ``input_digest`` took of it: ``ontology`` and
+    and the sha256 ``input_digest`` took of it: ``enriched`` and
     ``embeddings`` serve a parse an earlier stage of the run made of the same
     bytes, and store their own. Served parses are shared, so a stage must not
     change them. Without ``parses``, or before ``input_digest``, every call
@@ -394,9 +394,9 @@ class StageContext:
             self._parses[key] = parse()
         return self._parses[key]
 
-    def ontology(self, side: str, kind: str) -> Ontology:
-        """One side's ``concepts`` or ``enriched`` artifact."""
-        artifact = f"{side}.{kind}.jsonl"
+    def enriched(self, side: str) -> Ontology:
+        """One side's ``enriched`` artifact."""
+        artifact = f"{side}.enriched.jsonl"
         return self._shared(artifact, lambda: self.read(artifact, read_concept_jsonl))
 
     def embeddings(self, side: str) -> tuple[list[str], np.ndarray]:
@@ -442,8 +442,8 @@ def _define(ctx: StageContext, limit: int | None) -> bool:
     complete = True
     remaining = limit
     for side, other in zip(SIDES, reversed(SIDES)):
-        onto = ctx.ontology(side, "concepts")  # a served parse, so filled in a copy
-        onto = replace(onto, concepts={iri: replace(c) for iri, c in onto.concepts.items()})
+        # define alone reads the concepts, so it fills in its own parse.
+        onto = ctx.read(f"{side}.concepts.jsonl", read_concept_jsonl)
         if cfg.use_definitions:
             processed = enrich_ontology(
                 onto,
@@ -467,7 +467,7 @@ def _define(ctx: StageContext, limit: int | None) -> bool:
 def _embed(ctx: StageContext, limit: int | None) -> None:
     model = ctx.provider.embed_model_id
     for side in SIDES:
-        onto = ctx.ontology(side, "enriched")
+        onto = ctx.enriched(side)
         iris = sorted(onto.concepts)
         texts = [build_embedding_text(onto.concepts[i]) for i in iris]
         key = _digest_of({"model": model, "texts": texts})
@@ -502,7 +502,7 @@ def _judge_pairs(ctx: StageContext, candidates: dict[str, list[tuple[str, float]
     config: the one judging call of the judge stage and the ``pyes`` scorer."""
     return judge_candidates(
         candidates,
-        *(ctx.ontology(side, "enriched") for side in SIDES),
+        *(ctx.enriched(side) for side in SIDES),
         ctx.provider,
         ctx.cache,
         shots=ctx.config.shots,
@@ -633,9 +633,13 @@ class Pipeline:
         including eval only when a reference is configured), once every
         input file they read is there. A stage reuses an artifact parse an
         earlier stage of this run made of the same bytes; a parse is dropped
-        after the last listed stage whose row reads its artifact."""
+        after the last listed stage whose row reads its artifact. An unknown
+        stage name raises ValueError before anything is written."""
         if stages is None:
             stages = [s for s in STAGES if s != "eval" or self.config.reference]
+        unknown = [s for s in stages if s not in STAGE_TABLE]
+        if unknown:
+            raise ValueError(f"unknown stage {', '.join(map(repr, unknown))}")
         ordered = [s for s in STAGES if s in set(stages)]
         for name in (f for stage in ordered for f in STAGE_TABLE[stage].files):
             path = getattr(self.config, name)

@@ -382,7 +382,8 @@ def test_a_batch_put_is_read_from_memory_and_written_by_the_batch_end(tmp_path):
         assert not log.exists()
         return "done"
 
-    assert cache.serve("define", iter([("d1", job)]), max_workers=1) == (["done"], 0)
+    # The job puts without computing, so it counts as served.
+    assert cache.serve("define", iter([("d1", job)]), max_workers=1) == (["done"], 1)
     assert block_digests(log) == [["d1"]]
     assert ResponseCache(tmp_path / "cache").get("define", "d1") == {"text": "A définition."}
 
@@ -423,8 +424,9 @@ def test_a_batch_appends_full_blocks_in_commit_order_and_the_rest_at_its_end(tmp
         yield digests[-1], lambda: None
         yield digests[-1], lambda: None  # a second commit finds nothing parked
 
+    # No job computes, so all of them count as served, the miss too.
     assert cache.serve("judge", jobs(), max_workers=1) == ([None] * (len(digests) + 2),
-                                                           len(digests) + 1)
+                                                           len(digests) + 2)
     assert block_digests(log) == [
         digests[:BLOCK_ENTRIES], [*digests[BLOCK_ENTRIES:], "a-never-committed", "z-never-committed"]]
 

@@ -178,26 +178,24 @@ def test_a_forced_run_parses_each_artifact_once(tmp_path, monkeypatch, scorer):
 
 def test_every_reader_in_a_run_gets_the_one_parse_of_an_artifact(tmp_path, monkeypatch):
     """A parse depends on its artifact's bytes alone, so each reader gets the
-    object the run stores, never a copy: define the concepts, and embed,
-    judge and the pyes scorer one object for each enriched artifact."""
+    object the run stores, never a copy: embed, judge and the pyes scorer
+    one object for each enriched artifact."""
     config = toy_config(tmp_path, ranking_cases=toy_ranking_cases(tmp_path),
                         ranking_scorer="pyes")
     served = {}
-    ontology = StageContext.ontology
+    enriched = StageContext.enriched
 
-    def spy(self, side, kind):
-        onto = ontology(self, side, kind)
-        artifact = f"{side}.{kind}.jsonl"
+    def spy(self, side):
+        onto = enriched(self, side)
+        artifact = f"{side}.enriched.jsonl"
         assert onto is self._parses[artifact, self._digests[artifact]], (self.stage, artifact)
         served.setdefault(artifact, []).append((self.stage, onto))
         return onto
 
-    monkeypatch.setattr(StageContext, "ontology", spy)
+    monkeypatch.setattr(StageContext, "enriched", spy)
     assert Pipeline(config).run() == {s: "complete" for s in STAGES}
     assert {artifact: [stage for stage, _ in readers] for artifact, readers in served.items()} == {
-        **{f"{side}.concepts.jsonl": ["define"] for side in ("source", "target")},
-        **{f"{side}.enriched.jsonl": ["embed", "judge", "eval"] for side in ("source", "target")},
-    }
+        f"{side}.enriched.jsonl": ["embed", "judge", "eval"] for side in ("source", "target")}
     for artifact, readers in served.items():
         assert all(onto is readers[0][1] for _, onto in readers), artifact
 
@@ -236,29 +234,28 @@ def test_an_artifact_rewritten_within_a_run_is_parsed_again(tmp_path, monkeypatc
     assert source.concepts["http://example.org/src#S01"].label == "Relabelled structure"
 
 
-def test_define_fills_a_copy_so_the_served_concepts_stay_as_parsed(tmp_path):
-    """A served parse is shared, so define enriches a copy: after define, the
-    run's parse of each concepts artifact still reads as its file."""
+def test_define_fills_its_own_parse_and_no_concepts_parse_enters_the_store(tmp_path):
+    """Only define reads the concepts, so it fills in the parse it reads
+    itself: the run's parse store never holds a concepts artifact, and the
+    concepts files stay as ingest wrote them."""
     config = toy_config(tmp_path)
     Pipeline(config).run()
     out = Path(config.out_dir)
+    concepts = {side: (out / f"{side}.concepts.jsonl").read_bytes()
+                for side in ("source", "target")}
     pipeline = Pipeline(config)
-    run_stage, served = pipeline.run_stage, {}
+    run_stage, stored = pipeline.run_stage, set()
 
     def record(stage, **kwargs):
         status = run_stage(stage, **kwargs)
-        if stage == "define":  # before run() drops the parses only define reads
-            served.update((key[0], onto) for key, onto in pipeline._parses.items())
+        stored.update(artifact for artifact, _ in pipeline._parses)  # before run() drops any
         return status
 
     pipeline.run_stage = record
     pipeline.run(force=True)
+    assert stored and not {a for a in stored if a.endswith(".concepts.jsonl")}
     for side in ("source", "target"):
-        with open(out / f"{side}.concepts.jsonl", encoding="utf-8") as fp:
-            fresh = read_concept_jsonl(fp)
-        shared = served[f"{side}.concepts.jsonl"]
-        assert shared.concepts == fresh.concepts
-        assert all(c.definition is None for c in shared.concepts.values())
+        assert (out / f"{side}.concepts.jsonl").read_bytes() == concepts[side]
         with open(out / f"{side}.enriched.jsonl", encoding="utf-8") as fp:
             assert all(c.definition for c in read_concept_jsonl(fp).concepts.values())
 
@@ -1159,6 +1156,50 @@ def test_a_resumed_run_of_a_changed_config_writes_what_a_fresh_run_writes(
     assert provider.total_calls == 0
 
 
+def _flip_middle_byte(path: Path) -> None:
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    path.write_bytes(data)
+
+
+ARTIFACTS = [a for row in STAGE_TABLE.values() for a in row.writes]
+ARTIFACT_EDITS = {
+    "deleted": Path.unlink,
+    "truncated": lambda path: path.write_bytes(path.read_bytes()[:path.stat().st_size // 2]),
+    "flipped": _flip_middle_byte,
+}
+
+
+@pytest.fixture(scope="module")
+def finished_toy_run(tmp_path_factory) -> PipelineConfig:
+    """The config of a finished toy run with ranking cases."""
+    config = _perturbation_base(tmp_path_factory.mktemp("finished"))
+    Pipeline(config).run()
+    return config
+
+
+@pytest.mark.parametrize("edit", ARTIFACT_EDITS)
+@pytest.mark.parametrize("artifact", ARTIFACTS)
+def test_an_edited_artifact_is_rebuilt_from_the_cache(tmp_path, finished_toy_run, artifact, edit):
+    """A copy of a finished run whose artifact was deleted, truncated to half
+    or had one byte flipped: a plain run rebuilds every artifact as the
+    finished run wrote it, with no provider call, and a second skips every
+    stage."""
+    base = finished_toy_run
+    config = dataclasses.replace(base, out_dir=str(tmp_path / "out"),
+                                 cache_dir=str(tmp_path / "cache"))
+    shutil.copytree(base.out_dir, config.out_dir)
+    shutil.copytree(base.cache_dir, config.cache_dir)
+    finished = snapshot(base.out_dir)
+    assert sorted(finished) == sorted(ARTIFACTS)
+    ARTIFACT_EDITS[edit](Path(config.out_dir) / artifact)
+    provider = CountingProvider(make_provider(config))
+    Pipeline(config, provider=provider).run()
+    assert snapshot(config.out_dir) == finished
+    assert Pipeline(config, provider=provider).run() == {s: "skipped" for s in STAGES}
+    assert provider.total_calls == 0
+
+
 def _fields_read(read, config: PipelineConfig) -> set[str]:
     """The config fields ``read(config)`` looks up."""
     seen = set()
@@ -1415,6 +1456,14 @@ def test_a_corrupt_manifest_reruns_every_stage(tmp_path):
 def test_run_stage_rejects_unknown_stage(tmp_path):
     with pytest.raises(ValueError):
         Pipeline(toy_config(tmp_path)).run_stage("transmogrify")
+
+
+def test_run_rejects_unknown_stages_before_writing_anything(tmp_path):
+    config = toy_config(tmp_path)
+    with pytest.raises(ValueError, match="unknown stage 'judg', 'fused'$"):
+        Pipeline(config).run(stages=["ingest", "judg", "fused"])
+    assert not Path(config.out_dir).exists()
+    assert not Path(config.cache_dir).exists()
 
 
 # -- config --------------------------------------------------------------------

@@ -751,7 +751,8 @@ def test_serve_bounds_jobs_in_flight_and_keeps_order(cache):
     release.set()
     consumer.join(timeout=30)
     assert not consumer.is_alive()
-    assert out["result"] == (list(range(20)), 0)
+    # The jobs compute nothing through the cache, so all of them count as served.
+    assert out["result"] == (list(range(20)), 20)
 
 
 def test_serve_makes_no_threads_when_every_job_is_cached(tmp_path, monkeypatch):
@@ -778,7 +779,16 @@ def test_serve_interleaves_hits_and_misses_in_job_order(tmp_path):
     for i in range(0, 10, 3):
         cache.put("judge", f"d{i}", {"entries": {}})
     ran_on = []
-    jobs = ((f"d{i}", _job(i, ran_on)) for i in range(10))
+
+    def job(i):
+        def run():
+            ran_on.append((i, threading.get_ident()))
+            cache.get_or_compute("judge", f"d{i}", lambda: {"entries": {}})
+            return i
+
+        return run
+
+    jobs = ((f"d{i}", job(i)) for i in range(10))
     assert cache.serve("judge", jobs, max_workers=2) == (list(range(10)), 4)
     here = threading.get_ident()
     assert sorted(i for i, thread in ran_on if thread == here) == [0, 3, 6, 9]
