@@ -117,8 +117,9 @@ def generate_definition(
     ``definition_prompt`` of concept ``iri`` asks for.
 
     Returns None when the provider fails or yields nothing usable; nothing
-    is cached then, so a later run asks again. A cached entry without a
-    non-empty ``text`` string is never served but recomputed and overwritten.
+    is cached then, so a later run asks again. A cached entry whose ``text``
+    is not one non-empty paragraph of single-spaced words, the form a fresh
+    definition takes, is never served but recomputed and overwritten.
     """
 
     def compute() -> dict:
@@ -129,8 +130,8 @@ def generate_definition(
 
     try:
         text = cache.get_or_compute("define", prompt.digest, compute).get("text")
-        if not isinstance(text, str) or not text:
-            logger.warning("recomputing cached definition %s: no text", prompt.digest)
+        if not isinstance(text, str) or not text or text != _single_paragraph(text):
+            logger.warning("recomputing cached definition %s: not one paragraph", prompt.digest)
             text = cache.recompute("define", prompt.digest, compute)["text"]
     except ItemError as e:
         logger.warning("definition generation failed for %s: %s", iri, e)

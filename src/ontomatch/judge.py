@@ -166,7 +166,7 @@ def _mass(dist: dict[str, float], variants: Sequence[str]) -> tuple[float, bool]
     """The log-sum-exp of the log-probabilities of ``variants`` in ``dist``,
     summed in variant order, and whether any is there. Plain loops: a
     comprehension or generator costs more than the work on a short reply,
-    and this runs twice for every judged pair."""
+    and this runs at least twice for every judged pair."""
     present = []
     for v in variants:
         if v in dist:
@@ -205,11 +205,9 @@ def p_yes(entries: dict[str, float], mode: str = "pair") -> float:
             return math.exp(-math.log1p(math.exp(-diff)) - diff)
         return 1.0 / (1.0 + math.exp(diff))
     if mode == "full":
-        values = list(entries.values())
-        top = max(values)
-        if top == -math.inf:
+        total, _ = _mass(entries, entries)
+        if total == -math.inf:
             raise ItemError("every token has log-probability -inf")
-        total = top + math.log(sum(math.exp(v - top) for v in values))
         if not yes_found:
             return 0.0
         return math.exp(yes_mass - total)

@@ -478,8 +478,12 @@ def _embed(ctx: StageContext, limit: int | None) -> None:
                 # Rows follow the texts the key covers, whatever IRIs the
                 # entry was written under.
                 _, matrix = load_embeddings(entry)
+                if len(matrix) != len(texts):
+                    raise OntologyParseError(f"{entry} holds {len(matrix)} rows for "
+                                             f"{len(texts)} texts")
             except OntologyParseError as e:
                 logger.warning("recomputing corrupt embedding cache entry %s: %s", key, e)
+                matrix = None
         if matrix is None:
             matrix = np.stack(ctx.provider.embed_batch(texts))
             save_embeddings(entry, iris, matrix)

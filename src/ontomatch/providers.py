@@ -73,6 +73,24 @@ def validate_messages(messages: Sequence[Message]) -> None:
         raise ValueError("prompt must contain at least one user message")
 
 
+def _check_prompt(messages: Sequence[Message], limit: int, model: str) -> None:
+    """Both providers' gate on a chat prompt: ``validate_messages``, then at
+    most ``limit`` characters of content, or ``ItemError``."""
+    validate_messages(messages)
+    size = sum(len(m.get("content", "")) for m in messages)
+    if size > limit:
+        raise ItemError(f"prompt of {size} characters exceeds context limit {limit} "
+                        f"for model {model}")
+
+
+def _embed_texts(texts: Sequence[str]) -> list[str]:
+    """Both providers' gate on an embed batch: a non-empty list, each blank
+    text replaced by ``EMPTY_TEXT_PLACEHOLDER``."""
+    if len(texts) == 0:
+        raise ValueError("embed_batch requires a non-empty text list")
+    return [t if t.strip() else EMPTY_TEXT_PLACEHOLDER for t in texts]
+
+
 def json_escape(text: str) -> str:
     """``text`` as ``json.dumps(ensure_ascii=False)`` writes it, less the quotes."""
     return json.encoder.encode_basestring(text)[1:-1]
@@ -228,8 +246,6 @@ class MockProvider:
         return feature
 
     def _embed_one(self, text: str) -> np.ndarray:
-        if not text.strip():
-            text = EMPTY_TEXT_PLACEHOLDER
         canonical = self.alias.canonicalize(text)
         if len(canonical) < 3:
             tokens = [canonical]
@@ -250,21 +266,12 @@ class MockProvider:
         return vec / norm
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
-        if len(texts) == 0:
-            raise ValueError("embed_batch requires a non-empty text list")
-        return [self._embed_one(t) for t in texts]
+        return [self._embed_one(t) for t in _embed_texts(texts)]
 
     # -- chat ---------------------------------------------------------------
 
-    def _check_size(self, messages: Sequence[Message]) -> None:
-        total = sum(len(m.get("content", "")) for m in messages)
-        if total > self.context_chars:
-            raise ItemError(f"prompt of {total} characters exceeds mock context limit "
-                            f"{self.context_chars}")
-
     def generate(self, messages: Sequence[Message], params: SamplingParams) -> str:
-        validate_messages(messages)
-        self._check_size(messages)
+        _check_prompt(messages, self.context_chars, self.chat_model_id)
         user = messages[-1]["content"]
         concept = _first_line_value(user, "Concept: ")
         if concept is None:
@@ -273,8 +280,7 @@ class MockProvider:
         return f"A biomedical concept referring to {canonical}."
 
     def classify_first_token(self, messages: Sequence[Message]) -> dict[str, float]:
-        validate_messages(messages)
-        self._check_size(messages)
+        _check_prompt(messages, self.context_chars, self.chat_model_id)
         user = messages[-1]["content"]
         names = [
             line[len("Name: "):].strip()
@@ -393,20 +399,12 @@ class HttpProvider:
     def _chat(self, messages: Sequence[Message], **fields) -> dict:
         """POST ``messages`` to ``/chat/completions`` with the chat model and
         ``fields``, once they are checked for shape and size."""
-        validate_messages(messages)
-        size = sum(len(m.get("content", "")) for m in messages)
-        if size > self.config.context_chars:
-            raise ItemError(
-                f"prompt of {size} characters exceeds context limit "
-                f"{self.config.context_chars} for model {self.chat_model_id}"
-            )
+        _check_prompt(messages, self.config.context_chars, self.chat_model_id)
         return self._post("/chat/completions",
                           {"model": self.config.chat_model, "messages": list(messages), **fields})
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
-        if len(texts) == 0:
-            raise ValueError("embed_batch requires a non-empty text list")
-        cleaned = [t if t.strip() else EMPTY_TEXT_PLACEHOLDER for t in texts]
+        cleaned = _embed_texts(texts)
         out: list[np.ndarray] = []
         for start in range(0, len(cleaned), self.config.embed_batch_size):
             chunk = cleaned[start : start + self.config.embed_batch_size]

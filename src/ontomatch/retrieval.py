@@ -127,14 +127,10 @@ class ExactIndex:
     def top_k(self, query: np.ndarray, k: int) -> list[tuple[str, float]]:
         query, qnorm = _validate_query(query, k, self.dimension)
         sims = np.clip((self._matrix @ query) / (self._norms * qnorm), -1.0, 1.0)
-        n = len(sims)
-        if k < n:
-            # Keep every row tied with the k-th largest value, so a tie that
-            # straddles rank k is still decided by IRI below.
-            kth = np.partition(sims, n - k)[n - k]
-            rows = np.flatnonzero(sims >= kth)
-        else:
-            rows = np.arange(n)
+        # Keep every row tied with the k-th largest value (every row, when k
+        # >= n), so a tie that straddles rank k is still decided by IRI below.
+        kth = max(len(sims) - k, 0)
+        rows = np.flatnonzero(sims >= np.partition(sims, kth)[kth])
         # rows are pre-sorted by IRI, so a stable sort on -sims breaks ties
         # by ascending IRI byte order.
         order = rows[np.argsort(-sims[rows], kind="stable")[:k]]

@@ -63,8 +63,6 @@ def _render(expr: ClassExpression, labels: Mapping[str, str], depth: int,
             expr.filler, labels, depth + 1
         )
     if isinstance(expr, Intersection):
-        if len(expr.members) == 0:
-            raise ItemError("empty intersection")
         if len(expr.members) < 2:
             raise ItemError("intersection requires at least 2 members")
         return " and ".join(_render(m, labels, depth + 1) for m in expr.members)

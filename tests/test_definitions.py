@@ -133,8 +133,12 @@ def test_generate_definition_cache_hit_skips_provider(cache):
     assert provider.generate_calls == 1
 
 
+# The last three hold text a fresh definition never takes: blank, two
+# paragraphs, or words not single-spaced.
 @pytest.mark.parametrize("payload", [{}, {"text": 5}, {"text": None}, {"definition": "x"},
-                                     {"text": ""}])
+                                     {"text": ""}, {"text": "   "},
+                                     {"text": "first para.\n\nsecond para."},
+                                     {"text": "two\n  spaced   words"}])
 def test_generate_definition_recomputes_a_cached_entry_of_the_wrong_shape(
     cache, caplog, payload
 ):

@@ -42,6 +42,7 @@ from ontomatch.retrieval import (
     generate_candidates,
     load_embeddings,
     merge_candidate_maps,
+    save_embeddings,
     write_candidates,
 )
 
@@ -1023,6 +1024,26 @@ def test_torn_embedding_cache_entry_is_recomputed(tmp_path, counting_toy_provide
     assert entries[0].read_bytes() == original
 
 
+def test_an_embedding_cache_entry_one_row_short_is_recomputed(tmp_path, counting_toy_provider,
+                                                               caplog):
+    config = toy_config(tmp_path)
+    Pipeline(config).run()
+    before = snapshot(config.out_dir)
+    entry = sorted((tmp_path / "cache" / "embed").iterdir())[0]
+    original = entry.read_bytes()
+    iris, matrix = load_embeddings(entry)
+    save_embeddings(entry, iris[:-1], matrix[:-1])  # a valid file, one row short
+
+    provider = counting_toy_provider(config)
+    with caplog.at_level("WARNING", logger="ontomatch.pipeline"):
+        results = Pipeline(config, provider=provider).run(stages=["embed"], force=True)
+    assert results == {"embed": "complete"}
+    assert provider.total_calls == provider.embed_calls == 1
+    assert sum("corrupt embedding cache entry" in r.getMessage() for r in caplog.records) == 1
+    assert entry.read_bytes() == original
+    assert snapshot(config.out_dir) == before
+
+
 def test_embedding_cache_serves_renamed_namespace(tmp_path, counting_toy_provider):
     first = toy_config(tmp_path, out_dir=str(tmp_path / "first"))
     Pipeline(first).run(stages=["ingest", "define", "embed"])
@@ -1198,6 +1219,35 @@ def test_an_edited_artifact_is_rebuilt_from_the_cache(tmp_path, finished_toy_run
     assert snapshot(config.out_dir) == finished
     assert Pipeline(config, provider=provider).run() == {s: "skipped" for s in STAGES}
     assert provider.total_calls == 0
+
+
+LOG_EDITS = {
+    "appended": lambda path: path.write_bytes(path.read_bytes() + b"garbage"),
+    "truncated": ARTIFACT_EDITS["truncated"],
+    "flipped": ARTIFACT_EDITS["flipped"],
+}
+
+
+@pytest.mark.parametrize("edit", LOG_EDITS)
+@pytest.mark.parametrize("log", ["define.log", "judge.log"])
+def test_an_edited_cache_log_still_gives_the_finished_artifacts(tmp_path, finished_toy_run,
+                                                                log, edit):
+    """A copy of a finished run's cache whose log had garbage appended, was
+    truncated to half or had its middle byte flipped: a run into a fresh
+    out/ writes every artifact as the finished run did, asking the provider
+    again for what the edit lost, and a forced run after it asks for
+    nothing."""
+    base = finished_toy_run
+    config = dataclasses.replace(base, out_dir=str(tmp_path / "out"),
+                                 cache_dir=str(tmp_path / "cache"))
+    shutil.copytree(base.cache_dir, config.cache_dir)
+    LOG_EDITS[edit](Path(config.cache_dir) / log)
+    Pipeline(config).run()
+    assert snapshot(config.out_dir) == snapshot(base.out_dir)
+    provider = CountingProvider(make_provider(config))
+    assert Pipeline(config, provider=provider).run(force=True) == {s: "complete" for s in STAGES}
+    assert provider.total_calls == 0
+    assert snapshot(config.out_dir) == snapshot(base.out_dir)
 
 
 def _fields_read(read, config: PipelineConfig) -> set[str]:

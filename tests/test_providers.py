@@ -418,9 +418,9 @@ def test_mock_judge_no_when_names_differ():
 
 def test_mock_prompt_size_limit():
     provider = MockProvider(context_chars=50)
-    with pytest.raises(ItemError, match="prompt of 103 characters exceeds mock context"):
+    with pytest.raises(ItemError, match="prompt of 103 characters exceeds context limit"):
         provider.generate(chat("sys", "x" * 100), SamplingParams())
-    with pytest.raises(ItemError, match="exceeds mock context limit 50"):
+    with pytest.raises(ItemError, match="exceeds context limit 50 for model mock-chat-s0"):
         provider.classify_first_token(judge_messages("y" * 100, "z"))
 
 
