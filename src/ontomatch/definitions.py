@@ -157,7 +157,7 @@ def enrich_ontology(
     prompt share one provider call, and so one definition. The system turn
     depends only on the two names, so one ``PromptFrame`` keys every concept:
     its digest equals ``definition_prompt``'s."""
-    todo = [c for c in ontology.sorted_concepts() if c.definition is None][:limit]
+    todo = [c for _, c in sorted(ontology.items()) if c.definition is None][:limit]
     frame = PromptFrame("define", TEMPLATE_VERSION, provider.chat_model_id,
                         [_system_turn(*names), {"role": "user"}], params)
 

@@ -24,12 +24,12 @@ PROVENANCES = ("llm", "exact", "both")
 def exact_match(source: Ontology, target: Ontology) -> list[Mapping]:
     """All (source, target) pairs sharing a normalized label or synonym, once each."""
     index: dict[str, list[str]] = {}
-    for iri, concept in target.concepts.items():
+    for iri, concept in target.items():
         for text in concept.lexical_strings():
             if key := normalize_string(text):
                 index.setdefault(key, []).append(iri)
     pairs: dict[Pair, None] = {}
-    for s, concept in source.concepts.items():
+    for s, concept in source.items():
         for text in concept.lexical_strings():
             for t in index.get(normalize_string(text), ()):
                 pairs[s, t] = None

@@ -155,6 +155,7 @@ def _parse_owl(fp: IO[bytes], path: Path, skipped_lines: int, label_property: st
     root = tree.getroot()
     base = root.get(_XML_BASE, "")
     onto = Ontology()
+    skipped_axioms = dropped_parents = 0
     raw: dict[str, _RawClass] = {}
     label_index: dict[str, str] = {}  # classes and properties, for verbalization
 
@@ -191,13 +192,13 @@ def _parse_owl(fp: IO[bytes], path: Path, skipped_lines: int, label_property: st
                 if isinstance(parent, Named):
                     rc.parents.append(parent.iri)
                 else:
-                    onto.stats.dropped_anonymous_parents += 1
+                    dropped_parents += 1
             elif child.tag == _OWL_EQUIVALENT:
                 expr = _object(child, base)
                 if expr is not None:
                     rc.equivs.append(expr)
                 else:
-                    onto.stats.skipped_axioms += 1
+                    skipped_axioms += 1
 
     for iri, rc in raw.items():
         label = rc.labels[0] if rc.labels else None
@@ -207,8 +208,8 @@ def _parse_owl(fp: IO[bytes], path: Path, skipped_lines: int, label_property: st
             try:
                 descriptions.append(verbalize(expr, label_index))
             except ItemError:
-                onto.stats.skipped_axioms += 1
-        onto.concepts[iri] = Concept(
+                skipped_axioms += 1
+        onto[iri] = Concept(
             iri=iri,
             label=label,
             synonyms=dedupe_synonyms(label, extra_labels + rc.synonyms),
@@ -216,15 +217,11 @@ def _parse_owl(fp: IO[bytes], path: Path, skipped_lines: int, label_property: st
             equiv_descriptions=descriptions,
         )
 
-    if unlabeled := onto.unlabeled_count:
+    if unlabeled := sum(c.label is None for c in onto.values()):
         logger.warning("%s: %d concepts have no label", path, unlabeled)
-    if onto.stats.skipped_axioms or onto.stats.dropped_anonymous_parents:
-        logger.info(
-            "%s: skipped %d unsupported axioms, dropped %d anonymous superclasses",
-            path,
-            onto.stats.skipped_axioms,
-            onto.stats.dropped_anonymous_parents,
-        )
+    if skipped_axioms or dropped_parents:
+        logger.info("%s: skipped %d unsupported axioms, dropped %d anonymous superclasses",
+                    path, skipped_axioms, dropped_parents)
     return onto
 
 

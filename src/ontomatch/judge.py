@@ -266,8 +266,8 @@ def judge_pair(
 
 def _blocks(heading: str, iris: set[str], onto: Ontology) -> dict[str, tuple[str, str]]:
     """The prompt block of each of ``iris`` that ``onto`` has, and its ``json_escape``."""
-    blocks = {iri: _concept_block(heading, concept_context(onto.concepts[iri], onto))
-              for iri in iris & onto.concepts.keys()}
+    blocks = {iri: _concept_block(heading, concept_context(onto[iri], onto))
+              for iri in iris & onto.keys()}
     return {iri: (block, json_escape(block)) for iri, block in blocks.items()}
 
 

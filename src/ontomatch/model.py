@@ -115,38 +115,8 @@ def dedupe_synonyms(label: str | None, synonyms: Iterable[str]) -> list[str]:
     return out
 
 
-@dataclass
-class OntologyStats:
-    """Parse-time bookkeeping; excluded from ontology equality."""
-
-    skipped_axioms: int = 0
-    dropped_anonymous_parents: int = 0
-
-
-@dataclass
-class Ontology:
-    concepts: dict[str, Concept] = field(default_factory=dict)
-    stats: OntologyStats = field(default_factory=OntologyStats, compare=False)
-
-    def __len__(self) -> int:
-        return len(self.concepts)
-
-    @property
-    def dangling_parent_count(self) -> int:
-        """Parent references that do not resolve within this ontology."""
-        return sum(p not in self.concepts for c in self.concepts.values() for p in c.parents)
-
-    @property
-    def unlabeled_count(self) -> int:
-        """Concepts without a label."""
-        return sum(c.label is None for c in self.concepts.values())
-
-    def label_for(self, iri: str) -> str | None:
-        c = self.concepts.get(iri)
-        return c.label if c else None
-
-    def sorted_concepts(self) -> list[Concept]:
-        return [self.concepts[k] for k in sorted(self.concepts)]
+# A parse: each concept keyed by its IRI.
+Ontology = dict[str, Concept]
 
 
 @dataclass
@@ -168,8 +138,8 @@ def concept_context(concept: Concept, ontology: Ontology) -> ContextBlock:
     """Assemble a prompt context; parent IRIs resolve to labels else fragments."""
     parents = []
     for p in concept.parents:
-        label = ontology.label_for(p)
-        parents.append(label if label else iri_fragment(p))
+        parent = ontology.get(p)
+        parents.append(parent.label if parent and parent.label else iri_fragment(p))
     return ContextBlock(
         iri=concept.iri,
         label=concept.label,
@@ -263,7 +233,7 @@ def read_concept_jsonl(fp: IO[str]) -> Ontology:
             raise OntologyParseError("missing or non-string 'iri'", line=lineno)
         if not is_absolute_iri(iri):
             raise OntologyParseError(f"iri is not absolute: {iri!r}", line=lineno)
-        if iri in onto.concepts:
+        if iri in onto:
             raise OntologyParseError(f"duplicate iri {iri!r}", line=lineno)
         label = row.get("label")
         if label is not None and not isinstance(label, str):
@@ -275,7 +245,7 @@ def read_concept_jsonl(fp: IO[str]) -> Ontology:
         if definition is not None and not isinstance(definition, str):
             raise OntologyParseError("'definition' must be a string or null", line=lineno)
         # Fresh lists, owned by the new concept; the fields in their order.
-        onto.concepts[iri] = Concept(
+        onto[iri] = Concept(
             iri, label, dedupe_synonyms(label, synonyms), parents, descriptions, definition
         )
     return onto
@@ -284,6 +254,6 @@ def read_concept_jsonl(fp: IO[str]) -> Ontology:
 def write_concept_jsonl(ontology: Ontology, fp: IO[str]) -> None:
     """Emit concepts sorted by IRI, UTF-8 JSON, LF line endings."""
     keys = [f.name for f in fields(Concept)]
-    for concept in ontology.sorted_concepts():
+    for _, concept in sorted(ontology.items()):
         fp.write(json.dumps({key: getattr(concept, key) for key in keys}, ensure_ascii=False))
         fp.write("\n")

@@ -425,10 +425,11 @@ def _ingest(ctx: StageContext, limit: int | None) -> None:
         path = getattr(cfg, side)
         onto = parse_ontology(path, label_property=cfg.label_property,
                               synonym_properties=cfg.synonym_properties)
-        if not onto.concepts:
+        if not onto:
             raise OntologyParseError(f"{path} has no classes")
+        dangling = sum(p not in onto for c in onto.values() for p in c.parents)
         logger.info("ingested %s: %d concepts (%d dangling parent refs)",
-                    side, len(onto), onto.dangling_parent_count)
+                    side, len(onto), dangling)
         ontologies[side] = onto
     for side, onto in ontologies.items():
         ctx.write(f"{side}.concepts.jsonl", partial(write_concept_jsonl, onto))
@@ -456,9 +457,9 @@ def _define(ctx: StageContext, limit: int | None) -> bool:
             )
             if remaining is not None:
                 remaining = max(0, remaining - processed)
-            complete = complete and all(c.definition is not None for c in onto.concepts.values())
+            complete = complete and all(c.definition is not None for c in onto.values())
         else:
-            for concept in onto.concepts.values():
+            for concept in onto.values():
                 concept.definition = None
         ctx.write(f"{side}.enriched.jsonl", partial(write_concept_jsonl, onto))
     return complete
@@ -468,8 +469,8 @@ def _embed(ctx: StageContext, limit: int | None) -> None:
     model = ctx.provider.embed_model_id
     for side in SIDES:
         onto = ctx.enriched(side)
-        iris = sorted(onto.concepts)
-        texts = [build_embedding_text(onto.concepts[i]) for i in iris]
+        iris = sorted(onto)
+        texts = [build_embedding_text(onto[i]) for i in iris]
         key = _digest_of({"model": model, "texts": texts})
         entry = ctx.cache.root / "embed" / f"{key}.npz"
         matrix = None
@@ -490,12 +491,24 @@ def _embed(ctx: StageContext, limit: int | None) -> None:
         save_embeddings(ctx.path(f"{side}.embeddings.npz"), iris, matrix)
 
 
+def _index(iris: list[str], matrix: np.ndarray):
+    """``build_index`` over the rows with a nonzero norm: a zero-norm row has
+    no cosine, so it is left out, with one warning naming its IRIs. With no
+    row left, ``build_index`` gets them all and raises its ``ItemError``."""
+    zero = np.linalg.norm(matrix, axis=1) == 0.0
+    if zero.any() and not zero.all():
+        logger.warning("zero-norm embeddings left out of the index: %s",
+                       [iri for iri, z in zip(iris, zero) if z])
+        iris, matrix = [iri for iri, z in zip(iris, zero) if not z], matrix[~zero]
+    return build_index(iris, matrix)
+
+
 def _match(ctx: StageContext, limit: int | None) -> None:
     cfg = ctx.config
     source, target = map(ctx.embeddings, SIDES)
-    candidates = generate_candidates(*source, build_index(*target), k=cfg.k)
+    candidates = generate_candidates(*source, _index(*target), k=cfg.k)
     if cfg.bidirectional:
-        backward = generate_candidates(*target, build_index(*source), k=cfg.k)
+        backward = generate_candidates(*target, _index(*source), k=cfg.k)
         candidates = merge_candidate_maps(candidates, backward)
     ctx.write("candidates.tsv", lambda fp: write_candidates(candidates, fp))
 

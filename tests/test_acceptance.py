@@ -454,9 +454,9 @@ def test_no_definitions_removes_exactly_definition_segments(toy_artifacts, tmp_p
 
     defined = 0
     for with_onto, without_onto in ((source_def, source_nodef), (target_def, target_nodef)):
-        for iri, with_c in with_onto.concepts.items():
+        for iri, with_c in with_onto.items():
             stripped = build_embedding_text(replace(with_c, definition=None))
-            assert build_embedding_text(without_onto.concepts[iri]) == stripped
+            assert build_embedding_text(without_onto[iri]) == stripped
             with_text = build_embedding_text(with_c)
             if with_c.definition:
                 defined += 1
@@ -465,10 +465,10 @@ def test_no_definitions_removes_exactly_definition_segments(toy_artifacts, tmp_p
             else:
                 assert with_text == stripped
 
-    src_iri = next(i for i, c in source_def.concepts.items() if c.definition)
-    tgt_iri = next(i for i, c in target_def.concepts.items() if c.definition)
-    a_def = concept_context(source_def.concepts[src_iri], source_def)
-    b_def = concept_context(target_def.concepts[tgt_iri], target_def)
+    src_iri = next(i for i, c in source_def.items() if c.definition)
+    tgt_iri = next(i for i, c in target_def.items() if c.definition)
+    a_def = concept_context(source_def[src_iri], source_def)
+    b_def = concept_context(target_def[tgt_iri], target_def)
     with_prompt = build_judgement_prompt(a_def, b_def)[-1]["content"]
     without_prompt = build_judgement_prompt(
         replace(a_def, definition=None), replace(b_def, definition=None)
@@ -477,8 +477,8 @@ def test_no_definitions_removes_exactly_definition_segments(toy_artifacts, tmp_p
     assert without_prompt == "\n".join(
         line for line in with_prompt.splitlines() if not line.startswith("Definition: ")
     )
-    a_nodef = concept_context(source_nodef.concepts[src_iri], source_nodef)
-    b_nodef = concept_context(target_nodef.concepts[tgt_iri], target_nodef)
+    a_nodef = concept_context(source_nodef[src_iri], source_nodef)
+    b_nodef = concept_context(target_nodef[tgt_iri], target_nodef)
     assert build_judgement_prompt(a_nodef, b_nodef)[-1]["content"] == without_prompt
 
     check(

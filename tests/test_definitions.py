@@ -205,7 +205,7 @@ def _ontology(n: int) -> Ontology:
     onto = Ontology()
     for i in range(n):
         iri = f"http://x.org/c#C{i:02d}"
-        onto.concepts[iri] = Concept(iri=iri, label=f"Concept {i:02d}")
+        onto[iri] = Concept(iri=iri, label=f"Concept {i:02d}")
     return onto
 
 
@@ -214,31 +214,31 @@ def test_enrich_ontology_fills_definitions_in_iri_order(cache):
     count = enrich_ontology(onto, ("src", "tgt"), MockProvider(), cache)
     assert count == 3
     for i in range(3):
-        c = onto.concepts[f"http://x.org/c#C{i:02d}"]
+        c = onto[f"http://x.org/c#C{i:02d}"]
         assert c.definition == f"A biomedical concept referring to concept {i:02d}."
 
 
 def test_enrich_ontology_skips_already_defined(cache):
     onto = _ontology(3)
-    onto.concepts["http://x.org/c#C01"].definition = "Existing."
+    onto["http://x.org/c#C01"].definition = "Existing."
     provider = CountingProvider(MockProvider())
     count = enrich_ontology(onto, ("src", "tgt"), provider, cache)
     assert count == 2
     assert provider.generate_calls == 2
-    assert onto.concepts["http://x.org/c#C01"].definition == "Existing."
+    assert onto["http://x.org/c#C01"].definition == "Existing."
 
 
 def test_enrich_ontology_respects_limit(cache):
     onto = _ontology(5)
     count = enrich_ontology(onto, ("src", "tgt"), MockProvider(), cache, limit=2)
     assert count == 2
-    assert onto.concepts["http://x.org/c#C01"].definition is not None
-    assert onto.concepts["http://x.org/c#C02"].definition is None
+    assert onto["http://x.org/c#C01"].definition is not None
+    assert onto["http://x.org/c#C02"].definition is None
 
 
 def test_enrich_ontology_empty_todo_returns_zero(cache):
     onto = _ontology(1)
-    onto.concepts["http://x.org/c#C00"].definition = "Done."
+    onto["http://x.org/c#C00"].definition = "Done."
     assert enrich_ontology(onto, ("src", "tgt"), MockProvider(), cache) == 0
 
 
@@ -250,7 +250,7 @@ def _no_pool(*args, **kwargs):
 
 
 def _definitions(onto: Ontology) -> dict[str, str | None]:
-    return {iri: c.definition for iri, c in onto.concepts.items()}
+    return {iri: c.definition for iri, c in onto.items()}
 
 
 def test_enrich_ontology_fully_warm_makes_no_pool_and_no_calls(tmp_path, monkeypatch):
@@ -269,7 +269,7 @@ def test_enrich_ontology_half_warm_calls_provider_only_for_misses(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     warmed = _ontology(6)
     for i in range(1, 6, 2):
-        warmed.concepts[f"http://x.org/c#C{i:02d}"].definition = "Skipped."
+        warmed[f"http://x.org/c#C{i:02d}"].definition = "Skipped."
     enrich_ontology(warmed, ("src", "tgt"), MockProvider(), cache)  # caches C00, C02, C04
     provider = CountingProvider(MockProvider())
     out = _ontology(6)
@@ -287,7 +287,7 @@ def test_enrich_ontology_limit_counts_hits_and_misses(tmp_path):
     onto = _ontology(5)
     assert enrich_ontology(onto, ("src", "tgt"), provider, cache, limit=3) == 3
     assert provider.generate_calls == 1
-    assert [c.definition is not None for c in onto.sorted_concepts()] == [
+    assert [onto[iri].definition is not None for iri in sorted(onto)] == [
         True, True, True, False, False,
     ]
 
@@ -307,7 +307,7 @@ class _SamplingProvider(_FailingProvider):
 
 def test_enrich_ontology_calls_the_provider_once_per_prompt(cache, caplog):
     onto = _ontology(2)
-    for concept in onto.concepts.values():
+    for concept in onto.values():
         concept.label = "Heart"  # the same label gives the same prompt
     provider = _SamplingProvider()
     with caplog.at_level("INFO", logger="ontomatch.definitions"):
@@ -330,12 +330,12 @@ def test_enrich_ontology_recomputes_corrupt_cached_definition(tmp_path, caplog):
     onto = _ontology(1)
     with caplog.at_level("WARNING"):
         enrich_ontology(onto, ("src", "tgt"), provider, cache)
-    assert onto.concepts["http://x.org/c#C00"].definition == (
+    assert onto["http://x.org/c#C00"].definition == (
         "A biomedical concept referring to concept 00."
     )
     assert provider.generate_calls == 1
     assert sum("discarding corrupt cache entry" in m for m in caplog.messages) == 1
-    assert ResponseCache(tmp_path / "cache").get("define", digest)["text"] == onto.concepts["http://x.org/c#C00"].definition
+    assert ResponseCache(tmp_path / "cache").get("define", digest)["text"] == onto["http://x.org/c#C00"].definition
 
 
 def test_enrich_ontology_logs_hits_and_misses(tmp_path, caplog):
@@ -355,7 +355,7 @@ def test_enrich_ontology_counts_a_failed_recomputation_as_sent_to_the_provider(
     fails, the concept was still sent to it, not served from the cache."""
     provider = _FailingProvider(ItemError("down"))
     onto = _ontology(1)
-    [concept] = onto.concepts.values()
+    [concept] = onto.values()
     prompt = definition_prompt(concept_context(concept, onto), "src", "tgt", provider)
     append_raw_entry(tmp_path / "cache", "define", prompt.digest, entry)
     with caplog.at_level("INFO", logger="ontomatch.definitions"):
@@ -376,7 +376,7 @@ def _awkward_ontology() -> Ontology:
     onto = Ontology()
     for i, text in enumerate(AWKWARD):
         iri = f"http://x.org/c#\u00e9{i}"
-        onto.concepts[iri] = Concept(
+        onto[iri] = Concept(
             iri=iri, label=text or None, synonyms=[t for t in AWKWARD if t and t != text][:2],
             parents=[f"http://x.org/c#\u00e9{(i + 1) % len(AWKWARD)}", 'http://x.org/"q"\\'],
             equiv_descriptions=[f"{text}."] if text else [])
@@ -407,7 +407,7 @@ def test_enrich_ontology_keys_each_concept_as_the_reference_digest(tmp_path, mon
         onto = _awkward_ontology()
         expected = {
             c.iri: build_definition_prompt(concept_context(c, onto), name, other)
-            for c in onto.sorted_concepts()
+            for c in onto.values()
         }
         prompts.clear()
         assert enrich_ontology(onto, (name, other), provider, cache, params=params) == len(AWKWARD)

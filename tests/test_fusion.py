@@ -13,7 +13,7 @@ import oracles
 def build_ontology(rows: list[tuple[str, str | None, list[str]]]) -> Ontology:
     onto = Ontology()
     for iri, label, synonyms in rows:
-        onto.concepts[iri] = Concept(iri=iri, label=label, synonyms=synonyms)
+        onto[iri] = Concept(iri=iri, label=label, synonyms=synonyms)
     return onto
 
 

@@ -1,13 +1,17 @@
 """OWL/XML subset ingestion and format detection."""
 
 import json
+import logging
 import re
+import shutil
 
 import pytest
 
+from conftest import toy_config
 from ontomatch.errors import OntologyParseError
 from ontomatch.ingest import parse_ontology
-from ontomatch.model import Concept, Ontology
+from ontomatch.model import Concept, write_concept_jsonl
+from ontomatch.pipeline import Pipeline
 
 RDF_OPEN = (
     '<?xml version="1.0"?>\n'
@@ -27,6 +31,45 @@ def write_owl(tmp_path, body: str, base: str = "") -> str:
     return str(path)
 
 
+def parse_logged(caplog, path, **kwargs):
+    """``parse_ontology(path, **kwargs)`` and the lines the parse logs, each
+    ``(level, message)`` with the message's leading path cut off."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="ontomatch.ingest"):
+        onto = parse_ontology(path, **kwargs)
+    return onto, [(r.levelname, r.getMessage().removeprefix(f"{path}: "))
+                  for r in caplog.records if r.name == "ontomatch.ingest"]
+
+
+def logged_counts(lines) -> dict[str, int]:
+    """The counts a parse's ``lines`` report: skipped axioms and dropped
+    anonymous superclasses from its INFO line, unlabeled concepts from its
+    WARNING. A count without its line is 0, and no line reports only zeros."""
+    counts = dict(skipped=0, dropped=0, unlabeled=0)
+    for level, message in lines:
+        if m := re.fullmatch(
+            r"skipped (\d+) unsupported axioms, dropped (\d+) anonymous superclasses", message
+        ):
+            assert level == "INFO" and (m[1], m[2]) != ("0", "0")
+            counts.update(skipped=int(m[1]), dropped=int(m[2]))
+        elif m := re.fullmatch(r"(\d+) concepts have no label", message):
+            assert level == "WARNING" and m[1] != "0"
+            counts.update(unlabeled=int(m[1]))
+    assert len(lines) == len(set(lines))
+    return counts
+
+
+def ingested_dangling(tmp_path, caplog, source) -> int:
+    """The dangling parent refs that the ingest stage's INFO line reports
+    for ``source``, ingested as the source side of the toy pair."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="ontomatch.pipeline"):
+        Pipeline(toy_config(tmp_path, source=str(source))).run_stage("ingest", force=True)
+    [count] = [int(m[1]) for message in caplog.messages if (m := re.fullmatch(
+        r"ingested source: \d+ concepts \((\d+) dangling parent refs\)", message))]
+    return count
+
+
 BASIC_BODY = """
   <owl:Class rdf:about="http://x.org/onto#A">
     <rdfs:label>Alpha</rdfs:label>
@@ -44,33 +87,34 @@ BASIC_BODY = """
 """
 
 
-def test_basic_classes_labels_synonyms_parents(tmp_path):
-    onto = parse_ontology(write_owl(tmp_path, BASIC_BODY))
-    assert sorted(onto.concepts) == [
+def test_basic_classes_labels_synonyms_parents(tmp_path, caplog):
+    path = write_owl(tmp_path, BASIC_BODY)
+    onto, lines = parse_logged(caplog, path)
+    assert sorted(onto) == [
         "http://x.org/onto#A", "http://x.org/onto#B", "http://x.org/onto#C",
     ]
-    b = onto.concepts["http://x.org/onto#B"]
+    b = onto["http://x.org/onto#B"]
     assert b.label == "Beta"
     # the second label becomes a synonym; 'beta' collapses into the label
     assert b.synonyms == ["Beta variant", "B exact"]
     assert b.parents == ["http://x.org/onto#A"]
-    assert onto.dangling_parent_count == 1
-    assert onto.unlabeled_count == 1  # C has no label
+    assert lines == [("WARNING", "1 concepts have no label")]  # C has no label
+    assert ingested_dangling(tmp_path, caplog, path) == 1
 
 
-def test_nested_named_superclass_is_kept(tmp_path):
+def test_nested_named_superclass_is_kept(tmp_path, caplog):
     body = """
   <owl:Class rdf:about="http://x.org/onto#A"/>
   <owl:Class rdf:about="http://x.org/onto#B">
     <rdfs:subClassOf><owl:Class rdf:about="http://x.org/onto#A"/></rdfs:subClassOf>
   </owl:Class>
 """
-    onto = parse_ontology(write_owl(tmp_path, body))
-    assert onto.concepts["http://x.org/onto#B"].parents == ["http://x.org/onto#A"]
-    assert onto.stats.dropped_anonymous_parents == 0
+    onto, lines = parse_logged(caplog, write_owl(tmp_path, body))
+    assert onto["http://x.org/onto#B"].parents == ["http://x.org/onto#A"]
+    assert logged_counts(lines)["dropped"] == 0
 
 
-def test_anonymous_superclass_dropped_and_counted(tmp_path):
+def test_anonymous_superclass_dropped_and_counted(tmp_path, caplog):
     body = """
   <owl:Class rdf:about="http://x.org/onto#B">
     <rdfs:subClassOf>
@@ -81,9 +125,9 @@ def test_anonymous_superclass_dropped_and_counted(tmp_path):
     </rdfs:subClassOf>
   </owl:Class>
 """
-    onto = parse_ontology(write_owl(tmp_path, body))
-    assert onto.concepts["http://x.org/onto#B"].parents == []
-    assert onto.stats.dropped_anonymous_parents == 1
+    onto, lines = parse_logged(caplog, write_owl(tmp_path, body))
+    assert onto["http://x.org/onto#B"].parents == []
+    assert logged_counts(lines)["dropped"] == 1
 
 
 def test_duplicate_parents_collapse(tmp_path):
@@ -94,7 +138,7 @@ def test_duplicate_parents_collapse(tmp_path):
   </owl:Class>
 """
     onto = parse_ontology(write_owl(tmp_path, body))
-    assert onto.concepts["http://x.org/onto#B"].parents == ["http://x.org/onto#A"]
+    assert onto["http://x.org/onto#B"].parents == ["http://x.org/onto#A"]
 
 
 EQUIV_BODY = """
@@ -124,13 +168,13 @@ EQUIV_BODY = """
 """
 
 
-def test_equivalent_class_axiom_is_verbalized_with_property_labels(tmp_path):
-    onto = parse_ontology(write_owl(tmp_path, EQUIV_BODY))
-    d = onto.concepts["http://x.org/onto#D"]
+def test_equivalent_class_axiom_is_verbalized_with_property_labels(tmp_path, caplog):
+    onto, lines = parse_logged(caplog, write_owl(tmp_path, EQUIV_BODY))
+    d = onto["http://x.org/onto#D"]
     assert d.equiv_descriptions == ["Alpha that part of (attribute) Beta."]
-    assert onto.stats.skipped_axioms == 0
+    assert logged_counts(lines)["skipped"] == 0
     # the property is not itself a concept
-    assert "http://x.org/onto#partOf" not in onto.concepts
+    assert "http://x.org/onto#partOf" not in onto
 
 
 def test_equivalent_named_class_resource_form(tmp_path):
@@ -143,7 +187,7 @@ def test_equivalent_named_class_resource_form(tmp_path):
   </owl:Class>
 """
     onto = parse_ontology(write_owl(tmp_path, body))
-    assert onto.concepts["http://x.org/onto#D"].equiv_descriptions == ["Alpha"]
+    assert onto["http://x.org/onto#D"].equiv_descriptions == ["Alpha"]
 
 
 def test_unlabeled_filler_falls_back_to_iri_fragment(tmp_path):
@@ -158,7 +202,7 @@ def test_unlabeled_filler_falls_back_to_iri_fragment(tmp_path):
   </owl:Class>
 """
     onto = parse_ontology(write_owl(tmp_path, body))
-    assert onto.concepts["http://x.org/onto#D"].equiv_descriptions == [
+    assert onto["http://x.org/onto#D"].equiv_descriptions == [
         "something that partOf Unknown"
     ]
 
@@ -190,15 +234,15 @@ def test_unlabeled_filler_falls_back_to_iri_fragment(tmp_path):
     # empty axiom element
     "<owl:equivalentClass/>",
 ])
-def test_unsupported_equivalence_axiom_skipped_and_counted(tmp_path, axiom):
+def test_unsupported_equivalence_axiom_skipped_and_counted(tmp_path, caplog, axiom):
     body = f"""
   <owl:Class rdf:about="http://x.org/onto#D">
     {axiom}
   </owl:Class>
 """
-    onto = parse_ontology(write_owl(tmp_path, body))
-    assert onto.concepts["http://x.org/onto#D"].equiv_descriptions == []
-    assert onto.stats.skipped_axioms == 1
+    onto, lines = parse_logged(caplog, write_owl(tmp_path, body))
+    assert onto["http://x.org/onto#D"].equiv_descriptions == []
+    assert logged_counts(lines)["skipped"] == 1
 
 
 def test_xml_base_resolves_relative_and_rdf_id(tmp_path):
@@ -207,7 +251,7 @@ def test_xml_base_resolves_relative_and_rdf_id(tmp_path):
   <owl:Class rdf:ID="F"/>
 """
     onto = parse_ontology(write_owl(tmp_path, body, base="http://x.org/base/onto.owl"))
-    assert set(onto.concepts) == {
+    assert set(onto) == {
         "http://x.org/base/onto.owl#E",
         "http://x.org/base/onto.owl#F",
     }
@@ -234,8 +278,8 @@ def test_a_top_level_node_without_an_iri_is_skipped(tmp_path):
   </owl:Class>
 """
     onto = parse_ontology(write_owl(tmp_path, body))
-    assert list(onto.concepts) == ["http://x.org/onto#A"]
-    assert onto.concepts["http://x.org/onto#A"].label == "Alpha"
+    assert list(onto) == ["http://x.org/onto#A"]
+    assert onto["http://x.org/onto#A"].label == "Alpha"
 
 
 def test_a_property_element_without_a_namespace_is_ignored(tmp_path):
@@ -245,7 +289,7 @@ def test_a_property_element_without_a_namespace_is_ignored(tmp_path):
     <rdfs:label>Alpha</rdfs:label>
   </owl:Class>
 """
-    a = parse_ontology(write_owl(tmp_path, body)).concepts["http://x.org/onto#A"]
+    a = parse_ontology(write_owl(tmp_path, body))["http://x.org/onto#A"]
     assert (a.label, a.synonyms, a.parents) == ("Alpha", [], [])
 
 
@@ -260,10 +304,10 @@ def test_a_property_entity_gives_only_its_label(tmp_path):
     )
     assert body != EQUIV_BODY
     onto = parse_ontology(write_owl(tmp_path, body))
-    assert sorted(onto.concepts) == [f"http://x.org/onto#{c}" for c in "ABD"]
-    assert onto.concepts["http://x.org/onto#D"].equiv_descriptions == [
+    assert sorted(onto) == [f"http://x.org/onto#{c}" for c in "ABD"]
+    assert onto["http://x.org/onto#D"].equiv_descriptions == [
         "Alpha that part of (attribute) Beta."]
-    assert all(c.parents == [] for c in onto.concepts.values())
+    assert all(c.parents == [] for c in onto.values())
 
 
 def test_malformed_xml_reports_position(tmp_path):
@@ -287,7 +331,7 @@ def test_custom_label_property(tmp_path):
         label_property="http://www.w3.org/2004/02/skos/core#prefLabel",
         synonym_properties=(),
     )
-    assert onto.concepts["http://x.org/onto#A"].label == "Right"
+    assert onto["http://x.org/onto#A"].label == "Right"
 
 
 def test_parse_ontology_requires_label_property(tmp_path):
@@ -299,7 +343,7 @@ def test_parse_ontology_of_a_jsonl_path_depends_on_its_bytes_alone(tmp_path):
     path = tmp_path / "animals.jsonl"
     path.write_text(json.dumps({"iri": "http://x.org/c#Cat", "label": "Cat"}) + "\n")
     onto = parse_ontology(path)
-    assert onto.concepts["http://x.org/c#Cat"].label == "Cat"
+    assert onto["http://x.org/c#Cat"].label == "Cat"
     assert not hasattr(onto, "name")
     renamed = path.rename(tmp_path / "custom.jsonl")
     assert parse_ontology(renamed) == onto
@@ -325,33 +369,34 @@ def test_parse_ontology_rejects_an_empty_file(tmp_path, content):
 JSONL = json.dumps({"iri": "http://x.org/c#Cat", "label": "Cat", "synonyms": ["Moggy"]}) + "\n"
 
 
-def assert_same_ontology(left, right):
-    assert left.concepts == right.concepts
-    assert left.stats == right.stats
+def assert_same_parse(caplog, left, right):
+    """The two paths parse to equal ontologies that log the same lines."""
+    left_onto, left_lines = parse_logged(caplog, left)
+    right_onto, right_lines = parse_logged(caplog, right)
+    assert left_onto == right_onto
+    assert left_lines == right_lines
 
 
-def test_format_follows_the_content_not_the_file_name(tmp_path):
-    owl = parse_ontology(write_owl(tmp_path, BASIC_BODY))
-    (tmp_path / "onto.owl").rename(tmp_path / "owl.jsonl")
-    assert_same_ontology(parse_ontology(tmp_path / "owl.jsonl"), owl)
+def test_format_follows_the_content_not_the_file_name(tmp_path, caplog):
+    owl = write_owl(tmp_path, BASIC_BODY)
+    shutil.copy(owl, tmp_path / "owl.jsonl")
+    assert_same_parse(caplog, tmp_path / "owl.jsonl", owl)
 
     (tmp_path / "concepts.jsonl").write_text(JSONL, encoding="utf-8")
     (tmp_path / "concepts.owl").write_text(JSONL, encoding="utf-8")
-    assert_same_ontology(parse_ontology(tmp_path / "concepts.owl"),
-                         parse_ontology(tmp_path / "concepts.jsonl"))
+    assert_same_parse(caplog, tmp_path / "concepts.owl", tmp_path / "concepts.jsonl")
 
 
 @pytest.mark.parametrize("prefix", ["\ufeff", "\n\n", " \r\n\t\n", "\ufeff\n  \n"])
-def test_a_leading_bom_or_blank_lines_are_accepted(tmp_path, prefix):
-    owl = parse_ontology(write_owl(tmp_path, BASIC_BODY))
+def test_a_leading_bom_or_blank_lines_are_accepted(tmp_path, caplog, prefix):
+    owl = write_owl(tmp_path, BASIC_BODY)
     doc = (tmp_path / "onto.owl").read_text(encoding="utf-8")
     (tmp_path / "padded.owl").write_text(prefix + doc, encoding="utf-8")
-    assert_same_ontology(parse_ontology(tmp_path / "padded.owl"), owl)
+    assert_same_parse(caplog, tmp_path / "padded.owl", owl)
 
     (tmp_path / "concepts.jsonl").write_text(JSONL, encoding="utf-8")
     (tmp_path / "padded.jsonl").write_text(prefix + JSONL, encoding="utf-8")
-    assert_same_ontology(parse_ontology(tmp_path / "padded.jsonl"),
-                         parse_ontology(tmp_path / "concepts.jsonl"))
+    assert_same_parse(caplog, tmp_path / "padded.jsonl", tmp_path / "concepts.jsonl")
 
 
 def test_malformed_xml_after_blank_lines_reports_the_file_line(tmp_path):
@@ -421,7 +466,7 @@ def _intersection(restriction: str) -> str:
     ("""<owl:equivalentClass><owl:Class rdf:about="http://x.org/onto#A"/></owl:equivalentClass>""",
      "Alpha"),
 ])
-def test_nested_class_expressions_are_verbalized(tmp_path, axiom, description):
+def test_nested_class_expressions_are_verbalized(tmp_path, caplog, axiom, description):
     body = NESTED_LABELS + f"""
   <owl:Class rdf:about="http://x.org/onto#D">
     <rdfs:label>Delta</rdfs:label>
@@ -430,14 +475,15 @@ def test_nested_class_expressions_are_verbalized(tmp_path, axiom, description):
     {axiom}
   </owl:Class>
 """
-    onto = parse_ontology(write_owl(tmp_path, body))
-    d = onto.concepts["http://x.org/onto#D"]
+    onto, lines = parse_logged(caplog, write_owl(tmp_path, body))
+    d = onto["http://x.org/onto#D"]
     assert d.equiv_descriptions == [description]
     assert d.parents == ["http://x.org/onto#A", "http://x.org/onto#B"]
-    assert (onto.stats.skipped_axioms, onto.stats.dropped_anonymous_parents) == (0, 0)
+    counts = logged_counts(lines)
+    assert (counts["skipped"], counts["dropped"]) == (0, 0)
 
 
-def test_a_described_node_under_subclass_of_is_a_parent(tmp_path):
+def test_a_described_node_under_subclass_of_is_a_parent(tmp_path, caplog):
     """RDF/XML gives a nested node its rdf:about IRI whatever the node's tag."""
     body = """
   <owl:Class rdf:about="http://x.org/onto#A"/>
@@ -445,10 +491,11 @@ def test_a_described_node_under_subclass_of_is_a_parent(tmp_path):
     <rdfs:subClassOf><rdf:Description rdf:about="http://x.org/onto#A"/></rdfs:subClassOf>
   </owl:Class>
 """
-    onto = parse_ontology(write_owl(tmp_path, body))
-    assert onto.concepts["http://x.org/onto#B"].parents == ["http://x.org/onto#A"]
-    assert onto.stats.dropped_anonymous_parents == 0
-    assert onto.dangling_parent_count == 0
+    path = write_owl(tmp_path, body)
+    onto, lines = parse_logged(caplog, path)
+    assert onto["http://x.org/onto#B"].parents == ["http://x.org/onto#A"]
+    assert logged_counts(lines)["dropped"] == 0
+    assert ingested_dangling(tmp_path, caplog, path) == 0
 
 
 def test_an_unread_restriction_child_is_not_resolved(tmp_path):
@@ -466,18 +513,23 @@ def test_an_unread_restriction_child_is_not_resolved(tmp_path):
   </owl:Class>
 """
     onto = parse_ontology(write_owl(tmp_path, body))
-    assert onto.concepts["http://x.org/onto#D"].equiv_descriptions == [
+    assert onto["http://x.org/onto#D"].equiv_descriptions == [
         "something that partOf B"
     ]
 
 
-def test_a_directly_built_ontology_counts_its_dangling_parents():
-    onto = Ontology(concepts={
+def test_a_directly_built_ontology_counts_its_dangling_parents(tmp_path, caplog):
+    onto = {
         "http://x.org/onto#A": Concept("http://x.org/onto#A"),
         "http://x.org/onto#B": Concept("http://x.org/onto#B", parents=[
             "http://x.org/onto#A", "http://x.org/onto#Gone", "http://x.org/onto#Lost",
         ]),
-    })
-    assert onto.dangling_parent_count == 2
-    del onto.concepts["http://x.org/onto#A"]
-    assert onto.dangling_parent_count == 3
+    }
+    path = tmp_path / "built.jsonl"
+    with open(path, "w", encoding="utf-8") as fp:
+        write_concept_jsonl(onto, fp)
+    assert ingested_dangling(tmp_path, caplog, path) == 2
+    del onto["http://x.org/onto#A"]
+    with open(path, "w", encoding="utf-8") as fp:
+        write_concept_jsonl(onto, fp)
+    assert ingested_dangling(tmp_path, caplog, path) == 3

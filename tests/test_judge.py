@@ -398,9 +398,9 @@ def _ontologies():
     src = Ontology()
     tgt = Ontology()
     for iri, label in [("http://s#S1", "heart"), ("http://s#S2", "lungs")]:
-        src.concepts[iri] = Concept(iri=iri, label=label)
+        src[iri] = Concept(iri=iri, label=label)
     for iri, label in [("http://t#T1", "heart"), ("http://t#T2", "kidney")]:
-        tgt.concepts[iri] = Concept(iri=iri, label=label)
+        tgt[iri] = Concept(iri=iri, label=label)
     return src, tgt
 
 
@@ -470,7 +470,7 @@ def test_judge_candidates_empty_input(cache):
 
 def test_judge_candidates_calls_the_provider_once_per_prompt(cache, caplog):
     src, tgt = _ontologies()
-    tgt.concepts["http://t#T3"] = Concept(iri="http://t#T3", label="heart")  # T1's prompt
+    tgt["http://t#T3"] = Concept(iri="http://t#T3", label="heart")  # T1's prompt
     candidates = {"http://s#S1": [("http://t#T1", 0.9), ("http://t#T3", 0.9)]}
     provider = CountingProvider(MockProvider())
     with caplog.at_level("INFO", logger="ontomatch.judge"):
@@ -488,9 +488,9 @@ def _toy_ontologies_with_an_awkward_concept():
         with open(TOY_DIR / f"{side}.jsonl", encoding="utf-8") as fp:
             onto = read_concept_jsonl(fp)
         iri = prefix + "Awkward"
-        onto.concepts[iri] = Concept(
+        onto[iri] = Concept(
             iri=iri, label='a "quoted"\nlabel', synonyms=["tab\there", "back\\slash"],
-            parents=[next(iter(onto.concepts))], definition="naïve \u2028 \U0001d11e\x00",
+            parents=[next(iter(onto))], definition="naïve \u2028 \U0001d11e\x00",
         )
         ontologies.append(onto)
     return ontologies
@@ -499,9 +499,9 @@ def _toy_ontologies_with_an_awkward_concept():
 @pytest.mark.parametrize("shots", [(), DEFAULT_FEW_SHOT], ids=["no_shots", "two_shots"])
 def test_judge_candidates_prompts_equal_judge_prompt_for_every_pair(tmp_path, monkeypatch, shots):
     src, tgt = _toy_ontologies_with_an_awkward_concept()
-    targets = sorted(tgt.concepts)
+    targets = sorted(tgt)
     candidates = {
-        s: [(t, 0.5) for t in targets[i % 7::7]] for i, s in enumerate(sorted(src.concepts))
+        s: [(t, 0.5) for t in targets[i % 7::7]] for i, s in enumerate(sorted(src))
     }
     judged = []
     real_judge_pair = judge_module.judge_pair
@@ -517,8 +517,8 @@ def test_judge_candidates_prompts_equal_judge_prompt_for_every_pair(tmp_path, mo
     assert len(judged) == len(out) == sum(map(len, candidates.values()))
     assert ("http://s#Awkward", "http://t#Awkward") in {(s, t) for s, t, _ in judged}
     for source, target, prompt in judged:
-        a = concept_context(src.concepts[source], src)
-        b = concept_context(tgt.concepts[target], tgt)
+        a = concept_context(src[source], src)
+        b = concept_context(tgt[target], tgt)
         assert prompt == judge_prompt(a, b, provider, shots)
         assert prompt.messages == build_judgement_prompt(a, b, shots)
 
@@ -565,9 +565,9 @@ def test_judge_candidates_stops_calling_the_provider_once_an_entry_write_fails(t
     provider. The append's OSError is raised, and no log is left."""
     src, tgt = Ontology(), Ontology()
     for i in range(9):
-        src.concepts[f"http://s#S{i}"] = Concept(f"http://s#S{i}", label=f"source {i}")
-        tgt.concepts[f"http://t#T{i}"] = Concept(f"http://t#T{i}", label=f"target {i}")
-    candidates = {s: [(t, 0.5) for t in tgt.concepts] for s in src.concepts}
+        src[f"http://s#S{i}"] = Concept(f"http://s#S{i}", label=f"source {i}")
+        tgt[f"http://t#T{i}"] = Concept(f"http://t#T{i}", label=f"target {i}")
+    candidates = {s: [(t, 0.5) for t in tgt] for s in src}
     pairs = len(src) * len(tgt)
     assert pairs > BLOCK_ENTRIES + QUEUE_PER_WORKER
 

@@ -66,10 +66,10 @@ def _judge_sides() -> tuple[Ontology, Ontology, dict[str, list[tuple[str, float]
     sides = []
     for name in ("src", "tgt"):
         onto = _ontology(name, ((f"concept {i}", [f"synonym {i}"]) for i in range(400)))
-        for concept in onto.concepts.values():
+        for concept in onto.values():
             concept.definition = f"A concept of the {name} ontology named {concept.label}."
         sides.append(onto)
-    s, t = (sorted(onto.concepts) for onto in sides)
+    s, t = (sorted(onto) for onto in sides)
     candidates = {s[i]: [(t[(i + 37 * j) % 400], 1.0 - j / 16) for j in range(10)]
                   for i in range(400)}
     return *sides, candidates
@@ -220,14 +220,14 @@ def test_parse_ontology_of_2k_owl_classes(tmp_path, benchmark):
 
     onto = benchmark.pedantic(parse_ontology, args=(path,), rounds=3)
     assert len(onto) == 2000
-    assert sum(bool(c.equiv_descriptions) for c in onto.concepts.values()) == 200
+    assert sum(bool(c.equiv_descriptions) for c in onto.values()) == 200
 
 
 def _ontology(name: str, labels) -> Ontology:
     onto = Ontology()
     for i, (label, synonyms) in enumerate(labels):
         iri = f"http://bench.org/{name}#C{i:05d}"
-        onto.concepts[iri] = Concept(iri=iri, label=label, synonyms=synonyms)
+        onto[iri] = Concept(iri=iri, label=label, synonyms=synonyms)
     return onto
 
 
@@ -238,7 +238,7 @@ def test_read_concept_jsonl_of_2k_concepts(tmp_path, benchmark):
         write_concept_jsonl(onto, fp)
 
     got = benchmark.pedantic(_read, args=(path,), rounds=3)
-    assert len(got) == 2000 and got.concepts == onto.concepts
+    assert len(got) == 2000 and got == onto
 
 
 def _digest(i: int) -> str:
@@ -286,7 +286,7 @@ def test_exact_match_and_fusion_over_2k_concepts(benchmark):
     source = _ontology("src", ((f"Concept {i}", [f"synonym {i}"]) for i in range(n)))
     target = _ontology("tgt", ((f"concept {i}" if i % 2 == 0 else f"Other {i}",
                                 [f"Synonym {i}"] if i % 3 == 0 else []) for i in range(n)))
-    s, t = sorted(source.concepts), sorted(target.concepts)
+    s, t = sorted(source), sorted(target)
     judgements = [Judgement(s[i], t[j], 0.99, 1.0 if i == j and i % 5 == 0 else 0.1)
                   for i in range(n) for j in (i, (i + 1) % n)]
 

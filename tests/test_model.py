@@ -177,11 +177,11 @@ def _onto_lines(*rows: dict) -> io.StringIO:
 
 def test_read_concept_jsonl_round_trip_sorted_by_iri():
     onto = Ontology()
-    onto.concepts["http://x.org/c#B"] = Concept(
+    onto["http://x.org/c#B"] = Concept(
         iri="http://x.org/c#B", label="B", synonyms=["b alt"],
         parents=["http://x.org/c#A", "http://x.org/c#Gone"],
     )
-    onto.concepts["http://x.org/c#A"] = Concept(
+    onto["http://x.org/c#A"] = Concept(
         iri="http://x.org/c#A", label="A", equiv_descriptions=["A that is first."],
         definition="The first concept.",
     )
@@ -190,8 +190,8 @@ def test_read_concept_jsonl_round_trip_sorted_by_iri():
     lines = buf.getvalue().splitlines()
     assert [json.loads(l)["iri"] for l in lines] == ["http://x.org/c#A", "http://x.org/c#B"]
     back = read_concept_jsonl(io.StringIO(buf.getvalue()))
-    assert back.concepts == onto.concepts
-    assert back.dangling_parent_count == 1
+    assert back == onto
+    assert sum(p not in back for c in back.values() for p in c.parents) == 1
 
 
 def test_read_concept_jsonl_skips_blank_lines_and_dedupes_synonyms():
@@ -199,7 +199,7 @@ def test_read_concept_jsonl_skips_blank_lines_and_dedupes_synonyms():
                       "synonyms": ["heart", "Cor", "cor", "Pump"]})
     fp = io.StringIO("\n" + fp.getvalue() + "\n")
     onto = read_concept_jsonl(fp)
-    assert onto.concepts["http://x.org/c#A"].synonyms == ["Cor", "Pump"]
+    assert onto["http://x.org/c#A"].synonyms == ["Cor", "Pump"]
 
 
 def test_read_concept_jsonl_counts_unlabeled():
@@ -208,14 +208,17 @@ def test_read_concept_jsonl_counts_unlabeled():
         {"iri": "http://x.org/c#B", "label": "B"},
     )
     onto = read_concept_jsonl(fp)
-    assert onto.unlabeled_count == 1
+    assert [c.label for c in onto.values()] == [None, "B"]
 
 
 def test_unlabeled_count_is_derived_from_the_concepts():
-    onto = Ontology({"http://x.org/c#A": Concept("http://x.org/c#A")})
-    assert onto.unlabeled_count == 1
-    onto.concepts["http://x.org/c#A"].label = "A"
-    assert onto.unlabeled_count == 0
+    """A parent's display string is read from the concepts when a context is built."""
+    onto = Ontology()
+    onto["http://x.org/c#A"] = Concept("http://x.org/c#A")
+    onto["http://x.org/c#B"] = Concept("http://x.org/c#B", parents=["http://x.org/c#A"])
+    assert concept_context(onto["http://x.org/c#B"], onto).parents == ["A"]
+    onto["http://x.org/c#A"].label = "Alpha"
+    assert concept_context(onto["http://x.org/c#B"], onto).parents == ["Alpha"]
 
 
 def test_read_concept_jsonl_reports_bad_json_line():
@@ -257,9 +260,9 @@ def test_ontology_recount_dangling():
         {"iri": "http://x.org/c#A", "parents": ["http://x.org/c#B", "http://x.org/c#Gone"]},
         {"iri": "http://x.org/c#B"},
     ))
-    assert onto.dangling_parent_count == 1
+    assert sum(p not in onto for c in onto.values() for p in c.parents) == 1
     assert len(onto) == 2
-    assert onto.label_for("http://x.org/c#Missing") is None
+    assert "http://x.org/c#Missing" not in onto
 
 
 def test_concept_context_resolves_parent_labels_with_fragment_fallback():
@@ -269,7 +272,7 @@ def test_concept_context_resolves_parent_labels_with_fragment_fallback():
          "synonyms": ["kid"], "equiv_descriptions": ["Child that is small."]},
         {"iri": "http://x.org/c#B", "label": "Parent class"},
     ))
-    ctx = concept_context(onto.concepts["http://x.org/c#A"], onto)
+    ctx = concept_context(onto["http://x.org/c#A"], onto)
     assert ctx.parents == ["Parent class", "C123"]
     assert ctx.synonyms == ["kid"]
     assert ctx.descriptions == ["Child that is small."]

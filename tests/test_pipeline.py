@@ -28,6 +28,7 @@ from ontomatch.judge import DEFAULT_FEW_SHOT, judge_pair, judge_prompt
 from ontomatch.fusion import exact_match, read_mappings, write_mappings
 from ontomatch.model import Mapping, concept_context, read_concept_jsonl
 from ontomatch.pipeline import (
+    SIDES,
     STAGE_TABLE,
     STAGES,
     Pipeline,
@@ -42,6 +43,7 @@ from ontomatch.retrieval import (
     generate_candidates,
     load_embeddings,
     merge_candidate_maps,
+    read_candidates,
     save_embeddings,
     write_candidates,
 )
@@ -232,7 +234,7 @@ def test_an_artifact_rewritten_within_a_run_is_parsed_again(tmp_path, monkeypatc
     assert jsonl.count("source.enriched.jsonl") == 2
     assert jsonl.count("target.enriched.jsonl") == 1
     [source] = judge_inputs
-    assert source.concepts["http://example.org/src#S01"].label == "Relabelled structure"
+    assert source["http://example.org/src#S01"].label == "Relabelled structure"
 
 
 def test_define_fills_its_own_parse_and_no_concepts_parse_enters_the_store(tmp_path):
@@ -258,7 +260,7 @@ def test_define_fills_its_own_parse_and_no_concepts_parse_enters_the_store(tmp_p
     for side in ("source", "target"):
         assert (out / f"{side}.concepts.jsonl").read_bytes() == concepts[side]
         with open(out / f"{side}.enriched.jsonl", encoding="utf-8") as fp:
-            assert all(c.definition for c in read_concept_jsonl(fp).concepts.values())
+            assert all(c.definition for c in read_concept_jsonl(fp).values())
 
 
 def test_a_parse_is_held_only_until_its_last_reader_in_the_run(tmp_path):
@@ -688,11 +690,11 @@ def _pyes_oracle(config: PipelineConfig, cases_path: str) -> tuple[float, dict[s
     cache = ResponseCache(out / "oracle-cache")
 
     def p_yes(s, t):
-        if s not in source.concepts or t not in target.concepts:
+        if s not in source or t not in target:
             return 0.0
         prompt = judge_prompt(
-            concept_context(source.concepts[s], source),
-            concept_context(target.concepts[t], target),
+            concept_context(source[s], source),
+            concept_context(target[t], target),
             provider, shots=config.shots(),
         )
         return judge_pair(prompt, s, t, 0.0, provider, cache, config.softmax_mode).p_yes
@@ -1044,6 +1046,50 @@ def test_an_embedding_cache_entry_one_row_short_is_recomputed(tmp_path, counting
     assert snapshot(config.out_dir) == before
 
 
+class ZeroEmbeddingProvider(CountingProvider):
+    """Its embedding of the concept labelled ``label`` is the zero vector."""
+
+    def __init__(self, inner, label):
+        super().__init__(inner)
+        self.label = label
+
+    def embed_batch(self, texts):
+        return [vector * 0.0 if text.startswith(f"Label: {self.label};") else vector
+                for text, vector in zip(texts, super().embed_batch(texts))]
+
+
+@pytest.mark.parametrize("label, iri, bidirectional", [
+    ("ANATOMICAL STRUCTURE ALPHA 04", "http://example.org/tgt#T04", False),
+    ("Anatomical structure alpha 04", "http://example.org/src#S04", True),
+])
+def test_a_zero_norm_stored_embedding_is_left_out_of_the_index(tmp_path, caplog, label, iri,
+                                                                bidirectional):
+    """One concept embedded as the zero vector: match leaves it out of the
+    index it would be stored in, with one warning naming it, writes no
+    candidate row with it, and the run goes on to eval."""
+    config = toy_config(tmp_path, bidirectional=bidirectional)
+    provider = ZeroEmbeddingProvider(make_provider(config), label)
+    with caplog.at_level("WARNING", logger="ontomatch.pipeline"):
+        results = Pipeline(config, provider=provider).run()
+    assert set(results.values()) == {"complete"}
+    assert [m for m in caplog.messages if "zero-norm" in m] == [
+        f"zero-norm embeddings left out of the index: {[iri]}"]
+    with open(Path(config.out_dir) / "candidates.tsv", encoding="utf-8") as fp:
+        candidates = read_candidates(fp)
+    assert candidates and iri not in candidates
+    assert all(iri not in (t for t, _ in cands) for cands in candidates.values())
+
+
+def test_an_index_of_only_zero_norm_embeddings_fails_match(tmp_path):
+    config = toy_config(tmp_path)
+    Pipeline(config).run(stages=["ingest", "define", "embed"])
+    path = Path(config.out_dir) / "target.embeddings.npz"
+    iris, matrix = load_embeddings(path)
+    save_embeddings(path, iris, matrix * 0.0)
+    with pytest.raises(ItemError, match="zero-norm vectors for"):
+        Pipeline(config).run_stage("match", force=True)
+
+
 def test_embedding_cache_serves_renamed_namespace(tmp_path, counting_toy_provider):
     first = toy_config(tmp_path, out_dir=str(tmp_path / "first"))
     Pipeline(first).run(stages=["ingest", "define", "embed"])
@@ -1146,8 +1192,12 @@ def test_every_config_field_enters_some_stage_digest(tmp_path):
 
 @pytest.fixture(scope="module")
 def digest_base_run(tmp_path_factory) -> PipelineConfig:
-    """The config of a finished perturbation-base run under ``DigestProvider``."""
-    base = _perturbation_base(tmp_path_factory.mktemp("base"))
+    """The config of a finished perturbation-base run under ``DigestProvider``,
+    whose two inputs are copies of the toy pair's under the run's directory."""
+    root = tmp_path_factory.mktemp("base")
+    base = _perturbation_base(root)
+    base = dataclasses.replace(base, **{
+        side: str(shutil.copy(getattr(base, side), root / f"{side}.jsonl")) for side in SIDES})
     Pipeline(base, provider=DigestProvider(base)).run()
     return base
 
@@ -1175,6 +1225,42 @@ def test_a_resumed_run_of_a_changed_config_writes_what_a_fresh_run_writes(
     provider = CountingProvider(DigestProvider(resumed))
     assert Pipeline(resumed, provider=provider).run() == {s: "skipped" for s in STAGES}
     assert provider.total_calls == 0
+
+
+INPUT_EDITS = {
+    "relabelled": lambda rows: [dict(rows[0], label="Relabelled concept"), *rows[1:]],
+    "added": lambda rows: [*rows, {"iri": rows[0]["iri"] + "-added", "label": "Added concept"}],
+    "dropped": lambda rows: rows[:-1],
+}
+
+
+@pytest.mark.parametrize("edit", INPUT_EDITS)
+@pytest.mark.parametrize("side", SIDES)
+def test_an_edited_input_writes_what_a_fresh_run_writes(tmp_path, digest_base_run, side, edit):
+    """A copy of a finished run whose input had one concept relabelled,
+    added or dropped, in place at the path the run read: a plain run writes
+    every artifact as a run of the edited inputs into a fresh ``out/`` and
+    cache does, and a second skips every stage with no provider call."""
+    base = digest_base_run
+    resumed, fresh = (dataclasses.replace(base, out_dir=str(tmp_path / run / "out"),
+                                          cache_dir=str(tmp_path / run / "cache"))
+                      for run in ("resumed", "fresh"))
+    shutil.copytree(base.out_dir, resumed.out_dir)
+    shutil.copytree(base.cache_dir, resumed.cache_dir)
+    path = Path(getattr(base, side))
+    original = path.read_bytes()
+    rows = [json.loads(line) for line in original.decode("utf-8").splitlines()]
+    try:
+        path.write_text("".join(json.dumps(row) + "\n" for row in INPUT_EDITS[edit](rows)),
+                        encoding="utf-8")
+        for config in (resumed, fresh):
+            Pipeline(config, provider=DigestProvider(config)).run()
+        assert snapshot(resumed.out_dir) == snapshot(fresh.out_dir)
+        provider = CountingProvider(DigestProvider(resumed))
+        assert Pipeline(resumed, provider=provider).run() == {s: "skipped" for s in STAGES}
+        assert provider.total_calls == 0
+    finally:
+        path.write_bytes(original)  # the other tests read the finished run's inputs
 
 
 def _flip_middle_byte(path: Path) -> None:
@@ -1366,7 +1452,7 @@ def test_a_failed_definition_is_not_cached_and_only_it_is_asked_for_again(tmp_pa
     assert Pipeline(config, provider=provider).run()["define"] == "partial"
     with open(Path(config.out_dir) / "source.enriched.jsonl", encoding="utf-8") as fp:
         enriched = read_concept_jsonl(fp)
-    undefined = [iri for iri, c in enriched.concepts.items() if c.definition is None]
+    undefined = [iri for iri, c in enriched.items() if c.definition is None]
     assert undefined == ["http://example.org/src#S02"]
     assert len(ResponseCache(config.cache_dir).stored("define")) == provider.generate_calls - 1
 
@@ -1681,7 +1767,7 @@ def test_no_definitions_drops_the_definitions_an_input_carries(tmp_path):
         with open(Path(config.out_dir) / f"{side}.enriched.jsonl", encoding="utf-8") as fp:
             enriched = read_concept_jsonl(fp)
         assert len(enriched) == 30
-        assert all(c.definition is None for c in enriched.concepts.values())
+        assert all(c.definition is None for c in enriched.values())
     assert len(provider.texts) == 60 and provider.classify_calls > 0
     assert not [t for t in provider.texts if "Definition:" in t]
     assert len(provider.judge_messages) == 6 * provider.classify_calls
