@@ -39,6 +39,8 @@ from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, KeysView, TypeVar
 
+from .errors import ItemError
+
 logger = logging.getLogger(__name__)
 
 _BLOCK = struct.Struct("<I")  # length of the compressed records
@@ -299,6 +301,33 @@ class ResponseCache:
         if found is not None:
             return found
         return self.recompute(kind, digest, compute)
+
+    def fetch(self, kind: str, digest: str, compute: Callable[[], dict],
+              accept: Callable[[dict], T]) -> T:
+        """``accept`` of the payload of ``digest``: the stored one, or else the
+        one ``compute`` returns. ``accept`` returns the caller's result, or
+        raises ``ItemError`` when the payload is unusable. A fresh payload is
+        accepted before it is stored, so one that ``accept`` rejects is never
+        stored and its ``ItemError`` reaches the caller. A stored payload that
+        ``accept`` rejects is never returned: it is logged once and
+        ``recompute``d, which replaces the entry."""
+        accepted: list = []  # the result of a fresh payload, which is accepted once
+
+        def checked() -> dict:
+            payload = compute()
+            accepted.append(accept(payload))
+            return payload
+
+        payload = self.get_or_compute(kind, digest, checked)
+        if accepted:
+            return accepted[0]
+        try:
+            return accept(payload)
+        except ItemError as exc:
+            logger.warning("recomputing unusable cache entry %s of %s: %s",
+                           digest, self._log(kind), exc)
+        self.recompute(kind, digest, checked)
+        return accepted[0]
 
     def recompute(self, kind: str, digest: str, compute: Callable[[], dict]) -> dict:
         """Compute, store and return the payload of ``digest``, replacing any

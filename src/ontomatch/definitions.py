@@ -114,28 +114,27 @@ def generate_definition(
     params: SamplingParams = SamplingParams(),
 ) -> str | None:
     """Generate (or replay from ``cache``) the definition that the
-    ``definition_prompt`` of concept ``iri`` asks for.
+    ``definition_prompt`` of concept ``iri`` asks for: the completion's first
+    paragraph, single-spaced, the one form served, fresh or cached.
 
     Returns None when the provider fails or yields nothing usable; nothing
-    is cached then, so a later run asks again. A cached entry whose ``text``
-    is not one non-empty paragraph of single-spaced words, the form a fresh
-    definition takes, is never served but recomputed and overwritten.
+    is cached then, so a later run asks again.
     """
 
     def compute() -> dict:
-        text = _single_paragraph(provider.generate(prompt.messages, params))
-        if not text:
-            raise ItemError(f"model {provider.chat_model_id} returned an empty definition")
-        return {"text": text}
+        return {"text": _single_paragraph(provider.generate(prompt.messages, params))}
 
     try:
-        text = cache.get_or_compute("define", prompt.digest, compute).get("text")
-        if not isinstance(text, str) or not text or text != _single_paragraph(text):
-            logger.warning("recomputing cached definition %s: not one paragraph", prompt.digest)
-            text = cache.recompute("define", prompt.digest, compute)["text"]
+        return cache.fetch("define", prompt.digest, compute, _accept_definition)
     except ItemError as e:
         logger.warning("definition generation failed for %s: %s", iri, e)
         return None
+
+
+def _accept_definition(payload: dict) -> str:
+    text = payload.get("text")
+    if not isinstance(text, str) or not text or text != _single_paragraph(text):
+        raise ItemError("not one non-empty paragraph of single-spaced words")
     return text
 
 

@@ -18,9 +18,11 @@ class OntomatchError(Exception):
 
 class ItemError(OntomatchError):
     """One item failed: a provider call (retries ran out, a malformed
-    response, an empty completion, a prompt over the context limit), a token
-    distribution with no usable YES or NO variant, a zero-norm or non-finite
-    vector, or a class expression outside the accepted structural subset."""
+    response, an empty completion, a prompt over the context limit), an
+    answer its caller cannot use (a definition that is not one non-empty
+    paragraph, a token distribution with no usable YES or NO variant), a
+    zero-norm or non-finite vector, or a class expression outside the
+    accepted structural subset."""
 
 
 class OntologyParseError(OntomatchError):

@@ -238,30 +238,23 @@ def judge_pair(
     softmax_mode: str = "pair",
 ) -> Judgement:
     """Judge the pair ``(source, target)`` from its ``judge_prompt``, served
-    from ``cache`` when it holds the answer. A reply without a YES or NO
-    variant raises ``ItemError`` and is not cached; a cached one, or a cached
-    entry without an ``entries`` object of numeric log-probabilities, is
-    never served but recomputed and overwritten."""
-    scored: list[float] = []
+    from ``cache`` when it holds the answer. ``cache.fetch`` accepts an
+    answer, fresh or cached, whose ``entries`` object of numeric
+    log-probabilities ``p_yes`` can score; a fresh reply it rejects raises
+    ``ItemError`` and is not cached."""
 
     def compute() -> dict:
-        entries = provider.classify_first_token(prompt.messages)
-        # Scored before it is returned, so an unparseable reply is never stored.
-        scored.append(p_yes(entries, mode=softmax_mode))
-        return {"entries": entries}
+        return {"entries": provider.classify_first_token(prompt.messages)}
 
-    entries = cache.get_or_compute("judge", prompt.digest, compute).get("entries")
-    if not scored:
-        try:
-            if not isinstance(entries, dict) or not _NUMBER_TYPES.issuperset(
-                map(type, entries.values())
-            ):
-                raise ItemError("no entries object of log-probabilities")
-            scored.append(p_yes(entries, mode=softmax_mode))
-        except ItemError as e:
-            logger.warning("recomputing cached judgement %s: %s", prompt.digest, e)
-            cache.recompute("judge", prompt.digest, compute)
-    return Judgement(source, target, cos, scored[0])
+    return Judgement(source, target, cos, cache.fetch(
+        "judge", prompt.digest, compute, lambda payload: _accept_judgement(payload, softmax_mode)))
+
+
+def _accept_judgement(payload: dict, mode: str) -> float:
+    entries = payload.get("entries")
+    if not isinstance(entries, dict) or not _NUMBER_TYPES.issuperset(map(type, entries.values())):
+        raise ItemError("no entries object of log-probabilities")
+    return p_yes(entries, mode=mode)
 
 
 def _blocks(heading: str, iris: set[str], onto: Ontology) -> dict[str, tuple[str, str]]:

@@ -491,11 +491,17 @@ def _embed(ctx: StageContext, limit: int | None) -> None:
         save_embeddings(ctx.path(f"{side}.embeddings.npz"), iris, matrix)
 
 
+def _zero_norm(matrix: np.ndarray) -> np.ndarray:
+    """Which rows of an embedding matrix have zero norm: such a row has no
+    cosine, so ``match`` and ``eval`` both treat its concept as absent."""
+    return np.linalg.norm(matrix, axis=1) == 0.0
+
+
 def _index(iris: list[str], matrix: np.ndarray):
-    """``build_index`` over the rows with a nonzero norm: a zero-norm row has
-    no cosine, so it is left out, with one warning naming its IRIs. With no
-    row left, ``build_index`` gets them all and raises its ``ItemError``."""
-    zero = np.linalg.norm(matrix, axis=1) == 0.0
+    """``build_index`` over the rows with a nonzero norm: a zero-norm row is
+    left out, with one warning naming its IRIs. With no row left,
+    ``build_index`` gets them all and raises its ``ItemError``."""
+    zero = _zero_norm(matrix)
     if zero.any() and not zero.all():
         logger.warning("zero-norm embeddings left out of the index: %s",
                        [iri for iri, z in zip(iris, zero) if z])
@@ -549,17 +555,31 @@ def _fuse(ctx: StageContext, limit: int | None) -> None:
 
 def _ranking_scorer(ctx: StageContext) -> Callable[[list[Pair]], dict[Pair, float]]:
     """Batch scorer of ranking-case pairs: the cosine of their embedding
-    artifacts (-1.0 for a missing concept), or their p_yes from one
-    ``judge_candidates`` call (0.0 for a missing concept)."""
+    artifacts (-1.0, with one warning for the batch, for a concept missing
+    from them or of zero norm), or their p_yes from one ``judge_candidates``
+    call (0.0 for a missing concept)."""
     if ctx.config.ranking_scorer == "cosine":
-        # Each row as float64, as cosine takes it, with its norm.
-        src, tgt = ({iri: (v, float(np.linalg.norm(v)))
-                     for iri, v in zip(iris, matrix.astype(np.float64, copy=False))}
+        # Each row of nonzero norm as float64, as cosine takes it, with its norm.
+        src, tgt = ({iri: (v, float(np.linalg.norm(v))) for iri, v, zero in
+                     zip(iris, matrix.astype(np.float64, copy=False), _zero_norm(matrix))
+                     if not zero}
                     for iris, matrix in map(ctx.embeddings, SIDES))
-        return lambda pairs: {
-            (s, t): normed_cosine(*src[s], *tgt[t]) if s in src and t in tgt else -1.0
-            for s, t in pairs
-        }
+
+        def cosine(pairs: list[Pair]) -> dict[Pair, float]:
+            scores, absent = {}, []
+            for s, t in pairs:
+                if s in src and t in tgt:
+                    scores[s, t] = normed_cosine(*src[s], *tgt[t])
+                else:
+                    scores[s, t] = -1.0
+                    absent.append((s, t))
+            if absent:
+                logger.warning("%d ranking-case pairs scored -1.0, a concept missing from the "
+                               "embedding artifacts or of zero norm; the first: %s",
+                               len(absent), absent[:3])
+            return scores
+
+        return cosine
 
     def p_yes(pairs: list[Pair]) -> dict[Pair, float]:
         targets: dict[str, list[tuple[str, float]]] = {}

@@ -364,7 +364,8 @@ def load_embeddings(path: str | Path) -> tuple[list[str], np.ndarray]:
     """The IRIs and matrix ``save_embeddings`` wrote to ``path``. A malformed
     file raises ``OntologyParseError`` naming ``path``: one that is not a zip
     of arrays or fails a member's CRC-32, a missing or pickled array, IRIs
-    that are not UTF-8, or a matrix whose rows do not match the IRIs."""
+    that are not UTF-8, a matrix whose rows do not match the IRIs, or a
+    value that is not a finite number."""
     try:
         # Opened here: np.load leaks a file it opens itself if ZipFile rejects it.
         with open(path, "rb") as fp, np.load(fp, allow_pickle=False) as npz:
@@ -377,4 +378,7 @@ def load_embeddings(path: str | Path) -> tuple[list[str], np.ndarray]:
     if matrix.ndim != 2 or len(matrix) != len(iris):
         raise OntologyParseError(
             f"{path} holds a matrix of shape {matrix.shape} for {len(iris)} IRIs")
+    if matrix.dtype.kind not in "iuf" or not np.isfinite(matrix).all():
+        raise OntologyParseError(f"malformed embedding file {path}: a {matrix.dtype} matrix "
+                                 "with a value that is not a finite number")
     return iris, matrix

@@ -1,6 +1,6 @@
 """Content-addressed response cache: the log format, round-trips,
-corruption, bad blocks, get-or-compute, batches, and the atomic writer every
-artifact goes through."""
+corruption, bad blocks, get-or-compute, fetch, batches, and the atomic writer
+every artifact goes through."""
 
 import hashlib
 import json
@@ -13,6 +13,9 @@ import pytest
 
 import ontomatch.cache as cache_module
 from ontomatch.cache import BLOCK_ENTRIES, ResponseCache, atomic_open
+from ontomatch.definitions import _accept_definition
+from ontomatch.errors import ItemError
+from ontomatch.judge import _accept_judgement
 
 from conftest import append_raw_entry, block_digests, log_blocks
 
@@ -147,6 +150,66 @@ def test_get_or_compute_returns_written_record_without_reading_back(tmp_path, mo
     got = cache.get_or_compute("judge", "d1", lambda: {"entries": {"YES": -0.5, "NO": -1.0}})
     assert reads == ["d1"]
     assert got == real_get("judge", "d1")
+
+
+# Each kind with the accept its per-item function hands ``fetch``, a usable
+# payload, and an unusable one that is still a JSON object.
+FETCH_KINDS = {
+    "define": (_accept_definition, {"text": "A definition."},
+               {"text": "first para.\n\nsecond para."}),
+    "judge": (lambda payload: _accept_judgement(payload, "pair"),
+              {"entries": {"YES": -0.001, "NO": -7.0}}, {"entries": {"MAYBE": -0.1}}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FETCH_KINDS))
+def test_fetch_recomputes_a_stored_payload_it_rejects_once_with_one_warning(tmp_path, caplog,
+                                                                             kind):
+    accept, good, unusable = FETCH_KINDS[kind]
+    cache = ResponseCache(tmp_path / "cache")
+    cache.put(kind, "d1", unusable)
+    log = tmp_path / "cache" / f"{kind}.log"
+    records = sum(map(len, block_digests(log)))
+    computed = []
+    with caplog.at_level("WARNING"):
+        got = cache.fetch(kind, "d1", lambda: computed.append(1) or good, accept)
+    assert got == accept(good)
+    assert computed == [1]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"recomputing unusable cache entry d1 of {log}: {_rejection(accept, unusable)}"]
+    assert sum(map(len, block_digests(log))) == records + 1
+    assert ResponseCache(tmp_path / "cache").get(kind, "d1") == good
+
+
+@pytest.mark.parametrize("kind", sorted(FETCH_KINDS))
+def test_fetch_never_stores_a_fresh_payload_it_rejects(tmp_path, kind):
+    accept, _, unusable = FETCH_KINDS[kind]
+    cache = ResponseCache(tmp_path / "cache")
+    with pytest.raises(ItemError):
+        cache.fetch(kind, "d1", lambda: unusable, accept)
+    assert not cache.stored(kind)
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("kind", sorted(FETCH_KINDS))
+def test_fetch_serves_a_usable_stored_payload_without_computing(tmp_path, caplog, kind):
+    accept, good, _ = FETCH_KINDS[kind]
+    ResponseCache(tmp_path / "cache").put(kind, "d1", good)
+    log = (tmp_path / "cache" / f"{kind}.log").read_bytes()
+
+    def compute():
+        raise AssertionError("a usable stored payload was computed again")
+
+    with caplog.at_level("WARNING"):
+        assert ResponseCache(tmp_path / "cache").fetch(kind, "d1", compute, accept) == accept(good)
+    assert not caplog.records
+    assert (tmp_path / "cache" / f"{kind}.log").read_bytes() == log
+
+
+def _rejection(accept, payload) -> str:
+    with pytest.raises(ItemError) as exc:
+        accept(payload)
+    return str(exc.value)
 
 
 def test_a_leftover_entry_directory_is_ignored(tmp_path):

@@ -149,7 +149,7 @@ def test_generate_definition_recomputes_a_cached_entry_of_the_wrong_shape(
         text = generate_definition(prompt, "http://x.org/c#C1", provider, cache)
     assert text == "A biomedical concept referring to heart."
     assert provider.generate_calls == 1
-    assert sum("recomputing cached definition" in m for m in caplog.messages) == 1
+    assert sum("recomputing unusable cache entry" in m for m in caplog.messages) == 1
     assert cache.get("define", prompt.digest) == {"text": text}
 
 

@@ -390,7 +390,7 @@ def test_judge_pair_recomputes_a_cached_entry_of_the_wrong_shape(cache, caplog, 
         j = judge_pair(prompt, a.iri, b.iri, 0.95, provider, cache)
     assert provider.classify_calls == 1
     assert j.p_yes >= 0.99
-    assert sum("recomputing cached judgement" in m for m in caplog.messages) == 1
+    assert sum("recomputing unusable cache entry" in m for m in caplog.messages) == 1
     assert cache.get("judge", prompt.digest) == {"entries": {"YES": -0.001, "NO": -7.0}}
 
 

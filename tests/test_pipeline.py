@@ -14,6 +14,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -795,12 +796,18 @@ def test_cosine_ranking_scorer_equals_cosine_bit_for_bit(tmp_path):
         assert scores[(s, t)].hex() == retrieval_module.cosine(source[s], target[t]).hex()
 
 
-def test_cosine_ranking_scorer_raises_on_a_zero_norm_vector_it_scores(tmp_path, monkeypatch):
+def test_cosine_ranking_scorer_scores_a_zero_norm_vector_as_absent(tmp_path, monkeypatch,
+                                                                     caplog):
+    """A zero-norm vector counts as a missing concept, as in match: each pair
+    with it scores -1.0, under one warning, and every other pair's score is
+    bit for bit what it was."""
     cases_path = toy_ranking_cases(tmp_path)
     config = toy_config(tmp_path, ranking_cases=cases_path, ranking_scorer="cosine")
     pipeline = Pipeline(config)
     pipeline.run()
-    (s, t), *others = _toy_ranking_pairs(cases_path)
+    pairs = _toy_ranking_pairs(cases_path)
+    s, t = pairs[0]
+    scores = pipeline_module._ranking_scorer(_eval_context(pipeline))(pairs)
     load = pipeline_module.load_embeddings
 
     def zero_first_target(path):
@@ -811,11 +818,36 @@ def test_cosine_ranking_scorer_raises_on_a_zero_norm_vector_it_scores(tmp_path, 
         return iris, matrix
 
     monkeypatch.setattr(pipeline_module, "load_embeddings", zero_first_target)
-    scorer = pipeline_module._ranking_scorer(_eval_context(pipeline))
-    others = [pair for pair in others if pair[1] != t]
-    assert len(scorer(others)) == len(others)
-    with pytest.raises(ItemError):
-        scorer([(s, t)])
+    with caplog.at_level("WARNING", logger="ontomatch.pipeline"):
+        zeroed = pipeline_module._ranking_scorer(_eval_context(pipeline))(pairs)
+    absent = [pair for pair in pairs if pair[1] == t]
+    assert len(absent) > 1 and (s, t) in absent
+    assert {pair: score for pair, score in zeroed.items() if pair in absent} == dict.fromkeys(
+        absent, -1.0)
+    assert all(zeroed[pair].hex() == scores[pair].hex() for pair in pairs if pair not in absent)
+    assert [m for m in caplog.messages if "ranking-case" in m] == [
+        f"{len(absent)} ranking-case pairs scored -1.0, a concept missing from the embedding "
+        f"artifacts or of zero norm; the first: {absent[:3]}"]
+
+
+def test_eval_warns_once_for_bio_ml_candidate_tuples_it_reads_as_one_absent_target(tmp_path,
+                                                                                     caplog):
+    """A row in Bio-ML's own layout, its candidates one Python tuple literal,
+    is read as a single candidate that no target concept has: its gold ranks
+    first, and eval says how many pairs had no vector to score."""
+    rows = [line.split("\t") for line in
+            Path(toy_ranking_cases(tmp_path)).read_text().splitlines()]
+    cases_path = tmp_path / "test.cands.tsv"
+    cases_path.write_text("".join(f"{s}\t{gold}\t{tuple(negatives)!r}\n"
+                                  for s, gold, *negatives in rows), encoding="utf-8")
+    config = toy_config(tmp_path, ranking_cases=str(cases_path), ranking_scorer="cosine")
+    with caplog.at_level("WARNING", logger="ontomatch.pipeline"):
+        Pipeline(config).run()
+    metrics = read_metrics(config.out_dir)
+    assert (metrics["mrr"], set(metrics["hit_at"].values())) == (1.0, {1.0})
+    warnings = [m for m in caplog.messages if "ranking-case pairs scored -1.0" in m]
+    assert len(warnings) == 1 and warnings[0].startswith(f"{len(rows)} ranking-case pairs")
+    assert repr(tuple(rows[0][2:])) in warnings[0]
 
 
 def test_eval_scores_a_row_the_reference_lacks_as_written_and_warns(tmp_path, caplog):
@@ -1042,6 +1074,29 @@ def test_an_embedding_cache_entry_one_row_short_is_recomputed(tmp_path, counting
     assert results == {"embed": "complete"}
     assert provider.total_calls == provider.embed_calls == 1
     assert sum("corrupt embedding cache entry" in r.getMessage() for r in caplog.records) == 1
+    assert entry.read_bytes() == original
+    assert snapshot(config.out_dir) == before
+
+
+def test_an_embedding_cache_entry_with_a_nan_is_recomputed(tmp_path, counting_toy_provider,
+                                                           caplog):
+    config = toy_config(tmp_path)
+    Pipeline(config).run()
+    before = snapshot(config.out_dir)
+    entry = sorted((tmp_path / "cache" / "embed").iterdir())[0]
+    original = entry.read_bytes()
+    iris, matrix = load_embeddings(entry)
+    matrix[1] = np.nan
+    save_embeddings(entry, iris, matrix)  # a valid file, its CRC-32 sound
+
+    provider = counting_toy_provider(config)
+    with caplog.at_level("WARNING", logger="ontomatch.pipeline"):
+        results = Pipeline(config, provider=provider).run(stages=["embed"], force=True)
+    assert results == {"embed": "complete"}
+    assert provider.total_calls == provider.embed_calls == 1
+    assert [m for m in caplog.messages if "corrupt embedding cache entry" in m] == [
+        f"recomputing corrupt embedding cache entry {entry.stem}: malformed embedding file "
+        f"{entry}: a float64 matrix with a value that is not a finite number"]
     assert entry.read_bytes() == original
     assert snapshot(config.out_dir) == before
 
@@ -1881,13 +1936,34 @@ def _assert_one_clean_error(result, message: str) -> None:
 
 
 def test_cli_reports_a_corrupt_embedding_artifact_and_a_run_rebuilds_it(tmp_path):
+    artifact = tmp_path / "out" / "target.embeddings.npz"
+    _check_a_bad_embedding_artifact_is_reported_and_rebuilt(
+        tmp_path, lambda: artifact.write_bytes(b"garbage\n"),
+        f"malformed embedding file {artifact}")
+
+
+def test_cli_reports_a_nan_in_an_embedding_artifact_and_a_run_rebuilds_it(tmp_path):
+    artifact = tmp_path / "out" / "target.embeddings.npz"
+
+    def nan_row():
+        iris, matrix = load_embeddings(artifact)
+        matrix[iris.index("http://example.org/tgt#T04")] = np.nan
+        save_embeddings(artifact, iris, matrix)
+
+    _check_a_bad_embedding_artifact_is_reported_and_rebuilt(
+        tmp_path, nan_row, f"malformed embedding file {artifact}: a float64 matrix with a value")
+
+
+def _check_a_bad_embedding_artifact_is_reported_and_rebuilt(tmp_path, spoil, message):
+    """After ``spoil`` edits the target embedding artifact of a finished run,
+    a forced match fails with one ``Error:`` line holding ``message``, and a
+    plain run reruns embed and match alone, back to the golden mappings."""
     config_path = write_config_file(tmp_path)
     runner = CliRunner()
     assert runner.invoke(main, ["run", "--config", config_path]).exit_code == 0
-    artifact = tmp_path / "out" / "target.embeddings.npz"
-    artifact.write_bytes(b"garbage\n")
+    spoil()
     result = runner.invoke(main, ["match", "--config", config_path, "--force"])
-    _assert_one_clean_error(result, f"malformed embedding file {artifact}")
+    _assert_one_clean_error(result, message)
 
     result = runner.invoke(main, ["run", "--config", config_path])
     assert result.exit_code == 0, result.output

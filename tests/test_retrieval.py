@@ -489,6 +489,10 @@ MALFORMED = {
     "not-utf8": lambda path: np.savez(path, iris=np.array([b"\xff"]), matrix=np.eye(1, 2)),
     "pickled": lambda path: np.savez(path, iris=np.array(["http://t#A"], dtype=object),
                                      matrix=np.eye(1, 2)),
+    "nan": lambda path: save_embeddings(path, ["http://t#A"], [[np.nan, 1.0]]),
+    "inf": lambda path: save_embeddings(path, ["http://t#A"], [[-np.inf, 1.0]]),
+    "text-matrix": lambda path: np.savez(path, iris=np.array([b"http://t#A"]),
+                                         matrix=np.array([["1", "0"]])),
 }
 
 
