@@ -27,7 +27,7 @@ import numpy as np
 from . import definitions, judge
 from .cache import ResponseCache, atomic_open
 from .definitions import build_embedding_text, enrich_ontology
-from .errors import ConfigError, MissingArtifactError, OntologyParseError
+from .errors import ConfigError, ItemError, MissingArtifactError, OntologyParseError
 from .evaluate import (
     MetricsReport,
     Pair,
@@ -491,30 +491,12 @@ def _embed(ctx: StageContext, limit: int | None) -> None:
         save_embeddings(ctx.path(f"{side}.embeddings.npz"), iris, matrix)
 
 
-def _zero_norm(matrix: np.ndarray) -> np.ndarray:
-    """Which rows of an embedding matrix have zero norm: such a row has no
-    cosine, so ``match`` and ``eval`` both treat its concept as absent."""
-    return np.linalg.norm(matrix, axis=1) == 0.0
-
-
-def _index(iris: list[str], matrix: np.ndarray):
-    """``build_index`` over the rows with a nonzero norm: a zero-norm row is
-    left out, with one warning naming its IRIs. With no row left,
-    ``build_index`` gets them all and raises its ``ItemError``."""
-    zero = _zero_norm(matrix)
-    if zero.any() and not zero.all():
-        logger.warning("zero-norm embeddings left out of the index: %s",
-                       [iri for iri, z in zip(iris, zero) if z])
-        iris, matrix = [iri for iri, z in zip(iris, zero) if not z], matrix[~zero]
-    return build_index(iris, matrix)
-
-
 def _match(ctx: StageContext, limit: int | None) -> None:
     cfg = ctx.config
     source, target = map(ctx.embeddings, SIDES)
-    candidates = generate_candidates(*source, _index(*target), k=cfg.k)
+    candidates = generate_candidates(*source, build_index(*target), k=cfg.k)
     if cfg.bidirectional:
-        backward = generate_candidates(*target, _index(*source), k=cfg.k)
+        backward = generate_candidates(*target, build_index(*source), k=cfg.k)
         candidates = merge_candidate_maps(candidates, backward)
     ctx.write("candidates.tsv", lambda fp: write_candidates(candidates, fp))
 
@@ -559,18 +541,17 @@ def _ranking_scorer(ctx: StageContext) -> Callable[[list[Pair]], dict[Pair, floa
     from them or of zero norm), or their p_yes from one ``judge_candidates``
     call (0.0 for a missing concept)."""
     if ctx.config.ranking_scorer == "cosine":
-        # Each row of nonzero norm as float64, as cosine takes it, with its norm.
-        src, tgt = ({iri: (v, float(np.linalg.norm(v))) for iri, v, zero in
-                     zip(iris, matrix.astype(np.float64, copy=False), _zero_norm(matrix))
-                     if not zero}
+        # Each row as float64, as cosine takes it, with its norm.
+        src, tgt = ({iri: (v, float(np.linalg.norm(v)))
+                     for iri, v in zip(iris, matrix.astype(np.float64, copy=False))}
                     for iris, matrix in map(ctx.embeddings, SIDES))
 
         def cosine(pairs: list[Pair]) -> dict[Pair, float]:
             scores, absent = {}, []
             for s, t in pairs:
-                if s in src and t in tgt:
+                try:
                     scores[s, t] = normed_cosine(*src[s], *tgt[t])
-                else:
+                except (KeyError, ItemError):  # a missing concept, or a zero-norm one
                     scores[s, t] = -1.0
                     absent.append((s, t))
             if absent:

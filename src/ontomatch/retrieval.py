@@ -6,7 +6,9 @@ pipeline retrieves with the exact index only: ``build_index`` always returns
 an ``ExactIndex``, a full numpy scan. ``HnswIndex`` (with ``HnswParams``), a
 seeded, self-contained small-world graph whose recall is approximate, remains
 a library class that no pipeline path reaches; it is to be deleted with the
-benchmark revision of ROADMAP item 1.
+benchmark revision of ROADMAP item 1. Both index kinds leave a zero-norm
+row out, since it has no cosine, with one warning naming it, and raise
+``ItemError`` only when no row is left.
 
 An embedding matrix is stored as one uncompressed ``.npz`` of its IRIs and
 vectors, sorted by IRI (``save_embeddings``/``load_embeddings``); the zip
@@ -81,17 +83,25 @@ class HnswParams:
             raise ValueError("ef_search must be >= 1")
 
 
-def _validate_vectors(iris: Sequence[str], matrix: np.ndarray) -> None:
+def _validate_vectors(iris: Sequence[str], matrix: np.ndarray) -> tuple[Sequence[str], np.ndarray]:
+    """The IRIs and rows of ``matrix`` with a nonzero norm. A zero-norm row
+    has no cosine, so it is left out, with one warning naming its IRIs; with
+    no row left, ``ItemError``. A matrix that is not one finite row per IRI
+    is a ``ValueError``."""
     if len(iris) == 0:
         raise ValueError("index requires at least one vector")
     if matrix.ndim != 2 or matrix.shape[0] != len(iris):
         raise ValueError("matrix must be (n_iris, dimension)")
     if not np.all(np.isfinite(matrix)):
         raise ValueError("index vectors must be finite")
-    norms = np.linalg.norm(matrix, axis=1)
-    if np.any(norms == 0.0):
-        bad = [iris[i] for i in np.nonzero(norms == 0.0)[0][:5]]
-        raise ItemError(f"zero-norm vectors for {bad}")
+    zero = np.linalg.norm(matrix, axis=1) == 0.0
+    if zero.all():
+        raise ItemError(f"zero-norm vectors for {list(iris[:5])}")
+    if zero.any():
+        logger.warning("zero-norm embeddings left out of the index: %s",
+                       [iri for iri, z in zip(iris, zero) if z])
+        iris, matrix = [iri for iri, z in zip(iris, zero) if not z], matrix[~zero]
+    return iris, matrix
 
 
 def _validate_query(query: np.ndarray, k: int, dimension: int) -> tuple[np.ndarray, float]:
@@ -115,7 +125,7 @@ class ExactIndex:
 
     def __init__(self, iris: Sequence[str], matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=np.float64)
-        _validate_vectors(iris, matrix)  # before the sort, which would drop extra rows
+        iris, matrix = _validate_vectors(iris, matrix)  # before sorting, which drops extra rows
         order = sorted(range(len(iris)), key=lambda i: iris[i])
         self.iris, self._matrix = [iris[i] for i in order], matrix[order]
         self.dimension = int(self._matrix.shape[1])
@@ -147,7 +157,7 @@ class HnswIndex:
 
     def __init__(self, iris: Sequence[str], matrix: np.ndarray, params: HnswParams = HnswParams()):
         raw = np.asarray(matrix, dtype=np.float64)
-        _validate_vectors(iris, raw)  # before the sort, which would drop extra rows
+        iris, raw = _validate_vectors(iris, raw)  # before sorting, which drops extra rows
         order = sorted(range(len(iris)), key=lambda i: iris[i])
         self.iris, raw = [iris[i] for i in order], raw[order]
         self.dimension = int(raw.shape[1])
@@ -364,20 +374,24 @@ def load_embeddings(path: str | Path) -> tuple[list[str], np.ndarray]:
     """The IRIs and matrix ``save_embeddings`` wrote to ``path``. A malformed
     file raises ``OntologyParseError`` naming ``path``: one that is not a zip
     of arrays or fails a member's CRC-32, a missing or pickled array, IRIs
-    that are not UTF-8, a matrix whose rows do not match the IRIs, or a
-    value that is not a finite number."""
+    that are not a 1-D array of UTF-8 bytes, a matrix whose rows do not match
+    the IRIs, no rows, or a value that is not a finite number."""
     try:
         # Opened here: np.load leaks a file it opens itself if ZipFile rejects it.
         with open(path, "rb") as fp, np.load(fp, allow_pickle=False) as npz:
-            iris = [iri.decode("utf-8") for iri in npz["iris"].tolist()]
-            matrix = npz["matrix"]
+            iris, matrix = npz["iris"], npz["matrix"]
+        if iris.ndim != 1 or iris.dtype.kind != "S":
+            raise ValueError(f"IRIs in a {iris.ndim}-D {iris.dtype} array, not 1-D bytes")
+        iris = [iri.decode("utf-8") for iri in iris.tolist()]
     # TypeError: a bare .npy, which np.load returns as an array, not an archive;
-    # ValueError: a pickled array, a header numpy cannot read, or IRIs not in UTF-8
+    # ValueError: a pickled array, a header numpy cannot read, or IRIs not 1-D UTF-8 bytes
     except (zipfile.BadZipFile, KeyError, OSError, EOFError, TypeError, ValueError) as e:
         raise OntologyParseError(f"malformed embedding file {path}: {e!r}") from e
     if matrix.ndim != 2 or len(matrix) != len(iris):
         raise OntologyParseError(
             f"{path} holds a matrix of shape {matrix.shape} for {len(iris)} IRIs")
+    if not iris:
+        raise OntologyParseError(f"malformed embedding file {path}: no rows")
     if matrix.dtype.kind not in "iuf" or not np.isfinite(matrix).all():
         raise OntologyParseError(f"malformed embedding file {path}: a {matrix.dtype} matrix "
                                  "with a value that is not a finite number")

@@ -1078,16 +1078,33 @@ def test_an_embedding_cache_entry_one_row_short_is_recomputed(tmp_path, counting
     assert snapshot(config.out_dir) == before
 
 
-def test_an_embedding_cache_entry_with_a_nan_is_recomputed(tmp_path, counting_toy_provider,
-                                                           caplog):
+def _nan_in_row_1(entry) -> str:
+    iris, matrix = load_embeddings(entry)
+    matrix[1] = np.nan
+    save_embeddings(entry, iris, matrix)  # a valid file, its CRC-32 sound
+    return "a float64 matrix with a value that is not a finite number"
+
+
+def _iris_as_text(entry) -> str:
+    iris, matrix = load_embeddings(entry)
+    text = np.array(iris)
+    np.savez(entry, iris=text, matrix=matrix)  # a valid file, its IRIs str, not bytes
+    return repr(ValueError(f"IRIs in a 1-D {text.dtype} array, not 1-D bytes"))
+
+
+@pytest.mark.parametrize("spoil", [_nan_in_row_1, _iris_as_text], ids=["nan", "text-iris"])
+def test_a_corrupt_embedding_cache_entry_is_recomputed(tmp_path, counting_toy_provider, caplog,
+                                                       spoil):
+    """``spoil`` rewrites an embed cache entry as a valid file that
+    ``load_embeddings`` rejects and returns the rejection: a forced embed
+    recomputes the entry with one warning and one embed call, and leaves it
+    and the artifacts as they were."""
     config = toy_config(tmp_path)
     Pipeline(config).run()
     before = snapshot(config.out_dir)
     entry = sorted((tmp_path / "cache" / "embed").iterdir())[0]
     original = entry.read_bytes()
-    iris, matrix = load_embeddings(entry)
-    matrix[1] = np.nan
-    save_embeddings(entry, iris, matrix)  # a valid file, its CRC-32 sound
+    message = spoil(entry)
 
     provider = counting_toy_provider(config)
     with caplog.at_level("WARNING", logger="ontomatch.pipeline"):
@@ -1096,7 +1113,7 @@ def test_an_embedding_cache_entry_with_a_nan_is_recomputed(tmp_path, counting_to
     assert provider.total_calls == provider.embed_calls == 1
     assert [m for m in caplog.messages if "corrupt embedding cache entry" in m] == [
         f"recomputing corrupt embedding cache entry {entry.stem}: malformed embedding file "
-        f"{entry}: a float64 matrix with a value that is not a finite number"]
+        f"{entry}: {message}"]
     assert entry.read_bytes() == original
     assert snapshot(config.out_dir) == before
 
@@ -1121,18 +1138,26 @@ def test_a_zero_norm_stored_embedding_is_left_out_of_the_index(tmp_path, caplog,
                                                                 bidirectional):
     """One concept embedded as the zero vector: match leaves it out of the
     index it would be stored in, with one warning naming it, writes no
-    candidate row with it, and the run goes on to eval."""
-    config = toy_config(tmp_path, bidirectional=bidirectional)
+    candidate row with it, and eval scores each ranking pair with it -1.0,
+    under one warning."""
+    cases_path = toy_ranking_cases(tmp_path)
+    config = toy_config(tmp_path, bidirectional=bidirectional, ranking_cases=cases_path)
     provider = ZeroEmbeddingProvider(make_provider(config), label)
-    with caplog.at_level("WARNING", logger="ontomatch.pipeline"):
-        results = Pipeline(config, provider=provider).run()
+    pipeline = Pipeline(config, provider=provider)
+    with caplog.at_level("WARNING", logger="ontomatch.retrieval"):
+        results = pipeline.run()
     assert set(results.values()) == {"complete"}
     assert [m for m in caplog.messages if "zero-norm" in m] == [
         f"zero-norm embeddings left out of the index: {[iri]}"]
+    absent = list(dict.fromkeys(pair for pair in _toy_ranking_pairs(cases_path) if iri in pair))
+    warned = [m for m in caplog.messages if "ranking-case pairs scored -1.0" in m]
+    assert len(warned) == 1 and warned[0].startswith(f"{len(absent)} ranking-case pairs")
     with open(Path(config.out_dir) / "candidates.tsv", encoding="utf-8") as fp:
         candidates = read_candidates(fp)
     assert candidates and iri not in candidates
     assert all(iri not in (t for t, _ in cands) for cands in candidates.values())
+    scores = pipeline_module._ranking_scorer(_eval_context(pipeline))(absent)
+    assert absent and scores == dict.fromkeys(absent, -1.0)
 
 
 def test_an_index_of_only_zero_norm_embeddings_fails_match(tmp_path):
@@ -1952,6 +1977,17 @@ def test_cli_reports_a_nan_in_an_embedding_artifact_and_a_run_rebuilds_it(tmp_pa
 
     _check_a_bad_embedding_artifact_is_reported_and_rebuilt(
         tmp_path, nan_row, f"malformed embedding file {artifact}: a float64 matrix with a value")
+
+
+def test_cli_reports_text_iris_in_an_embedding_artifact_and_a_run_rebuilds_it(tmp_path):
+    artifact = tmp_path / "out" / "target.embeddings.npz"
+
+    def text_iris():
+        iris, matrix = load_embeddings(artifact)
+        np.savez(artifact, iris=np.array(iris), matrix=matrix)
+
+    _check_a_bad_embedding_artifact_is_reported_and_rebuilt(
+        tmp_path, text_iris, f"malformed embedding file {artifact}: ValueError('IRIs in a 1-D <U")
 
 
 def _check_a_bad_embedding_artifact_is_reported_and_rebuilt(tmp_path, spoil, message):

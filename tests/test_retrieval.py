@@ -348,6 +348,24 @@ def test_top_k_rejects_non_finite_query(index_cls, bad):
 
 
 @INDEX_CLASSES
+def test_an_index_leaves_a_zero_norm_row_out(index_cls, caplog):
+    """A zero-norm row has no cosine: the index leaves it out with one
+    warning naming it and ranks as one built without it; with no row left,
+    it raises ``ItemError``."""
+    rows = dict(FIVE)
+    rows["http://t#C0"] = [0.0, 0.0]  # sorts between C and D
+    with caplog.at_level("WARNING", logger="ontomatch.retrieval"):
+        index = index_cls(list(rows), np.array(list(rows.values())))
+    assert caplog.messages == ["zero-norm embeddings left out of the index: ['http://t#C0']"]
+    without = index_cls(list(FIVE), np.array(list(FIVE.values())))
+    assert len(index) == len(FIVE)
+    for query in ([1.0, 0.0], [0.3, -0.7], [-1.0, 1.0]):
+        assert index.top_k(np.array(query), 6) == without.top_k(np.array(query), 6)
+    with pytest.raises(ItemError, match=re.escape("zero-norm vectors for ['http://t#Z', ")):
+        index_cls(["http://t#Z", "http://t#Y"], np.zeros((2, 2)))
+
+
+@INDEX_CLASSES
 def test_generate_candidates_non_finite_query_yields_empty(index_cls, caplog):
     index = index_cls(list(FIVE), np.array([FIVE[i] for i in FIVE]))
     iris = ["http://s#Inf", "http://s#NaN", "http://s#Ok"]
@@ -493,6 +511,11 @@ MALFORMED = {
     "inf": lambda path: save_embeddings(path, ["http://t#A"], [[-np.inf, 1.0]]),
     "text-matrix": lambda path: np.savez(path, iris=np.array([b"http://t#A"]),
                                          matrix=np.array([["1", "0"]])),
+    "text-iris": lambda path: np.savez(path, iris=np.array(["http://t#A"]), matrix=np.eye(1, 2)),
+    "int-iris": lambda path: np.savez(path, iris=np.array([1]), matrix=np.eye(1, 2)),
+    "2-d-iris": lambda path: np.savez(path, iris=np.array([[b"http://t#A"]]), matrix=np.eye(1, 2)),
+    "0-d-iris": lambda path: np.savez(path, iris=np.array(b"http://t#A"), matrix=np.eye(1, 2)),
+    "no-rows": lambda path: save_embeddings(path, [], np.empty((0, 2))),
 }
 
 
