@@ -8,8 +8,8 @@ library example; everything else is imported from its module.
 """
 
 from .cache import ResponseCache
-from .judge import judge_pair, judge_prompt
-from .model import ContextBlock
+from .judge import judge_candidates
+from .model import Concept
 from .providers import MockProvider
 
 __version__ = "0.1.0"

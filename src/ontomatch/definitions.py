@@ -15,22 +15,13 @@ import logging
 from .cache import ResponseCache
 from .errors import ItemError
 from .model import Concept, ContextBlock, Ontology, concept_context, iri_fragment
-from .providers import (
-    Message,
-    Prompt,
-    PromptFrame,
-    Provider,
-    SamplingParams,
-    json_escape,
-    prompt_digest,
-)
+from .providers import Message, Prompt, PromptFrame, Provider, SamplingParams, json_escape
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
     "TEMPLATE_VERSION",
     "build_definition_prompt",
-    "definition_prompt",
     "generate_definition",
     "enrich_ontology",
     "build_embedding_text",
@@ -96,16 +87,6 @@ def _single_paragraph(text: str) -> str:
     return " ".join(paragraph.split())
 
 
-def definition_prompt(
-    ctx: ContextBlock, source_name: str, target_name: str, provider: Provider,
-    params: SamplingParams = SamplingParams(),
-) -> Prompt:
-    """The definition prompt of one concept, keyed for ``provider``'s chat model and ``params``."""
-    messages = build_definition_prompt(ctx, source_name, target_name)
-    digest = prompt_digest("define", TEMPLATE_VERSION, provider.chat_model_id, messages, params)
-    return Prompt(messages, digest)
-
-
 def generate_definition(
     prompt: Prompt,
     iri: str,
@@ -113,9 +94,10 @@ def generate_definition(
     cache: ResponseCache,
     params: SamplingParams = SamplingParams(),
 ) -> str | None:
-    """Generate (or replay from ``cache``) the definition that the
-    ``definition_prompt`` of concept ``iri`` asks for: the completion's first
-    paragraph, single-spaced, the one form served, fresh or cached.
+    """Generate (or replay from ``cache``) the definition that ``prompt``,
+    which ``enrich_ontology`` renders and keys for concept ``iri``, asks for:
+    the completion's first paragraph, single-spaced, the one form served,
+    fresh or cached.
 
     Returns None when the provider fails or yields nothing usable; nothing
     is cached then, so a later run asks again.
@@ -154,8 +136,7 @@ def enrich_ontology(
     ``cache.serve`` fills concepts whose definition is cached on the calling thread
     and the others on up to ``max_workers`` threads; concepts with the same
     prompt share one provider call, and so one definition. The system turn
-    depends only on the two names, so one ``PromptFrame`` keys every concept:
-    its digest equals ``definition_prompt``'s."""
+    depends only on the two names, so one ``PromptFrame`` keys every concept."""
     todo = [c for _, c in sorted(ontology.items()) if c.definition is None][:limit]
     frame = PromptFrame("define", TEMPLATE_VERSION, provider.chat_model_id,
                         [_system_turn(*names), {"role": "user"}], params)

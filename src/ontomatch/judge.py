@@ -21,7 +21,7 @@ from .errors import ConfigError, ItemError
 from .model import (
     ContextBlock, Judgement, Ontology, bounded_float, check_record, concept_context, read_tsv_rows,
 )
-from .providers import Message, Prompt, PromptFrame, Provider, json_escape, prompt_digest
+from .providers import Message, Prompt, PromptFrame, Provider, json_escape
 
 logger = logging.getLogger(__name__)
 
@@ -31,7 +31,6 @@ __all__ = [
     "FewShotExample",
     "DEFAULT_FEW_SHOT",
     "build_judgement_prompt",
-    "judge_prompt",
     "p_yes",
     "judge_pair",
     "judge_candidates",
@@ -214,20 +213,6 @@ def p_yes(entries: dict[str, float], mode: str = "pair") -> float:
     raise ValueError(f"unknown p_yes mode {mode!r}")
 
 
-def judge_prompt(
-    source_ctx: ContextBlock,
-    target_ctx: ContextBlock,
-    provider: Provider,
-    shots: Sequence[FewShotExample] = (),
-) -> Prompt:
-    """The judge prompt of one pair, keyed for ``provider``'s chat model."""
-    messages = build_judgement_prompt(source_ctx, target_ctx, shots=shots)
-    return Prompt(
-        messages,
-        prompt_digest("judge", JUDGE_TEMPLATE_VERSION, provider.chat_model_id, messages),
-    )
-
-
 def judge_pair(
     prompt: Prompt,
     source: str,
@@ -237,8 +222,9 @@ def judge_pair(
     cache: ResponseCache,
     softmax_mode: str = "pair",
 ) -> Judgement:
-    """Judge the pair ``(source, target)`` from its ``judge_prompt``, served
-    from ``cache`` when it holds the answer. ``cache.fetch`` accepts an
+    """Judge the pair ``(source, target)`` from its ``prompt``, which
+    ``judge_candidates`` renders and keys, served from ``cache`` when it
+    holds the answer. ``cache.fetch`` accepts an
     answer, fresh or cached, whose ``entries`` object of numeric
     log-probabilities ``p_yes`` can score; a fresh reply it rejects raises
     ``ItemError`` and is not cached."""
@@ -319,12 +305,13 @@ def judge_candidates(
 
 def write_judgements(judgements: Sequence[Judgement], fp: IO[str], lambda_prob: float) -> None:
     """One row per pair, in (source, target) order; ``Decision`` is ``yes``
-    iff ``p_yes >= lambda_prob``."""
+    iff the printed ``PYes``, the value ``fuse`` reads back, is at least
+    ``lambda_prob``."""
     fp.write("SrcEntity\tTgtEntity\tCosine\tPYes\tDecision\n")
-    fp.writelines(
-        f"{source}\t{target}\t{cosine:.8f}\t{p:.8f}\t{'yes' if p >= lambda_prob else 'no'}\n"
-        for source, target, cosine, p in sorted(judgements, key=_PAIR)
-    )
+    for source, target, cosine, p in sorted(judgements, key=_PAIR):
+        printed = f"{p:.8f}"
+        decision = "yes" if float(printed) >= lambda_prob else "no"
+        fp.write(f"{source}\t{target}\t{cosine:.8f}\t{printed}\t{decision}\n")
 
 
 def read_judgements(fp: IO[str]) -> list[Judgement]:

@@ -40,7 +40,7 @@ __all__ = [
     "HttpProviderConfig",
     "make_provider",
     "Prompt",
-    "prompt_digest",
+    "PromptFrame",
     "validate_messages",
 ]
 
@@ -97,9 +97,12 @@ def json_escape(text: str) -> str:
 
 
 class PromptFrame:
-    """``prompt_digest``'s JSON split around the last message's content:
-    ``digest(json_escape(text))`` keys ``messages`` with ``text`` as that
-    content. Escaping is per character, so escaped pieces can be joined."""
+    """The content address of a provider call, split around the last
+    message's content. The address is the sha256 of ``json.dumps({"kind",
+    "template", "model", "messages"}, ensure_ascii=False, sort_keys=True)``,
+    the dict gaining ``"params": asdict(params)`` when ``params`` is given;
+    ``digest(json_escape(text))`` is the address of ``messages`` with ``text``
+    as that content. Escaping is per character, so escaped pieces can be joined."""
 
     _BODY = os.urandom(16).hex()  # stands in for the content; occurs nowhere else
 
@@ -120,18 +123,9 @@ class PromptFrame:
         return h.hexdigest()
 
 
-def prompt_digest(kind: str, template_version: str, model: str, messages: Sequence[Message],
-                  params: SamplingParams | None = None) -> str:
-    """Content address of a provider call: the sha256 of ``json.dumps({"kind",
-    "template", "model", "messages"}, ensure_ascii=False, sort_keys=True)``,
-    the dict gaining ``"params": asdict(params)`` when ``params`` is given."""
-    return PromptFrame(kind, template_version, model, messages, params).digest(
-        json_escape(messages[-1]["content"]))
-
-
 class Prompt(NamedTuple):
-    """A rendered prompt and its ``prompt_digest``, which keys its cache entry.
-    ``judge_prompt``, ``judge_candidates`` and ``definition_prompt`` build them."""
+    """A rendered prompt and its ``PromptFrame`` digest, which keys its cache
+    entry. ``judge_candidates`` and ``enrich_ontology`` build them."""
 
     messages: list[Message]
     digest: str

@@ -360,9 +360,10 @@ def read_candidates(fp: IO[str]) -> dict[str, list[tuple[str, float]]]:
 def save_embeddings(path: str | Path, iris: Sequence[str], matrix: np.ndarray) -> None:
     """Write ``iris`` (as UTF-8 bytes) and ``matrix`` (as float64), both
     sorted by IRI, to one uncompressed ``.npz`` at ``path``, atomically. A
-    matrix without one row per IRI is a ``ValueError``, and writes nothing."""
+    matrix without one row per IRI, or without rows, which ``load_embeddings``
+    would reject, is a ``ValueError``, and writes nothing."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or len(matrix) != len(iris):
+    if matrix.ndim != 2 or len(matrix) != len(iris) or len(iris) == 0:
         raise ValueError(f"a matrix of shape {matrix.shape} for {len(iris)} IRIs")
     order = sorted(range(len(iris)), key=lambda i: iris[i])
     encoded = np.array([iris[i].encode("utf-8") for i in order], dtype=np.bytes_)

@@ -87,18 +87,23 @@ def reference_softmax(logits: dict[str, float], precision: int = 80) -> dict[str
         return {t: float(v / total) for t, v in exps.items()}
 
 
-def reference_p_yes(entries: dict[str, float], floor: float = -20.0) -> float:
+def reference_p_yes(entries: dict[str, float], floor: float = -20.0, mode: str = "pair") -> float:
     """Two-way renormalized YES probability, computed in mpmath.
 
     Mirrors the documented contract: sum the probability mass of present
     YES variants (log-sum-exp), likewise for NO, substituting exp(floor)
-    for an absent side, then normalize over the two masses.
+    for an absent side, then normalize over the two masses. In ``full``
+    mode, the YES mass (0 when no variant is present) over the mass of every
+    entry instead.
     """
     with mpmath.workdps(80):
         yes_terms = [mpmath.e ** mpmath.mpf(entries[t]) for t in YES_FORMS if t in entries]
         no_terms = [mpmath.e ** mpmath.mpf(entries[t]) for t in NO_FORMS if t in entries]
         if not yes_terms and not no_terms:
             raise ValueError("no YES or NO variant present")
+        if mode == "full":
+            total = mpmath.fsum(mpmath.e ** mpmath.mpf(v) for v in entries.values())
+            return float(mpmath.fsum(yes_terms) / total)
         yes = mpmath.fsum(yes_terms) if yes_terms else mpmath.e ** mpmath.mpf(floor)
         no = mpmath.fsum(no_terms) if no_terms else mpmath.e ** mpmath.mpf(floor)
         return float(yes / (yes + no))

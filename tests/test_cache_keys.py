@@ -5,15 +5,21 @@ kind. For the prompt-keyed kinds (``define``, ``judge``) it holds the entry
 names (``<digest>.json``, as the files of the layout before the logs were
 named) in digest order, and one sha256 over the entries' payload bytes, read
 through the store, in that order. For ``embed`` it holds the sorted names of
-the entry files and one sha256 over their bytes. A change to
-``prompt_digest``, to a prompt's text, to what an entry stores or to an
-embedding's bytes fails here, and an existing cache would no longer serve
+the entry files and one sha256 over their bytes. A change to the key
+formula (``PromptFrame``), to a prompt's text, to what an entry stores or to
+an embedding's bytes fails here, and an existing cache would no longer serve
 it. A mock vector is integer counts divided by the square root of an
 integer sum of squares, exact in float64, so its bytes do not depend on the
 BLAS build.
 
-A change that alters the keys on purpose regenerates the file with
-``python tests/test_cache_keys.py`` and declares it.
+``tests/data/golden/prompts.jsonl`` holds each define and judge prompt the
+default case renders, one JSON line each in (kind, key) order: its messages
+and the key they are asked under, which must equal the key formula encoded
+whole (``oracles.reference_prompt_digest``) and name the pinned entries. So
+a prompt's text is pinned apart from the code that renders it.
+
+A change that alters the keys or the prompts on purpose regenerates both
+files with ``python tests/test_cache_keys.py`` and declares it.
 """
 
 from __future__ import annotations
@@ -26,12 +32,17 @@ from pathlib import Path
 
 import pytest
 
+import ontomatch.definitions as definitions_module
+import ontomatch.judge as judge_module
 from ontomatch.cache import ResponseCache
-from ontomatch.pipeline import Pipeline
+from ontomatch.pipeline import Pipeline, make_provider
+from ontomatch.providers import SamplingParams
 
 from conftest import GOLDEN_DIR, toy_config
+from oracles import reference_prompt_digest
 
 GOLDEN = GOLDEN_DIR / "cache_keys.json"
+PROMPTS = GOLDEN_DIR / "prompts.jsonl"
 KINDS = ("define", "judge")
 CASES = {
     "default": {},
@@ -78,6 +89,45 @@ def test_a_cold_toy_run_writes_the_pinned_cache_keys_and_bytes(tmp_path, case):
         assert actual[kind]["sha256"] == expected[kind]["sha256"], kind
 
 
+def cold_toy_prompts(tmp_path: Path) -> list[str]:
+    """Each distinct define and judge prompt of a cold run of the default
+    case, as it reached the per-item call, in (kind, key) order: one JSON
+    line of its kind, key and messages each."""
+    prompts = {}
+
+    def recording(kind, call):
+        def record(prompt, *args, **kwargs):
+            prompts[kind, prompt.digest] = prompt.messages
+            return call(prompt, *args, **kwargs)
+        return record
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(definitions_module, "generate_definition",
+                      recording("define", definitions_module.generate_definition))
+        patch.setattr(judge_module, "judge_pair", recording("judge", judge_module.judge_pair))
+        Pipeline(toy_config(tmp_path, **CASES["default"])).run()
+    return [json.dumps({"kind": kind, "key": key, "messages": prompts[kind, key]},
+                       ensure_ascii=False, sort_keys=True) for kind, key in sorted(prompts)]
+
+
+def test_a_cold_toy_run_renders_the_pinned_prompts_under_their_keys(tmp_path):
+    expected = PROMPTS.read_text(encoding="utf-8").splitlines()
+    assert cold_toy_prompts(tmp_path) == expected
+    config = toy_config(tmp_path, **CASES["default"])
+    model = make_provider(config).chat_model_id
+    params = SamplingParams(config.temperature, config.top_p, config.max_tokens)
+    templates = {"define": definitions_module.TEMPLATE_VERSION,
+                 "judge": judge_module.JUDGE_TEMPLATE_VERSION}
+    pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))["default"]
+    for kind in KINDS:
+        prompts = [p for p in map(json.loads, expected) if p["kind"] == kind]
+        assert [f"{p['key']}.json" for p in prompts] == pinned[kind]["entries"]
+        for p in prompts:
+            assert p["key"] == reference_prompt_digest(
+                kind, templates[kind], model, p["messages"],
+                params if kind == "define" else None)
+
+
 if __name__ == "__main__":
     golden = {}
     for case, overrides in sorted(CASES.items()):
@@ -85,3 +135,7 @@ if __name__ == "__main__":
             golden[case] = cold_toy_cache_keys(Path(tmp), overrides)
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = cold_toy_prompts(Path(tmp))
+    PROMPTS.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    print(f"wrote {PROMPTS}", file=sys.stderr)

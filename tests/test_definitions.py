@@ -13,7 +13,6 @@ from ontomatch.definitions import (
     _single_paragraph,
     build_definition_prompt,
     build_embedding_text,
-    definition_prompt,
     enrich_ontology,
     generate_definition,
     truncate_words,
@@ -117,18 +116,23 @@ def test_single_paragraph_collapses_and_truncates():
     assert _single_paragraph(" \n\n ") == ""
 
 
+def _define_heart(provider, cache) -> str | None:
+    """The definition ``enrich_ontology`` gives ``Heart``, the one concept of
+    an ontology of its own, between vocabularies ``A`` and ``B``."""
+    iri = "http://x.org/c#C1"
+    onto = {iri: Concept(iri=iri, label="Heart")}
+    enrich_ontology(onto, ("A", "B"), provider, cache)
+    return onto[iri].definition
+
+
 def test_generate_definition_uses_mock_provider(cache):
-    provider = MockProvider()
-    prompt = definition_prompt(minimal_context(), "A", "B", provider)
-    text = generate_definition(prompt, "http://x.org/c#C1", provider, cache)
-    assert text == "A biomedical concept referring to heart."
+    assert _define_heart(MockProvider(), cache) == "A biomedical concept referring to heart."
 
 
 def test_generate_definition_cache_hit_skips_provider(cache):
     provider = CountingProvider(MockProvider())
-    prompt = definition_prompt(minimal_context(), "A", "B", provider)
-    first = generate_definition(prompt, "http://x.org/c#C1", provider, cache)
-    second = generate_definition(prompt, "http://x.org/c#C1", provider, cache)
+    first = _define_heart(provider, cache)
+    second = _define_heart(provider, cache)
     assert first == second
     assert provider.generate_calls == 1
 
@@ -142,19 +146,20 @@ def test_generate_definition_cache_hit_skips_provider(cache):
 def test_generate_definition_recomputes_a_cached_entry_of_the_wrong_shape(
     cache, caplog, payload
 ):
+    _define_heart(MockProvider(), cache)
+    [digest] = cache.stored("define")
+    cache.put("define", digest, payload)
     provider = CountingProvider(MockProvider())
-    prompt = definition_prompt(minimal_context(), "A", "B", provider)
-    cache.put("define", prompt.digest, payload)
     with caplog.at_level("WARNING"):
-        text = generate_definition(prompt, "http://x.org/c#C1", provider, cache)
+        text = _define_heart(provider, cache)
     assert text == "A biomedical concept referring to heart."
     assert provider.generate_calls == 1
     assert sum("recomputing unusable cache entry" in m for m in caplog.messages) == 1
-    assert cache.get("define", prompt.digest) == {"text": text}
+    assert cache.get("define", digest) == {"text": text}
 
 
 class _FailingProvider:
-    chat_model_id = "failing-chat"
+    chat_model_id = MockProvider().chat_model_id  # so it asks for the entries the mock keys
     embed_model_id = "failing-embed"
 
     def __init__(self, error):
@@ -178,12 +183,10 @@ class _FailingProvider:
     pytest.param(" \n\n ", id="blank"),
 ])
 def test_generate_definition_failure_returns_none_and_caches_nothing(cache, error, caplog):
-    provider = _FailingProvider(error)
-    prompt = definition_prompt(minimal_context(), "A", "B", provider)
     with caplog.at_level("WARNING"):
-        text = generate_definition(prompt, "http://x.org/c#C1", provider, cache)
+        text = _define_heart(_FailingProvider(error), cache)
     assert text is None
-    assert cache.get("define", prompt.digest) is None
+    assert not cache.stored("define")
     assert not ResponseCache(cache.root).stored("define")
     assert any(
         "definition generation failed for http://x.org/c#C1" in r.message
@@ -194,11 +197,11 @@ def test_generate_definition_failure_returns_none_and_caches_nothing(cache, erro
 def test_generate_definition_failure_keeps_a_cached_entry(cache):
     """An unusable entry from an older run stays as it was when its
     recomputation fails too, and the concept has no definition."""
-    provider = _FailingProvider(ItemError("down"))
-    prompt = definition_prompt(minimal_context(), "A", "B", provider)
-    cache.put("define", prompt.digest, {"text": ""})
-    assert generate_definition(prompt, "http://x.org/c#C1", provider, cache) is None
-    assert ResponseCache(cache.root).get("define", prompt.digest) == {"text": ""}
+    _define_heart(MockProvider(), cache)
+    [digest] = cache.stored("define")
+    cache.put("define", digest, {"text": ""})
+    assert _define_heart(_FailingProvider(ItemError("down")), cache) is None
+    assert ResponseCache(cache.root).get("define", digest) == {"text": ""}
 
 
 def _ontology(n: int) -> Ontology:
@@ -353,11 +356,13 @@ def test_enrich_ontology_counts_a_failed_recomputation_as_sent_to_the_provider(
 ):
     """A cached entry that cannot be served is recomputed; when the provider
     fails, the concept was still sent to it, not served from the cache."""
+    cache = ResponseCache(tmp_path / "cache")
+    enrich_ontology(_ontology(1), ("src", "tgt"), MockProvider(), cache)
+    [digest] = cache.stored("define")
+    append_raw_entry(tmp_path / "cache", "define", digest, entry)
     provider = _FailingProvider(ItemError("down"))
     onto = _ontology(1)
     [concept] = onto.values()
-    prompt = definition_prompt(concept_context(concept, onto), "src", "tgt", provider)
-    append_raw_entry(tmp_path / "cache", "define", prompt.digest, entry)
     with caplog.at_level("INFO", logger="ontomatch.definitions"):
         cache = ResponseCache(tmp_path / "cache")
         assert enrich_ontology(onto, ("src", "tgt"), provider, cache) == 1
@@ -500,11 +505,11 @@ def test_embedding_text_without_definition_strips_exactly_that_segment():
     assert without == "Label: " + SNOMED_LABEL + "; Synonyms: " + SNOMED_SYNONYM + ";"
 
 
-def test_template_version_is_part_of_cache_identity(tmp_path):
+def test_template_version_is_part_of_cache_identity(cache, monkeypatch):
     # bumping the template version must miss the old cache entries
-    from ontomatch.providers import prompt_digest
-
-    messages = build_definition_prompt(minimal_context(), "A", "B")
-    d1 = prompt_digest("define", TEMPLATE_VERSION, "m", messages)
-    d2 = prompt_digest("define", TEMPLATE_VERSION + "x", "m", messages)
-    assert d1 != d2
+    _define_heart(MockProvider(), cache)
+    monkeypatch.setattr(definitions_module, "TEMPLATE_VERSION", TEMPLATE_VERSION + "x")
+    provider = CountingProvider(MockProvider())
+    _define_heart(provider, cache)
+    assert provider.generate_calls == 1
+    assert len(cache.stored("define")) == 2

@@ -13,14 +13,14 @@ import ontomatch.cache as cache_module
 import ontomatch.judge as judge_module
 from ontomatch.cache import BLOCK_ENTRIES, QUEUE_PER_WORKER, ResponseCache
 from ontomatch.errors import ConfigError, ItemError, OntologyParseError
+from ontomatch.fusion import filter_and_fuse
 from ontomatch.judge import (
     DEFAULT_FEW_SHOT,
     JUDGE_SYSTEM,
+    JUDGE_TEMPLATE_VERSION,
     FewShotExample,
     build_judgement_prompt,
     judge_candidates,
-    judge_pair,
-    judge_prompt,
     p_yes,
     read_judgements,
     write_judgements,
@@ -37,7 +37,9 @@ from ontomatch.pipeline import PipelineConfig
 from ontomatch.providers import MockProvider
 
 from conftest import TOY_DIR, CountingProvider, append_raw_entry, golden_text
-from oracles import NO_FORMS, YES_FORMS, Unscorable, reference_p_yes, two_pass_p_yes
+from oracles import (
+    NO_FORMS, YES_FORMS, Unscorable, reference_p_yes, reference_prompt_digest, two_pass_p_yes,
+)
 
 NERVE_A = ContextBlock(
     iri="http://snomed.info/id/A",
@@ -298,14 +300,18 @@ def test_p_yes_rejects_unknown_mode():
 # -- judge_pair / judge_candidates ---------------------------------------------
 
 
-def _judge(a: ContextBlock, b: ContextBlock, cos: float, provider, cache) -> Judgement:
-    return judge_pair(judge_prompt(a, b, provider), a.iri, b.iri, cos, provider, cache)
+def _judge(source: str, target: str, cos: float, provider, cache) -> Judgement:
+    """``judge_candidates`` of one pair: ``http://x.org/c#A``, labelled
+    ``source``, against ``http://y.org/c#B``, labelled ``target``."""
+    a = Concept(iri="http://x.org/c#A", label=source)
+    b = Concept(iri="http://y.org/c#B", label=target)
+    [judgement] = judge_candidates({a.iri: [(b.iri, cos)]}, {a.iri: a}, {b.iri: b},
+                                   provider, cache)
+    return judgement
 
 
 def test_judge_pair_positive_decision_with_default_thresholds(cache):
-    a = simple_ctx("http://x.org/c#A", "heart")
-    b = simple_ctx("http://y.org/c#B", "heart")
-    j = _judge(a, b, 0.95, MockProvider(), cache)
+    j = _judge("heart", "heart", 0.95, MockProvider(), cache)
     assert j.source == "http://x.org/c#A"
     assert j.target == "http://y.org/c#B"
     assert j.cosine == 0.95
@@ -314,18 +320,14 @@ def test_judge_pair_positive_decision_with_default_thresholds(cache):
 
 
 def test_judge_pair_negative_decision(cache):
-    a = simple_ctx("http://x.org/c#A", "left kidney")
-    b = simple_ctx("http://y.org/c#B", "right kidney")
-    j = _judge(a, b, 0.8, MockProvider(), cache)
+    j = _judge("left kidney", "right kidney", 0.8, MockProvider(), cache)
     assert j.p_yes < 0.01
 
 
 def test_judge_pair_cache_hit_skips_provider(cache):
     provider = CountingProvider(MockProvider())
-    a = simple_ctx("http://x.org/c#A", "heart")
-    b = simple_ctx("http://y.org/c#B", "heart")
-    first = _judge(a, b, 0.95, provider, cache)
-    second = _judge(a, b, 0.95, provider, cache)
+    first = _judge("heart", "heart", 0.95, provider, cache)
+    second = _judge("heart", "heart", 0.95, provider, cache)
     assert provider.classify_calls == 1
     assert first == second
 
@@ -345,31 +347,27 @@ class _FirstTokenProvider:
 
 def test_judge_pair_never_caches_an_unparseable_judgement(cache):
     """Neither YES nor NO, or both with probability 0."""
-    a = simple_ctx("http://x.org/c#A", "heart")
-    b = simple_ctx("http://y.org/c#B", "heart")
-    prompt = judge_prompt(a, b, MockProvider())
     for entries in ({"MAYBE": -0.1}, {"YES": -math.inf, "NO": -math.inf}):
         with pytest.raises(ItemError):
-            judge_pair(prompt, a.iri, b.iri, 0.95, _FirstTokenProvider(entries), cache)
-        assert cache.get("judge", prompt.digest) is None
-    j = judge_pair(prompt, a.iri, b.iri, 0.95, MockProvider(), cache)
+            _judge("heart", "heart", 0.95, _FirstTokenProvider(entries), cache)
+        assert not cache.stored("judge")
+    j = _judge("heart", "heart", 0.95, MockProvider(), cache)
     assert j.p_yes >= 0.99
-    assert cache.get("judge", prompt.digest) is not None
+    assert len(cache.stored("judge")) == 1
 
 
 def test_judge_pair_serves_an_entry_with_extra_keys_as_it_is(cache):
     """Entries once also held the digest, model id and a timestamp."""
-    a = simple_ctx("http://x.org/c#A", "heart")
-    b = simple_ctx("http://y.org/c#B", "heart")
-    prompt = judge_prompt(a, b, MockProvider())
-    old = {"digest": prompt.digest, "created_at": 1.0, "model": "m",
+    _judge("heart", "heart", 0.95, MockProvider(), cache)
+    [digest] = cache.stored("judge")
+    old = {"digest": digest, "created_at": 1.0, "model": "m",
            "entries": {"YES": -0.5, "NO": -2.0}}
-    cache.put("judge", prompt.digest, old)
+    cache.put("judge", digest, old)
     provider = CountingProvider(MockProvider())
-    j = judge_pair(prompt, a.iri, b.iri, 0.95, provider, cache)
+    j = _judge("heart", "heart", 0.95, provider, cache)
     assert provider.classify_calls == 0
     assert j.p_yes == p_yes({"YES": -0.5, "NO": -2.0})
-    assert cache.get("judge", prompt.digest) == old
+    assert cache.get("judge", digest) == old
 
 
 @pytest.mark.parametrize("payload", [
@@ -381,17 +379,16 @@ def test_judge_pair_serves_an_entry_with_extra_keys_as_it_is(cache):
     {"entries": {"YES": None}},
 ])
 def test_judge_pair_recomputes_a_cached_entry_of_the_wrong_shape(cache, caplog, payload):
-    a = simple_ctx("http://x.org/c#A", "heart")
-    b = simple_ctx("http://y.org/c#B", "heart")
-    prompt = judge_prompt(a, b, MockProvider())
-    cache.put("judge", prompt.digest, payload)
+    _judge("heart", "heart", 0.95, MockProvider(), cache)
+    [digest] = cache.stored("judge")
+    cache.put("judge", digest, payload)
     provider = CountingProvider(MockProvider())
     with caplog.at_level("WARNING"):
-        j = judge_pair(prompt, a.iri, b.iri, 0.95, provider, cache)
+        j = _judge("heart", "heart", 0.95, provider, cache)
     assert provider.classify_calls == 1
     assert j.p_yes >= 0.99
     assert sum("recomputing unusable cache entry" in m for m in caplog.messages) == 1
-    assert cache.get("judge", prompt.digest) == {"entries": {"YES": -0.001, "NO": -7.0}}
+    assert cache.get("judge", digest) == {"entries": {"YES": -0.001, "NO": -7.0}}
 
 
 def _ontologies():
@@ -497,7 +494,10 @@ def _toy_ontologies_with_an_awkward_concept():
 
 
 @pytest.mark.parametrize("shots", [(), DEFAULT_FEW_SHOT], ids=["no_shots", "two_shots"])
-def test_judge_candidates_prompts_equal_judge_prompt_for_every_pair(tmp_path, monkeypatch, shots):
+def test_judge_candidates_prompts_equal_build_judgement_prompt_for_every_pair(tmp_path,
+                                                                             monkeypatch, shots):
+    """Each pair's prompt is ``build_judgement_prompt``'s, keyed as the whole
+    cache-key JSON, encoded independently, would key it."""
     src, tgt = _toy_ontologies_with_an_awkward_concept()
     targets = sorted(tgt)
     candidates = {
@@ -519,8 +519,9 @@ def test_judge_candidates_prompts_equal_judge_prompt_for_every_pair(tmp_path, mo
     for source, target, prompt in judged:
         a = concept_context(src[source], src)
         b = concept_context(tgt[target], tgt)
-        assert prompt == judge_prompt(a, b, provider, shots)
         assert prompt.messages == build_judgement_prompt(a, b, shots)
+        assert prompt.digest == reference_prompt_digest(
+            "judge", JUDGE_TEMPLATE_VERSION, provider.chat_model_id, prompt.messages)
 
 
 # -- cache routing: hits on the calling thread, misses in the pool -------------
@@ -699,13 +700,25 @@ def test_judgement_tsv_round_trip():
 
 
 def test_write_judgements_decision_follows_lambda_prob(cache):
-    a = simple_ctx("http://x.org/c#A", "heart")
-    b = simple_ctx("http://y.org/c#B", "heart")
-    judgement = _judge(a, b, 0.95, MockProvider(), cache)
+    judgement = _judge("heart", "heart", 0.95, MockProvider(), cache)
     for lambda_prob, decision in ((0.9999, "no"), (0.99, "yes")):
         buf = io.StringIO()
         write_judgements([judgement], buf, lambda_prob)
         assert buf.getvalue().splitlines()[1].split("\t")[4] == decision
+
+
+@pytest.mark.parametrize("p, printed, decision", [
+    (0.989999996, "0.99000000", "yes"),  # below lambda_prob, printed at it
+    (0.989999994, "0.98999999", "no"),
+])
+def test_write_judgements_decision_agrees_with_fuse_on_the_printed_p_yes(p, printed, decision):
+    """``Decision`` is decided on the ``PYes`` that ``fuse`` reads back."""
+    buf = io.StringIO()
+    write_judgements([Judgement("http://s#S1", "http://t#T1", 0.99, p)], buf, 0.99)
+    row = buf.getvalue().splitlines()[1].split("\t")
+    assert row[3:] == [printed, decision]
+    kept = filter_and_fuse(read_judgements(io.StringIO(buf.getvalue())), lambda_prob=0.99)
+    assert bool(kept) == (decision == "yes")
 
 
 def test_read_judgements_rejects_short_rows():

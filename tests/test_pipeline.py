@@ -25,9 +25,9 @@ import ontomatch.retrieval as retrieval_module
 from ontomatch.cli import build_config, main
 from ontomatch.errors import ConfigError, ItemError, MissingArtifactError
 from ontomatch.cache import BLOCK_ENTRIES, QUEUE_PER_WORKER, ResponseCache
-from ontomatch.judge import DEFAULT_FEW_SHOT, judge_pair, judge_prompt
+from ontomatch.judge import DEFAULT_FEW_SHOT, judge_candidates
 from ontomatch.fusion import exact_match, read_mappings, write_mappings
-from ontomatch.model import Mapping, concept_context, read_concept_jsonl
+from ontomatch.model import Mapping, read_concept_jsonl
 from ontomatch.pipeline import (
     SIDES,
     STAGE_TABLE,
@@ -61,7 +61,7 @@ from conftest import (
     toy_config,
     toy_ranking_cases,
 )
-from oracles import cosine, rank_by_score, reference_hit_at_k, reference_mrr
+from oracles import cosine, rank_by_score, reference_hit_at_k, reference_mrr, reference_p_yes
 
 
 def snapshot(out_dir: Path) -> dict[str, bytes]:
@@ -679,8 +679,9 @@ def _ranking_oracle(cases_path: str, score) -> tuple[float, dict[str, float]]:
 
 
 def _pyes_oracle(config: PipelineConfig, cases_path: str) -> tuple[float, dict[str, float]]:
-    """Ranking metrics with each pair judged on its own with ``judge_pair``
-    and a cache of its own; a pair with a missing concept scores 0.0."""
+    """Ranking metrics with each pair judged on its own, by a one-pair
+    ``judge_candidates`` with a cache of its own; a pair with a missing
+    concept scores 0.0."""
     out = Path(config.out_dir)
     ontologies = []
     for name in ("source.enriched.jsonl", "target.enriched.jsonl"):
@@ -693,12 +694,9 @@ def _pyes_oracle(config: PipelineConfig, cases_path: str) -> tuple[float, dict[s
     def p_yes(s, t):
         if s not in source or t not in target:
             return 0.0
-        prompt = judge_prompt(
-            concept_context(source[s], source),
-            concept_context(target[t], target),
-            provider, shots=config.shots(),
-        )
-        return judge_pair(prompt, s, t, 0.0, provider, cache, config.softmax_mode).p_yes
+        [judgement] = judge_candidates({s: [(t, 0.0)]}, source, target, provider, cache,
+                                       shots=config.shots(), softmax_mode=config.softmax_mode)
+        return judgement.p_yes
 
     return _ranking_oracle(cases_path, p_yes)
 
@@ -1246,6 +1244,36 @@ def _perturbations(base: PipelineConfig, tmp_path: Path) -> dict:
         "provider": dict(base.provider, dimension=32),
         "few_shot_examples": [{"a": {"label": "x"}, "b": {"label": "y"}, "answer": "NO"}],
     }
+
+
+def test_softmax_mode_full_scores_each_pair_on_its_whole_cached_distribution(tmp_path,
+                                                                             monkeypatch):
+    """Under ``DigestProvider``, whose replies carry a third token, ``Maybe``,
+    each ``PYes`` of a toy run in ``full`` mode is the mpmath full-mode value
+    of its pair's cached first-token distribution, and some differ from a
+    ``pair`` run's."""
+    keys = {}
+    judge_pair = judge_module.judge_pair
+
+    def recording_judge_pair(prompt, source, target, *args):
+        keys[source, target] = prompt.digest
+        return judge_pair(prompt, source, target, *args)
+
+    monkeypatch.setattr(judge_module, "judge_pair", recording_judge_pair)
+    printed = {}
+    for mode in ("full", "pair"):
+        config = toy_config(tmp_path / mode, softmax_mode=mode)
+        Pipeline(config, provider=DigestProvider(config)).run()
+        rows = (Path(config.out_dir) / "judgements.tsv").read_text(encoding="utf-8")
+        printed[mode] = {tuple(row[:2]): row[3]
+                         for row in (line.split("\t") for line in rows.splitlines()[1:])}
+    assert printed["full"].keys() == printed["pair"].keys() == keys.keys()
+    cache = ResponseCache(tmp_path / "full" / "cache")
+    for pair, p in printed["full"].items():
+        entries = cache.get("judge", keys[pair])["entries"]
+        assert "Maybe" in entries
+        assert p == f"{reference_p_yes(entries, mode='full'):.8f}"
+    assert any(printed["full"][pair] != printed["pair"][pair] for pair in keys)
 
 
 def _perturbation_base(tmp_path: Path) -> PipelineConfig:

@@ -25,7 +25,6 @@ from ontomatch.providers import (
     PromptFrame,
     SamplingParams,
     json_escape,
-    prompt_digest,
     validate_messages,
 )
 
@@ -74,14 +73,17 @@ def test_validate_messages_rejects_malformed_prompts(messages):
 
 
 def test_prompt_digest_stable_and_sensitive():
-    messages = chat("s", "u")
-    d1 = prompt_digest("generate", "1", "model-x", messages)
-    assert d1 == prompt_digest("generate", "1", "model-x", chat("s", "u"))
+    """A ``PromptFrame`` digest depends on the kind, template, model, the
+    turns before the last and the last content, not on the last content the
+    frame was built with."""
+    d1 = PromptFrame("generate", "1", "model-x", chat("s", "u")).digest("u")
+    assert d1 == PromptFrame("generate", "1", "model-x", chat("s", "other")).digest("u")
     assert len(d1) == 64
-    assert d1 != prompt_digest("judge", "1", "model-x", messages)
-    assert d1 != prompt_digest("generate", "2", "model-x", messages)
-    assert d1 != prompt_digest("generate", "1", "model-y", messages)
-    assert d1 != prompt_digest("generate", "1", "model-x", chat("s", "u2"))
+    assert d1 != PromptFrame("judge", "1", "model-x", chat("s", "u")).digest("u")
+    assert d1 != PromptFrame("generate", "2", "model-x", chat("s", "u")).digest("u")
+    assert d1 != PromptFrame("generate", "1", "model-y", chat("s", "u")).digest("u")
+    assert d1 != PromptFrame("generate", "1", "model-x", chat("s2", "u")).digest("u")
+    assert d1 != PromptFrame("generate", "1", "model-x", chat("s", "u")).digest("u2")
 
 
 CONTROL_CHARACTERS = "".join(map(chr, range(0x20)))
@@ -111,13 +113,16 @@ def few_shot_chat(system: str, user: str):
 @pytest.mark.parametrize("text", AWKWARD_TEXTS)
 @pytest.mark.parametrize("build", [chat, few_shot_chat])
 def test_prompt_digest_equals_the_whole_json_formula(build, text):
-    for messages in (build("s", text), build(text, "u"), build(text, text)):
-        assert prompt_digest("judge", "1", "model-x", messages) == \
-            reference_prompt_digest("judge", "1", "model-x", messages)
-    assert prompt_digest(text, text, text, build(text, text)) == \
+    """A ``PromptFrame`` keys a last content from its escape as the whole
+    cache-key JSON, encoded independently, would."""
+    for system, user in (("s", text), (text, "u"), (text, text)):
+        assert PromptFrame("judge", "1", "model-x", build(system, "")).digest(json_escape(user)) \
+            == reference_prompt_digest("judge", "1", "model-x", build(system, user))
+    assert PromptFrame(text, text, text, build(text, "")).digest(json_escape(text)) == \
         reference_prompt_digest(text, text, text, build(text, text))
     params = SamplingParams(temperature=0.0, top_p=0.5, max_tokens=16)
-    assert prompt_digest("define", "1", "model-x", build(text, text), params) == \
+    frame = PromptFrame("define", "1", "model-x", build(text, ""), params)
+    assert frame.digest(json_escape(text)) == \
         reference_prompt_digest("define", "1", "model-x", build(text, text), params)
 
 
@@ -126,7 +131,7 @@ def test_prompt_digest_covers_a_message_with_extra_keys():
         {"role": "system", "content": "s", "name": "judge"},
         {"role": "user", "content": "u", "a_key_before_content": 1, "z_after_role": [None]},
     ]
-    assert prompt_digest("judge", "1", "m", messages) == \
+    assert PromptFrame("judge", "1", "m", messages).digest("u") == \
         reference_prompt_digest("judge", "1", "m", messages)
 
 
@@ -136,7 +141,7 @@ def test_prompt_digest_raises_on_a_lone_surrogate_like_the_formula(messages):
     with pytest.raises(UnicodeEncodeError):
         reference_prompt_digest("judge", "1", "m", messages)
     with pytest.raises(UnicodeEncodeError):
-        prompt_digest("judge", "1", "m", messages)
+        PromptFrame("judge", "1", "m", messages).digest(json_escape(messages[-1]["content"]))
 
 
 @pytest.mark.parametrize("left", AWKWARD_TEXTS)

@@ -515,7 +515,8 @@ MALFORMED = {
     "int-iris": lambda path: np.savez(path, iris=np.array([1]), matrix=np.eye(1, 2)),
     "2-d-iris": lambda path: np.savez(path, iris=np.array([[b"http://t#A"]]), matrix=np.eye(1, 2)),
     "0-d-iris": lambda path: np.savez(path, iris=np.array(b"http://t#A"), matrix=np.eye(1, 2)),
-    "no-rows": lambda path: save_embeddings(path, [], np.empty((0, 2))),
+    "no-rows": lambda path: np.savez(path, iris=np.array([], dtype=np.bytes_),
+                                     matrix=np.empty((0, 2))),
 }
 
 
@@ -542,11 +543,16 @@ def test_load_embeddings_rejects_shape_mismatch(tmp_path):
         load_embeddings(path)
 
 
-@pytest.mark.parametrize("matrix", [np.eye(3), np.ones((0, 3)), np.ones(1), np.ones((1, 1, 1))],
-                         ids=["more-rows", "no-rows", "1-d", "3-d"])
-def test_save_embeddings_rejects_a_matrix_without_one_row_per_iri(tmp_path, matrix):
-    with pytest.raises(ValueError, match=r"a matrix of shape \(.*\) for 1 IRIs"):
-        save_embeddings(tmp_path / "emb.npz", ["http://t#A"], matrix)
+@pytest.mark.parametrize("iris, matrix", [
+    (["http://t#A"], np.eye(3)),
+    (["http://t#A"], np.ones((0, 3))),
+    (["http://t#A"], np.ones(1)),
+    (["http://t#A"], np.ones((1, 1, 1))),
+    ([], np.empty((0, 2))),  # one row per IRI, but load_embeddings rejects a file without rows
+], ids=["more-rows", "no-rows", "1-d", "3-d", "empty"])
+def test_save_embeddings_rejects_a_matrix_without_one_row_per_iri(tmp_path, iris, matrix):
+    with pytest.raises(ValueError, match=rf"a matrix of shape \(.*\) for {len(iris)} IRIs"):
+        save_embeddings(tmp_path / "emb.npz", iris, matrix)
     assert list(tmp_path.iterdir()) == []
 
 
