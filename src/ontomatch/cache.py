@@ -111,8 +111,6 @@ class ResponseCache:
         # (kind, digest) -> record of each entry put inside ``serve`` and not
         # yet collected; None outside ``serve``
         self._parked: dict[tuple[str, str], bytes] | None = None
-        # calls of ``recompute`` on any thread; ``serve`` counts a batch's misses by it
-        self._recomputes = 0
 
     def _log(self, kind: str) -> str:
         return os.path.join(self.root, f"{kind}.log")
@@ -202,16 +200,23 @@ class ResponseCache:
             self._entries.pop(kind, None)
             raise
 
-    def serve(self, kind: str, jobs: Iterable[tuple[str, Callable[[], T]]],
-              max_workers: int) -> tuple[list[T], int]:
-        """Run each ``(digest, job)`` of ``jobs``; returns the results in job
-        order and the number served from the cache: the jobs less the
-        ``recompute`` calls made during the batch, on any thread. Each job
-        reaches the provider only through ``get_or_compute(kind, digest, ...)``
-        or ``recompute(kind, digest, ...)``, so a job that computes its entry
-        (a miss, or a stored entry that is unusable) counts as sent to the
-        provider whether or not the computation succeeds, and a job that
-        computes nothing counts as served.
+    def serve(self, kind: str, jobs: Iterable[tuple[str, Callable[[], dict], Callable[[dict], T]]],
+              max_workers: int, on_error: Callable[[int, ItemError], T] | None = None,
+              ) -> tuple[list[T], int]:
+        """Answer each ``(digest, compute, accept)`` of ``jobs``; returns the
+        results in job order and the number served from the cache.
+
+        A job's result is ``accept`` of its payload: the stored one, read
+        through ``get_or_compute(kind, digest, ...)``, or else the one
+        ``compute`` returns, accepted before it is stored. ``accept`` raises
+        ``ItemError`` on an unusable payload: a fresh one is never stored,
+        and a stored one is logged once and computed again, which replaces
+        the entry. A job counts as served exactly when its stored payload was
+        accepted. On an ``ItemError`` from ``compute`` or ``accept`` the
+        job's result is ``on_error(index, error)``; without ``on_error``, or
+        on any other exception, the error is re-raised once the job's result
+        is reached, after the pool has shut down, and if an append then
+        fails too, that failure is logged and the job's error goes on.
 
         A job whose digest is in ``stored(kind)`` runs on the calling thread.
         The others wait on the provider, so they go to a pool of
@@ -221,22 +226,44 @@ class ResponseCache:
         rendered prompts do not pile up. A digest is computed at most once
         per call: a job whose digest matches a queued or running job waits
         for it, then runs on the calling thread and reads the entry that job
-        put. A failed job's exception is re-raised
-        once its result is reached, after the pool has shut down; if an
-        append then fails too, that failure is logged and the job's error
-        goes on. One ``serve`` at a time per cache, and no computing outside
-        it meanwhile, which its served count would subtract too.
+        put. One ``serve`` at a time per cache.
         """
         with self._lock:
             if self._parked is not None:
                 raise RuntimeError("a cache serve is already running")
-            self._parked, recomputes = {}, self._recomputes
-        results: list = []
+            self._parked = {}
+
+        def answer(index: int, digest: str, compute: Callable[[], dict],
+                   accept: Callable[[dict], T]) -> tuple[T, bool]:
+            fresh: list = []  # the result of a fresh payload, which is accepted once
+
+            def checked() -> dict:
+                payload = compute()
+                fresh.append(accept(payload))
+                return payload
+
+            try:
+                payload = self.get_or_compute(kind, digest, checked)
+                if fresh:
+                    return fresh[0], False
+                try:
+                    return accept(payload), True
+                except ItemError as exc:
+                    logger.warning("recomputing unusable cache entry %s of %s: %s",
+                                   digest, self._log(kind), exc)
+                self.put(kind, digest, checked())
+                return fresh[0], False
+            except ItemError as exc:
+                if on_error is None:
+                    raise
+                return on_error(index, exc), False
+
+        results: list = []  # (result, served) of each job
         # digest -> (index in results, future) of each queued or running job, oldest first
         queued: dict[str, tuple[int, Future]] = {}
         block: list[bytes] = []  # records of collected jobs, not yet appended
 
-        def collect(digest: str) -> bytes | None:
+        def collect(digest: str) -> None:
             nonlocal block
             with self._lock:
                 record = self._parked.pop((kind, digest), None)
@@ -245,14 +272,14 @@ class ResponseCache:
                     if len(block) == BLOCK_ENTRIES:
                         full, block = block, []
                         self._flush(kind, full)
-            return record
 
         raising = True
         try:
             with ExitStack() as stack:
                 pool = None
                 stored = self.stored(kind)
-                for digest, job in jobs:
+                for digest, compute, accept in jobs:
+                    index = len(results)
                     if digest in queued:
                         queued[digest][1].result()
                     elif digest not in stored:
@@ -260,19 +287,19 @@ class ResponseCache:
                             pool = stack.enter_context(ThreadPoolExecutor(max_workers=max_workers))
                         if len(queued) >= QUEUE_PER_WORKER * max_workers:
                             oldest = next(iter(queued))
-                            index, future = queued.pop(oldest)
-                            results[index] = future.result()
+                            at, future = queued.pop(oldest)
+                            results[at] = future.result()
                             collect(oldest)
-                        queued[digest] = (len(results), pool.submit(job))
+                        queued[digest] = (index, pool.submit(answer, index, digest, compute, accept))
                         results.append(None)
                         continue
-                    results.append(job())
+                    results.append(answer(index, digest, compute, accept))
                     # Only this thread, or a job it has waited for, parks this
                     # digest's record, so an empty map needs no lock.
                     if self._parked:
                         collect(digest)
-                for digest, (index, future) in queued.items():
-                    results[index] = future.result()
+                for digest, (at, future) in queued.items():
+                    results[at] = future.result()
                     collect(digest)
             raising = False
         finally:
@@ -289,51 +316,17 @@ class ResponseCache:
                     if not raising:
                         raise
                     logger.error("cache append failed while serve was raising: %s", exc)
-        return results, len(results) - (self._recomputes - recomputes)
+        return [result for result, _ in results], sum(hit for _, hit in results)
 
     def get_or_compute(
         self, kind: str, digest: str, compute: Callable[[], dict]
     ) -> dict:
-        """Return the stored payload, or ``recompute`` it when there is none
-        (or the entry is corrupt). Concurrent callers of one digest each
-        compute it; ``serve`` never makes two."""
+        """Return the stored payload, or else store and return the one
+        ``compute`` returns (also when the entry is corrupt). This is
+        ``serve``'s lookup, one call per job; concurrent callers of one
+        digest each compute it, and ``serve`` never makes two."""
         found = self.get(kind, digest)
         if found is not None:
             return found
-        return self.recompute(kind, digest, compute)
-
-    def fetch(self, kind: str, digest: str, compute: Callable[[], dict],
-              accept: Callable[[dict], T]) -> T:
-        """``accept`` of the payload of ``digest``: the stored one, or else the
-        one ``compute`` returns. ``accept`` returns the caller's result, or
-        raises ``ItemError`` when the payload is unusable. A fresh payload is
-        accepted before it is stored, so one that ``accept`` rejects is never
-        stored and its ``ItemError`` reaches the caller. A stored payload that
-        ``accept`` rejects is never returned: it is logged once and
-        ``recompute``d, which replaces the entry."""
-        accepted: list = []  # the result of a fresh payload, which is accepted once
-
-        def checked() -> dict:
-            payload = compute()
-            accepted.append(accept(payload))
-            return payload
-
-        payload = self.get_or_compute(kind, digest, checked)
-        if accepted:
-            return accepted[0]
-        try:
-            return accept(payload)
-        except ItemError as exc:
-            logger.warning("recomputing unusable cache entry %s of %s: %s",
-                           digest, self._log(kind), exc)
-        self.recompute(kind, digest, checked)
-        return accepted[0]
-
-    def recompute(self, kind: str, digest: str, compute: Callable[[], dict]) -> dict:
-        """Compute, store and return the payload of ``digest``, replacing any
-        entry. Each call, on any thread and even when ``compute`` raises, is
-        one computation that ``serve``'s count of served jobs subtracts."""
-        with self._lock:
-            self._recomputes += 1
         # Payloads are JSON-native, so this equals what get would read.
         return self.put(kind, digest, compute())

@@ -15,7 +15,7 @@ import logging
 from .cache import ResponseCache
 from .errors import ItemError
 from .model import Concept, ContextBlock, Ontology, concept_context, iri_fragment
-from .providers import Message, Prompt, PromptFrame, Provider, SamplingParams, json_escape
+from .providers import Message, PromptFrame, Provider, SamplingParams, json_escape
 
 logger = logging.getLogger(__name__)
 
@@ -88,29 +88,12 @@ def _single_paragraph(text: str) -> str:
 
 
 def generate_definition(
-    prompt: Prompt,
-    iri: str,
-    provider: Provider,
-    cache: ResponseCache,
-    params: SamplingParams = SamplingParams(),
-) -> str | None:
-    """Generate (or replay from ``cache``) the definition that ``prompt``,
-    which ``enrich_ontology`` renders and keys for concept ``iri``, asks for:
-    the completion's first paragraph, single-spaced, the one form served,
-    fresh or cached.
-
-    Returns None when the provider fails or yields nothing usable; nothing
-    is cached then, so a later run asks again.
-    """
-
-    def compute() -> dict:
-        return {"text": _single_paragraph(provider.generate(prompt.messages, params))}
-
-    try:
-        return cache.fetch("define", prompt.digest, compute, _accept_definition)
-    except ItemError as e:
-        logger.warning("definition generation failed for %s: %s", iri, e)
-        return None
+    provider: Provider, messages: list[Message], params: SamplingParams = SamplingParams()
+) -> dict:
+    """One provider call for the definition ``messages`` ask for, as the
+    payload ``enrich_ontology`` caches: ``{"text": ...}``, the completion's
+    first paragraph, single-spaced, the one form served, fresh or cached."""
+    return {"text": _single_paragraph(provider.generate(messages, params))}
 
 
 def _accept_definition(payload: dict) -> str:
@@ -132,7 +115,8 @@ def enrich_ontology(
     """Fill ``definition`` for up to ``limit`` concepts (IRI order); returns
     the number processed. ``names`` are the display names the prompt gives
     this ontology and the other one. Concepts that already carry a definition
-    are skipped, and one whose generation fails keeps None.
+    are skipped. One whose generation fails, or yields nothing usable, keeps
+    None with a warning; nothing is cached then, so a later run asks again.
     ``cache.serve`` fills concepts whose definition is cached on the calling thread
     and the others on up to ``max_workers`` threads; concepts with the same
     prompt share one provider call, and so one definition. The system turn
@@ -144,12 +128,14 @@ def enrich_ontology(
     def jobs():
         for concept in todo:
             messages = build_definition_prompt(concept_context(concept, ontology), *names)
-            prompt = Prompt(messages, frame.digest(json_escape(messages[-1]["content"])))
-            yield prompt.digest, functools.partial(
-                generate_definition, prompt, concept.iri, provider, cache, params
-            )
+            yield (frame.digest(json_escape(messages[-1]["content"])),
+                   functools.partial(generate_definition, provider, messages, params),
+                   _accept_definition)
 
-    results, served = cache.serve("define", jobs(), max_workers)
+    def failed(index: int, error: ItemError) -> None:
+        logger.warning("definition generation failed for %s: %s", todo[index].iri, error)
+
+    results, served = cache.serve("define", jobs(), max_workers, failed)
     for concept, definition in zip(todo, results):
         concept.definition = definition
     logger.info(

@@ -21,7 +21,7 @@ from .errors import ConfigError, ItemError
 from .model import (
     ContextBlock, Judgement, Ontology, bounded_float, check_record, concept_context, read_tsv_rows,
 )
-from .providers import Message, Prompt, PromptFrame, Provider, json_escape
+from .providers import Message, PromptFrame, Provider, json_escape
 
 logger = logging.getLogger(__name__)
 
@@ -213,34 +213,23 @@ def p_yes(entries: dict[str, float], mode: str = "pair") -> float:
     raise ValueError(f"unknown p_yes mode {mode!r}")
 
 
-def judge_pair(
-    prompt: Prompt,
-    source: str,
-    target: str,
-    cos: float,
-    provider: Provider,
-    cache: ResponseCache,
-    softmax_mode: str = "pair",
-) -> Judgement:
-    """Judge the pair ``(source, target)`` from its ``prompt``, which
-    ``judge_candidates`` renders and keys, served from ``cache`` when it
-    holds the answer. ``cache.fetch`` accepts an
-    answer, fresh or cached, whose ``entries`` object of numeric
-    log-probabilities ``p_yes`` can score; a fresh reply it rejects raises
-    ``ItemError`` and is not cached."""
-
-    def compute() -> dict:
-        return {"entries": provider.classify_first_token(prompt.messages)}
-
-    return Judgement(source, target, cos, cache.fetch(
-        "judge", prompt.digest, compute, lambda payload: _accept_judgement(payload, softmax_mode)))
-
-
-def _accept_judgement(payload: dict, mode: str) -> float:
+def judge_pair(source: str, target: str, cos: float, softmax_mode: str,
+               payload: dict) -> Judgement:
+    """The judgement of ``(source, target)`` from its cached or fresh answer,
+    ``{"entries": ...}``: ``judge_candidates``' accept, one call and one
+    ``p_yes`` per judged pair. An answer without an ``entries`` object of
+    numeric log-probabilities that ``p_yes`` can score raises ``ItemError``."""
     entries = payload.get("entries")
     if not isinstance(entries, dict) or not _NUMBER_TYPES.issuperset(map(type, entries.values())):
         raise ItemError("no entries object of log-probabilities")
-    return p_yes(entries, mode=mode)
+    return Judgement(source, target, cos, p_yes(entries, mode=softmax_mode))
+
+
+def _classify(provider: Provider, head: list[Message], a: str, b: str) -> dict:
+    """One provider call for the pair whose concept blocks are ``a`` and ``b``;
+    its message list is built here, on a miss only."""
+    return {"entries": provider.classify_first_token(
+        [*head, {"role": "user", "content": a + "\n\n" + b}])}
 
 
 def _blocks(heading: str, iris: set[str], onto: Ontology) -> dict[str, tuple[str, str]]:
@@ -265,10 +254,12 @@ def judge_candidates(
 
     Pairs whose concepts are missing from either ontology are skipped with a
     warning. ``limit`` bounds the number of pairs judged (for smoke runs).
-    Each concept's block is rendered and escaped once; a ``PromptFrame`` keys each pair.
+    Each concept's block is rendered and escaped once; a ``PromptFrame`` keys each pair,
+    and a pair's message list is built only when it is sent to the provider.
     ``cache.serve`` judges cached pairs on the calling thread and the others on up
     to ``max_workers`` threads. Pairs with the same prompt share one provider
-    call.
+    call. A pair whose answer cannot be used, fresh or after a recompute,
+    raises its ``ItemError``.
     """
     def pairs():  # read three times rather than held as a list: 64 bytes of tuple a pair
         return itertools.islice(
@@ -288,11 +279,9 @@ def judge_candidates(
             if a is None or b is None:
                 logger.warning("skipping pair (%s, %s): concept missing", src, tgt)
                 continue
-            prompt = Prompt([*head, {"role": "user", "content": a[0] + "\n\n" + b[0]}],
-                            frame.digest(a[1] + separator + b[1]))
-            yield prompt.digest, functools.partial(
-                judge_pair, prompt, src, tgt, sim, provider, cache, softmax_mode
-            )
+            yield (frame.digest(a[1] + separator + b[1]),
+                   functools.partial(_classify, provider, head, a[0], b[0]),
+                   functools.partial(judge_pair, src, tgt, sim, softmax_mode))
 
     results, served = cache.serve("judge", jobs(), max_workers)
     logger.info(

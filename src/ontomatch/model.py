@@ -150,13 +150,24 @@ def concept_context(concept: Concept, ontology: Ontology) -> ContextBlock:
     )
 
 
+def _lines(fp: IO[str]) -> Iterator[tuple[int, str]]:
+    """``fp``'s lines, numbered from 1; text that is not UTF-8 raises
+    ``OntologyParseError`` naming the file."""
+    try:
+        yield from enumerate(fp, start=1)
+    except UnicodeDecodeError as e:
+        name = getattr(fp, "name", "input")
+        raise OntologyParseError(f"{name} is not UTF-8 text: {e.reason}") from e
+
+
 def read_tsv_rows(fp: IO[str], what: str, columns: int, parse: Callable[[list[str]], T],
                   at_least: bool = False) -> Iterator[T]:
     """``parse`` of each row of a TSV: blank lines and a first-line header
     whose first column is ``SrcEntity`` are skipped. A row with other than
     ``columns`` columns (fewer, when ``at_least``), or one ``parse`` rejects
-    with ``ValueError``, raises ``OntologyParseError`` naming its line."""
-    for lineno, line in enumerate(fp, start=1):
+    with ``ValueError``, raises ``OntologyParseError`` naming its line; text
+    that is not UTF-8 raises it naming the file."""
+    for lineno, line in _lines(fp):
         line = line.rstrip("\n")
         if not line:
             continue
@@ -216,10 +227,11 @@ def _strings(row: dict, key: str, lineno: int) -> list[str]:
 def read_concept_jsonl(fp: IO[str]) -> Ontology:
     """Parse the JSONL interchange format into an Ontology.
 
-    Raises OntologyParseError with the 1-based line number on malformed input.
+    Raises OntologyParseError with the 1-based line number on malformed
+    input, or naming the file when its text is not UTF-8.
     """
     onto = Ontology()
-    for lineno, line in enumerate(fp, start=1):
+    for lineno, line in _lines(fp):
         if not line.strip():
             continue
         try:

@@ -649,10 +649,11 @@ class Pipeline:
     ) -> dict[str, str]:
         """Run the listed stages in pipeline order (defaults to all,
         including eval only when a reference is configured), once every
-        input file they read is there. A stage reuses an artifact parse an
-        earlier stage of this run made of the same bytes; a parse is dropped
-        after the last listed stage whose row reads its artifact. An unknown
-        stage name raises ValueError before anything is written."""
+        input file they read is there and neither ``out_dir`` nor
+        ``cache_dir`` is a file or lies under one. A stage reuses an artifact
+        parse an earlier stage of this run made of the same bytes; a parse is
+        dropped after the last listed stage whose row reads its artifact. An
+        unknown stage name raises ValueError before anything is written."""
         if stages is None:
             stages = [s for s in STAGES if s != "eval" or self.config.reference]
         unknown = [s for s in stages if s not in STAGE_TABLE]
@@ -663,6 +664,10 @@ class Pipeline:
             path = getattr(self.config, name)
             if path is not None and not Path(path).is_file():
                 raise ConfigError(f"{name} {path!r} is not a file")
+        for name in ("out_dir", "cache_dir"):
+            path = getattr(self.config, name)
+            if any(p.exists() and not p.is_dir() for p in (Path(path), *Path(path).parents)):
+                raise ConfigError(f"{name} {path!r} is a file or lies under one")
         if any(STAGE_TABLE[stage].model for stage in ordered):
             self.provider  # a bad provider spec fails here, before any stage writes
         self.out_dir.mkdir(parents=True, exist_ok=True)

@@ -22,7 +22,7 @@ import logging
 import os
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, NamedTuple, Protocol, Sequence, get_type_hints
+from typing import Callable, Protocol, Sequence, get_type_hints
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "HttpProvider",
     "HttpProviderConfig",
     "make_provider",
-    "Prompt",
     "PromptFrame",
     "validate_messages",
 ]
@@ -121,14 +120,6 @@ class PromptFrame:
         h = self._head.copy()
         h.update(body.encode("utf-8") + self._tail)
         return h.hexdigest()
-
-
-class Prompt(NamedTuple):
-    """A rendered prompt and its ``PromptFrame`` digest, which keys its cache
-    entry. ``judge_candidates`` and ``enrich_ontology`` build them."""
-
-    messages: list[Message]
-    digest: str
 
 
 class Provider(Protocol):

@@ -1,6 +1,7 @@
 """Shared fixtures: fixture paths, toy pipeline configs, counting and
-argument-digesting providers, an empty response cache, and a raw writer and
-readers of cache logs."""
+argument-digesting providers, an empty response cache, a cache that records
+the prompt of each entry it computes, and a raw writer and readers of cache
+logs."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import json
 import math
 import os
 import struct
+import threading
 import zlib
 from dataclasses import asdict
 from pathlib import Path
@@ -102,6 +104,49 @@ class CountingProvider:
     def classify_first_token(self, messages):
         self.classify_calls += 1
         return self.inner.classify_first_token(messages)
+
+
+class RecordingCache(ResponseCache):
+    """A ``ResponseCache`` that knows which entry each thread is looking up,
+    as ``TracedCache`` watches ``get_or_compute``: ``key()`` is the ``(kind,
+    digest)`` of this thread's ``get_or_compute`` call, which on a miss
+    computes and accepts the entry. A provider wrapped by ``provider()``
+    records each chat call's messages in ``prompts`` under that key."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.prompts: dict[tuple[str, str], list[dict]] = {}
+        self._looking_up = threading.local()
+
+    def get_or_compute(self, kind, digest, compute):
+        self._looking_up.key = kind, digest
+        try:
+            return super().get_or_compute(kind, digest, compute)
+        finally:
+            self._looking_up.key = None
+
+    def key(self) -> tuple[str, str] | None:
+        return getattr(self._looking_up, "key", None)
+
+    def provider(self, inner) -> CountingProvider:
+        return _RecordingProvider(inner, self)
+
+
+class _RecordingProvider(CountingProvider):
+    """``CountingProvider`` that records each chat call's messages in its
+    ``RecordingCache``'s ``prompts``, under the entry being looked up."""
+
+    def __init__(self, inner, cache: RecordingCache):
+        super().__init__(inner)
+        self.cache = cache
+
+    def generate(self, messages, params):
+        self.cache.prompts[self.cache.key()] = messages
+        return super().generate(messages, params)
+
+    def classify_first_token(self, messages):
+        self.cache.prompts[self.cache.key()] = messages
+        return super().classify_first_token(messages)
 
 
 class DigestProvider:

@@ -1,7 +1,8 @@
 """Content-addressed response cache: the log format, round-trips,
-corruption, bad blocks, get-or-compute, fetch, batches, and the atomic writer
+corruption, bad blocks, get-or-compute, the per-job accept rule, batches, and the atomic writer
 every artifact goes through."""
 
+import functools
 import hashlib
 import json
 import os
@@ -15,7 +16,7 @@ import ontomatch.cache as cache_module
 from ontomatch.cache import BLOCK_ENTRIES, ResponseCache, atomic_open
 from ontomatch.definitions import _accept_definition
 from ontomatch.errors import ItemError
-from ontomatch.judge import _accept_judgement
+from ontomatch.judge import judge_pair
 
 from conftest import append_raw_entry, block_digests, log_blocks
 
@@ -152,14 +153,20 @@ def test_get_or_compute_returns_written_record_without_reading_back(tmp_path, mo
     assert got == real_get("judge", "d1")
 
 
-# Each kind with the accept its per-item function hands ``fetch``, a usable
-# payload, and an unusable one that is still a JSON object.
+# Each kind with the accept its batch function hands ``serve``, a usable
+# payload, and an unusable one that is still a JSON object. The ``fetch``
+# tests keep the name of the method whose rule is now serve's per-job step;
+# each is a one-job ``serve`` batch.
 FETCH_KINDS = {
     "define": (_accept_definition, {"text": "A definition."},
                {"text": "first para.\n\nsecond para."}),
-    "judge": (lambda payload: _accept_judgement(payload, "pair"),
+    "judge": (functools.partial(judge_pair, "s", "t", 0.5, "pair"),
               {"entries": {"YES": -0.001, "NO": -7.0}}, {"entries": {"MAYBE": -0.1}}),
 }
+
+
+def _one_job(cache, kind, compute, accept):
+    return cache.serve(kind, iter([("d1", compute, accept)]), max_workers=1)
 
 
 @pytest.mark.parametrize("kind", sorted(FETCH_KINDS))
@@ -172,8 +179,8 @@ def test_fetch_recomputes_a_stored_payload_it_rejects_once_with_one_warning(tmp_
     records = sum(map(len, block_digests(log)))
     computed = []
     with caplog.at_level("WARNING"):
-        got = cache.fetch(kind, "d1", lambda: computed.append(1) or good, accept)
-    assert got == accept(good)
+        got = _one_job(cache, kind, lambda: computed.append(1) or good, accept)
+    assert got == ([accept(good)], 0)
     assert computed == [1]
     assert [r.getMessage() for r in caplog.records] == [
         f"recomputing unusable cache entry d1 of {log}: {_rejection(accept, unusable)}"]
@@ -186,7 +193,7 @@ def test_fetch_never_stores_a_fresh_payload_it_rejects(tmp_path, kind):
     accept, _, unusable = FETCH_KINDS[kind]
     cache = ResponseCache(tmp_path / "cache")
     with pytest.raises(ItemError):
-        cache.fetch(kind, "d1", lambda: unusable, accept)
+        _one_job(cache, kind, lambda: unusable, accept)
     assert not cache.stored(kind)
     assert not (tmp_path / "cache").exists()
 
@@ -201,7 +208,8 @@ def test_fetch_serves_a_usable_stored_payload_without_computing(tmp_path, caplog
         raise AssertionError("a usable stored payload was computed again")
 
     with caplog.at_level("WARNING"):
-        assert ResponseCache(tmp_path / "cache").fetch(kind, "d1", compute, accept) == accept(good)
+        got = _one_job(ResponseCache(tmp_path / "cache"), kind, compute, accept)
+    assert got == ([accept(good)], 1)
     assert not caplog.records
     assert (tmp_path / "cache" / f"{kind}.log").read_bytes() == log
 
@@ -432,23 +440,33 @@ def test_a_load_resyncs_past_false_block_starts(tmp_path, caplog):
 
 
 def test_a_batch_put_is_read_from_memory_and_written_by_the_batch_end(tmp_path):
+    """The first job computes its entry on the pool; its duplicate then reads
+    that entry from memory on the calling thread, before the log exists."""
     cache = ResponseCache(tmp_path / "cache")
     log = tmp_path / "cache" / "define.log"
 
-    def job():
-        cache.put("define", "d1", {"text": "A définition."})
-        assert cache.get("define", "d1") == {"text": "A définition."}
+    def compute():
         with pytest.raises(TypeError):
             cache.put("define", "d2", {"text": object()})
         with pytest.raises(RuntimeError, match="already running"):
             cache.serve("define", iter([]), max_workers=1)
+        return {"text": "A définition."}
+
+    def read_back(payload):
+        assert payload == cache.get("define", "d1") == {"text": "A définition."}
         assert not log.exists()
         return "done"
 
-    # The job puts without computing, so it counts as served.
-    assert cache.serve("define", iter([("d1", job)]), max_workers=1) == (["done"], 1)
+    jobs = iter([("d1", compute, lambda payload: "done"), ("d1", _unreachable, read_back)])
+    # The first job computes, so it counts as sent to the provider; the
+    # duplicate reads what it stored, so it counts as served.
+    assert cache.serve("define", jobs, max_workers=1) == (["done", "done"], 1)
     assert block_digests(log) == [["d1"]]
     assert ResponseCache(tmp_path / "cache").get("define", "d1") == {"text": "A définition."}
+
+
+def _unreachable() -> dict:
+    raise AssertionError("a stored entry was computed again")
 
 
 def test_a_batch_that_puts_nothing_starts_no_thread(tmp_path, monkeypatch):
@@ -459,7 +477,7 @@ def test_a_batch_that_puts_nothing_starts_no_thread(tmp_path, monkeypatch):
     cache.put("define", "d1", {"text": "def"})
     size = (tmp_path / "cache" / "define.log").stat().st_size
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    jobs = iter([("d1", lambda: cache.get("define", "d1"))])
+    jobs = iter([("d1", _unreachable, lambda payload: payload)])
     assert cache.serve("define", jobs, max_workers=4) == ([{"text": "def"}], 1)
     assert (tmp_path / "cache" / "define.log").stat().st_size == size
     assert cache.serve("judge", iter([]), max_workers=4) == ([], 0)
@@ -470,7 +488,8 @@ def test_a_batch_appends_full_blocks_in_commit_order_and_the_rest_at_its_end(tmp
     """A block is appended at the commit that fills it; the end of serve
     appends the open block and then what was never committed, by digest. The
     jobs' entries are put, in reverse, before the first job is read, so each
-    job is a hit that runs on the calling thread and is committed at once."""
+    job is a hit that runs on the calling thread and is committed at once.
+    One miss fails, so it stores nothing and commits nothing."""
     cache = ResponseCache(tmp_path / "cache")
     log = tmp_path / "cache" / "judge.log"
     digests = [f"d{i:03d}" for i in range(BLOCK_ENTRIES + 3)]
@@ -481,15 +500,21 @@ def test_a_batch_appends_full_blocks_in_commit_order_and_the_rest_at_its_end(tmp
         cache.put("judge", "z-never-committed", {"p_yes": 0.5})
         cache.put("judge", "a-never-committed", {"p_yes": 0.5})
         for digest in digests[:-1]:
-            yield digest, lambda: None
+            yield digest, _unreachable, none
             assert log.exists() == (digest >= digests[BLOCK_ENTRIES - 1])
-        yield "not-put", lambda: None  # a miss whose job puts nothing
-        yield digests[-1], lambda: None
-        yield digests[-1], lambda: None  # a second commit finds nothing parked
+        yield "not-put", fail, none  # a miss whose job puts nothing
+        yield digests[-1], _unreachable, none
+        yield digests[-1], _unreachable, none  # a second commit finds nothing parked
 
-    # No job computes, so all of them count as served, the miss too.
-    assert cache.serve("judge", jobs(), max_workers=1) == ([None] * (len(digests) + 2),
-                                                           len(digests) + 2)
+    def none(payload):
+        return None
+
+    def fail():
+        raise ItemError("no answer")
+
+    # Every hit counts as served; the failed miss does not.
+    assert cache.serve("judge", jobs(), max_workers=1, on_error=lambda index, error: None) == (
+        [None] * (len(digests) + 2), len(digests) + 1)
     assert block_digests(log) == [
         digests[:BLOCK_ENTRIES], [*digests[BLOCK_ENTRIES:], "a-never-committed", "z-never-committed"]]
 
@@ -507,7 +532,7 @@ def test_a_failed_append_raises_at_the_commit_that_fills_a_block(tmp_path, monke
         for i in range(BLOCK_ENTRIES):
             cache.put("judge", f"d{i}", {"p_yes": 0.5})
         for i in range(BLOCK_ENTRIES):
-            yield f"d{i}", lambda: None
+            yield f"d{i}", _unreachable, lambda payload: None
             collected.append(i)
 
     with pytest.raises(OSError, match="cannot append"):
@@ -529,8 +554,8 @@ def test_a_raising_batch_logs_a_failed_append_and_keeps_its_own_error(tmp_path, 
     monkeypatch.setattr(cache_module, "_append", refuse)
     with caplog.at_level("ERROR", logger="ontomatch.cache"):
         with pytest.raises(KeyError, match="the job's own"):
-            cache.serve("judge", iter([("d0", fail)]), max_workers=1)
+            cache.serve("judge", iter([("d0", fail, lambda payload: None)]), max_workers=1)
     assert any("cannot append" in m for m in caplog.messages)
     with pytest.raises(OSError, match="cannot append"):
-        jobs = iter([("d1", lambda: cache.put("judge", "d1", {"p_yes": 0.5}))])
+        jobs = iter([("d1", lambda: {"p_yes": 0.5}, lambda payload: None)])
         cache.serve("judge", jobs, max_workers=1)

@@ -38,7 +38,7 @@ from ontomatch.cache import ResponseCache
 from ontomatch.pipeline import Pipeline, make_provider
 from ontomatch.providers import SamplingParams
 
-from conftest import GOLDEN_DIR, toy_config
+from conftest import GOLDEN_DIR, RecordingCache, toy_config
 from oracles import reference_prompt_digest
 
 GOLDEN = GOLDEN_DIR / "cache_keys.json"
@@ -91,23 +91,15 @@ def test_a_cold_toy_run_writes_the_pinned_cache_keys_and_bytes(tmp_path, case):
 
 def cold_toy_prompts(tmp_path: Path) -> list[str]:
     """Each distinct define and judge prompt of a cold run of the default
-    case, as it reached the per-item call, in (kind, key) order: one JSON
-    line of its kind, key and messages each."""
-    prompts = {}
-
-    def recording(kind, call):
-        def record(prompt, *args, **kwargs):
-            prompts[kind, prompt.digest] = prompt.messages
-            return call(prompt, *args, **kwargs)
-        return record
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(definitions_module, "generate_definition",
-                      recording("define", definitions_module.generate_definition))
-        patch.setattr(judge_module, "judge_pair", recording("judge", judge_module.judge_pair))
-        Pipeline(toy_config(tmp_path, **CASES["default"])).run()
-    return [json.dumps({"kind": kind, "key": key, "messages": prompts[kind, key]},
-                       ensure_ascii=False, sort_keys=True) for kind, key in sorted(prompts)]
+    case, as it reached the provider, in (kind, key) order: one JSON line of
+    its kind, key and messages each."""
+    config = toy_config(tmp_path, **CASES["default"])
+    cache = RecordingCache(config.cache_dir)
+    pipeline = Pipeline(config, provider=cache.provider(make_provider(config)))
+    pipeline.cache = cache
+    pipeline.run()
+    return [json.dumps({"kind": kind, "key": key, "messages": cache.prompts[kind, key]},
+                       ensure_ascii=False, sort_keys=True) for kind, key in sorted(cache.prompts)]
 
 
 def test_a_cold_toy_run_renders_the_pinned_prompts_under_their_keys(tmp_path):

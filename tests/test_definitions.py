@@ -1,5 +1,6 @@
 """Definition prompts, generation with caching, and embedding text layout."""
 
+import json
 import threading
 from dataclasses import replace
 
@@ -14,14 +15,13 @@ from ontomatch.definitions import (
     build_definition_prompt,
     build_embedding_text,
     enrich_ontology,
-    generate_definition,
     truncate_words,
 )
 from ontomatch.errors import ItemError
 from ontomatch.model import Concept, ContextBlock, Ontology, concept_context, read_concept_jsonl
 from ontomatch.providers import MockProvider, PromptFrame, SamplingParams
 
-from conftest import TOY_DIR, CountingProvider, append_raw_entry, golden_text
+from conftest import TOY_DIR, CountingProvider, RecordingCache, append_raw_entry, golden_text
 from oracles import reference_prompt_digest
 
 SNOMED_LABEL = "Product containing only betamethasone and calcipotriol (medicinal product)"
@@ -393,34 +393,29 @@ def test_enrich_ontology_keys_each_concept_as_the_reference_digest(tmp_path, mon
                                                                    params):
     """One ``PromptFrame`` per call keys every concept exactly as the whole
     cache-key JSON, encoded independently, would."""
-    frames, prompts = [], {}
+    frames = []
 
     class SpyFrame(PromptFrame):
         def __init__(self, *args, **kwargs):
             frames.append(self)
             super().__init__(*args, **kwargs)
 
-    def spy_generate(prompt, iri, *args, **kwargs):
-        prompts[iri] = prompt
-        return generate_definition(prompt, iri, *args, **kwargs)
-
     monkeypatch.setattr(definitions_module, "PromptFrame", SpyFrame)
-    monkeypatch.setattr(definitions_module, "generate_definition", spy_generate)
-    provider, cache = MockProvider(), ResponseCache(tmp_path / "cache")
+    cache = RecordingCache(tmp_path / "cache")
+    provider = cache.provider(MockProvider())
     names = ('src "A" \\ \n', "tgt – Ω")
     for call, (name, other) in enumerate((names, names[::-1]), start=1):
         onto = _awkward_ontology()
-        expected = {
-            c.iri: build_definition_prompt(concept_context(c, onto), name, other)
-            for c in onto.values()
-        }
-        prompts.clear()
+        expected = [
+            build_definition_prompt(concept_context(c, onto), name, other) for c in onto.values()
+        ]
+        cache.prompts.clear()
         assert enrich_ontology(onto, (name, other), provider, cache, params=params) == len(AWKWARD)
         assert len(frames) == call
-        assert {iri: p.messages for iri, p in prompts.items()} == expected
-        for prompt in prompts.values():
-            assert prompt.digest == reference_prompt_digest(
-                "define", TEMPLATE_VERSION, provider.chat_model_id, prompt.messages, params)
+        assert sorted(cache.prompts.values(), key=json.dumps) == sorted(expected, key=json.dumps)
+        for (kind, key), messages in cache.prompts.items():
+            assert key == reference_prompt_digest(
+                kind, TEMPLATE_VERSION, provider.chat_model_id, messages, params)
     assert len(set(cache.stored("define"))) == 2 * len(AWKWARD)
 
 

@@ -1,6 +1,7 @@
 """Equivalence judging: prompt layout, YES-probability math, judgement IO."""
 
 import io
+import json
 import math
 import random
 import re
@@ -36,7 +37,7 @@ from ontomatch.model import (
 from ontomatch.pipeline import PipelineConfig
 from ontomatch.providers import MockProvider
 
-from conftest import TOY_DIR, CountingProvider, append_raw_entry, golden_text
+from conftest import TOY_DIR, CountingProvider, RecordingCache, append_raw_entry, golden_text
 from oracles import (
     NO_FORMS, YES_FORMS, Unscorable, reference_p_yes, reference_prompt_digest, two_pass_p_yes,
 )
@@ -503,25 +504,18 @@ def test_judge_candidates_prompts_equal_build_judgement_prompt_for_every_pair(tm
     candidates = {
         s: [(t, 0.5) for t in targets[i % 7::7]] for i, s in enumerate(sorted(src))
     }
-    judged = []
-    real_judge_pair = judge_module.judge_pair
-
-    def recording_judge_pair(prompt, source, target, *args):
-        judged.append((source, target, prompt))
-        return real_judge_pair(prompt, source, target, *args)
-
-    monkeypatch.setattr(judge_module, "judge_pair", recording_judge_pair)
-    provider = MockProvider()
-    out = judge_candidates(candidates, src, tgt, provider, ResponseCache(tmp_path / "cache"),
-                           shots=shots)
-    assert len(judged) == len(out) == sum(map(len, candidates.values()))
-    assert ("http://s#Awkward", "http://t#Awkward") in {(s, t) for s, t, _ in judged}
-    for source, target, prompt in judged:
-        a = concept_context(src[source], src)
-        b = concept_context(tgt[target], tgt)
-        assert prompt.messages == build_judgement_prompt(a, b, shots)
-        assert prompt.digest == reference_prompt_digest(
-            "judge", JUDGE_TEMPLATE_VERSION, provider.chat_model_id, prompt.messages)
+    cache = RecordingCache(tmp_path / "cache")
+    provider = cache.provider(MockProvider())
+    out = judge_candidates(candidates, src, tgt, provider, cache, shots=shots)
+    expected = [build_judgement_prompt(concept_context(src[s], src), concept_context(tgt[t], tgt),
+                                       shots)
+                for s, targets_of_s in candidates.items() for t, _ in targets_of_s]
+    assert len(cache.prompts) == len(out) == len(expected)
+    assert ("http://s#Awkward", "http://t#Awkward") in {(j.source, j.target) for j in out}
+    assert sorted(cache.prompts.values(), key=json.dumps) == sorted(expected, key=json.dumps)
+    for (kind, key), messages in cache.prompts.items():
+        assert key == reference_prompt_digest(
+            kind, JUDGE_TEMPLATE_VERSION, provider.chat_model_id, messages)
 
 
 # -- cache routing: hits on the calling thread, misses in the pool -------------

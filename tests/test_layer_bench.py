@@ -250,8 +250,7 @@ ENTRY = {"entries": {"YES": -0.001, "NO": -7.0}}
 
 def _fill(cache: ResponseCache) -> list[dict]:
     """4000 judge entries put inside one ``serve``, as a cold judge batch puts them."""
-    jobs = ((_digest(i), lambda d=_digest(i): cache.get_or_compute("judge", d, lambda: ENTRY))
-            for i in range(4000))
+    jobs = ((_digest(i), lambda: ENTRY, lambda payload: payload) for i in range(4000))
     results, served = cache.serve("judge", jobs, max_workers=2)
     assert served == 0
     return results

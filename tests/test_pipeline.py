@@ -53,6 +53,7 @@ from conftest import (
     TOY_DIR,
     CountingProvider,
     DigestProvider,
+    RecordingCache,
     append_raw_entry,
     block_digests,
     log_blocks,
@@ -1254,16 +1255,20 @@ def test_softmax_mode_full_scores_each_pair_on_its_whole_cached_distribution(tmp
     ``pair`` run's."""
     keys = {}
     judge_pair = judge_module.judge_pair
-
-    def recording_judge_pair(prompt, source, target, *args):
-        keys[source, target] = prompt.digest
-        return judge_pair(prompt, source, target, *args)
-
-    monkeypatch.setattr(judge_module, "judge_pair", recording_judge_pair)
     printed = {}
     for mode in ("full", "pair"):
         config = toy_config(tmp_path / mode, softmax_mode=mode)
-        Pipeline(config, provider=DigestProvider(config)).run()
+        cache = RecordingCache(config.cache_dir)
+
+        def recording_judge_pair(source, target, *args):
+            # Each pair is judged cold, so its accept runs inside its lookup.
+            keys[source, target] = cache.key()[1]
+            return judge_pair(source, target, *args)
+
+        monkeypatch.setattr(judge_module, "judge_pair", recording_judge_pair)
+        pipeline = Pipeline(config, provider=DigestProvider(config))
+        pipeline.cache = cache
+        pipeline.run()
         rows = (Path(config.out_dir) / "judgements.tsv").read_text(encoding="utf-8")
         printed[mode] = {tuple(row[:2]): row[3]
                          for row in (line.split("\t") for line in rows.splitlines()[1:])}
@@ -2072,6 +2077,51 @@ def test_cli_reports_an_ontology_without_classes_before_ingest_writes(tmp_path):
                                        "--target", str(empty)])
     _assert_one_clean_error(result, f"{empty} has no classes")
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("field", ["out_dir", "cache_dir"])
+def test_an_out_or_cache_dir_that_is_a_file_fails_before_any_provider_call(
+        tmp_path, counting_toy_provider, field, under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n")
+    path = str(blocker / "sub" if under else blocker)
+    config = toy_config(tmp_path, **{field: path})
+    provider = counting_toy_provider(config)
+    with pytest.raises(ConfigError) as exc:
+        Pipeline(config, provider=provider).run()
+    assert str(exc.value) == f"{field} {path!r} is a file or lies under one"
+    assert provider.total_calls == 0
+    assert blocker.read_text() == "a file\n"
+
+
+def test_cli_reports_a_config_cache_dir_under_a_file(tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    config_path = write_config_file(tmp_path, cache_dir=str(blocker / "cache"))
+    result = CliRunner().invoke(main, ["run", "--config", config_path])
+    _assert_one_clean_error(result, f"cache_dir {str(blocker / 'cache')!r} is a file or lies")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval-reference", "eval-predictions", "ingest-source"])
+def test_cli_reports_text_that_is_not_utf8_as_one_error(tmp_path, command):
+    """A Latin-1 byte in a TSV or JSONL input is one ``Error:`` line naming
+    the file, not a traceback."""
+    tsv, jsonl = tmp_path / "latin1.tsv", tmp_path / "latin1.jsonl"
+    tsv.write_bytes(b"SrcEntity\tTgtEntity\nhttp://a#caf\xe9\thttp://b#cafe\n")
+    jsonl.write_bytes(b'{"iri": "http://a#x", "label": "caf\xe9"}\n')
+    config_path = write_config_file(tmp_path)
+    runner = CliRunner()
+    if command == "eval-reference":
+        assert runner.invoke(main, ["run", "--config", config_path]).exit_code == 0
+        args, bad = ["eval", "--config", config_path, "--reference", str(tsv)], tsv
+    elif command == "eval-predictions":
+        args, bad = ["eval", "--predictions", str(tsv),
+                     "--reference", str(TOY_DIR / "reference.tsv")], tsv
+    else:
+        args, bad = ["ingest", "--config", config_path, "--source", str(jsonl)], jsonl
+    _assert_one_clean_error(runner.invoke(main, args), f"{bad} is not UTF-8 text")
 
 
 _BAD_CONFIGS = {

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from operator import itemgetter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -722,13 +723,19 @@ def test_http_explicit_config_ignores_environment(monkeypatch):
 # -- ResponseCache.serve: cache hits inline, misses in a bounded pool -------------
 
 
-def _job(value, ran_on=None):
-    def job():
+def _job(digest, value, ran_on=None):
+    """A ``(digest, compute, accept)`` job whose payload is ``{"value": value}``
+    and whose result is ``value``; ``ran_on`` records the thread of each accept."""
+    def accept(payload):
         if ran_on is not None:
             ran_on.append((value, threading.get_ident()))
-        return value
+        return payload["value"]
 
-    return job
+    return digest, lambda: {"value": value}, accept
+
+
+def _text(payload):
+    return payload["text"]
 
 
 def test_serve_bounds_jobs_in_flight_and_keeps_order(cache):
@@ -743,7 +750,7 @@ def test_serve_bounds_jobs_in_flight_and_keeps_order(cache):
     def jobs():
         for i in range(20):
             pulled.append(i)
-            yield f"d{i}", lambda i=i: wait_then(i)
+            yield f"d{i}", lambda i=i: {"value": wait_then(i)}, itemgetter("value")
 
     consumer = threading.Thread(
         target=lambda: out.update(result=cache.serve("judge", jobs(), max_workers=2))
@@ -756,8 +763,8 @@ def test_serve_bounds_jobs_in_flight_and_keeps_order(cache):
     release.set()
     consumer.join(timeout=30)
     assert not consumer.is_alive()
-    # The jobs compute nothing through the cache, so all of them count as served.
-    assert out["result"] == (list(range(20)), 20)
+    # Every job computes its entry, so none counts as served.
+    assert out["result"] == (list(range(20)), 0)
 
 
 def test_serve_makes_no_threads_when_every_job_is_cached(tmp_path, monkeypatch):
@@ -770,11 +777,11 @@ def test_serve_makes_no_threads_when_every_job_is_cached(tmp_path, monkeypatch):
 
     cache = ResponseCache(tmp_path / "cache")
     for i in range(5):
-        cache.put("define", f"d{i}", {"text": str(i)})
+        cache.put("define", f"d{i}", {"value": i})
     monkeypatch.setattr("ontomatch.cache.ThreadPoolExecutor", refuse)
     monkeypatch.setattr(threading.Thread, "start", refuse_thread)
     ran_on = []
-    jobs = ((f"d{i}", _job(i, ran_on)) for i in range(5))
+    jobs = (_job(f"d{i}", i, ran_on) for i in range(5))
     assert cache.serve("define", jobs, max_workers=8) == ([0, 1, 2, 3, 4], 5)
     assert {thread for _, thread in ran_on} == {threading.get_ident()}
 
@@ -782,18 +789,9 @@ def test_serve_makes_no_threads_when_every_job_is_cached(tmp_path, monkeypatch):
 def test_serve_interleaves_hits_and_misses_in_job_order(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     for i in range(0, 10, 3):
-        cache.put("judge", f"d{i}", {"entries": {}})
+        cache.put("judge", f"d{i}", {"value": i})
     ran_on = []
-
-    def job(i):
-        def run():
-            ran_on.append((i, threading.get_ident()))
-            cache.get_or_compute("judge", f"d{i}", lambda: {"entries": {}})
-            return i
-
-        return run
-
-    jobs = ((f"d{i}", job(i)) for i in range(10))
+    jobs = (_job(f"d{i}", i, ran_on) for i in range(10))
     assert cache.serve("judge", jobs, max_workers=2) == (list(range(10)), 4)
     here = threading.get_ident()
     assert sorted(i for i, thread in ran_on if thread == here) == [0, 3, 6, 9]
@@ -811,14 +809,14 @@ def test_serve_runs_a_duplicate_of_a_queued_job_on_the_calling_thread(cache):
         release.wait(timeout=30)
         return {"text": "shared"}
 
-    def job():
+    def accept(payload):
         ran_on.append(threading.get_ident())
-        return cache.get_or_compute("define", "d0", compute)["text"]
+        return payload["text"]
 
     def jobs():
         for _ in range(4):
             held.append(not release.is_set())
-            yield "d0", job
+            yield "d0", compute, accept
 
     timer = threading.Timer(0.2, release.set)
     timer.start()
@@ -838,8 +836,8 @@ def _serve_under_threads(cache: ResponseCache, good: frozenset[str] = frozenset(
     """Serve 400 jobs over 40 digests, drawn with near and far repeats, on 8
     workers with threads switched often. ``good`` digests are stored before,
     so they are never computed; every other digest is computed exactly once
-    and its entry is in the log when serve returns, and every job that
-    computed nothing counts as served. ``unusable`` names the digests stored
+    and its entry is in the log when serve returns, and every job whose
+    stored entry was accepted counts as served. ``unusable`` names the digests stored
     with an entry that cannot be read."""
     rng = random.Random(7)
     digests = [f"d{rng.randrange(40)}" for _ in range(400)]
@@ -854,10 +852,7 @@ def _serve_under_threads(cache: ResponseCache, good: frozenset[str] = frozenset(
             return {"text": digest}
         return compute
 
-    jobs = (
-        (d, lambda d=d: cache.get_or_compute("judge", d, compute_for(d))["text"])
-        for d in digests
-    )
+    jobs = ((d, compute_for(d), _text) for d in digests)
     out = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -894,6 +889,52 @@ def test_serve_under_threads_serves_stored_entries_and_recomputes_unusable_ones(
     _serve_under_threads(cache, good, unusable)
 
 
+def test_serve_counts_exactly_while_another_thread_computes_another_kind(cache):
+    """An entry of another kind computed on another thread while the batch
+    runs is not counted against the batch: its served count is its own."""
+    for i in range(3):
+        cache.put("judge", f"d{i}", {"value": i})
+
+    def accept(payload):
+        other = threading.Thread(target=cache.get_or_compute,
+                                 args=("define", "x", lambda: {"text": "x"}))
+        other.start()
+        other.join()
+        return payload["value"]
+
+    jobs = ((f"d{i}", _unreachable, accept) for i in range(3))
+    assert cache.serve("judge", jobs, max_workers=2) == ([0, 1, 2], 3)
+    assert ResponseCache(cache.root).get("define", "x") == {"text": "x"}
+
+
+def test_serve_puts_an_on_error_result_in_the_failed_jobs_slot(cache, caplog):
+    """A miss whose call fails, and a stored entry that is rejected and whose
+    recompute fails, each take ``on_error``'s result in their own slot and
+    count as sent to the provider; nothing is stored for them."""
+    cache.put("judge", "d0", {"value": 0})
+    cache.put("judge", "d2", {"value": 2})
+
+    def fail():
+        raise ItemError("backend down")
+
+    def reject(payload):
+        raise ItemError("unusable")
+
+    jobs = iter([_job("d0", 0), ("d1", fail, _text), ("d2", fail, reject), _job("d3", 3)])
+    with caplog.at_level("WARNING", logger="ontomatch.cache"):
+        got = cache.serve("judge", jobs, max_workers=2,
+                          on_error=lambda index, error: (index, str(error)))
+    assert got == ([0, (1, "backend down"), (2, "backend down"), 3], 1)
+    assert sum("recomputing unusable cache entry d2" in m for m in caplog.messages) == 1
+    fresh = ResponseCache(cache.root)
+    assert fresh.stored("judge") == {"d0", "d2", "d3"}
+    assert fresh.get("judge", "d2") == {"value": 2}
+
+
+def _unreachable() -> dict:
+    raise AssertionError("a stored entry was computed again")
+
+
 def test_serve_reads_its_own_writes_before_they_are_appended(tmp_path):
     """Nothing is appended while the jobs run. A duplicate is served from
     the entry its original put, with no second compute, and serve returns
@@ -908,13 +949,13 @@ def test_serve_reads_its_own_writes_before_they_are_appended(tmp_path):
             computed[digest] += 1
             return {"text": digest}
 
-        def run():
+        def accept(payload):
             on_disk.append(log.exists())
-            return cache.get_or_compute("judge", digest, compute)["text"]
-        return run
+            return payload["text"]
+        return digest, compute, accept
 
     digests = ["d0", "d0", "d1", "d1", "d2"]
-    jobs = ((digest, job(digest)) for digest in digests)
+    jobs = (job(digest) for digest in digests)
     assert cache.serve("judge", jobs, max_workers=2) == (digests, 2)
     assert computed == Counter({"d0": 1, "d1": 1, "d2": 1})
     assert on_disk == [False] * 5
@@ -929,15 +970,15 @@ def test_serve_appends_in_job_order_whatever_order_the_jobs_finish_in(tmp_path):
     digests = [f"d{i:02d}" for i in range(20)]
 
     def job(i, digest):
-        def run():
+        def compute():
             time.sleep((len(digests) - i) * 0.002)
-            return cache.get_or_compute("judge", digest, lambda: {"text": digest})["text"]
-        return run
+            return {"text": digest}
+        return digest, compute, _text
 
     logs = []
     for name in ("first", "second"):
         cache = ResponseCache(tmp_path / name)
-        jobs = ((d, job(i, d)) for i, d in enumerate(digests))
+        jobs = (job(i, d) for i, d in enumerate(digests))
         assert cache.serve("judge", jobs, max_workers=4) == (digests, 0)
         assert block_digests(tmp_path / name / "judge.log") == [digests]
         logs.append((tmp_path / name / "judge.log").read_bytes())
@@ -953,14 +994,11 @@ def test_serve_raises_a_failed_job_over_a_failed_write(tmp_path, monkeypatch, ca
 
     cache = ResponseCache(tmp_path / "cache")
 
-    def job(digest):
-        return lambda: cache.get_or_compute("judge", digest, lambda: {"text": digest})
-
     def fail():
         raise ItemError("backend down")
 
     monkeypatch.setattr(cache_module, "_append", refuse)
-    jobs = [("d0", job("d0")), ("d1", job("d1")), ("d2", fail)]
+    jobs = [_job("d0", 0), _job("d1", 1), ("d2", fail, _text)]
     with caplog.at_level("ERROR", logger="ontomatch.cache"):
         with pytest.raises(ItemError, match="backend down"):
             cache.serve("judge", iter(jobs), max_workers=2)
@@ -986,7 +1024,7 @@ def test_serve_reraises_a_failed_job_after_shutting_the_pool_down(cache, monkeyp
         raise ItemError("backend down")
 
     monkeypatch.setattr("ontomatch.cache.ThreadPoolExecutor", RecordingPool)
-    jobs = [("d0", _job(0)), ("d1", fail), ("d2", _job(2))]
+    jobs = [_job("d0", 0), ("d1", fail, _text), _job("d2", 2)]
     with pytest.raises(ItemError, match="backend down"):
         cache.serve("judge", iter(jobs), max_workers=2)
     assert len(pools) == 1 and pools[0].shut_down
