@@ -14,15 +14,15 @@ torn or corrupt one) is logged and skipped to the next length followed by
 the zlib header that starts every block body. Its entries are computed again
 and appended; its bytes stay, so every load skips them again.
 
-Outside ``serve``, ``put`` appends its entry at once. Inside it (one call per
-stage batch) ``put`` parks the entry in memory, where ``get`` reads it, and
+``put`` appends an entry at once, but one of the kind a ``serve`` (one call
+per stage batch) answers is parked in memory, where ``get`` reads it, and
 ``serve`` moves each job's entry into the open block when it collects that
-job's result, in job order, so equal runs write equal logs whatever order
-the jobs finish in. A full block is appended by the collection that fills
-it, and a failed append raises there. Once the pool has shut down, ``serve``
-appends the open blocks, then the entries never collected, sorted by digest:
-that is the durability point. A run killed inside ``serve`` loses its parked
-entries and one open block, which the next run recomputes.
+job's result, in job order, so equal runs write equal logs whatever order the
+jobs finish in. A full block is appended by the collection that fills it, and
+a failed append raises there. Once the pool has shut down, ``serve`` appends
+the open block, then the entries never collected, sorted by digest: that is
+the durability point. A run killed inside ``serve`` loses its parked entries
+and one open block, which the next run recomputes.
 """
 
 from __future__ import annotations
@@ -108,9 +108,8 @@ class ResponseCache:
         self._lock = threading.Lock()
         # kind -> digest -> payload bytes, from a kind's first use on
         self._entries: dict[str, dict[str, bytes]] = {}
-        # (kind, digest) -> record of each entry put inside ``serve`` and not
-        # yet collected; None outside ``serve``
-        self._parked: dict[tuple[str, str], bytes] | None = None
+        self._serving: str | None = None  # the kind ``serve`` answers; None outside it
+        self._parked: dict[str, bytes] = {}  # digest -> record of its entries not yet collected
 
     def _log(self, kind: str) -> str:
         return os.path.join(self.root, f"{kind}.log")
@@ -178,16 +177,16 @@ class ResponseCache:
 
     def put(self, kind: str, digest: str, payload: dict) -> dict:
         """Store ``payload`` as it is, replacing any entry; returns it. One
-        that is not JSON raises here. Outside ``serve`` the entry is appended
-        before ``put`` returns; inside it the entry is parked until its job is
-        collected."""
+        that is not JSON raises here. The entry is appended before ``put``
+        returns, unless it is of the kind a ``serve`` is answering: then it
+        is parked until its job is collected."""
         data = json.dumps(payload, ensure_ascii=False).encode("utf-8")
         entries = self._load(kind)
         with self._lock:
-            if self._parked is None:
-                self._flush(kind, [_record(digest, data)])
+            if kind == self._serving:
+                self._parked[digest] = _record(digest, data)
             else:
-                self._parked[kind, digest] = _record(digest, data)
+                self._flush(kind, [_record(digest, data)])
             entries[digest] = data
         return payload
 
@@ -226,12 +225,12 @@ class ResponseCache:
         rendered prompts do not pile up. A digest is computed at most once
         per call: a job whose digest matches a queued or running job waits
         for it, then runs on the calling thread and reads the entry that job
-        put. One ``serve`` at a time per cache.
+        put. One ``serve`` at a time per cache; it parks only its kind.
         """
         with self._lock:
-            if self._parked is not None:
+            if self._serving is not None:
                 raise RuntimeError("a cache serve is already running")
-            self._parked = {}
+            self._serving, self._parked = kind, {}
 
         def answer(index: int, digest: str, compute: Callable[[], dict],
                    accept: Callable[[dict], T]) -> tuple[T, bool]:
@@ -266,7 +265,7 @@ class ResponseCache:
         def collect(digest: str) -> None:
             nonlocal block
             with self._lock:
-                record = self._parked.pop((kind, digest), None)
+                record = self._parked.pop(digest, None)
                 if record is not None:
                     block.append(record)
                     if len(block) == BLOCK_ENTRIES:
@@ -304,14 +303,11 @@ class ResponseCache:
             raising = False
         finally:
             with self._lock:
-                parked, self._parked = self._parked, None
-                blocks = {kind: block}
-                for key in sorted(parked):
-                    blocks.setdefault(key[0], []).append(parked[key])
+                parked, self._serving, self._parked = self._parked, None, {}
+                records = block + [parked[digest] for digest in sorted(parked)]
                 try:
-                    for name, records in blocks.items():
-                        if records:
-                            self._flush(name, records)
+                    if records:
+                        self._flush(kind, records)
                 except Exception as exc:
                     if not raising:
                         raise

@@ -29,6 +29,7 @@ from .errors import ItemError, OntologyParseError
 from .model import (
     Concept,
     Ontology,
+    check_iri,
     dedupe_synonyms,
     is_absolute_iri,
     read_concept_jsonl,
@@ -201,6 +202,7 @@ def _parse_owl(fp: IO[bytes], path: Path, skipped_lines: int, label_property: st
                     skipped_axioms += 1
 
     for iri, rc in raw.items():
+        check_iri(iri)
         label = rc.labels[0] if rc.labels else None
         extra_labels = rc.labels[1:]
         descriptions = []
@@ -260,7 +262,7 @@ def parse_ontology(
             fp.seek(start)
             return _parse_owl(fp, path, lines, label_property, synonym_properties)
     if first == b"{":
-        with open(path, "r", encoding="utf-8-sig") as fp:
+        with open(path, "r", encoding="utf-8") as fp:
             return read_concept_jsonl(fp)
     found = f"starts with {first.decode('latin-1')!r}" if first else "is empty"
     raise OntologyParseError(

@@ -8,6 +8,7 @@ Concept identity is the absolute IRI string. The JSONL interchange format
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, fields
 from types import UnionType
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar, get_args, get_origin
@@ -54,8 +55,8 @@ def normalize_string(s: str) -> str:
 
 
 def _fits(value, hint) -> bool:
-    """Whether a JSON value has a type hint's type: an int is a float, a
-    bool is only a bool, and a list's items have the item type."""
+    """Whether a JSON value has a type hint's type: an int or a finite float
+    is a float, a bool is only a bool, and a list's items have the item type."""
     if get_origin(hint) is UnionType:
         return any(_fits(value, h) for h in get_args(hint))
     if get_origin(hint) is list:
@@ -63,7 +64,16 @@ def _fits(value, hint) -> bool:
         return isinstance(value, list) and all(_fits(v, item) for v in value)
     if isinstance(value, bool):
         return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
+    if hint is float:  # json reads NaN, Infinity and -Infinity too
+        return isinstance(value, (int, float)) and float("-inf") < value < float("inf")
+    return isinstance(value, hint)
+
+
+def check_iri(iri: str, line: int | None = None) -> None:
+    """Reject a concept IRI holding a control character (Unicode ``Cc``; a
+    tab or a line break would split a TSV row) with ``OntologyParseError``."""
+    if re.search(r"[\x00-\x1f\x7f-\x9f]", iri):
+        raise OntologyParseError(f"iri holds a control character: {iri!r}", line=line)
 
 
 def check_record(record: dict, hints: dict, what: str = "") -> None:
@@ -151,10 +161,11 @@ def concept_context(concept: Concept, ontology: Ontology) -> ContextBlock:
 
 
 def _lines(fp: IO[str]) -> Iterator[tuple[int, str]]:
-    """``fp``'s lines, numbered from 1; text that is not UTF-8 raises
-    ``OntologyParseError`` naming the file."""
+    """``fp``'s lines, numbered from 1, less a leading UTF-8 BOM; text that
+    is not UTF-8 raises ``OntologyParseError`` naming the file."""
     try:
-        yield from enumerate(fp, start=1)
+        for lineno, line in enumerate(fp, start=1):
+            yield lineno, line.removeprefix("\ufeff") if lineno == 1 else line
     except UnicodeDecodeError as e:
         name = getattr(fp, "name", "input")
         raise OntologyParseError(f"{name} is not UTF-8 text: {e.reason}") from e
@@ -162,11 +173,11 @@ def _lines(fp: IO[str]) -> Iterator[tuple[int, str]]:
 
 def read_tsv_rows(fp: IO[str], what: str, columns: int, parse: Callable[[list[str]], T],
                   at_least: bool = False) -> Iterator[T]:
-    """``parse`` of each row of a TSV: blank lines and a first-line header
-    whose first column is ``SrcEntity`` are skipped. A row with other than
-    ``columns`` columns (fewer, when ``at_least``), or one ``parse`` rejects
-    with ``ValueError``, raises ``OntologyParseError`` naming its line; text
-    that is not UTF-8 raises it naming the file."""
+    """``parse`` of each row of a TSV: a leading UTF-8 BOM, blank lines and a
+    first-line header whose first column is ``SrcEntity`` are skipped. A row
+    with other than ``columns`` columns (fewer, when ``at_least``), or one
+    ``parse`` rejects with ``ValueError``, raises ``OntologyParseError``
+    naming its line; text that is not UTF-8 raises it naming the file."""
     for lineno, line in _lines(fp):
         line = line.rstrip("\n")
         if not line:
@@ -245,6 +256,7 @@ def read_concept_jsonl(fp: IO[str]) -> Ontology:
             raise OntologyParseError("missing or non-string 'iri'", line=lineno)
         if not is_absolute_iri(iri):
             raise OntologyParseError(f"iri is not absolute: {iri!r}", line=lineno)
+        check_iri(iri, lineno)
         if iri in onto:
             raise OntologyParseError(f"duplicate iri {iri!r}", line=lineno)
         label = row.get("label")

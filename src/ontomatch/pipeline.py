@@ -79,9 +79,9 @@ class Stage:
     ``reads`` and ``writes`` are artifacts in the output directory; a stage
     needs all of its ``reads`` before it runs. ``files`` are config fields
     naming input files, which enter the digest by content. ``config`` are
-    the other ``PipelineConfig`` fields the stage reads; a method name stands
-    for its result. ``model`` is the provider attribute holding the model id
-    and ``template`` the module attribute holding the prompt template version.
+    the other ``PipelineConfig`` attributes the stage reads. ``model`` is the
+    provider attribute holding the model id and ``template`` the module
+    attribute holding the prompt template version.
     The input digest covers everything but ``writes``.
     """
 
@@ -111,7 +111,7 @@ STAGE_TABLE: dict[str, Stage] = {
         writes=(*_CONCEPTS, "exact.tsv"),
     ),
     # Under use_definitions=False define writes every definition as null, so
-    # later stages find none to render; shots() drops the examples' own.
+    # later stages find none to render; shots drops the examples' own.
     "define": Stage(
         reads=_CONCEPTS,
         config=("source_name", "target_name", "use_definitions",
@@ -204,7 +204,7 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         try:  # the objects the stages build from these fields check them
             SamplingParams(self.temperature, self.top_p, self.max_tokens)
-            self.shots()
+            self.shots
         except ValueError as e:
             raise ConfigError(str(e)) from e
 
@@ -227,6 +227,7 @@ class PipelineConfig:
             raise ConfigError(f"config in {path} must be a JSON object, got {type(data).__name__}")
         return cls.from_dict(data)
 
+    @property
     def shots(self) -> tuple[FewShotExample, ...]:
         """The judge's few-shot examples, without their definitions under
         ``use_definitions=False``."""
@@ -325,7 +326,7 @@ class StageManifest:
 
 
 class _RowConfig(SimpleNamespace):
-    """A stage row's config values (``shots``: the method's result) and ``_stage``."""
+    """A stage row's config values and ``_stage``."""
 
     def __getattr__(self, name: str):  # only for a name the row does not declare
         raise AttributeError(f"stage {self._stage!r} does not declare config field {name!r} "
@@ -334,10 +335,10 @@ class _RowConfig(SimpleNamespace):
 
 class StageContext:
     """All one stage may read, taken from its ``STAGE_TABLE`` row: ``config``
-    (the row's fields), ``path`` and the ``read``/``write``/``ontology``/
-    ``embeddings`` built on it (the row's artifacts), ``provider`` (only when
-    the row names a model), ``cache`` and ``max_workers``, which sets speed
-    and never output. Anything else raises ``AttributeError``.
+    (the row's config attributes), ``path`` and the ``read``/``write``/
+    ``enriched``/``embeddings`` built on it (the row's artifacts), ``provider``
+    (only when the row names a model), ``cache`` and ``max_workers``, which
+    sets speed and never output. Anything else raises ``AttributeError``.
     ``input_digest`` hashes the same values, so a stage reads only what its
     digest covers.
 
@@ -352,10 +353,8 @@ class StageContext:
                  provider: Provider | None = None, parses: dict | None = None):
         row = STAGE_TABLE[stage]
         self.stage, self._row, self.cache = stage, row, cache
-        self.config = _RowConfig(_stage=stage, **{
-            name: value() if callable(value := getattr(config, name)) else value
-            for name in row.files + row.config
-        })
+        self.config = _RowConfig(_stage=stage, **{name: getattr(config, name)
+                                                  for name in row.files + row.config})
         self.max_workers = config.max_workers
         self._out_dir = Path(config.out_dir)
         self._provider = provider
@@ -599,15 +598,9 @@ class Pipeline:
         self.config = config
         self.out_dir = Path(config.out_dir)
         self.cache = ResponseCache(Path(config.cache_dir))
-        self._provider = provider
+        self.provider = provider if provider is not None else make_provider(config)
         self.manifest = StageManifest(self.out_dir / "manifest.json")
         self._parses: dict | None = None  # the artifact parses of the running run()
-
-    @property
-    def provider(self) -> Provider:
-        if self._provider is None:
-            self._provider = make_provider(self.config)
-        return self._provider
 
     def run_stage(self, stage: str, force: bool = False, limit: int | None = None) -> str:
         """Run one stage; returns 'complete', 'partial', or 'skipped'."""
@@ -619,8 +612,7 @@ class Pipeline:
         for artifact in row.reads:
             if not (self.out_dir / artifact).exists():
                 raise MissingArtifactError(artifact, _PRODUCER[artifact])
-        ctx = StageContext(stage, self.config, self.cache, self.provider if row.model else None,
-                           self._parses)
+        ctx = StageContext(stage, self.config, self.cache, self.provider, self._parses)
         input_digest = ctx.input_digest()
         if not force and self.manifest.can_skip(stage, input_digest, self.out_dir):
             logger.info("stage %s: inputs unchanged, skipping", stage)
@@ -668,8 +660,6 @@ class Pipeline:
             path = getattr(self.config, name)
             if any(p.exists() and not p.is_dir() for p in (Path(path), *Path(path).parents)):
                 raise ConfigError(f"{name} {path!r} is a file or lies under one")
-        if any(STAGE_TABLE[stage].model for stage in ordered):
-            self.provider  # a bad provider spec fails here, before any stage writes
         self.out_dir.mkdir(parents=True, exist_ok=True)
         last_reader = {a: stage for stage in ordered for a in STAGE_TABLE[stage].reads}
         results = {}

@@ -149,7 +149,7 @@ def test_unlabeled_concept_uses_iri_fragment():
 
 def test_no_definitions_config_strips_definition_lines_everywhere():
     a, b = (replace(ctx, definition=None) for ctx in (NERVE_A, NERVE_B))
-    shots = PipelineConfig(few_shot=2, use_definitions=False).shots()
+    shots = PipelineConfig(few_shot=2, use_definitions=False).shots
     assert len(shots) == 2
     messages = build_judgement_prompt(a, b, shots=shots)
     for m in messages:

@@ -51,7 +51,7 @@ def test_warm_judge_candidates_on_toy_pairs(tmp_path, benchmark):
         judge_candidates,
         args=(candidates, source, target, provider),
         kwargs={
-            "shots": config.shots(),
+            "shots": config.shots,
             "cache": cache,
         },
         rounds=3,

@@ -696,7 +696,7 @@ def _pyes_oracle(config: PipelineConfig, cases_path: str) -> tuple[float, dict[s
         if s not in source or t not in target:
             return 0.0
         [judgement] = judge_candidates({s: [(t, 0.0)]}, source, target, provider, cache,
-                                       shots=config.shots(), softmax_mode=config.softmax_mode)
+                                       shots=config.shots, softmax_mode=config.softmax_mode)
         return judgement.p_yes
 
     return _ranking_oracle(cases_path, p_yes)
@@ -1463,14 +1463,14 @@ def _fields_read(read, config: PipelineConfig) -> set[str]:
 
 
 def test_the_config_fields_outside_every_row_are_those_that_set_no_output(tmp_path):
-    """A method a row names (``shots``) covers the fields it reads, and a row
-    that names a model covers the fields ``make_provider`` reads."""
+    """A property a row names (``shots``) covers the fields its getter reads,
+    and a row that names a model covers the fields ``make_provider`` reads."""
     config = toy_config(tmp_path, few_shot=1)
     declared = set()
     for row in STAGE_TABLE.values():
         for name in row.files + row.config:
-            method = getattr(PipelineConfig, name, None)
-            declared |= _fields_read(method, config) if callable(method) else {name}
+            prop = getattr(PipelineConfig, name, None)
+            declared |= _fields_read(prop.fget, config) if isinstance(prop, property) else {name}
         if row.model:
             declared |= _fields_read(make_provider, config)
     fields = {field.name for field in dataclasses.fields(PipelineConfig)}
@@ -1775,18 +1775,18 @@ def test_config_validation(overrides):
 
 
 def test_config_shots_selection():
-    assert PipelineConfig(few_shot=0).shots() == ()
-    assert PipelineConfig(few_shot=2).shots() == DEFAULT_FEW_SHOT
-    assert PipelineConfig(few_shot=1).shots() == DEFAULT_FEW_SHOT[:1]
+    assert PipelineConfig(few_shot=0).shots == ()
+    assert PipelineConfig(few_shot=2).shots == DEFAULT_FEW_SHOT
+    assert PipelineConfig(few_shot=1).shots == DEFAULT_FEW_SHOT[:1]
     with pytest.raises(ConfigError, match="only 2 examples"):
-        PipelineConfig(few_shot=3).shots()
+        PipelineConfig(few_shot=3).shots
 
 
 def test_config_custom_few_shot_examples():
     config = PipelineConfig(few_shot=1, few_shot_examples=[{
         "a": {"label": "x"}, "b": {"label": "y"}, "answer": "NO",
     }])
-    (shot,) = config.shots()
+    (shot,) = config.shots
     assert shot.answer == "NO"
     assert shot.a.label == "x"
 
@@ -2124,12 +2124,76 @@ def test_cli_reports_text_that_is_not_utf8_as_one_error(tmp_path, command):
     _assert_one_clean_error(runner.invoke(main, args), f"{bad} is not UTF-8 text")
 
 
+@pytest.mark.parametrize("case", ["jsonl-tab", "rdfxml-tab", "rdfxml-newline"])
+def test_cli_reports_a_concept_iri_with_a_control_character_before_any_provider_call(
+        tmp_path, monkeypatch, case):
+    """A tab or a line break in a concept IRI would split its row of
+    ``candidates.tsv``: either reader rejects it at ingest, naming the IRI
+    (and, in concept JSONL, its line), before any provider call."""
+    if case == "jsonl-tab":
+        iri, where = "http://example.org/src#S02\tX", " (line 2)"
+        rows = [json.loads(line) for line in (TOY_DIR / "source.jsonl").read_text().splitlines()]
+        rows[1]["iri"] = iri
+        source = tmp_path / "source.jsonl"
+        source.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    else:
+        escaped, char = {"rdfxml-tab": ("&#9;", "\t"), "rdfxml-newline": ("&#10;", "\n")}[case]
+        iri, where = f"http://x.org/onto#A{char}X", ""
+        source = tmp_path / "source.owl"
+        source.write_text(
+            '<?xml version="1.0"?>\n'
+            '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"\n'
+            '         xmlns:owl="http://www.w3.org/2002/07/owl#">\n'
+            '  <owl:Class rdf:about="http://x.org/onto#B"/>\n'
+            f'  <owl:Class rdf:about="http://x.org/onto#A{escaped}X"/>\n'
+            '</rdf:RDF>\n')
+    providers = []
+
+    def counting_provider(config):
+        providers.append(CountingProvider(make_provider(config)))
+        return providers[-1]
+
+    monkeypatch.setattr(pipeline_module, "make_provider", counting_provider)
+    result = CliRunner().invoke(main, ["run", "--config", write_config_file(tmp_path),
+                                       "--source", str(source)])
+    _assert_one_clean_error(result, f"iri holds a control character: {iri!r}{where}")
+    assert [provider.total_calls for provider in providers] == [0]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json"]
+
+
+def test_a_tsv_input_that_starts_with_a_bom_reads_like_one_without(tmp_path):
+    """The toy reference and ranking cases, each with and without a UTF-8
+    BOM and with and without a header line, give equal metrics."""
+    config = toy_config(tmp_path, ranking_cases=toy_ranking_cases(tmp_path))
+    Pipeline(config).run()
+    header, rows = (TOY_DIR / "reference.tsv").read_text(encoding="utf-8").split("\n", 1)
+    cases = Path(config.ranking_cases).read_text(encoding="utf-8")
+    metrics = {}
+    for bom in ("", "\ufeff"):
+        for headed in (False, True):
+            name = f"{'bom' if bom else 'plain'}-{'header' if headed else 'bare'}"
+            reference, ranking = tmp_path / f"reference-{name}.tsv", tmp_path / f"cases-{name}.tsv"
+            reference.write_text(bom + (header + "\n" if headed else "") + rows, encoding="utf-8")
+            ranking.write_text(bom + ("SrcEntity\tTgtEntity\n" if headed else "") + cases,
+                               encoding="utf-8")
+            variant = dataclasses.replace(config, reference=str(reference),
+                                          ranking_cases=str(ranking))
+            assert Pipeline(variant).run(["eval"], force=True) == {"eval": "complete"}
+            metrics[name] = json.loads((Path(config.out_dir) / "metrics.json").read_text())
+    assert metrics["plain-header"]["reference_count"] == 21
+    assert metrics["plain-header"]["mrr"] is not None
+    assert all(m == metrics["plain-header"] for m in metrics.values()), metrics
+
+
 _BAD_CONFIGS = {
     "reference": ({"reference": "missing.tsv"}, "reference 'missing.tsv' is not a file"),
     "ranking_cases": ({"ranking_cases": "missing.tsv"},
                       "ranking_cases 'missing.tsv' is not a file"),
     "source": ({"source": None}, "source '' is not a file"),
     "temperature": ({"temperature": -1}, "temperature must be >= 0, got -1"),
+    "temperature_nan": ({"temperature": float("nan")}, "temperature must be float, got nan"),
+    "temperature_infinity": ({"temperature": float("inf")},
+                             "temperature must be float, got inf"),
     "top_p": ({"top_p": 0}, "top_p must be in (0, 1], got 0"),
     "label_property": ({"label_property": ""}, "label_property must be non-empty, got ''"),
     "max_workers": ({"max_workers": 0}, "max_workers must be >= 1, got 0"),
@@ -2174,6 +2238,16 @@ _BAD_CONFIGS = {
     ),
     "provider_timeout": ({"provider": {"kind": "http", "timeout": "60"}},
                          "http provider timeout must be float, got '60'"),
+    "provider_timeout_nan": ({"provider": {"kind": "http", "timeout": float("nan")}},
+                             "http provider timeout must be float, got nan"),
+    "provider_timeout_infinity": ({"provider": {"kind": "http", "timeout": float("inf")}},
+                                  "http provider timeout must be float, got inf"),
+    "provider_backoff_base_nan": ({"provider": {"kind": "http", "backoff_base": float("nan")}},
+                                  "http provider backoff_base must be float, got nan"),
+    "provider_backoff_base_infinity": (
+        {"provider": {"kind": "http", "backoff_base": float("inf")}},
+        "http provider backoff_base must be float, got inf",
+    ),
     "provider_max_attempts_type": ({"provider": {"kind": "http", "max_attempts": 2.5}},
                                    "http provider max_attempts must be int, got 2.5"),
     "provider_base_url": ({"provider": {"kind": "http", "base_url": 5}},
@@ -2195,7 +2269,9 @@ _BAD_CONFIGS = {
 @pytest.mark.parametrize("bad", sorted(_BAD_CONFIGS))
 def test_cli_rejects_a_bad_config_before_any_stage(tmp_path, monkeypatch, bad):
     """An override of None leaves the key out of the config file. A third
-    item is the text of ``aliases.json`` in the working directory."""
+    item is the text of ``aliases.json`` in the working directory. The
+    pipeline builds its provider for every command, so a bad provider spec
+    fails ``ingest`` too, although ingest reads no model."""
     overrides, message, *aliases = _BAD_CONFIGS[bad]
     monkeypatch.chdir(tmp_path)
     for text in aliases:
@@ -2204,12 +2280,13 @@ def test_cli_rejects_a_bad_config_before_any_stage(tmp_path, monkeypatch, bad):
     data.update(overrides)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({k: v for k, v in data.items() if v is not None}))
-    result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
-    assert result.exit_code == 1, result.output
-    assert isinstance(result.exception, SystemExit)  # no uncaught exception
-    assert result.output == f"Error: {message}\n"
-    assert not (tmp_path / "out").exists()
-    assert not (tmp_path / "cache").exists()
+    for command in ("run", "ingest") if "provider" in overrides else ("run",):
+        result = CliRunner().invoke(main, [command, "--config", str(config_path)])
+        assert result.exit_code == 1, (command, result.output)
+        assert isinstance(result.exception, SystemExit)  # no uncaught exception
+        assert result.output == f"Error: {message}\n"
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "cache").exists()
 
 
 def _predictions_and_reference(tmp_path) -> tuple[Path, Path]:

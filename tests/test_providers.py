@@ -891,19 +891,23 @@ def test_serve_under_threads_serves_stored_entries_and_recomputes_unusable_ones(
 
 def test_serve_counts_exactly_while_another_thread_computes_another_kind(cache):
     """An entry of another kind computed on another thread while the batch
-    runs is not counted against the batch: its served count is its own."""
+    runs is not counted against the batch: its served count is its own. The
+    batch parks only its own kind, so that entry is in its log at once."""
     for i in range(3):
         cache.put("judge", f"d{i}", {"value": i})
+    in_log = []
 
     def accept(payload):
         other = threading.Thread(target=cache.get_or_compute,
                                  args=("define", "x", lambda: {"text": "x"}))
         other.start()
         other.join()
+        in_log.append(ResponseCache(cache.root).get("define", "x"))
         return payload["value"]
 
     jobs = ((f"d{i}", _unreachable, accept) for i in range(3))
     assert cache.serve("judge", jobs, max_workers=2) == ([0, 1, 2], 3)
+    assert in_log == [{"text": "x"}] * 3
     assert ResponseCache(cache.root).get("define", "x") == {"text": "x"}
 
 
