@@ -14,15 +14,14 @@ torn or corrupt one) is logged and skipped to the next length followed by
 the zlib header that starts every block body. Its entries are computed again
 and appended; its bytes stay, so every load skips them again.
 
-``put`` appends an entry at once, but one of the kind a ``serve`` (one call
-per stage batch) answers is parked in memory, where ``get`` reads it, and
-``serve`` moves each job's entry into the open block when it collects that
-job's result, in job order, so equal runs write equal logs whatever order the
-jobs finish in. A full block is appended by the collection that fills it, and
-a failed append raises there. Once the pool has shut down, ``serve`` appends
-the open block, then the entries never collected, sorted by digest: that is
-the durability point. A run killed inside ``serve`` loses its parked entries
-and one open block, which the next run recomputes.
+``serve`` (one call per stage batch) sends provider calls to a pool whose
+threads only compute and accept; the calling thread stores each fresh answer
+when it collects that job's result, in job order, so equal runs write equal
+logs whatever order the jobs finish in. ``put`` appends an entry at once,
+unless it is of the kind a ``serve`` answers: then it joins the open block,
+appended by the ``put`` that fills it (a failed append raises there) or when
+``serve`` ends, the durability point. A run killed inside ``serve`` loses the
+jobs not yet collected and one open block, which the next run recomputes.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import json
 import logging
 import os
 import struct
-import threading
 import uuid
 import zlib
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -105,22 +103,18 @@ def _blocks(records: list[bytes]) -> bytes:
 class ResponseCache:
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self._lock = threading.Lock()
         # kind -> digest -> payload bytes, from a kind's first use on
         self._entries: dict[str, dict[str, bytes]] = {}
         self._serving: str | None = None  # the kind ``serve`` answers; None outside it
-        self._parked: dict[str, bytes] = {}  # digest -> record of its entries not yet collected
+        self._block: list[bytes] = []  # records of that kind not yet appended
 
     def _log(self, kind: str) -> str:
         return os.path.join(self.root, f"{kind}.log")
 
     def _load(self, kind: str) -> dict[str, bytes]:
-        entries = self._entries.get(kind)  # a loaded map is read without the lock
+        entries = self._entries.get(kind)
         if entries is None:
-            with self._lock:
-                if kind not in self._entries:
-                    self._entries[kind] = self._read(kind)
-                entries = self._entries[kind]
+            entries = self._entries[kind] = self._read(kind)
         return entries
 
     def _read(self, kind: str) -> dict[str, bytes]:
@@ -179,15 +173,17 @@ class ResponseCache:
         """Store ``payload`` as it is, replacing any entry; returns it. One
         that is not JSON raises here. The entry is appended before ``put``
         returns, unless it is of the kind a ``serve`` is answering: then it
-        is parked until its job is collected."""
+        joins the open block, appended when it is full or ``serve`` ends."""
         data = json.dumps(payload, ensure_ascii=False).encode("utf-8")
         entries = self._load(kind)
-        with self._lock:
-            if kind == self._serving:
-                self._parked[digest] = _record(digest, data)
-            else:
-                self._flush(kind, [_record(digest, data)])
-            entries[digest] = data
+        if kind != self._serving:
+            self._flush(kind, [_record(digest, data)])
+        else:
+            self._block.append(_record(digest, data))
+            if len(self._block) == BLOCK_ENTRIES:
+                full, self._block = self._block, []
+                self._flush(kind, full)
+        entries[digest] = data
         return payload
 
     def _flush(self, kind: str, records: list[bytes]) -> None:
@@ -214,63 +210,68 @@ class ResponseCache:
         accepted. On an ``ItemError`` from ``compute`` or ``accept`` the
         job's result is ``on_error(index, error)``; without ``on_error``, or
         on any other exception, the error is re-raised once the job's result
-        is reached, after the pool has shut down, and if an append then
-        fails too, that failure is logged and the job's error goes on.
+        is reached, after the pool has shut down and the payloads of the jobs
+        it finished are stored, in job order; if an append then fails too,
+        that failure is logged and the job's error goes on.
 
         A job whose digest is in ``stored(kind)`` runs on the calling thread.
-        The others wait on the provider, so they go to a pool of
-        ``max_workers`` threads, made at the first such job: a fully cached
-        call makes no threads. ``jobs`` is read lazily, and at most
-        ``QUEUE_PER_WORKER * max_workers`` jobs are queued or running, so
-        rendered prompts do not pile up. A digest is computed at most once
-        per call: a job whose digest matches a queued or running job waits
-        for it, then runs on the calling thread and reads the entry that job
-        put. One ``serve`` at a time per cache; it parks only its kind.
+        The others' ``compute`` and ``accept`` run on a pool of
+        ``max_workers`` threads, made at the first such job, and touch no
+        cache: the calling thread collects them in job order and stores each
+        fresh payload through ``get_or_compute``. ``jobs`` is read lazily, and
+        at most ``QUEUE_PER_WORKER * max_workers`` jobs are queued or running.
+        A job whose digest matches a queued or running job waits for it,
+        stores its payload early and runs on the calling thread, so a digest
+        is computed at most once per call. One ``serve`` at a time per cache.
         """
-        with self._lock:
-            if self._serving is not None:
-                raise RuntimeError("a cache serve is already running")
-            self._serving, self._parked = kind, {}
+        if self._serving is not None:
+            raise RuntimeError("a cache serve is already running")
+        self._serving = kind
 
-        def answer(index: int, digest: str, compute: Callable[[], dict],
+        def work(compute: Callable[[], dict], accept: Callable[[dict], T]) -> tuple[T, dict]:
+            payload = compute()  # on a pool thread, unless the entry is stored: no cache use
+            return accept(payload), payload
+
+        def answer(digest: str, compute: Callable[[], dict],
                    accept: Callable[[dict], T]) -> tuple[T, bool]:
-            fresh: list = []  # the result of a fresh payload, which is accepted once
+            fresh: list = []  # work's (result, payload), so a fresh payload is accepted once
 
             def checked() -> dict:
-                payload = compute()
-                fresh.append(accept(payload))
-                return payload
+                fresh.append(work(compute, accept))
+                return fresh[-1][1]
 
-            try:
-                payload = self.get_or_compute(kind, digest, checked)
-                if fresh:
-                    return fresh[0], False
+            payload = self.get_or_compute(kind, digest, checked)
+            if not fresh:
                 try:
                     return accept(payload), True
                 except ItemError as exc:
                     logger.warning("recomputing unusable cache entry %s of %s: %s",
                                    digest, self._log(kind), exc)
                 self.put(kind, digest, checked())
-                return fresh[0], False
+            return fresh[-1][0], False
+
+        def store(digest: str, future: Future) -> tuple[T, bool]:
+            result, payload = future.result()
+            self.get_or_compute(kind, digest, lambda: payload)
+            return result, False
+
+        def settle(index: int, step: Callable[..., tuple[T, bool]], *args) -> tuple[T, bool]:
+            """``step(*args)``, or ``on_error``'s result for its ``ItemError``."""
+            try:
+                return step(*args)
             except ItemError as exc:
                 if on_error is None:
                     raise
                 return on_error(index, exc), False
 
         results: list = []  # (result, served) of each job
-        # digest -> (index in results, future) of each queued or running job, oldest first
+        # digest -> (index in results, future) of each pool job not yet collected, oldest first
         queued: dict[str, tuple[int, Future]] = {}
-        block: list[bytes] = []  # records of collected jobs, not yet appended
 
-        def collect(digest: str) -> None:
-            nonlocal block
-            with self._lock:
-                record = self._parked.pop(digest, None)
-                if record is not None:
-                    block.append(record)
-                    if len(block) == BLOCK_ENTRIES:
-                        full, block = block, []
-                        self._flush(kind, full)
+        def collect_oldest() -> None:
+            digest = next(iter(queued))
+            at, future = queued.pop(digest)
+            results[at] = settle(at, store, digest, future)
 
         raising = True
         try:
@@ -280,47 +281,45 @@ class ResponseCache:
                 for digest, compute, accept in jobs:
                     index = len(results)
                     if digest in queued:
-                        queued[digest][1].result()
+                        # Store the original's payload now; its collection then stores nothing.
+                        try:
+                            store(digest, queued[digest][1])
+                        except ItemError:  # the original's: its collection hands it to on_error
+                            if on_error is None:
+                                raise
                     elif digest not in stored:
                         if pool is None:
                             pool = stack.enter_context(ThreadPoolExecutor(max_workers=max_workers))
                         if len(queued) >= QUEUE_PER_WORKER * max_workers:
-                            oldest = next(iter(queued))
-                            at, future = queued.pop(oldest)
-                            results[at] = future.result()
-                            collect(oldest)
-                        queued[digest] = (index, pool.submit(answer, index, digest, compute, accept))
+                            collect_oldest()
+                        queued[digest] = (index, pool.submit(work, compute, accept))
                         results.append(None)
                         continue
-                    results.append(answer(index, digest, compute, accept))
-                    # Only this thread, or a job it has waited for, parks this
-                    # digest's record, so an empty map needs no lock.
-                    if self._parked:
-                        collect(digest)
-                for digest, (at, future) in queued.items():
-                    results[at] = future.result()
-                    collect(digest)
+                    results.append(settle(index, answer, digest, compute, accept))
+                while queued:
+                    collect_oldest()
             raising = False
         finally:
-            with self._lock:
-                parked, self._serving, self._parked = self._parked, None, {}
-                records = block + [parked[digest] for digest in sorted(parked)]
-                try:
-                    if records:
-                        self._flush(kind, records)
-                except Exception as exc:
-                    if not raising:
-                        raise
-                    logger.error("cache append failed while serve was raising: %s", exc)
+            try:
+                for digest, (_, future) in queued.items():  # only when raising
+                    if future.exception() is None:
+                        store(digest, future)
+                if self._block:
+                    self._flush(kind, self._block)
+            except Exception as exc:
+                if not raising:
+                    raise
+                logger.error("cache append failed while serve was raising: %s", exc)
+            finally:
+                self._serving, self._block = None, []
         return [result for result, _ in results], sum(hit for _, hit in results)
 
     def get_or_compute(
         self, kind: str, digest: str, compute: Callable[[], dict]
     ) -> dict:
         """Return the stored payload, or else store and return the one
-        ``compute`` returns (also when the entry is corrupt). This is
-        ``serve``'s lookup, one call per job; concurrent callers of one
-        digest each compute it, and ``serve`` never makes two."""
+        ``compute`` returns (also when the entry is corrupt): ``serve``'s
+        lookup and store, on its calling thread."""
         found = self.get(kind, digest)
         if found is not None:
             return found

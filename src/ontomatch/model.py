@@ -70,8 +70,11 @@ def _fits(value, hint) -> bool:
 
 
 def check_iri(iri: str, line: int | None = None) -> None:
-    """Reject a concept IRI holding a control character (Unicode ``Cc``; a
-    tab or a line break would split a TSV row) with ``OntologyParseError``."""
+    """Reject a concept IRI that is not absolute, or that holds a control
+    character (Unicode ``Cc``; a tab or a line break would split a TSV row),
+    with ``OntologyParseError``."""
+    if not is_absolute_iri(iri):
+        raise OntologyParseError(f"iri is not absolute: {iri!r}", line=line)
     if re.search(r"[\x00-\x1f\x7f-\x9f]", iri):
         raise OntologyParseError(f"iri holds a control character: {iri!r}", line=line)
 
@@ -254,8 +257,6 @@ def read_concept_jsonl(fp: IO[str]) -> Ontology:
         iri = row.get("iri")
         if not isinstance(iri, str) or not iri:
             raise OntologyParseError("missing or non-string 'iri'", line=lineno)
-        if not is_absolute_iri(iri):
-            raise OntologyParseError(f"iri is not absolute: {iri!r}", line=lineno)
         check_iri(iri, lineno)
         if iri in onto:
             raise OntologyParseError(f"duplicate iri {iri!r}", line=lineno)

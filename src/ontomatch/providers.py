@@ -123,6 +123,10 @@ class PromptFrame:
 
 
 class Provider(Protocol):
+    """What a pipeline needs of a model backend. ``generate`` and
+    ``classify_first_token`` are called from up to ``max_workers`` threads
+    at once (see ``ResponseCache.serve``)."""
+
     embed_model_id: str
     chat_model_id: str
 

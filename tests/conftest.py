@@ -107,23 +107,30 @@ class CountingProvider:
 
 
 class RecordingCache(ResponseCache):
-    """A ``ResponseCache`` that knows which entry each thread is looking up,
-    as ``TracedCache`` watches ``get_or_compute``: ``key()`` is the ``(kind,
-    digest)`` of this thread's ``get_or_compute`` call, which on a miss
-    computes and accepts the entry. A provider wrapped by ``provider()``
-    records each chat call's messages in ``prompts`` under that key."""
+    """A ``ResponseCache`` that knows which entry each thread is working on:
+    ``key()`` is the ``(kind, digest)`` of the ``serve`` job whose
+    ``compute`` or ``accept`` this thread runs, on the pool or on the
+    calling thread. A provider wrapped by ``provider()`` records each chat
+    call's messages in ``prompts`` under that key."""
 
     def __init__(self, root):
         super().__init__(root)
         self.prompts: dict[tuple[str, str], list[dict]] = {}
         self._looking_up = threading.local()
 
-    def get_or_compute(self, kind, digest, compute):
-        self._looking_up.key = kind, digest
-        try:
-            return super().get_or_compute(kind, digest, compute)
-        finally:
-            self._looking_up.key = None
+    def serve(self, kind, jobs, max_workers, on_error=None):
+        def keyed(step, key):
+            def run(*args):
+                self._looking_up.key = key
+                try:
+                    return step(*args)
+                finally:
+                    self._looking_up.key = None
+            return run
+
+        jobs = ((digest, keyed(compute, (kind, digest)), keyed(accept, (kind, digest)))
+                for digest, compute, accept in jobs)
+        return super().serve(kind, jobs, max_workers, on_error)
 
     def key(self) -> tuple[str, str] | None:
         return getattr(self._looking_up, "key", None)

@@ -154,10 +154,9 @@ def test_get_or_compute_returns_written_record_without_reading_back(tmp_path, mo
 
 
 # Each kind with the accept its batch function hands ``serve``, a usable
-# payload, and an unusable one that is still a JSON object. The ``fetch``
-# tests keep the name of the method whose rule is now serve's per-job step;
-# each is a one-job ``serve`` batch.
-FETCH_KINDS = {
+# payload, and an unusable one that is still a JSON object. Each of the
+# ``test_a_job_*`` tests is a one-job ``serve`` batch.
+ACCEPT_KINDS = {
     "define": (_accept_definition, {"text": "A definition."},
                {"text": "first para.\n\nsecond para."}),
     "judge": (functools.partial(judge_pair, "s", "t", 0.5, "pair"),
@@ -169,10 +168,10 @@ def _one_job(cache, kind, compute, accept):
     return cache.serve(kind, iter([("d1", compute, accept)]), max_workers=1)
 
 
-@pytest.mark.parametrize("kind", sorted(FETCH_KINDS))
-def test_fetch_recomputes_a_stored_payload_it_rejects_once_with_one_warning(tmp_path, caplog,
+@pytest.mark.parametrize("kind", sorted(ACCEPT_KINDS))
+def test_a_job_recomputes_a_stored_payload_it_rejects_once_with_one_warning(tmp_path, caplog,
                                                                              kind):
-    accept, good, unusable = FETCH_KINDS[kind]
+    accept, good, unusable = ACCEPT_KINDS[kind]
     cache = ResponseCache(tmp_path / "cache")
     cache.put(kind, "d1", unusable)
     log = tmp_path / "cache" / f"{kind}.log"
@@ -188,9 +187,9 @@ def test_fetch_recomputes_a_stored_payload_it_rejects_once_with_one_warning(tmp_
     assert ResponseCache(tmp_path / "cache").get(kind, "d1") == good
 
 
-@pytest.mark.parametrize("kind", sorted(FETCH_KINDS))
-def test_fetch_never_stores_a_fresh_payload_it_rejects(tmp_path, kind):
-    accept, _, unusable = FETCH_KINDS[kind]
+@pytest.mark.parametrize("kind", sorted(ACCEPT_KINDS))
+def test_a_job_never_stores_a_fresh_payload_it_rejects(tmp_path, kind):
+    accept, _, unusable = ACCEPT_KINDS[kind]
     cache = ResponseCache(tmp_path / "cache")
     with pytest.raises(ItemError):
         _one_job(cache, kind, lambda: unusable, accept)
@@ -198,9 +197,9 @@ def test_fetch_never_stores_a_fresh_payload_it_rejects(tmp_path, kind):
     assert not (tmp_path / "cache").exists()
 
 
-@pytest.mark.parametrize("kind", sorted(FETCH_KINDS))
-def test_fetch_serves_a_usable_stored_payload_without_computing(tmp_path, caplog, kind):
-    accept, good, _ = FETCH_KINDS[kind]
+@pytest.mark.parametrize("kind", sorted(ACCEPT_KINDS))
+def test_a_job_is_served_a_usable_stored_payload_without_computing(tmp_path, caplog, kind):
+    accept, good, _ = ACCEPT_KINDS[kind]
     ResponseCache(tmp_path / "cache").put(kind, "d1", good)
     log = (tmp_path / "cache" / f"{kind}.log").read_bytes()
 
@@ -433,10 +432,10 @@ def test_a_load_resyncs_past_false_block_starts(tmp_path, caplog):
     assert sum("bad block" in m for m in caplog.messages) == 1
 
 
-# -- batches: one serve call, appends in commit order ------------------------------
+# -- batches: one serve call, appends in store order -------------------------------
 
-# A batch is one ``ResponseCache.serve`` call; an entry is committed to the open
-# block when serve collects its job's result.
+# A batch is one ``ResponseCache.serve`` call; its calling thread stores a pool
+# job's entry in the open block when it collects that job's result.
 
 
 def test_a_batch_put_is_read_from_memory_and_written_by_the_batch_end(tmp_path):
@@ -484,27 +483,26 @@ def test_a_batch_that_puts_nothing_starts_no_thread(tmp_path, monkeypatch):
     assert not (tmp_path / "cache" / "judge.log").exists()
 
 
-def test_a_batch_appends_full_blocks_in_commit_order_and_the_rest_at_its_end(tmp_path):
-    """A block is appended at the commit that fills it; the end of serve
-    appends the open block and then what was never committed, by digest. The
-    jobs' entries are put, in reverse, before the first job is read, so each
-    job is a hit that runs on the calling thread and is committed at once.
-    One miss fails, so it stores nothing and commits nothing."""
+def test_a_batch_appends_full_blocks_in_store_order_and_the_rest_at_its_end(tmp_path):
+    """A block is appended by the store that fills it; the end of serve
+    appends the open block. Every job's stored entry is torn, so each job
+    runs on the calling thread and stores its answer again, in job order,
+    which is not digest order. One miss fails, so it stores nothing, and a
+    job of a digest already stored in the batch stores nothing either."""
     cache = ResponseCache(tmp_path / "cache")
     log = tmp_path / "cache" / "judge.log"
-    digests = [f"d{i:03d}" for i in range(BLOCK_ENTRIES + 3)]
+    digests = [f"d{i:03d}" for i in reversed(range(BLOCK_ENTRIES + 3))]
+    for digest in digests:
+        append_raw_entry(cache.root, "judge", digest, b"{torn")
+    torn = len(log_blocks(log))
 
     def jobs():
-        for digest in reversed(digests):
-            cache.put("judge", digest, {"p_yes": 0.5})
-        cache.put("judge", "z-never-committed", {"p_yes": 0.5})
-        cache.put("judge", "a-never-committed", {"p_yes": 0.5})
-        for digest in digests[:-1]:
-            yield digest, _unreachable, none
-            assert log.exists() == (digest >= digests[BLOCK_ENTRIES - 1])
-        yield "not-put", fail, none  # a miss whose job puts nothing
-        yield digests[-1], _unreachable, none
-        yield digests[-1], _unreachable, none  # a second commit finds nothing parked
+        for i, digest in enumerate(digests[:-1]):
+            yield digest, lambda: {"p_yes": 0.5}, none
+            assert len(log_blocks(log)) == torn + (i >= BLOCK_ENTRIES - 1)
+        yield "not-stored", fail, none  # a miss whose job stores nothing
+        yield digests[-1], lambda: {"p_yes": 0.5}, none
+        yield digests[-1], _unreachable, none  # a hit on the entry just stored
 
     def none(payload):
         return None
@@ -512,27 +510,26 @@ def test_a_batch_appends_full_blocks_in_commit_order_and_the_rest_at_its_end(tmp
     def fail():
         raise ItemError("no answer")
 
-    # Every hit counts as served; the failed miss does not.
+    # Only the last job reads an entry that it accepts, so only it is served.
     assert cache.serve("judge", jobs(), max_workers=1, on_error=lambda index, error: None) == (
-        [None] * (len(digests) + 2), len(digests) + 1)
-    assert block_digests(log) == [
-        digests[:BLOCK_ENTRIES], [*digests[BLOCK_ENTRIES:], "a-never-committed", "z-never-committed"]]
+        [None] * (len(digests) + 2), 1)
+    assert block_digests(log)[torn:] == [digests[:BLOCK_ENTRIES], digests[BLOCK_ENTRIES:]]
 
 
-def test_a_failed_append_raises_at_the_commit_that_fills_a_block(tmp_path, monkeypatch):
+def test_a_failed_append_raises_at_the_store_that_fills_a_block(tmp_path, monkeypatch):
     def refuse(path, data):
         raise OSError(f"cannot append to {path}")
 
     cache = ResponseCache(tmp_path / "cache")
+    for i in range(BLOCK_ENTRIES):
+        append_raw_entry(cache.root, "judge", f"d{i}", b"{torn")
     cache.stored("judge")
     monkeypatch.setattr(cache_module, "_append", refuse)
     collected = []
 
     def jobs():
         for i in range(BLOCK_ENTRIES):
-            cache.put("judge", f"d{i}", {"p_yes": 0.5})
-        for i in range(BLOCK_ENTRIES):
-            yield f"d{i}", _unreachable, lambda payload: None
+            yield f"d{i}", lambda: {"p_yes": 0.5}, lambda payload: None
             collected.append(i)
 
     with pytest.raises(OSError, match="cannot append"):
@@ -546,15 +543,16 @@ def test_a_raising_batch_logs_a_failed_append_and_keeps_its_own_error(tmp_path, 
         raise OSError(f"cannot append to {path}")
 
     def fail():
-        cache.put("judge", "d0", {"p_yes": 0.5})
         raise KeyError("the job's own")
 
     cache = ResponseCache(tmp_path / "cache")
     cache.stored("judge")
     monkeypatch.setattr(cache_module, "_append", refuse)
+    jobs = iter([("d0", lambda: {"p_yes": 0.5}, lambda payload: None),
+                 ("d1", fail, lambda payload: None)])
     with caplog.at_level("ERROR", logger="ontomatch.cache"):
         with pytest.raises(KeyError, match="the job's own"):
-            cache.serve("judge", iter([("d0", fail, lambda payload: None)]), max_workers=1)
+            cache.serve("judge", jobs, max_workers=1)
     assert any("cannot append" in m for m in caplog.messages)
     with pytest.raises(OSError, match="cannot append"):
         jobs = iter([("d1", lambda: {"p_yes": 0.5}, lambda payload: None)])

@@ -555,7 +555,7 @@ def test_judge_candidates_fully_warm_makes_no_pool_and_no_calls(tmp_path, monkey
 def test_judge_candidates_stops_calling_the_provider_once_an_entry_write_fails(tmp_path,
                                                                               monkeypatch):
     """Every append to the cache's log fails. With one worker, serve holds at
-    most QUEUE_PER_WORKER jobs, and the commit that fills the first block
+    most QUEUE_PER_WORKER jobs, and the store that fills the first block
     raises on serve's thread, so the later pairs are never sent to the
     provider. The append's OSError is raised, and no log is left."""
     src, tgt = Ontology(), Ontology()

@@ -524,8 +524,9 @@ def test_a_cached_judgement_of_the_wrong_shape_is_not_counted_as_served(tmp_path
 def test_bad_judge_blocks_are_recomputed_in_the_pool_and_stay_in_the_log(tmp_path, monkeypatch,
                                                                          caplog):
     """One flipped byte inside the judge log's second block and its last
-    block torn mid-way: a forced judge run recomputes exactly the entries of
-    those two blocks, on pool threads, and serves the rest. The bad bytes
+    block torn mid-way: a forced judge run asks the provider again for
+    exactly the entries of those two blocks, on pool threads, stores them on
+    the calling thread and serves the rest. The bad bytes
     stay where they were, the recomputed entries are appended after them,
     and every later load skips both blocks again and serves every entry."""
     config = toy_config(tmp_path)
@@ -552,11 +553,19 @@ def test_bad_judge_blocks_are_recomputed_in_the_pool_and_stay_in_the_log(tmp_pat
     monkeypatch.setattr(ResponseCache, "put", recorded_put)
     served = spy_served(monkeypatch)
     provider = CountingProvider(make_provider(config))
+    classified_on = []
+    classify = provider.classify_first_token
+
+    def recorded_classify(messages):
+        classified_on.append(threading.current_thread().name)
+        return classify(messages)
+
+    provider.classify_first_token = recorded_classify
     with caplog.at_level("WARNING", logger="ontomatch.cache"):
         assert Pipeline(config, provider=provider).run_stage("judge", force=True) == "complete"
     assert sum("bad block" in m for m in caplog.messages) == 2
     assert set(put_on) == lost and provider.classify_calls == len(lost)
-    assert "MainThread" not in put_on.values()
+    assert len(classified_on) == len(lost) and "MainThread" not in classified_on
     assert served == [sum(map(len, blocks)) - len(lost)]
     assert snapshot(config.out_dir) == before
     assert log.read_bytes()[:len(bad)] == bad
@@ -565,6 +574,33 @@ def test_bad_judge_blocks_are_recomputed_in_the_pool_and_stay_in_the_log(tmp_pat
         with caplog.at_level("WARNING", logger="ontomatch.cache"):
             assert len(ResponseCache(config.cache_dir).stored("judge")) == sum(map(len, blocks))
         assert sum("bad block" in m for m in caplog.messages) == 2
+
+
+def test_a_cold_run_uses_the_cache_on_the_calling_thread_only(tmp_path, monkeypatch):
+    """Pool threads only call the provider: every cache lookup, store and
+    log append of a cold toy run runs on the thread that runs the pipeline."""
+    used_on = []
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            used_on.append((name, threading.current_thread()))
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("stored", "get", "put", "get_or_compute"):
+        monkeypatch.setattr(ResponseCache, name, recorded(name, getattr(ResponseCache, name)))
+    monkeypatch.setattr(cache_module, "_append", recorded("append", cache_module._append))
+    config = toy_config(tmp_path)
+    provider = CountingProvider(make_provider(config))
+    provider.generate = recorded("generate", provider.generate)
+    provider.classify_first_token = recorded("classify", provider.classify_first_token)
+    Pipeline(config, provider=provider).run()
+    here = threading.current_thread()
+    chat = {"generate", "classify"}
+    assert {name for name, _ in used_on} == {"stored", "get", "put", "get_or_compute",
+                                             "append"} | chat
+    assert {thread for name, thread in used_on if name not in chat} == {here}
+    assert here not in {thread for name, thread in used_on if name in chat}
 
 
 _KILLED_RUN = """
@@ -1600,7 +1636,7 @@ def test_failed_stage_is_recorded_and_reraised(tmp_path):
 
 def test_a_failed_cache_write_fails_the_judge_stage_and_the_next_run_recomputes(tmp_path,
                                                                               monkeypatch):
-    """Appends to the judge log fail: the commit that fills the first block
+    """Appends to the judge log fail: the store that fills the first block
     raises, so the stage fails having sent at most a pool's worth of pairs
     past that block. Nothing reached the log, so the next run recomputes
     every pair, the answers of the failed run included."""
@@ -2158,6 +2194,23 @@ def test_cli_reports_a_concept_iri_with_a_control_character_before_any_provider_
                                        "--source", str(source)])
     _assert_one_clean_error(result, f"iri holds a control character: {iri!r}{where}")
     assert [provider.total_calls for provider in providers] == [0]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json"]
+
+
+def test_cli_ingest_reports_a_class_iri_that_a_relative_xml_base_leaves_relative(tmp_path):
+    """``xml:base="onto/"`` joins ``rdf:about="A"`` into ``onto/A``, which
+    no later stage can read: ingest rejects it at the parse and writes no
+    concept artifact."""
+    source = tmp_path / "source.owl"
+    source.write_text(
+        '<?xml version="1.0"?>\n'
+        '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"\n'
+        '         xmlns:owl="http://www.w3.org/2002/07/owl#" xml:base="onto/">\n'
+        '  <owl:Class rdf:about="A"/>\n'
+        '</rdf:RDF>\n')
+    result = CliRunner().invoke(main, ["ingest", "--config", write_config_file(tmp_path),
+                                       "--source", str(source)])
+    _assert_one_clean_error(result, "iri is not absolute: 'onto/A'")
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json"]
 
 

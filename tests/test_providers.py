@@ -891,8 +891,9 @@ def test_serve_under_threads_serves_stored_entries_and_recomputes_unusable_ones(
 
 def test_serve_counts_exactly_while_another_thread_computes_another_kind(cache):
     """An entry of another kind computed on another thread while the batch
-    runs is not counted against the batch: its served count is its own. The
-    batch parks only its own kind, so that entry is in its log at once."""
+    runs is not counted against the batch: its served count is its own. A
+    put of a kind the batch does not answer is appended at once, so that
+    entry is in its log inside the batch."""
     for i in range(3):
         cache.put("judge", f"d{i}", {"value": i})
     in_log = []
@@ -1009,6 +1010,24 @@ def test_serve_raises_a_failed_job_over_a_failed_write(tmp_path, monkeypatch, ca
     assert any("cannot append" in r.getMessage() for r in caplog.records)
     monkeypatch.undo()
     assert ResponseCache(tmp_path / "cache").stored("judge") == set()
+
+
+def test_a_raising_serve_keeps_the_answers_the_pool_finished_in_job_order(tmp_path):
+    """The first job fails, so serve raises at its collection; the pool's
+    other jobs have finished by then. Their answers are in the log in job
+    order, which is not digest order, and the next serve asks for none."""
+    cache = ResponseCache(tmp_path / "cache")
+
+    def fail():
+        raise ItemError("backend down")
+
+    digests = ["d3", "d2", "d1"]
+    jobs = [("d0", fail, _text), *(_job(d, d) for d in digests)]
+    with pytest.raises(ItemError, match="backend down"):
+        cache.serve("judge", iter(jobs), max_workers=2)
+    assert block_digests(tmp_path / "cache" / "judge.log") == [digests]
+    jobs = ((d, _unreachable, itemgetter("value")) for d in digests)
+    assert ResponseCache(tmp_path / "cache").serve("judge", jobs, max_workers=2) == (digests, 3)
 
 
 def test_serve_reraises_a_failed_job_after_shutting_the_pool_down(cache, monkeypatch):
