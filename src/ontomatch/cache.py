@@ -14,10 +14,10 @@ torn or corrupt one) is logged and skipped to the next length followed by
 the zlib header that starts every block body. Its entries are computed again
 and appended; its bytes stay, so every load skips them again.
 
-``serve`` (one call per stage batch) sends provider calls to a pool whose
-threads only compute and accept; the calling thread stores each fresh answer
-when it collects that job's result, in job order, so equal runs write equal
-logs whatever order the jobs finish in. ``put`` appends an entry at once,
+``serve`` (one call per stage batch) settles its jobs from the head of one
+job-ordered window, on the calling thread, and stores each fresh answer as
+it settles that job, so equal runs write equal logs whatever order the pool's
+provider calls finish in. ``put`` appends an entry at once,
 unless it is of the kind a ``serve`` answers: then it joins the open block,
 appended by the ``put`` that fills it (a failed append raises there) or when
 ``serve`` ends, the durability point. A run killed inside ``serve`` loses the
@@ -32,7 +32,8 @@ import os
 import struct
 import uuid
 import zlib
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, KeysView, TypeVar
@@ -214,15 +215,14 @@ class ResponseCache:
         it finished are stored, in job order; if an append then fails too,
         that failure is logged and the job's error goes on.
 
-        A job whose digest is in ``stored(kind)`` runs on the calling thread.
-        The others' ``compute`` and ``accept`` run on a pool of
-        ``max_workers`` threads, made at the first such job, and touch no
-        cache: the calling thread collects them in job order and stores each
-        fresh payload through ``get_or_compute``. ``jobs`` is read lazily, and
-        at most ``QUEUE_PER_WORKER * max_workers`` jobs are queued or running.
-        A job whose digest matches a queued or running job waits for it,
-        stores its payload early and runs on the calling thread, so a digest
-        is computed at most once per call. One ``serve`` at a time per cache.
+        Jobs are settled from the head of one job-ordered window, on the
+        calling thread. A job whose digest is neither stored nor that of a
+        pool job in the window runs its ``compute`` and ``accept`` on a pool
+        of ``max_workers`` threads, made at the first such job, which touch
+        no cache. Any other job, a duplicate included, is answered at the
+        head, so a digest is computed at most once per call. ``jobs`` is
+        read lazily, and at most ``QUEUE_PER_WORKER * max_workers`` pool jobs
+        are queued or running. One ``serve`` at a time per cache.
         """
         if self._serving is not None:
             raise RuntimeError("a cache serve is already running")
@@ -250,28 +250,26 @@ class ResponseCache:
                 self.put(kind, digest, checked())
             return fresh[-1][0], False
 
-        def store(digest: str, future: Future) -> tuple[T, bool]:
-            result, payload = future.result()
-            self.get_or_compute(kind, digest, lambda: payload)
-            return result, False
+        results: list = []  # (result, served) of each settled job
+        # (digest, compute, accept, future or None) of each job not yet settled, in job order
+        window: deque = deque()
+        pooled: set[str] = set()  # the digests of the window's pool jobs
 
-        def settle(index: int, step: Callable[..., tuple[T, bool]], *args) -> tuple[T, bool]:
-            """``step(*args)``, or ``on_error``'s result for its ``ItemError``."""
+        def collect() -> None:
+            """Settle the head job."""
+            digest, compute, accept, future = window.popleft()
             try:
-                return step(*args)
+                if future is None:
+                    results.append(answer(digest, compute, accept))
+                else:
+                    pooled.remove(digest)
+                    result, payload = future.result()
+                    self.get_or_compute(kind, digest, lambda: payload)
+                    results.append((result, False))
             except ItemError as exc:
                 if on_error is None:
                     raise
-                return on_error(index, exc), False
-
-        results: list = []  # (result, served) of each job
-        # digest -> (index in results, future) of each pool job not yet collected, oldest first
-        queued: dict[str, tuple[int, Future]] = {}
-
-        def collect_oldest() -> None:
-            digest = next(iter(queued))
-            at, future = queued.pop(digest)
-            results[at] = settle(at, store, digest, future)
+                results.append((on_error(len(results), exc), False))
 
         raising = True
         try:
@@ -279,31 +277,25 @@ class ResponseCache:
                 pool = None
                 stored = self.stored(kind)
                 for digest, compute, accept in jobs:
-                    index = len(results)
-                    if digest in queued:
-                        # Store the original's payload now; its collection then stores nothing.
-                        try:
-                            store(digest, queued[digest][1])
-                        except ItemError:  # the original's: its collection hands it to on_error
-                            if on_error is None:
-                                raise
-                    elif digest not in stored:
+                    future = None
+                    if digest not in stored and digest not in pooled:
                         if pool is None:
                             pool = stack.enter_context(ThreadPoolExecutor(max_workers=max_workers))
-                        if len(queued) >= QUEUE_PER_WORKER * max_workers:
-                            collect_oldest()
-                        queued[digest] = (index, pool.submit(work, compute, accept))
-                        results.append(None)
-                        continue
-                    results.append(settle(index, answer, digest, compute, accept))
-                while queued:
-                    collect_oldest()
+                        while len(pooled) >= QUEUE_PER_WORKER * max_workers:
+                            collect()
+                        future = pool.submit(work, compute, accept)
+                        pooled.add(digest)
+                    window.append((digest, compute, accept, future))
+                    while window and window[0][3] is None:
+                        collect()
+                while window:
+                    collect()
             raising = False
         finally:
             try:
-                for digest, (_, future) in queued.items():  # only when raising
-                    if future.exception() is None:
-                        store(digest, future)
+                for digest, _, _, future in window:  # only when raising
+                    if future is not None and future.exception() is None:
+                        self.get_or_compute(kind, digest, lambda: future.result()[1])
                 if self._block:
                     self._flush(kind, self._block)
             except Exception as exc:

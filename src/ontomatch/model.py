@@ -1,6 +1,7 @@
 """Core data model: concepts, ontologies, mappings, and judgements.
 
-Concept identity is the absolute IRI string. The JSONL interchange format
+Concept identity is the absolute IRI string: one that starts with an RFC 3987
+scheme and a colon (``http://...``, ``urn:...``). The JSONL interchange format
 (one concept per line, keys ``iri``, ``label``, ``synonyms``, ``parents``,
 ``equiv_descriptions``, ``definition``) is the canonical on-disk form.
 """
@@ -32,10 +33,11 @@ __all__ = [
 ]
 
 T = TypeVar("T")
+_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:")
 
 
 def is_absolute_iri(iri: str) -> bool:
-    return "://" in iri
+    return _SCHEME.match(iri) is not None
 
 
 def iri_fragment(iri: str) -> str:

@@ -1,7 +1,8 @@
 """Shared fixtures: fixture paths, toy pipeline configs, counting and
 argument-digesting providers, an empty response cache, a cache that records
-the prompt of each entry it computes, and a raw writer and readers of cache
-logs."""
+the prompt of each entry it computes, a raw writer and readers of cache
+logs, and the Hypothesis profiles: ``default``, derandomized with no example
+database, and ``ci``, with more examples, chosen by ``HYPOTHESIS_PROFILE``."""
 
 from __future__ import annotations
 
@@ -9,7 +10,9 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import struct
+import tempfile
 import threading
 import zlib
 from dataclasses import asdict
@@ -17,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import ontomatch.cache as cache_module
 from ontomatch.cache import ResponseCache
@@ -25,6 +30,20 @@ from ontomatch.pipeline import PipelineConfig, make_provider
 DATA_DIR = Path(__file__).resolve().parent / "data"
 TOY_DIR = DATA_DIR / "toy"
 GOLDEN_DIR = DATA_DIR / "golden"
+
+settings.register_profile("default", derandomize=True, database=None, deadline=None,
+                          max_examples=100)
+settings.register_profile("ci", settings.get_profile("default"), max_examples=500)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def pytest_configure(config):
+    """Hypothesis's own files (its cache of source constants) go to a
+    temporary directory removed at exit, not ``.hypothesis/`` in the
+    working directory."""
+    home = tempfile.mkdtemp(prefix="hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+    set_hypothesis_home_dir(home)
 
 
 @pytest.fixture

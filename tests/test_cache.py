@@ -9,6 +9,7 @@ import os
 import struct
 import threading
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -466,6 +467,47 @@ def test_a_batch_put_is_read_from_memory_and_written_by_the_batch_end(tmp_path):
 
 def _unreachable() -> dict:
     raise AssertionError("a stored entry was computed again")
+
+
+def _slow_first_then_a_duplicate():
+    """Jobs ``d0``, ``d1``, ``d1`` for two workers: ``d0`` finishes only
+    after ``d1`` has, and the second ``d1`` is a duplicate of a pool job."""
+    d1_done = threading.Event()
+
+    def d0():
+        assert d1_done.wait(timeout=30)
+        return {"text": "d0"}
+
+    def d1():
+        d1_done.set()
+        return {"text": "d1"}
+
+    return iter([("d0", d0, _text), ("d1", d1, _text), ("d1", _unreachable, _text)])
+
+
+def _text(payload):
+    return payload["text"]
+
+
+def test_a_batch_stores_in_job_order_when_a_duplicate_arrives_before_its_original_is_collected(
+        tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+    assert cache.serve("judge", _slow_first_then_a_duplicate(), max_workers=2) == (
+        ["d0", "d1", "d1"], 1)
+    assert block_digests(tmp_path / "cache" / "judge.log") == [["d0", "d1"]]
+
+
+def test_a_traced_batch_counts_a_duplicate_of_a_pool_job_as_one_hit(tmp_path, monkeypatch):
+    """Each pool job misses and stores once; the duplicate reads its
+    original's entry: one hit, and no second lookup of the original."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import tracer as tracing
+
+    tracer = tracing.Tracer()
+    cache = tracing.TracedCache(tmp_path / "cache", tracer)
+    cache.serve("judge", _slow_first_then_a_duplicate(), max_workers=2)
+    assert (tracer.counts["cache.misses"], tracer.counts["cache.hits"]) == (2, 1)
+    assert sum(span[1] == "cache.put" for span in tracer.spans) == 2
 
 
 def test_a_batch_that_puts_nothing_starts_no_thread(tmp_path, monkeypatch):

@@ -2214,6 +2214,36 @@ def test_cli_ingest_reports_a_class_iri_that_a_relative_xml_base_leaves_relative
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json"]
 
 
+@pytest.mark.parametrize("reader", ["jsonl", "rdfxml"])
+def test_cli_ingest_accepts_a_concept_iri_of_any_scheme(tmp_path, reader):
+    """An IRI is absolute when it starts with a scheme and a colon, so a
+    ``urn:`` IRI, which has no ``//``, is a concept as an ``http:`` one is."""
+    if reader == "jsonl":
+        iris = ["urn:example:A", "urn:example:B"]
+        source = tmp_path / "source.jsonl"
+        source.write_text("".join(json.dumps({"iri": iri, "label": iri[-1]}) + "\n"
+                                  for iri in iris))
+    else:
+        iris = ["urn:lsid:example.org:onto:A", "urn:lsid:example.org:onto:B"]
+        source = tmp_path / "source.owl"
+        source.write_text(
+            '<?xml version="1.0"?>\n'
+            '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"\n'
+            '         xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#"\n'
+            '         xmlns:owl="http://www.w3.org/2002/07/owl#">\n'
+            f'  <owl:Class rdf:about="{iris[0]}"/>\n'
+            f'  <owl:Class rdf:about="{iris[1]}">\n'
+            f'    <rdfs:subClassOf rdf:resource="{iris[0]}"/>\n'
+            '  </owl:Class>\n'
+            '</rdf:RDF>\n')
+    result = CliRunner().invoke(main, ["ingest", "--config", write_config_file(tmp_path),
+                                       "--source", str(source)])
+    assert result.exit_code == 0, result.output
+    with open(tmp_path / "out" / "source.concepts.jsonl", encoding="utf-8") as fp:
+        concepts = read_concept_jsonl(fp)
+    assert sorted(concepts) == iris
+
+
 def test_a_tsv_input_that_starts_with_a_bom_reads_like_one_without(tmp_path):
     """The toy reference and ranking cases, each with and without a UTF-8
     BOM and with and without a header line, give equal metrics."""
