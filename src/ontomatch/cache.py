@@ -47,6 +47,10 @@ _RECORD = struct.Struct("<HI")  # lengths of the digest and the payload
 _SYNC = zlib.compress(b"")[:2]  # the zlib header, b"x\x9c", that starts every block body
 BLOCK_ENTRIES = 64
 QUEUE_PER_WORKER = 4
+# Concurrent provider calls when the caller names no width. The default HTTP
+# target, a vLLM server, batches concurrent requests; a rate-limited hosted
+# API may need fewer.
+DEFAULT_MAX_WORKERS = 32
 T = TypeVar("T")
 # json.loads of a str, less its per-call checks of its arguments
 _decode_json = json.JSONDecoder().decode

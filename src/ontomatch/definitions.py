@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import logging
 
-from .cache import ResponseCache
+from .cache import DEFAULT_MAX_WORKERS, ResponseCache
 from .errors import ItemError
 from .model import Concept, ContextBlock, Ontology, concept_context, iri_fragment
 from .providers import Message, PromptFrame, Provider, SamplingParams, json_escape
@@ -110,7 +110,7 @@ def enrich_ontology(
     cache: ResponseCache,
     params: SamplingParams = SamplingParams(),
     limit: int | None = None,
-    max_workers: int = 8,
+    max_workers: int = DEFAULT_MAX_WORKERS,
 ) -> int:
     """Fill ``definition`` for up to ``limit`` concepts (IRI order); returns
     the number processed. ``names`` are the display names the prompt gives

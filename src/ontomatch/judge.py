@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import IO, Sequence, get_type_hints
 
-from .cache import ResponseCache
+from .cache import DEFAULT_MAX_WORKERS, ResponseCache
 from .errors import ConfigError, ItemError
 from .model import (
     ContextBlock, Judgement, Ontology, bounded_float, check_record, concept_context, read_tsv_rows,
@@ -248,7 +248,7 @@ def judge_candidates(
     shots: Sequence[FewShotExample] = (),
     softmax_mode: str = "pair",
     limit: int | None = None,
-    max_workers: int = 8,
+    max_workers: int = DEFAULT_MAX_WORKERS,
 ) -> list[Judgement]:
     """Judge every candidate pair; returns judgements sorted by (source, target).
 

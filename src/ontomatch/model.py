@@ -41,14 +41,13 @@ def is_absolute_iri(iri: str) -> bool:
 
 
 def iri_fragment(iri: str) -> str:
-    """Human-readable tail of an IRI: after '#', else after the last '/'."""
-    if "#" in iri:
-        frag = iri.rsplit("#", 1)[1]
-    elif "/" in iri:
-        frag = iri.rsplit("/", 1)[1]
-    else:
-        frag = iri
-    return frag or iri
+    """Human-readable tail of an IRI: after '#', else after the last '/',
+    else after the last ':' (``urn:example:S29`` is ``S29``); the whole IRI
+    when it has none of them or the tail is empty."""
+    for separator in "#/:":
+        if separator in iri:
+            return iri.rsplit(separator, 1)[1] or iri
+    return iri
 
 
 def normalize_string(s: str) -> str:

@@ -25,7 +25,7 @@ from typing import Callable, Sequence, TypeVar, get_type_hints
 import numpy as np
 
 from . import definitions, judge
-from .cache import ResponseCache, atomic_open
+from .cache import DEFAULT_MAX_WORKERS, ResponseCache, atomic_open
 from .definitions import build_embedding_text, enrich_ontology
 from .errors import ConfigError, ItemError, MissingArtifactError, OntologyParseError
 from .evaluate import (
@@ -182,7 +182,7 @@ class PipelineConfig:
     reference: str | None = None
     ranking_cases: str | None = None
     ranking_scorer: str = "cosine"
-    max_workers: int = 8
+    max_workers: int = DEFAULT_MAX_WORKERS
     label_property: str = DEFAULT_LABEL_PROPERTY
     synonym_properties: list[str] = field(default_factory=lambda: list(DEFAULT_SYNONYM_PROPERTIES))
     provider: dict = field(default_factory=lambda: {"kind": DEFAULT_PROVIDER_KIND})

@@ -7,8 +7,8 @@ Two implementations ship in-package:
   alias groups onto a shared canonical text before hashing so that fixture
   pairs become near-identical vectors. Chat behaviour is rule-based.
 * ``HttpProvider`` -- a JSON-over-HTTP client for OpenAI-style endpoints
-  (``/embeddings``, ``/chat/completions``) with bounded retries and
-  exponential backoff.
+  (``/embeddings``, ``/chat/completions``) with bounded retries, jittered
+  exponential backoff and one pooled connection per worker thread.
 
 Messages are ``{"role": ..., "content": ...}`` dicts: exactly one leading
 system message followed by user (and optionally assistant) turns.
@@ -20,12 +20,14 @@ import hashlib
 import json
 import logging
 import os
+import random
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Protocol, Sequence, get_type_hints
 
 import numpy as np
 
+from .cache import DEFAULT_MAX_WORKERS
 from .errors import CapabilityError, ConfigError, ItemError
 from .model import check_record, normalize_string
 
@@ -322,14 +324,38 @@ class HttpProviderConfig:
         return self
 
 
+# The longest Retry-After a retry waits for; a longer one is not honoured.
+RETRY_AFTER_MAX_S = 60.0
+
+
+def full_jitter(step: float) -> float:
+    """A retry's wait, drawn uniformly from [0, ``step``], so that workers
+    refused at once do not retry in lockstep ("full jitter")."""
+    return random.uniform(0.0, step)
+
+
+def _retry_after(response) -> float | None:
+    """``response``'s ``Retry-After`` when it is a number of seconds in
+    (0, ``RETRY_AFTER_MAX_S``]; None for an HTTP-date or any other value."""
+    try:
+        seconds = float(response.headers.get("Retry-After"))
+    except (TypeError, ValueError):
+        return None
+    return seconds if 0.0 < seconds <= RETRY_AFTER_MAX_S else None
+
+
 class HttpProvider:
     """OpenAI-style JSON-over-HTTP backend.
 
     Retries transport errors and HTTP 429/5xx responses up to
-    ``max_attempts`` times with exponential backoff starting at
-    ``backoff_base`` seconds. Concurrency is the caller's: the pipeline
-    makes at most ``max_workers`` calls at once (see ``ResponseCache.serve``).
-    ``session`` and ``sleep`` are injectable for tests.
+    ``max_attempts`` times. Retry ``n`` waits ``jitter(backoff_base *
+    2**(n-1))``, a full-jitter draw by default; after a 429 or 503 whose
+    ``Retry-After`` is a number of seconds in (0, 60], it waits that long
+    instead. Concurrency is the caller's: the pipeline makes at most
+    ``max_workers`` calls at once (see ``ResponseCache.serve``), so the
+    session this provider builds keeps up to ``max_workers`` connections per
+    host. ``session``, ``sleep`` and ``jitter`` are injectable for tests; an
+    injected session is used as given.
     """
 
     def __init__(
@@ -337,16 +363,28 @@ class HttpProvider:
         config: HttpProviderConfig | None = None,
         session=None,
         sleep: Callable[[float], None] = time.sleep,
+        jitter: Callable[[float], float] = full_jitter,
+        max_workers: int = DEFAULT_MAX_WORKERS,
     ):
         self.config = config or HttpProviderConfig().apply_env_overrides()
         if session is None:
             import requests
 
             session = requests.Session()
+            # requests' default pool keeps 10 connections per host; a wider
+            # pool of threads would discard and reopen the rest every batch.
+            adapter = requests.adapters.HTTPAdapter(pool_maxsize=max_workers)
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
         self._session = session
         self._sleep = sleep
+        self._jitter = jitter
         self.embed_model_id = self.config.embed_model
         self.chat_model_id = self.config.chat_model
+
+    def close(self) -> None:
+        """Close the session and its pooled connections."""
+        self._session.close()
 
     def _post(self, path: str, payload: dict) -> dict:
         url = self.config.base_url.rstrip("/") + path
@@ -356,7 +394,9 @@ class HttpProvider:
         last_error: Exception | None = None
         for attempt in range(self.config.max_attempts):
             if attempt > 0:
-                self._sleep(self.config.backoff_base * (2 ** (attempt - 1)))
+                step = self.config.backoff_base * (2 ** (attempt - 1))
+                self._sleep(retry_after if retry_after is not None else self._jitter(step))
+            retry_after = None  # the wait a refusal of this attempt asks for, if honoured
             try:
                 response = self._session.post(
                     url, json=payload, headers=headers, timeout=self.config.timeout
@@ -367,6 +407,8 @@ class HttpProvider:
                 continue
             status = getattr(response, "status_code", 0)
             if status == 429 or 500 <= status < 600:
+                if status in (429, 503):
+                    retry_after = _retry_after(response)
                 last_error = ItemError(f"HTTP {status} from {url}")
                 logger.warning("provider HTTP %s (attempt %d)", status, attempt + 1)
                 continue
@@ -484,7 +526,8 @@ def make_provider(config) -> Provider:
                  f"{kind} provider")
     try:
         if kind == "http":
-            return HttpProvider(HttpProviderConfig(**spec).apply_env_overrides())
+            return HttpProvider(HttpProviderConfig(**spec).apply_env_overrides(),
+                                max_workers=config.max_workers)
         if alias_file := spec.pop("alias_groups_file", None):
             with open(alias_file, "r", encoding="utf-8") as fp:
                 groups = json.load(fp)

@@ -42,6 +42,11 @@ def test_iri_fragment_empty_tail_returns_whole_iri():
     assert iri_fragment("http://x.org/onto#") == "http://x.org/onto#"
 
 
+def test_iri_fragment_of_an_iri_without_hash_or_slash_is_its_last_colon_segment():
+    assert iri_fragment("urn:example:src:S29") == "S29"
+    assert iri_fragment("urn:example:") == "urn:example:"
+
+
 def test_is_absolute_iri():
     assert is_absolute_iri("http://x.org/a")
     assert is_absolute_iri("urn://thing")

@@ -24,7 +24,7 @@ import ontomatch.pipeline as pipeline_module
 import ontomatch.retrieval as retrieval_module
 from ontomatch.cli import build_config, main
 from ontomatch.errors import ConfigError, ItemError, MissingArtifactError
-from ontomatch.cache import BLOCK_ENTRIES, QUEUE_PER_WORKER, ResponseCache
+from ontomatch.cache import BLOCK_ENTRIES, DEFAULT_MAX_WORKERS, QUEUE_PER_WORKER, ResponseCache
 from ontomatch.judge import DEFAULT_FEW_SHOT, judge_candidates
 from ontomatch.fusion import exact_match, read_mappings, write_mappings
 from ontomatch.model import Mapping, read_concept_jsonl
@@ -603,13 +603,17 @@ def test_a_cold_run_uses_the_cache_on_the_calling_thread_only(tmp_path, monkeypa
     assert here not in {thread for name, thread in used_on if name in chat}
 
 
-_KILLED_RUN = """
+# The killed run's pool width. The lost answers are bounded by
+# QUEUE_PER_WORKER * width + BLOCK_ENTRIES, which stays below the 150 calls
+# the kill allows only at a width this narrow.
+_KILLED_WIDTH = 8
+_KILLED_RUN = f"""
 import os, sys, threading
 from pathlib import Path
 from conftest import toy_config
 from ontomatch.pipeline import Pipeline, make_provider
 
-config = toy_config(Path(sys.argv[1]))
+config = toy_config(Path(sys.argv[1]), max_workers={_KILLED_WIDTH})
 provider = make_provider(config)
 classify, calls, lock = provider.classify_first_token, [], threading.Lock()
 
@@ -639,13 +643,13 @@ def _killed_toy_run(tmp_path: Path, script: str, *args: str) -> PipelineConfig:
 
 
 def test_a_run_killed_mid_judge_resumes_to_the_same_artifacts(tmp_path):
-    """A cold toy run exits abruptly after its 150th classify call; the
-    rerun sends exactly the pairs whose answers the kill lost, at most the
-    pool's queue and one open block, and writes what an uninterrupted run
-    writes."""
+    """A cold toy run on 8 workers exits abruptly after its 150th classify
+    call; the rerun, at the default width, sends exactly the pairs whose
+    answers the kill lost, at most the pool's queue and one open block, and
+    writes what an uninterrupted run writes."""
     config = _killed_toy_run(tmp_path / "killed", _KILLED_RUN, "150")
     kept = len(ResponseCache(config.cache_dir).stored("judge"))
-    assert 0 < 150 - kept <= QUEUE_PER_WORKER * config.max_workers + BLOCK_ENTRIES
+    assert 0 < 150 - kept <= QUEUE_PER_WORKER * _KILLED_WIDTH + BLOCK_ENTRIES
 
     provider = CountingProvider(make_provider(config))
     Pipeline(config, provider=provider).run()
@@ -654,6 +658,21 @@ def test_a_run_killed_mid_judge_resumes_to_the_same_artifacts(tmp_path):
     whole = toy_config(tmp_path / "whole")
     Pipeline(whole).run()
     assert snapshot(config.out_dir) == snapshot(whole.out_dir)
+
+
+def test_the_pool_width_changes_no_artifact_or_cache_byte(tmp_path):
+    """A cold toy run on one worker and one at the default width write the
+    same artifacts and the same cache logs, byte for byte."""
+    def cold(name: str, **overrides) -> dict[str, bytes]:
+        config = toy_config(tmp_path / name, **overrides)
+        Pipeline(config).run()
+        files = [Path(config.out_dir) / artifact for artifact in
+                 ("candidates.tsv", "judgements.tsv", "mappings.tsv", "metrics.json")]
+        files += [Path(config.cache_dir) / log for log in ("define.log", "judge.log")]
+        return {path.name: path.read_bytes() for path in files}
+
+    assert toy_config(tmp_path).max_workers == DEFAULT_MAX_WORKERS > 1
+    assert cold("one", max_workers=1) == cold("wide")
 
 
 _KILLED_AT_FUSE_RECORD = """
@@ -1639,8 +1658,9 @@ def test_a_failed_cache_write_fails_the_judge_stage_and_the_next_run_recomputes(
     """Appends to the judge log fail: the store that fills the first block
     raises, so the stage fails having sent at most a pool's worth of pairs
     past that block. Nothing reached the log, so the next run recomputes
-    every pair, the answers of the failed run included."""
-    config = toy_config(tmp_path)
+    every pair, the answers of the failed run included. The width is pinned
+    at 8, so that bound stays as tight as 160 pairs."""
+    config = toy_config(tmp_path, max_workers=8)
     provider = CountingProvider(make_provider(config))
     pipeline = Pipeline(config, provider=provider)
     pipeline.run(stages=["ingest", "define", "embed", "match"])
@@ -1844,6 +1864,21 @@ def test_make_provider_http_kind():
         "kind": "http", "base_url": "http://example.test/v1",
     }))
     assert isinstance(provider, HttpProvider)
+
+
+@pytest.mark.parametrize("width", [5, DEFAULT_MAX_WORKERS])
+def test_make_provider_keeps_one_http_connection_per_worker(width):
+    """The session an http provider builds pools as many connections per
+    host as the config's max_workers, for http and https alike."""
+    provider = make_provider(PipelineConfig(max_workers=width, provider={
+        "kind": "http", "base_url": "http://example.test/v1",
+    }))
+    try:
+        for url in ("http://example.test/v1", "https://example.test/v1"):
+            adapter = provider._session.get_adapter(url)
+            assert adapter.poolmanager.connection_pool_kw["maxsize"] == width
+    finally:
+        provider.close()
 
 
 @pytest.mark.parametrize("spec, unknown", [

@@ -25,6 +25,7 @@ from ontomatch.providers import (
     MockProvider,
     PromptFrame,
     SamplingParams,
+    full_jitter,
     json_escape,
     validate_messages,
 )
@@ -440,10 +441,11 @@ def test_mock_chat_validates_messages():
 
 
 class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text="err"):
+    def __init__(self, status_code=200, payload=None, text="err", headers=None):
         self.status_code = status_code
         self._payload = payload if payload is not None else {}
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         return self._payload
@@ -464,13 +466,18 @@ class FakeSession:
         return outcome
 
 
-def http_provider(outcomes, **config_overrides):
+def full_step(step):
+    """A jitter draw that waits the whole exponential step."""
+    return step
+
+
+def http_provider(outcomes, jitter=full_step, **config_overrides):
     config = HttpProviderConfig(
         base_url="http://test/v1", api_key="secret", **config_overrides
     )
     session = FakeSession(outcomes)
     sleeps = []
-    provider = HttpProvider(config=config, session=session, sleep=sleeps.append)
+    provider = HttpProvider(config=config, session=session, sleep=sleeps.append, jitter=jitter)
     return provider, session, sleeps
 
 
@@ -519,6 +526,78 @@ def test_http_gives_up_after_max_attempts():
     with pytest.raises(ItemError, match="3 attempts"):
         provider.embed_batch(["heart"])
     assert sleeps == [1.0, 2.0]
+
+
+def test_full_jitter_spreads_each_wait_over_its_whole_step():
+    """Workers refused at once do not retry in lockstep: each wait is drawn
+    from [0, step], low and high ends alike."""
+    for step in (1.0, 2.0, 4.0):
+        draws = [full_jitter(step) for _ in range(2000)]
+        assert all(0.0 <= d <= step for d in draws)
+        assert min(draws) < 0.05 * step and max(draws) > 0.95 * step
+        assert 0.4 * step < sum(draws) / len(draws) < 0.6 * step
+        assert len(set(draws)) == len(draws)
+
+
+def test_http_retries_wait_a_full_jitter_draw_by_default():
+    config = HttpProviderConfig(base_url="http://test/v1", max_attempts=2)
+    waits = []
+    for _ in range(200):
+        session = FakeSession([FakeResponse(status_code=500), embed_response([[1.0, 0.0]])])
+        HttpProvider(config=config, session=session, sleep=waits.append).embed_batch(["heart"])
+    assert all(0.0 <= w <= 1.0 for w in waits) and len(set(waits)) == len(waits)
+
+
+def test_http_draws_each_wait_from_its_exponential_step():
+    steps = []
+    provider, _, sleeps = http_provider(
+        [FakeResponse(status_code=502), FakeResponse(status_code=500), embed_response([[1.0]])],
+        jitter=lambda step: steps.append(step) or step / 4, backoff_base=0.5)
+    provider.embed_batch(["heart"])
+    assert steps == [0.5, 1.0]
+    assert sleeps == [0.125, 0.25]
+
+
+@pytest.mark.parametrize("status, value", [(429, "7"), (503, "0.5"), (429, "60")])
+def test_http_honours_a_retry_after_of_seconds_on_429_and_503(status, value):
+    provider, session, sleeps = http_provider([
+        FakeResponse(status_code=status, headers={"Retry-After": value}),
+        embed_response([[1.0, 0.0]]),
+    ], jitter=lambda step: pytest.fail("a usable Retry-After needs no draw"))
+    provider.embed_batch(["heart"])
+    assert sleeps == [float(value)]
+    assert len(session.calls) == 2
+
+
+@pytest.mark.parametrize("status, value", [
+    (429, "Wed, 21 Oct 2015 07:28:00 GMT"),
+    (429, "0"),
+    (429, "-3"),
+    (503, "61"),
+    (503, "nan"),
+    (429, "soon"),
+    (500, "7"),
+    (502, "7"),
+])
+def test_http_ignores_any_other_retry_after(status, value):
+    """An HTTP-date, a value outside (0, 60] or a status other than 429 and
+    503 leaves the jittered wait."""
+    provider, _, sleeps = http_provider([
+        FakeResponse(status_code=status, headers={"Retry-After": value}),
+        embed_response([[1.0, 0.0]]),
+    ])
+    provider.embed_batch(["heart"])
+    assert sleeps == [1.0]
+
+
+def test_http_retry_after_applies_only_to_the_wait_after_its_reply():
+    provider, _, sleeps = http_provider([
+        FakeResponse(status_code=429, headers={"Retry-After": "5"}),
+        FakeResponse(status_code=429),
+        embed_response([[1.0, 0.0]]),
+    ])
+    provider.embed_batch(["heart"])
+    assert sleeps == [5.0, 2.0]
 
 
 def test_http_client_errors_fail_immediately():
